@@ -12,9 +12,10 @@ import numpy as np
 import kimdiff as kd
 
 model = kd.make_kimura(1.0, -0.5)
+profile = kd.fixation_profile(model, 2049)
 basis = kd.build_basis(model, 128, 2048)
 init = kd.InitialMeasure(density="bump(0.4, 0.2)")
-coeffs = kd.project_initial(model, basis, init)
+coeffs = kd.project_initial(model, basis, init, profile)
 
 times = [0.1, 0.5, 1.0]
 spectral = [kd.solution_at(model, basis, coeffs, init, t) for t in times]

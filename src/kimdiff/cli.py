@@ -24,7 +24,7 @@ def _add_common(sub):
     sub.add_argument("--config", help="scenario config JSON")
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--modes", type=int, help="override spectral mode count")
-    sub.add_argument("--grid", type=int, help="override spectral grid size")
+    sub.add_argument("--grid", type=int, help="override output sampling grid size")
     sub.add_argument("--cells", type=int, help="override FD cell count")
     sub.add_argument("--dt", type=float, help="override FD time step")
     sub.add_argument("--s", type=float, help="smoothness exponent for decay bounds")

@@ -14,7 +14,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._quadrature import adaptive_gl
 
@@ -136,9 +135,11 @@ class InitialMeasure:
 
 @dataclass
 class SpectralCoefficients:
-    """Projection of the transformed initial density onto the eigenbasis."""
+    """Projection of the initial measure onto the eigenbasis, plus the limit
+    masses (a_inf, b_inf) that anchor the boundary-mass series."""
 
     values: np.ndarray
+    limits: tuple = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, float)
@@ -162,38 +163,23 @@ class SolutionMeasure:
         return float(np.trapezoid(np.abs(self.density), self.grid))
 
 
-def _eigenfunction_spline(basis):
-    n = basis.eigenfunctions.shape[0]
-    padded = np.zeros((n + 2, basis.n_modes))
-    padded[1:-1, :] = basis.eigenfunctions
-    return CubicSpline(basis.closed_grid, padded, axis=0)
-
-
-def project_initial(model, basis, init):
-    """Coefficients of the transformed initial density in the eigenbasis.
+def project_initial(model, basis, init, profile):
+    """Coefficients of the initial measure in the eigenbasis, with its limit
+    masses from the fixation profile.
 
     The weighted pairing reduces to a plain integral of the density against
-    exp(-half integral of xi) times the eigenfunction, which stays bounded at
-    the endpoints, so interior point masses contribute pointwise terms.
+    the backward-form mode u_j, taken by the basis's Gauss rule; u_j is a
+    polynomial vanishing at the endpoints, so interior point masses
+    contribute its exact point values.
     """
-    h = basis.spacing
-    halfexp = np.exp(-0.5 * basis.xi_integral_values)
     vals = np.zeros(basis.n_modes)
     if init._density_fn is not None:
-        q0 = init.density_samples(basis.interior_grid)
-        vals += h * ((q0 * halfexp) @ basis.eigenfunctions)
+        q0 = init.density_samples(basis.quad_nodes)
+        vals += (basis.quad_weights * q0) @ basis.quad_modes
     if init.atoms:
-        spline = _eigenfunction_spline(basis)
-        x1, xn = basis.interior_grid[0], basis.interior_grid[-1]
-        for x, m in init.atoms:
-            if x < x1 or x > xn:
-                warnings.warn(
-                    f"atom at {x} lies outside the interior grid support "
-                    f"[{x1:.3g}, {xn:.3g}]; projection is extrapolated",
-                    stacklevel=2,
-                )
-            vals += m * np.exp(-0.5 * model.xi_integral(x)) * spline(x)
-    return SpectralCoefficients(values=vals)
+        xs, ms = np.array(init.atoms).T
+        vals += ms @ basis.mode_values(xs)
+    return SpectralCoefficients(values=vals, limits=limit_masses(model, profile, init))
 
 
 def evaluate_q(basis, coeffs, t, init=None):
@@ -232,19 +218,21 @@ def evaluate_q(basis, coeffs, t, init=None):
 
 def boundary_masses(model, basis, coeffs, init, t):
     """Absorbed masses at time t by term-wise time integration of the
-    boundary flux series.  Each mode contributes its endpoint flux integrated
-    exactly in time, so there is no time-quadrature error.  t may be inf."""
+    boundary flux series, anchored at the exact limits:
+    a(t) = a_inf - sum_j c_j Psi(0) q_j(0) exp(-lambda_j t) / lambda_j, and b
+    likewise at x = 1.  The remaining tail decays in time, so truncation
+    cannot offset the limits even for point-mass data.  t may be inf; t = 0
+    returns the initial endpoint masses."""
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     if basis.density_modes is None:
         raise ValueError("transform_eigenfunctions must run first")
-    lam = basis.eigenvalues
-    with np.errstate(over="ignore"):
-        growth = (1.0 - np.exp(-lam * t)) / lam
-    flux0 = model.psi_at(0.0) * basis.density_modes[0, :]
-    flux1 = model.psi_at(1.0) * basis.density_modes[-1, :]
-    a = init.a0 + float(np.dot(coeffs.values * flux0, growth))
-    b = init.b0 + float(np.dot(coeffs.values * flux1, growth))
+    if t == 0.0:
+        return init.a0, init.b0
+    a_inf, b_inf = coeffs.limits
+    tail = coeffs.values * np.exp(-basis.eigenvalues * t) / basis.eigenvalues
+    a = a_inf - float(model.psi_at(0.0) * np.dot(basis.density_modes[0, :], tail))
+    b = b_inf - float(model.psi_at(1.0) * np.dot(basis.density_modes[-1, :], tail))
     return a, b
 
 
@@ -259,21 +247,22 @@ def solution_at(model, basis, coeffs, init, t):
 
 def limit_masses(model, profile, init):
     """Final absorbed masses: the fixation-probability moment of the initial
-    measure gives the mass at 1, the remainder goes to 0."""
-    b_inf = init.b0
+    measure gives the mass at 1, the moment of 1 - psi the mass at 0."""
+    a_inf, b_inf = init.a0, init.b0
     if init._density_fn is not None:
         if isinstance(init.density, tuple):
             xs = np.asarray(init.density[0], float)
         else:
             xs = profile.grid
-        b_inf += float(np.trapezoid(profile(xs) * init.density_samples(xs), xs))
-        total_density = float(np.trapezoid(init.density_samples(xs), xs))
-    else:
-        total_density = 0.0
+        psi = profile(xs)
+        q0 = init.density_samples(xs)
+        a_inf += float(np.trapezoid((1.0 - psi) * q0, xs))
+        b_inf += float(np.trapezoid(psi * q0, xs))
     for x, m in init.atoms:
-        b_inf += m * float(profile(x))
-    total = init.a0 + init.b0 + total_density + sum(m for _, m in init.atoms)
-    return total - b_inf, b_inf
+        psi = float(profile(x))
+        a_inf += m * (1.0 - psi)
+        b_inf += m * psi
+    return a_inf, b_inf
 
 
 def mass_cross_check(model, basis, coeffs, profile, init, t):
@@ -302,9 +291,7 @@ def conservation_residuals(model, profile, init, solutions):
     Returns drifts of total mass (against the initial mass) and of the
     fixation moment (against its limit value), plus the max-minus-min spans
     across the evaluated times.  The spans measure the constancy the laws
-    assert; for initial data with interior point masses the drifts also pick
-    up the truncation defect of the projected measure, which no resolution
-    can remove, while the spans stay small.
+    assert; the drifts also compare against the exact initial values.
     """
     if len(solutions) < 2:
         raise ValueError("need solutions at two or more times")

@@ -1,39 +1,41 @@
 """Singular Sturm-Liouville eigenproblem behind the forward equation.
 
-Discretizes  -phi'' + V phi = lambda * w * phi  with homogeneous Dirichlet
-conditions on interior points only (the weight w is singular at the
-endpoints; the problem is limit-point there, so interior collocation is the
-right realization).  The generalized symmetric-definite problem reduces to a
-symmetric tridiagonal one because the mass matrix is diagonal.
+Solves the backward form  -(e^Xi u')' = lambda e^Xi u / (Psi x (1 - x)),
+with Xi the running integral of xi, by Galerkin on the polynomials
+u_n(x) = P_n(y) - P_{n+2}(y), y = 2x - 1 (J. Shen, SIAM J. Sci. Comput. 15,
+1994; C. L. Epstein and R. Mazzeo, SIAM J. Math. Anal. 42, 2010).  Each u_n
+vanishes at both endpoints and u_n / (x (1 - x)) is again a polynomial, so the
+density modes take exact endpoint values, and their masses and point values
+are exact up to the polynomial truncation, which converges spectrally.
 """
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from numpy.polynomial.legendre import leggauss
+from scipy.linalg import eigh
 from scipy.special import j1
 
 from ._quadrature import adaptive_gl, segment_integrals
 
-# Lagrange weights for extrapolating uniform-grid samples at h, 2h, ... to 0.
-_EXTRAP3 = np.array([3.0, -3.0, 1.0])
-_EXTRAP4 = np.array([4.0, -6.0, 4.0, -1.0])
-_EXTRAP_FLAG_TOL = 1e-3
-
-
 @dataclass
 class SpectralBasis:
-    """Eigenpairs of the weighted eigenproblem on a uniform interior grid.
+    """Eigenpairs of the weighted eigenproblem, sampled on a uniform grid.
 
-    interior_grid: x_i = i h, h = 1/(n+1), i = 1..n.
-    eigenvalues: lowest modes, ascending, Richardson-refined.
-    eigenfunctions: (n, m) samples, orthonormal under the trapezoidal
-        weight-weighted inner product, signed so the slope at 0 is positive.
+    interior_grid: output sampling points x_i = i h, h = 1/(n+1), i = 1..n;
+        they play no part in the solve.
+    eigenvalues: lowest modes, ascending.
+    eigenfunctions: (n, m) samples of phi_j = exp(Xi/2) u_j, orthonormal under
+        the weight-weighted inner product, signed so the slope at 0 is
+        positive.
     weight_values, xi_integral_values: the weight and the running integral of
         xi at the interior points (cached for the transforms).
-    density_modes: (n+2, m) transformed eigenfunctions on the closed grid,
-        endpoint values filled by polynomial extrapolation; None until
+    coefficients: (N, m) Galerkin coefficients of u_j in the basis u_n.
+    quad_nodes, quad_weights: the Gauss-Legendre rule on [0, 1] that assembled
+        the Galerkin matrices; mode masses and projections reuse it.
+    quad_modes: (nodes, m) values of u_j at quad_nodes.
+    density_modes: (n+2, m) density modes q_j = e^Xi u_j / (Psi x (1 - x)) on
+        the closed grid, endpoint values included; None until
         transform_eigenfunctions runs.
     mode_masses: integrals of the density modes over [0, 1]; None until
         transform_eigenfunctions runs.
@@ -45,6 +47,10 @@ class SpectralBasis:
     eigenfunctions: np.ndarray
     weight_values: np.ndarray
     xi_integral_values: np.ndarray
+    coefficients: np.ndarray
+    quad_nodes: np.ndarray
+    quad_weights: np.ndarray
+    quad_modes: np.ndarray
     density_modes: np.ndarray = None
     mode_masses: np.ndarray = None
 
@@ -56,105 +62,110 @@ class SpectralBasis:
     def closed_grid(self):
         return np.concatenate(([0.0], self.interior_grid, [1.0]))
 
+    def mode_values(self, x):
+        """Backward-form modes u_j at points x in [0, 1], shape (len(x), m)."""
+        return _mode_values(self.coefficients, x)
 
-def _solve_grid(model, n_grid, n_modes, want_vectors=True):
-    h = 1.0 / (n_grid + 1)
-    x = h * np.arange(1, n_grid + 1)
-    w = model.weight(x)
-    v = model.potential(x)
-    sq = np.sqrt(w)
-    diag = (2.0 / h**2 + v) / w
-    off = (-1.0 / h**2) / (sq[:-1] * sq[1:])
-    try:
-        if want_vectors:
-            vals, vecs = eigh_tridiagonal(
-                diag, off, select="i", select_range=(0, n_modes - 1)
-            )
-        else:
-            vals = eigh_tridiagonal(
-                diag, off, select="i", select_range=(0, n_modes - 1),
-                eigvals_only=True,
-            )
-            vecs = None
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"tridiagonal eigensolver failed at n_grid={n_grid}: {exc}")
-    if vecs is None:
-        return x, h, w, vals, None
-    phi = vecs / sq[:, None]
-    phi /= np.sqrt(h) * np.linalg.norm(vecs, axis=0)[None, :]
-    signs = np.sign(phi[0, :])
-    signs[signs == 0.0] = 1.0
-    phi *= signs[None, :]
-    return x, h, w, vals, phi
+
+def _legendre_slopes(y, n):
+    """P_k'(y) for k = 0..n, one row per degree, by the recurrences
+    P_{k+1} = ((2k+1) y P_k - k P_{k-1}) / (k+1) and
+    P'_{k+1} = P'_{k-1} + (2k+1) P_k; only two rows of P are kept."""
+    dp = np.zeros((n + 1, len(y)))
+    dp[1] = 1.0
+    p_prev, p = np.ones_like(y), y
+    for k in range(1, n):
+        dp[k + 1] = dp[k - 1] + (2 * k + 1) * p
+        p_prev, p = p, ((2 * k + 1) * y * p - k * p_prev) / (k + 1)
+    return dp
+
+
+def _quotient_rows(x, n_basis):
+    """u_n(x) / (x (1 - x)) = 4 (2n+3) / ((n+1)(n+2)) P'_{n+1}(2x - 1) for
+    n < n_basis, one row per n; finite at the endpoints."""
+    n = np.arange(n_basis)[:, None]
+    rows = _legendre_slopes(2.0 * np.asarray(x, float) - 1.0, n_basis)[1:]
+    rows *= 4.0 * (2 * n + 3) / ((n + 1) * (n + 2))
+    return rows
+
+
+def _mode_values(coefficients, x):
+    """u_j at points x in [0, 1], shape (len(x), m), from Galerkin coefficients."""
+    x = np.atleast_1d(np.asarray(x, float))
+    u = _quotient_rows(x, coefficients.shape[0]).T @ coefficients
+    u *= (x * (1.0 - x))[:, None]
+    return u
 
 
 def solve_eigenproblem(model, n_modes, n_grid):
-    """Lowest n_modes eigenpairs on an n_grid-point interior grid.
+    """Lowest n_modes eigenpairs, sampled on an n_grid-point interior grid.
 
-    Second-order centered differences give the stiffness part; the singular
-    weight lands on the diagonal mass.  Eigenvalues take one grid-doubling
-    Richardson step; eigenvectors come from the requested grid, where the
-    discrete weight-orthonormality is exact up to solver roundoff.
+    Stiffness K = int e^Xi u_m' u_n' and mass M = int e^Xi u_m u_n /
+    (Psi x (1 - x)) are assembled with a Gauss-Legendre rule of 2N + 40
+    nodes for N = n_modes + 32 basis polynomials; the eigenvectors of
+    K c = lambda M c are M-orthonormal, which is the weighted normalization.
     """
     n_modes = int(n_modes)
     n_grid = int(n_grid)
     if n_grid < 64:
         raise ValueError("n_grid must be at least 64")
-    if n_modes < 1 or n_modes > n_grid // 8:
-        raise ValueError(
-            f"n_modes must lie in [1, n_grid/8]; got {n_modes} at n_grid={n_grid}"
-        )
-    x, h, w, vals_c, phi = _solve_grid(model, n_grid, n_modes)
-    _, _, _, vals_f, _ = _solve_grid(model, 2 * n_grid + 1, n_modes, want_vectors=False)
-    lam = (4.0 * vals_f - vals_c) / 3.0
-    if lam[0] <= 0.0:
-        raise RuntimeError(
-            f"computed smallest eigenvalue {lam[0]:.3e} is not positive; the "
-            "operator is positive-definite, so this signals a discretization failure"
-        )
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be at least 1; got {n_modes}")
+    n_basis = n_modes + 32
+    nodes, weights = leggauss(2 * n_basis + 40)
+    xq = 0.5 * (nodes + 1.0)
+    wq = 0.5 * weights
+    dp = _legendre_slopes(nodes, n_basis + 1)
+    slope = 2.0 * (dp[:-2] - dp[2:])  # u_n' in x
+    quot = _quotient_rows(xq, n_basis)
+    ew = wq * np.exp(model.xi_integral(xq))  # Gauss weights times e^Xi
+    stiffness = (slope * ew) @ slope.T
+    mass = (quot * (ew * xq * (1.0 - xq) / model.psi_at(xq))) @ quot.T
+    # the full divide-and-conquer solve is about 3x faster than a subset solve
+    lam, coef = eigh(stiffness, mass)
+    lam, coef = lam[:n_modes], coef[:, :n_modes]
+    coef *= np.where(_quotient_rows([0.0], n_basis).T @ coef < 0.0, -1.0, 1.0)
+
+    h = 1.0 / (n_grid + 1)
+    x = h * np.arange(1, n_grid + 1)
+    xi_int = model.xi_integral(x)
+    phi = _mode_values(coef, x)
+    phi *= np.exp(0.5 * xi_int)[:, None]
     return SpectralBasis(
         interior_grid=x,
         spacing=h,
         eigenvalues=lam,
         eigenfunctions=phi,
-        weight_values=w,
-        xi_integral_values=model.xi_integral(x),
+        weight_values=model.weight(x),
+        xi_integral_values=xi_int,
+        coefficients=coef,
+        quad_nodes=xq,
+        quad_weights=wq,
+        quad_modes=(quot * (xq * (1.0 - xq))).T @ coef,
     )
 
 
 def transform_eigenfunctions(model, basis):
     """Fill density_modes and mode_masses.
 
-    The density-space mode is exp(half integral of xi) * weight * phi at
-    interior points.  Endpoint values come from 3-point polynomial
-    extrapolation (the eigenfunctions vanish linearly, so the transformed
-    modes have finite endpoint limits); a 4-point extrapolant cross-checks
-    stability.  Mode masses are trapezoids over the closed grid.
+    At interior points the density mode is exp(half integral of xi) * weight
+    * phi; at the endpoints it is the exact polynomial limit
+    q_j(0) = u_j'(0) / Psi(0) and q_j(1) = -e^Xi(1) u_j'(1) / Psi(1).  Mode
+    masses use the basis's Gauss rule.
     """
     q_int = (
         np.exp(0.5 * basis.xi_integral_values)[:, None]
         * basis.weight_values[:, None]
         * basis.eigenfunctions
     )
-    left3 = _EXTRAP3 @ q_int[:3, :]
-    left4 = _EXTRAP4 @ q_int[:4, :]
-    right3 = _EXTRAP3 @ q_int[-1:-4:-1, :]
-    right4 = _EXTRAP4 @ q_int[-1:-5:-1, :]
-    scale = np.max(np.abs(q_int[:4, :]), axis=0)
-    bad_l = np.abs(left3 - left4) > _EXTRAP_FLAG_TOL * np.maximum(scale, 1e-300)
-    scale_r = np.max(np.abs(q_int[-4:, :]), axis=0)
-    bad_r = np.abs(right3 - right4) > _EXTRAP_FLAG_TOL * np.maximum(scale_r, 1e-300)
-    unstable = np.nonzero(bad_l | bad_r)[0]
-    if unstable.size:
-        warnings.warn(
-            f"endpoint extrapolation is unstable for {unstable.size} density "
-            f"modes (lowest affected: {unstable[0]}); their 3- and 4-point "
-            "extrapolants disagree beyond 1e-3 relative, so endpoint values "
-            "carry that uncertainty; increase n_grid to resolve them",
-            stacklevel=2,
-        )
-    q = np.vstack([left3, q_int, right3])
-    masses = np.trapezoid(q, np.concatenate(([0.0], basis.interior_grid, [1.0])), axis=0)
+    coef = basis.coefficients
+    left, right = _quotient_rows([0.0, 1.0], len(coef)).T @ coef
+    q_left = left / model.psi_at(0.0)
+    q_right = np.exp(model.xi_integral(1.0)) * right / model.psi_at(1.0)
+    q = np.vstack([q_left, q_int, q_right])
+    xq = basis.quad_nodes
+    to_density = basis.quad_weights * np.exp(model.xi_integral(xq)) * model.weight(xq)
+    masses = to_density @ basis.quad_modes
     return replace(basis, density_modes=q, mode_masses=masses)
 
 

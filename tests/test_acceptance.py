@@ -31,7 +31,7 @@ def neutral_profile_big(neutral):
 @pytest.fixture(scope="module")
 def uniform_run(neutral, neutral_big, neutral_profile_big):
     init = kd.InitialMeasure(density="uniform")
-    coeffs = kd.project_initial(neutral, neutral_big, init)
+    coeffs = kd.project_initial(neutral, neutral_big, init, neutral_profile_big)
     return init, coeffs
 
 
@@ -71,7 +71,7 @@ def test_conservation_laws(neutral, selection, neutral_big, neutral_profile_big)
     results = []
 
     def run(model, basis, profile, init):
-        coeffs = kd.project_initial(model, basis, init)
+        coeffs = kd.project_initial(model, basis, init, profile)
         sols = [kd.solution_at(model, basis, coeffs, init, t) for t in times]
         return kd.conservation_residuals(model, profile, init, sols)
 
@@ -79,9 +79,7 @@ def test_conservation_laws(neutral, selection, neutral_big, neutral_profile_big)
     rep = run(neutral, neutral_big, neutral_profile_big, uniform)
     results.append(("neutral/uniform", max(rep.mass_drift, rep.psi_mass_drift)))
 
-    # interior point mass: the conserved quantities must stay constant in
-    # time; the drift against the raw initial mass is the projection
-    # truncation defect, which is recorded separately
+    # interior point mass: the conserved quantities must stay constant in time
     atom = kd.InitialMeasure(atoms=[(0.25, 1.0)])
     rep_atom = run(neutral, neutral_big, neutral_profile_big, atom)
     results.append(("neutral/interior-atom", max(rep_atom.mass_span, rep_atom.psi_mass_span)))
@@ -109,7 +107,7 @@ def test_boundary_mass_routes(neutral, selection, neutral_big, neutral_profile_b
     sel_basis = kd.build_basis(selection, 128, 2048)
     sel_profile = kd.fixation_profile(selection, 2049)
     bump = kd.InitialMeasure(density="bump(0.4, 0.2)")
-    coeffs_b = kd.project_initial(selection, sel_basis, bump)
+    coeffs_b = kd.project_initial(selection, sel_basis, bump, sel_profile)
     disc_b = max(
         kd.mass_cross_check(selection, sel_basis, coeffs_b, sel_profile, bump, t)[2]
         for t in times
@@ -119,7 +117,7 @@ def test_boundary_mass_routes(neutral, selection, neutral_big, neutral_profile_b
     # (1 - psi(x0), psi(x0)) at t = 6/lambda_0
     x0 = 0.01
     atom = kd.InitialMeasure(atoms=[(x0, 1.0)])
-    coeffs_a = kd.project_initial(neutral, neutral_big, atom)
+    coeffs_a = kd.project_initial(neutral, neutral_big, atom, neutral_profile_big)
     a_inf, b_inf = kd.limit_masses(neutral, neutral_profile_big, atom)
     t_star = 6.0 / neutral_big.eigenvalues[0]
     a2, b2, _ = kd.mass_cross_check(
@@ -153,8 +151,9 @@ def test_spectral_vs_fd(neutral, selection, neutral_big, uniform_run):
     rows_u = kd.compare_with_spectral(fd_u, sols_u)
 
     sel_basis = kd.build_basis(selection, 128, 2048)
+    sel_profile = kd.fixation_profile(selection, 2049)
     bump = kd.InitialMeasure(density="bump(0.4, 0.2)")
-    coeffs_b = kd.project_initial(selection, sel_basis, bump)
+    coeffs_b = kd.project_initial(selection, sel_basis, bump, sel_profile)
     sols_b = [kd.solution_at(selection, sel_basis, coeffs_b, bump, t) for t in times]
     fd_b = kd.evolve_fd(selection, bump, 1.0, 1024, output_times=times)
     rows_b = kd.compare_with_spectral(fd_b, sols_b)
@@ -251,10 +250,10 @@ def test_weak_form_residual(neutral, neutral_big, neutral_profile_big, uniform_r
     )
 
 
-def test_degenerate_inputs(neutral, neutral_big):
+def test_degenerate_inputs(neutral, neutral_big, neutral_profile_big):
     # boundary atoms only: exactly constant solution
     init = kd.InitialMeasure(a0=0.3, b0=0.7)
-    coeffs = kd.project_initial(neutral, neutral_big, init)
+    coeffs = kd.project_initial(neutral, neutral_big, init, neutral_profile_big)
     exact = True
     for t in (0.1, 1.0, 5.0):
         sol = kd.solution_at(neutral, neutral_big, coeffs, init, t)

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import kimdiff as kd
+
+from conftest import neutral_mode_exact
 
 SQ6 = np.sqrt(6.0)
 
@@ -10,7 +14,7 @@ SQ6 = np.sqrt(6.0)
 def uniform_setup(neutral, neutral_basis, neutral_profile):
     """Neutral model with uniform density: exactly the leading mode."""
     init = kd.InitialMeasure(density="uniform")
-    coeffs = kd.project_initial(neutral, neutral_basis, init)
+    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     return init, coeffs
 
 
@@ -49,29 +53,42 @@ def test_density_spec_forms():
     assert fn(0.25) == pytest.approx(1.0)
 
 
-def test_projection_of_leading_mode_is_unit_vector(neutral, neutral_basis):
+def test_projection_of_leading_mode_is_unit_vector(neutral, neutral_basis, neutral_profile):
     # initial density equal to the leading density mode transforms to the
     # leading eigenfunction, so the coefficients are (c, 0, 0, ...)
     q0 = neutral_basis.density_modes[:, 0]
     grid = neutral_basis.closed_grid
     init = kd.InitialMeasure(density=(grid, q0))
-    coeffs = kd.project_initial(neutral, neutral_basis, init)
+    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     assert coeffs.values[0] == pytest.approx(1.0, abs=1e-6)
     assert np.max(np.abs(coeffs.values[1:])) <= 1e-6
 
 
-def test_projection_boundary_atoms_only(neutral, neutral_basis):
+def test_projection_boundary_atoms_only(neutral, neutral_basis, neutral_profile):
     init = kd.InitialMeasure(a0=0.3, b0=0.7)
-    coeffs = kd.project_initial(neutral, neutral_basis, init)
+    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     assert np.all(coeffs.values == 0.0)
 
 
-def test_projection_center_atom_kills_odd_modes(neutral, neutral_basis):
+def test_projection_center_atom_kills_odd_modes(neutral, neutral_basis, neutral_profile):
     init = kd.InitialMeasure(atoms=[(0.5, 1.0)])
-    coeffs = kd.project_initial(neutral, neutral_basis, init)
+    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     phi_mid = coeffs.values
     assert np.max(np.abs(phi_mid[1::2])) <= 1e-9
     assert np.min(np.abs(phi_mid[0::2])) > 1e-3
+
+
+def test_projection_atom_near_endpoint_is_exact(neutral, neutral_profile):
+    # an atom closer to 0 than the first point of a 512-point grid projects
+    # onto the exact mode values u_j(x) = x (1 - x) q_j(x), with no warning
+    x0 = 1e-4
+    basis = kd.build_basis(neutral, 16, 512)
+    init = kd.InitialMeasure(atoms=[(x0, 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coeffs = kd.project_initial(neutral, basis, init, neutral_profile)
+    exact = np.array([x0 * (1 - x0) * neutral_mode_exact(j, x0) for j in range(16)])
+    assert np.max(np.abs(coeffs.values - exact)) <= 1e-8 * np.max(np.abs(exact))
 
 
 def test_uniform_data_is_single_mode(uniform_setup):
@@ -173,18 +190,16 @@ def test_mass_cross_check_early_time_limit(neutral, neutral_basis, neutral_profi
     assert gaps[0] > gaps[1] > gaps[2]
 
 
-def test_series_route_atom_limit_is_approximate(neutral, neutral_basis, neutral_profile):
-    # for a point mass the flux-series route converges to the limits only up
-    # to a slowly decaying truncation tail; with 16 modes the offset is a few
-    # percent, shrinking like the inverse square root of the mode count
+def test_series_route_atom_limit_is_exact(neutral, neutral_basis, neutral_profile):
+    # for a point mass the coefficients do not decay, yet the series route is
+    # anchored at the limits, so no truncation tail survives at t = inf
     init = kd.InitialMeasure(atoms=[(0.25, 1.0)])
-    coeffs = kd.project_initial(neutral, neutral_basis, init)
+    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     a_lim, b_lim = kd.boundary_masses(neutral, neutral_basis, coeffs, init, np.inf)
     a_inf, b_inf = kd.limit_masses(neutral, neutral_profile, init)
     assert a_inf == pytest.approx(0.75, abs=1e-9)
-    assert abs(a_lim - a_inf) < 0.15
-    assert abs(b_lim - b_inf) < 0.15
-    assert abs(a_lim - a_inf) > 1e-4  # the tail is real, not a rounding artifact
+    assert a_lim == pytest.approx(a_inf, abs=1e-12)
+    assert b_lim == pytest.approx(b_inf, abs=1e-12)
 
 
 def test_cross_check_approaches_limit(neutral, neutral_basis, neutral_profile, uniform_setup):
@@ -211,7 +226,7 @@ def test_conservation_single_mode(neutral, neutral_basis, neutral_profile, unifo
 
 def test_conservation_boundary_atoms_exact(neutral, neutral_basis, neutral_profile):
     init = kd.InitialMeasure(a0=0.4, b0=0.6)
-    coeffs = kd.project_initial(neutral, neutral_basis, init)
+    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     sols = [
         kd.solution_at(neutral, neutral_basis, coeffs, init, t) for t in (0.5, 1.0)
     ]
@@ -221,12 +236,11 @@ def test_conservation_boundary_atoms_exact(neutral, neutral_basis, neutral_profi
 
 
 def test_conservation_interior_atom_constancy(neutral, neutral_basis, neutral_profile):
-    # point-mass data: the conserved quantities stay constant in time even
-    # though the projected measure cannot reproduce the full initial mass
-    # with finitely many modes (the drift against it reflects pure
-    # truncation, not a defect of the dynamics)
+    # point-mass data: the conserved quantities stay constant in time and
+    # equal their initial values, because the boundary masses are anchored at
+    # the exact limits and each mode satisfies the flux identity
     init = kd.InitialMeasure(atoms=[(0.25, 1.0)])
-    coeffs = kd.project_initial(neutral, neutral_basis, init)
+    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     sols = [
         kd.solution_at(neutral, neutral_basis, coeffs, init, t)
         for t in (0.1, 0.5, 1.0, 2.0)
@@ -234,10 +248,7 @@ def test_conservation_interior_atom_constancy(neutral, neutral_basis, neutral_pr
     rep = kd.conservation_residuals(neutral, neutral_profile, init, sols)
     assert rep.mass_span <= 1e-5
     assert rep.psi_mass_span <= 1e-5
-    # the drift against the initial mass equals the projection defect
-    projected_mass = float(np.dot(coeffs.values, neutral_basis.mode_masses))
-    assert rep.mass_drift == pytest.approx(abs(projected_mass - 1.0), abs=1e-3)
-    assert rep.mass_drift > 1e-3
+    assert rep.mass_drift <= 1e-5
 
 
 def test_ds_norm_values(neutral_basis):
@@ -318,9 +329,9 @@ def test_weak_form_unknown_chi(neutral, neutral_basis, neutral_profile, uniform_
         kd.verify_weak_form(neutral, sols, neutral_profile, chis=["sin"])
 
 
-def test_truncation_warning_for_atom_at_early_time(neutral, neutral_basis):
+def test_truncation_warning_for_atom_at_early_time(neutral, neutral_basis, neutral_profile):
     # off-center atom so the last retained mode carries real weight
     init = kd.InitialMeasure(atoms=[(0.3, 1.0)])
-    coeffs = kd.project_initial(neutral, neutral_basis, init)
+    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     with pytest.warns(UserWarning, match="truncation"):
         kd.evaluate_q(neutral_basis, coeffs, 1e-4, init)

@@ -61,7 +61,7 @@ def test_step_size_guard(neutral):
 
 def test_convergence_order_against_spectral(neutral, neutral_basis, neutral_profile):
     init = single_mode_init()
-    coeffs = kd.project_initial(neutral, neutral_basis, init)
+    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     sols = [kd.solution_at(neutral, neutral_basis, coeffs, init, 0.5)]
     gaps = []
     for cells in (128, 256, 512):
@@ -72,9 +72,9 @@ def test_convergence_order_against_spectral(neutral, neutral_basis, neutral_prof
     assert 2.5 < gaps[1] / gaps[2] < 6.0
 
 
-def test_compare_with_spectral_pairs_times(neutral, neutral_basis):
+def test_compare_with_spectral_pairs_times(neutral, neutral_basis, neutral_profile):
     init = single_mode_init()
-    coeffs = kd.project_initial(neutral, neutral_basis, init)
+    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     sols = [kd.solution_at(neutral, neutral_basis, coeffs, init, t) for t in (0.1, 1.0)]
     states = kd.evolve_fd(neutral, init, 1.0, 256, output_times=[0.1, 1.0])
     rows = kd.compare_with_spectral(states, sols)
@@ -91,7 +91,7 @@ def test_selection_bump_cross_check(selection):
     profile = kd.fixation_profile(selection, 2049)
     basis = kd.build_basis(selection, 48, 2048)
     init = kd.InitialMeasure(density="bump(0.45, 0.3)")
-    coeffs = kd.project_initial(selection, basis, init)
+    coeffs = kd.project_initial(selection, basis, init, profile)
     times = [0.1, 1.0]
     sols = [kd.solution_at(selection, basis, coeffs, init, t) for t in times]
     states = kd.evolve_fd(selection, init, 1.0, 512, output_times=times)
