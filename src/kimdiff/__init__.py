@@ -37,6 +37,7 @@ from .evolution import (
     radon_bound_constant,
     radon_distance_to_limit,
     solution_at,
+    solutions_at,
     verify_weak_form,
 )
 from .fd import ComparisonRow, FdState, compare_with_spectral, evolve_fd
@@ -65,6 +66,7 @@ __all__ = [
     "project_initial",
     "evaluate_q",
     "solution_at",
+    "solutions_at",
     "boundary_masses",
     "limit_masses",
     "mass_cross_check",

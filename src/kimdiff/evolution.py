@@ -182,6 +182,59 @@ def project_initial(model, basis, init, profile):
     return SpectralCoefficients(values=vals, limits=limit_masses(model, profile, init))
 
 
+def _decayed(basis, coeffs, times):
+    """The times as a 1-d array and the decayed coefficients
+    c_j exp(-lambda_j t), one row per time."""
+    times = np.atleast_1d(np.asarray(times, float))
+    if np.any(times < 0.0):
+        raise ValueError("t must be nonnegative")
+    if basis.density_modes is None:
+        raise ValueError("transform_eigenfunctions must run first")
+    return times, coeffs.values * np.exp(-np.outer(times, basis.eigenvalues))
+
+
+def _densities(basis, init, times, decayed):
+    """Series densities on the closed grid (one row per time) and the
+    truncation estimate of each: the last retained term's bound.  Rows at
+    t = 0 hold the raw initial density (init required).  With init given,
+    one warning names the earliest time whose estimate exceeds 1e-6 of the
+    initial mass."""
+    q = decayed @ basis.density_modes.T
+    trunc = np.abs(decayed[:, -1]) * np.max(np.abs(basis.density_modes[:, -1]))
+    start = times == 0.0
+    if np.any(start):
+        if init is None:
+            raise ValueError(
+                "t=0 evaluation needs the initial data; the truncated series "
+                "does not converge pointwise for measure-valued data"
+            )
+        q[start] = init.density_samples(basis.closed_grid)
+        trunc[start] = 0.0
+    if init is not None:
+        over = np.flatnonzero(trunc > 1e-6 * init.total_mass())
+        if over.size:
+            first = over[np.argmin(times[over])]
+            warnings.warn(
+                f"series truncation estimate {trunc[first]:.2e} at t={times[first]} "
+                "exceeds 1e-6 of the initial mass; add modes or evaluate later",
+                stacklevel=3,
+            )
+    return q, trunc
+
+
+def _masses(model, basis, coeffs, init, times, decayed):
+    """Boundary masses at each time from the decayed coefficients (see
+    boundary_masses); exactly (a0, b0) at t = 0."""
+    a_inf, b_inf = coeffs.limits
+    tail = decayed / basis.eigenvalues
+    a = a_inf - model.psi_at(0.0) * (tail @ basis.density_modes[0, :])
+    b = b_inf - model.psi_at(1.0) * (tail @ basis.density_modes[-1, :])
+    start = times == 0.0
+    if np.any(start):
+        a[start], b[start] = init.a0, init.b0
+    return a, b
+
+
 def evaluate_q(basis, coeffs, t, init=None):
     """Interior density at time t on the closed grid, with a truncation
     estimate.
@@ -191,29 +244,9 @@ def evaluate_q(basis, coeffs, t, init=None):
     estimate is the last retained term's bound; a warning fires when it
     exceeds 1e-6 of the initial mass.
     """
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    if basis.density_modes is None:
-        raise ValueError("transform_eigenfunctions must run first")
-    if t == 0.0:
-        if init is None:
-            raise ValueError(
-                "t=0 evaluation needs the initial data; the truncated series "
-                "does not converge pointwise for measure-valued data"
-            )
-        return init.density_samples(basis.closed_grid), 0.0
-    decay = np.exp(-basis.eigenvalues * t)
-    q = basis.density_modes @ (coeffs.values * decay)
-    trunc = float(
-        np.abs(coeffs.values[-1]) * decay[-1] * np.max(np.abs(basis.density_modes[:, -1]))
-    )
-    if init is not None and trunc > 1e-6 * init.total_mass():
-        warnings.warn(
-            f"series truncation estimate {trunc:.2e} at t={t} exceeds 1e-6 of the "
-            "initial mass; add modes or evaluate later",
-            stacklevel=2,
-        )
-    return q, trunc
+    times, decayed = _decayed(basis, coeffs, t)
+    q, trunc = _densities(basis, init, times, decayed)
+    return q[0], float(trunc[0])
 
 
 def boundary_masses(model, basis, coeffs, init, t):
@@ -223,26 +256,36 @@ def boundary_masses(model, basis, coeffs, init, t):
     likewise at x = 1.  The remaining tail decays in time, so truncation
     cannot offset the limits even for point-mass data.  t may be inf; t = 0
     returns the initial endpoint masses."""
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    if basis.density_modes is None:
-        raise ValueError("transform_eigenfunctions must run first")
-    if t == 0.0:
-        return init.a0, init.b0
-    a_inf, b_inf = coeffs.limits
-    tail = coeffs.values * np.exp(-basis.eigenvalues * t) / basis.eigenvalues
-    a = a_inf - float(model.psi_at(0.0) * np.dot(basis.density_modes[0, :], tail))
-    b = b_inf - float(model.psi_at(1.0) * np.dot(basis.density_modes[-1, :], tail))
-    return a, b
+    times, decayed = _decayed(basis, coeffs, t)
+    a, b = _masses(model, basis, coeffs, init, times, decayed)
+    return float(a[0]), float(b[0])
+
+
+def solutions_at(model, basis, coeffs, init, times):
+    """SolutionMeasures at each of the given times, evaluated together.
+
+    The decayed coefficients c_j exp(-lambda_j t) form one (times x modes)
+    matrix; its product with the density modes gives every density, and the
+    boundary masses come from the same matrix.  t = 0 yields the raw initial
+    data.  Each solution carries its own truncation estimate; one warning
+    names the earliest time at which the estimate exceeds 1e-6 of the
+    initial mass.
+    """
+    times, decayed = _decayed(basis, coeffs, times)
+    q, trunc = _densities(basis, init, times, decayed)
+    a, b = _masses(model, basis, coeffs, init, times, decayed)
+    return [
+        SolutionMeasure(
+            t=float(t), grid=basis.closed_grid, density=q[i], a=float(a[i]),
+            b=float(b[i]), trunc_error=float(trunc[i]),
+        )
+        for i, t in enumerate(times)
+    ]
 
 
 def solution_at(model, basis, coeffs, init, t):
     """SolutionMeasure at time t (density plus both boundary masses)."""
-    q, trunc = evaluate_q(basis, coeffs, t, init)
-    a, b = boundary_masses(model, basis, coeffs, init, t)
-    return SolutionMeasure(
-        t=float(t), grid=basis.closed_grid, density=q, a=a, b=b, trunc_error=trunc
-    )
+    return solutions_at(model, basis, coeffs, init, [t])[0]
 
 
 def limit_masses(model, profile, init):
@@ -429,6 +472,15 @@ def _chi_library(model, grid, profile):
     return lib
 
 
+def _trapezoid_weights(x):
+    """Weights w with w @ f == np.trapezoid(f, x) for samples f on x."""
+    dx = np.diff(x)
+    w = np.zeros_like(x)
+    w[:-1] += 0.5 * dx
+    w[1:] += 0.5 * dx
+    return w
+
+
 def verify_weak_form(model, solutions, profile=None, chis=None):
     """Residual of the boundary-coupled weak formulation for tensor-product
     test functions (time bump times spatial function).
@@ -450,22 +502,19 @@ def verify_weak_form(model, solutions, profile=None, chis=None):
     if chis is None:
         chis = list(lib)
     zeta, zeta_prime = _bump_window(times[0], times[-1])
-    zt = zeta(times)
-    zpt = zeta_prime(times)
+    wt = _trapezoid_weights(times)
+    wzt = wt * zeta(times)
+    wzpt = wt * zeta_prime(times)
+    wx = _trapezoid_weights(grid)
+    density = np.stack([s.density for s in solutions])
+    a = np.array([s.a for s in solutions])
+    b = np.array([s.b for s in solutions])
     out = {}
     for name in chis:
         if name not in lib:
             raise ValueError(f"unknown test function {name!r} (have {sorted(lib)})")
         chi, chi0, chi1, rhs = lib[name]
-        paired = np.array(
-            [
-                s.a * chi0 + s.b * chi1 + np.trapezoid(chi * s.density, grid)
-                for s in solutions
-            ]
-        )
-        interior = np.array(
-            [np.trapezoid(rhs * s.density, grid) for s in solutions]
-        )
-        residual = np.trapezoid(zpt * paired, times) + np.trapezoid(zt * interior, times)
-        out[name] = abs(float(residual))
+        paired = a * chi0 + b * chi1 + density @ (wx * chi)
+        interior = density @ (wx * rhs)
+        out[name] = abs(float(wzpt @ paired + wzt @ interior))
     return out

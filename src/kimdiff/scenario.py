@@ -198,10 +198,7 @@ def compute_pipeline(scenario):
     profile = fixation_profile(model, scenario.grid + 1)
     basis = build_basis(model, scenario.modes, scenario.grid)
     coeffs = evolution.project_initial(model, basis, scenario.initial, profile)
-    sols = [
-        evolution.solution_at(model, basis, coeffs, scenario.initial, t)
-        for t in scenario.times
-    ]
+    sols = evolution.solutions_at(model, basis, coeffs, scenario.initial, scenario.times)
     positive_times = [t for t in scenario.times if t > 0]
     route = [
         evolution.mass_cross_check(model, basis, coeffs, profile, scenario.initial, t)
@@ -222,10 +219,9 @@ def compute_pipeline(scenario):
         t_lo, t_hi = positive_times[0], positive_times[-1]
         if t_hi > t_lo:
             dense = np.linspace(t_lo, t_hi, 129)
-            dense_sols = [
-                evolution.solution_at(model, basis, coeffs, scenario.initial, t)
-                for t in dense
-            ]
+            dense_sols = evolution.solutions_at(
+                model, basis, coeffs, scenario.initial, dense
+            )
             weak = evolution.verify_weak_form(model, dense_sols, profile)
     return {
         "profile": profile,

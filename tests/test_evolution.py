@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kimdiff as kd
+from kimdiff import evolution
 
 from conftest import neutral_mode_exact
 
@@ -335,3 +336,62 @@ def test_truncation_warning_for_atom_at_early_time(neutral, neutral_basis, neutr
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     with pytest.warns(UserWarning, match="truncation"):
         kd.evaluate_q(neutral_basis, coeffs, 1e-4, init)
+
+
+def test_solutions_at_matches_per_time_series(neutral, neutral_basis, neutral_profile):
+    init = kd.InitialMeasure(a0=0.1, b0=0.2, density="bump(0.4, 0.25)")
+    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
+    times = [0.0, 0.05, 0.3, 1.0, 4.0]
+    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, times)
+    modes = neutral_basis.density_modes
+    lam = neutral_basis.eigenvalues
+    a_inf, b_inf = coeffs.limits
+    psi0, psi1 = neutral.psi_at(0.0), neutral.psi_at(1.0)
+    assert [s.t for s in sols] == times
+    assert np.array_equal(sols[0].density, init.density_samples(neutral_basis.closed_grid))
+    assert (sols[0].a, sols[0].b, sols[0].trunc_error) == (0.1, 0.2, 0.0)
+    for s in sols[1:]:
+        decayed = coeffs.values * np.exp(-lam * s.t)
+        assert np.max(np.abs(s.density - modes @ decayed)) <= 1e-13
+        assert abs(s.a - (a_inf - psi0 * np.dot(modes[0, :], decayed / lam))) <= 1e-13
+        assert abs(s.b - (b_inf - psi1 * np.dot(modes[-1, :], decayed / lam))) <= 1e-13
+        trunc = abs(decayed[-1]) * np.max(np.abs(modes[:, -1]))
+        assert s.trunc_error == pytest.approx(trunc, rel=1e-13, abs=1e-300)
+
+
+def test_solutions_at_warns_once_for_earliest_truncated_time(
+    neutral, neutral_basis, neutral_profile
+):
+    init = kd.InitialMeasure(atoms=[(0.3, 1.0)])
+    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
+    with pytest.warns(UserWarning, match="truncation") as record:
+        sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, [1e-3, 1e-4, 1.0])
+    assert len(record) == 1
+    assert "t=0.0001 " in str(record[0].message)
+    assert sols[1].trunc_error > sols[0].trunc_error > 1e-6 > sols[2].trunc_error
+
+
+def test_weak_form_matches_trapezoid_loop(selection):
+    # the stacked trapezoid weights against per-solution np.trapezoid sums
+    profile = kd.fixation_profile(selection, 1025)
+    basis = kd.build_basis(selection, 24, 1024)
+    init = kd.InitialMeasure(a0=0.1, density="bump(0.4, 0.25)", atoms=[(0.7, 0.3)])
+    coeffs = kd.project_initial(selection, basis, init, profile)
+    times = np.linspace(0.3, 1.5, 33) ** 1.5  # uneven spacing
+    sols = kd.solutions_at(selection, basis, coeffs, init, times)
+    res = kd.verify_weak_form(selection, sols, profile)
+    grid = basis.closed_grid
+    zeta, zeta_prime = evolution._bump_window(times[0], times[-1])
+    for name, (chi, chi0, chi1, rhs) in evolution._chi_library(
+        selection, grid, profile
+    ).items():
+        paired = zeta_prime(times) * np.array(
+            [s.a * chi0 + s.b * chi1 + np.trapezoid(chi * s.density, grid) for s in sols]
+        )
+        interior = zeta(times) * np.array(
+            [np.trapezoid(rhs * s.density, grid) for s in sols]
+        )
+        expected = abs(np.trapezoid(paired, times) + np.trapezoid(interior, times))
+        scale = np.trapezoid(np.abs(paired) + np.abs(interior), times)
+        # float64 sums over ~10^3 terms: 1e-12 of the summed magnitudes
+        assert abs(res[name] - expected) <= 1e-12 * scale, name

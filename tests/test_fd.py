@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import kimdiff as kd
+from kimdiff import fd
 
 SQ6 = np.sqrt(6.0)
 
@@ -98,3 +101,70 @@ def test_selection_bump_cross_check(selection):
     for row in kd.compare_with_spectral(states, sols):
         assert row.q_l1_diff <= 1e-3
         assert row.a_diff <= 1e-3 and row.b_diff <= 1e-3
+
+
+def test_output_times_must_increase(neutral):
+    with pytest.raises(ValueError, match="increase"):
+        kd.evolve_fd(neutral, single_mode_init(), 0.5, 256, output_times=[0.5, 0.2])
+    with pytest.raises(ValueError, match="increase"):
+        kd.evolve_fd(neutral, single_mode_init(), 0.5, 256, output_times=[0.2, 0.2])
+
+
+def test_negative_density_guard_reports_failing_step():
+    # strong selection on a coarse mesh drives the cell values below zero
+    # within the first output interval
+    model = kd.make_kimura(0.0, 200.0)
+    init = kd.InitialMeasure(density="bump(0.5, 0.3)")
+    with pytest.raises(RuntimeError, match="negative density") as err:
+        kd.evolve_fd(model, init, 0.5, 128, output_times=[0.5])
+    t_fail = float(re.search(r"at t=([0-9.e+-]+):", str(err.value)).group(1))
+    assert 0.0 < t_fail < 0.5
+
+
+def dense_cn_reference(model, init, n_cells, output_times):
+    """Crank-Nicolson with dense matrices and numpy.linalg.solve: the same
+    operator, start-up half-steps and trapezoidal boundary fluxes as
+    evolve_fd, stepped without its factorization or its step identities."""
+    xc, h, F, lower, diag, upper = fd._operator(model, n_cells)
+    L = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
+    eye = np.eye(n_cells)
+    u = fd._initial_cells(init, xc, h)
+    a, b = init.a0, init.b0
+
+    def left_flux(v):
+        return (9.0 * F[0] * v[0] - F[1] * v[1]) / (3.0 * h)
+
+    def right_flux(v):
+        return -(9.0 * F[-1] * v[-1] - F[-2] * v[-2]) / (3.0 * h)
+
+    out, t, startup = [], 0.0, 2
+    for t_out in output_times:
+        nsteps = max(1, int(np.ceil((t_out - t) / h - 1e-12)))
+        step = (t_out - t) / nsteps
+        implicit = eye - 0.5 * step * L
+        explicit = eye + 0.5 * step * L
+        for _ in range(nsteps):
+            if startup > 0:
+                for _half in range(2):
+                    u = np.linalg.solve(implicit, u)
+                    a += 0.5 * step * left_flux(u)
+                    b -= 0.5 * step * right_flux(u)
+                startup -= 1
+            else:
+                unew = np.linalg.solve(implicit, explicit @ u)
+                a += 0.5 * step * (left_flux(u) + left_flux(unew))
+                b -= 0.5 * step * (right_flux(u) + right_flux(unew))
+                u = unew
+        out.append((u, a, b))
+        t = t_out
+    return out
+
+
+def test_factored_stepper_matches_dense_reference(selection):
+    init = kd.InitialMeasure(a0=0.1, b0=0.05, atoms=[(0.37, 0.8)])
+    times = [0.013, 0.05, 0.2]  # intervals of 2, 5 and 20 steps
+    states = kd.evolve_fd(selection, init, 0.2, 128, output_times=times)
+    reference = dense_cn_reference(selection, init, 128, times)
+    for st, (u, a, b) in zip(states, reference):
+        assert np.max(np.abs(st.values - u)) <= 1e-12
+        assert abs(st.a - a) <= 1e-12 and abs(st.b - b) <= 1e-12
