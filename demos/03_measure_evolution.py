@@ -20,7 +20,7 @@ limits = kd.limit_masses(model, profile, init)
 print(f"final masses: extinction {limits[0]:.3f}, fixation {limits[1]:.3f}")
 
 times = [0.1, 0.5, 1.0, 2.0, 3.0]
-sols = [kd.solution_at(model, basis, coeffs, init, t) for t in times]
+sols = kd.solutions_at(model, basis, coeffs, init, times)
 
 print("\n  t      a(t)      b(t)     ||q||_1    mass     radon/2||q||")
 for sol in sols:
@@ -34,12 +34,11 @@ report = kd.conservation_residuals(model, profile, init, sols)
 print(f"\nmass drift {report.mass_drift:.2e}, fixation-moment drift "
       f"{report.psi_mass_drift:.2e}")
 
-route_gap = max(
-    kd.mass_cross_check(model, basis, coeffs, profile, init, t)[2] for t in times
-)
+route_gap = max(kd.mass_cross_check(sol, limits, profile)[2] for sol in sols)
 print(f"series route vs conservation route: max gap {route_gap:.2e}")
 
-diag = kd.decay_diagnostics(basis, coeffs, np.linspace(0.5, 1.5, 11))
+decay_sols = kd.solutions_at(model, basis, coeffs, init, np.linspace(0.5, 1.5, 11))
+diag = kd.decay_diagnostics(basis, coeffs, decay_sols)
 print(f"decay slope of log||q||_1: {diag.slope:.6f} (spectral gap: "
       f"-{basis.eigenvalues[0]:.6f})")
 print(f"limit constant: exp(2t)||q||_1 -> {diag.c_inf:.6f}")
@@ -49,7 +48,7 @@ print(f"limit constant: exp(2t)||q||_1 -> {diag.c_inf:.6f}")
 # value at every positive time
 atom = kd.InitialMeasure(atoms=[(0.25, 1.0)])
 atom_coeffs = kd.project_initial(model, basis, atom, profile)
-atom_sols = [kd.solution_at(model, basis, atom_coeffs, atom, t) for t in times]
+atom_sols = kd.solutions_at(model, basis, atom_coeffs, atom, times)
 atom_report = kd.conservation_residuals(model, profile, atom, atom_sols)
 print(f"\npoint mass at 0.25: mass drift {atom_report.mass_drift:.2e} against the "
       f"initial mass 1, constancy span {atom_report.mass_span:.2e}")

@@ -18,7 +18,7 @@ init = kd.InitialMeasure(density="bump(0.4, 0.2)")
 coeffs = kd.project_initial(model, basis, init, profile)
 
 times = [0.1, 0.5, 1.0]
-spectral = [kd.solution_at(model, basis, coeffs, init, t) for t in times]
+spectral = kd.solutions_at(model, basis, coeffs, init, times)
 fd_states = kd.evolve_fd(model, init, times[-1], 1024, output_times=times)
 
 print("spectral vs finite-difference (1024 cells):")
@@ -31,7 +31,7 @@ drift = max(abs(st.total_mass() - mass0) for st in fd_states)
 print(f"\nFD discrete mass drift: {drift:.2e} (conservative by construction)")
 
 print("\nmesh refinement study at t=0.5:")
-ref = [kd.solution_at(model, basis, coeffs, init, 0.5)]
+ref = kd.solutions_at(model, basis, coeffs, init, [0.5])
 prev = None
 for cells in (128, 256, 512, 1024):
     states = kd.evolve_fd(model, init, 0.5, cells)

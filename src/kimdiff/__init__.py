@@ -24,19 +24,16 @@ from .evolution import (
     InitialMeasure,
     SolutionMeasure,
     SpectralCoefficients,
-    boundary_masses,
     bump_density,
     conservation_residuals,
     decay_diagnostics,
     density_from_spec,
     ds_norm,
-    evaluate_q,
     limit_masses,
     mass_cross_check,
     project_initial,
     radon_bound_constant,
     radon_distance_to_limit,
-    solution_at,
     solutions_at,
     verify_weak_form,
 )
@@ -64,10 +61,7 @@ __all__ = [
     "ConservationReport",
     "DecayDiagnostics",
     "project_initial",
-    "evaluate_q",
-    "solution_at",
     "solutions_at",
-    "boundary_masses",
     "limit_masses",
     "mass_cross_check",
     "conservation_residuals",

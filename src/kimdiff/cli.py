@@ -5,19 +5,21 @@ Exit codes: 0 success, 1 input error, 2 invariant tolerance violated.
 """
 
 import argparse
-import csv
-import json
 import sys
 
 from .fixation import fixation_profile
 from .scenario import (
+    DEFAULT_TOLERANCES,
     ConfigError,
     emit_plot_data,
     load_scenario,
     run_scenario,
     run_verify,
+    write_bessel,
+    write_fixation,
+    write_spectrum,
 )
-from .spectral import bessel_comparison, build_basis
+from .spectral import build_basis
 
 
 def _add_common(sub):
@@ -28,70 +30,52 @@ def _add_common(sub):
     sub.add_argument("--cells", type=int, help="override FD cell count")
     sub.add_argument("--dt", type=float, help="override FD time step")
     sub.add_argument("--s", type=float, help="smoothness exponent for decay bounds")
-    for name in ("mass-drift", "psi-mass-drift", "route-agreement",
-                 "positivity", "fd-l1", "fd-ab"):
-        sub.add_argument(f"--tol-{name}", type=float, help=f"{name} tolerance")
+    for name in DEFAULT_TOLERANCES:
+        flag = name.replace("_", "-")
+        sub.add_argument(f"--tol-{flag}", type=float, help=f"{flag} tolerance")
 
 
 def _overrides(args):
-    tols = {}
-    for name in ("mass_drift", "psi_mass_drift", "route_agreement",
-                 "positivity", "fd_l1", "fd_ab"):
-        val = getattr(args, f"tol_{name}", None)
-        if val is not None:
-            tols[name] = val
     return {
         "modes": args.modes,
         "grid": args.grid,
         "cells": args.cells,
         "dt": args.dt,
         "s": args.s,
-        "tolerances": tols,
+        "tolerances": {name: getattr(args, f"tol_{name}") for name in DEFAULT_TOLERANCES},
     }
+
+
+_DEFAULT_SCENARIO = {
+    "schema": 1,
+    "name": "neutral-default",
+    "model": {"preset": "kimura", "eta": 0.0, "beta": 0.0},
+    "initial": {"density": "uniform"},
+    "times": [0.1, 0.5, 1.0, 2.0],
+}
 
 
 def _scenario_or_default(args):
-    if args.config:
-        return load_scenario(args.config, out_dir=args.out, overrides=_overrides(args))
-    cfg = {
-        "schema": 1,
-        "name": "neutral-default",
-        "model": {"preset": "kimura", "eta": 0.0, "beta": 0.0},
-        "initial": {"density": "uniform"},
-        "times": [0.1, 0.5, 1.0, 2.0],
-    }
-    return load_scenario(cfg, out_dir=args.out or "kimdiff-results",
-                         overrides=_overrides(args))
+    """The --config scenario or a neutral default (written to
+    kimdiff-results unless --out says otherwise), with its output directory
+    created."""
+    scenario = load_scenario(args.config or _DEFAULT_SCENARIO, out_dir=args.out,
+                             overrides=_overrides(args))
+    scenario.out_dir.mkdir(parents=True, exist_ok=True)
+    return scenario
 
 
 def _cmd_spectrum(args):
     scenario = _scenario_or_default(args)
-    from .scenario import _spectrum_payload, _write_json
-
     basis = build_basis(scenario.model, scenario.modes, scenario.grid)
-    scenario.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(scenario.out_dir / "spectrum.json",
-                _spectrum_payload(scenario, basis))
-    if args.csv:
-        with open(scenario.out_dir / "eigenfunctions.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x"] + [f"phi{j}" for j in range(basis.n_modes)])
-            for i, x in enumerate(basis.interior_grid):
-                writer.writerow([x] + list(basis.eigenfunctions[i, :]))
-    print(f"wrote {scenario.out_dir / 'spectrum.json'}")
+    print(f"wrote {write_spectrum(scenario.out_dir, scenario.model, basis, args.csv)}")
     return 0
 
 
 def _cmd_fixation(args):
     scenario = _scenario_or_default(args)
     profile = fixation_profile(scenario.model, args.points)
-    scenario.out_dir.mkdir(parents=True, exist_ok=True)
-    path = scenario.out_dir / "fixation.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "psi"])
-        writer.writerows(zip(profile.grid, profile.values))
-    print(f"wrote {path}")
+    print(f"wrote {write_fixation(scenario.out_dir, profile)}")
     return 0
 
 
@@ -114,22 +98,7 @@ def _cmd_bessel(args):
     mode_list = [int(m) for m in args.bessel_modes.split(",")]
     n_modes = max(scenario.modes, max(mode_list) + 1)
     basis = build_basis(scenario.model, n_modes, scenario.grid)
-    results = [
-        {"mode": j, "sup_error": bessel_comparison(scenario.model, basis, j)}
-        for j in mode_list
-    ]
-    payload = {
-        "comparison": results,
-        "decreasing": all(
-            a["sup_error"] > b["sup_error"] for a, b in zip(results, results[1:])
-        ),
-    }
-    scenario.out_dir.mkdir(parents=True, exist_ok=True)
-    path = scenario.out_dir / "bessel.json"
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {path}")
+    print(f"wrote {write_bessel(scenario.out_dir, scenario.model, basis, mode_list)}")
     return 0
 
 

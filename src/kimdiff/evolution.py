@@ -6,6 +6,10 @@ endpoints.  The interior density evolves by the eigenmode series; the
 boundary masses are obtained two independent ways (term-wise time integration
 of the boundary flux, and the conservation-law route through the fixation
 probability), which cross-validate each other.
+
+There is one evaluation path: solutions_at evaluates the series for a whole
+array of times at once, and every diagnostic (route cross-check, decay,
+conservation, weak form) reads the SolutionMeasures it returns.
 """
 
 import re
@@ -182,98 +186,46 @@ def project_initial(model, basis, init, profile):
     return SpectralCoefficients(values=vals, limits=limit_masses(model, profile, init))
 
 
-def _decayed(basis, coeffs, times):
-    """The times as a 1-d array and the decayed coefficients
-    c_j exp(-lambda_j t), one row per time."""
+def solutions_at(model, basis, coeffs, init, times):
+    """SolutionMeasures at each of the given times, evaluated together.
+
+    The decayed coefficients c_j exp(-lambda_j t) form one (times x modes)
+    matrix; its product with the density modes gives every density.  The
+    boundary masses come from the same matrix, by term-wise time integration
+    of the boundary flux series anchored at the exact limits:
+    a(t) = a_inf - sum_j c_j Psi(0) q_j(0) exp(-lambda_j t) / lambda_j, and b
+    likewise at x = 1, so truncation cannot offset the limits even for
+    point-mass data.  t may be inf; t = 0 yields the raw initial data, since
+    the truncated series need not converge pointwise for measure data.
+
+    Each solution carries a truncation estimate, the last retained term's
+    bound; one warning names the earliest time at which it exceeds 1e-6 of
+    the initial mass.
+    """
     times = np.atleast_1d(np.asarray(times, float))
     if np.any(times < 0.0):
         raise ValueError("t must be nonnegative")
     if basis.density_modes is None:
         raise ValueError("transform_eigenfunctions must run first")
-    return times, coeffs.values * np.exp(-np.outer(times, basis.eigenvalues))
-
-
-def _densities(basis, init, times, decayed):
-    """Series densities on the closed grid (one row per time) and the
-    truncation estimate of each: the last retained term's bound.  Rows at
-    t = 0 hold the raw initial density (init required).  With init given,
-    one warning names the earliest time whose estimate exceeds 1e-6 of the
-    initial mass."""
-    q = decayed @ basis.density_modes.T
-    trunc = np.abs(decayed[:, -1]) * np.max(np.abs(basis.density_modes[:, -1]))
-    start = times == 0.0
-    if np.any(start):
-        if init is None:
-            raise ValueError(
-                "t=0 evaluation needs the initial data; the truncated series "
-                "does not converge pointwise for measure-valued data"
-            )
-        q[start] = init.density_samples(basis.closed_grid)
-        trunc[start] = 0.0
-    if init is not None:
-        over = np.flatnonzero(trunc > 1e-6 * init.total_mass())
-        if over.size:
-            first = over[np.argmin(times[over])]
-            warnings.warn(
-                f"series truncation estimate {trunc[first]:.2e} at t={times[first]} "
-                "exceeds 1e-6 of the initial mass; add modes or evaluate later",
-                stacklevel=3,
-            )
-    return q, trunc
-
-
-def _masses(model, basis, coeffs, init, times, decayed):
-    """Boundary masses at each time from the decayed coefficients (see
-    boundary_masses); exactly (a0, b0) at t = 0."""
-    a_inf, b_inf = coeffs.limits
+    modes = basis.density_modes
+    decayed = coeffs.values * np.exp(-np.outer(times, basis.eigenvalues))
+    q = decayed @ modes.T
+    trunc = np.abs(decayed[:, -1]) * np.max(np.abs(modes[:, -1]))
     tail = decayed / basis.eigenvalues
-    a = a_inf - model.psi_at(0.0) * (tail @ basis.density_modes[0, :])
-    b = b_inf - model.psi_at(1.0) * (tail @ basis.density_modes[-1, :])
+    a = coeffs.limits[0] - model.psi_at(0.0) * (tail @ modes[0, :])
+    b = coeffs.limits[1] - model.psi_at(1.0) * (tail @ modes[-1, :])
     start = times == 0.0
-    if np.any(start):
-        a[start], b[start] = init.a0, init.b0
-    return a, b
-
-
-def evaluate_q(basis, coeffs, t, init=None):
-    """Interior density at time t on the closed grid, with a truncation
-    estimate.
-
-    At t = 0 the series need not converge pointwise for measure data, so the
-    raw initial density is returned instead (init required).  For t > 0 the
-    estimate is the last retained term's bound; a warning fires when it
-    exceeds 1e-6 of the initial mass.
-    """
-    times, decayed = _decayed(basis, coeffs, t)
-    q, trunc = _densities(basis, init, times, decayed)
-    return q[0], float(trunc[0])
-
-
-def boundary_masses(model, basis, coeffs, init, t):
-    """Absorbed masses at time t by term-wise time integration of the
-    boundary flux series, anchored at the exact limits:
-    a(t) = a_inf - sum_j c_j Psi(0) q_j(0) exp(-lambda_j t) / lambda_j, and b
-    likewise at x = 1.  The remaining tail decays in time, so truncation
-    cannot offset the limits even for point-mass data.  t may be inf; t = 0
-    returns the initial endpoint masses."""
-    times, decayed = _decayed(basis, coeffs, t)
-    a, b = _masses(model, basis, coeffs, init, times, decayed)
-    return float(a[0]), float(b[0])
-
-
-def solutions_at(model, basis, coeffs, init, times):
-    """SolutionMeasures at each of the given times, evaluated together.
-
-    The decayed coefficients c_j exp(-lambda_j t) form one (times x modes)
-    matrix; its product with the density modes gives every density, and the
-    boundary masses come from the same matrix.  t = 0 yields the raw initial
-    data.  Each solution carries its own truncation estimate; one warning
-    names the earliest time at which the estimate exceeds 1e-6 of the
-    initial mass.
-    """
-    times, decayed = _decayed(basis, coeffs, times)
-    q, trunc = _densities(basis, init, times, decayed)
-    a, b = _masses(model, basis, coeffs, init, times, decayed)
+    q[start] = init.density_samples(basis.closed_grid)
+    trunc[start] = 0.0
+    a[start], b[start] = init.a0, init.b0
+    over = np.flatnonzero(trunc > 1e-6 * init.total_mass())
+    if over.size:
+        first = over[np.argmin(times[over])]
+        warnings.warn(
+            f"series truncation estimate {trunc[first]:.2e} at t={times[first]} "
+            "exceeds 1e-6 of the initial mass; add modes or evaluate later",
+            stacklevel=2,
+        )
     return [
         SolutionMeasure(
             t=float(t), grid=basis.closed_grid, density=q[i], a=float(a[i]),
@@ -281,11 +233,6 @@ def solutions_at(model, basis, coeffs, init, times):
         )
         for i, t in enumerate(times)
     ]
-
-
-def solution_at(model, basis, coeffs, init, t):
-    """SolutionMeasure at time t (density plus both boundary masses)."""
-    return solutions_at(model, basis, coeffs, init, [t])[0]
 
 
 def limit_masses(model, profile, init):
@@ -308,24 +255,22 @@ def limit_masses(model, profile, init):
     return a_inf, b_inf
 
 
-def mass_cross_check(model, basis, coeffs, profile, init, t):
+def mass_cross_check(solution, limits, profile):
     """Boundary masses via the conservation laws, plus the discrepancy
     against the series route.
 
     The conserved fixation moment pins b(t) = b_inf - integral psi q(t);
-    symmetrically for a.  Returns (a, b, max discrepancy vs the flux-series
-    route); a large discrepancy signals basis or quadrature inconsistency
-    (or unresolved measure-valued data)."""
-    if t <= 0.0:
+    symmetrically for a.  Returns (a, b, max discrepancy vs the solution's
+    flux-series masses); a large discrepancy signals basis or quadrature
+    inconsistency (or unresolved measure-valued data)."""
+    if solution.t <= 0.0:
         raise ValueError("the cross-check needs t > 0")
-    a_inf, b_inf = limit_masses(model, profile, init)
-    q, _ = evaluate_q(basis, coeffs, t)
-    grid = basis.closed_grid
+    a_inf, b_inf = limits
+    grid, q = solution.grid, solution.density
     psi_vals = profile(grid)
     a2 = a_inf - float(np.trapezoid((1.0 - psi_vals) * q, grid))
     b2 = b_inf - float(np.trapezoid(psi_vals * q, grid))
-    a1, b1 = boundary_masses(model, basis, coeffs, init, t)
-    return a2, b2, max(abs(a1 - a2), abs(b1 - b2))
+    return a2, b2, max(abs(solution.a - a2), abs(solution.b - b2))
 
 
 def conservation_residuals(model, profile, init, solutions):
@@ -363,14 +308,14 @@ def ds_norm(coeffs, basis, s):
     return float(np.sqrt(np.sum(coeffs.values**2 * basis.eigenvalues**s)))
 
 
-def decay_diagnostics(basis, coeffs, times):
-    """Large-time decay of the interior mass.
+def decay_diagnostics(basis, coeffs, solutions):
+    """Large-time decay of the interior mass along a solution sequence.
 
     Returns the limit constant (leading mode mass times leading coefficient),
     the sequence exp(lambda_0 t) ||q(t)||_1, and the fitted slope of
     log ||q||_1 against t, which should approach -lambda_0.
     """
-    times = np.asarray(times, float)
+    times = np.array([s.t for s in solutions])
     if np.any(times <= 0.0):
         raise ValueError("decay diagnostics need strictly positive times")
     lam0 = basis.eigenvalues[0]
@@ -380,10 +325,7 @@ def decay_diagnostics(basis, coeffs, times):
             "is governed by the next eigenvalue",
             stacklevel=2,
         )
-    l1 = np.empty_like(times)
-    for i, t in enumerate(times):
-        q, _ = evaluate_q(basis, coeffs, t)
-        l1[i] = np.trapezoid(np.abs(q), basis.closed_grid)
+    l1 = np.array([s.density_l1() for s in solutions])
     c_inf = float(basis.mode_masses[0] * coeffs.values[0])
     # the slope fit needs at least two times; a single sample still yields
     # the rescaled norm sequence

@@ -75,8 +75,8 @@ def _initial_cells(init, xc, h):
 def evolve_fd(model, init, t_end, n_cells, dt=None, output_times=None):
     """Run the reference solver to t_end and return FdState snapshots.
 
-    Crank-Nicolson in time (dt defaults to the cell width and may not exceed
-    it), conservative fluxes in space; interior atoms enter as single-cell
+    Crank-Nicolson in time (dt defaults to the cell width; it must be
+    positive and may not exceed it), conservative fluxes in space; interior atoms enter as single-cell
     spikes of exact mass.  output_times defaults to just t_end and must
     increase strictly; each requested time is hit exactly by shortening the
     steps of its interval.  The implicit matrix A = I - (step/2) L is
@@ -89,6 +89,8 @@ def evolve_fd(model, init, t_end, n_cells, dt=None, output_times=None):
     xc, h, F, lower, diag, upper = _operator(model, n_cells)
     if dt is None:
         dt = h
+    if not dt > 0.0:
+        raise ValueError(f"dt={dt} must be positive")
     if dt > h * (1.0 + 1e-12):
         raise ValueError(f"dt={dt} violates the step-size restriction dt <= h={h}")
     if output_times is None:

@@ -17,7 +17,12 @@ import numpy as np
 from . import evolution, fd
 from .fixation import fixation_profile
 from .model import CoefficientModel, make_kimura
-from .spectral import build_basis, eigenvalue_growth, flux_identity_residuals
+from .spectral import (
+    bessel_comparison,
+    build_basis,
+    eigenvalue_growth,
+    flux_identity_residuals,
+)
 
 SCHEMA_VERSION = 1
 
@@ -53,6 +58,13 @@ class Scenario:
 
 def _fail(path, msg):
     raise ConfigError(f"config field '{path}': {msg}")
+
+
+def _number(path, value, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        _fail(path, f"expected a number, got {value!r}")
 
 
 def _model_from_config(block):
@@ -118,10 +130,12 @@ def load_scenario(config, out_dir=None, overrides=None):
     model = _model_from_config(raw.get("model", {}))
     initial = _initial_from_config(raw.get("initial", {}))
 
-    times = raw.get("times", [])
+    try:
+        times = tuple(float(t) for t in raw.get("times") or ())
+    except (TypeError, ValueError):
+        _fail("times", f"expected a list of numbers, got {raw['times']!r}")
     if not times:
         _fail("times", "at least one output time is required")
-    times = tuple(float(t) for t in times)
     if any(t < 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
         _fail("times", "times must be nonnegative and strictly increasing")
     if any(t == 0.0 for t in times[1:]):
@@ -129,9 +143,9 @@ def load_scenario(config, out_dir=None, overrides=None):
     if times[-1] <= 0.0:
         _fail("times", "at least one positive output time is required")
 
-    modes = int(merged["modes"])
-    grid = int(merged["grid"])
-    cells = int(merged["cells"])
+    modes = _number("modes", merged["modes"], int)
+    grid = _number("grid", merged["grid"], int)
+    cells = _number("cells", merged["cells"], int)
     if grid < 64:
         _fail("grid", "must be at least 64")
     if modes < 1:
@@ -139,16 +153,33 @@ def load_scenario(config, out_dir=None, overrides=None):
     if cells < 128:
         _fail("cells", "must be at least 128")
     dt = merged["dt"]
-    dt = None if dt is None else float(dt)
-    if dt is not None and dt > 1.0 / cells:
-        _fail("dt", f"must not exceed the cell width 1/{cells}")
+    if dt is not None:
+        dt = _number("dt", dt)
+        if not dt > 0.0:
+            _fail("dt", f"must be positive, got {dt}")
+        if dt > 1.0 / cells:
+            _fail("dt", f"must not exceed the cell width 1/{cells}")
 
+    block = raw.get("tolerances", {})
+    if not isinstance(block, dict):
+        _fail("tolerances", "expected an object")
     tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(raw.get("tolerances", {}))
+    for key, val in block.items():
+        if key not in DEFAULT_TOLERANCES:
+            _fail(f"tolerances.{key}",
+                  f"unknown tolerance (known: {', '.join(DEFAULT_TOLERANCES)})")
+        tolerances[key] = val
     if overrides:
         for key, val in overrides.get("tolerances", {}).items():
             if val is not None:
                 tolerances[key] = val
+    for key, val in tolerances.items():
+        val = tolerances[key] = _number(f"tolerances.{key}", val)
+        if not 0.0 <= val < np.inf:
+            _fail(f"tolerances.{key}", f"must be finite and nonnegative, got {val}")
+    s = _number("s", merged["s"])
+    if not s >= 0.0:
+        _fail("s", f"must be nonnegative, got {s}")
 
     out = Path(out_dir) if out_dir else Path(raw.get("out", "kimdiff-results"))
     return Scenario(
@@ -160,7 +191,7 @@ def load_scenario(config, out_dir=None, overrides=None):
         grid=grid,
         cells=cells,
         dt=dt,
-        s=float(merged["s"]),
+        s=s,
         tolerances=tolerances,
         out_dir=out,
     )
@@ -179,17 +210,51 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _spectrum_payload(scenario, basis):
-    ident = flux_identity_residuals(scenario.model, basis)
+def write_spectrum(out, model, basis, eigenfunctions=False):
+    """Write spectrum.json (eigenvalues, growth estimate, mode masses,
+    flux-identity residuals) into out, plus eigenfunctions.csv (samples on
+    the interior grid) on request.  Returns the JSON path."""
     k_est = None
     if basis.n_modes >= 16:
         k_est, _ = eigenvalue_growth(basis)
-    return {
+    path = out / "spectrum.json"
+    _write_json(path, {
         "lambda": basis.eigenvalues.tolist(),
         "K_estimate": k_est,
         "Q": basis.mode_masses.tolist(),
-        "identity_residuals": ident.tolist(),
-    }
+        "identity_residuals": flux_identity_residuals(model, basis).tolist(),
+    })
+    if eigenfunctions:
+        _write_csv(
+            out / "eigenfunctions.csv",
+            ["x"] + [f"phi{j}" for j in range(basis.n_modes)],
+            ([x, *row] for x, row in zip(basis.interior_grid, basis.eigenfunctions)),
+        )
+    return path
+
+
+def write_fixation(out, profile):
+    """Write fixation.csv (x, psi) into out; returns its path."""
+    path = out / "fixation.csv"
+    _write_csv(path, ["x", "psi"], zip(profile.grid, profile.values))
+    return path
+
+
+def write_bessel(out, model, basis, modes):
+    """Write bessel.json into out: the sup error of the Bessel endpoint
+    asymptotics for each listed mode and whether it decreases along the
+    list.  Returns its path."""
+    results = [
+        {"mode": j, "sup_error": bessel_comparison(model, basis, j)} for j in modes
+    ]
+    path = out / "bessel.json"
+    _write_json(path, {
+        "comparison": results,
+        "decreasing": all(
+            a["sup_error"] > b["sup_error"] for a, b in zip(results, results[1:])
+        ),
+    })
+    return path
 
 
 def compute_pipeline(scenario):
@@ -199,37 +264,29 @@ def compute_pipeline(scenario):
     basis = build_basis(model, scenario.modes, scenario.grid)
     coeffs = evolution.project_initial(model, basis, scenario.initial, profile)
     sols = evolution.solutions_at(model, basis, coeffs, scenario.initial, scenario.times)
-    positive_times = [t for t in scenario.times if t > 0]
-    route = [
-        evolution.mass_cross_check(model, basis, coeffs, profile, scenario.initial, t)
-        for t in positive_times
-    ]
-    # conservation is measured over positive times: a t=0 snapshot cannot
+    # the diagnostics read the positive-time solutions: a t=0 snapshot cannot
     # carry interior point masses (the solution triple has no atom slot)
     positive_sols = [s for s in sols if s.t > 0]
+    route = [evolution.mass_cross_check(s, coeffs.limits, profile) for s in positive_sols]
     report = evolution.conservation_residuals(
         model, profile, scenario.initial,
         positive_sols if len(positive_sols) >= 2 else sols,
     )
-    decay = None
-    if len(positive_times) >= 2 and abs(coeffs.values[0]) > 0:
-        decay = evolution.decay_diagnostics(basis, coeffs, positive_times)
-    weak = None
-    if positive_times:
-        t_lo, t_hi = positive_times[0], positive_times[-1]
-        if t_hi > t_lo:
-            dense = np.linspace(t_lo, t_hi, 129)
-            dense_sols = evolution.solutions_at(
-                model, basis, coeffs, scenario.initial, dense
-            )
-            weak = evolution.verify_weak_form(model, dense_sols, profile)
+    decay = weak = None
+    if len(positive_sols) >= 2:
+        if abs(coeffs.values[0]) > 0:
+            decay = evolution.decay_diagnostics(basis, coeffs, positive_sols)
+        dense = np.linspace(positive_sols[0].t, positive_sols[-1].t, 129)
+        dense_sols = evolution.solutions_at(model, basis, coeffs, scenario.initial, dense)
+        weak = evolution.verify_weak_form(model, dense_sols, profile)
     return {
         "profile": profile,
         "basis": basis,
         "coeffs": coeffs,
         "solutions": sols,
+        "positive_solutions": positive_sols,
         "limits": coeffs.limits,
-        "route": route,
+        "route_max": max((r[2] for r in route), default=None),
         "report": report,
         "decay": decay,
         "weak": weak,
@@ -251,13 +308,12 @@ def _gate(scenario, pieces):
             f"fixation-moment span {report.psi_mass_span:.3e} exceeds "
             f"{tol['psi_mass_drift']:.1e} x initial mass"
         )
-    if pieces["route"]:
-        worst = max(r[2] for r in pieces["route"])
-        if worst > tol["route_agreement"]:
-            violations.append(
-                f"boundary-mass route disagreement {worst:.3e} exceeds "
-                f"{tol['route_agreement']:.1e}"
-            )
+    worst = pieces["route_max"]
+    if worst is not None and worst > tol["route_agreement"]:
+        violations.append(
+            f"boundary-mass route disagreement {worst:.3e} exceeds "
+            f"{tol['route_agreement']:.1e}"
+        )
     floor = -tol["positivity"] * mass0
     for sol in pieces["solutions"]:
         if sol.t > 0 and float(np.min(sol.density)) < floor:
@@ -269,6 +325,16 @@ def _gate(scenario, pieces):
     return violations
 
 
+def _run_pipeline(config, out_dir, overrides):
+    """Load the scenario (unless given one), create its output directory and
+    run the spectral pipeline; returns (scenario, pieces)."""
+    scenario = config if isinstance(config, Scenario) else load_scenario(
+        config, out_dir=out_dir, overrides=overrides
+    )
+    scenario.out_dir.mkdir(parents=True, exist_ok=True)
+    return scenario, compute_pipeline(scenario)
+
+
 def run_scenario(config, out_dir=None, overrides=None):
     """Run a scenario config and write all artifacts.
 
@@ -276,18 +342,11 @@ def run_scenario(config, out_dir=None, overrides=None):
     (artifacts are still written, with the violations recorded in the
     summary).  Config errors raise ConfigError, which the CLI maps to exit 1.
     """
-    scenario = config if isinstance(config, Scenario) else load_scenario(
-        config, out_dir=out_dir, overrides=overrides
-    )
+    scenario, pieces = _run_pipeline(config, out_dir, overrides)
     out = scenario.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    pieces = compute_pipeline(scenario)
-
-    _write_json(out / "spectrum.json", _spectrum_payload(scenario, pieces["basis"]))
+    write_spectrum(out, scenario.model, pieces["basis"])
     profile = pieces["profile"]
-    _write_csv(
-        out / "fixation.csv", ["x", "psi"], zip(profile.grid, profile.values)
-    )
+    write_fixation(out, profile)
 
     limits = pieces["limits"]
     lam0 = pieces["basis"].eigenvalues[0]
@@ -341,7 +400,7 @@ def run_scenario(config, out_dir=None, overrides=None):
             "psi_mass_drift": report.psi_mass_drift,
             "mass_span": report.mass_span,
             "psi_mass_span": report.psi_mass_span,
-            "route_agreement_max": max((r[2] for r in pieces["route"]), default=None),
+            "route_agreement_max": pieces["route_max"],
             "weak_form_max": None
             if pieces["weak"] is None
             else max(pieces["weak"].values()),
@@ -358,13 +417,9 @@ def run_verify(config, out_dir=None, overrides=None):
 
     Gates on the cross-solver gaps and the spectral invariants; exit status 2
     on any violation, 0 otherwise."""
-    scenario = config if isinstance(config, Scenario) else load_scenario(
-        config, out_dir=out_dir, overrides=overrides
-    )
-    out = scenario.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    pieces = compute_pipeline(scenario)
-    positive_times = [t for t in scenario.times if t > 0]
+    scenario, pieces = _run_pipeline(config, out_dir, overrides)
+    spectral_sols = pieces["positive_solutions"]
+    positive_times = [s.t for s in spectral_sols]
     fd_states = fd.evolve_fd(
         scenario.model,
         scenario.initial,
@@ -373,7 +428,6 @@ def run_verify(config, out_dir=None, overrides=None):
         dt=scenario.dt,
         output_times=positive_times,
     )
-    spectral_sols = [s for s in pieces["solutions"] if s.t > 0]
     comparison = fd.compare_with_spectral(fd_states, spectral_sols)
     mass0 = scenario.initial.total_mass()
     fd_drift = max(abs(st.total_mass() - mass0) for st in fd_states)
@@ -403,15 +457,13 @@ def run_verify(config, out_dir=None, overrides=None):
         "spectral_residuals": {
             "mass_span": pieces["report"].mass_span,
             "psi_mass_span": pieces["report"].psi_mass_span,
-            "route_agreement_max": max(
-                (r[2] for r in pieces["route"]), default=None
-            ),
+            "route_agreement_max": pieces["route_max"],
         },
         "tolerances": scenario.tolerances,
         "violations": violations,
         "pass": not violations,
     }
-    _write_json(out / "verify.json", verdict)
+    _write_json(scenario.out_dir / "verify.json", verdict)
     return 2 if violations else 0
 
 

@@ -72,7 +72,7 @@ def test_conservation_laws(neutral, selection, neutral_big, neutral_profile_big)
 
     def run(model, basis, profile, init):
         coeffs = kd.project_initial(model, basis, init, profile)
-        sols = [kd.solution_at(model, basis, coeffs, init, t) for t in times]
+        sols = kd.solutions_at(model, basis, coeffs, init, times)
         return kd.conservation_residuals(model, profile, init, sols)
 
     uniform = kd.InitialMeasure(density="uniform")
@@ -100,17 +100,16 @@ def test_boundary_mass_routes(neutral, selection, neutral_big, neutral_profile_b
     times = (0.1, 0.5, 1.0, 2.0)
     init_u, coeffs_u = uniform_run
     disc_u = max(
-        kd.mass_cross_check(neutral, neutral_big, coeffs_u, neutral_profile_big,
-                            init_u, t)[2]
-        for t in times
+        kd.mass_cross_check(sol, coeffs_u.limits, neutral_profile_big)[2]
+        for sol in kd.solutions_at(neutral, neutral_big, coeffs_u, init_u, times)
     )
     sel_basis = kd.build_basis(selection, 128, 2048)
     sel_profile = kd.fixation_profile(selection, 2049)
     bump = kd.InitialMeasure(density="bump(0.4, 0.2)")
     coeffs_b = kd.project_initial(selection, sel_basis, bump, sel_profile)
     disc_b = max(
-        kd.mass_cross_check(selection, sel_basis, coeffs_b, sel_profile, bump, t)[2]
-        for t in times
+        kd.mass_cross_check(sol, coeffs_b.limits, sel_profile)[2]
+        for sol in kd.solutions_at(selection, sel_basis, coeffs_b, bump, times)
     )
 
     # point-mass data: conservation-route masses reach the exact limits
@@ -120,16 +119,16 @@ def test_boundary_mass_routes(neutral, selection, neutral_big, neutral_profile_b
     coeffs_a = kd.project_initial(neutral, neutral_big, atom, neutral_profile_big)
     a_inf, b_inf = kd.limit_masses(neutral, neutral_profile_big, atom)
     t_star = 6.0 / neutral_big.eigenvalues[0]
-    a2, b2, _ = kd.mass_cross_check(
-        neutral, neutral_big, coeffs_a, neutral_profile_big, atom, t_star
-    )
+    sol_star, sol_lim = kd.solutions_at(neutral, neutral_big, coeffs_a, atom,
+                                        [t_star, np.inf])
+    a2, b2, _ = kd.mass_cross_check(sol_star, (a_inf, b_inf), neutral_profile_big)
     psi_x0 = float(neutral_profile_big(x0))
     gap = max(abs(a2 - (1 - psi_x0)), abs(b2 - psi_x0))
 
     # the series route's offset for point-mass data is its (documented)
     # time-independent truncation tail, not a route disagreement
-    a1, b1 = kd.boundary_masses(neutral, neutral_big, coeffs_a, atom, t_star)
-    a1_lim, b1_lim = kd.boundary_masses(neutral, neutral_big, coeffs_a, atom, np.inf)
+    a1, b1 = sol_star.a, sol_star.b
+    a1_lim, b1_lim = sol_lim.a, sol_lim.b
     tail_consistency = max(
         abs((a1 - a2) - (a1_lim - a_inf)), abs((b1 - b2) - (b1_lim - b_inf))
     )
@@ -146,7 +145,7 @@ def test_boundary_mass_routes(neutral, selection, neutral_big, neutral_profile_b
 def test_spectral_vs_fd(neutral, selection, neutral_big, uniform_run):
     times = [0.1, 1.0]
     init_u, coeffs_u = uniform_run
-    sols_u = [kd.solution_at(neutral, neutral_big, coeffs_u, init_u, t) for t in times]
+    sols_u = kd.solutions_at(neutral, neutral_big, coeffs_u, init_u, times)
     fd_u = kd.evolve_fd(neutral, init_u, 1.0, 1024, output_times=times)
     rows_u = kd.compare_with_spectral(fd_u, sols_u)
 
@@ -154,7 +153,7 @@ def test_spectral_vs_fd(neutral, selection, neutral_big, uniform_run):
     sel_profile = kd.fixation_profile(selection, 2049)
     bump = kd.InitialMeasure(density="bump(0.4, 0.2)")
     coeffs_b = kd.project_initial(selection, sel_basis, bump, sel_profile)
-    sols_b = [kd.solution_at(selection, sel_basis, coeffs_b, bump, t) for t in times]
+    sols_b = kd.solutions_at(selection, sel_basis, coeffs_b, bump, times)
     fd_b = kd.evolve_fd(selection, bump, 1.0, 1024, output_times=times)
     rows_b = kd.compare_with_spectral(fd_b, sols_b)
 
@@ -165,7 +164,7 @@ def test_spectral_vs_fd(neutral, selection, neutral_big, uniform_run):
     gaps = []
     for cells in (128, 256, 512):
         states = kd.evolve_fd(selection, bump, 0.5, cells)
-        ref = [kd.solution_at(selection, sel_basis, coeffs_b, bump, 0.5)]
+        ref = kd.solutions_at(selection, sel_basis, coeffs_b, bump, [0.5])
         gaps.append(kd.compare_with_spectral(states, ref)[0].q_l1_diff)
     ratios = [gaps[0] / gaps[1], gaps[1] / gaps[2]]
     order_ok = all(2.5 < r < 6.0 for r in ratios)
@@ -181,17 +180,22 @@ def test_spectral_vs_fd(neutral, selection, neutral_big, uniform_run):
 def test_exponential_convergence(neutral, neutral_big, neutral_profile_big,
                                  uniform_run):
     init, coeffs = uniform_run
-    diag = kd.decay_diagnostics(neutral_big, coeffs, np.linspace(0.5, 1.5, 11))
+    diag = kd.decay_diagnostics(
+        neutral_big, coeffs,
+        kd.solutions_at(neutral, neutral_big, coeffs, init, np.linspace(0.5, 1.5, 11)),
+    )
     slope_ok = abs(diag.slope + 2.0) <= 0.01 * 2.0
 
-    diag3 = kd.decay_diagnostics(neutral_big, coeffs, [3.0])
+    diag3 = kd.decay_diagnostics(
+        neutral_big, coeffs, kd.solutions_at(neutral, neutral_big, coeffs, init, [3.0])
+    )
     c_inf = diag3.c_inf
     scaled_gap = abs(diag3.scaled_l1[0] / c_inf - 1.0)
 
     limits = kd.limit_masses(neutral, neutral_profile_big, init)
     radon_gap = 0.0
-    for t in (0.1, 0.5, 1.0, 2.0, 3.0):
-        sol = kd.solution_at(neutral, neutral_big, coeffs, init, t)
+    for sol in kd.solutions_at(neutral, neutral_big, coeffs, init,
+                               (0.1, 0.5, 1.0, 2.0, 3.0)):
         rho = kd.radon_distance_to_limit(sol, limits)
         radon_gap = max(radon_gap, abs(rho - 2.0 * sol.density_l1()))
 
@@ -240,7 +244,7 @@ def test_bessel_comparison(neutral):
 def test_weak_form_residual(neutral, neutral_big, neutral_profile_big, uniform_run):
     init, coeffs = uniform_run
     times = np.linspace(0.1, 2.0, 129)
-    sols = [kd.solution_at(neutral, neutral_big, coeffs, init, t) for t in times]
+    sols = kd.solutions_at(neutral, neutral_big, coeffs, init, times)
     res = kd.verify_weak_form(neutral, sols, neutral_profile_big)
     worst = max(res.values())
     report(
@@ -255,16 +259,16 @@ def test_degenerate_inputs(neutral, neutral_big, neutral_profile_big):
     init = kd.InitialMeasure(a0=0.3, b0=0.7)
     coeffs = kd.project_initial(neutral, neutral_big, init, neutral_profile_big)
     exact = True
-    for t in (0.1, 1.0, 5.0):
-        sol = kd.solution_at(neutral, neutral_big, coeffs, init, t)
+    for sol in kd.solutions_at(neutral, neutral_big, coeffs, init, (0.1, 1.0, 5.0)):
         exact = exact and np.all(sol.density == 0.0) and sol.a == 0.3 and sol.b == 0.7
 
     # data with no leading-mode content decays at the second eigenvalue
-    odd = kd.SpectralCoefficients(np.zeros(neutral_big.n_modes))
+    odd = kd.SpectralCoefficients(np.zeros(neutral_big.n_modes), limits=(0.0, 0.0))
     odd.values[1] = 1.0
+    odd_sols = kd.solutions_at(neutral, neutral_big, odd, init, np.linspace(0.4, 1.2, 9))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        diag = kd.decay_diagnostics(neutral_big, odd, np.linspace(0.4, 1.2, 9))
+        diag = kd.decay_diagnostics(neutral_big, odd, odd_sols)
     lam1 = neutral_big.eigenvalues[1]
     slope_gap = abs(diag.slope + lam1) / lam1
     report(

@@ -3,8 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from kimdiff import evolution
 from kimdiff.cli import main
-from kimdiff.scenario import ConfigError, emit_plot_data, load_scenario, run_scenario
+from kimdiff.scenario import (
+    ConfigError,
+    compute_pipeline,
+    emit_plot_data,
+    load_scenario,
+    run_scenario,
+)
 
 
 def demo_config(tmp_path, **extra):
@@ -56,6 +63,46 @@ def test_malformed_config_reports_field(tmp_path):
     path2 = demo_config(tmp_path, schema=99)
     with pytest.raises(ConfigError, match="schema"):
         load_scenario(path2)
+
+
+@pytest.mark.parametrize("field, extra", [
+    ("tolerances.mass_drfit", {"tolerances": {"mass_drfit": 1.0}}),
+    ("tolerances.fd_l1", {"tolerances": {"fd_l1": "big"}}),
+    ("modes", {"modes": "many"}),
+    ("grid", {"grid": "fine"}),
+    ("cells", {"cells": [256]}),
+    ("s", {"s": "one"}),
+    ("s", {"s": -1.0}),
+    ("tolerances.route_agreement", {"tolerances": {"route_agreement": "nan"}}),
+    ("times", {"times": [0.1, "later"]}),
+    ("dt", {"dt": 0}),
+    ("dt", {"dt": -0.0005}),
+])
+def test_malformed_field_exits_one_and_names_it(tmp_path, capsys, field, extra):
+    path = demo_config(tmp_path, **extra)
+    assert main(["verify", "--config", str(path)]) == 1
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
+def test_pipeline_evaluates_the_series_twice(tmp_path, monkeypatch):
+    # one evaluation at the scenario times, one for the weak-form sweep; the
+    # route cross-check and the decay diagnostics read those solutions
+    calls = {"solutions_at": 0, "limit_masses": 0}
+    for name in calls:
+        original = getattr(evolution, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(evolution, name, counted)
+    scenario = load_scenario(demo_config(tmp_path))
+    assert sum(t > 0 for t in scenario.times) >= 2
+    pieces = compute_pipeline(scenario)
+    assert calls["solutions_at"] == 2
+    assert calls["limit_masses"] <= 2
+    assert pieces["decay"] is not None and pieces["weak"] is not None
+    assert pieces["route_max"] <= 1e-5
 
 
 def test_overtight_tolerance_exits_two(tmp_path):

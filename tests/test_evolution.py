@@ -99,48 +99,46 @@ def test_uniform_data_is_single_mode(uniform_setup):
     assert np.max(np.abs(coeffs.values[1:])) <= 1e-8
 
 
-def test_evaluate_q_single_mode_decay(neutral_basis, uniform_setup):
+def test_series_single_mode_decay(neutral, neutral_basis, uniform_setup):
     init, coeffs = uniform_setup
-    q1, _ = kd.evaluate_q(neutral_basis, coeffs, 1.0)
-    q2, _ = kd.evaluate_q(neutral_basis, coeffs, 2.0)
-    assert np.allclose(q2, q1 * np.exp(-2.0), atol=1e-12)
-    sup = [np.max(np.abs(kd.evaluate_q(neutral_basis, coeffs, t)[0])) for t in (1, 3, 6)]
+    s1, s2, s3, s6 = kd.solutions_at(
+        neutral, neutral_basis, coeffs, init, [1.0, 2.0, 3.0, 6.0]
+    )
+    assert np.allclose(s2.density, s1.density * np.exp(-2.0), atol=1e-12)
+    sup = [np.max(np.abs(s.density)) for s in (s1, s3, s6)]
     assert sup[0] > sup[1] > sup[2]
     assert sup[2] <= 1e-5
 
 
-def test_evaluate_q_at_zero_returns_raw_density(neutral_basis, uniform_setup):
+def test_series_at_zero_returns_raw_density(neutral, neutral_basis, uniform_setup):
     init, coeffs = uniform_setup
-    q0, trunc = kd.evaluate_q(neutral_basis, coeffs, 0.0, init)
-    assert np.all(q0 == 1.0)
-    assert trunc == 0.0
-    with pytest.raises(ValueError):
-        kd.evaluate_q(neutral_basis, coeffs, 0.0)
+    sol = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.0])[0]
+    assert np.all(sol.density == 1.0)
+    assert sol.trunc_error == 0.0
 
 
 def test_single_mode_l1_norm(neutral, neutral_basis, uniform_setup):
     init, coeffs = uniform_setup
-    sol = kd.solution_at(neutral, neutral_basis, coeffs, init, 1.0)
+    sol = kd.solutions_at(neutral, neutral_basis, coeffs, init, [1.0])[0]
     expected = neutral_basis.mode_masses[0] * coeffs.values[0] * np.exp(-2.0)
     assert sol.density_l1() == pytest.approx(expected, rel=1e-9)
 
 
-def test_boundary_masses_at_zero_and_monotone(neutral, neutral_basis, uniform_setup):
+def test_series_masses_at_zero_and_monotone(neutral, neutral_basis, uniform_setup):
     init, coeffs = uniform_setup
-    assert kd.boundary_masses(neutral, neutral_basis, coeffs, init, 0.0) == (0.0, 0.0)
     times = [0.0, 0.2, 0.5, 1.0, 2.0, 4.0]
-    masses = [
-        kd.boundary_masses(neutral, neutral_basis, coeffs, init, t) for t in times
-    ]
-    a_vals = [ab[0] for ab in masses]
-    b_vals = [ab[1] for ab in masses]
+    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, times)
+    assert (sols[0].a, sols[0].b) == (0.0, 0.0)
+    a_vals = [s.a for s in sols]
+    b_vals = [s.b for s in sols]
     assert np.all(np.diff(a_vals) > 0)
     assert np.all(np.diff(b_vals) > 0)
 
 
-def test_boundary_masses_uniform_exact(neutral, neutral_basis, uniform_setup):
+def test_series_masses_uniform_exact(neutral, neutral_basis, uniform_setup):
     init, coeffs = uniform_setup
-    a, b = kd.boundary_masses(neutral, neutral_basis, coeffs, init, 0.5)
+    sol = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.5])[0]
+    a, b = sol.a, sol.b
     exact = SQ6 * (1 - np.exp(-1.0)) / 2 * (SQ6 / 6)
     assert a == pytest.approx(exact, rel=1e-7)
     assert b == pytest.approx(exact, rel=1e-7)
@@ -161,7 +159,8 @@ def test_limit_masses_examples(neutral, neutral_profile):
 
 def test_series_route_reaches_limits(neutral, neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
-    a_t, b_t = kd.boundary_masses(neutral, neutral_basis, coeffs, init, np.inf)
+    far = kd.solutions_at(neutral, neutral_basis, coeffs, init, [np.inf])[0]
+    a_t, b_t = far.a, far.b
     a_inf, b_inf = kd.limit_masses(neutral, neutral_profile, init)
     assert a_t == pytest.approx(a_inf, abs=1e-7)
     assert b_t == pytest.approx(b_inf, abs=1e-7)
@@ -169,12 +168,11 @@ def test_series_route_reaches_limits(neutral, neutral_basis, neutral_profile, un
 
 def test_mass_cross_check_single_mode(neutral, neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
-    a2, b2, disc = kd.mass_cross_check(
-        neutral, neutral_basis, coeffs, neutral_profile, init, 1.0
-    )
+    start, sol = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.0, 1.0])
+    a2, b2, disc = kd.mass_cross_check(sol, coeffs.limits, neutral_profile)
     assert disc <= 1e-6
     with pytest.raises(ValueError):
-        kd.mass_cross_check(neutral, neutral_basis, coeffs, neutral_profile, init, 0.0)
+        kd.mass_cross_check(start, coeffs.limits, neutral_profile)
 
 
 def test_mass_cross_check_early_time_limit(neutral, neutral_basis, neutral_profile, uniform_setup):
@@ -182,12 +180,11 @@ def test_mass_cross_check_early_time_limit(neutral, neutral_basis, neutral_profi
     # (up to the genuinely absorbed flux, which is proportional to t)
     init, coeffs = uniform_setup
     gaps = []
-    for t in (1e-4, 1e-5, 1e-6):
-        a2, b2, _ = kd.mass_cross_check(
-            neutral, neutral_basis, coeffs, neutral_profile, init, t
-        )
+    times = (1e-4, 1e-5, 1e-6)
+    for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, times):
+        a2, b2, _ = kd.mass_cross_check(sol, coeffs.limits, neutral_profile)
         gaps.append(max(abs(a2 - init.a0), abs(b2 - init.b0)))
-        assert gaps[-1] <= 3 * t
+        assert gaps[-1] <= 3 * sol.t
     assert gaps[0] > gaps[1] > gaps[2]
 
 
@@ -196,7 +193,8 @@ def test_series_route_atom_limit_is_exact(neutral, neutral_basis, neutral_profil
     # anchored at the limits, so no truncation tail survives at t = inf
     init = kd.InitialMeasure(atoms=[(0.25, 1.0)])
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
-    a_lim, b_lim = kd.boundary_masses(neutral, neutral_basis, coeffs, init, np.inf)
+    far = kd.solutions_at(neutral, neutral_basis, coeffs, init, [np.inf])[0]
+    a_lim, b_lim = far.a, far.b
     a_inf, b_inf = kd.limit_masses(neutral, neutral_profile, init)
     assert a_inf == pytest.approx(0.75, abs=1e-9)
     assert a_lim == pytest.approx(a_inf, abs=1e-12)
@@ -207,8 +205,8 @@ def test_cross_check_approaches_limit(neutral, neutral_basis, neutral_profile, u
     init, coeffs = uniform_setup
     a_inf, _ = kd.limit_masses(neutral, neutral_profile, init)
     gaps = [
-        abs(kd.mass_cross_check(neutral, neutral_basis, coeffs, neutral_profile, init, t)[0] - a_inf)
-        for t in (1.0, 3.0, 6.0)
+        abs(kd.mass_cross_check(sol, coeffs.limits, neutral_profile)[0] - a_inf)
+        for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, (1.0, 3.0, 6.0))
     ]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] <= 1e-5
@@ -216,10 +214,7 @@ def test_cross_check_approaches_limit(neutral, neutral_basis, neutral_profile, u
 
 def test_conservation_single_mode(neutral, neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
-    sols = [
-        kd.solution_at(neutral, neutral_basis, coeffs, init, t)
-        for t in (0.1, 0.5, 1.0, 2.0)
-    ]
+    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.1, 0.5, 1.0, 2.0))
     rep = kd.conservation_residuals(neutral, neutral_profile, init, sols)
     assert rep.mass_drift <= 1e-6
     assert rep.psi_mass_drift <= 1e-6
@@ -228,9 +223,7 @@ def test_conservation_single_mode(neutral, neutral_basis, neutral_profile, unifo
 def test_conservation_boundary_atoms_exact(neutral, neutral_basis, neutral_profile):
     init = kd.InitialMeasure(a0=0.4, b0=0.6)
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
-    sols = [
-        kd.solution_at(neutral, neutral_basis, coeffs, init, t) for t in (0.5, 1.0)
-    ]
+    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.5, 1.0))
     rep = kd.conservation_residuals(neutral, neutral_profile, init, sols)
     assert rep.mass_drift == 0.0
     assert rep.psi_mass_drift == 0.0
@@ -242,10 +235,7 @@ def test_conservation_interior_atom_constancy(neutral, neutral_basis, neutral_pr
     # the exact limits and each mode satisfies the flux identity
     init = kd.InitialMeasure(atoms=[(0.25, 1.0)])
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
-    sols = [
-        kd.solution_at(neutral, neutral_basis, coeffs, init, t)
-        for t in (0.1, 0.5, 1.0, 2.0)
-    ]
+    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.1, 0.5, 1.0, 2.0))
     rep = kd.conservation_residuals(neutral, neutral_profile, init, sols)
     assert rep.mass_span <= 1e-5
     assert rep.psi_mass_span <= 1e-5
@@ -270,7 +260,8 @@ def test_ds_norm_values(neutral_basis):
 def test_decay_single_mode(neutral, neutral_basis, uniform_setup):
     init, coeffs = uniform_setup
     times = np.linspace(0.5, 1.5, 11)
-    diag = kd.decay_diagnostics(neutral_basis, coeffs, times)
+    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, times)
+    diag = kd.decay_diagnostics(neutral_basis, coeffs, sols)
     assert diag.slope == pytest.approx(-2.0, rel=1e-6)
     assert diag.c_inf == pytest.approx(1.0, abs=1e-9)
     assert np.max(np.abs(diag.scaled_l1 - diag.c_inf)) <= 1e-9
@@ -279,10 +270,14 @@ def test_decay_single_mode(neutral, neutral_basis, uniform_setup):
 def test_decay_degenerate_leading_mode(neutral, neutral_basis):
     # antisymmetric data has no leading-mode content; decay follows the
     # second eigenvalue
-    coeffs = kd.SpectralCoefficients(np.zeros(neutral_basis.n_modes))
+    coeffs = kd.SpectralCoefficients(np.zeros(neutral_basis.n_modes), limits=(0.0, 0.0))
     coeffs.values[1] = 1.0
+    # a unit initial mass sets the scale of the truncation check
+    sols = kd.solutions_at(
+        neutral, neutral_basis, coeffs, kd.InitialMeasure(a0=1.0), np.linspace(0.4, 1.0, 7)
+    )
     with pytest.warns(UserWarning, match="leading coefficient"):
-        diag = kd.decay_diagnostics(neutral_basis, coeffs, np.linspace(0.4, 1.0, 7))
+        diag = kd.decay_diagnostics(neutral_basis, coeffs, sols)
     assert diag.slope == pytest.approx(-6.0, rel=0.02)
     assert diag.c_inf == 0.0
 
@@ -290,11 +285,10 @@ def test_decay_degenerate_leading_mode(neutral, neutral_basis):
 def test_radon_distance_identity(neutral, neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
     limits = kd.limit_masses(neutral, neutral_profile, init)
-    for t in (0.1, 0.5, 1.0, 2.0):
-        sol = kd.solution_at(neutral, neutral_basis, coeffs, init, t)
+    for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.1, 0.5, 1.0, 2.0)):
         rho = kd.radon_distance_to_limit(sol, limits)
         assert rho == pytest.approx(2 * sol.density_l1(), abs=1e-6)
-    far = kd.solution_at(neutral, neutral_basis, coeffs, init, 20.0)
+    far = kd.solutions_at(neutral, neutral_basis, coeffs, init, [20.0])[0]
     assert kd.radon_distance_to_limit(far, limits) <= 1e-8
 
 
@@ -306,16 +300,15 @@ def test_radon_smoothness_bound(neutral, neutral_basis, neutral_profile, uniform
     assert 0.0 < tail < c0s
     w_norm = kd.ds_norm(coeffs, neutral_basis, s)
     lam0 = neutral_basis.eigenvalues[0]
-    for t in (0.5, 1.0, 2.0):
-        sol = kd.solution_at(neutral, neutral_basis, coeffs, init, t)
+    for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.5, 1.0, 2.0)):
         rho = kd.radon_distance_to_limit(sol, limits)
-        assert rho <= 2 * (c0s + tail) * w_norm * np.exp(-lam0 * t) * (1 + 1e-9)
+        assert rho <= 2 * (c0s + tail) * w_norm * np.exp(-lam0 * sol.t) * (1 + 1e-9)
 
 
 def test_weak_form_single_mode(neutral, neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
     times = np.linspace(0.1, 2.0, 129)
-    sols = [kd.solution_at(neutral, neutral_basis, coeffs, init, t) for t in times]
+    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, times)
     res = kd.verify_weak_form(neutral, sols, neutral_profile)
     assert set(res) == {"one", "fixation", "x(1-x)", "x^2(1-x)"}
     for name, val in res.items():
@@ -325,7 +318,7 @@ def test_weak_form_single_mode(neutral, neutral_basis, neutral_profile, uniform_
 def test_weak_form_unknown_chi(neutral, neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
     times = np.linspace(0.1, 1.0, 17)
-    sols = [kd.solution_at(neutral, neutral_basis, coeffs, init, t) for t in times]
+    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, times)
     with pytest.raises(ValueError):
         kd.verify_weak_form(neutral, sols, neutral_profile, chis=["sin"])
 
@@ -335,7 +328,7 @@ def test_truncation_warning_for_atom_at_early_time(neutral, neutral_basis, neutr
     init = kd.InitialMeasure(atoms=[(0.3, 1.0)])
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     with pytest.warns(UserWarning, match="truncation"):
-        kd.evaluate_q(neutral_basis, coeffs, 1e-4, init)
+        kd.solutions_at(neutral, neutral_basis, coeffs, init, [1e-4])
 
 
 def test_solutions_at_matches_per_time_series(neutral, neutral_basis, neutral_profile):

@@ -62,10 +62,16 @@ def test_step_size_guard(neutral):
         kd.evolve_fd(neutral, single_mode_init(), 0.1, 64)
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.0005])
+def test_nonpositive_dt_rejected(neutral, dt):
+    with pytest.raises(ValueError, match="positive"):
+        kd.evolve_fd(neutral, single_mode_init(), 0.1, 256, dt=dt)
+
+
 def test_convergence_order_against_spectral(neutral, neutral_basis, neutral_profile):
     init = single_mode_init()
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
-    sols = [kd.solution_at(neutral, neutral_basis, coeffs, init, 0.5)]
+    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.5])
     gaps = []
     for cells in (128, 256, 512):
         states = kd.evolve_fd(neutral, init, 0.5, cells)
@@ -78,7 +84,7 @@ def test_convergence_order_against_spectral(neutral, neutral_basis, neutral_prof
 def test_compare_with_spectral_pairs_times(neutral, neutral_basis, neutral_profile):
     init = single_mode_init()
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
-    sols = [kd.solution_at(neutral, neutral_basis, coeffs, init, t) for t in (0.1, 1.0)]
+    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.1, 1.0))
     states = kd.evolve_fd(neutral, init, 1.0, 256, output_times=[0.1, 1.0])
     rows = kd.compare_with_spectral(states, sols)
     assert [r.t for r in rows] == [0.1, 1.0]
@@ -96,7 +102,7 @@ def test_selection_bump_cross_check(selection):
     init = kd.InitialMeasure(density="bump(0.45, 0.3)")
     coeffs = kd.project_initial(selection, basis, init, profile)
     times = [0.1, 1.0]
-    sols = [kd.solution_at(selection, basis, coeffs, init, t) for t in times]
+    sols = kd.solutions_at(selection, basis, coeffs, init, times)
     states = kd.evolve_fd(selection, init, 1.0, 512, output_times=times)
     for row in kd.compare_with_spectral(states, sols):
         assert row.q_l1_diff <= 1e-3
