@@ -30,11 +30,12 @@ for sol in sols:
     print(f"{sol.t:5.1f}  {sol.a:.6f}  {sol.b:.6f}  {l1:.6f}  {mass:.8f}  "
           f"{rho / (2 * l1):.8f}")
 
-report = kd.conservation_residuals(model, profile, init, sols)
+psi = profile(basis.closed_grid)  # the fixation probability on the solution grid
+report = kd.conservation_residuals(init, sols, limits, psi)
 print(f"\nmass drift {report.mass_drift:.2e}, fixation-moment drift "
       f"{report.psi_mass_drift:.2e}")
 
-route_gap = max(kd.mass_cross_check(sol, limits, profile)[2] for sol in sols)
+route_gap = max(kd.mass_cross_check(sol, limits, psi)[2] for sol in sols)
 print(f"series route vs conservation route: max gap {route_gap:.2e}")
 
 decay_sols = kd.solutions_at(model, basis, coeffs, init, np.linspace(0.5, 1.5, 11))
@@ -49,7 +50,7 @@ print(f"limit constant: exp(2t)||q||_1 -> {diag.c_inf:.6f}")
 atom = kd.InitialMeasure(atoms=[(0.25, 1.0)])
 atom_coeffs = kd.project_initial(model, basis, atom, profile)
 atom_sols = kd.solutions_at(model, basis, atom_coeffs, atom, times)
-atom_report = kd.conservation_residuals(model, profile, atom, atom_sols)
+atom_report = kd.conservation_residuals(atom, atom_sols, atom_coeffs.limits, psi)
 print(f"\npoint mass at 0.25: mass drift {atom_report.mass_drift:.2e} against the "
       f"initial mass 1, constancy span {atom_report.mass_span:.2e}")
 a_inf, b_inf = kd.limit_masses(model, profile, atom)

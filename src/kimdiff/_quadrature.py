@@ -1,37 +1,42 @@
-"""Gauss-Legendre quadrature helpers shared by the model and fixation code."""
+"""Piecewise Legendre tables of running integrals, shared by the model,
+fixation and spectral code, and an adaptive Gauss-Legendre rule for single
+integrals."""
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 
-_NODES8, _WEIGHTS8 = leggauss(8)
 _NODES16, _WEIGHTS16 = leggauss(16)
 _NODES24, _WEIGHTS24 = leggauss(24)
+
+TABLE_GAPS = 1024
+TABLE_TOL = 1e-12
+# discrete Legendre transform at the 24 Gauss nodes, exact for degree <= 23:
+# a_n = (n + 1/2) sum_i w_i P_n(t_i) f(t_i)
+_TRANSFORM = (np.arange(24) + 0.5)[:, None] * legvander(_NODES24, 23).T * _WEIGHTS24
 
 
 class QuadratureError(RuntimeError):
     """Raised when adaptive refinement fails to reach the requested tolerance."""
 
 
-def gl_panel(f, a, b, nodes=_NODES16, weights=_WEIGHTS16):
-    """Single Gauss-Legendre panel of f over [a, b]; f maps arrays to arrays."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * np.dot(weights, f(mid + half * nodes))
-
-
 def adaptive_gl(f, a, b, tol, max_depth=48):
     """Adaptive Gauss-Legendre integral of f over [a, b].
 
-    Bisects until a 16-node panel and its two half-panels agree within the
-    (absolute) tolerance budget for the subinterval.
+    Bisects until a 16-node panel (f maps arrays to arrays) and its two
+    half-panels agree within the (absolute) tolerance budget for the
+    subinterval.
     """
     if a == b:
         return 0.0
 
+    def panel(lo, hi):
+        half = 0.5 * (hi - lo)
+        return half * np.dot(_WEIGHTS16, f(0.5 * (lo + hi) + half * _NODES16))
+
     def recurse(lo, hi, budget, depth):
         mid = 0.5 * (lo + hi)
-        whole = gl_panel(f, lo, hi)
-        halves = gl_panel(f, lo, mid) + gl_panel(f, mid, hi)
+        whole = panel(lo, hi)
+        halves = panel(lo, mid) + panel(mid, hi)
         if abs(whole - halves) <= budget:
             return halves
         if depth >= max_depth:
@@ -46,30 +51,38 @@ def adaptive_gl(f, a, b, tol, max_depth=48):
     return recurse(a, b, tol, 0)
 
 
-def panel_batch(f, lo, hi, nodes=_NODES16, weights=_WEIGHTS16):
-    """Gauss-Legendre panels for many [lo_i, hi_i] intervals at once."""
-    lo = np.asarray(lo, float)
-    hi = np.asarray(hi, float)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    samples = f(mid[:, None] + half[:, None] * nodes[None, :])
-    return half * (samples @ weights)
+def running_integral_table(f, name):
+    """Piecewise Legendre table of F(x) = integral_0^x f on [0, 1].
 
-
-def segment_integrals(f, edges, tol):
-    """Integrals of f over every consecutive [edges[i], edges[i+1]] segment.
-
-    All segments are first integrated with a vectorized 16-node panel and an
-    8-node panel; segments where the two disagree beyond the per-segment share
-    of tol fall back to scalar adaptive quadrature.
+    f, which maps arrays of points to values, is sampled at the 24 Gauss
+    nodes of each of TABLE_GAPS uniform gaps; its Legendre coefficients are
+    integrated exactly and offset by the integral over the gaps to the left.
+    Column k holds F on gap k in the local variable t in [-1, 1]; trailing
+    rows that are zero to roundoff on every gap are dropped.  The last two
+    coefficients of a gap, scaled to the integral, estimate what its nodes
+    miss; above TABLE_TOL the build raises ValueError naming the integrand
+    (name) and the worst gap.
     """
-    edges = np.asarray(edges, float)
-    lo, hi = edges[:-1], edges[1:]
-    coarse = panel_batch(f, lo, hi, _NODES8, _WEIGHTS8)
-    fine = panel_batch(f, lo, hi, _NODES16, _WEIGHTS16)
-    out = fine.copy()
-    budget = tol / max(len(lo), 1)
-    bad = np.abs(fine - coarse) > budget
-    for i in np.nonzero(bad)[0]:
-        out[i] = adaptive_gl(f, lo[i], hi[i], budget)
-    return out
+    half = 0.5 / TABLE_GAPS
+    left = 2.0 * half * np.arange(TABLE_GAPS)
+    coef = _TRANSFORM @ f(left + half * (_NODES24[:, None] + 1.0))
+    tail = half * np.abs(coef[-2:]).sum(axis=0)
+    if not np.all(tail <= TABLE_TOL):  # a NaN tail fails too
+        k = int(np.argmax(tail))  # the worst gap, or the first NaN
+        raise ValueError(
+            f"{name} is not resolved by 24 Gauss nodes per gap of width 1/{TABLE_GAPS}"
+            f" near x = {left[k] + half:.4f} (Legendre tail {tail[k]:.2e} > {TABLE_TOL})"
+        )
+    table = legint(coef, lbnd=-1, scl=half, axis=0)
+    table[0] += np.concatenate(([0.0], np.cumsum(2.0 * half * coef[0, :-1])))
+    size = np.max(np.abs(table), axis=1)
+    kept = np.flatnonzero(size > np.finfo(float).eps * size.max())
+    return table[: kept[-1] + 1 if kept.size else 1]
+
+
+def table_values(table, x):
+    """Values at points x in [0, 1] of a running_integral_table: find each
+    point's gap, then sum its Legendre series by Clenshaw's recurrence."""
+    s = np.asarray(x, float) * table.shape[1]
+    k = np.clip(s.astype(int), 0, table.shape[1] - 1)
+    return legval(2.0 * (s - k) - 1.0, table[:, k], tensor=False)

@@ -242,9 +242,9 @@ def limit_masses(model, profile, init):
     if init._density_fn is not None:
         if isinstance(init.density, tuple):
             xs = np.asarray(init.density[0], float)
+            psi = profile(xs)
         else:
-            xs = profile.grid
-        psi = profile(xs)
+            xs, psi = profile.grid, profile.values
         q0 = init.density_samples(xs)
         a_inf += float(np.trapezoid((1.0 - psi) * q0, xs))
         b_inf += float(np.trapezoid(psi * q0, xs))
@@ -255,47 +255,47 @@ def limit_masses(model, profile, init):
     return a_inf, b_inf
 
 
-def mass_cross_check(solution, limits, profile):
+def mass_cross_check(solution, limits, psi):
     """Boundary masses via the conservation laws, plus the discrepancy
     against the series route.
 
-    The conserved fixation moment pins b(t) = b_inf - integral psi q(t);
-    symmetrically for a.  Returns (a, b, max discrepancy vs the solution's
-    flux-series masses); a large discrepancy signals basis or quadrature
+    The conserved fixation moment pins b(t) = b_inf - integral psi q(t), psi
+    on the solution's grid; symmetrically for a.  Returns (a, b, max gap to
+    the flux-series masses); a large gap signals basis or quadrature
     inconsistency (or unresolved measure-valued data)."""
     if solution.t <= 0.0:
         raise ValueError("the cross-check needs t > 0")
     a_inf, b_inf = limits
     grid, q = solution.grid, solution.density
-    psi_vals = profile(grid)
-    a2 = a_inf - float(np.trapezoid((1.0 - psi_vals) * q, grid))
-    b2 = b_inf - float(np.trapezoid(psi_vals * q, grid))
+    a2 = a_inf - float(np.trapezoid((1.0 - psi) * q, grid))
+    b2 = b_inf - float(np.trapezoid(psi * q, grid))
     return a2, b2, max(abs(solution.a - a2), abs(solution.b - b2))
 
 
-def conservation_residuals(model, profile, init, solutions):
+def conservation_residuals(init, solutions, limits, psi):
     """Defects of the two conservation laws along a solution sequence.
 
-    Returns drifts of total mass (against the initial mass) and of the
-    fixation moment (against its limit value), plus the max-minus-min spans
-    across the evaluated times.  The spans measure the constancy the laws
-    assert; the drifts also compare against the exact initial values.
+    psi is the fixation probability on the solutions' grid, limits are
+    (a_inf, b_inf).  mass_values and psi_mass_values hold total mass and
+    fixation moment for every solution; the drifts (against the initial
+    mass and b_inf) and the max-minus-min spans leave out a t = 0 snapshot
+    when two or more positive times are given, as it cannot carry atoms.
     """
     if len(solutions) < 2:
         raise ValueError("need solutions at two or more times")
-    mass = np.array(
-        [s.a + s.b + np.trapezoid(s.density, s.grid) for s in solutions]
-    )
-    psi_mass = np.array(
-        [s.b + np.trapezoid(profile(s.grid) * s.density, s.grid) for s in solutions]
-    )
-    total = init.total_mass()
-    _, b_inf = limit_masses(model, profile, init)
+    w = _trapezoid_weights(solutions[0].grid)
+    density = np.stack([s.density for s in solutions])
+    b = np.array([s.b for s in solutions])
+    mass = np.array([s.a for s in solutions]) + b + density @ w
+    psi_mass = b + density @ (w * psi)
+    kept = np.array([s.t > 0.0 for s in solutions])
+    kept |= kept.sum() < 2
+    m, pm = mass[kept], psi_mass[kept]
     return ConservationReport(
-        mass_drift=float(np.max(np.abs(mass - total))),
-        psi_mass_drift=float(np.max(np.abs(psi_mass - b_inf))),
-        mass_span=float(np.max(mass) - np.min(mass)),
-        psi_mass_span=float(np.max(psi_mass) - np.min(psi_mass)),
+        mass_drift=float(np.max(np.abs(m - init.total_mass()))),
+        psi_mass_drift=float(np.max(np.abs(pm - limits[1]))),
+        mass_span=float(np.max(m) - np.min(m)),
+        psi_mass_span=float(np.max(pm) - np.min(pm)),
         mass_values=mass,
         psi_mass_values=psi_mass,
     )
@@ -394,7 +394,7 @@ def _bump_window(t0, t1):
     return zeta, zeta_prime
 
 
-def _chi_library(model, grid, profile):
+def _chi_library(model, grid, psi):
     x = grid
     F = model.diffusion(x)
     G = model.drift(x)
@@ -408,9 +408,9 @@ def _chi_library(model, grid, profile):
             F * (2.0 - 6.0 * x) + G * (2.0 * x - 3.0 * x**2),
         ),
     }
-    if profile is not None:
+    if psi is not None:
         # F chi'' + G chi' vanishes identically for the fixation profile.
-        lib["fixation"] = (profile(x), 0.0, 1.0, np.zeros_like(x))
+        lib["fixation"] = (psi, 0.0, 1.0, np.zeros_like(x))
     return lib
 
 
@@ -423,16 +423,17 @@ def _trapezoid_weights(x):
     return w
 
 
-def verify_weak_form(model, solutions, profile=None, chis=None):
+def verify_weak_form(model, solutions, psi=None, chis=None):
     """Residual of the boundary-coupled weak formulation for tensor-product
     test functions (time bump times spatial function).
 
     solutions: SolutionMeasure sequence on a dense increasing time grid with
     positive times; the bump window spans that grid, so its derivatives
     vanish at the ends and the initial term drops.  The spatial library is
-    {1, fixation profile, x(1-x), x^2(1-x)}; the first two reduce the
-    identity to the conservation laws, the last two exercise the interior
-    operator.  Returns a dict of absolute residuals.
+    {1, psi, x(1-x), x^2(1-x)}, psi the fixation profile on the solutions'
+    grid (left out when None); the first two reduce the identity to the
+    conservation laws, the last two exercise the interior operator.
+    Returns a dict of absolute residuals.
     """
     if len(solutions) < 8:
         raise ValueError("need a reasonably dense time grid (8+ solutions)")
@@ -440,7 +441,7 @@ def verify_weak_form(model, solutions, profile=None, chis=None):
     if np.any(times <= 0.0) or np.any(np.diff(times) <= 0.0):
         raise ValueError("solution times must be positive and increasing")
     grid = solutions[0].grid
-    lib = _chi_library(model, grid, profile)
+    lib = _chi_library(model, grid, psi)
     if chis is None:
         chis = list(lib)
     zeta, zeta_prime = _bump_window(times[0], times[-1])

@@ -7,16 +7,14 @@ For a model with drift-to-diffusion ratio xi this is
     c      = integral_0^1 exp(-integral_0^s xi) ds,
 
 the probability that a mutant starting at frequency x eventually takes over.
+psi is tabulated once as a Legendre series, exact to roundoff off its grid.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from ._quadrature import segment_integrals
-
-_POINT_TOL = 1e-10
+from ._quadrature import running_integral_table, table_values
 
 
 @dataclass
@@ -25,45 +23,48 @@ class FixationProfile:
 
     grid: strictly increasing points in [0, 1] including both endpoints.
     values: psi at the grid points; exactly 0 and 1 at the ends.
-    norm_const: c, the unnormalized total integral.
-    Off-grid queries go through a monotone cubic interpolant via __call__.
+    norm_const: c, the unnormalized total integral (inf if it overflows).
+    table: piecewise Legendre table of psi (_quadrature.running_integral_table);
+        __call__ evaluates it, as accurate off the grid as on it.
     """
 
     grid: np.ndarray
     values: np.ndarray
     norm_const: float
-    _interp: PchipInterpolator = field(init=False, repr=False)
+    table: np.ndarray
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, float)
         self.values = np.asarray(self.values, float)
-        self._interp = PchipInterpolator(self.grid, self.values)
 
     def __call__(self, x):
-        return self._interp(x)
+        return table_values(self.table, x)
 
 
 def fixation_profile(model, n_points):
     """Compute the fixation probability on a uniform grid of n_points.
 
-    The inner exponent reuses the model's cached integral of xi; the outer
-    integral is a composite Gauss-Legendre rule per grid segment, refined
-    adaptively where needed, with absolute error well below 1e-10 per point.
+    exp(-Xi), scaled by exp(min Xi) to peak near 1 (finite under strong
+    selection, and checked for resolution on the scale of psi), is tabulated
+    as a running integral; the grid values are that table's values.
     """
     if n_points < 3:
         raise ValueError("n_points must be at least 3")
     grid = np.linspace(0.0, 1.0, int(n_points))
+    shift = float(np.min(model.xi_integral(grid)))
 
     def integrand(s):
-        return np.exp(-model.xi_integral(np.clip(s, 0.0, 1.0)))
+        return np.exp(shift - model.xi_integral(s))
 
-    segs = segment_integrals(integrand, grid, _POINT_TOL * 0.01)
-    cum = np.concatenate(([0.0], np.cumsum(segs)))
-    c = float(cum[-1])
-    values = cum / c
+    table = running_integral_table(integrand, "the fixation integrand exp(-Xi)")
+    total = float(table_values(table, 1.0))
+    table /= total
+    values = table_values(table, grid)
     values[0] = 0.0
     values[-1] = 1.0
-    return FixationProfile(grid=grid, values=values, norm_const=c)
+    with np.errstate(over="ignore"):  # c may exceed the double range; psi does not
+        c = total * np.exp(-shift)
+    return FixationProfile(grid=grid, values=values, norm_const=c, table=table)
 
 
 def backward_residual(model, profile):

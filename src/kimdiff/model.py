@@ -7,8 +7,8 @@ The equation's coefficients are kept in factored form
 with Psi and Pi polynomials and Psi strictly positive on [0, 1].  Everything
 else the solvers need is derived from the factors: the drift-to-diffusion
 ratio xi = Pi / Psi, the singular weight 1 / (Psi x (1 - x)), the Schroedinger
-potential (2 xi' + xi^2) / 4, and the running integral of xi (computed once on
-an anchor grid and reused everywhere).
+potential (2 xi' + xi^2) / 4, and the running integral Xi of xi (tabulated once
+as a piecewise Legendre series on 1024 gaps and reused everywhere).
 """
 
 from collections import namedtuple
@@ -16,15 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from numpy.polynomial.legendre import leggauss
 
-from ._quadrature import adaptive_gl, segment_integrals
+from ._quadrature import adaptive_gl, running_integral_table, table_values
 
 _VALIDATION_POINTS = 10_000
-_ANCHOR_GAPS = 1024
 _XI_INTEGRAL_TOL = 1e-12
-# 24-node rule for the off-anchor remainder of the cached xi integral
-_RNODES, _RWEIGHTS = leggauss(24)
 
 Fields = namedtuple("Fields", ["diffusion", "drift", "xi", "weight", "potential"])
 
@@ -35,13 +31,13 @@ class CoefficientModel:
 
     psi_coeffs, pi_coeffs: polynomial coefficients in ascending-degree order.
     Construction validates positivity of the diffusion factor by dense
-    sampling (10^4 uniform points plus the endpoints).
+    sampling (10^4 uniform points plus the endpoints) and tabulates Xi, which
+    raises ValueError where xi varies too fast for the table.
     """
 
     psi_coeffs: tuple
     pi_coeffs: tuple
-    _anchor_x: np.ndarray = field(init=False, repr=False)
-    _anchor_ix: np.ndarray = field(init=False, repr=False)
+    _xi_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.psi_coeffs = tuple(float(c) for c in self.psi_coeffs)
@@ -59,10 +55,8 @@ class CoefficientModel:
                 f"x = {probe[k]:.4f} (Psi = {vals[k]:.4g}); the equation "
                 "requires Psi > 0 on [0, 1]"
             )
-        # Running integral of xi cached on an anchor grid, one quadrature per gap.
-        self._anchor_x = np.linspace(0.0, 1.0, _ANCHOR_GAPS + 1)
-        gaps = segment_integrals(self.xi, self._anchor_x, 1e-14)
-        self._anchor_ix = np.concatenate(([0.0], np.cumsum(gaps)))
+        # Xi enters only through e^Xi: its absolute error is a relative one downstream
+        self._xi_table = running_integral_table(self.xi, "xi = Pi / Psi")
 
     # polynomial factor values
 
@@ -125,27 +119,18 @@ class CoefficientModel:
         )
 
     def xi_integral(self, x):
-        """Integral of xi from 0 to x, for x in [0, 1] (scalar or array).
+        """Integral Xi of xi from 0 to x, for x in [0, 1] (scalar or array).
 
-        Uses the cached anchor grid plus a Gauss-Legendre remainder, accurate
-        to about 1e-12 absolute; anchors were built by adaptive quadrature.
+        Evaluates the Legendre table built at construction, to about roundoff.
         """
         arr = np.asarray(x, float)
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise ValueError("xi_integral requires 0 <= x <= 1")
-        flat = np.atleast_1d(arr).ravel()
-        k = np.clip((flat * _ANCHOR_GAPS).astype(int), 0, _ANCHOR_GAPS - 1)
-        a = self._anchor_x[k]
-        base = self._anchor_ix[k]
-        half = 0.5 * (flat - a)
-        mid = 0.5 * (flat + a)
-        nodes = mid[:, None] + half[:, None] * _RNODES[None, :]
-        rem = half * (self.xi(nodes) @ _RWEIGHTS)
-        out = (base + rem).reshape(np.atleast_1d(arr).shape)
-        return float(out[0]) if arr.ndim == 0 else out
+        out = table_values(self._xi_table, arr)
+        return float(out) if arr.ndim == 0 else out
 
     def xi_integral_direct(self, x, tol=_XI_INTEGRAL_TOL):
-        """Integral of xi from 0 to x by adaptive quadrature, no cache.
+        """Integral of xi from 0 to x by adaptive quadrature, without the table.
 
         Kept as the slow reference path; QuadratureError propagates when the
         refinement stalls.

@@ -264,21 +264,19 @@ def compute_pipeline(scenario):
     basis = build_basis(model, scenario.modes, scenario.grid)
     coeffs = evolution.project_initial(model, basis, scenario.initial, profile)
     sols = evolution.solutions_at(model, basis, coeffs, scenario.initial, scenario.times)
+    psi = profile(basis.closed_grid)
     # the diagnostics read the positive-time solutions: a t=0 snapshot cannot
     # carry interior point masses (the solution triple has no atom slot)
     positive_sols = [s for s in sols if s.t > 0]
-    route = [evolution.mass_cross_check(s, coeffs.limits, profile) for s in positive_sols]
-    report = evolution.conservation_residuals(
-        model, profile, scenario.initial,
-        positive_sols if len(positive_sols) >= 2 else sols,
-    )
+    route = [evolution.mass_cross_check(s, coeffs.limits, psi) for s in positive_sols]
+    report = evolution.conservation_residuals(scenario.initial, sols, coeffs.limits, psi)
     decay = weak = None
     if len(positive_sols) >= 2:
         if abs(coeffs.values[0]) > 0:
             decay = evolution.decay_diagnostics(basis, coeffs, positive_sols)
         dense = np.linspace(positive_sols[0].t, positive_sols[-1].t, 129)
         dense_sols = evolution.solutions_at(model, basis, coeffs, scenario.initial, dense)
-        weak = evolution.verify_weak_form(model, dense_sols, profile)
+        weak = evolution.verify_weak_form(model, dense_sols, psi)
     return {
         "profile": profile,
         "basis": basis,
@@ -345,24 +343,20 @@ def run_scenario(config, out_dir=None, overrides=None):
     scenario, pieces = _run_pipeline(config, out_dir, overrides)
     out = scenario.out_dir
     write_spectrum(out, scenario.model, pieces["basis"])
-    profile = pieces["profile"]
-    write_fixation(out, profile)
+    write_fixation(out, pieces["profile"])
 
     limits = pieces["limits"]
+    report = pieces["report"]
     lam0 = pieces["basis"].eigenvalues[0]
     rows = []
     profiles_dir = out / "profiles"
     profiles_dir.mkdir(exist_ok=True)
-    for sol in pieces["solutions"]:
-        l1 = sol.density_l1()
-        mass = sol.a + sol.b + float(np.trapezoid(sol.density, sol.grid))
-        psi_mass = sol.b + float(
-            np.trapezoid(profile(sol.grid) * sol.density, sol.grid)
-        )
+    for sol, mass, psi_mass in zip(
+        pieces["solutions"], report.mass_values, report.psi_mass_values
+    ):
         radon = evolution.radon_distance_to_limit(sol, limits)
-        rows.append(
-            [sol.t, sol.a, sol.b, l1, mass, psi_mass, radon, sol.trunc_error]
-        )
+        rows.append([sol.t, sol.a, sol.b, sol.density_l1(), float(mass),
+                     float(psi_mass), radon, sol.trunc_error])
         _write_csv(
             profiles_dir / f"q_t{sol.t:g}.csv", ["x", "q"], zip(sol.grid, sol.density)
         )
@@ -374,7 +368,6 @@ def run_scenario(config, out_dir=None, overrides=None):
     )
 
     violations = _gate(scenario, pieces)
-    report = pieces["report"]
     decay = pieces["decay"]
     if scenario.s > 0:
         c0s, c0s_tail = evolution.radon_bound_constant(pieces["basis"], scenario.s)

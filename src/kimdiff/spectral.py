@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh
+from scipy.linalg import LinAlgError, eigh
 from scipy.special import j1
 
-from ._quadrature import adaptive_gl, segment_integrals
+from ._quadrature import running_integral_table, table_values
 
 @dataclass
 class SpectralBasis:
@@ -118,11 +118,19 @@ def solve_eigenproblem(model, n_modes, n_grid):
     dp = _legendre_slopes(nodes, n_basis + 1)
     slope = 2.0 * (dp[:-2] - dp[2:])  # u_n' in x
     quot = _quotient_rows(xq, n_basis)
-    ew = wq * np.exp(model.xi_integral(xq))  # Gauss weights times e^Xi
+    xi_q = model.xi_integral(xq)
+    ew = wq * np.exp(xi_q)  # Gauss weights times e^Xi
     stiffness = (slope * ew) @ slope.T
     mass = (quot * (ew * xq * (1.0 - xq) / model.psi_at(xq))) @ quot.T
     # the full divide-and-conquer solve is about 3x faster than a subset solve
-    lam, coef = eigh(stiffness, mass)
+    try:
+        lam, coef = eigh(stiffness, mass)
+    except LinAlgError as exc:
+        raise ValueError(
+            f"the Galerkin mass matrix lost definiteness ({exc}); Xi ranges over "
+            f"[{min(0.0, xi_q.min()):.4g}, {max(0.0, xi_q.max()):.4g}] on [0, 1], "
+            "too wide a range for e^Xi in double precision"
+        ) from exc
     lam, coef = lam[:n_modes], coef[:, :n_modes]
     coef *= np.where(_quotient_rows([0.0], n_basis).T @ coef < 0.0, -1.0, 1.0)
 
@@ -214,17 +222,15 @@ def eigenvalue_growth(basis):
 def _phase_values(model, basis):
     """Liouville-Green phase S(x) = integral_0^x sqrt(weight) at interior points.
 
-    The first gap [0, x_1] is regularized by substituting x = u^2, which turns
-    the inverse-square-root endpoint singularity into a smooth integrand.
+    Substituting x = sin^2(pi tau / 2) turns sqrt(weight) dx into
+    pi dtau / sqrt(Psi), which is smooth on [0, 1] although the weight is
+    singular at both endpoints, so S is one running-integral table in tau.
     """
-    x = basis.interior_grid
-
-    def regular(u):
-        return 2.0 / np.sqrt(model.psi_at(u**2) * (1.0 - u**2))
-
-    first = adaptive_gl(regular, 0.0, float(np.sqrt(x[0])), 1e-13)
-    gaps = segment_integrals(lambda s: np.sqrt(model.weight(s)), x, 1e-12)
-    return first + np.concatenate(([0.0], np.cumsum(gaps)))
+    table = running_integral_table(
+        lambda tau: np.pi / np.sqrt(model.psi_at(np.sin(0.5 * np.pi * tau) ** 2)),
+        "the Liouville-Green phase integrand",
+    )
+    return table_values(table, np.arcsin(np.sqrt(basis.interior_grid)) * (2.0 / np.pi))
 
 
 def bessel_comparison(model, basis, j):

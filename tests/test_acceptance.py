@@ -73,7 +73,9 @@ def test_conservation_laws(neutral, selection, neutral_big, neutral_profile_big)
     def run(model, basis, profile, init):
         coeffs = kd.project_initial(model, basis, init, profile)
         sols = kd.solutions_at(model, basis, coeffs, init, times)
-        return kd.conservation_residuals(model, profile, init, sols)
+        return kd.conservation_residuals(
+            init, sols, coeffs.limits, profile(basis.closed_grid)
+        )
 
     uniform = kd.InitialMeasure(density="uniform")
     rep = run(neutral, neutral_big, neutral_profile_big, uniform)
@@ -99,16 +101,18 @@ def test_boundary_mass_routes(neutral, selection, neutral_big, neutral_profile_b
                               uniform_run):
     times = (0.1, 0.5, 1.0, 2.0)
     init_u, coeffs_u = uniform_run
+    psi_big = neutral_profile_big(neutral_big.closed_grid)
     disc_u = max(
-        kd.mass_cross_check(sol, coeffs_u.limits, neutral_profile_big)[2]
+        kd.mass_cross_check(sol, coeffs_u.limits, psi_big)[2]
         for sol in kd.solutions_at(neutral, neutral_big, coeffs_u, init_u, times)
     )
     sel_basis = kd.build_basis(selection, 128, 2048)
     sel_profile = kd.fixation_profile(selection, 2049)
     bump = kd.InitialMeasure(density="bump(0.4, 0.2)")
     coeffs_b = kd.project_initial(selection, sel_basis, bump, sel_profile)
+    sel_psi = sel_profile(sel_basis.closed_grid)
     disc_b = max(
-        kd.mass_cross_check(sol, coeffs_b.limits, sel_profile)[2]
+        kd.mass_cross_check(sol, coeffs_b.limits, sel_psi)[2]
         for sol in kd.solutions_at(selection, sel_basis, coeffs_b, bump, times)
     )
 
@@ -121,12 +125,12 @@ def test_boundary_mass_routes(neutral, selection, neutral_big, neutral_profile_b
     t_star = 6.0 / neutral_big.eigenvalues[0]
     sol_star, sol_lim = kd.solutions_at(neutral, neutral_big, coeffs_a, atom,
                                         [t_star, np.inf])
-    a2, b2, _ = kd.mass_cross_check(sol_star, (a_inf, b_inf), neutral_profile_big)
+    a2, b2, _ = kd.mass_cross_check(sol_star, (a_inf, b_inf), psi_big)
     psi_x0 = float(neutral_profile_big(x0))
     gap = max(abs(a2 - (1 - psi_x0)), abs(b2 - psi_x0))
 
-    # the series route's offset for point-mass data is its (documented)
-    # time-independent truncation tail, not a route disagreement
+    # the series masses are anchored at the exact limits, so for point-mass
+    # data they leave the conservation route by no offset at t* or at t = inf
     a1, b1 = sol_star.a, sol_star.b
     a1_lim, b1_lim = sol_lim.a, sol_lim.b
     tail_consistency = max(
@@ -135,10 +139,10 @@ def test_boundary_mass_routes(neutral, selection, neutral_big, neutral_profile_b
 
     report(
         "boundary-mass-routes",
-        disc_u <= 1e-5 and disc_b <= 1e-5 and gap <= 1e-4 and tail_consistency <= 1e-4,
+        disc_u <= 1e-5 and disc_b <= 1e-5 and gap <= 1e-4 and tail_consistency <= 1e-12,
         f"route gap uniform {disc_u:.2e}, bump {disc_b:.2e} (tol 1e-5); "
         f"delta limits gap {gap:.2e} at t=6/lam0 (tol 1e-4); "
-        f"series-route tail consistency {tail_consistency:.2e}",
+        f"series-route tail consistency {tail_consistency:.2e} (tol 1e-12)",
     )
 
 
@@ -245,7 +249,8 @@ def test_weak_form_residual(neutral, neutral_big, neutral_profile_big, uniform_r
     init, coeffs = uniform_run
     times = np.linspace(0.1, 2.0, 129)
     sols = kd.solutions_at(neutral, neutral_big, coeffs, init, times)
-    res = kd.verify_weak_form(neutral, sols, neutral_profile_big)
+    psi = neutral_profile_big(neutral_big.closed_grid)
+    res = kd.verify_weak_form(neutral, sols, psi)
     worst = max(res.values())
     report(
         "weak-form-residual",

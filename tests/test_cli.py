@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kimdiff
 from kimdiff import evolution
 from kimdiff.cli import main
+from kimdiff.fixation import FixationProfile
 from kimdiff.scenario import (
     ConfigError,
     compute_pipeline,
@@ -77,6 +83,8 @@ def test_malformed_config_reports_field(tmp_path):
     ("times", {"times": [0.1, "later"]}),
     ("dt", {"dt": 0}),
     ("dt", {"dt": -0.0005}),
+    # Psi dips to 1e-5: xi = Pi / Psi peaks too sharply for the Xi table
+    ("model.psi/pi", {"model": {"psi": [0.05001, -0.2, 0.2], "pi": [1, 3]}}),
 ])
 def test_malformed_field_exits_one_and_names_it(tmp_path, capsys, field, extra):
     path = demo_config(tmp_path, **extra)
@@ -86,7 +94,8 @@ def test_malformed_field_exits_one_and_names_it(tmp_path, capsys, field, extra):
 
 def test_pipeline_evaluates_the_series_twice(tmp_path, monkeypatch):
     # one evaluation at the scenario times, one for the weak-form sweep; the
-    # route cross-check and the decay diagnostics read those solutions
+    # route cross-check and the decay diagnostics read those solutions, and
+    # every diagnostic reads one evaluation of psi on the solution grid
     calls = {"solutions_at": 0, "limit_masses": 0}
     for name in calls:
         original = getattr(evolution, name)
@@ -96,13 +105,45 @@ def test_pipeline_evaluates_the_series_twice(tmp_path, monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(evolution, name, counted)
+    psi_points = []
+    original_psi = FixationProfile.__call__
+
+    def counted_psi(self, x):
+        psi_points.append(np.asarray(x))
+        return original_psi(self, x)
+
+    monkeypatch.setattr(FixationProfile, "__call__", counted_psi)
     scenario = load_scenario(demo_config(tmp_path))
     assert sum(t > 0 for t in scenario.times) >= 2
     pieces = compute_pipeline(scenario)
     assert calls["solutions_at"] == 2
-    assert calls["limit_masses"] <= 2
+    assert calls["limit_masses"] == 1
+    assert len(psi_points) == 1
+    assert np.array_equal(psi_points[0], pieces["basis"].closed_grid)
     assert pieces["decay"] is not None and pieces["weak"] is not None
     assert pieces["route_max"] <= 1e-5
+
+
+def test_lost_mass_matrix_definiteness_exits_one(tmp_path, capsys):
+    # Psi dips to 0.005: the tables resolve Xi, but e^Xi spans about 87
+    # decades, more than the Galerkin solve can keep definite
+    path = demo_config(tmp_path, model={"psi": [0.055, -0.2, 0.2], "pi": [1, 3]})
+    assert main(["evolve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "mass matrix lost definiteness" in err
+    assert "[0, 199.9]" in err
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    # every CLI call pays the import, and scipy.interpolate alone costs
+    # about 0.25 s of it
+    src = Path(kimdiff.__file__).parents[1]
+    code = "import sys, kimdiff.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_overtight_tolerance_exits_two(tmp_path):

@@ -169,10 +169,10 @@ def test_series_route_reaches_limits(neutral, neutral_basis, neutral_profile, un
 def test_mass_cross_check_single_mode(neutral, neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
     start, sol = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.0, 1.0])
-    a2, b2, disc = kd.mass_cross_check(sol, coeffs.limits, neutral_profile)
+    a2, b2, disc = kd.mass_cross_check(sol, coeffs.limits, neutral_profile(sol.grid))
     assert disc <= 1e-6
     with pytest.raises(ValueError):
-        kd.mass_cross_check(start, coeffs.limits, neutral_profile)
+        kd.mass_cross_check(start, coeffs.limits, neutral_profile(start.grid))
 
 
 def test_mass_cross_check_early_time_limit(neutral, neutral_basis, neutral_profile, uniform_setup):
@@ -182,7 +182,7 @@ def test_mass_cross_check_early_time_limit(neutral, neutral_basis, neutral_profi
     gaps = []
     times = (1e-4, 1e-5, 1e-6)
     for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, times):
-        a2, b2, _ = kd.mass_cross_check(sol, coeffs.limits, neutral_profile)
+        a2, b2, _ = kd.mass_cross_check(sol, coeffs.limits, neutral_profile(sol.grid))
         gaps.append(max(abs(a2 - init.a0), abs(b2 - init.b0)))
         assert gaps[-1] <= 3 * sol.t
     assert gaps[0] > gaps[1] > gaps[2]
@@ -205,7 +205,7 @@ def test_cross_check_approaches_limit(neutral, neutral_basis, neutral_profile, u
     init, coeffs = uniform_setup
     a_inf, _ = kd.limit_masses(neutral, neutral_profile, init)
     gaps = [
-        abs(kd.mass_cross_check(sol, coeffs.limits, neutral_profile)[0] - a_inf)
+        abs(kd.mass_cross_check(sol, coeffs.limits, neutral_profile(sol.grid))[0] - a_inf)
         for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, (1.0, 3.0, 6.0))
     ]
     assert gaps[0] > gaps[1] > gaps[2]
@@ -215,7 +215,9 @@ def test_cross_check_approaches_limit(neutral, neutral_basis, neutral_profile, u
 def test_conservation_single_mode(neutral, neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
     sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.1, 0.5, 1.0, 2.0))
-    rep = kd.conservation_residuals(neutral, neutral_profile, init, sols)
+    rep = kd.conservation_residuals(
+        init, sols, coeffs.limits, neutral_profile(neutral_basis.closed_grid)
+    )
     assert rep.mass_drift <= 1e-6
     assert rep.psi_mass_drift <= 1e-6
 
@@ -224,7 +226,9 @@ def test_conservation_boundary_atoms_exact(neutral, neutral_basis, neutral_profi
     init = kd.InitialMeasure(a0=0.4, b0=0.6)
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.5, 1.0))
-    rep = kd.conservation_residuals(neutral, neutral_profile, init, sols)
+    rep = kd.conservation_residuals(
+        init, sols, coeffs.limits, neutral_profile(neutral_basis.closed_grid)
+    )
     assert rep.mass_drift == 0.0
     assert rep.psi_mass_drift == 0.0
 
@@ -232,14 +236,20 @@ def test_conservation_boundary_atoms_exact(neutral, neutral_basis, neutral_profi
 def test_conservation_interior_atom_constancy(neutral, neutral_basis, neutral_profile):
     # point-mass data: the conserved quantities stay constant in time and
     # equal their initial values, because the boundary masses are anchored at
-    # the exact limits and each mode satisfies the flux identity
+    # the exact limits and each mode satisfies the flux identity; the t = 0
+    # snapshot has no atom slot, so it is reported but kept out of the drifts
+    # and spans
     init = kd.InitialMeasure(atoms=[(0.25, 1.0)])
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
-    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.1, 0.5, 1.0, 2.0))
-    rep = kd.conservation_residuals(neutral, neutral_profile, init, sols)
+    times = (0.0, 0.1, 0.5, 1.0, 2.0)
+    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, times)
+    rep = kd.conservation_residuals(
+        init, sols, coeffs.limits, neutral_profile(neutral_basis.closed_grid)
+    )
     assert rep.mass_span <= 1e-5
     assert rep.psi_mass_span <= 1e-5
     assert rep.mass_drift <= 1e-5
+    assert len(rep.mass_values) == 5 and rep.mass_values[0] == 0.0
 
 
 def test_ds_norm_values(neutral_basis):
@@ -309,7 +319,7 @@ def test_weak_form_single_mode(neutral, neutral_basis, neutral_profile, uniform_
     init, coeffs = uniform_setup
     times = np.linspace(0.1, 2.0, 129)
     sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, times)
-    res = kd.verify_weak_form(neutral, sols, neutral_profile)
+    res = kd.verify_weak_form(neutral, sols, neutral_profile(neutral_basis.closed_grid))
     assert set(res) == {"one", "fixation", "x(1-x)", "x^2(1-x)"}
     for name, val in res.items():
         assert val <= 1e-5, name
@@ -320,7 +330,9 @@ def test_weak_form_unknown_chi(neutral, neutral_basis, neutral_profile, uniform_
     times = np.linspace(0.1, 1.0, 17)
     sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, times)
     with pytest.raises(ValueError):
-        kd.verify_weak_form(neutral, sols, neutral_profile, chis=["sin"])
+        kd.verify_weak_form(
+            neutral, sols, neutral_profile(neutral_basis.closed_grid), chis=["sin"]
+        )
 
 
 def test_truncation_warning_for_atom_at_early_time(neutral, neutral_basis, neutral_profile):
@@ -372,11 +384,11 @@ def test_weak_form_matches_trapezoid_loop(selection):
     coeffs = kd.project_initial(selection, basis, init, profile)
     times = np.linspace(0.3, 1.5, 33) ** 1.5  # uneven spacing
     sols = kd.solutions_at(selection, basis, coeffs, init, times)
-    res = kd.verify_weak_form(selection, sols, profile)
     grid = basis.closed_grid
+    res = kd.verify_weak_form(selection, sols, profile(grid))
     zeta, zeta_prime = evolution._bump_window(times[0], times[-1])
     for name, (chi, chi0, chi1, rhs) in evolution._chi_library(
-        selection, grid, profile
+        selection, grid, profile(grid)
     ).items():
         paired = zeta_prime(times) * np.array(
             [s.a * chi0 + s.b * chi1 + np.trapezoid(chi * s.density, grid) for s in sols]

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -55,6 +56,39 @@ def test_norm_const_against_independent_quadrature():
     assert prof.norm_const == pytest.approx(c_ref, abs=1e-10)
 
 
+def _psi_by_mpmath(xi_integral, xs):
+    """psi at xs by mpmath quadrature of exp(-Xi), 30 digits."""
+    with mpmath.workdps(30):
+        def weight(s):
+            return mpmath.exp(-xi_integral(s))
+
+        c = mpmath.quad(weight, [0, 0.5, 1])
+        return np.array([float(mpmath.quad(weight, [0, x]) / c) for x in xs])
+
+
+def test_strong_opposing_selection_matches_mpmath():
+    # xi = 20 - 60x: e^-Xi dips to e^-10/3 and then grows to e^10 at x = 1
+    m = kd.make_kimura(-60.0, 20.0)
+    prof = kd.fixation_profile(m, 2049)
+    idx = np.arange(0, 2049, 128)
+    off = np.linspace(0.013, 0.987, 9)
+    exact = _psi_by_mpmath(lambda s: 20 * s - 30 * s**2, np.r_[prof.grid[idx], off])
+    assert np.max(np.abs(prof.values[idx] - exact[: len(idx)])) <= 1e-13
+    assert np.max(np.abs(prof(off) - exact[len(idx):])) <= 1e-13
+
+
+def test_off_grid_values_match_closed_forms():
+    # the basis grid x_i = i / 2049 falls between the fixation grid points
+    x = np.arange(1, 2049) / 2049
+    strong = kd.fixation_profile(kd.make_kimura(0.0, 20.0), 2049)
+    exact = -np.expm1(-20.0 * x) / -np.expm1(-20.0)
+    assert np.max(np.abs(strong(x) - exact)) <= 1e-13
+    sel = kd.fixation_profile(kd.make_kimura(1.0, -0.5), 2049)
+    xs = x[::128]
+    exact = _psi_by_mpmath(lambda s: s**2 / 2 - s / 2, xs)
+    assert np.max(np.abs(sel(xs) - exact)) <= 1e-13
+
+
 def test_backward_residual_neutral(neutral):
     prof = kd.fixation_profile(neutral, 2049)
     assert kd.backward_residual(neutral, prof) <= 1e-6
@@ -69,7 +103,8 @@ def test_backward_residual_second_order():
 
 def test_backward_residual_detects_non_solution(neutral):
     grid = np.linspace(0, 1, 2049)
-    fake = kd.FixationProfile(grid=grid, values=grid**2, norm_const=1.0)
+    # backward_residual reads only the grid values, so the fake needs no table
+    fake = kd.FixationProfile(grid=grid, values=grid**2, norm_const=1.0, table=None)
     # F * 2 peaks at 1/2 with value 1/2 for the neutral model
     assert kd.backward_residual(neutral, fake) == pytest.approx(0.5, abs=1e-3)
 

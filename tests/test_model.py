@@ -69,8 +69,10 @@ def test_xi_integral_examples(neutral):
 
 def test_xi_integral_matches_direct():
     rng = np.random.default_rng(7)
-    for _ in range(5):
-        m = random_valid_model(rng)
+    models = [random_valid_model(rng) for _ in range(5)]
+    # Psi dips to 0.005 at x = 1/2, so Xi climbs to about 200
+    models.append(kd.CoefficientModel((0.055, -0.2, 0.2), (1.0, 3.0)))
+    for m in models:
         for x in rng.uniform(0, 1, 4):
             assert m.xi_integral(float(x)) == pytest.approx(
                 m.xi_integral_direct(float(x)), abs=1e-11
