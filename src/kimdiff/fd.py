@@ -3,19 +3,27 @@
 Evolves the interior density in conservative form with Crank-Nicolson time
 stepping on a uniform cell mesh; the flux through each end face is
 accumulated into the endpoint masses, so total discrete mass is conserved to
-roundoff by construction.  The tridiagonal implicit matrix is LU-factored
-once per output interval (LAPACK dgttrf), and each step is one solve with
-that factor (dgttrs).  This solver shares no code with the spectral route
-and serves as its end-to-end cross-check.
+roundoff by construction.  On a mesh fine enough for central differences to
+be monotone, the tridiagonal operator is similar to a symmetric one by a
+positive diagonal scaling, so the implicit matrix is factored as LDL^T once
+per output interval (LAPACK dpttrf) and each step is one solve with that
+factor (dpttrs) on the scaled state.  Coarser meshes are rejected with the
+number of cells they need.  This solver shares no code with the spectral
+route and serves as its end-to-end cross-check.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 _NEGATIVE_MASS_FRACTION = 1e-2
+# the scaled state w = s u keeps full precision while the smallest scale
+# factor (the largest is 1) stays far above the double underflow threshold
+_LOG_SCALE_FLOOR = -600.0
+# the largest mesh a too-coarse-mesh error suggests
+_MAX_SUGGESTED_CELLS = 2**18
 
 ComparisonRow = namedtuple("ComparisonRow", ["t", "q_l1_diff", "a_diff", "b_diff"])
 
@@ -72,16 +80,62 @@ def _initial_cells(init, xc, h):
     return u
 
 
+def _symmetrizer(model, n_cells, lower, upper):
+    """Scaling s > 0 with diag(s) L diag(s)^-1 symmetric, and the symmetric
+    off-diagonal sqrt(upper[i] lower[i+1]).
+
+    Needs upper[i] lower[i+1] > 0 on every interior face, the cell-Peclet
+    condition under which central differences are monotone (with F >= 0,
+    both factors are then positive).  A mesh that violates it is rejected with
+    the smallest doubling of n_cells that meets it.  log s is shifted so that
+    its largest value is 0."""
+    coupling = upper[:-1] * lower[1:]
+    bad = np.flatnonzero(~(coupling > 0.0))
+    if bad.size:
+        lo_x, hi_x = (bad[[0, -1]] + 1.0) / n_cells
+        where = f"x={lo_x:.4g}" if lo_x == hi_x else f"x in [{lo_x:.4g}, {hi_x:.4g}]"
+        needed = 2 * n_cells
+        while needed <= _MAX_SUGGESTED_CELLS:
+            _, _, _, lo, _, up = _operator(model, needed)
+            if np.all(up[:-1] * lo[1:] > 0.0):
+                hint = f"use cells >= {needed}"
+                break
+            needed *= 2
+        else:
+            hint = f"no mesh up to cells={_MAX_SUGGESTED_CELLS} does"
+        raise ValueError(
+            f"cells={n_cells} does not resolve the drift: the central-difference "
+            f"operator is not monotone (cell Peclet number too large) at {where}; "
+            f"{hint}"
+        )
+    log_s = np.zeros(n_cells)
+    np.cumsum(0.5 * np.log(upper[:-1] / lower[1:]), out=log_s[1:])
+    log_s -= log_s.max()
+    if log_s.min() < _LOG_SCALE_FLOOR:
+        raise ValueError(
+            f"the drift varies too strongly for the scaled solver: its scale factors "
+            f"span e^{-log_s.min():.0f}, beyond e^{-_LOG_SCALE_FLOOR:.0f}"
+        )
+    return np.exp(log_s), np.sqrt(coupling)
+
+
 def evolve_fd(model, init, t_end, n_cells, dt=None, output_times=None):
     """Run the reference solver to t_end and return FdState snapshots.
 
     Crank-Nicolson in time (dt defaults to the cell width; it must be
-    positive and may not exceed it), conservative fluxes in space; interior atoms enter as single-cell
-    spikes of exact mass.  output_times defaults to just t_end and must
-    increase strictly; each requested time is hit exactly by shortening the
-    steps of its interval.  The implicit matrix A = I - (step/2) L is
-    LU-factored once per output interval, and each step is one tridiagonal
-    solve with that factor.
+    positive and may not exceed it), conservative fluxes in space; interior
+    atoms enter as single-cell spikes of exact mass.  output_times defaults
+    to just t_end and must increase strictly; each requested time is hit
+    exactly by shortening the steps of its interval.
+
+    The operator L is similar to a symmetric S = diag(s) L diag(s)^-1 (see
+    _symmetrizer), so the solver steps the scaled state w = s u: the matrix
+    I - (step/2) S is positive definite, factored as LDL^T once per output
+    interval (dpttrf), and each step is one solve with that factor (dpttrs).
+    The boundary fluxes read w through coefficients with 1/s folded in, and
+    u = w / s is formed only at output times and when w goes negative.  A
+    mesh too coarse for the drift (some upper[i] lower[i+1] <= 0) raises a
+    ValueError that names cells and the count that resolves it.
     """
     n_cells = int(n_cells)
     if n_cells < 128:
@@ -100,16 +154,16 @@ def evolve_fd(model, init, t_end, n_cells, dt=None, output_times=None):
         raise ValueError("output times must lie in [0, t_end]")
     if any(t1 <= t0 for t0, t1 in zip(output_times, output_times[1:])):
         raise ValueError("output times must increase strictly")
+    s, off = _symmetrizer(model, n_cells, lower, upper)
 
     u = _initial_cells(init, xc, h)
     a, b = init.a0, init.b0
     mass0 = a + b + h * float(np.sum(u))
-
-    def left_flux(v):
-        return (9.0 * F[0] * v[0] - F[1] * v[1]) / (3.0 * h)
-
-    def right_flux(v):
-        return -(9.0 * F[-1] * v[-1] - F[-2] * v[-2]) / (3.0 * h)
+    w = s * u
+    # one-sided face fluxes (9 F0 u0 - F1 u1) / 3h into a and
+    # (9 F[-1] u[-1] - F[-2] u[-2]) / 3h into b, read from w = s u
+    a0, a1 = 3.0 * F[0] / (h * s[0]), -F[1] / (3.0 * h * s[1])
+    b0, b1 = 3.0 * F[-1] / (h * s[-1]), -F[-2] / (3.0 * h * s[-2])
 
     states = []
     t = 0.0
@@ -122,38 +176,39 @@ def evolve_fd(model, init, t_end, n_cells, dt=None, output_times=None):
         if span > 1e-14:
             nsteps = max(1, int(np.ceil(span / dt - 1e-12)))
             step = span / nsteps
-            *factor, info = dgttrf(
-                -0.5 * step * lower[1:], 1.0 - 0.5 * step * diag, -0.5 * step * upper[:-1]
-            )
+            d, e, info = dpttrf(1.0 - 0.5 * step * diag, -0.5 * step * off)
             if info != 0:
                 raise RuntimeError(
-                    f"Crank-Nicolson matrix is singular at step {step:.3e} "
-                    f"(dgttrf info={info})"
+                    f"Crank-Nicolson matrix is not positive definite at step "
+                    f"{step:.3e} (dpttrf info={info})"
                 )
 
             def solve(rhs):
-                x, info = dgttrs(*factor, rhs)
+                x, info = dpttrs(d, e, rhs)
                 if info != 0:
-                    raise RuntimeError(f"tridiagonal solve failed (dgttrs info={info})")
+                    raise RuntimeError(f"tridiagonal solve failed (dpttrs info={info})")
                 return x
 
             for k in range(nsteps):
                 if startup > 0:
                     # two implicit half-steps share the trapezoidal matrix
                     for _half in range(2):
-                        u = solve(u)
-                        a += 0.5 * step * left_flux(u)
-                        b -= 0.5 * step * right_flux(u)
+                        w = solve(w)
+                        a += 0.5 * step * (a0 * w[0] + a1 * w[1])
+                        b += 0.5 * step * (b0 * w[-1] + b1 * w[-2])
                     startup -= 1
                 else:
-                    # (I + step/2 L) u = (2I - A) u, so u+ = 2 A^-1 u - u, and
-                    # the trapezoidal face flux of u + u+ is that of 2 A^-1 u
-                    v = solve(u)
-                    a += step * left_flux(v)
-                    b -= step * right_flux(v)
-                    u = 2.0 * v - u
-                if u.min() < 0.0:
-                    neg = h * float(np.sum(np.minimum(u, 0.0)))
+                    # (I + step/2 S) w = (2I - A) w, so w+ = 2 A^-1 w - w, and
+                    # the trapezoidal face flux of w + w+ is that of 2 A^-1 w
+                    v = solve(w)
+                    a += step * (a0 * v[0] + a1 * v[1])
+                    b += step * (b0 * v[-1] + b1 * v[-2])
+                    v *= 2.0
+                    v -= w
+                    w = v
+                # s > 0, so w and u = w / s have the same sign
+                if w.min() < 0.0:
+                    neg = h * float(np.sum(np.minimum(w / s, 0.0)))
                     if neg < -_NEGATIVE_MASS_FRACTION * mass0:
                         raise RuntimeError(
                             f"negative density overflow at t={t + (k + 1) * step:.4g}: "
@@ -161,7 +216,7 @@ def evolve_fd(model, init, t_end, n_cells, dt=None, output_times=None):
                             "mesh or smooth the initial data"
                         )
             t = t_out
-        states.append(FdState(t=t, centers=xc, values=u.copy(), a=a, b=b))
+        states.append(FdState(t=t, centers=xc, values=w / s, a=a, b=b))
     return states
 
 

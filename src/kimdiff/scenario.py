@@ -134,8 +134,8 @@ def load_scenario(config, out_dir=None, overrides=None):
         times = tuple(float(t) for t in raw.get("times") or ())
     except (TypeError, ValueError):
         _fail("times", f"expected a list of numbers, got {raw['times']!r}")
-    if not times:
-        _fail("times", "at least one output time is required")
+    if len(times) < 2:
+        _fail("times", f"at least two output times are required, got {len(times)}")
     if any(t < 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
         _fail("times", "times must be nonnegative and strictly increasing")
     if any(t == 0.0 for t in times[1:]):
@@ -197,11 +197,15 @@ def load_scenario(config, out_dir=None, overrides=None):
     )
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
+    """Write a header and equal-length columns (arrays or sequences) as CSV.
+
+    Gives the bytes of csv.writer (str of each value, CRLF line ends) for
+    numbers and for strings that need no quoting, which are all this
+    package writes, at a third of its cost."""
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("".join(",".join(map(str, row)) + "\r\n" for row in [header, *rows]))
 
 
 def _write_json(path, payload):
@@ -228,7 +232,7 @@ def write_spectrum(out, model, basis, eigenfunctions=False):
         _write_csv(
             out / "eigenfunctions.csv",
             ["x"] + [f"phi{j}" for j in range(basis.n_modes)],
-            ([x, *row] for x, row in zip(basis.interior_grid, basis.eigenfunctions)),
+            [basis.interior_grid, *basis.eigenfunctions.T],
         )
     return path
 
@@ -236,7 +240,7 @@ def write_spectrum(out, model, basis, eigenfunctions=False):
 def write_fixation(out, profile):
     """Write fixation.csv (x, psi) into out; returns its path."""
     path = out / "fixation.csv"
-    _write_csv(path, ["x", "psi"], zip(profile.grid, profile.values))
+    _write_csv(path, ["x", "psi"], [profile.grid, profile.values])
     return path
 
 
@@ -358,13 +362,13 @@ def run_scenario(config, out_dir=None, overrides=None):
         rows.append([sol.t, sol.a, sol.b, sol.density_l1(), float(mass),
                      float(psi_mass), radon, sol.trunc_error])
         _write_csv(
-            profiles_dir / f"q_t{sol.t:g}.csv", ["x", "q"], zip(sol.grid, sol.density)
+            profiles_dir / f"q_t{sol.t:g}.csv", ["x", "q"], [sol.grid, sol.density]
         )
     _write_csv(
         out / "evolution.csv",
         ["t", "a", "b", "q_l1", "mass_total", "psi_mass", "radon_to_limit",
          "trunc_error"],
-        rows,
+        np.array(rows).T,
     )
 
     violations = _gate(scenario, pieces)
@@ -539,11 +543,14 @@ def emit_plot_data(results_dir):
 
     plots = results / "plots"
     plots.mkdir(exist_ok=True)
-    long_rows = []
     for name, vals in series.items():
-        long_rows.extend([name, tv, vv] for tv, vv in zip(t, vals))
         _svg_line_chart(
             plots / f"{name}.svg", t, vals, f"{name} vs t", name.replace("_", " ")
         )
-    _write_csv(plots / "series.csv", ["series", "t", "value"], long_rows)
+    _write_csv(
+        plots / "series.csv",
+        ["series", "t", "value"],
+        [np.repeat(list(series), len(t)), np.tile(t, len(series)),
+         np.concatenate(list(series.values()))],
+    )
     return plots

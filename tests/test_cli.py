@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import kimdiff
-from kimdiff import evolution
+from kimdiff import evolution, scenario
 from kimdiff.cli import main
 from kimdiff.fixation import FixationProfile
 from kimdiff.scenario import (
@@ -85,11 +86,30 @@ def test_malformed_config_reports_field(tmp_path):
     ("dt", {"dt": -0.0005}),
     # Psi dips to 1e-5: xi = Pi / Psi peaks too sharply for the Xi table
     ("model.psi/pi", {"model": {"psi": [0.05001, -0.2, 0.2], "pi": [1, 3]}}),
+    ("times", {"times": [1.0]}),
 ])
 def test_malformed_field_exits_one_and_names_it(tmp_path, capsys, field, extra):
     path = demo_config(tmp_path, **extra)
     assert main(["verify", "--config", str(path)]) == 1
     assert f"config field '{field}'" in capsys.readouterr().err
+
+
+def test_two_times_starting_at_zero_run(tmp_path):
+    path = demo_config(tmp_path, times=[0.0, 1.0], modes=16, grid=256, cells=128)
+    assert main(["verify", "--config", str(path)]) == 0
+
+
+def test_csv_writer_matches_csv_module(tmp_path):
+    names = ["a", "b", "scaled_q_l1", "q_l1", "a", "b", "b"]
+    t = np.array([0.0, -0.0, 5e-324, 1e300, np.nan, 0.1, 1e16])
+    value = np.array([-3.25e-7, 1.0 / 3.0, -0.0, 2.0, 1e-5, -np.inf, 12345.678])
+    path = tmp_path / "fast.csv"
+    scenario._write_csv(path, ["series", "t", "value"], [names, t, value])
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["series", "t", "value"])
+        writer.writerows(zip(names, t, value))
+    assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_pipeline_evaluates_the_series_twice(tmp_path, monkeypatch):

@@ -117,14 +117,25 @@ def test_output_times_must_increase(neutral):
 
 
 def test_negative_density_guard_reports_failing_step():
-    # strong selection on a coarse mesh drives the cell values below zero
-    # within the first output interval
-    model = kd.make_kimura(0.0, 200.0)
+    # strong selection on a mesh that resolves the drift but not the
+    # boundary layer drives the cell values below zero within the first
+    # output interval
+    model = kd.make_kimura(0.0, 120.0)
     init = kd.InitialMeasure(density="bump(0.5, 0.3)")
     with pytest.raises(RuntimeError, match="negative density") as err:
         kd.evolve_fd(model, init, 0.5, 128, output_times=[0.5])
     t_fail = float(re.search(r"at t=([0-9.e+-]+):", str(err.value)).group(1))
     assert 0.0 < t_fail < 0.5
+
+
+def test_under_resolved_drift_names_cells():
+    # at beta = 200 central differences on 128 cells are not monotone next
+    # to x = 1; one doubling of the mesh resolves the drift
+    model = kd.make_kimura(0.0, 200.0)
+    init = kd.InitialMeasure(density="bump(0.5, 0.3)")
+    with pytest.raises(ValueError, match=r"cells=128 .* x in \[0\.98.*cells >= 256"):
+        kd.evolve_fd(model, init, 0.5, 128, output_times=[0.5])
+    kd.evolve_fd(model, init, 1e-3, 256)
 
 
 def dense_cn_reference(model, init, n_cells, output_times):
@@ -174,3 +185,21 @@ def test_factored_stepper_matches_dense_reference(selection):
     for st, (u, a, b) in zip(states, reference):
         assert np.max(np.abs(st.values - u)) <= 1e-12
         assert abs(st.a - a) <= 1e-12 and abs(st.b - b) <= 1e-12
+    # strong selection: the symmetrizing scale factors span about e^31 on
+    # this mesh, so the stepped state differs from u by that factor
+    strong = kd.make_kimura(0.0, 60.0)
+    init = kd.InitialMeasure(density="bump(0.5, 0.3)")
+    states = kd.evolve_fd(strong, init, 0.2, 128, output_times=times)
+    reference = dense_cn_reference(strong, init, 128, times)
+    for st, (u, a, b) in zip(states, reference):
+        assert np.max(np.abs(st.values - u)) <= 1e-12 * np.max(np.abs(u))
+        assert abs(st.a - a) <= 1e-12 and abs(st.b - b) <= 1e-12
+
+
+def test_extreme_drift_range_rejected():
+    # beta = 1500 is resolved on 4096 cells, but the scale factors would
+    # span about e^760 and underflow next to x = 1
+    model = kd.make_kimura(0.0, 1500.0)
+    init = kd.InitialMeasure(density="bump(0.5, 0.3)")
+    with pytest.raises(ValueError, match="varies too strongly"):
+        kd.evolve_fd(model, init, 0.1, 4096)
