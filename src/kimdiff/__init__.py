@@ -7,7 +7,7 @@ spectral data, conservation diagnostics, and large-time decay constants,
 with an independent finite-difference solver for cross-validation.
 """
 
-from .model import CoefficientModel, Fields, make_kimura
+from .model import CoefficientModel, make_kimura
 from .fixation import FixationProfile, backward_residual, fixation_profile
 from .spectral import (
     SpectralBasis,
@@ -15,8 +15,6 @@ from .spectral import (
     build_basis,
     eigenvalue_growth,
     flux_identity_residuals,
-    solve_eigenproblem,
-    transform_eigenfunctions,
 )
 from .evolution import (
     ConservationReport,
@@ -43,14 +41,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoefficientModel",
-    "Fields",
     "make_kimura",
     "FixationProfile",
     "fixation_profile",
     "backward_residual",
     "SpectralBasis",
-    "solve_eigenproblem",
-    "transform_eigenfunctions",
     "build_basis",
     "eigenvalue_growth",
     "flux_identity_residuals",

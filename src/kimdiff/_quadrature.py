@@ -1,11 +1,9 @@
 """Piecewise Legendre tables of running integrals, shared by the model,
-fixation and spectral code, and an adaptive Gauss-Legendre rule for single
-integrals."""
+fixation and spectral code."""
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 
-_NODES16, _WEIGHTS16 = leggauss(16)
 _NODES24, _WEIGHTS24 = leggauss(24)
 
 TABLE_GAPS = 1024
@@ -13,42 +11,6 @@ TABLE_TOL = 1e-12
 # discrete Legendre transform at the 24 Gauss nodes, exact for degree <= 23:
 # a_n = (n + 1/2) sum_i w_i P_n(t_i) f(t_i)
 _TRANSFORM = (np.arange(24) + 0.5)[:, None] * legvander(_NODES24, 23).T * _WEIGHTS24
-
-
-class QuadratureError(RuntimeError):
-    """Raised when adaptive refinement fails to reach the requested tolerance."""
-
-
-def adaptive_gl(f, a, b, tol, max_depth=48):
-    """Adaptive Gauss-Legendre integral of f over [a, b].
-
-    Bisects until a 16-node panel (f maps arrays to arrays) and its two
-    half-panels agree within the (absolute) tolerance budget for the
-    subinterval.
-    """
-    if a == b:
-        return 0.0
-
-    def panel(lo, hi):
-        half = 0.5 * (hi - lo)
-        return half * np.dot(_WEIGHTS16, f(0.5 * (lo + hi) + half * _NODES16))
-
-    def recurse(lo, hi, budget, depth):
-        mid = 0.5 * (lo + hi)
-        whole = panel(lo, hi)
-        halves = panel(lo, mid) + panel(mid, hi)
-        if abs(whole - halves) <= budget:
-            return halves
-        if depth >= max_depth:
-            raise QuadratureError(
-                f"adaptive quadrature stalled on [{lo:.6g}, {hi:.6g}] "
-                f"(estimate gap {abs(whole - halves):.3e}, budget {budget:.3e})"
-            )
-        return recurse(lo, mid, 0.5 * budget, depth + 1) + recurse(
-            mid, hi, 0.5 * budget, depth + 1
-        )
-
-    return recurse(a, b, tol, 0)
 
 
 def running_integral_table(f, name):

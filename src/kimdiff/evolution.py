@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import adaptive_gl
-
-_BUMP_NORM = None  # integral of exp(-1/(1-u^2)) over (-1, 1); filled lazily
+_BUMP_NORM = 0.4439938161680794  # integral of exp(-1/(1-u^2)) over (-1, 1)
+# fraction of the initial mass the truncation and roundoff estimates may reach
+_SERIES_TOL = 1e-6
 _PRESET_RE = re.compile(r"^bump\(\s*([^,)]+)\s*,\s*([^,)]+)\s*\)$")
 _VALIDATION_GRID = np.linspace(0.0, 1.0, 4097)
 
@@ -46,9 +46,6 @@ def bump_density(center, width, mass=1.0):
 
     Support is (center - width, center + width) and must stay inside (0, 1).
     """
-    global _BUMP_NORM
-    if _BUMP_NORM is None:
-        _BUMP_NORM = adaptive_gl(_bump_shape, -1.0, 1.0, 1e-13)
     if not (0.0 < center - width and center + width < 1.0):
         raise ValueError("bump support must be contained in (0, 1)")
     scale = mass / (width * _BUMP_NORM)
@@ -172,9 +169,9 @@ def project_initial(model, basis, init, profile):
     masses from the fixation profile.
 
     The weighted pairing reduces to a plain integral of the density against
-    the backward-form mode u_j, taken by the basis's Gauss rule; u_j is a
-    polynomial vanishing at the endpoints, so interior point masses
-    contribute its exact point values.
+    the backward-form mode u_j = e^(-Xi/2) phi_j, taken by the basis's Gauss
+    rule; phi_j is a polynomial vanishing at the endpoints, so interior point
+    masses contribute exact point values.
     """
     vals = np.zeros(basis.n_modes)
     if init._density_fn is not None:
@@ -182,7 +179,7 @@ def project_initial(model, basis, init, profile):
         vals += (basis.quad_weights * q0) @ basis.quad_modes
     if init.atoms:
         xs, ms = np.array(init.atoms).T
-        vals += ms @ basis.mode_values(xs)
+        vals += (ms * np.exp(-0.5 * model.xi_integral(xs))) @ basis.mode_values(xs)
     return SpectralCoefficients(values=vals, limits=limit_masses(model, profile, init))
 
 
@@ -200,17 +197,35 @@ def solutions_at(model, basis, coeffs, init, times):
 
     Each solution carries a truncation estimate, the last retained term's
     bound; one warning names the earliest time at which it exceeds 1e-6 of
-    the initial mass.
+    the initial mass.  The modes grow like e^(Xi range / 2), and the sum of
+    |c_j exp(-lambda_j t)| max|q_j| times the unit roundoff estimates what
+    rounding costs; where that exceeds 1e-6 of the initial mass at a
+    positive time, ValueError names the earliest such time, the first safe
+    one and the range of Xi.
     """
     times = np.atleast_1d(np.asarray(times, float))
     if np.any(times < 0.0):
         raise ValueError("t must be nonnegative")
-    if basis.density_modes is None:
-        raise ValueError("transform_eigenfunctions must run first")
     modes = basis.density_modes
     decayed = coeffs.values * np.exp(-np.outer(times, basis.eigenvalues))
+    sup = np.max(np.abs(modes), axis=0)
+    roundoff = np.finfo(float).eps * (np.abs(decayed) @ sup)
+    bound = _SERIES_TOL * init.total_mass()
+    unsafe = (times > 0.0) & (roundoff > bound)
+    if unsafe.any():
+        first = np.flatnonzero(unsafe)[np.argmin(times[unsafe])]
+        safe = times[(times > 0.0) & ~unsafe]
+        later = (f"the first safe requested time is t={safe.min():g}" if safe.size
+                 else "no requested time is safe")
+        xi = model.xi_integral(basis.closed_grid)
+        raise ValueError(
+            f"series roundoff estimate {roundoff[first]:.2e} at t={times[first]:g} "
+            f"exceeds {_SERIES_TOL:g} of the initial mass: Xi ranges over "
+            f"[{min(0.0, xi.min()):.4g}, {max(0.0, xi.max()):.4g}] on [0, 1], and the "
+            f"eigenmodes grow like e^(Xi range / 2); {later}"
+        )
     q = decayed @ modes.T
-    trunc = np.abs(decayed[:, -1]) * np.max(np.abs(modes[:, -1]))
+    trunc = np.abs(decayed[:, -1]) * sup[-1]
     tail = decayed / basis.eigenvalues
     a = coeffs.limits[0] - model.psi_at(0.0) * (tail @ modes[0, :])
     b = coeffs.limits[1] - model.psi_at(1.0) * (tail @ modes[-1, :])
@@ -218,12 +233,12 @@ def solutions_at(model, basis, coeffs, init, times):
     q[start] = init.density_samples(basis.closed_grid)
     trunc[start] = 0.0
     a[start], b[start] = init.a0, init.b0
-    over = np.flatnonzero(trunc > 1e-6 * init.total_mass())
+    over = np.flatnonzero(trunc > bound)
     if over.size:
         first = over[np.argmin(times[over])]
         warnings.warn(
             f"series truncation estimate {trunc[first]:.2e} at t={times[first]} "
-            "exceeds 1e-6 of the initial mass; add modes or evaluate later",
+            f"exceeds {_SERIES_TOL:g} of the initial mass; add modes or evaluate later",
             stacklevel=2,
         )
     return [
@@ -312,8 +327,10 @@ def decay_diagnostics(basis, coeffs, solutions):
     """Large-time decay of the interior mass along a solution sequence.
 
     Returns the limit constant (leading mode mass times leading coefficient),
-    the sequence exp(lambda_0 t) ||q(t)||_1, and the fitted slope of
-    log ||q||_1 against t, which should approach -lambda_0.
+    the sequence exp(lambda_0 t) ||q(t)||_1 (0 where the norm underflowed),
+    and the fitted slope of log ||q||_1 against t over the times with a
+    nonzero norm, which should approach -lambda_0; None when fewer than two
+    such times remain.
     """
     times = np.array([s.t for s in solutions])
     if np.any(times <= 0.0):
@@ -327,12 +344,15 @@ def decay_diagnostics(basis, coeffs, solutions):
         )
     l1 = np.array([s.density_l1() for s in solutions])
     c_inf = float(basis.mode_masses[0] * coeffs.values[0])
-    # the slope fit needs at least two times; a single sample still yields
-    # the rescaled norm sequence
+    with np.errstate(divide="ignore"):
+        log_l1 = np.log(l1)
+    fitted = l1 > 0.0
     slope = (
-        float(np.polyfit(times, np.log(l1), 1)[0]) if len(times) >= 2 else float("nan")
+        float(np.polyfit(times[fitted], log_l1[fitted], 1)[0])
+        if fitted.sum() >= 2 else None
     )
-    return DecayDiagnostics(c_inf=c_inf, scaled_l1=np.exp(lam0 * times) * l1, slope=slope)
+    return DecayDiagnostics(c_inf=c_inf, scaled_l1=np.exp(lam0 * times + log_l1),
+                            slope=slope)
 
 
 def radon_distance_to_limit(solution, limits):

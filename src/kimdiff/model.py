@@ -6,23 +6,19 @@ The equation's coefficients are kept in factored form
 
 with Psi and Pi polynomials and Psi strictly positive on [0, 1].  Everything
 else the solvers need is derived from the factors: the drift-to-diffusion
-ratio xi = Pi / Psi, the singular weight 1 / (Psi x (1 - x)), the Schroedinger
-potential (2 xi' + xi^2) / 4, and the running integral Xi of xi (tabulated once
-as a piecewise Legendre series on 1024 gaps and reused everywhere).
+ratio xi = Pi / Psi, the singular weight 1 / (Psi x (1 - x)), and the running
+integral Xi of xi (tabulated once as a piecewise Legendre series on 1024 gaps
+and reused everywhere).
 """
 
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from ._quadrature import adaptive_gl, running_integral_table, table_values
+from ._quadrature import running_integral_table, table_values
 
 _VALIDATION_POINTS = 10_000
-_XI_INTEGRAL_TOL = 1e-12
-
-Fields = namedtuple("Fields", ["diffusion", "drift", "xi", "weight", "potential"])
 
 
 @dataclass
@@ -71,15 +67,6 @@ class CoefficientModel:
         x = np.asarray(x, float)
         return P.polyval(x, self.pi_coeffs) / P.polyval(x, self.psi_coeffs)
 
-    def xi_prime(self, x):
-        """Exact derivative of xi via the polynomial quotient rule."""
-        x = np.asarray(x, float)
-        psi = P.polyval(x, self.psi_coeffs)
-        pi = P.polyval(x, self.pi_coeffs)
-        dpsi = P.polyval(x, P.polyder(self.psi_coeffs))
-        dpi = P.polyval(x, P.polyder(self.pi_coeffs))
-        return (dpi * psi - pi * dpsi) / psi**2
-
     def diffusion(self, x):
         """F(x) = x (1 - x) Psi(x)."""
         x = np.asarray(x, float)
@@ -95,29 +82,6 @@ class CoefficientModel:
         x = np.asarray(x, float)
         return 1.0 / (self.psi_at(x) * x * (1.0 - x))
 
-    def potential(self, x):
-        """Schroedinger potential (2 xi' + xi^2) / 4 of the self-adjoint form."""
-        xi = self.xi(x)
-        return 0.25 * (2.0 * self.xi_prime(x) + xi * xi)
-
-    def fields(self, x):
-        """All derived scalar fields at interior points x.
-
-        Returns a Fields tuple (diffusion, drift, xi, weight, potential).
-        Raises ValueError outside the open interval, where the weight is
-        undefined.
-        """
-        arr = np.asarray(x, float)
-        if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-            raise ValueError("fields are defined on the open interval (0, 1) only")
-        return Fields(
-            self.diffusion(arr),
-            self.drift(arr),
-            self.xi(arr),
-            self.weight(arr),
-            self.potential(arr),
-        )
-
     def xi_integral(self, x):
         """Integral Xi of xi from 0 to x, for x in [0, 1] (scalar or array).
 
@@ -128,14 +92,6 @@ class CoefficientModel:
             raise ValueError("xi_integral requires 0 <= x <= 1")
         out = table_values(self._xi_table, arr)
         return float(out) if arr.ndim == 0 else out
-
-    def xi_integral_direct(self, x, tol=_XI_INTEGRAL_TOL):
-        """Integral of xi from 0 to x by adaptive quadrature, without the table.
-
-        Kept as the slow reference path; QuadratureError propagates when the
-        refinement stalls.
-        """
-        return adaptive_gl(self.xi, 0.0, float(x), tol)
 
 
 def make_kimura(eta, beta):

@@ -136,6 +136,8 @@ def load_scenario(config, out_dir=None, overrides=None):
         _fail("times", f"expected a list of numbers, got {raw['times']!r}")
     if len(times) < 2:
         _fail("times", f"at least two output times are required, got {len(times)}")
+    if not np.all(np.isfinite(times)):
+        _fail("times", f"times must be finite, got {list(times)}")
     if any(t < 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
         _fail("times", "times must be nonnegative and strictly increasing")
     if any(t == 0.0 for t in times[1:]):
@@ -539,7 +541,9 @@ def emit_plot_data(results_dir):
         "b": np.array([float(r["b"]) for r in rows]),
         "q_l1": np.array([float(r["q_l1"]) for r in rows]),
     }
-    series["scaled_q_l1"] = series["q_l1"] * np.exp(lam0 * t)
+    # exp(lambda_0 t) alone overflows at late times, where q_l1 underflows to 0
+    with np.errstate(divide="ignore"):
+        series["scaled_q_l1"] = np.exp(lam0 * t + np.log(series["q_l1"]))
 
     plots = results / "plots"
     plots.mkdir(exist_ok=True)

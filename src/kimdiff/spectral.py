@@ -1,58 +1,54 @@
 """Singular Sturm-Liouville eigenproblem behind the forward equation.
 
 Solves the backward form  -(e^Xi u')' = lambda e^Xi u / (Psi x (1 - x)),
-with Xi the running integral of xi, by Galerkin on the polynomials
-u_n(x) = P_n(y) - P_{n+2}(y), y = 2x - 1 (J. Shen, SIAM J. Sci. Comput. 15,
-1994; C. L. Epstein and R. Mazzeo, SIAM J. Math. Anal. 42, 2010).  Each u_n
-vanishes at both endpoints and u_n / (x (1 - x)) is again a polynomial, so the
-density modes take exact endpoint values, and their masses and point values
-are exact up to the polynomial truncation, which converges spectrally.
+with Xi the running integral of xi, for phi = e^(Xi/2) u, by Galerkin on the
+polynomials u_n(x) = P_n(y) - P_{n+2}(y), y = 2x - 1 (J. Shen, SIAM J. Sci.
+Comput. 15, 1994; C. L. Epstein and R. Mazzeo, SIAM J. Math. Anal. 42, 2010).
+In phi neither Galerkin matrix holds an exponential, so their conditioning
+does not depend on the range of Xi.  Each u_n vanishes at both endpoints and
+u_n / (x (1 - x)) is again a polynomial, so the density modes take exact
+endpoint values, and their masses and point values are exact up to the
+polynomial truncation, which converges spectrally.  What the factor e^(Xi/2)
+still costs is roundoff: the modes grow like e^(Xi range / 2), which
+evolution.solutions_at gates.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import LinAlgError, eigh
+from scipy.linalg import eigh
 from scipy.special import j1
 
 from ._quadrature import running_integral_table, table_values
 
 @dataclass
 class SpectralBasis:
-    """Eigenpairs of the weighted eigenproblem, sampled on a uniform grid.
+    """Eigenpairs of the weighted eigenproblem, with density modes sampled on
+    a uniform grid.
 
     interior_grid: output sampling points x_i = i h, h = 1/(n+1), i = 1..n;
         they play no part in the solve.
     eigenvalues: lowest modes, ascending.
-    eigenfunctions: (n, m) samples of phi_j = exp(Xi/2) u_j, orthonormal under
-        the weight-weighted inner product, signed so the slope at 0 is
-        positive.
-    weight_values, xi_integral_values: the weight and the running integral of
-        xi at the interior points (cached for the transforms).
-    coefficients: (N, m) Galerkin coefficients of u_j in the basis u_n.
+    coefficients: (N, m) Galerkin coefficients of phi_j = e^(Xi/2) u_j in the
+        basis u_n, orthonormal under the weight 1 / (Psi x (1 - x)) and
+        signed so the slope at 0 is positive.
     quad_nodes, quad_weights: the Gauss-Legendre rule on [0, 1] that assembled
         the Galerkin matrices; mode masses and projections reuse it.
-    quad_modes: (nodes, m) values of u_j at quad_nodes.
-    density_modes: (n+2, m) density modes q_j = e^Xi u_j / (Psi x (1 - x)) on
-        the closed grid, endpoint values included; None until
-        transform_eigenfunctions runs.
-    mode_masses: integrals of the density modes over [0, 1]; None until
-        transform_eigenfunctions runs.
+    quad_modes: (nodes, m) values of the backward-form modes u_j at quad_nodes.
+    density_modes: (n+2, m) density modes q_j = e^(Xi/2) phi_j / (Psi x (1 - x))
+        on the closed grid, endpoint values included.
+    mode_masses: integrals of the density modes over [0, 1].
     """
 
     interior_grid: np.ndarray
-    spacing: float
     eigenvalues: np.ndarray
-    eigenfunctions: np.ndarray
-    weight_values: np.ndarray
-    xi_integral_values: np.ndarray
     coefficients: np.ndarray
     quad_nodes: np.ndarray
     quad_weights: np.ndarray
     quad_modes: np.ndarray
-    density_modes: np.ndarray = None
-    mode_masses: np.ndarray = None
+    density_modes: np.ndarray
+    mode_masses: np.ndarray
 
     @property
     def n_modes(self):
@@ -62,8 +58,14 @@ class SpectralBasis:
     def closed_grid(self):
         return np.concatenate(([0.0], self.interior_grid, [1.0]))
 
+    @property
+    def eigenfunctions(self):
+        """(n, m) samples of phi_j on the interior grid."""
+        return self.mode_values(self.interior_grid)
+
     def mode_values(self, x):
-        """Backward-form modes u_j at points x in [0, 1], shape (len(x), m)."""
+        """Polynomial modes phi_j = e^(Xi/2) u_j at points x in [0, 1],
+        shape (len(x), m)."""
         return _mode_values(self.coefficients, x)
 
 
@@ -90,20 +92,24 @@ def _quotient_rows(x, n_basis):
 
 
 def _mode_values(coefficients, x):
-    """u_j at points x in [0, 1], shape (len(x), m), from Galerkin coefficients."""
+    """Polynomial modes at points x in [0, 1], shape (len(x), m), from
+    Galerkin coefficients."""
     x = np.atleast_1d(np.asarray(x, float))
     u = _quotient_rows(x, coefficients.shape[0]).T @ coefficients
     u *= (x * (1.0 - x))[:, None]
     return u
 
 
-def solve_eigenproblem(model, n_modes, n_grid):
-    """Lowest n_modes eigenpairs, sampled on an n_grid-point interior grid.
+def build_basis(model, n_modes, n_grid):
+    """Lowest n_modes eigenpairs, with density modes on the closed grid of
+    an n_grid-point interior grid.
 
-    Stiffness K = int e^Xi u_m' u_n' and mass M = int e^Xi u_m u_n /
-    (Psi x (1 - x)) are assembled with a Gauss-Legendre rule of 2N + 40
-    nodes for N = n_modes + 32 basis polynomials; the eigenvectors of
-    K c = lambda M c are M-orthonormal, which is the weighted normalization.
+    Stiffness K = int (phi_m' - xi phi_m / 2)(phi_n' - xi phi_n / 2) and mass
+    M = int phi_m phi_n / (Psi x (1 - x)) are assembled for the first
+    N = n_modes + 32 polynomials phi_n = u_n with a Gauss-Legendre rule of
+    2N + 40 nodes; the eigenvectors of K c = lambda M c are M-orthonormal,
+    which is the weighted normalization.  M is the Gram matrix of independent
+    polynomials under a positive weight, so it stays definite.
     """
     n_modes = int(n_modes)
     n_grid = int(n_grid)
@@ -116,70 +122,33 @@ def solve_eigenproblem(model, n_modes, n_grid):
     xq = 0.5 * (nodes + 1.0)
     wq = 0.5 * weights
     dp = _legendre_slopes(nodes, n_basis + 1)
-    slope = 2.0 * (dp[:-2] - dp[2:])  # u_n' in x
     quot = _quotient_rows(xq, n_basis)
-    xi_q = model.xi_integral(xq)
-    ew = wq * np.exp(xi_q)  # Gauss weights times e^Xi
-    stiffness = (slope * ew) @ slope.T
-    mass = (quot * (ew * xq * (1.0 - xq) / model.psi_at(xq))) @ quot.T
+    # phi_n' - xi phi_n / 2, the x-derivative of u_n being 2 (P_n' - P_{n+2}')
+    flux = 2.0 * (dp[:-2] - dp[2:]) - quot * (0.5 * model.xi(xq) * xq * (1.0 - xq))
+    stiffness = (flux * wq) @ flux.T
+    mass = (quot * (wq * xq * (1.0 - xq) / model.psi_at(xq))) @ quot.T
     # the full divide-and-conquer solve is about 3x faster than a subset solve
-    try:
-        lam, coef = eigh(stiffness, mass)
-    except LinAlgError as exc:
-        raise ValueError(
-            f"the Galerkin mass matrix lost definiteness ({exc}); Xi ranges over "
-            f"[{min(0.0, xi_q.min()):.4g}, {max(0.0, xi_q.max()):.4g}] on [0, 1], "
-            "too wide a range for e^Xi in double precision"
-        ) from exc
+    lam, coef = eigh(stiffness, mass)
     lam, coef = lam[:n_modes], coef[:, :n_modes]
-    coef *= np.where(_quotient_rows([0.0], n_basis).T @ coef < 0.0, -1.0, 1.0)
 
-    h = 1.0 / (n_grid + 1)
-    x = h * np.arange(1, n_grid + 1)
-    xi_int = model.xi_integral(x)
-    phi = _mode_values(coef, x)
-    phi *= np.exp(0.5 * xi_int)[:, None]
+    x = np.arange(1, n_grid + 1) * (1.0 / (n_grid + 1))
+    closed = np.concatenate(([0.0], x, [1.0]))
+    q = _quotient_rows(closed, n_basis).T @ coef
+    sign = np.where(q[0] < 0.0, -1.0, 1.0)
+    coef *= sign
+    q *= sign * (np.exp(0.5 * model.xi_integral(closed)) / model.psi_at(closed))[:, None]
+    half_xi = 0.5 * model.xi_integral(xq)
+    quot_modes = quot.T @ coef  # phi_j / (x (1 - x)) at the nodes
     return SpectralBasis(
         interior_grid=x,
-        spacing=h,
         eigenvalues=lam,
-        eigenfunctions=phi,
-        weight_values=model.weight(x),
-        xi_integral_values=xi_int,
         coefficients=coef,
         quad_nodes=xq,
         quad_weights=wq,
-        quad_modes=(quot * (xq * (1.0 - xq))).T @ coef,
+        quad_modes=quot_modes * (np.exp(-half_xi) * xq * (1.0 - xq))[:, None],
+        density_modes=q,
+        mode_masses=(wq * np.exp(half_xi) / model.psi_at(xq)) @ quot_modes,
     )
-
-
-def transform_eigenfunctions(model, basis):
-    """Fill density_modes and mode_masses.
-
-    At interior points the density mode is exp(half integral of xi) * weight
-    * phi; at the endpoints it is the exact polynomial limit
-    q_j(0) = u_j'(0) / Psi(0) and q_j(1) = -e^Xi(1) u_j'(1) / Psi(1).  Mode
-    masses use the basis's Gauss rule.
-    """
-    q_int = (
-        np.exp(0.5 * basis.xi_integral_values)[:, None]
-        * basis.weight_values[:, None]
-        * basis.eigenfunctions
-    )
-    coef = basis.coefficients
-    left, right = _quotient_rows([0.0, 1.0], len(coef)).T @ coef
-    q_left = left / model.psi_at(0.0)
-    q_right = np.exp(model.xi_integral(1.0)) * right / model.psi_at(1.0)
-    q = np.vstack([q_left, q_int, q_right])
-    xq = basis.quad_nodes
-    to_density = basis.quad_weights * np.exp(model.xi_integral(xq)) * model.weight(xq)
-    masses = to_density @ basis.quad_modes
-    return replace(basis, density_modes=q, mode_masses=masses)
-
-
-def build_basis(model, n_modes, n_grid):
-    """solve_eigenproblem followed by transform_eigenfunctions."""
-    return transform_eigenfunctions(model, solve_eigenproblem(model, n_modes, n_grid))
 
 
 def flux_identity_residuals(model, basis):
@@ -190,8 +159,6 @@ def flux_identity_residuals(model, basis):
     are normalized by Psi(0)|q(0)| + Psi(1)|q(1)| so antisymmetric modes
     (where both sides nearly vanish) stay meaningful.
     """
-    if basis.density_modes is None:
-        raise ValueError("transform_eigenfunctions must run first")
     psi0 = model.psi_at(0.0)
     psi1 = model.psi_at(1.0)
     q0 = basis.density_modes[0, :]
@@ -248,11 +215,12 @@ def bessel_comparison(model, basis, j):
     if j >= basis.n_modes:
         raise ValueError(f"mode {j} not in basis ({basis.n_modes} modes)")
     x = basis.interior_grid
-    w = basis.weight_values
+    h = 1.0 / (len(x) + 1)
+    w = model.weight(x)
     s_vals = _phase_values(model, basis)
     z = np.sqrt(basis.eigenvalues[j]) * s_vals
     comp = s_vals * j1(z) / np.sqrt(2.0 * s_vals * np.sqrt(w))
-    comp /= np.sqrt(basis.spacing * np.sum(comp**2 * w))
+    comp /= np.sqrt(h * np.sum(comp**2 * w))
     phi = basis.eigenfunctions[:, j]
     if comp[0] * phi[0] < 0.0:
         comp = -comp

@@ -37,7 +37,7 @@ def uniform_run(neutral, neutral_big, neutral_profile_big):
 
 def test_neutral_eigenvalues(neutral):
     t0 = time.time()
-    basis = kd.solve_eigenproblem(neutral, 10, 4096)
+    basis = kd.build_basis(neutral, 10, 4096)
     elapsed = time.time() - t0
     j = np.arange(10)
     exact = (j + 1.0) * (j + 2.0)

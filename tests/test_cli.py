@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,8 @@ def test_malformed_config_reports_field(tmp_path):
     # Psi dips to 1e-5: xi = Pi / Psi peaks too sharply for the Xi table
     ("model.psi/pi", {"model": {"psi": [0.05001, -0.2, 0.2], "pi": [1, 3]}}),
     ("times", {"times": [1.0]}),
+    ("times", {"times": [0.1, float("nan")]}),
+    ("times", {"times": [0.1, float("inf")]}),
 ])
 def test_malformed_field_exits_one_and_names_it(tmp_path, capsys, field, extra):
     path = demo_config(tmp_path, **extra)
@@ -144,14 +147,58 @@ def test_pipeline_evaluates_the_series_twice(tmp_path, monkeypatch):
     assert pieces["route_max"] <= 1e-5
 
 
-def test_lost_mass_matrix_definiteness_exits_one(tmp_path, capsys):
-    # Psi dips to 0.005: the tables resolve Xi, but e^Xi spans about 87
-    # decades, more than the Galerkin solve can keep definite
+def test_series_roundoff_exits_one_and_names_time(tmp_path, capsys):
+    # Psi dips to 0.005: the tables resolve Xi, but Xi spans about 200, so the
+    # modes reach e^100 and rounding swamps the series at every requested time
     path = demo_config(tmp_path, model={"psi": [0.055, -0.2, 0.2], "pi": [1, 3]})
     assert main(["evolve", "--config", str(path)]) == 1
     err = capsys.readouterr().err
-    assert "mass matrix lost definiteness" in err
+    assert "series roundoff estimate" in err and "at t=0.1 " in err
     assert "[0, 199.9]" in err
+    assert "no requested time is safe" in err
+
+
+def kimura_bump_config(tmp_path, beta):
+    """Kimura eta = 0 with bump(0.5, 0.3) data at the default resolution."""
+    return demo_config(
+        tmp_path, model={"preset": "kimura", "eta": 0.0, "beta": beta},
+        initial={"density": "bump(0.5, 0.3)"}, modes=None, grid=None, cells=None,
+    )
+
+
+@pytest.mark.parametrize("beta", [40.0, -40.0, 60.0, -60.0, 100.0, -100.0])
+def test_strong_selection_verifies_at_default_resolution(tmp_path, beta):
+    assert main(["verify", "--config", str(kimura_bump_config(tmp_path, beta))]) == 0
+
+
+@pytest.mark.parametrize("beta, xi_range", [
+    (150.0, "[0, 150]"), (200.0, "[0, 200]"), (-200.0, "[-200, 0]"),
+])
+def test_selection_past_roundoff_names_time_and_xi_range(tmp_path, capsys, beta, xi_range):
+    assert main(["verify", "--config", str(kimura_bump_config(tmp_path, beta))]) == 1
+    err = capsys.readouterr().err
+    assert "series roundoff estimate" in err and "at t=0.1 " in err
+    assert f"Xi ranges over {xi_range}" in err
+    assert "the first safe requested time is t=0.5" in err
+
+
+def test_fully_decayed_times_write_valid_json(tmp_path):
+    # by t = 400 the density underflows to 0: no log(0) in the slope fit, no
+    # exp overflow in the rescaled norm, and strict JSON in the summary
+    path = demo_config(tmp_path, times=[0.1, 1.0, 400.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--config", str(path)]) == 0
+        assert main(["plot", "--results", str(tmp_path / "out")]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-finite number {name} in the artifact")
+
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
+                         parse_constant=reject)
+    assert summary["slope"] == pytest.approx(-2.0, rel=1e-6)
+    series = (tmp_path / "out" / "plots" / "series.csv").read_text()
+    assert "nan" not in series and "inf" not in series
 
 
 def test_cli_import_leaves_out_scipy_interpolate():

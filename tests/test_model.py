@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -31,30 +32,9 @@ def test_kimura_xi_root():
     assert m.xi(0.5) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_fields_neutral_midpoint(neutral):
-    f = neutral.fields(0.5)
-    assert f.diffusion == pytest.approx(0.25)
-    assert f.drift == 0.0
-    assert f.xi == 0.0
-    assert f.weight == pytest.approx(4.0)
-    assert f.potential == 0.0
-
-
 def test_weight_times_x_limit(neutral):
     x = 1e-9
     assert neutral.weight(x) * x == pytest.approx(1.0, rel=1e-8)
-
-
-def test_constant_xi_potential():
-    m = kd.CoefficientModel((1.0,), (1.0,))
-    x = np.linspace(0.05, 0.95, 50)
-    assert np.allclose(m.potential(x), 0.25)
-
-
-def test_fields_rejects_boundary(neutral):
-    for bad in (0.0, 1.0, -0.2, 1.3):
-        with pytest.raises(ValueError):
-            neutral.fields(bad)
 
 
 def test_xi_integral_examples(neutral):
@@ -67,6 +47,16 @@ def test_xi_integral_examples(neutral):
     assert np.allclose(m.xi_integral(xs), xs**2, atol=1e-12)
 
 
+def _xi_integral_by_mpmath(model, x):
+    """Xi(x) by mpmath quadrature of Pi / Psi, 30 digits, split at 1/2."""
+    with mpmath.workdps(30):
+        def xi(s):
+            return (mpmath.polyval(model.pi_coeffs[::-1], s)
+                    / mpmath.polyval(model.psi_coeffs[::-1], s))
+
+        return float(mpmath.quad(xi, [0, 0.5, x] if x > 0.5 else [0, x]))
+
+
 def test_xi_integral_matches_direct():
     rng = np.random.default_rng(7)
     models = [random_valid_model(rng) for _ in range(5)]
@@ -75,7 +65,7 @@ def test_xi_integral_matches_direct():
     for m in models:
         for x in rng.uniform(0, 1, 4):
             assert m.xi_integral(float(x)) == pytest.approx(
-                m.xi_integral_direct(float(x)), abs=1e-11
+                _xi_integral_by_mpmath(m, float(x)), abs=1e-11
             )
 
 
@@ -108,11 +98,3 @@ def test_positivity_validation_rejects():
     with pytest.raises(ValueError, match="positivity"):
         kd.CoefficientModel((0.0,), (1.0,))
 
-
-def test_potential_quotient_rule():
-    # xi = (1 + x) / (2 - x): check V against a symbolic-by-hand derivative
-    m = kd.CoefficientModel((2.0, -1.0), (1.0, 1.0))
-    x = np.linspace(0.1, 0.9, 9)
-    xi = (1 + x) / (2 - x)
-    xi_prime = 3.0 / (2 - x) ** 2
-    assert np.allclose(m.potential(x), 0.25 * (2 * xi_prime + xi**2), rtol=1e-13)

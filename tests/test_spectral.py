@@ -8,7 +8,7 @@ from conftest import neutral_mode_exact
 
 
 def test_neutral_eigenvalues(neutral):
-    basis = kd.solve_eigenproblem(neutral, 12, 4096)
+    basis = kd.build_basis(neutral, 12, 4096)
     j = np.arange(12)
     exact = (j + 1) * (j + 2)
     assert np.max(np.abs(basis.eigenvalues / exact - 1)) <= 1e-6
@@ -20,7 +20,7 @@ def test_positive_spectrum_random_models():
         psi = (0.5 + rng.uniform(0, 1), rng.uniform(-0.2, 0.2))
         pi = tuple(rng.uniform(-1.5, 1.5, rng.integers(1, 4)))
         m = kd.CoefficientModel(psi, pi)
-        basis = kd.solve_eigenproblem(m, 8, 512)
+        basis = kd.build_basis(m, 8, 512)
         assert basis.eigenvalues[0] > 0
         assert np.all(np.diff(basis.eigenvalues) > 0)
 
@@ -33,9 +33,9 @@ def test_oscillation_counts(neutral_basis):
 
 
 def test_weighted_orthonormality(selection):
-    # Galerkin inner product C^T M C: e^Xi u_i u_j / (Psi x (1-x)) integrated
-    # by the basis's Gauss rule
-    basis = kd.solve_eigenproblem(selection, 32, 512)
+    # the weighted inner product e^Xi u_i u_j / (Psi x (1-x)), which is the
+    # Galerkin mass matrix's phi_i phi_j / (Psi x (1-x)), by the Gauss rule
+    basis = kd.build_basis(selection, 32, 512)
     x = basis.quad_nodes
     w = basis.quad_weights * np.exp(selection.xi_integral(x)) * selection.weight(x)
     gram = (basis.quad_modes * w[:, None]).T @ basis.quad_modes
@@ -93,7 +93,7 @@ def test_leading_mode_identity(neutral_basis):
 
 
 def test_growth_constant(neutral):
-    basis = kd.solve_eigenproblem(neutral, 32, 2048)
+    basis = kd.build_basis(neutral, 32, 2048)
     k_est, residuals = kd.eigenvalue_growth(basis)
     assert abs(k_est - 1.0) <= 0.1
     assert abs(residuals[-1]) < abs(residuals[0])
@@ -101,14 +101,14 @@ def test_growth_constant(neutral):
 
 
 def test_growth_needs_modes(neutral_basis):
-    small = kd.solve_eigenproblem(kd.make_kimura(0, 0), 8, 512)
+    small = kd.build_basis(kd.make_kimura(0, 0), 8, 512)
     with pytest.raises(ValueError):
         kd.eigenvalue_growth(small)
 
 
 def test_growth_matches_phase_prediction(neutral):
     # independent prediction: K = pi^2 / (total Liouville-Green phase)^2
-    basis = kd.solve_eigenproblem(neutral, 32, 2048)
+    basis = kd.build_basis(neutral, 32, 2048)
     k_est, _ = kd.eigenvalue_growth(basis)
     # neutral phase integral over (0, 1) is pi
     assert abs(k_est - np.pi**2 / np.pi**2) <= 0.1
@@ -146,22 +146,12 @@ def test_density_mode_sup_scaling(neutral_basis):
     assert np.max(scaled) / np.min(scaled) < 1.2
 
 
-def test_richardson_consistency(selection):
-    coarse = kd.solve_eigenproblem(selection, 6, 1024).eigenvalues
-    fine = kd.solve_eigenproblem(selection, 6, 4096).eigenvalues
+def test_eigenvalues_independent_of_output_grid(selection):
+    coarse = kd.build_basis(selection, 6, 1024).eigenvalues
+    fine = kd.build_basis(selection, 6, 4096).eigenvalues
     assert np.max(np.abs(coarse / fine - 1)) <= 1e-7
 
 
 def test_resolution_guards(neutral):
     with pytest.raises(ValueError):
-        kd.solve_eigenproblem(neutral, 4, 32)
-
-
-def test_transform_requires_solve_products(neutral):
-    basis = kd.solve_eigenproblem(neutral, 4, 256)
-    assert basis.density_modes is None
-    with pytest.raises(ValueError):
-        kd.flux_identity_residuals(neutral, basis)
-    full = kd.transform_eigenfunctions(neutral, basis)
-    assert full.density_modes.shape == (258, 4)
-    assert len(full.mode_masses) == 4
+        kd.build_basis(neutral, 4, 32)
