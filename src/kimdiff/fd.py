@@ -9,14 +9,14 @@ positive diagonal scaling, so the implicit matrix is factored as LDL^T once
 per output interval (LAPACK dpttrf) and each step is one solve with that
 factor (dpttrs) on the scaled state.  Coarser meshes are rejected with the
 number of cells they need.  This solver shares no code with the spectral
-route and serves as its end-to-end cross-check.
+route and serves as its end-to-end cross-check; only verify runs it, so
+scipy's LAPACK is imported on first use, off every command's start-up path.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 _NEGATIVE_MASS_FRACTION = 1e-2
 # the scaled state w = s u keeps full precision while the smallest scale
@@ -24,6 +24,8 @@ _NEGATIVE_MASS_FRACTION = 1e-2
 _LOG_SCALE_FLOOR = -600.0
 # the largest mesh a too-coarse-mesh error suggests
 _MAX_SUGGESTED_CELLS = 2**18
+# the most time steps one run may take (a few tens of seconds at 1024 cells)
+_MAX_STEPS = 2**20
 
 ComparisonRow = namedtuple("ComparisonRow", ["t", "q_l1_diff", "a_diff", "b_diff"])
 
@@ -135,7 +137,8 @@ def evolve_fd(model, init, t_end, n_cells, dt=None, output_times=None):
     The boundary fluxes read w through coefficients with 1/s folded in, and
     u = w / s is formed only at output times and when w goes negative.  A
     mesh too coarse for the drift (some upper[i] lower[i+1] <= 0) raises a
-    ValueError that names cells and the count that resolves it.
+    ValueError that names cells and the count that resolves it; so does a run
+    of more than _MAX_STEPS steps, naming the last time that fits.
     """
     n_cells = int(n_cells)
     if n_cells < 128:
@@ -154,7 +157,19 @@ def evolve_fd(model, init, t_end, n_cells, dt=None, output_times=None):
         raise ValueError("output times must lie in [0, t_end]")
     if any(t1 <= t0 for t0, t1 in zip(output_times, output_times[1:])):
         raise ValueError("output times must increase strictly")
+    counts = [max(1, int(np.ceil(span / dt - 1e-12))) if span > 1e-14 else 0
+              for span in np.diff(output_times, prepend=0.0)]
+    if sum(counts) > _MAX_STEPS:
+        # each interval rounds up by under a step; quote 4 digits, rounded down
+        t_fit = (_MAX_STEPS - np.count_nonzero(counts)) * dt
+        unit = 10.0 ** (np.floor(np.log10(t_fit)) - 3)
+        raise ValueError(
+            f"times: the last output time {output_times[-1]:g} takes {sum(counts)} "
+            f"finite-difference steps of dt={dt:.4g} at cells={n_cells}, more than "
+            f"{_MAX_STEPS}; last times up to {np.floor(t_fit / unit) * unit:.4g} fit"
+        )
     s, off = _symmetrizer(model, n_cells, lower, upper)
+    from scipy.linalg.lapack import dpttrf, dpttrs
 
     u = _initial_cells(init, xc, h)
     a, b = init.a0, init.b0
@@ -171,11 +186,9 @@ def evolve_fd(model, init, t_end, n_cells, dt=None, output_times=None):
     # suppresses the trapezoidal ringing that spike data would otherwise
     # excite without losing the scheme's second-order accuracy
     startup = 2
-    for t_out in output_times:
-        span = t_out - t
-        if span > 1e-14:
-            nsteps = max(1, int(np.ceil(span / dt - 1e-12)))
-            step = span / nsteps
+    for t_out, nsteps in zip(output_times, counts):
+        if nsteps:
+            step = (t_out - t) / nsteps
             d, e, info = dpttrf(1.0 - 0.5 * step * diag, -0.5 * step * off)
             if info != 0:
                 raise RuntimeError(

@@ -10,15 +10,14 @@ u_n / (x (1 - x)) is again a polynomial, so the density modes take exact
 endpoint values, and their masses and point values are exact up to the
 polynomial truncation, which converges spectrally.  What the factor e^(Xi/2)
 still costs is roundoff: the modes grow like e^(Xi range / 2), which
-evolution.solutions_at gates.
+evolution.solutions_at gates.  The Gauss rule takes Newton steps from
+Tricomi's roots, and the mass matrix's Cholesky factor reduces the
+eigenproblem to numpy.linalg.eigh, so importing the module loads no scipy.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh
-from scipy.special import j1
 
 from ._quadrature import running_integral_table, table_values
 
@@ -66,7 +65,11 @@ class SpectralBasis:
     def mode_values(self, x):
         """Polynomial modes phi_j = e^(Xi/2) u_j at points x in [0, 1],
         shape (len(x), m)."""
-        return _mode_values(self.coefficients, x)
+        x = np.atleast_1d(np.asarray(x, float))
+        slopes = _legendre_slopes(2.0 * x - 1.0, len(self.coefficients) + 1)
+        u = _quotient_rows(slopes).T @ self.coefficients
+        u *= (x * (1.0 - x))[:, None]
+        return u
 
 
 def _legendre_slopes(y, n):
@@ -82,22 +85,31 @@ def _legendre_slopes(y, n):
     return dp
 
 
-def _quotient_rows(x, n_basis):
+def _gauss_legendre(n):
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] for even n:
+    Newton steps from Tricomi's asymptotic roots, with P_n and P_n' from the
+    three-term recurrence, and w = 2 / ((1 - x^2) P_n'^2)."""
+    theta = np.pi * (4 * np.arange(1, n // 2 + 1) - 1) / (4 * n + 2)
+    x = (1.0 - 1.0 / (8.0 * n**2) + 1.0 / (8.0 * n**3)) * np.cos(theta)
+    for _ in range(8):
+        p_prev, p = np.ones_like(x), x
+        for j in range(1, n):
+            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        step = p / dp
+        x -= step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    w = 2.0 / ((1.0 - x * x) * dp**2)
+    return np.concatenate((-x, x[::-1])), np.concatenate((w, w[::-1]))
+
+
+def _quotient_rows(dp):
     """u_n(x) / (x (1 - x)) = 4 (2n+3) / ((n+1)(n+2)) P'_{n+1}(2x - 1) for
-    n < n_basis, one row per n; finite at the endpoints."""
-    n = np.arange(n_basis)[:, None]
-    rows = _legendre_slopes(2.0 * np.asarray(x, float) - 1.0, n_basis)[1:]
-    rows *= 4.0 * (2 * n + 3) / ((n + 1) * (n + 2))
-    return rows
-
-
-def _mode_values(coefficients, x):
-    """Polynomial modes at points x in [0, 1], shape (len(x), m), from
-    Galerkin coefficients."""
-    x = np.atleast_1d(np.asarray(x, float))
-    u = _quotient_rows(x, coefficients.shape[0]).T @ coefficients
-    u *= (x * (1.0 - x))[:, None]
-    return u
+    n < N, one row per n, from the slopes dp = _legendre_slopes(2x - 1, N + 1);
+    finite at the endpoints."""
+    n = np.arange(len(dp) - 2)[:, None]
+    return dp[1:-1] * (4.0 * (2 * n + 3) / ((n + 1) * (n + 2)))
 
 
 def build_basis(model, n_modes, n_grid):
@@ -107,9 +119,10 @@ def build_basis(model, n_modes, n_grid):
     Stiffness K = int (phi_m' - xi phi_m / 2)(phi_n' - xi phi_n / 2) and mass
     M = int phi_m phi_n / (Psi x (1 - x)) are assembled for the first
     N = n_modes + 32 polynomials phi_n = u_n with a Gauss-Legendre rule of
-    2N + 40 nodes; the eigenvectors of K c = lambda M c are M-orthonormal,
-    which is the weighted normalization.  M is the Gram matrix of independent
-    polynomials under a positive weight, so it stays definite.
+    2N + 40 nodes.  M is the Gram matrix of independent polynomials under a
+    positive weight, so it has a Cholesky factor L; with y the eigenvectors of
+    L^-1 K L^-T, c = L^-T y solve K c = lambda M c and are M-orthonormal,
+    which is the weighted normalization.
     """
     n_modes = int(n_modes)
     n_grid = int(n_grid)
@@ -118,22 +131,24 @@ def build_basis(model, n_modes, n_grid):
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1; got {n_modes}")
     n_basis = n_modes + 32
-    nodes, weights = leggauss(2 * n_basis + 40)
+    nodes, weights = _gauss_legendre(2 * n_basis + 40)
     xq = 0.5 * (nodes + 1.0)
     wq = 0.5 * weights
     dp = _legendre_slopes(nodes, n_basis + 1)
-    quot = _quotient_rows(xq, n_basis)
+    quot = _quotient_rows(dp)
     # phi_n' - xi phi_n / 2, the x-derivative of u_n being 2 (P_n' - P_{n+2}')
     flux = 2.0 * (dp[:-2] - dp[2:]) - quot * (0.5 * model.xi(xq) * xq * (1.0 - xq))
     stiffness = (flux * wq) @ flux.T
     mass = (quot * (wq * xq * (1.0 - xq) / model.psi_at(xq))) @ quot.T
-    # the full divide-and-conquer solve is about 3x faster than a subset solve
-    lam, coef = eigh(stiffness, mass)
-    lam, coef = lam[:n_modes], coef[:, :n_modes]
+    # an explicit L^-1 is cheaper than numpy's general solver; eigh's
+    # divide-and-conquer solve finds all N pairs, and the lowest are kept
+    li = np.linalg.inv(np.linalg.cholesky(mass))
+    lam, y = np.linalg.eigh(li @ stiffness @ li.T)
+    lam, coef = lam[:n_modes], li.T @ y[:, :n_modes]
 
     x = np.arange(1, n_grid + 1) * (1.0 / (n_grid + 1))
     closed = np.concatenate(([0.0], x, [1.0]))
-    q = _quotient_rows(closed, n_basis).T @ coef
+    q = _quotient_rows(_legendre_slopes(2.0 * closed - 1.0, n_basis + 1)).T @ coef
     sign = np.where(q[0] < 0.0, -1.0, 1.0)
     coef *= sign
     q *= sign * (np.exp(0.5 * model.xi_integral(closed)) / model.psi_at(closed))[:, None]
@@ -209,6 +224,7 @@ def bessel_comparison(model, basis, j):
     the eigenfunction normalization.  Accuracy degrades away from the left
     endpoint; that is expected and simply reflected in the returned value.
     """
+    from scipy.special import j1
     j = int(j)
     if j < 4:
         raise ValueError("the comparison lives in the asymptotic regime; use j >= 4")

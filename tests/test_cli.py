@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -201,16 +202,53 @@ def test_fully_decayed_times_write_valid_json(tmp_path):
     assert "nan" not in series and "inf" not in series
 
 
-def test_cli_import_leaves_out_scipy_interpolate():
-    # every CLI call pays the import, and scipy.interpolate alone costs
-    # about 0.25 s of it
+def _fresh_python(*args):
+    """Run python with the package under test on its path; returns stdout."""
     src = Path(kimdiff.__file__).parents[1]
-    code = "import sys, kimdiff.cli; print('scipy.interpolate' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        [sys.executable, *args], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+_SCIPY_LOADED = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
+
+
+def test_cli_import_leaves_out_scipy():
+    # every CLI call pays the import, and scipy would be most of it
+    code = (f"import sys, kimdiff; print({_SCIPY_LOADED}); "
+            f"import kimdiff.cli; print({_SCIPY_LOADED})")
+    assert _fresh_python("-c", code).split() == ["[]", "[]"]
+
+
+def test_cli_commands_load_scipy_only_where_needed(tmp_path):
+    path = demo_config(tmp_path)
+    out = tmp_path / "out"
+    code = (
+        "import sys; from kimdiff.cli import main; print(["
+        f"main(['evolve', '--config', {str(path)!r}]), "
+        f"main(['spectrum', '--out', {str(tmp_path / 's')!r}]), "
+        f"main(['fixation', '--out', {str(tmp_path / 'f')!r}]), "
+        f"main(['plot', '--results', {str(out)!r}])]); "
+        f"print({_SCIPY_LOADED})"
+    )
+    assert _fresh_python("-c", code).splitlines()[-2:] == ["[0, 0, 0, 0]", "[]"]
+    # the FD oracle and the Bessel comparison load scipy on first use
+    _fresh_python("-m", "kimdiff.cli", "verify", "--config", str(path))
+    _fresh_python("-m", "kimdiff.cli", "bessel-check", "--out", str(tmp_path / "b"))
+    assert json.loads((out / "verify.json").read_text())["pass"]
+    assert json.loads((tmp_path / "b" / "bessel.json").read_text())["decreasing"]
+
+
+def test_verify_step_budget_exits_one_and_names_times(tmp_path, capsys):
+    # at cells=256 the FD oracle would step 2.6e7 times, for about an hour
+    path = demo_config(tmp_path, times=[0.1, 1e5])
+    start = time.perf_counter()
+    assert main(["verify", "--config", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "times" in err and "cells=256" in err
 
 
 def test_overtight_tolerance_exits_two(tmp_path):

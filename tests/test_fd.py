@@ -55,6 +55,20 @@ def test_atom_deposited_with_exact_mass(neutral):
     assert states[0].total_mass() == pytest.approx(init.total_mass(), rel=1e-12)
 
 
+def test_step_budget_counts_every_interval(neutral, monkeypatch):
+    # 64 + 64 steps of dt = 1/128; the output at t = 0 takes none
+    times = [0.0, 0.5, 1.0]
+    monkeypatch.setattr(fd, "_MAX_STEPS", 128)
+    kd.evolve_fd(neutral, single_mode_init(), 1.0, 128, output_times=times)
+    monkeypatch.setattr(fd, "_MAX_STEPS", 127)
+    with pytest.raises(ValueError, match=r"^times: .* takes 128 .* cells=128") as err:
+        kd.evolve_fd(neutral, single_mode_init(), 1.0, 128, output_times=times)
+    # the quoted last time fits the budget
+    t_fit = float(re.search(r"up to (\S+) fit", str(err.value)).group(1))
+    assert 0.97 < t_fit <= 125 / 128
+    kd.evolve_fd(neutral, single_mode_init(), t_fit, 128, output_times=[0.0, 0.5, t_fit])
+
+
 def test_step_size_guard(neutral):
     with pytest.raises(ValueError):
         kd.evolve_fd(neutral, single_mode_init(), 0.1, 256, dt=1.0 / 64)
