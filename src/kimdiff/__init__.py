@@ -20,7 +20,7 @@ from .evolution import (
     ConservationReport,
     DecayDiagnostics,
     InitialMeasure,
-    SolutionMeasure,
+    Solutions,
     SpectralCoefficients,
     bump_density,
     conservation_residuals,
@@ -28,7 +28,6 @@ from .evolution import (
     density_from_spec,
     ds_norm,
     limit_masses,
-    mass_cross_check,
     project_initial,
     radon_bound_constant,
     radon_distance_to_limit,
@@ -52,13 +51,12 @@ __all__ = [
     "bessel_comparison",
     "InitialMeasure",
     "SpectralCoefficients",
-    "SolutionMeasure",
+    "Solutions",
     "ConservationReport",
     "DecayDiagnostics",
     "project_initial",
     "solutions_at",
     "limit_masses",
-    "mass_cross_check",
     "conservation_residuals",
     "ds_norm",
     "decay_diagnostics",

@@ -8,8 +8,9 @@ of the boundary flux, and the conservation-law route through the fixation
 probability), which cross-validate each other.
 
 There is one evaluation path: solutions_at evaluates the series for a whole
-array of times at once, and every diagnostic (route cross-check, decay,
-conservation, weak form) reads the SolutionMeasures it returns.
+array of times at once and returns one Solutions record, a density row and a
+mass pair per time.  Every diagnostic (conservation and the route gap, decay,
+distance to the limit, weak form) reads that record's arrays.
 """
 
 import re
@@ -28,7 +29,7 @@ _VALIDATION_GRID = np.linspace(0.0, 1.0, 4097)
 ConservationReport = namedtuple(
     "ConservationReport",
     ["mass_drift", "psi_mass_drift", "mass_span", "psi_mass_span",
-     "mass_values", "psi_mass_values"],
+     "mass_values", "psi_mass_values", "route_gap"],
 )
 DecayDiagnostics = namedtuple("DecayDiagnostics", ["c_inf", "scaled_l1", "slope"])
 
@@ -41,14 +42,14 @@ def _bump_shape(u):
     return out
 
 
-def bump_density(center, width, mass=1.0):
-    """Smooth compactly supported density of the given total mass.
+def bump_density(center, width):
+    """Smooth compactly supported density of unit mass.
 
     Support is (center - width, center + width) and must stay inside (0, 1).
     """
     if not (0.0 < center - width and center + width < 1.0):
         raise ValueError("bump support must be contained in (0, 1)")
-    scale = mass / (width * _BUMP_NORM)
+    scale = 1.0 / (width * _BUMP_NORM)
 
     def density(x):
         return scale * _bump_shape((np.asarray(x, float) - center) / width)
@@ -118,20 +119,16 @@ class InitialMeasure:
             return np.zeros_like(np.asarray(x, float))
         return self._density_fn(x)
 
-    def density_integral(self, grid=None):
+    def density_integral(self):
         if self._density_fn is None:
             return 0.0
-        if grid is None:
-            if isinstance(self.density, tuple):
-                xs, vs = self.density
-                return float(np.trapezoid(np.asarray(vs, float), np.asarray(xs, float)))
-            grid = _VALIDATION_GRID
-        return float(np.trapezoid(self._density_fn(grid), grid))
+        if isinstance(self.density, tuple):
+            xs, vs = self.density
+            return float(np.trapezoid(np.asarray(vs, float), np.asarray(xs, float)))
+        return float(np.trapezoid(self._density_fn(_VALIDATION_GRID), _VALIDATION_GRID))
 
-    def total_mass(self, grid=None):
-        return self.a0 + self.b0 + self.density_integral(grid) + sum(
-            m for _, m in self.atoms
-        )
+    def total_mass(self):
+        return self.a0 + self.b0 + self.density_integral() + sum(m for _, m in self.atoms)
 
 
 @dataclass
@@ -149,19 +146,32 @@ class SpectralCoefficients:
 
 
 @dataclass
-class SolutionMeasure:
-    """The solution triple at one time: density samples on the closed grid
-    plus the absorbed masses a (at 0, extinction) and b (at 1, fixation)."""
+class Solutions:
+    """The solution triple along a sequence of times: density samples on the
+    closed grid, one row per time, and the absorbed masses a (at 0,
+    extinction) and b (at 1, fixation), one per time.
 
-    t: float
+    Indexing with a boolean mask keeps those times; an int index gives the
+    record of one time, with scalar t, a, b and a single density row, and
+    iterating yields these one-time records in order.
+    """
+
+    t: np.ndarray
     grid: np.ndarray
     density: np.ndarray
-    a: float
-    b: float
-    trunc_error: float = 0.0
+    a: np.ndarray
+    b: np.ndarray
+    trunc_error: np.ndarray
+
+    def __len__(self):
+        return len(self.t)
+
+    def __getitem__(self, index):
+        return Solutions(self.t[index], self.grid, self.density[index], self.a[index],
+                         self.b[index], self.trunc_error[index])
 
     def density_l1(self):
-        return float(np.trapezoid(np.abs(self.density), self.grid))
+        return np.trapezoid(np.abs(self.density), self.grid, axis=-1)
 
 
 def project_initial(model, basis, init, profile):
@@ -184,7 +194,8 @@ def project_initial(model, basis, init, profile):
 
 
 def solutions_at(model, basis, coeffs, init, times):
-    """SolutionMeasures at each of the given times, evaluated together.
+    """The Solutions record at the given times: one density row, one pair of
+    boundary masses and one truncation estimate per time, evaluated together.
 
     The decayed coefficients c_j exp(-lambda_j t) form one (times x modes)
     matrix; its product with the density modes gives every density.  The
@@ -195,7 +206,7 @@ def solutions_at(model, basis, coeffs, init, times):
     point-mass data.  t may be inf; t = 0 yields the raw initial data, since
     the truncated series need not converge pointwise for measure data.
 
-    Each solution carries a truncation estimate, the last retained term's
+    Each time carries a truncation estimate, the last retained term's
     bound; one warning names the earliest time at which it exceeds 1e-6 of
     the initial mass.  The modes grow like e^(Xi range / 2), and the sum of
     |c_j exp(-lambda_j t)| max|q_j| times the unit roundoff estimates what
@@ -203,7 +214,7 @@ def solutions_at(model, basis, coeffs, init, times):
     positive time, ValueError names the earliest such time, the first safe
     one and the range of Xi.
     """
-    times = np.atleast_1d(np.asarray(times, float))
+    times = np.array(times, float, ndmin=1)
     if np.any(times < 0.0):
         raise ValueError("t must be nonnegative")
     modes = basis.density_modes
@@ -241,13 +252,7 @@ def solutions_at(model, basis, coeffs, init, times):
             f"exceeds {_SERIES_TOL:g} of the initial mass; add modes or evaluate later",
             stacklevel=2,
         )
-    return [
-        SolutionMeasure(
-            t=float(t), grid=basis.closed_grid, density=q[i], a=float(a[i]),
-            b=float(b[i]), trunc_error=float(trunc[i]),
-        )
-        for i, t in enumerate(times)
-    ]
+    return Solutions(times, basis.closed_grid, q, a, b, trunc)
 
 
 def limit_masses(model, profile, init):
@@ -270,49 +275,38 @@ def limit_masses(model, profile, init):
     return a_inf, b_inf
 
 
-def mass_cross_check(solution, limits, psi):
-    """Boundary masses via the conservation laws, plus the discrepancy
-    against the series route.
-
-    The conserved fixation moment pins b(t) = b_inf - integral psi q(t), psi
-    on the solution's grid; symmetrically for a.  Returns (a, b, max gap to
-    the flux-series masses); a large gap signals basis or quadrature
-    inconsistency (or unresolved measure-valued data)."""
-    if solution.t <= 0.0:
-        raise ValueError("the cross-check needs t > 0")
-    a_inf, b_inf = limits
-    grid, q = solution.grid, solution.density
-    a2 = a_inf - float(np.trapezoid((1.0 - psi) * q, grid))
-    b2 = b_inf - float(np.trapezoid(psi * q, grid))
-    return a2, b2, max(abs(solution.a - a2), abs(solution.b - b2))
-
-
 def conservation_residuals(init, solutions, limits, psi):
-    """Defects of the two conservation laws along a solution sequence.
+    """Defects of the two conservation laws along a Solutions record.
 
     psi is the fixation probability on the solutions' grid, limits are
     (a_inf, b_inf).  mass_values and psi_mass_values hold total mass and
-    fixation moment for every solution; the drifts (against the initial
-    mass and b_inf) and the max-minus-min spans leave out a t = 0 snapshot
-    when two or more positive times are given, as it cannot carry atoms.
+    fixation moment at every time; a t = 0 row, whose density has no atom
+    slot, takes both from the initial measure (its total mass and b_inf).
+    The drifts are against those two values, the spans are max minus min.
+    route_gap is the largest gap over the positive times between the series
+    masses and the conservation route a2 = a_inf - integral (1 - psi) q,
+    b2 = b_inf - integral psi q: max |mass - psi_mass - a_inf| and
+    |psi_mass - b_inf| (0 without positive times).
     """
     if len(solutions) < 2:
         raise ValueError("need solutions at two or more times")
-    w = _trapezoid_weights(solutions[0].grid)
-    density = np.stack([s.density for s in solutions])
-    b = np.array([s.b for s in solutions])
-    mass = np.array([s.a for s in solutions]) + b + density @ w
-    psi_mass = b + density @ (w * psi)
-    kept = np.array([s.t > 0.0 for s in solutions])
-    kept |= kept.sum() < 2
-    m, pm = mass[kept], psi_mass[kept]
+    a_inf, b_inf = limits
+    mass0 = init.total_mass()
+    w = _trapezoid_weights(solutions.grid)
+    mass = solutions.a + solutions.b + solutions.density @ w
+    psi_mass = solutions.b + solutions.density @ (w * psi)
+    start = solutions.t == 0.0
+    mass[start] = mass0
+    psi_mass[start] = b_inf
+    route = np.maximum(np.abs(mass - psi_mass - a_inf), np.abs(psi_mass - b_inf))
     return ConservationReport(
-        mass_drift=float(np.max(np.abs(m - init.total_mass()))),
-        psi_mass_drift=float(np.max(np.abs(pm - limits[1]))),
-        mass_span=float(np.max(m) - np.min(m)),
-        psi_mass_span=float(np.max(pm) - np.min(pm)),
+        mass_drift=float(np.max(np.abs(mass - mass0))),
+        psi_mass_drift=float(np.max(np.abs(psi_mass - b_inf))),
+        mass_span=float(np.max(mass) - np.min(mass)),
+        psi_mass_span=float(np.max(psi_mass) - np.min(psi_mass)),
         mass_values=mass,
         psi_mass_values=psi_mass,
+        route_gap=float(np.max(route[~start], initial=0.0)),
     )
 
 
@@ -324,7 +318,7 @@ def ds_norm(coeffs, basis, s):
 
 
 def decay_diagnostics(basis, coeffs, solutions):
-    """Large-time decay of the interior mass along a solution sequence.
+    """Large-time decay of the interior mass along a Solutions record.
 
     Returns the limit constant (leading mode mass times leading coefficient),
     the sequence exp(lambda_0 t) ||q(t)||_1 (0 where the norm underflowed),
@@ -332,7 +326,7 @@ def decay_diagnostics(basis, coeffs, solutions):
     nonzero norm, which should approach -lambda_0; None when fewer than two
     such times remain.
     """
-    times = np.array([s.t for s in solutions])
+    times = solutions.t
     if np.any(times <= 0.0):
         raise ValueError("decay diagnostics need strictly positive times")
     lam0 = basis.eigenvalues[0]
@@ -342,7 +336,7 @@ def decay_diagnostics(basis, coeffs, solutions):
             "is governed by the next eigenvalue",
             stacklevel=2,
         )
-    l1 = np.array([s.density_l1() for s in solutions])
+    l1 = solutions.density_l1()
     c_inf = float(basis.mode_masses[0] * coeffs.values[0])
     with np.errstate(divide="ignore"):
         log_l1 = np.log(l1)
@@ -355,22 +349,26 @@ def decay_diagnostics(basis, coeffs, solutions):
                             slope=slope)
 
 
-def radon_distance_to_limit(solution, limits):
-    """Total-variation distance from the limit measure.
+def radon_distance_to_limit(solutions, limits):
+    """Total-variation distance from the limit measure, one value per time.
 
     For nonnegative data the mass gaps and the interior L1 norm add up, and
-    the value equals exactly twice the interior L1 norm."""
+    the value equals exactly twice the interior L1 norm.  One warning names
+    the earliest time at which a boundary mass overshoots its limit."""
     a_inf, b_inf = limits
-    gap_a = a_inf - solution.a
-    gap_b = b_inf - solution.b
+    gap_a = a_inf - solutions.a
+    gap_b = b_inf - solutions.b
     scale = max(abs(a_inf) + abs(b_inf), 1e-300)
-    if min(gap_a, gap_b) < -1e-9 * scale:
+    t, low_a, low_b = np.atleast_1d(solutions.t, gap_a, gap_b)
+    negative = np.flatnonzero(np.minimum(low_a, low_b) < -1e-9 * scale)
+    if negative.size:
+        i = negative[np.argmin(t[negative])]
         warnings.warn(
-            f"negative mass gap at t={solution.t} (a: {gap_a:.2e}, b: {gap_b:.2e}); "
+            f"negative mass gap at t={t[i]} (a: {low_a[i]:.2e}, b: {low_b[i]:.2e}); "
             "boundary masses should increase toward their limits",
             stacklevel=2,
         )
-    return float(gap_a + gap_b + solution.density_l1())
+    return gap_a + gap_b + solutions.density_l1()
 
 
 def radon_bound_constant(basis, s):
@@ -418,7 +416,7 @@ def _chi_library(model, grid, psi):
     x = grid
     F = model.diffusion(x)
     G = model.drift(x)
-    lib = {
+    return {
         "one": (np.ones_like(x), 1.0, 1.0, np.zeros_like(x)),
         "x(1-x)": (x * (1.0 - x), 0.0, 0.0, -2.0 * F + (1.0 - 2.0 * x) * G),
         "x^2(1-x)": (
@@ -427,11 +425,9 @@ def _chi_library(model, grid, psi):
             0.0,
             F * (2.0 - 6.0 * x) + G * (2.0 * x - 3.0 * x**2),
         ),
+        # F chi'' + G chi' vanishes identically for the fixation profile
+        "fixation": (psi, 0.0, 1.0, np.zeros_like(x)),
     }
-    if psi is not None:
-        # F chi'' + G chi' vanishes identically for the fixation profile.
-        lib["fixation"] = (psi, 0.0, 1.0, np.zeros_like(x))
-    return lib
 
 
 def _trapezoid_weights(x):
@@ -443,41 +439,31 @@ def _trapezoid_weights(x):
     return w
 
 
-def verify_weak_form(model, solutions, psi=None, chis=None):
+def verify_weak_form(model, solutions, psi):
     """Residual of the boundary-coupled weak formulation for tensor-product
     test functions (time bump times spatial function).
 
-    solutions: SolutionMeasure sequence on a dense increasing time grid with
-    positive times; the bump window spans that grid, so its derivatives
-    vanish at the ends and the initial term drops.  The spatial library is
+    solutions: a Solutions record on a dense increasing grid of positive
+    times; the bump window spans that grid, so its derivatives vanish at the
+    ends and the initial term drops.  The spatial library is
     {1, psi, x(1-x), x^2(1-x)}, psi the fixation profile on the solutions'
-    grid (left out when None); the first two reduce the identity to the
-    conservation laws, the last two exercise the interior operator.
-    Returns a dict of absolute residuals.
+    grid; the first two reduce the identity to the conservation laws, the
+    last two exercise the interior operator.  Returns a dict of absolute
+    residuals.
     """
-    if len(solutions) < 8:
+    times = solutions.t
+    if len(times) < 8:
         raise ValueError("need a reasonably dense time grid (8+ solutions)")
-    times = np.array([s.t for s in solutions])
     if np.any(times <= 0.0) or np.any(np.diff(times) <= 0.0):
         raise ValueError("solution times must be positive and increasing")
-    grid = solutions[0].grid
-    lib = _chi_library(model, grid, psi)
-    if chis is None:
-        chis = list(lib)
     zeta, zeta_prime = _bump_window(times[0], times[-1])
     wt = _trapezoid_weights(times)
     wzt = wt * zeta(times)
     wzpt = wt * zeta_prime(times)
-    wx = _trapezoid_weights(grid)
-    density = np.stack([s.density for s in solutions])
-    a = np.array([s.a for s in solutions])
-    b = np.array([s.b for s in solutions])
+    wx = _trapezoid_weights(solutions.grid)
     out = {}
-    for name in chis:
-        if name not in lib:
-            raise ValueError(f"unknown test function {name!r} (have {sorted(lib)})")
-        chi, chi0, chi1, rhs = lib[name]
-        paired = a * chi0 + b * chi1 + density @ (wx * chi)
-        interior = density @ (wx * rhs)
+    for name, (chi, chi0, chi1, rhs) in _chi_library(model, solutions.grid, psi).items():
+        paired = solutions.a * chi0 + solutions.b * chi1 + solutions.density @ (wx * chi)
+        interior = solutions.density @ (wx * rhs)
         out[name] = abs(float(wzpt @ paired + wzt @ interior))
     return out

@@ -264,36 +264,24 @@ def write_bessel(out, model, basis, modes):
 
 
 def compute_pipeline(scenario):
-    """Run the spectral pipeline for a scenario; returns a dict of pieces."""
+    """Run the spectral pipeline for a scenario; returns a dict of the pieces
+    that both evolve and verify write: the fixation profile, the basis, the
+    coefficients, psi on the solution grid, the solutions at the scenario
+    times and their conservation report."""
     model = scenario.model
     profile = fixation_profile(model, scenario.grid + 1)
     basis = build_basis(model, scenario.modes, scenario.grid)
     coeffs = evolution.project_initial(model, basis, scenario.initial, profile)
     sols = evolution.solutions_at(model, basis, coeffs, scenario.initial, scenario.times)
     psi = profile(basis.closed_grid)
-    # the diagnostics read the positive-time solutions: a t=0 snapshot cannot
-    # carry interior point masses (the solution triple has no atom slot)
-    positive_sols = [s for s in sols if s.t > 0]
-    route = [evolution.mass_cross_check(s, coeffs.limits, psi) for s in positive_sols]
-    report = evolution.conservation_residuals(scenario.initial, sols, coeffs.limits, psi)
-    decay = weak = None
-    if len(positive_sols) >= 2:
-        if abs(coeffs.values[0]) > 0:
-            decay = evolution.decay_diagnostics(basis, coeffs, positive_sols)
-        dense = np.linspace(positive_sols[0].t, positive_sols[-1].t, 129)
-        dense_sols = evolution.solutions_at(model, basis, coeffs, scenario.initial, dense)
-        weak = evolution.verify_weak_form(model, dense_sols, psi)
     return {
         "profile": profile,
         "basis": basis,
         "coeffs": coeffs,
+        "psi": psi,
         "solutions": sols,
-        "positive_solutions": positive_sols,
-        "limits": coeffs.limits,
-        "route_max": max((r[2] for r in route), default=None),
-        "report": report,
-        "decay": decay,
-        "weak": weak,
+        "report": evolution.conservation_residuals(scenario.initial, sols, coeffs.limits,
+                                                   psi),
     }
 
 
@@ -312,20 +300,20 @@ def _gate(scenario, pieces):
             f"fixation-moment span {report.psi_mass_span:.3e} exceeds "
             f"{tol['psi_mass_drift']:.1e} x initial mass"
         )
-    worst = pieces["route_max"]
-    if worst is not None and worst > tol["route_agreement"]:
+    if report.route_gap > tol["route_agreement"]:
         violations.append(
-            f"boundary-mass route disagreement {worst:.3e} exceeds "
+            f"boundary-mass route disagreement {report.route_gap:.3e} exceeds "
             f"{tol['route_agreement']:.1e}"
         )
     floor = -tol["positivity"] * mass0
-    for sol in pieces["solutions"]:
-        if sol.t > 0 and float(np.min(sol.density)) < floor:
-            violations.append(
-                f"density at t={sol.t:g} dips to {float(np.min(sol.density)):.3e}, "
-                f"below the positivity slack {floor:.1e}"
-            )
-            break
+    positive = pieces["solutions"][pieces["solutions"].t > 0]
+    low = positive.density.min(axis=1)
+    dips = np.flatnonzero(low < floor)
+    if dips.size:
+        violations.append(
+            f"density at t={positive.t[dips[0]]:g} dips to {low[dips[0]]:.3e}, "
+            f"below the positivity slack {floor:.1e}"
+        )
     return violations
 
 
@@ -347,50 +335,51 @@ def run_scenario(config, out_dir=None, overrides=None):
     summary).  Config errors raise ConfigError, which the CLI maps to exit 1.
     """
     scenario, pieces = _run_pipeline(config, out_dir, overrides)
-    out = scenario.out_dir
-    write_spectrum(out, scenario.model, pieces["basis"])
-    write_fixation(out, pieces["profile"])
+    model, basis, coeffs = scenario.model, pieces["basis"], pieces["coeffs"]
+    sols = pieces["solutions"]
+    positive = sols[sols.t > 0]
+    decay = weak = None
+    if len(positive) >= 2:
+        if abs(coeffs.values[0]) > 0:
+            decay = evolution.decay_diagnostics(basis, coeffs, positive)
+        dense = np.linspace(positive.t[0], positive.t[-1], 129)
+        dense_sols = evolution.solutions_at(model, basis, coeffs, scenario.initial, dense)
+        weak = evolution.verify_weak_form(model, dense_sols, pieces["psi"])
 
-    limits = pieces["limits"]
+    out = scenario.out_dir
+    write_spectrum(out, model, basis)
+    write_fixation(out, pieces["profile"])
+    limits = coeffs.limits
     report = pieces["report"]
-    lam0 = pieces["basis"].eigenvalues[0]
-    rows = []
     profiles_dir = out / "profiles"
     profiles_dir.mkdir(exist_ok=True)
-    for sol, mass, psi_mass in zip(
-        pieces["solutions"], report.mass_values, report.psi_mass_values
-    ):
-        radon = evolution.radon_distance_to_limit(sol, limits)
-        rows.append([sol.t, sol.a, sol.b, sol.density_l1(), float(mass),
-                     float(psi_mass), radon, sol.trunc_error])
-        _write_csv(
-            profiles_dir / f"q_t{sol.t:g}.csv", ["x", "q"], [sol.grid, sol.density]
-        )
+    for sol in sols:
+        _write_csv(profiles_dir / f"q_t{sol.t:g}.csv", ["x", "q"], [sol.grid, sol.density])
     _write_csv(
         out / "evolution.csv",
         ["t", "a", "b", "q_l1", "mass_total", "psi_mass", "radon_to_limit",
          "trunc_error"],
-        np.array(rows).T,
+        [sols.t, sols.a, sols.b, sols.density_l1(), report.mass_values,
+         report.psi_mass_values, evolution.radon_distance_to_limit(sols, limits),
+         sols.trunc_error],
     )
 
     violations = _gate(scenario, pieces)
-    decay = pieces["decay"]
     if scenario.s > 0:
-        c0s, c0s_tail = evolution.radon_bound_constant(pieces["basis"], scenario.s)
+        c0s, c0s_tail = evolution.radon_bound_constant(basis, scenario.s)
     else:
         c0s = c0s_tail = None
     summary = {
         "schema": SCHEMA_VERSION,
         "name": scenario.name,
-        "lambda0": float(lam0),
+        "lambda0": float(basis.eigenvalues[0]),
         "a_inf": limits[0],
         "b_inf": limits[1],
         "C_inf": None if decay is None else decay.c_inf,
         "slope": None if decay is None else decay.slope,
         "smoothness": {
             "s": scenario.s,
-            "initial_norm": evolution.ds_norm(pieces["coeffs"], pieces["basis"],
-                                              scenario.s),
+            "initial_norm": evolution.ds_norm(coeffs, basis, scenario.s),
             "decay_bound_constant": c0s,
             "decay_bound_tail": c0s_tail,
         },
@@ -399,10 +388,8 @@ def run_scenario(config, out_dir=None, overrides=None):
             "psi_mass_drift": report.psi_mass_drift,
             "mass_span": report.mass_span,
             "psi_mass_span": report.psi_mass_span,
-            "route_agreement_max": pieces["route_max"],
-            "weak_form_max": None
-            if pieces["weak"] is None
-            else max(pieces["weak"].values()),
+            "route_agreement_max": report.route_gap,
+            "weak_form_max": None if weak is None else max(weak.values()),
         },
         "tolerances": scenario.tolerances,
         "violations": violations,
@@ -417,17 +404,16 @@ def run_verify(config, out_dir=None, overrides=None):
     Gates on the cross-solver gaps and the spectral invariants; exit status 2
     on any violation, 0 otherwise."""
     scenario, pieces = _run_pipeline(config, out_dir, overrides)
-    spectral_sols = pieces["positive_solutions"]
-    positive_times = [s.t for s in spectral_sols]
+    positive = pieces["solutions"][pieces["solutions"].t > 0]
     fd_states = fd.evolve_fd(
         scenario.model,
         scenario.initial,
-        positive_times[-1],
+        positive.t[-1],
         scenario.cells,
         dt=scenario.dt,
-        output_times=positive_times,
+        output_times=positive.t,
     )
-    comparison = fd.compare_with_spectral(fd_states, spectral_sols)
+    comparison = fd.compare_with_spectral(fd_states, positive)
     mass0 = scenario.initial.total_mass()
     fd_drift = max(abs(st.total_mass() - mass0) for st in fd_states)
 
@@ -445,6 +431,7 @@ def run_verify(config, out_dir=None, overrides=None):
                 f"at t={row.t:g} exceeds {tol['fd_ab']:.1e}"
             )
 
+    report = pieces["report"]
     verdict = {
         "schema": SCHEMA_VERSION,
         "name": scenario.name,
@@ -454,9 +441,9 @@ def run_verify(config, out_dir=None, overrides=None):
         ],
         "fd_mass_drift": fd_drift,
         "spectral_residuals": {
-            "mass_span": pieces["report"].mass_span,
-            "psi_mass_span": pieces["report"].psi_mass_span,
-            "route_agreement_max": pieces["route_max"],
+            "mass_span": report.mass_span,
+            "psi_mass_span": report.psi_mass_span,
+            "route_agreement_max": report.route_gap,
         },
         "tolerances": scenario.tolerances,
         "violations": violations,

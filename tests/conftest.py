@@ -40,3 +40,13 @@ def neutral_mode_exact(j, x):
     # eval_jacobi gives value (-1)^j (j+1) at x=0; flip odd modes so the
     # left endpoint value is positive.
     return -val if j % 2 else val
+
+
+def conservation_route(sol, limits, psi):
+    """Boundary masses from the conservation laws at one time, the reference
+    the series masses are checked against: a2 = a_inf - integral (1 - psi) q
+    and b2 = b_inf - integral psi q, each by np.trapezoid on the solution
+    grid.  Returns (a2, b2, max |series mass - route mass|)."""
+    a2 = limits[0] - np.trapezoid((1.0 - psi) * sol.density, sol.grid)
+    b2 = limits[1] - np.trapezoid(psi * sol.density, sol.grid)
+    return a2, b2, max(abs(sol.a - a2), abs(sol.b - b2))

@@ -9,6 +9,8 @@ import pytest
 
 import kimdiff as kd
 
+from conftest import conservation_route
+
 SQ6 = np.sqrt(6.0)
 
 
@@ -103,7 +105,7 @@ def test_boundary_mass_routes(neutral, selection, neutral_big, neutral_profile_b
     init_u, coeffs_u = uniform_run
     psi_big = neutral_profile_big(neutral_big.closed_grid)
     disc_u = max(
-        kd.mass_cross_check(sol, coeffs_u.limits, psi_big)[2]
+        conservation_route(sol, coeffs_u.limits, psi_big)[2]
         for sol in kd.solutions_at(neutral, neutral_big, coeffs_u, init_u, times)
     )
     sel_basis = kd.build_basis(selection, 128, 2048)
@@ -112,7 +114,7 @@ def test_boundary_mass_routes(neutral, selection, neutral_big, neutral_profile_b
     coeffs_b = kd.project_initial(selection, sel_basis, bump, sel_profile)
     sel_psi = sel_profile(sel_basis.closed_grid)
     disc_b = max(
-        kd.mass_cross_check(sol, coeffs_b.limits, sel_psi)[2]
+        conservation_route(sol, coeffs_b.limits, sel_psi)[2]
         for sol in kd.solutions_at(selection, sel_basis, coeffs_b, bump, times)
     )
 
@@ -125,7 +127,7 @@ def test_boundary_mass_routes(neutral, selection, neutral_big, neutral_profile_b
     t_star = 6.0 / neutral_big.eigenvalues[0]
     sol_star, sol_lim = kd.solutions_at(neutral, neutral_big, coeffs_a, atom,
                                         [t_star, np.inf])
-    a2, b2, _ = kd.mass_cross_check(sol_star, (a_inf, b_inf), psi_big)
+    a2, b2, _ = conservation_route(sol_star, (a_inf, b_inf), psi_big)
     psi_x0 = float(neutral_profile_big(x0))
     gap = max(abs(a2 - (1 - psi_x0)), abs(b2 - psi_x0))
 

@@ -16,7 +16,6 @@ from kimdiff.cli import main
 from kimdiff.fixation import FixationProfile
 from kimdiff.scenario import (
     ConfigError,
-    compute_pipeline,
     emit_plot_data,
     load_scenario,
     run_scenario,
@@ -116,17 +115,23 @@ def test_csv_writer_matches_csv_module(tmp_path):
     assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
-def test_pipeline_evaluates_the_series_twice(tmp_path, monkeypatch):
-    # one evaluation at the scenario times, one for the weak-form sweep; the
-    # route cross-check and the decay diagnostics read those solutions, and
-    # every diagnostic reads one evaluation of psi on the solution grid
+@pytest.mark.parametrize("command, series_calls", [("evolve", 2), ("verify", 1)])
+def test_commands_evaluate_only_what_they_write(tmp_path, monkeypatch, command,
+                                                series_calls):
+    # both commands evaluate the series at the scenario times; only evolve
+    # adds the 129-time weak-form sweep.  Each evaluates the limits once and
+    # psi once, on the solution grid
     calls = {"solutions_at": 0, "limit_masses": 0}
+    grids = []
     for name in calls:
         original = getattr(evolution, name)
 
         def counted(*args, _original=original, _name=name):
             calls[_name] += 1
-            return _original(*args)
+            result = _original(*args)
+            if _name == "solutions_at":
+                grids.append(result.grid)
+            return result
 
         monkeypatch.setattr(evolution, name, counted)
     psi_points = []
@@ -137,15 +142,21 @@ def test_pipeline_evaluates_the_series_twice(tmp_path, monkeypatch):
         return original_psi(self, x)
 
     monkeypatch.setattr(FixationProfile, "__call__", counted_psi)
-    scenario = load_scenario(demo_config(tmp_path))
-    assert sum(t > 0 for t in scenario.times) >= 2
-    pieces = compute_pipeline(scenario)
-    assert calls["solutions_at"] == 2
-    assert calls["limit_masses"] == 1
-    assert len(psi_points) == 1
-    assert np.array_equal(psi_points[0], pieces["basis"].closed_grid)
-    assert pieces["decay"] is not None and pieces["weak"] is not None
-    assert pieces["route_max"] <= 1e-5
+    path = demo_config(tmp_path)
+    assert sum(t > 0 for t in load_scenario(path).times) >= 2
+    assert main([command, "--config", str(path)]) == 0
+    assert calls == {"solutions_at": series_calls, "limit_masses": 1}
+    assert len(psi_points) == 1 and np.array_equal(psi_points[0], grids[0])
+
+
+@pytest.mark.parametrize("command", ["evolve", "verify"])
+def test_interior_atom_with_one_positive_time_passes(tmp_path, command):
+    # the t = 0 row counts the atom through the initial measure itself
+    path = demo_config(
+        tmp_path, initial={"atoms": [[0.3, 1.0]]}, times=[0.0, 1.0],
+        modes=None, grid=None, cells=None,
+    )
+    assert main([command, "--config", str(path)]) == 0
 
 
 def test_series_roundoff_exits_one_and_names_time(tmp_path, capsys):
@@ -260,6 +271,24 @@ def test_overtight_tolerance_exits_two(tmp_path):
     verdict = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert not verdict["pass"]
     assert verdict["violations"]
+
+
+def test_gate_names_first_dip_after_the_initial_row(tmp_path):
+    # the raw t = 0 density is not gated; the first positive time below the
+    # positivity slack is named, once
+    grid = np.linspace(0.0, 1.0, 5)
+    sols = evolution.Solutions(
+        t=np.array([0.0, 0.1, 0.5, 1.0]), grid=grid,
+        density=np.array([[-1.0] * 5, [0.0, 0.1, 0.2, 0.1, 0.0],
+                          [0.0, -1e-3, 0.0, 0.0, 0.0], [0.0, -2e-3, 0.0, 0.0, 0.0]]),
+        a=np.zeros(4), b=np.zeros(4), trunc_error=np.zeros(4),
+    )
+    report = evolution.ConservationReport(0.0, 0.0, 0.0, 0.0, None, None, 0.0)
+    violations = scenario._gate(load_scenario(demo_config(tmp_path)),
+                                {"report": report, "solutions": sols})
+    assert violations == [
+        "density at t=0.5 dips to -1.000e-03, below the positivity slack -1.0e-08"
+    ]
 
 
 def test_verify_demo_passes(tmp_path):

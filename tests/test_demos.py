@@ -1,13 +1,16 @@
-"""Each narrative demo runs to completion with warnings as errors, so an API
-change that breaks a demo fails the suite."""
+"""Each narrative demo, and the Python quick start of README.md, runs to
+completion with warnings as errors, so an API change that breaks one fails
+the suite."""
 
+import re
 import runpy
 import warnings
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -15,4 +18,14 @@ def test_demo_runs_without_warnings(demo, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out
+
+
+def test_readme_quick_start_runs_without_warnings(capsys):
+    readme = ROOT / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(blocks[0], str(readme), "exec"), {"__name__": "__main__"})
     assert capsys.readouterr().out

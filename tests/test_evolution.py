@@ -6,7 +6,7 @@ import pytest
 import kimdiff as kd
 from kimdiff import evolution
 
-from conftest import neutral_mode_exact
+from conftest import conservation_route, neutral_mode_exact
 
 SQ6 = np.sqrt(6.0)
 
@@ -168,11 +168,13 @@ def test_series_route_reaches_limits(neutral, neutral_basis, neutral_profile, un
 
 def test_mass_cross_check_single_mode(neutral, neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
-    start, sol = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.0, 1.0])
-    a2, b2, disc = kd.mass_cross_check(sol, coeffs.limits, neutral_profile(sol.grid))
+    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.0, 1.0])
+    psi = neutral_profile(sols.grid)
+    a2, b2, disc = conservation_route(sols[1], coeffs.limits, psi)
     assert disc <= 1e-6
-    with pytest.raises(ValueError):
-        kd.mass_cross_check(start, coeffs.limits, neutral_profile(start.grid))
+    # the t = 0 row holds the raw initial data and takes no part in the gap
+    rep = kd.conservation_residuals(init, sols, coeffs.limits, psi)
+    assert rep.route_gap == pytest.approx(disc, abs=1e-14)
 
 
 def test_mass_cross_check_early_time_limit(neutral, neutral_basis, neutral_profile, uniform_setup):
@@ -182,7 +184,7 @@ def test_mass_cross_check_early_time_limit(neutral, neutral_basis, neutral_profi
     gaps = []
     times = (1e-4, 1e-5, 1e-6)
     for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, times):
-        a2, b2, _ = kd.mass_cross_check(sol, coeffs.limits, neutral_profile(sol.grid))
+        a2, b2, _ = conservation_route(sol, coeffs.limits, neutral_profile(sol.grid))
         gaps.append(max(abs(a2 - init.a0), abs(b2 - init.b0)))
         assert gaps[-1] <= 3 * sol.t
     assert gaps[0] > gaps[1] > gaps[2]
@@ -205,7 +207,7 @@ def test_cross_check_approaches_limit(neutral, neutral_basis, neutral_profile, u
     init, coeffs = uniform_setup
     a_inf, _ = kd.limit_masses(neutral, neutral_profile, init)
     gaps = [
-        abs(kd.mass_cross_check(sol, coeffs.limits, neutral_profile(sol.grid))[0] - a_inf)
+        abs(conservation_route(sol, coeffs.limits, neutral_profile(sol.grid))[0] - a_inf)
         for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, (1.0, 3.0, 6.0))
     ]
     assert gaps[0] > gaps[1] > gaps[2]
@@ -237,8 +239,8 @@ def test_conservation_interior_atom_constancy(neutral, neutral_basis, neutral_pr
     # point-mass data: the conserved quantities stay constant in time and
     # equal their initial values, because the boundary masses are anchored at
     # the exact limits and each mode satisfies the flux identity; the t = 0
-    # snapshot has no atom slot, so it is reported but kept out of the drifts
-    # and spans
+    # density row has no atom slot, so that row reports the initial measure's
+    # own total mass and fixation moment
     init = kd.InitialMeasure(atoms=[(0.25, 1.0)])
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     times = (0.0, 0.1, 0.5, 1.0, 2.0)
@@ -249,7 +251,23 @@ def test_conservation_interior_atom_constancy(neutral, neutral_basis, neutral_pr
     assert rep.mass_span <= 1e-5
     assert rep.psi_mass_span <= 1e-5
     assert rep.mass_drift <= 1e-5
-    assert len(rep.mass_values) == 5 and rep.mass_values[0] == 0.0
+    assert len(rep.mass_values) == 5 and rep.mass_values[0] == init.total_mass()
+    assert rep.psi_mass_values[0] == coeffs.limits[1]
+
+
+def test_route_gap_matches_trapezoid_route(selection):
+    # the report's gap, written with the conserved sums, against the
+    # conservation-route masses computed per time with np.trapezoid
+    profile = kd.fixation_profile(selection, 1025)
+    basis = kd.build_basis(selection, 24, 1024)
+    init = kd.InitialMeasure(a0=0.1, density="bump(0.4, 0.25)", atoms=[(0.7, 0.3)])
+    coeffs = kd.project_initial(selection, basis, init, profile)
+    sols = kd.solutions_at(selection, basis, coeffs, init, (0.0, 0.5, 1.0, 2.0))
+    psi = profile(basis.closed_grid)
+    expected = max(conservation_route(sol, coeffs.limits, psi)[2] for sol in sols[1:])
+    rep = kd.conservation_residuals(init, sols, coeffs.limits, psi)
+    assert expected > 0.0
+    assert rep.route_gap == pytest.approx(expected, abs=1e-14)
 
 
 def test_ds_norm_values(neutral_basis):
@@ -302,6 +320,17 @@ def test_radon_distance_identity(neutral, neutral_basis, neutral_profile, unifor
     assert kd.radon_distance_to_limit(far, limits) <= 1e-8
 
 
+def test_radon_warns_once_for_earliest_overshoot():
+    sols = kd.Solutions(t=np.array([2.0, 1.0, 3.0]), grid=np.linspace(0.0, 1.0, 5),
+                        density=np.zeros((3, 5)), a=np.array([0.6, 0.7, 0.4]),
+                        b=np.full(3, 0.5), trunc_error=np.zeros(3))
+    with pytest.warns(UserWarning, match="negative mass gap") as record:
+        rho = kd.radon_distance_to_limit(sols, (0.5, 0.5))
+    assert len(record) == 1
+    assert "t=1.0 " in str(record[0].message)
+    assert np.allclose(rho, [-0.1, -0.2, 0.1], rtol=0, atol=1e-15)
+
+
 def test_radon_smoothness_bound(neutral, neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
     limits = kd.limit_masses(neutral, neutral_profile, init)
@@ -325,16 +354,6 @@ def test_weak_form_single_mode(neutral, neutral_basis, neutral_profile, uniform_
         assert val <= 1e-5, name
 
 
-def test_weak_form_unknown_chi(neutral, neutral_basis, neutral_profile, uniform_setup):
-    init, coeffs = uniform_setup
-    times = np.linspace(0.1, 1.0, 17)
-    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, times)
-    with pytest.raises(ValueError):
-        kd.verify_weak_form(
-            neutral, sols, neutral_profile(neutral_basis.closed_grid), chis=["sin"]
-        )
-
-
 def test_truncation_warning_for_atom_at_early_time(neutral, neutral_basis, neutral_profile):
     # off-center atom so the last retained mode carries real weight
     init = kd.InitialMeasure(atoms=[(0.3, 1.0)])
@@ -355,6 +374,8 @@ def test_solutions_at_matches_per_time_series(neutral, neutral_basis, neutral_pr
     assert [s.t for s in sols] == times
     assert np.array_equal(sols[0].density, init.density_samples(neutral_basis.closed_grid))
     assert (sols[0].a, sols[0].b, sols[0].trunc_error) == (0.1, 0.2, 0.0)
+    assert np.array_equal(sols.density_l1(),
+                          [np.trapezoid(np.abs(s.density), s.grid) for s in sols])
     for s in sols[1:]:
         decayed = coeffs.values * np.exp(-lam * s.t)
         assert np.max(np.abs(s.density - modes @ decayed)) <= 1e-13
