@@ -144,6 +144,10 @@ def load_scenario(config, out_dir=None, overrides=None):
         _fail("times", "only the first time may be 0")
     if times[-1] <= 0.0:
         _fail("times", "at least one positive output time is required")
+    # profile files are named by %g of t, so only neighbours can share one
+    for a, b in zip(times, times[1:]):
+        if f"{a:g}" == f"{b:g}":
+            _fail("times", f"{a!r} and {b!r} share the profile file q_t{a:g}.csv")
 
     modes = _number("modes", merged["modes"], int)
     grid = _number("grid", merged["grid"], int)
@@ -199,15 +203,25 @@ def load_scenario(config, out_dir=None, overrides=None):
     )
 
 
-def _write_csv(path, header, columns):
-    """Write a header and equal-length columns (arrays or sequences) as CSV.
+def _csv_fields(column):
+    """The CSV text of each value in a column: strings pass through as
+    already formatted, and numbers become their str through one repr of the
+    whole list, which formats every value in C with no Python frame each."""
+    if isinstance(next(iter(column), ""), str):
+        return column
+    return repr(np.asarray(column).tolist())[1:-1].split(", ")
 
-    Gives the bytes of csv.writer (str of each value, CRLF line ends) for
-    numbers and for strings that need no quoting, which are all this
-    package writes, at a third of its cost."""
-    rows = zip(*(np.asarray(col).tolist() for col in columns))
+
+def _write_csv(path, header, columns):
+    """Write a header and equal-length columns as CSV.
+
+    A column holds numbers or strings that need no quoting, such as
+    _csv_fields' output for a column that several files share, formatted
+    once.  Gives the bytes of csv.writer (str of each value, CRLF line
+    ends), and no value or row costs a Python frame."""
+    rows = map(",".join, zip(*map(_csv_fields, columns)))
     with open(path, "w", newline="") as fh:
-        fh.write("".join(",".join(map(str, row)) + "\r\n" for row in [header, *rows]))
+        fh.write("\r\n".join([",".join(header), *rows, ""]))
 
 
 def _write_json(path, payload):
@@ -353,8 +367,9 @@ def run_scenario(config, out_dir=None, overrides=None):
     report = pieces["report"]
     profiles_dir = out / "profiles"
     profiles_dir.mkdir(exist_ok=True)
+    grid_text = _csv_fields(sols.grid)
     for sol in sols:
-        _write_csv(profiles_dir / f"q_t{sol.t:g}.csv", ["x", "q"], [sol.grid, sol.density])
+        _write_csv(profiles_dir / f"q_t{sol.t:g}.csv", ["x", "q"], [grid_text, sol.density])
     _write_csv(
         out / "evolution.csv",
         ["t", "a", "b", "q_l1", "mass_total", "psi_mass", "radon_to_limit",

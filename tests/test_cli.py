@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -71,6 +72,9 @@ def test_malformed_config_reports_field(tmp_path):
     path2 = demo_config(tmp_path, schema=99)
     with pytest.raises(ConfigError, match="schema"):
         load_scenario(path2)
+    path3 = demo_config(tmp_path, times=[0.5, 1.0, 1.0000001, 2.0])
+    with pytest.raises(ConfigError, match=r"1\.0 and 1\.0000001 share .*q_t1\.csv"):
+        load_scenario(path3)
 
 
 @pytest.mark.parametrize("field, extra", [
@@ -90,6 +94,9 @@ def test_malformed_config_reports_field(tmp_path):
     ("times", {"times": [1.0]}),
     ("times", {"times": [0.1, float("nan")]}),
     ("times", {"times": [0.1, float("inf")]}),
+    # 1.0 and 1.0000001 would both write profiles/q_t1.csv
+    ("times", {"times": [0.5, 1.0, 1.0000001, 2.0], "modes": 16, "grid": 256,
+               "cells": 128}),
 ])
 def test_malformed_field_exits_one_and_names_it(tmp_path, capsys, field, extra):
     path = demo_config(tmp_path, **extra)
@@ -102,17 +109,55 @@ def test_two_times_starting_at_zero_run(tmp_path):
     assert main(["verify", "--config", str(path)]) == 0
 
 
+def _csv_writer_bytes(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
 def test_csv_writer_matches_csv_module(tmp_path):
     names = ["a", "b", "scaled_q_l1", "q_l1", "a", "b", "b"]
     t = np.array([0.0, -0.0, 5e-324, 1e300, np.nan, 0.1, 1e16])
     value = np.array([-3.25e-7, 1.0 / 3.0, -0.0, 2.0, 1e-5, -np.inf, 12345.678])
-    path = tmp_path / "fast.csv"
-    scenario._write_csv(path, ["series", "t", "value"], [names, t, value])
-    with open(tmp_path / "reference.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series", "t", "value"])
-        writer.writerows(zip(names, t, value))
-    assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    count = np.arange(-3, 4)
+    cases = [
+        (["series", "t", "value", "n"], [names, t, value, count],
+         zip(names, t, value, count)),
+        # the string column as plot writes it, a numpy string array
+        (["series", "value"], [np.array(names[:1]), value[:1]], [(names[0], value[0])]),
+        # a column formatted once and shared, next to a plain list of floats
+        (["t", "value"], [scenario._csv_fields(t), value.tolist()], zip(t, value)),
+    ]
+    for header, columns, rows in cases:
+        path = tmp_path / "fast.csv"
+        scenario._write_csv(path, header, columns)
+        assert path.read_bytes() == _csv_writer_bytes(header, rows)
+
+
+def _field(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def test_every_csv_artifact_has_csv_writer_bytes(tmp_path):
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(demo_config(tmp_path))]) == 0
+    assert main(["plot", "--results", str(out)]) == 0
+    assert main(["spectrum", "--modes", "16", "--grid", "512", "--out", str(out),
+                 "--csv"]) == 0
+    paths = sorted(out.rglob("*.csv"))
+    assert {p.name for p in paths} >= {"fixation.csv", "evolution.csv", "q_t0.1.csv",
+                                       "series.csv", "eigenfunctions.csv"}
+    for path in paths:
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        # float repr round-trips, so this pins every field's text
+        expected = _csv_writer_bytes(header, ([_field(v) for v in row] for row in rows))
+        assert path.read_bytes() == expected, path.name
 
 
 @pytest.mark.parametrize("command, series_calls", [("evolve", 2), ("verify", 1)])
@@ -328,10 +373,11 @@ def test_determinism(tmp_path):
     run_scenario(path)
     path2 = demo_config(tmp_path, out=str(tmp_path / "o2"))
     run_scenario(path2)
-    for name in ("evolution.csv", "spectrum.json", "summary.json"):
-        assert (tmp_path / "o1" / name).read_bytes() == (
-            tmp_path / "o2" / name
-        ).read_bytes()
+    trees = [{str(p.relative_to(root)): p.read_bytes()
+              for p in root.rglob("*") if p.is_file()}
+             for root in (tmp_path / "o1", tmp_path / "o2")]
+    assert {"fixation.csv", "profiles/q_t2.csv", "summary.json"} <= trees[0].keys()
+    assert trees[0] == trees[1]
 
 
 def test_json_round_trip(tmp_path):
