@@ -17,8 +17,10 @@ import re
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 _BUMP_NORM = 0.4439938161680794  # integral of exp(-1/(1-u^2)) over (-1, 1)
 # fraction of the initial mass the truncation and roundoff estimates may reach
@@ -59,15 +61,18 @@ def bump_density(center, width):
 
 def density_from_spec(spec):
     """Turn a density spec (None, callable, preset string, or (x, values)
-    sample pair) into a callable, or None."""
+    sample pair) into a callable, or None, and the breakpoints of its smooth
+    panels: (0, 1), the support of "bump(c,w)", or the samples' x; nonnegative
+    samples are read linearly between them and as zero outside."""
     if spec is None or callable(spec):
-        return spec
+        return spec, np.array([0.0, 1.0])
     if isinstance(spec, str):
         if spec == "uniform":
-            return lambda x: np.ones_like(np.asarray(x, float))
+            return (lambda x: np.ones_like(np.asarray(x, float))), np.array([0.0, 1.0])
         m = _PRESET_RE.match(spec.replace(" ", ""))
         if m:
-            return bump_density(float(m.group(1)), float(m.group(2)))
+            c, w = map(float, m.groups())
+            return bump_density(c, w), np.array([c - w, c + w])
         raise ValueError(f"unknown density preset {spec!r}")
     xs, vs = spec
     xs = np.asarray(xs, float)
@@ -76,7 +81,19 @@ def density_from_spec(spec):
         raise ValueError("sampled density needs matching 1-d x and value arrays")
     if np.any(np.diff(xs) <= 0.0) or xs[0] < 0.0 or xs[-1] > 1.0:
         raise ValueError("sample locations must increase within [0, 1]")
-    return lambda x: np.interp(np.asarray(x, float), xs, vs)
+    if np.any(vs < 0.0):
+        raise ValueError("sampled density values must be nonnegative")
+    return (lambda x: np.interp(np.asarray(x, float), xs, vs, left=0.0, right=0.0)), xs
+
+
+@lru_cache(maxsize=None)  # shared by every caller; n is at most a rule's length + 2
+def _gauss01(n):
+    """The n-node Gauss-Legendre rule (nodes, weights) on [0, 1], read-only."""
+    nodes, weights = leggauss(n)
+    rule = 0.5 * (nodes + 1.0), 0.5 * weights
+    for part in rule:
+        part.flags.writeable = False
+    return rule
 
 
 @dataclass
@@ -86,7 +103,7 @@ class InitialMeasure:
     density may be None, a callable, a preset name ("uniform" or
     "bump(center,width)"), or a pair of sample arrays (x, values).
     atoms is a sequence of (location, mass) pairs with locations strictly
-    inside (0, 1).
+    inside (0, 1).  Every moment of the measure goes through integrate.
     """
 
     a0: float = 0.0
@@ -105,7 +122,7 @@ class InitialMeasure:
                 raise ValueError(f"interior atom at {x} lies outside (0, 1)")
             if m <= 0.0:
                 raise ValueError("atom masses must be positive")
-        self._density_fn = density_from_spec(self.density)
+        self._density_fn, self._breaks = density_from_spec(self.density)
         if self._density_fn is not None:
             probe = self._density_fn(_VALIDATION_GRID)
             if np.min(probe) < 0.0:
@@ -119,16 +136,27 @@ class InitialMeasure:
             return np.zeros_like(np.asarray(x, float))
         return self._density_fn(x)
 
-    def density_integral(self):
-        if self._density_fn is None:
-            return 0.0
-        if isinstance(self.density, tuple):
-            xs, vs = self.density
-            return float(np.trapezoid(np.asarray(vs, float), np.asarray(xs, float)))
-        return float(np.trapezoid(self._density_fn(_VALIDATION_GRID), _VALIDATION_GRID))
+    def integrate(self, f, rule=_gauss01(64)):
+        """Integral over the interior of the measure of f, which maps points to
+        an array whose first axis runs over them: sum m f(x) over the atoms
+        plus the density's integral by the Gauss rule (nodes, weights) on
+        [0, 1], 64 nodes by default, mapped onto a single smooth panel.  A
+        sampled density is linear on each of its panels and takes there a
+        Gauss rule with two more nodes than the rule places in it, at most
+        len(rule) + 2 per panel in all."""
+        x, w = np.reshape(self.atoms, (-1, 2)).T
+        if self._density_fn is not None:
+            lo, width = self._breaks[:-1, None], np.diff(self._breaks)[:, None]
+            sizes = np.diff(np.searchsorted(rule[0], self._breaks)) + 2
+            groups = ([(rule, slice(None))] if len(width) == 1
+                      else [(_gauss01(n), sizes == n) for n in np.unique(sizes)])
+            xd = np.concatenate([(lo[p] + width[p] * t).ravel() for (t, _), p in groups])
+            wd = np.concatenate([(width[p] * tw).ravel() for (_, tw), p in groups])
+            x, w = np.concatenate((x, xd)), np.concatenate((w, wd * self._density_fn(xd)))
+        return w @ f(x)
 
     def total_mass(self):
-        return self.a0 + self.b0 + self.density_integral() + sum(m for _, m in self.atoms)
+        return self.a0 + self.b0 + float(self.integrate(np.ones_like))
 
 
 @dataclass
@@ -178,18 +206,15 @@ def project_initial(model, basis, init, profile):
     """Coefficients of the initial measure in the eigenbasis, with its limit
     masses from the fixation profile.
 
-    The weighted pairing reduces to a plain integral of the density against
-    the backward-form mode u_j = e^(-Xi/2) phi_j, taken by the basis's Gauss
-    rule; phi_j is a polynomial vanishing at the endpoints, so interior point
-    masses contribute exact point values.
+    The weighted pairing reduces to a plain integral of the backward-form
+    modes u_j = e^(-Xi/2) phi_j against the measure, which
+    InitialMeasure.integrate takes with the basis's Gauss rule; phi_j is a
+    polynomial vanishing at the endpoints, so interior point masses
+    contribute exact point values and endpoint masses none.
     """
-    vals = np.zeros(basis.n_modes)
-    if init._density_fn is not None:
-        q0 = init.density_samples(basis.quad_nodes)
-        vals += (basis.quad_weights * q0) @ basis.quad_modes
-    if init.atoms:
-        xs, ms = np.array(init.atoms).T
-        vals += (ms * np.exp(-0.5 * model.xi_integral(xs))) @ basis.mode_values(xs)
+    vals = init.integrate(
+        lambda x: np.exp(-0.5 * model.xi_integral(x))[:, None] * basis.mode_values(x),
+        rule=(basis.quad_nodes, basis.quad_weights))
     return SpectralCoefficients(values=vals, limits=limit_masses(model, profile, init))
 
 
@@ -256,23 +281,13 @@ def solutions_at(model, basis, coeffs, init, times):
 
 
 def limit_masses(model, profile, init):
-    """Final absorbed masses: the fixation-probability moment of the initial
-    measure gives the mass at 1, the moment of 1 - psi the mass at 0."""
-    a_inf, b_inf = init.a0, init.b0
-    if init._density_fn is not None:
-        if isinstance(init.density, tuple):
-            xs = np.asarray(init.density[0], float)
-            psi = profile(xs)
-        else:
-            xs, psi = profile.grid, profile.values
-        q0 = init.density_samples(xs)
-        a_inf += float(np.trapezoid((1.0 - psi) * q0, xs))
-        b_inf += float(np.trapezoid(psi * q0, xs))
-    for x, m in init.atoms:
-        psi = float(profile(x))
-        a_inf += m * (1.0 - psi)
-        b_inf += m * psi
-    return a_inf, b_inf
+    """Final absorbed masses (a_inf, b_inf): the endpoint masses plus the
+    moments of 1 - psi and psi over the interior of the initial measure, by
+    one InitialMeasure.integrate with its default rule, so a_inf + b_inf is
+    the total mass by construction; the profile's grid plays no part."""
+    # the columns 1 - psi and psi, from one evaluation of psi
+    a_inf, b_inf = init.integrate(lambda x: np.outer(profile(x), [-1.0, 1.0]) + [1.0, 0.0])
+    return init.a0 + float(a_inf), init.b0 + float(b_inf)
 
 
 def conservation_residuals(init, solutions, limits, psi):

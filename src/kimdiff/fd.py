@@ -77,8 +77,9 @@ def _operator(model, n_cells):
 def _initial_cells(init, xc, h):
     u = init.density_samples(xc).astype(float)
     for x, m in init.atoms:
-        cell = min(int(x / h), len(xc) - 1)
-        u[cell] += m / h
+        s = min(max(x / h - 0.5, 0.0), len(xc) - 1.0)
+        k = min(int(s), len(xc) - 2)
+        u[k : k + 2] += np.array([k + 1.0 - s, s - k]) * (m / h)
     return u
 
 
@@ -126,9 +127,10 @@ def evolve_fd(model, init, t_end, n_cells, dt=None, output_times=None):
 
     Crank-Nicolson in time (dt defaults to the cell width; it must be
     positive and may not exceed it), conservative fluxes in space; interior
-    atoms enter as single-cell spikes of exact mass.  output_times defaults
-    to just t_end and must increase strictly; each requested time is hit
-    exactly by shortening the steps of its interval.
+    atoms are split linearly between the two nearest cell centres, keeping
+    mass and first moment (an end cell takes all beyond its centre).
+    output_times defaults to just t_end and must increase strictly; each
+    requested time is hit exactly by shortening the steps of its interval.
 
     The operator L is similar to a symmetric S = diag(s) L diag(s)^-1 (see
     _symmetrizer), so the solver steps the scaled state w = s u: the matrix

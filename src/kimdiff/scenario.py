@@ -131,7 +131,8 @@ def load_scenario(config, out_dir=None, overrides=None):
     initial = _initial_from_config(raw.get("initial", {}))
 
     try:
-        times = tuple(float(t) for t in raw.get("times") or ())
+        # + 0.0 maps -0.0 to 0.0
+        times = tuple(float(t) + 0.0 for t in raw.get("times") or ())
     except (TypeError, ValueError):
         _fail("times", f"expected a list of numbers, got {raw['times']!r}")
     if len(times) < 2:
@@ -320,7 +321,8 @@ def _gate(scenario, pieces):
             f"{tol['route_agreement']:.1e}"
         )
     floor = -tol["positivity"] * mass0
-    positive = pieces["solutions"][pieces["solutions"].t > 0]
+    sols = pieces["solutions"]
+    positive = sols[sols.t > 0]
     low = positive.density.min(axis=1)
     dips = np.flatnonzero(low < floor)
     if dips.size:
@@ -328,6 +330,12 @@ def _gate(scenario, pieces):
             f"density at t={positive.t[dips[0]]:g} dips to {low[dips[0]]:.3e}, "
             f"below the positivity slack {floor:.1e}"
         )
+    for name, mass in (("a", sols.a), ("b", sols.b)):  # nonnegative and nondecreasing
+        step = np.diff(mass, prepend=mass[0])
+        for i in np.flatnonzero((mass < floor) | (step < floor))[:1]:
+            what = f"is {mass[i]:.3e}" if mass[i] < floor else f"changes by {step[i]:.3e}"
+            violations.append(f"absorbed mass {name} {what} at t={sols.t[i]:g}, "
+                              f"below the positivity slack {floor:.1e}")
     return violations
 
 

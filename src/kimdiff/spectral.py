@@ -33,8 +33,8 @@ class SpectralBasis:
         basis u_n, orthonormal under the weight 1 / (Psi x (1 - x)) and
         signed so the slope at 0 is positive.
     quad_nodes, quad_weights: the Gauss-Legendre rule on [0, 1] that assembled
-        the Galerkin matrices; mode masses and projections reuse it.
-    quad_modes: (nodes, m) values of the backward-form modes u_j at quad_nodes.
+        the Galerkin matrices; mode masses reuse it, and projections map it
+        onto the initial density's panels (InitialMeasure.integrate).
     density_modes: (n+2, m) density modes q_j = e^(Xi/2) phi_j / (Psi x (1 - x))
         on the closed grid, endpoint values included.
     mode_masses: integrals of the density modes over [0, 1].
@@ -45,7 +45,6 @@ class SpectralBasis:
     coefficients: np.ndarray
     quad_nodes: np.ndarray
     quad_weights: np.ndarray
-    quad_modes: np.ndarray
     density_modes: np.ndarray
     mode_masses: np.ndarray
 
@@ -153,16 +152,14 @@ def build_basis(model, n_modes, n_grid):
     coef *= sign
     q *= sign * (np.exp(0.5 * model.xi_integral(closed)) / model.psi_at(closed))[:, None]
     half_xi = 0.5 * model.xi_integral(xq)
-    quot_modes = quot.T @ coef  # phi_j / (x (1 - x)) at the nodes
     return SpectralBasis(
         interior_grid=x,
         eigenvalues=lam,
         coefficients=coef,
         quad_nodes=xq,
         quad_weights=wq,
-        quad_modes=quot_modes * (np.exp(-half_xi) * xq * (1.0 - xq))[:, None],
         density_modes=q,
-        mode_masses=(wq * np.exp(half_xi) / model.psi_at(xq)) @ quot_modes,
+        mode_masses=(wq * np.exp(half_xi) / model.psi_at(xq)) @ (quot.T @ coef),
     )
 
 

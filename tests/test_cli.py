@@ -97,6 +97,9 @@ def test_malformed_config_reports_field(tmp_path):
     # 1.0 and 1.0000001 would both write profiles/q_t1.csv
     ("times", {"times": [0.5, 1.0, 1.0000001, 2.0], "modes": 16, "grid": 256,
                "cells": 128}),
+    # a negative sample between samples 1e-5 apart, which no probe grid meets
+    ("initial", {"initial": {"density": {"x": [0, 0.50001, 0.50002, 0.50003, 1],
+                                         "values": [1, 1, -5, 1, 1]}}}),
 ])
 def test_malformed_field_exits_one_and_names_it(tmp_path, capsys, field, extra):
     path = demo_config(tmp_path, **extra)
@@ -107,6 +110,13 @@ def test_malformed_field_exits_one_and_names_it(tmp_path, capsys, field, extra):
 def test_two_times_starting_at_zero_run(tmp_path):
     path = demo_config(tmp_path, times=[0.0, 1.0], modes=16, grid=256, cells=128)
     assert main(["verify", "--config", str(path)]) == 0
+
+
+def test_negative_zero_time_names_its_profile_q_t0(tmp_path):
+    path = demo_config(tmp_path, times=[-0.0, 1.0], modes=16, grid=256, cells=128)
+    assert main(["evolve", "--config", str(path)]) == 0
+    profiles = {p.name for p in (tmp_path / "out" / "profiles").iterdir()}
+    assert profiles == {"q_t0.csv", "q_t1.csv"}
 
 
 def _csv_writer_bytes(header, rows):
@@ -165,7 +175,8 @@ def test_commands_evaluate_only_what_they_write(tmp_path, monkeypatch, command,
                                                 series_calls):
     # both commands evaluate the series at the scenario times; only evolve
     # adds the 129-time weak-form sweep.  Each evaluates the limits once and
-    # psi once, on the solution grid
+    # psi twice: on the initial measure's rule nodes for the limits, then on
+    # the solution grid
     calls = {"solutions_at": 0, "limit_masses": 0}
     grids = []
     for name in calls:
@@ -191,7 +202,10 @@ def test_commands_evaluate_only_what_they_write(tmp_path, monkeypatch, command,
     assert sum(t > 0 for t in load_scenario(path).times) >= 2
     assert main([command, "--config", str(path)]) == 0
     assert calls == {"solutions_at": series_calls, "limit_masses": 1}
-    assert len(psi_points) == 1 and np.array_equal(psi_points[0], grids[0])
+    rule_nodes, _ = evolution._gauss01(64)  # the uniform density's single panel
+    assert len(psi_points) == 2
+    assert np.array_equal(psi_points[0], rule_nodes)
+    assert np.array_equal(psi_points[1], grids[0])
 
 
 @pytest.mark.parametrize("command", ["evolve", "verify"])
@@ -334,6 +348,48 @@ def test_gate_names_first_dip_after_the_initial_row(tmp_path):
     assert violations == [
         "density at t=0.5 dips to -1.000e-03, below the positivity slack -1.0e-08"
     ]
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    # b falls between t = 0.1 and t = 0.5; a falls by less than the slack
+    ([0.0, 0.1, 0.2, 0.2 - 5e-9], [0.0, 0.3, 0.3 - 1e-6, 0.4],
+     ["absorbed mass b changes by -1.000e-06 at t=0.5, "
+      "below the positivity slack -1.0e-08"]),
+    ([0.0, -2e-8, 0.1, 0.2], [0.0, 0.3, 0.3, -1.0],
+     ["absorbed mass a is -2.000e-08 at t=0.1, below the positivity slack -1.0e-08",
+      "absorbed mass b is -1.000e+00 at t=1, below the positivity slack -1.0e-08"]),
+])
+def test_gate_names_negative_or_falling_absorbed_mass(tmp_path, a, b, expected):
+    sols = evolution.Solutions(
+        t=np.array([0.0, 0.1, 0.5, 1.0]), grid=np.linspace(0.0, 1.0, 5),
+        density=np.zeros((4, 5)), a=np.array(a), b=np.array(b),
+        trunc_error=np.zeros(4),
+    )
+    report = evolution.ConservationReport(0.0, 0.0, 0.0, 0.0, None, None, 0.0)
+    violations = scenario._gate(load_scenario(demo_config(tmp_path)),
+                                {"report": report, "solutions": sols})
+    assert violations == expected
+
+
+@pytest.mark.parametrize("density, limits, a_first", [
+    # linear between the samples: b_inf is the exact first moment 241/600
+    ({"x": [0, 0.3, 0.6, 1], "values": [0, 2, 1, 0]}, (329 / 600, 241 / 600), None),
+    # zero outside the samples, so the mass is 0.9
+    ({"x": [0.2, 0.5, 0.8], "values": [1, 2, 1]}, (0.45, 0.45), None),
+    # a narrow bump: FD Richardson from 2048 and 4096 cells gives a(0.1) = 1.66507e-3
+    ("bump(0.5,0.01)", (0.5, 0.5), 1.665073e-3),
+])
+def test_initial_moments_verify_at_default_resolution(tmp_path, density, limits,
+                                                       a_first):
+    path = demo_config(tmp_path, initial={"density": density}, times=[0.1, 0.5, 1.0],
+                       modes=None, grid=None, cells=None)
+    pieces = scenario.compute_pipeline(load_scenario(path))
+    assert pieces["coeffs"].limits == pytest.approx(limits, abs=1e-11)
+    sols = pieces["solutions"]
+    assert np.all(sols.a >= 0.0) and np.all(sols.b >= 0.0)
+    if a_first is not None:
+        assert sols.a[0] == pytest.approx(a_first, abs=5e-10)
+    assert main(["verify", "--config", str(path)]) == 0
 
 
 def test_verify_demo_passes(tmp_path):

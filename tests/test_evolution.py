@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import kimdiff as kd
 from kimdiff import evolution
@@ -44,14 +46,47 @@ def test_bump_density_unit_mass():
 
 
 def test_density_spec_forms():
-    fn = kd.density_from_spec("uniform")
+    fn, breaks = kd.density_from_spec("uniform")
     assert np.all(fn(np.linspace(0, 1, 5)) == 1.0)
-    fn = kd.density_from_spec("bump(0.5, 0.1)")
+    assert list(breaks) == [0.0, 1.0]
+    fn, breaks = kd.density_from_spec("bump(0.5, 0.1)")
     assert fn(0.5) > 0
+    assert list(breaks) == [0.4, 0.6]
     with pytest.raises(ValueError):
         kd.density_from_spec("gaussian")
-    fn = kd.density_from_spec((np.array([0.0, 0.5, 1.0]), np.array([0.0, 2.0, 0.0])))
-    assert fn(0.25) == pytest.approx(1.0)
+    fn, breaks = kd.density_from_spec((np.array([0.2, 0.5, 1.0]),
+                                       np.array([1.0, 2.0, 0.0])))
+    assert fn(0.35) == pytest.approx(1.5)
+    assert list(breaks) == [0.2, 0.5, 1.0]
+    # zero outside the samples
+    assert fn(0.1) == 0.0 and fn(0.2) == 1.0
+    assert kd.density_from_spec(None)[0] is None
+
+
+@st.composite
+def sampled_density(draw):
+    """Samples on a 1/1024 lattice of [0, 1], with nonnegative values."""
+    ticks = draw(st.lists(st.integers(0, 1024), min_size=2, max_size=12, unique=True))
+    x = np.sort(ticks) / 1024.0
+    values = draw(st.lists(st.floats(0.0, 10.0), min_size=len(x), max_size=len(x)))
+    return x, np.array(values)
+
+
+@settings(derandomize=True, deadline=None)
+@given(sampled_density())
+def test_sampled_density_moments_are_exact(neutral, neutral_profile, density):
+    # linear between samples and zero outside: the mass is the samples'
+    # trapezoid, b_inf (psi = x) the exact first moment, and the limits add up
+    x, v = density
+    mass = float(np.trapezoid(v, x))
+    assume(mass > 0.0)
+    init = kd.InitialMeasure(density=(x, v))
+    x0, x1, v0, v1 = x[:-1], x[1:], v[:-1], v[1:]
+    moment = float(np.sum((x1 - x0) / 6.0 * (x0 * (2 * v0 + v1) + x1 * (v0 + 2 * v1))))
+    a_inf, b_inf = kd.limit_masses(neutral, neutral_profile, init)
+    assert init.total_mass() == pytest.approx(mass, rel=1e-13, abs=1e-13)
+    assert b_inf == pytest.approx(moment, rel=1e-13, abs=1e-13)
+    assert a_inf + b_inf == pytest.approx(init.total_mass(), rel=1e-13, abs=1e-13)
 
 
 def test_projection_of_leading_mode_is_unit_vector(neutral, neutral_basis, neutral_profile):

@@ -51,8 +51,17 @@ def test_monotone_absorbed_masses(selection):
 
 def test_atom_deposited_with_exact_mass(neutral):
     init = kd.InitialMeasure(atoms=[(0.37, 0.8)], density="uniform")
-    states = kd.evolve_fd(neutral, init, 1e-9, 256, output_times=[0.0])
-    assert states[0].total_mass() == pytest.approx(init.total_mass(), rel=1e-12)
+    st = kd.evolve_fd(neutral, init, 1e-9, 256, output_times=[0.0])[0]
+    assert st.total_mass() == pytest.approx(init.total_mass(), rel=1e-12)
+    # and its first moment; the uniform part's is 1/2 on the cell centres
+    moment = st.h * float(np.sum(st.centers * st.values))
+    assert moment == pytest.approx(0.5 + 0.8 * 0.37, rel=1e-12)
+    assert np.count_nonzero(np.abs(st.values - 1.0) > 1e-9) == 2
+    # an atom outside the first cell centre stays whole in the end cell
+    edge = kd.InitialMeasure(atoms=[(0.001, 0.5)])
+    st = kd.evolve_fd(neutral, edge, 1e-9, 256, output_times=[0.0])[0]
+    assert st.values[0] == pytest.approx(0.5 * 256, rel=1e-12)
+    assert np.count_nonzero(st.values) == 1
 
 
 def test_step_budget_counts_every_interval(neutral, monkeypatch):
