@@ -16,7 +16,7 @@ profile = kd.fixation_profile(model, 2049)
 basis = kd.build_basis(model, 32, 2048)
 init = kd.InitialMeasure(density="uniform")
 coeffs = kd.project_initial(model, basis, init, profile)
-limits = kd.limit_masses(model, profile, init)
+limits = kd.limit_masses(profile, init)
 print(f"final masses: extinction {limits[0]:.3f}, fixation {limits[1]:.3f}")
 
 times = [0.1, 0.5, 1.0, 2.0, 3.0]
@@ -51,5 +51,5 @@ atom_sols = kd.solutions_at(model, basis, atom_coeffs, atom, times)
 atom_report = kd.conservation_residuals(atom, atom_sols, atom_coeffs.limits, psi)
 print(f"\npoint mass at 0.25: mass drift {atom_report.mass_drift:.2e} against the "
       f"initial mass 1, constancy span {atom_report.mass_span:.2e}")
-a_inf, b_inf = kd.limit_masses(model, profile, atom)
+a_inf, b_inf = kd.limit_masses(profile, atom)
 print(f"its limits from the fixation profile: ({a_inf:.4f}, {b_inf:.4f})")

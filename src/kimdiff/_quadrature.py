@@ -1,16 +1,44 @@
-"""Piecewise Legendre tables of running integrals, shared by the model,
-fixation and spectral code."""
+"""The package's one Gauss-Legendre rule and the piecewise Legendre tables of
+running integrals built on it, for the model, fixation, spectral and evolution code."""
+
+from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legint, legval, legvander
+from numpy.polynomial.legendre import legint, legval, legvander
 
-_NODES24, _WEIGHTS24 = leggauss(24)
+
+@lru_cache(maxsize=None)  # callers ask for a handful of sizes, each built once
+def gauss01(n):
+    """The n-node Gauss-Legendre rule (nodes ascending, weights) on [0, 1],
+    read-only and mirrored exactly: Newton on P_n's recurrence from Tricomi's
+    roots y = 2x - 1 (0 kept for odd n); w = 1 / ((1 - y^2) P_n'(y)^2) takes
+    P_n' at the converged roots, which near y = +-1 is worth 1e-11 relative."""
+    theta = np.pi * (4 * np.arange(1, (n + 1) // 2 + 1) - 1) / (4 * n + 2)
+    y = (1.0 - 1.0 / (8.0 * n**2) + 1.0 / (8.0 * n**3)) * np.cos(theta)
+    y[n // 2:] = 0.0  # the middle root of odd n
+    step = np.ones_like(y)
+    for _ in range(9):  # the pass after the last step only evaluates P_n'
+        p_prev, p = np.ones_like(y), y
+        for j in range(1, n):
+            p_prev, p = p, ((2 * j + 1) * y * p - j * p_prev) / (j + 1)
+        dp = n * (y * p - p_prev) / (y * y - 1.0)
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+        step = p / dp
+        y -= step
+    t = 0.5 * (1.0 - y)  # the nodes in [0, 1/2]
+    w = 1.0 / ((1.0 - y * y) * dp**2)
+    x = np.concatenate((t, (1.0 - t)[::-1][n % 2:]))
+    w = np.concatenate((w, w[::-1][n % 2:]))
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
 
 TABLE_GAPS = 1024
 TABLE_TOL = 1e-12
-# discrete Legendre transform at the 24 Gauss nodes, exact for degree <= 23:
-# a_n = (n + 1/2) sum_i w_i P_n(t_i) f(t_i)
-_TRANSFORM = (np.arange(24) + 0.5)[:, None] * legvander(_NODES24, 23).T * _WEIGHTS24
+_X24, _W24 = gauss01(24)
+# Legendre coefficients a_n = (2n + 1) sum_i w_i P_n(2 x_i - 1) f(x_i), exact to degree 23
+_TRANSFORM = np.outer(2.0 * np.arange(24) + 1.0, _W24) * legvander(2.0 * _X24 - 1.0, 23).T
 
 
 def running_integral_table(f, name):
@@ -27,7 +55,7 @@ def running_integral_table(f, name):
     """
     half = 0.5 / TABLE_GAPS
     left = 2.0 * half * np.arange(TABLE_GAPS)
-    coef = _TRANSFORM @ f(left + half * (_NODES24[:, None] + 1.0))
+    coef = _TRANSFORM @ f(left + 2.0 * half * _X24[:, None])
     tail = half * np.abs(coef[-2:]).sum(axis=0)
     if not np.all(tail <= TABLE_TOL):  # a NaN tail fails too
         k = int(np.argmax(tail))  # the worst gap, or the first NaN

@@ -74,7 +74,7 @@ def _cmd_spectrum(args):
 
 def _cmd_fixation(args):
     scenario = _scenario_or_default(args)
-    profile = fixation_profile(scenario.model, args.points)
+    profile = fixation_profile(scenario.model, scenario.grid + 1)
     print(f"wrote {write_fixation(scenario.out_dir, profile)}")
     return 0
 
@@ -122,9 +122,8 @@ def build_parser():
     p.add_argument("--csv", action="store_true", help="also dump eigenfunction samples")
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("fixation", help="fixation probability as CSV")
+    p = sub.add_parser("fixation", help="fixation probability on grid + 1 points, as CSV")
     _add_common(p)
-    p.add_argument("--points", type=int, default=2049, help="grid size")
     p.set_defaults(func=_cmd_fixation)
 
     p = sub.add_parser("evolve", help="run a scenario end to end")

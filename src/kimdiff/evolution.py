@@ -17,10 +17,10 @@ import re
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+
+from ._quadrature import gauss01
 
 _BUMP_NORM = 0.4439938161680794  # integral of exp(-1/(1-u^2)) over (-1, 1)
 # fraction of the initial mass the truncation and roundoff estimates may reach
@@ -86,16 +86,6 @@ def density_from_spec(spec):
     return (lambda x: np.interp(np.asarray(x, float), xs, vs, left=0.0, right=0.0)), xs
 
 
-@lru_cache(maxsize=None)  # shared by every caller; n is at most a rule's length + 2
-def _gauss01(n):
-    """The n-node Gauss-Legendre rule (nodes, weights) on [0, 1], read-only."""
-    nodes, weights = leggauss(n)
-    rule = 0.5 * (nodes + 1.0), 0.5 * weights
-    for part in rule:
-        part.flags.writeable = False
-    return rule
-
-
 @dataclass
 class InitialMeasure:
     """Initial data: endpoint masses, interior density, interior point masses.
@@ -136,20 +126,20 @@ class InitialMeasure:
             return np.zeros_like(np.asarray(x, float))
         return self._density_fn(x)
 
-    def integrate(self, f, rule=_gauss01(64)):
+    def integrate(self, f, rule=gauss01(64)):
         """Integral over the interior of the measure of f, which maps points to
         an array whose first axis runs over them: sum m f(x) over the atoms
         plus the density's integral by the Gauss rule (nodes, weights) on
-        [0, 1], 64 nodes by default, mapped onto a single smooth panel.  A
-        sampled density is linear on each of its panels and takes there a
-        Gauss rule with two more nodes than the rule places in it, at most
+        [0, 1], gauss01(64) by default, mapped onto a single smooth panel.  A
+        sampled density is linear on each of its panels and takes there the
+        gauss01 rule with two more nodes than the rule places in it, at most
         len(rule) + 2 per panel in all."""
         x, w = np.reshape(self.atoms, (-1, 2)).T
         if self._density_fn is not None:
             lo, width = self._breaks[:-1, None], np.diff(self._breaks)[:, None]
             sizes = np.diff(np.searchsorted(rule[0], self._breaks)) + 2
             groups = ([(rule, slice(None))] if len(width) == 1
-                      else [(_gauss01(n), sizes == n) for n in np.unique(sizes)])
+                      else [(gauss01(n), sizes == n) for n in np.unique(sizes)])
             xd = np.concatenate([(lo[p] + width[p] * t).ravel() for (t, _), p in groups])
             wd = np.concatenate([(width[p] * tw).ravel() for (_, tw), p in groups])
             x, w = np.concatenate((x, xd)), np.concatenate((w, wd * self._density_fn(xd)))
@@ -215,7 +205,7 @@ def project_initial(model, basis, init, profile):
     vals = init.integrate(
         lambda x: np.exp(-0.5 * model.xi_integral(x))[:, None] * basis.mode_values(x),
         rule=(basis.quad_nodes, basis.quad_weights))
-    return SpectralCoefficients(values=vals, limits=limit_masses(model, profile, init))
+    return SpectralCoefficients(values=vals, limits=limit_masses(profile, init))
 
 
 def solutions_at(model, basis, coeffs, init, times):
@@ -253,7 +243,7 @@ def solutions_at(model, basis, coeffs, init, times):
         safe = times[(times > 0.0) & ~unsafe]
         later = (f"the first safe requested time is t={safe.min():g}" if safe.size
                  else "no requested time is safe")
-        xi = model.xi_integral(basis.closed_grid)
+        xi = model.xi_integral(basis.closed_grid[1:])  # Xi(0) = 0 by definition
         raise ValueError(
             f"series roundoff estimate {roundoff[first]:.2e} at t={times[first]:g} "
             f"exceeds {_SERIES_TOL:g} of the initial mass: Xi ranges over "
@@ -280,7 +270,7 @@ def solutions_at(model, basis, coeffs, init, times):
     return Solutions(times, basis.closed_grid, q, a, b, trunc)
 
 
-def limit_masses(model, profile, init):
+def limit_masses(profile, init):
     """Final absorbed masses (a_inf, b_inf): the endpoint masses plus the
     moments of 1 - psi and psi over the interior of the initial measure, by
     one InitialMeasure.integrate with its default rule, so a_inf + b_inf is

@@ -62,9 +62,13 @@ def _fail(path, msg):
 
 def _number(path, value, kind=float):
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        _fail(path, f"expected a number, got {value!r}")
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = np.nan
+    if isinstance(value, bool) or not np.isfinite(number) or kind(number) != number:
+        what = "integer" if kind is int else "number"
+        _fail(path, f"expected a finite {what}, got {value!r}")
+    return kind(number)
 
 
 def _model_from_config(block):
@@ -182,8 +186,8 @@ def load_scenario(config, out_dir=None, overrides=None):
                 tolerances[key] = val
     for key, val in tolerances.items():
         val = tolerances[key] = _number(f"tolerances.{key}", val)
-        if not 0.0 <= val < np.inf:
-            _fail(f"tolerances.{key}", f"must be finite and nonnegative, got {val}")
+        if val < 0.0:
+            _fail(f"tolerances.{key}", f"must be nonnegative, got {val}")
     s = _number("s", merged["s"])
     if not s >= 0.0:
         _fail("s", f"must be nonnegative, got {s}")

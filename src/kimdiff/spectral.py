@@ -10,16 +10,16 @@ u_n / (x (1 - x)) is again a polynomial, so the density modes take exact
 endpoint values, and their masses and point values are exact up to the
 polynomial truncation, which converges spectrally.  What the factor e^(Xi/2)
 still costs is roundoff: the modes grow like e^(Xi range / 2), which
-evolution.solutions_at gates.  The Gauss rule takes Newton steps from
-Tricomi's roots, and the mass matrix's Cholesky factor reduces the
-eigenproblem to numpy.linalg.eigh, so importing the module loads no scipy.
+evolution.solutions_at gates.  The Gauss rule is _quadrature.gauss01, and
+the mass matrix's Cholesky factor reduces the eigenproblem to
+numpy.linalg.eigh, so importing the module loads no scipy.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import running_integral_table, table_values
+from ._quadrature import gauss01, running_integral_table, table_values
 
 @dataclass
 class SpectralBasis:
@@ -32,9 +32,9 @@ class SpectralBasis:
     coefficients: (N, m) Galerkin coefficients of phi_j = e^(Xi/2) u_j in the
         basis u_n, orthonormal under the weight 1 / (Psi x (1 - x)) and
         signed so the slope at 0 is positive.
-    quad_nodes, quad_weights: the Gauss-Legendre rule on [0, 1] that assembled
-        the Galerkin matrices; mode masses reuse it, and projections map it
-        onto the initial density's panels (InitialMeasure.integrate).
+    quad_nodes, quad_weights: the rule gauss01(2N + 40) on [0, 1] that
+        assembled the Galerkin matrices; mode masses reuse it, and projections
+        map it onto the initial density's panels (InitialMeasure.integrate).
     density_modes: (n+2, m) density modes q_j = e^(Xi/2) phi_j / (Psi x (1 - x))
         on the closed grid, endpoint values included.
     mode_masses: integrals of the density modes over [0, 1].
@@ -84,25 +84,6 @@ def _legendre_slopes(y, n):
     return dp
 
 
-def _gauss_legendre(n):
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] for even n:
-    Newton steps from Tricomi's asymptotic roots, with P_n and P_n' from the
-    three-term recurrence, and w = 2 / ((1 - x^2) P_n'^2)."""
-    theta = np.pi * (4 * np.arange(1, n // 2 + 1) - 1) / (4 * n + 2)
-    x = (1.0 - 1.0 / (8.0 * n**2) + 1.0 / (8.0 * n**3)) * np.cos(theta)
-    for _ in range(8):
-        p_prev, p = np.ones_like(x), x
-        for j in range(1, n):
-            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
-        step = p / dp
-        x -= step
-        if np.max(np.abs(step)) <= 1e-15:
-            break
-    w = 2.0 / ((1.0 - x * x) * dp**2)
-    return np.concatenate((-x, x[::-1])), np.concatenate((w, w[::-1]))
-
-
 def _quotient_rows(dp):
     """u_n(x) / (x (1 - x)) = 4 (2n+3) / ((n+1)(n+2)) P'_{n+1}(2x - 1) for
     n < N, one row per n, from the slopes dp = _legendre_slopes(2x - 1, N + 1);
@@ -130,10 +111,8 @@ def build_basis(model, n_modes, n_grid):
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1; got {n_modes}")
     n_basis = n_modes + 32
-    nodes, weights = _gauss_legendre(2 * n_basis + 40)
-    xq = 0.5 * (nodes + 1.0)
-    wq = 0.5 * weights
-    dp = _legendre_slopes(nodes, n_basis + 1)
+    xq, wq = gauss01(2 * n_basis + 40)
+    dp = _legendre_slopes(2.0 * xq - 1.0, n_basis + 1)
     quot = _quotient_rows(dp)
     # phi_n' - xi phi_n / 2, the x-derivative of u_n being 2 (P_n' - P_{n+2}')
     flux = 2.0 * (dp[:-2] - dp[2:]) - quot * (0.5 * model.xi(xq) * xq * (1.0 - xq))

@@ -123,7 +123,7 @@ def test_boundary_mass_routes(neutral, selection, neutral_big, neutral_profile_b
     x0 = 0.01
     atom = kd.InitialMeasure(atoms=[(x0, 1.0)])
     coeffs_a = kd.project_initial(neutral, neutral_big, atom, neutral_profile_big)
-    a_inf, b_inf = kd.limit_masses(neutral, neutral_profile_big, atom)
+    a_inf, b_inf = kd.limit_masses(neutral_profile_big, atom)
     t_star = 6.0 / neutral_big.eigenvalues[0]
     sol_star, sol_lim = kd.solutions_at(neutral, neutral_big, coeffs_a, atom,
                                         [t_star, np.inf])
@@ -198,7 +198,7 @@ def test_exponential_convergence(neutral, neutral_big, neutral_profile_big,
     c_inf = diag3.c_inf
     scaled_gap = abs(diag3.scaled_l1[0] / c_inf - 1.0)
 
-    limits = kd.limit_masses(neutral, neutral_profile_big, init)
+    limits = kd.limit_masses(neutral_profile_big, init)
     radon_gap = 0.0
     for sol in kd.solutions_at(neutral, neutral_big, coeffs, init,
                                (0.1, 0.5, 1.0, 2.0, 3.0)):

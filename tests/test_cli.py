@@ -13,6 +13,7 @@ import pytest
 
 import kimdiff
 from kimdiff import evolution, scenario
+from kimdiff._quadrature import gauss01
 from kimdiff.cli import main
 from kimdiff.fixation import FixationProfile
 from kimdiff.scenario import (
@@ -100,6 +101,13 @@ def test_malformed_config_reports_field(tmp_path):
     # a negative sample between samples 1e-5 apart, which no probe grid meets
     ("initial", {"initial": {"density": {"x": [0, 0.50001, 0.50002, 0.50003, 1],
                                          "values": [1, 1, -5, 1, 1]}}}),
+    # integer fields are finite, integral and not booleans; s is finite
+    ("modes", {"modes": float("inf")}),
+    ("grid", {"grid": float("inf")}),
+    ("cells", {"cells": float("inf")}),
+    ("s", {"s": float("inf")}),
+    ("modes", {"modes": True}),
+    ("modes", {"modes": 64.5}),
 ])
 def test_malformed_field_exits_one_and_names_it(tmp_path, capsys, field, extra):
     path = demo_config(tmp_path, **extra)
@@ -202,7 +210,7 @@ def test_commands_evaluate_only_what_they_write(tmp_path, monkeypatch, command,
     assert sum(t > 0 for t in load_scenario(path).times) >= 2
     assert main([command, "--config", str(path)]) == 0
     assert calls == {"solutions_at": series_calls, "limit_masses": 1}
-    rule_nodes, _ = evolution._gauss01(64)  # the uniform density's single panel
+    rule_nodes, _ = gauss01(64)  # the uniform density's single panel
     assert len(psi_points) == 2
     assert np.array_equal(psi_points[0], rule_nodes)
     assert np.array_equal(psi_points[1], grids[0])
@@ -473,10 +481,11 @@ def test_default_config_subcommands(tmp_path):
     assert main(["spectrum", "--modes", "16", "--grid", "512",
                  "--out", str(tmp_path / "s"), "--csv"]) == 0
     assert (tmp_path / "s" / "eigenfunctions.csv").exists()
-    assert main(["fixation", "--points", "65", "--out", str(tmp_path / "f")]) == 0
+    # fixation samples psi on the grid + 1 points of the output grid
+    assert main(["fixation", "--grid", "64", "--out", str(tmp_path / "f")]) == 0
     lines = (tmp_path / "f" / "fixation.csv").read_text().strip().splitlines()
     assert lines[0] == "x,psi"
-    assert len(lines) == 66
+    assert len(lines) == 1 + 65
     assert main(["bessel-check", "--grid", "2048", "--out", str(tmp_path / "b")]) == 0
     payload = json.loads((tmp_path / "b" / "bessel.json").read_text())
     assert payload["decreasing"] is True

@@ -83,7 +83,7 @@ def test_sampled_density_moments_are_exact(neutral, neutral_profile, density):
     init = kd.InitialMeasure(density=(x, v))
     x0, x1, v0, v1 = x[:-1], x[1:], v[:-1], v[1:]
     moment = float(np.sum((x1 - x0) / 6.0 * (x0 * (2 * v0 + v1) + x1 * (v0 + 2 * v1))))
-    a_inf, b_inf = kd.limit_masses(neutral, neutral_profile, init)
+    a_inf, b_inf = kd.limit_masses(neutral_profile, init)
     assert init.total_mass() == pytest.approx(mass, rel=1e-13, abs=1e-13)
     assert b_inf == pytest.approx(moment, rel=1e-13, abs=1e-13)
     assert a_inf + b_inf == pytest.approx(init.total_mass(), rel=1e-13, abs=1e-13)
@@ -181,22 +181,22 @@ def test_series_masses_uniform_exact(neutral, neutral_basis, uniform_setup):
 
 def test_limit_masses_examples(neutral, neutral_profile):
     uniform = kd.InitialMeasure(density="uniform")
-    assert kd.limit_masses(neutral, neutral_profile, uniform) == pytest.approx(
+    assert kd.limit_masses(neutral_profile, uniform) == pytest.approx(
         (0.5, 0.5), abs=1e-12
     )
     atom = kd.InitialMeasure(atoms=[(0.25, 1.0)])
-    a_inf, b_inf = kd.limit_masses(neutral, neutral_profile, atom)
+    a_inf, b_inf = kd.limit_masses(neutral_profile, atom)
     assert b_inf == pytest.approx(0.25, abs=1e-9)
     assert a_inf == pytest.approx(0.75, abs=1e-9)
     left = kd.InitialMeasure(a0=1.0)
-    assert kd.limit_masses(neutral, neutral_profile, left) == (1.0, 0.0)
+    assert kd.limit_masses(neutral_profile, left) == (1.0, 0.0)
 
 
 def test_series_route_reaches_limits(neutral, neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
     far = kd.solutions_at(neutral, neutral_basis, coeffs, init, [np.inf])[0]
     a_t, b_t = far.a, far.b
-    a_inf, b_inf = kd.limit_masses(neutral, neutral_profile, init)
+    a_inf, b_inf = kd.limit_masses(neutral_profile, init)
     assert a_t == pytest.approx(a_inf, abs=1e-7)
     assert b_t == pytest.approx(b_inf, abs=1e-7)
 
@@ -232,7 +232,7 @@ def test_series_route_atom_limit_is_exact(neutral, neutral_basis, neutral_profil
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     far = kd.solutions_at(neutral, neutral_basis, coeffs, init, [np.inf])[0]
     a_lim, b_lim = far.a, far.b
-    a_inf, b_inf = kd.limit_masses(neutral, neutral_profile, init)
+    a_inf, b_inf = kd.limit_masses(neutral_profile, init)
     assert a_inf == pytest.approx(0.75, abs=1e-9)
     assert a_lim == pytest.approx(a_inf, abs=1e-12)
     assert b_lim == pytest.approx(b_inf, abs=1e-12)
@@ -240,7 +240,7 @@ def test_series_route_atom_limit_is_exact(neutral, neutral_basis, neutral_profil
 
 def test_cross_check_approaches_limit(neutral, neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
-    a_inf, _ = kd.limit_masses(neutral, neutral_profile, init)
+    a_inf, _ = kd.limit_masses(neutral_profile, init)
     gaps = [
         abs(conservation_route(sol, coeffs.limits, neutral_profile(sol.grid))[0] - a_inf)
         for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, (1.0, 3.0, 6.0))
@@ -347,7 +347,7 @@ def test_decay_degenerate_leading_mode(neutral, neutral_basis):
 
 def test_radon_distance_identity(neutral, neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
-    limits = kd.limit_masses(neutral, neutral_profile, init)
+    limits = kd.limit_masses(neutral_profile, init)
     for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.1, 0.5, 1.0, 2.0)):
         rho = kd.radon_distance_to_limit(sol, limits)
         assert rho == pytest.approx(2 * sol.density_l1(), abs=1e-6)
@@ -368,7 +368,7 @@ def test_radon_warns_once_for_earliest_overshoot():
 
 def test_radon_smoothness_bound(neutral, neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
-    limits = kd.limit_masses(neutral, neutral_profile, init)
+    limits = kd.limit_masses(neutral_profile, init)
     s = 1.0
     c0s, tail = kd.radon_bound_constant(neutral_basis, s)
     assert 0.0 < tail < c0s

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 import kimdiff as kd
-from kimdiff.spectral import _gauss_legendre, _phase_values
+from kimdiff._quadrature import gauss01
+from kimdiff.spectral import _phase_values
 
 from conftest import neutral_mode_exact
 
@@ -86,31 +87,38 @@ def test_neutral_endpoint_values_at_roundoff(neutral, modes):
     # q_j(0) and q_j(1) come from the Gauss rule's weights through the
     # Galerkin matrices, so an inexact end-node weight shows here first
     basis = kd.build_basis(neutral, modes, 512)
+    assert basis.quad_nodes is gauss01(2 * (modes + 32) + 40)[0]
     for x, row in ((0.0, 0), (1.0, -1)):
         exact = np.array([neutral_mode_exact(k, x) for k in range(modes)])
-        assert np.max(np.abs(basis.density_modes[row, :] / exact - 1)) <= 3e-11
+        assert np.max(np.abs(basis.density_modes[row, :] / exact - 1)) <= 5e-12
 
 
-@pytest.mark.parametrize("n", [232, 360])
+@pytest.mark.parametrize("n", [1, 2, 3, 24, 25, 64, 65, 232, 360])
 def test_gauss_rule_matches_mpmath(n):
-    # reference: two Newton steps at 40 digits from each double root (the
-    # first already squares its error), and w = 2 / ((1 - x^2) P_n'(x)^2)
-    # before the second; the negative half is the mirror image
-    nodes, weights = _gauss_legendre(n)
-    assert np.all(np.diff(nodes) > 0)
-    assert np.array_equal(nodes, -nodes[::-1])
+    # reference: from each double node, mapped to y = 2x - 1 in [-1, 1], two
+    # Newton steps at 40 digits (the first already squares its error), then
+    # w = 1 / ((1 - y^2) P_n'(y)^2) at the refined root
+    nodes, weights = gauss01(n)
+    assert gauss01(n) is gauss01(n)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    assert len(nodes) == n and np.all(np.diff(nodes) > 0)
     assert np.array_equal(weights, weights[::-1])
+    assert np.all(nodes + nodes[::-1] == 1.0)
+
+    def legendre(y):
+        p_prev, p = mpmath.mpf(1), y
+        for k in range(1, n):
+            p_prev, p = p, ((2 * k + 1) * y * p - k * p_prev) / (k + 1)
+        return p, n * (y * p - p_prev) / (y * y - 1)
+
     with mpmath.workdps(40):
-        for x0, w0 in zip(nodes[n // 2:], weights[n // 2:]):
-            x = mpmath.mpf(x0)
+        for x0, w0 in zip(nodes, weights):
+            y = 2 * mpmath.mpf(x0) - 1
             for _ in range(2):
-                p_prev, p = mpmath.mpf(1), x
-                for k in range(1, n):
-                    p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-                dp = n * (x * p - p_prev) / (x * x - 1)
-                x -= p / dp
-            assert abs(x0 - x) <= 1e-15
-            assert abs(w0 * (1 - x * x) * dp**2 / 2 - 1) <= 1e-10
+                p, dp = legendre(y)
+                y -= p / dp
+            assert abs(x0 - (1 + y) / 2) <= 2e-16
+            assert abs(w0 * (1 - y * y) * legendre(y)[1] ** 2 - 1) <= 1e-11
 
 
 def test_antisymmetric_mode_has_zero_mass(neutral_basis):
