@@ -10,6 +10,7 @@ import sys
 from .fixation import fixation_profile
 from .scenario import (
     DEFAULT_TOLERANCES,
+    DEFAULTS,
     ConfigError,
     emit_plot_data,
     load_scenario,
@@ -35,17 +36,6 @@ def _add_common(sub):
         sub.add_argument(f"--tol-{flag}", type=float, help=f"{flag} tolerance")
 
 
-def _overrides(args):
-    return {
-        "modes": args.modes,
-        "grid": args.grid,
-        "cells": args.cells,
-        "dt": args.dt,
-        "s": args.s,
-        "tolerances": {name: getattr(args, f"tol_{name}") for name in DEFAULT_TOLERANCES},
-    }
-
-
 _DEFAULT_SCENARIO = {
     "schema": 1,
     "name": "neutral-default",
@@ -55,46 +45,46 @@ _DEFAULT_SCENARIO = {
 }
 
 
-def _scenario_or_default(args):
-    """The --config scenario or a neutral default (written to
-    kimdiff-results unless --out says otherwise), with its output directory
-    created."""
-    scenario = load_scenario(args.config or _DEFAULT_SCENARIO, out_dir=args.out,
-                             overrides=_overrides(args))
+def _scenario(args):
+    """Load the --config scenario with the flags that are set laid over it,
+    and create its output directory.  Without --config, spectrum, fixation
+    and bessel-check load a neutral default written to kimdiff-results."""
+    if not args.config and args.command in ("evolve", "verify"):
+        raise ConfigError(f"{args.command} requires --config")
+    flags = vars(args)
+    overrides = {key: flags[key] for key in (*DEFAULTS, "out")}
+    overrides["tolerances"] = {key: flags[f"tol_{key}"] for key in DEFAULT_TOLERANCES}
+    scenario = load_scenario(args.config or _DEFAULT_SCENARIO, overrides)
     scenario.out_dir.mkdir(parents=True, exist_ok=True)
     return scenario
 
 
 def _cmd_spectrum(args):
-    scenario = _scenario_or_default(args)
+    scenario = _scenario(args)
     basis = build_basis(scenario.model, scenario.modes, scenario.grid)
     print(f"wrote {write_spectrum(scenario.out_dir, scenario.model, basis, args.csv)}")
     return 0
 
 
 def _cmd_fixation(args):
-    scenario = _scenario_or_default(args)
+    scenario = _scenario(args)
     profile = fixation_profile(scenario.model, scenario.grid + 1)
     print(f"wrote {write_fixation(scenario.out_dir, profile)}")
     return 0
 
 
 def _cmd_evolve(args):
-    if not args.config:
-        raise ConfigError("evolve requires --config")
-    return run_scenario(args.config, out_dir=args.out, overrides=_overrides(args))
+    return run_scenario(_scenario(args))
 
 
 def _cmd_verify(args):
-    if not args.config:
-        raise ConfigError("verify requires --config")
-    status = run_verify(args.config, out_dir=args.out, overrides=_overrides(args))
+    status = run_verify(_scenario(args))
     print("verify:", "PASS" if status == 0 else "FAIL (see verify.json)")
     return status
 
 
 def _cmd_bessel(args):
-    scenario = _scenario_or_default(args)
+    scenario = _scenario(args)
     mode_list = [int(m) for m in args.bessel_modes.split(",")]
     n_modes = max(scenario.modes, max(mode_list) + 1)
     basis = build_basis(scenario.model, n_modes, scenario.grid)

@@ -49,8 +49,8 @@ def bump_density(center, width):
 
     Support is (center - width, center + width) and must stay inside (0, 1).
     """
-    if not (0.0 < center - width and center + width < 1.0):
-        raise ValueError("bump support must be contained in (0, 1)")
+    if not (width > 0.0 and 0.0 < center - width and center + width < 1.0):
+        raise ValueError("bump needs a positive width and support inside (0, 1)")
     scale = 1.0 / (width * _BUMP_NORM)
 
     def density(x):

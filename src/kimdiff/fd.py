@@ -225,10 +225,10 @@ def evolve_fd(model, init, t_end, n_cells, dt=None, output_times=None):
                 if w.min() < 0.0:
                     neg = h * float(np.sum(np.minimum(w / s, 0.0)))
                     if neg < -_NEGATIVE_MASS_FRACTION * mass0:
-                        raise RuntimeError(
+                        raise ValueError(
                             f"negative density overflow at t={t + (k + 1) * step:.4g}: "
-                            f"{-neg:.3e} of mass {mass0:.3e} below zero; refine the "
-                            "mesh or smooth the initial data"
+                            f"{-neg:.3e} of mass {mass0:.3e} below zero at "
+                            f"cells={n_cells}; raise cells or smooth the initial data"
                         )
             t = t_out
         states.append(FdState(t=t, centers=xc, values=w / s, a=a, b=b))

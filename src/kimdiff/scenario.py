@@ -35,6 +35,7 @@ DEFAULT_TOLERANCES = {
     "fd_l1": 1e-3,
     "fd_ab": 1e-3,
 }
+_KEYS = ("schema", "name", "model", "initial", "times", "out", *DEFAULTS, "tolerances")
 
 
 class ConfigError(ValueError):
@@ -60,55 +61,110 @@ def _fail(path, msg):
     raise ConfigError(f"config field '{path}': {msg}")
 
 
-def _number(path, value, kind=float):
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = np.nan
-    if isinstance(value, bool) or not np.isfinite(number) or kind(number) != number:
-        what = "integer" if kind is int else "number"
-        _fail(path, f"expected a finite {what}, got {value!r}")
-    return kind(number)
+def _block(path, value, keys):
+    """The config object at path, checked to be an object with known keys."""
+    if not isinstance(value, dict):
+        _fail(path or "top level", f"expected an object, got {value!r:.60}")
+    for key in value:
+        if key not in keys:
+            _fail(f"{path}.{key}" if path else key,
+                  f"unknown key (known: {', '.join(keys)})")
+    return value
+
+
+def _is_number(item_type):
+    return item_type is not bool and issubclass(item_type, (int, float))
+
+
+def _fits(wanted, length):
+    return wanted is None or wanted == length
+
+
+def _number(path, value, kind=float, minimum=None, shape=()):
+    """Read a config number: finite, not a boolean or a string, integral if
+    kind is int, and at least minimum; -0.0 reads as 0.0.  A shape such as
+    (None,) or (None, 2) reads a nested list into an array of that shape,
+    None being an axis of any length, and checks the whole array at once."""
+    items = np.array(value, dtype=object)
+    if shape and items.shape == (0,):  # an empty list fits every list shape
+        items = items.reshape([n or 0 for n in shape])
+    fits = items.ndim == len(shape) and all(map(_fits, shape, items.shape))
+    numbers = np.array(np.nan)
+    if fits and all(map(_is_number, set(map(type, items.flat)))):
+        try:
+            numbers = items.astype(float) + 0.0
+        except OverflowError:  # an integer past the float range
+            pass
+    if not np.isfinite(numbers).all() or kind is int and (numbers % 1).any():
+        noun = "integer" if kind is int else "number"
+        want = f"a finite {noun}"
+        if shape:
+            want = f"a list of {'pairs of ' * (len(shape) - 1)}finite {noun}s"
+        _fail(path, f"expected {want}, got {value!r:.60}")
+    if minimum is not None and (numbers < minimum).any():
+        _fail(path, f"must be at least {minimum}, got {numbers.min():g}")
+    return numbers.astype(kind) if shape else kind(numbers)
+
+
+def _overlay(base, top):
+    """base with the non-None values of top laid over it; an object of top
+    is laid over the object of base key by key."""
+    merged = dict(base)
+    for key, value in top.items():
+        if isinstance(value, dict):
+            under = merged.get(key, {})
+            value = _overlay(under, value) if isinstance(under, dict) else under
+        if value is not None:
+            merged[key] = value
+    return merged
 
 
 def _model_from_config(block):
-    if not isinstance(block, dict):
-        _fail("model", "expected an object")
-    if block.get("preset") == "kimura":
-        try:
-            return make_kimura(float(block.get("eta", 0.0)), float(block.get("beta", 0.0)))
-        except (TypeError, ValueError) as exc:
-            _fail("model", str(exc))
-    if "psi" in block and "pi" in block:
-        try:
-            return CoefficientModel(tuple(block["psi"]), tuple(block["pi"]))
-        except (TypeError, ValueError) as exc:
-            _fail("model.psi/pi", str(exc))
-    _fail("model", 'needs {"preset": "kimura", ...} or {"psi": [...], "pi": [...]}')
+    kimura = isinstance(block, dict) and "preset" in block
+    keys = ("preset", "eta", "beta") if kimura else ("psi", "pi")
+    _block("model", block, keys)
+    if kimura:
+        if block["preset"] != "kimura":
+            _fail("model.preset", f"expected 'kimura', got {block['preset']!r:.60}")
+        build, path = make_kimura, "model"
+        args = [_number(f"model.{key}", block.get(key, 0.0)) for key in keys[1:]]
+    else:
+        if not {"psi", "pi"} <= block.keys():
+            _fail("model", 'needs {"preset": "kimura", ...} or {"psi": [...], "pi": [...]}')
+        build, path = CoefficientModel, "model.psi/pi"
+        args = [tuple(_number(f"model.{key}", block[key], shape=(None,))) for key in keys]
+    try:
+        return build(*args)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 def _initial_from_config(block):
-    if not isinstance(block, dict):
-        _fail("initial", "expected an object")
+    _block("initial", block, ("a0", "b0", "density", "atoms"))
     density = block.get("density")
     if isinstance(density, dict):
-        if "x" not in density or "values" not in density:
+        _block("initial.density", density, ("x", "values"))
+        if not {"x", "values"} <= density.keys():
             _fail("initial.density", "sampled density needs 'x' and 'values'")
-        density = (np.asarray(density["x"], float), np.asarray(density["values"], float))
-    atoms = block.get("atoms", [])
+        density = tuple(_number(f"initial.density.{key}", density[key], shape=(None,))
+                        for key in ("x", "values"))
+    elif not (density is None or isinstance(density, str)):
+        _fail("initial.density", f"expected a name, samples or null, got {density!r:.60}")
+    a0, b0 = (_number(f"initial.{key}", block.get(key, 0.0), minimum=0.0)
+              for key in ("a0", "b0"))
+    atoms = _number("initial.atoms", block.get("atoms", []), shape=(None, 2))
     try:
-        return evolution.InitialMeasure(
-            a0=block.get("a0", 0.0),
-            b0=block.get("b0", 0.0),
-            density=density,
-            atoms=tuple((x, m) for x, m in atoms),
-        )
-    except (TypeError, ValueError) as exc:
+        return evolution.InitialMeasure(a0=a0, b0=b0, density=density, atoms=atoms.tolist())
+    except ValueError as exc:
         _fail("initial", str(exc))
 
 
-def load_scenario(config, out_dir=None, overrides=None):
-    """Parse and validate a scenario from a JSON path or a dict."""
+def load_scenario(config, overrides=None):
+    """Parse and validate a scenario from a JSON path or a dict.
+
+    overrides has the shape of a config; its non-None values, such as the
+    CLI flags, are laid over the config as the config's are over the
+    defaults, and the result is parsed once.  A null reads as absent."""
     if isinstance(config, (str, Path)):
         path = Path(config)
         try:
@@ -117,94 +173,46 @@ def load_scenario(config, out_dir=None, overrides=None):
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
-        default_name = path.stem
+        name = path.stem
     else:
-        raw = dict(config)
-        default_name = "scenario"
-    if raw.get("schema") != SCHEMA_VERSION:
-        _fail("schema", f"expected {SCHEMA_VERSION}, got {raw.get('schema')!r}")
+        raw, name = config, "scenario"
+    base = {"name": name, "out": "kimdiff-results", **DEFAULTS,
+            "tolerances": DEFAULT_TOLERANCES}
+    cfg = _overlay(_overlay(base, _block("", raw, _KEYS)), overrides or {})
+    if _number("schema", cfg.get("schema"), int) != SCHEMA_VERSION:
+        _fail("schema", f"expected {SCHEMA_VERSION}, got {cfg['schema']!r}")
+    for key in ("name", "out"):
+        if not isinstance(cfg[key], str):
+            _fail(key, f"expected a string, got {cfg[key]!r:.60}")
 
-    merged = dict(DEFAULTS)
-    for key in DEFAULTS:
-        if key in raw and raw[key] is not None:
-            merged[key] = raw[key]
-        if overrides and overrides.get(key) is not None:
-            merged[key] = overrides[key]
-
-    model = _model_from_config(raw.get("model", {}))
-    initial = _initial_from_config(raw.get("initial", {}))
-
-    try:
-        # + 0.0 maps -0.0 to 0.0
-        times = tuple(float(t) + 0.0 for t in raw.get("times") or ())
-    except (TypeError, ValueError):
-        _fail("times", f"expected a list of numbers, got {raw['times']!r}")
+    times = tuple(_number("times", cfg.get("times"), minimum=0.0, shape=(None,)).tolist())
     if len(times) < 2:
         _fail("times", f"at least two output times are required, got {len(times)}")
-    if not np.all(np.isfinite(times)):
-        _fail("times", f"times must be finite, got {list(times)}")
-    if any(t < 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
-        _fail("times", "times must be nonnegative and strictly increasing")
-    if any(t == 0.0 for t in times[1:]):
-        _fail("times", "only the first time may be 0")
-    if times[-1] <= 0.0:
-        _fail("times", "at least one positive output time is required")
     # profile files are named by %g of t, so only neighbours can share one
     for a, b in zip(times, times[1:]):
+        if b <= a:
+            _fail("times", "times must increase strictly")
         if f"{a:g}" == f"{b:g}":
             _fail("times", f"{a!r} and {b!r} share the profile file q_t{a:g}.csv")
 
-    modes = _number("modes", merged["modes"], int)
-    grid = _number("grid", merged["grid"], int)
-    cells = _number("cells", merged["cells"], int)
-    if grid < 64:
-        _fail("grid", "must be at least 64")
-    if modes < 1:
-        _fail("modes", "must be at least 1")
-    if cells < 128:
-        _fail("cells", "must be at least 128")
-    dt = merged["dt"]
-    if dt is not None:
-        dt = _number("dt", dt)
-        if not dt > 0.0:
-            _fail("dt", f"must be positive, got {dt}")
-        if dt > 1.0 / cells:
-            _fail("dt", f"must not exceed the cell width 1/{cells}")
-
-    block = raw.get("tolerances", {})
-    if not isinstance(block, dict):
-        _fail("tolerances", "expected an object")
-    tolerances = dict(DEFAULT_TOLERANCES)
-    for key, val in block.items():
-        if key not in DEFAULT_TOLERANCES:
-            _fail(f"tolerances.{key}",
-                  f"unknown tolerance (known: {', '.join(DEFAULT_TOLERANCES)})")
-        tolerances[key] = val
-    if overrides:
-        for key, val in overrides.get("tolerances", {}).items():
-            if val is not None:
-                tolerances[key] = val
-    for key, val in tolerances.items():
-        val = tolerances[key] = _number(f"tolerances.{key}", val)
-        if val < 0.0:
-            _fail(f"tolerances.{key}", f"must be nonnegative, got {val}")
-    s = _number("s", merged["s"])
-    if not s >= 0.0:
-        _fail("s", f"must be nonnegative, got {s}")
-
-    out = Path(out_dir) if out_dir else Path(raw.get("out", "kimdiff-results"))
+    cells = _number("cells", cfg["cells"], int, minimum=128)
+    dt = None if cfg["dt"] is None else _number("dt", cfg["dt"])
+    if dt is not None and not 0.0 < dt <= 1.0 / cells:
+        _fail("dt", f"must be positive and at most the cell width 1/{cells}, got {dt}")
+    tolerances = _block("tolerances", cfg["tolerances"], DEFAULT_TOLERANCES)
     return Scenario(
-        name=raw.get("name", default_name),
-        model=model,
-        initial=initial,
+        name=cfg["name"],
+        model=_model_from_config(cfg.get("model", {})),
+        initial=_initial_from_config(cfg.get("initial", {})),
         times=times,
-        modes=modes,
-        grid=grid,
+        modes=_number("modes", cfg["modes"], int, minimum=1),
+        grid=_number("grid", cfg["grid"], int, minimum=64),
         cells=cells,
         dt=dt,
-        s=s,
-        tolerances=tolerances,
-        out_dir=out,
+        s=_number("s", cfg["s"], minimum=0.0),
+        tolerances={key: _number(f"tolerances.{key}", value, minimum=0.0)
+                    for key, value in tolerances.items()},
+        out_dir=Path(cfg["out"]),
     )
 
 
@@ -343,24 +351,16 @@ def _gate(scenario, pieces):
     return violations
 
 
-def _run_pipeline(config, out_dir, overrides):
-    """Load the scenario (unless given one), create its output directory and
-    run the spectral pipeline; returns (scenario, pieces)."""
-    scenario = config if isinstance(config, Scenario) else load_scenario(
-        config, out_dir=out_dir, overrides=overrides
-    )
-    scenario.out_dir.mkdir(parents=True, exist_ok=True)
-    return scenario, compute_pipeline(scenario)
-
-
-def run_scenario(config, out_dir=None, overrides=None):
-    """Run a scenario config and write all artifacts.
+def run_scenario(scenario):
+    """Run a loaded scenario and write all artifacts into its out_dir.
 
     Returns 0 on success and 2 when an invariant tolerance is violated
     (artifacts are still written, with the violations recorded in the
-    summary).  Config errors raise ConfigError, which the CLI maps to exit 1.
+    summary).  Unresolvable inputs raise ValueError, which the CLI maps to
+    exit 1.
     """
-    scenario, pieces = _run_pipeline(config, out_dir, overrides)
+    scenario.out_dir.mkdir(parents=True, exist_ok=True)
+    pieces = compute_pipeline(scenario)
     model, basis, coeffs = scenario.model, pieces["basis"], pieces["coeffs"]
     sols = pieces["solutions"]
     positive = sols[sols.t > 0]
@@ -425,12 +425,14 @@ def run_scenario(config, out_dir=None, overrides=None):
     return 2 if violations else 0
 
 
-def run_verify(config, out_dir=None, overrides=None):
-    """Paired spectral / finite-difference run with a JSON verdict.
+def run_verify(scenario):
+    """Paired spectral / finite-difference run of a loaded scenario, with a
+    JSON verdict in its out_dir.
 
     Gates on the cross-solver gaps and the spectral invariants; exit status 2
     on any violation, 0 otherwise."""
-    scenario, pieces = _run_pipeline(config, out_dir, overrides)
+    scenario.out_dir.mkdir(parents=True, exist_ok=True)
+    pieces = compute_pipeline(scenario)
     positive = pieces["solutions"][pieces["solutions"].t > 0]
     fd_states = fd.evolve_fd(
         scenario.model,

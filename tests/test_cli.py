@@ -44,7 +44,7 @@ def demo_config(tmp_path, **extra):
 
 def test_run_scenario_demo(tmp_path):
     path = demo_config(tmp_path)
-    status = run_scenario(path)
+    status = run_scenario(load_scenario(path))
     assert status == 0
     out = tmp_path / "out"
     for name in ("spectrum.json", "fixation.csv", "evolution.csv", "summary.json"):
@@ -108,11 +108,66 @@ def test_malformed_config_reports_field(tmp_path):
     ("s", {"s": float("inf")}),
     ("modes", {"modes": True}),
     ("modes", {"modes": 64.5}),
+    # every block knows its keys, including the keys of the chosen model form
+    ("mdoes", {"mdoes": 256}),
+    ("model.bta", {"model": {"preset": "kimura", "bta": 5}}),
+    ("model.psi", {"model": {"preset": "kimura", "psi": [1.0]}}),
+    ("model.preset", {"model": {"preset": "wright", "beta": 1.0}}),
+    ("initial.atom", {"initial": {"atom": [[0.5, 1]]}}),
+    ("initial.density.weights", {"initial": {"density": {
+        "x": [0, 1], "values": [1, 1], "weights": [1, 1]}}}),
+    ("initial.density", {"initial": {"density": 5}}),
+    ("initial", {"initial": {"density": "bump(0.5, 0)"}}),
+    # every config number goes through the one reader
+    ("schema", {"schema": True}),
+    ("times", {"times": [True, 2]}),
+    ("model.eta", {"model": {"preset": "kimura", "eta": "2"}}),
+    ("model.beta", {"model": {"preset": "kimura", "beta": True}}),
+    ("model.beta", {"model": {"preset": "kimura", "beta": float("inf")}}),
+    ("model.psi", {"model": {"psi": ["1"], "pi": [0.0]}}),
+    ("model.pi", {"model": {"psi": [1.0], "pi": [False]}}),
+    ("initial.a0", {"initial": {"a0": True, "density": "uniform"}}),
+    ("initial.b0", {"initial": {"b0": "0.1", "density": "uniform"}}),
+    ("initial.atoms", {"initial": {"atoms": [[0.5, True]]}}),
+    ("initial.atoms", {"initial": {"atoms": [[0.5, 1.0, 2.0]]}}),
+    ("initial.density.x", {"initial": {"density": {"x": [0, "1"], "values": [1, 1]}}}),
+    ("initial.density.values", {"initial": {"density": {"x": [0, 1],
+                                                        "values": [1, True]}}}),
+    ("name", {"name": 5}),
+    ("out", {"out": 5}),
 ])
 def test_malformed_field_exits_one_and_names_it(tmp_path, capsys, field, extra):
     path = demo_config(tmp_path, **extra)
     assert main(["verify", "--config", str(path)]) == 1
     assert f"config field '{field}'" in capsys.readouterr().err
+
+
+def test_overlong_number_exits_one_and_names_it(tmp_path, capsys):
+    # 1e400 parses as inf; the model must not see it
+    path = tmp_path / "beta.json"
+    text = demo_config(tmp_path).read_text().replace('"beta": 0.0', '"beta": 1e400')
+    path.write_text(text)
+    assert main(["verify", "--config", str(path)]) == 1
+    assert "config field 'model.beta'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, message", [
+    # 128 cells do not resolve the boundary layer of beta = 120
+    ({"model": {"preset": "kimura", "eta": 0.0, "beta": 120.0},
+      "initial": {"density": "bump(0.5, 0.3)"}, "times": [0.5, 1], "cells": 128,
+      "modes": None, "grid": None}, "below zero at cells=128; raise cells"),
+    ("[1, 2]", "config field 'top level': expected an object"),
+    ({"out": 5}, "config field 'out': expected a string"),
+])
+def test_cli_input_errors_exit_one_without_traceback(tmp_path, config, message):
+    if isinstance(config, dict):
+        path = demo_config(tmp_path, **config)
+    else:
+        path = tmp_path / "text.json"
+        path.write_text(config)
+    run = _python("-m", "kimdiff.cli", "verify", "--config", str(path))
+    assert run.returncode == 1
+    assert message in run.stderr and "Traceback" not in run.stderr
 
 
 def test_two_times_starting_at_zero_run(tmp_path):
@@ -280,13 +335,17 @@ def test_fully_decayed_times_write_valid_json(tmp_path):
     assert "nan" not in series and "inf" not in series
 
 
-def _fresh_python(*args):
-    """Run python with the package under test on its path; returns stdout."""
+def _python(*args):
+    """Run python with the package under test on its path."""
     src = Path(kimdiff.__file__).parents[1]
-    out = subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def _fresh_python(*args):
+    """_python that must exit 0; returns stdout."""
+    out = _python(*args)
+    out.check_returncode()
     return out.stdout
 
 
@@ -340,22 +399,50 @@ def test_overtight_tolerance_exits_two(tmp_path):
     assert verdict["violations"]
 
 
+def gate(loaded, report=(0.0, 0.0, 0.0), a=np.zeros(4), b=np.zeros(4),
+         density=np.zeros((4, 5))):
+    """_gate's violations for a loaded scenario and made-up results at t = 0, 0.1,
+    0.5 and 1; report holds the mass span, fixation-moment span and route
+    gap."""
+    sols = evolution.Solutions(
+        t=np.array([0.0, 0.1, 0.5, 1.0]), grid=np.linspace(0.0, 1.0, 5),
+        density=np.array(density), a=np.array(a), b=np.array(b),
+        trunc_error=np.zeros(4),
+    )
+    mass_span, psi_mass_span, route_gap = report
+    report = evolution.ConservationReport(0.0, 0.0, mass_span, psi_mass_span, None, None,
+                                          route_gap)
+    return scenario._gate(loaded, {"report": report, "solutions": sols})
+
+
 def test_gate_names_first_dip_after_the_initial_row(tmp_path):
     # the raw t = 0 density is not gated; the first positive time below the
     # positivity slack is named, once
-    grid = np.linspace(0.0, 1.0, 5)
-    sols = evolution.Solutions(
-        t=np.array([0.0, 0.1, 0.5, 1.0]), grid=grid,
-        density=np.array([[-1.0] * 5, [0.0, 0.1, 0.2, 0.1, 0.0],
-                          [0.0, -1e-3, 0.0, 0.0, 0.0], [0.0, -2e-3, 0.0, 0.0, 0.0]]),
-        a=np.zeros(4), b=np.zeros(4), trunc_error=np.zeros(4),
-    )
-    report = evolution.ConservationReport(0.0, 0.0, 0.0, 0.0, None, None, 0.0)
-    violations = scenario._gate(load_scenario(demo_config(tmp_path)),
-                                {"report": report, "solutions": sols})
-    assert violations == [
+    density = [[-1.0] * 5, [0.0, 0.1, 0.2, 0.1, 0.0],
+               [0.0, -1e-3, 0.0, 0.0, 0.0], [0.0, -2e-3, 0.0, 0.0, 0.0]]
+    assert gate(load_scenario(demo_config(tmp_path)), density=density) == [
         "density at t=0.5 dips to -1.000e-03, below the positivity slack -1.0e-08"
     ]
+
+
+@pytest.mark.parametrize("a0, report, expected", [
+    (0.0, (2e-5, 0.0, 0.0),
+     ["mass conservation span 2.000e-05 exceeds 1.0e-05 x initial mass"]),
+    (0.0, (0.0, 3e-5, 0.0),
+     ["fixation-moment span 3.000e-05 exceeds 1.0e-05 x initial mass"]),
+    (0.0, (0.0, 0.0, 4e-5),
+     ["boundary-mass route disagreement 4.000e-05 exceeds 1.0e-05"]),
+    # mass 2: the spans scale with the initial mass, the route gap does not
+    (1.0, (1.5e-5, 2.5e-5, 1.5e-5),
+     ["fixation-moment span 2.500e-05 exceeds 1.0e-05 x initial mass",
+      "boundary-mass route disagreement 1.500e-05 exceeds 1.0e-05"]),
+    # the route gap is absolute, so it may equal its tolerance
+    (0.0, (9.9e-6, 9.9e-6, 1e-5), []),
+])
+def test_gate_names_each_conservation_violation(tmp_path, a0, report, expected):
+    path = demo_config(tmp_path, initial={"a0": a0, "density": "uniform"})
+    a = np.full(4, a0)
+    assert gate(load_scenario(path), report, a=a) == expected
 
 
 @pytest.mark.parametrize("a, b, expected", [
@@ -368,15 +455,7 @@ def test_gate_names_first_dip_after_the_initial_row(tmp_path):
       "absorbed mass b is -1.000e+00 at t=1, below the positivity slack -1.0e-08"]),
 ])
 def test_gate_names_negative_or_falling_absorbed_mass(tmp_path, a, b, expected):
-    sols = evolution.Solutions(
-        t=np.array([0.0, 0.1, 0.5, 1.0]), grid=np.linspace(0.0, 1.0, 5),
-        density=np.zeros((4, 5)), a=np.array(a), b=np.array(b),
-        trunc_error=np.zeros(4),
-    )
-    report = evolution.ConservationReport(0.0, 0.0, 0.0, 0.0, None, None, 0.0)
-    violations = scenario._gate(load_scenario(demo_config(tmp_path)),
-                                {"report": report, "solutions": sols})
-    assert violations == expected
+    assert gate(load_scenario(demo_config(tmp_path)), a=a, b=b) == expected
 
 
 @pytest.mark.parametrize("density, limits, a_first", [
@@ -413,7 +492,7 @@ def test_verify_demo_passes(tmp_path):
 
 def test_plot_emission(tmp_path):
     path = demo_config(tmp_path)
-    run_scenario(path)
+    run_scenario(load_scenario(path))
     status = main(["plot", "--results", str(tmp_path / "out")])
     assert status == 0
     plots = tmp_path / "out" / "plots"
@@ -434,9 +513,9 @@ def test_plot_missing_results(tmp_path, capsys):
 
 def test_determinism(tmp_path):
     path = demo_config(tmp_path, out=str(tmp_path / "o1"))
-    run_scenario(path)
+    run_scenario(load_scenario(path))
     path2 = demo_config(tmp_path, out=str(tmp_path / "o2"))
-    run_scenario(path2)
+    run_scenario(load_scenario(path2))
     trees = [{str(p.relative_to(root)): p.read_bytes()
               for p in root.rglob("*") if p.is_file()}
              for root in (tmp_path / "o1", tmp_path / "o2")]
@@ -446,7 +525,7 @@ def test_determinism(tmp_path):
 
 def test_json_round_trip(tmp_path):
     path = demo_config(tmp_path)
-    run_scenario(path)
+    run_scenario(load_scenario(path))
     for name in ("spectrum.json", "summary.json"):
         payload = json.loads((tmp_path / "out" / name).read_text())
         assert json.loads(json.dumps(payload)) == payload
@@ -461,6 +540,28 @@ def test_cli_overrides(tmp_path):
     assert status == 0
     spectrum = json.loads((tmp_path / "alt" / "spectrum.json").read_text())
     assert len(spectrum["lambda"]) == 16
+
+
+def test_load_scenario_lays_set_overrides_over_the_config(tmp_path):
+    path = demo_config(tmp_path, tolerances={"fd_l1": 5e-3, "positivity": 1e-7})
+    loaded = load_scenario(path, {"modes": 16, "grid": None, "out": str(tmp_path / "alt"),
+                                  "tolerances": {"fd_l1": 2e-3, "fd_ab": None}})
+    assert (loaded.modes, loaded.grid, loaded.cells) == (16, 1024, 256)
+    assert loaded.out_dir == tmp_path / "alt"
+    assert loaded.tolerances == {**scenario.DEFAULT_TOLERANCES, "fd_l1": 2e-3,
+                                 "positivity": 1e-7}
+
+
+def test_evolve_at_zero_smoothness_writes_no_decay_bound(tmp_path):
+    path = demo_config(tmp_path, s=0)
+    assert main(["evolve", "--config", str(path)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    coeffs = scenario.compute_pipeline(load_scenario(path))["coeffs"]
+    smoothness = summary["smoothness"]
+    # the H^0 norm of the coefficients; the bound needs s > 0
+    assert smoothness.pop("initial_norm") == pytest.approx(np.linalg.norm(coeffs.values),
+                                                           rel=1e-14)
+    assert smoothness == {"s": 0.0, "decay_bound_constant": None, "decay_bound_tail": None}
 
 
 def test_scenario_config_with_selection_and_atoms(tmp_path):

@@ -1,13 +1,16 @@
 """Each narrative demo, and the Python quick start of README.md, runs to
-completion with warnings as errors, so an API change that breaks one fails
-the suite."""
+completion with warnings as errors, and every scenario config the docs show
+parses, so an API or schema change that breaks one fails the suite."""
 
+import json
 import re
 import runpy
 import warnings
 from pathlib import Path
 
 import pytest
+
+from kimdiff.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -29,3 +32,15 @@ def test_readme_quick_start_runs_without_warnings(capsys):
         warnings.simplefilter("error")
         exec(compile(blocks[0], str(readme), "exec"), {"__name__": "__main__"})
     assert capsys.readouterr().out
+
+
+def test_documented_scenario_configs_parse():
+    # the parser rejects unknown keys, so a schema drift in the docs fails here
+    readme = ROOT / "README.md"
+    blocks = re.findall(r"^```json\n(.*?)^```", readme.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    load_scenario(json.loads(blocks[0]))
+    configs = sorted((ROOT / "demos" / "configs").glob("*.json"))
+    assert [c.name for c in configs] == ["neutral_uniform.json", "selection_bump.json"]
+    for config in configs:
+        assert load_scenario(config).name == json.loads(config.read_text())["name"]
