@@ -46,21 +46,23 @@ _DEFAULT_SCENARIO = {
 
 
 def _scenario(args):
-    """Load the --config scenario with the flags that are set laid over it,
-    and create its output directory.  Without --config, spectrum, fixation
-    and bessel-check load a neutral default written to kimdiff-results."""
+    """Load the --config scenario with the flags that are set laid over it.
+    Without --config, spectrum, fixation and bessel-check load a neutral
+    default written to kimdiff-results."""
     if not args.config and args.command in ("evolve", "verify"):
         raise ConfigError(f"{args.command} requires --config")
     flags = vars(args)
     overrides = {key: flags[key] for key in (*DEFAULTS, "out")}
-    overrides["tolerances"] = {key: flags[f"tol_{key}"] for key in DEFAULT_TOLERANCES}
-    scenario = load_scenario(args.config or _DEFAULT_SCENARIO, overrides)
-    scenario.out_dir.mkdir(parents=True, exist_ok=True)
-    return scenario
+    tolerances = {key: flags[f"tol_{key}"] for key in DEFAULT_TOLERANCES}
+    if any(value is not None for value in tolerances.values()):
+        # only then: else a config's tolerances that are not an object would be hidden
+        overrides["tolerances"] = tolerances
+    return load_scenario(args.config or _DEFAULT_SCENARIO, overrides)
 
 
 def _cmd_spectrum(args):
     scenario = _scenario(args)
+    scenario.out_dir.mkdir(parents=True, exist_ok=True)
     basis = build_basis(scenario.model, scenario.modes, scenario.grid)
     print(f"wrote {write_spectrum(scenario.out_dir, scenario.model, basis, args.csv)}")
     return 0
@@ -68,6 +70,7 @@ def _cmd_spectrum(args):
 
 def _cmd_fixation(args):
     scenario = _scenario(args)
+    scenario.out_dir.mkdir(parents=True, exist_ok=True)
     profile = fixation_profile(scenario.model, scenario.grid + 1)
     print(f"wrote {write_fixation(scenario.out_dir, profile)}")
     return 0
@@ -85,6 +88,7 @@ def _cmd_verify(args):
 
 def _cmd_bessel(args):
     scenario = _scenario(args)
+    scenario.out_dir.mkdir(parents=True, exist_ok=True)
     mode_list = [int(m) for m in args.bessel_modes.split(",")]
     n_modes = max(scenario.modes, max(mode_list) + 1)
     basis = build_basis(scenario.model, n_modes, scenario.grid)

@@ -72,48 +72,39 @@ def _block(path, value, keys):
     return value
 
 
-def _is_number(item_type):
-    return item_type is not bool and issubclass(item_type, (int, float))
-
-
-def _fits(wanted, length):
-    return wanted is None or wanted == length
-
-
-def _number(path, value, kind=float, minimum=None, shape=()):
+def _number(path, value, kind=float, minimum=None):
     """Read a config number: finite, not a boolean or a string, integral if
-    kind is int, and at least minimum; -0.0 reads as 0.0.  A shape such as
-    (None,) or (None, 2) reads a nested list into an array of that shape,
-    None being an axis of any length, and checks the whole array at once."""
-    items = np.array(value, dtype=object)
-    if shape and items.shape == (0,):  # an empty list fits every list shape
-        items = items.reshape([n or 0 for n in shape])
-    fits = items.ndim == len(shape) and all(map(_fits, shape, items.shape))
-    numbers = np.array(np.nan)
-    if fits and all(map(_is_number, set(map(type, items.flat)))):
+    kind is int, and at least minimum; -0.0 reads as 0.0."""
+    number = np.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            numbers = items.astype(float) + 0.0
+            number = float(value) + 0.0
         except OverflowError:  # an integer past the float range
             pass
-    if not np.isfinite(numbers).all() or kind is int and (numbers % 1).any():
+    if not np.isfinite(number) or kind is int and number % 1:
         noun = "integer" if kind is int else "number"
-        want = f"a finite {noun}"
-        if shape:
-            want = f"a list of {'pairs of ' * (len(shape) - 1)}finite {noun}s"
-        _fail(path, f"expected {want}, got {value!r:.60}")
-    if minimum is not None and (numbers < minimum).any():
-        _fail(path, f"must be at least {minimum}, got {numbers.min():g}")
-    return numbers.astype(kind) if shape else kind(numbers)
+        _fail(path, f"expected a finite {noun}, got {value!r:.60}")
+    if minimum is not None and number < minimum:
+        _fail(path, f"must be at least {minimum}, got {number:g}")
+    return kind(number)
+
+
+def _numbers(path, value, length=None, minimum=None):
+    """Read a config list of numbers, of any length or of the given one."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        count = "" if length is None else f"{length} "
+        _fail(path, f"expected a list of {count}numbers, got {value!r:.60}")
+    return [_number(path, item, minimum=minimum) for item in value]
 
 
 def _overlay(base, top):
     """base with the non-None values of top laid over it; an object of top
-    is laid over the object of base key by key."""
+    is laid over an object of base, or over nothing, key by key."""
     merged = dict(base)
     for key, value in top.items():
-        if isinstance(value, dict):
-            under = merged.get(key, {})
-            value = _overlay(under, value) if isinstance(under, dict) else under
+        under = merged.get(key, {})
+        if isinstance(value, dict) and isinstance(under, dict):
+            value = _overlay(under, value)
         if value is not None:
             merged[key] = value
     return merged
@@ -132,7 +123,7 @@ def _model_from_config(block):
         if not {"psi", "pi"} <= block.keys():
             _fail("model", 'needs {"preset": "kimura", ...} or {"psi": [...], "pi": [...]}')
         build, path = CoefficientModel, "model.psi/pi"
-        args = [tuple(_number(f"model.{key}", block[key], shape=(None,))) for key in keys]
+        args = [tuple(_numbers(f"model.{key}", block[key])) for key in keys]
     try:
         return build(*args)
     except ValueError as exc:
@@ -146,15 +137,17 @@ def _initial_from_config(block):
         _block("initial.density", density, ("x", "values"))
         if not {"x", "values"} <= density.keys():
             _fail("initial.density", "sampled density needs 'x' and 'values'")
-        density = tuple(_number(f"initial.density.{key}", density[key], shape=(None,))
+        density = tuple(_numbers(f"initial.density.{key}", density[key])
                         for key in ("x", "values"))
     elif not (density is None or isinstance(density, str)):
         _fail("initial.density", f"expected a name, samples or null, got {density!r:.60}")
-    a0, b0 = (_number(f"initial.{key}", block.get(key, 0.0), minimum=0.0)
-              for key in ("a0", "b0"))
-    atoms = _number("initial.atoms", block.get("atoms", []), shape=(None, 2))
+    a0, b0 = (_number(f"initial.{key}", block.get(key, 0.0)) for key in ("a0", "b0"))
+    atoms = block.get("atoms", [])
+    if not isinstance(atoms, list):
+        _fail("initial.atoms", f"expected a list of [x, mass] pairs, got {atoms!r:.60}")
+    atoms = [_numbers("initial.atoms", atom, length=2) for atom in atoms]
     try:
-        return evolution.InitialMeasure(a0=a0, b0=b0, density=density, atoms=atoms.tolist())
+        return evolution.InitialMeasure(a0=a0, b0=b0, density=density, atoms=atoms)
     except ValueError as exc:
         _fail("initial", str(exc))
 
@@ -163,8 +156,8 @@ def load_scenario(config, overrides=None):
     """Parse and validate a scenario from a JSON path or a dict.
 
     overrides has the shape of a config; its non-None values, such as the
-    CLI flags, are laid over the config as the config's are over the
-    defaults, and the result is parsed once.  A null reads as absent."""
+    CLI flags, are laid over the config, the two over the defaults, and the
+    result is parsed once.  A null reads as absent."""
     if isinstance(config, (str, Path)):
         path = Path(config)
         try:
@@ -178,14 +171,14 @@ def load_scenario(config, overrides=None):
         raw, name = config, "scenario"
     base = {"name": name, "out": "kimdiff-results", **DEFAULTS,
             "tolerances": DEFAULT_TOLERANCES}
-    cfg = _overlay(_overlay(base, _block("", raw, _KEYS)), overrides or {})
+    cfg = _overlay(base, _overlay(_block("", raw, _KEYS), overrides or {}))
     if _number("schema", cfg.get("schema"), int) != SCHEMA_VERSION:
         _fail("schema", f"expected {SCHEMA_VERSION}, got {cfg['schema']!r}")
     for key in ("name", "out"):
         if not isinstance(cfg[key], str):
             _fail(key, f"expected a string, got {cfg[key]!r:.60}")
 
-    times = tuple(_number("times", cfg.get("times"), minimum=0.0, shape=(None,)).tolist())
+    times = tuple(_numbers("times", cfg.get("times"), minimum=0.0))
     if len(times) < 2:
         _fail("times", f"at least two output times are required, got {len(times)}")
     # profile files are named by %g of t, so only neighbours can share one

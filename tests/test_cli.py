@@ -135,6 +135,12 @@ def test_malformed_config_reports_field(tmp_path):
                                                         "values": [1, True]}}}),
     ("name", {"name": 5}),
     ("out", {"out": 5}),
+    # an object where a number or a string belongs is read, not laid over the default
+    ("modes", {"modes": {"n": 256}}),
+    ("dt", {"dt": {}}),
+    ("out", {"out": {"dir": "x"}}),
+    ("name", {"name": {}}),
+    ("tolerances", {"tolerances": 5}),
 ])
 def test_malformed_field_exits_one_and_names_it(tmp_path, capsys, field, extra):
     path = demo_config(tmp_path, **extra)
