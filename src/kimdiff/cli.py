@@ -87,9 +87,14 @@ def _cmd_verify(args):
 
 
 def _cmd_bessel(args):
+    mode_list = []
+    for item in args.bessel_modes.split(","):
+        try:
+            mode_list.append(int(item))
+        except ValueError:
+            raise ConfigError(f"--bessel-modes: {item!r} is not a mode index") from None
     scenario = _scenario(args)
     scenario.out_dir.mkdir(parents=True, exist_ok=True)
-    mode_list = [int(m) for m in args.bessel_modes.split(",")]
     n_modes = max(scenario.modes, max(mode_list) + 1)
     basis = build_basis(scenario.model, n_modes, scenario.grid)
     print(f"wrote {write_bessel(scenario.out_dir, scenario.model, basis, mode_list)}")

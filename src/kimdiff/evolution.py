@@ -315,11 +315,37 @@ def conservation_residuals(init, solutions, limits, psi):
     )
 
 
+def _exp_in_range(log_value, s, what):
+    """e^log_value; a value too large for a double raises a ValueError
+    naming s, one too small for a double is 0."""
+    with np.errstate(over="ignore", under="ignore"):
+        value = float(np.exp(log_value))
+    if value == np.inf:
+        raise ValueError(
+            f"s={s:g}: {what} is about 10^{log_value / np.log(10.0):.1f}, beyond "
+            f"the double range; lower s"
+        )
+    return value
+
+
+def _power_norm(weights, lam, s, what):
+    """sqrt(sum weights^2 lam^s), summed in log space so that every value a
+    double can hold comes out finite."""
+    weights = np.abs(weights)
+    if not np.any(weights):
+        return 0.0
+    with np.errstate(divide="ignore"):
+        log_terms = 2.0 * np.log(weights) + s * np.log(lam)
+    top = log_terms.max()
+    return _exp_in_range(0.5 * (top + np.log(np.sum(np.exp(log_terms - top)))), s, what)
+
+
 def ds_norm(coeffs, basis, s):
     """Coefficient-space smoothness norm: sqrt(sum w_j^2 lambda_j^s)."""
     if s < 0.0:
         raise ValueError("s must be nonnegative")
-    return float(np.sqrt(np.sum(coeffs.values**2 * basis.eigenvalues**s)))
+    return _power_norm(coeffs.values, basis.eigenvalues, s,
+                       "the smoothness norm of the initial data")
 
 
 def decay_diagnostics(basis, coeffs, solutions):
@@ -385,12 +411,14 @@ def radon_bound_constant(basis, s):
     if basis.n_modes < 2:
         raise ValueError("the tail estimate needs at least two resolved modes")
     lam = basis.eigenvalues
-    c0s = float(np.sqrt(np.sum(basis.mode_masses**2 * lam ** (-s))))
+    what = "the decay bound constant"
+    c0s = _power_norm(basis.mode_masses, lam, -s, what)
     cq = float(np.max(np.abs(basis.mode_masses) * lam**0.25))
     m = basis.n_modes
     growth = lam[-1] / (m - 1) ** 2
-    tail = float(np.sqrt(cq**2 * growth ** (-s - 0.5) * (m - 1) ** (-2 * s) / (2 * s)))
-    return c0s, tail
+    # cq sqrt(growth^(-s - 1/2) (m - 1)^(-2s) / 2s), its powers taken as logs
+    log_tail = -(s + 0.5) * np.log(growth) - 2.0 * s * np.log(m - 1.0) - np.log(2.0 * s)
+    return c0s, cq * _exp_in_range(0.5 * log_tail, s, what)
 
 
 # weak-form checking

@@ -7,10 +7,12 @@ roundoff by construction.  On a mesh fine enough for central differences to
 be monotone, the tridiagonal operator is similar to a symmetric one by a
 positive diagonal scaling, so the implicit matrix is factored as LDL^T once
 per output interval (LAPACK dpttrf) and each step is one solve with that
-factor (dpttrs) on the scaled state.  Coarser meshes are rejected with the
-number of cells they need.  This solver shares no code with the spectral
-route and serves as its end-to-end cross-check; only verify runs it, so
-scipy's LAPACK is imported on first use, off every command's start-up path.
+factor (dpttrs) on the scaled state and one subtraction; the boundary fluxes
+and the negative-density guard read a block of such steps in one pass.
+Coarser meshes are rejected with the number of cells they need.  This solver
+shares no code with the spectral route and serves as its end-to-end
+cross-check; only verify runs it, so scipy's LAPACK is imported on first use,
+off every command's start-up path.
 """
 
 from collections import namedtuple
@@ -24,8 +26,12 @@ _NEGATIVE_MASS_FRACTION = 1e-2
 _LOG_SCALE_FLOOR = -600.0
 # the largest mesh a too-coarse-mesh error suggests
 _MAX_SUGGESTED_CELLS = 2**18
-# the most time steps one run may take (a few tens of seconds at 1024 cells)
+# the most time steps one run may take: about 9 s at 1024 cells, far longer
+# once a decayed density is subnormal (see README)
 _MAX_STEPS = 2**20
+# steps per block of stored states; a block holds at most 512 KB of doubles
+_BLOCK_STEPS = 64
+_BLOCK_VALUES = 2**16
 
 ComparisonRow = namedtuple("ComparisonRow", ["t", "q_l1_diff", "a_diff", "b_diff"])
 
@@ -134,10 +140,13 @@ def evolve_fd(model, init, t_end, n_cells, dt=None, output_times=None):
 
     The operator L is similar to a symmetric S = diag(s) L diag(s)^-1 (see
     _symmetrizer), so the solver steps the scaled state w = s u: the matrix
-    I - (step/2) S is positive definite, factored as LDL^T once per output
-    interval (dpttrf), and each step is one solve with that factor (dpttrs).
-    The boundary fluxes read w through coefficients with 1/s folded in, and
-    u = w / s is formed only at output times and when w goes negative.  A
+    A = I - (step/2) S is positive definite, factored as LDL^T once per output
+    interval (dpttrf), and halving D makes that the factor of A/2, so each
+    step is one solve (dpttrs) and one subtraction, w+ = 2 A^-1 w - w, into
+    the next row of a block of at most _BLOCK_STEPS steps.  One pass per block
+    adds its trapezoidal face fluxes to a and b, through coefficients with 1/s
+    folded in, and tests the rows holding a negative value in step order.
+    u = w / s is formed only at output times and for those rows.  A
     mesh too coarse for the drift (some upper[i] lower[i+1] <= 0) raises a
     ValueError that names cells and the count that resolves it; so does a run
     of more than _MAX_STEPS steps, naming the last time that fits.
@@ -176,12 +185,25 @@ def evolve_fd(model, init, t_end, n_cells, dt=None, output_times=None):
     u = _initial_cells(init, xc, h)
     a, b = init.a0, init.b0
     mass0 = a + b + h * float(np.sum(u))
-    w = s * u
     # one-sided face fluxes (9 F0 u0 - F1 u1) / 3h into a and
     # (9 F[-1] u[-1] - F[-2] u[-2]) / 3h into b, read from w = s u
     a0, a1 = 3.0 * F[0] / (h * s[0]), -F[1] / (3.0 * h * s[1])
     b0, b1 = 3.0 * F[-1] / (h * s[-1]), -F[-2] / (3.0 * h * s[-2])
 
+    def guard(w, t_step):
+        neg = h * float(np.sum(np.minimum(w / s, 0.0)))
+        if neg < -_NEGATIVE_MASS_FRACTION * mass0:
+            raise ValueError(
+                f"negative density overflow at t={t_step:.4g}: "
+                f"{-neg:.3e} of mass {mass0:.3e} below zero at "
+                f"cells={n_cells}; raise cells or smooth the initial data"
+            )
+
+    # row 0 holds the state w = s u, rows 1.. the steps of one block
+    block = np.empty((max(2, min(_BLOCK_STEPS + 1, _BLOCK_VALUES // n_cells)), n_cells))
+    rows = list(block)
+    w = rows[0]
+    np.multiply(s, u, out=w)
     states = []
     t = 0.0
     # the first two steps run as four damped implicit half-steps, which
@@ -197,39 +219,37 @@ def evolve_fd(model, init, t_end, n_cells, dt=None, output_times=None):
                     f"Crank-Nicolson matrix is not positive definite at step "
                     f"{step:.3e} (dpttrf info={info})"
                 )
-
-            def solve(rhs):
-                x, info = dpttrs(d, e, rhs)
-                if info != 0:
-                    raise RuntimeError(f"tridiagonal solve failed (dpttrs info={info})")
-                return x
-
-            for k in range(nsteps):
-                if startup > 0:
-                    # two implicit half-steps share the trapezoidal matrix
-                    for _half in range(2):
-                        w = solve(w)
-                        a += 0.5 * step * (a0 * w[0] + a1 * w[1])
-                        b += 0.5 * step * (b0 * w[-1] + b1 * w[-2])
-                    startup -= 1
-                else:
-                    # (I + step/2 S) w = (2I - A) w, so w+ = 2 A^-1 w - w, and
-                    # the trapezoidal face flux of w + w+ is that of 2 A^-1 w
-                    v = solve(w)
-                    a += step * (a0 * v[0] + a1 * v[1])
-                    b += step * (b0 * v[-1] + b1 * v[-2])
-                    v *= 2.0
-                    v -= w
-                    w = v
-                # s > 0, so w and u = w / s have the same sign
-                if w.min() < 0.0:
-                    neg = h * float(np.sum(np.minimum(w / s, 0.0)))
-                    if neg < -_NEGATIVE_MASS_FRACTION * mass0:
-                        raise ValueError(
-                            f"negative density overflow at t={t + (k + 1) * step:.4g}: "
-                            f"{-neg:.3e} of mass {mass0:.3e} below zero at "
-                            f"cells={n_cells}; raise cells or smooth the initial data"
-                        )
+            k = min(startup, nsteps)
+            for j in range(k):
+                # two implicit half-steps share the trapezoidal matrix
+                for _half in range(2):
+                    w[:], info = dpttrs(d, e, w)
+                    if info != 0:
+                        raise RuntimeError(f"tridiagonal solve failed (dpttrs info={info})")
+                    a += 0.5 * step * (a0 * w[0] + a1 * w[1])
+                    b += 0.5 * step * (b0 * w[-1] + b1 * w[-2])
+                guard(w, t + (j + 1) * step)
+            startup -= k
+            # A/2 = L (D/2) L^T, so with d halved dpttrs returns 2 A^-1 w
+            # exactly, and (I + step/2 S) w = (2I - A) w gives w+ = 2 A^-1 w - w
+            d *= 0.5
+            while k < nsteps:
+                m = min(len(rows) - 1, nsteps - k)
+                for j in range(m):
+                    v, info = dpttrs(d, e, rows[j])
+                    if info != 0:
+                        raise RuntimeError(f"tridiagonal solve failed (dpttrs info={info})")
+                    np.subtract(v, rows[j], out=rows[j + 1])
+                # the trapezoidal face fluxes of each w_j + w_j+1 in the block
+                edge = block[: m + 1, [0, 1, -2, -1]]
+                total = edge[:-1].sum(axis=0) + edge[1:].sum(axis=0)
+                a += 0.5 * step * (a0 * total[0] + a1 * total[1])
+                b += 0.5 * step * (b0 * total[3] + b1 * total[2])
+                # s > 0, so the rows of w and u = w / s go negative together
+                for j in np.flatnonzero(block[1 : m + 1].min(axis=1) < 0.0):
+                    guard(rows[j + 1], t + (k + j + 1) * step)
+                k += m
+                w[:] = rows[m]
             t = t_out
         states.append(FdState(t=t, centers=xc, values=w / s, a=a, b=b))
     return states

@@ -365,6 +365,13 @@ def run_scenario(scenario):
         dense_sols = evolution.solutions_at(model, basis, coeffs, scenario.initial, dense)
         weak = evolution.verify_weak_form(model, dense_sols, pieces["psi"])
 
+    # before any artifact: a norm or bound beyond the double range exits 1
+    initial_norm = evolution.ds_norm(coeffs, basis, scenario.s)
+    if scenario.s > 0:
+        c0s, c0s_tail = evolution.radon_bound_constant(basis, scenario.s)
+    else:
+        c0s = c0s_tail = None
+
     out = scenario.out_dir
     write_spectrum(out, model, basis)
     write_fixation(out, pieces["profile"])
@@ -385,10 +392,6 @@ def run_scenario(scenario):
     )
 
     violations = _gate(scenario, pieces)
-    if scenario.s > 0:
-        c0s, c0s_tail = evolution.radon_bound_constant(basis, scenario.s)
-    else:
-        c0s = c0s_tail = None
     summary = {
         "schema": SCHEMA_VERSION,
         "name": scenario.name,
@@ -399,7 +402,7 @@ def run_scenario(scenario):
         "slope": None if decay is None else decay.slope,
         "smoothness": {
             "s": scenario.s,
-            "initial_norm": evolution.ds_norm(coeffs, basis, scenario.s),
+            "initial_norm": initial_norm,
             "decay_bound_constant": c0s,
             "decay_bound_tail": c0s_tail,
         },

@@ -570,6 +570,45 @@ def test_evolve_at_zero_smoothness_writes_no_decay_bound(tmp_path):
     assert smoothness == {"s": 0.0, "decay_bound_constant": None, "decay_bound_tail": None}
 
 
+def _finite_json(path):
+    """Parse a JSON artifact, failing on Infinity and NaN."""
+    def reject(constant):
+        raise AssertionError(f"{path.name} holds {constant}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("extra, norm", [
+    # the selection-bump demo: lambda_127^100 alone overflows a double, the
+    # norm does not (3.21022561324e206 by mpmath on the same coefficients)
+    ({"name": "selection-bump", "model": {"preset": "kimura", "eta": 1.0, "beta": -0.5},
+      "initial": {"density": "bump(0.4, 0.2)"}, "modes": 128, "grid": 256, "s": 100},
+     3.21022561324e206),
+    # a slow diffusion: the bound's tail took growth^-300.5 = inf times 0
+    ({"model": {"psi": [0.05], "pi": [0.0]}, "modes": 16, "s": 300}, None),
+])
+def test_large_smoothness_exponent_writes_finite_summary(tmp_path, extra, norm):
+    path = demo_config(tmp_path, **extra)
+    assert main(["evolve", "--config", str(path)]) == 0
+    smoothness = _finite_json(tmp_path / "out" / "summary.json")["smoothness"]
+    if norm is not None:
+        assert smoothness["initial_norm"] == pytest.approx(norm, rel=1e-11)
+    assert smoothness["decay_bound_tail"] > 0.0
+
+
+def test_smoothness_norm_beyond_doubles_exits_one(tmp_path, capsys):
+    # neutral uniform data on 16 modes: the s = 1000 norm is about 10^1200
+    path = demo_config(tmp_path, modes=16, s=1000)
+    assert main(["evolve", "--config", str(path)]) == 1
+    assert "s=1000: the smoothness norm" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_bessel_modes_item_error_names_the_flag(tmp_path, capsys):
+    assert main(["bessel-check", "--bessel-modes", "4,x", "--out", str(tmp_path / "b")]) == 1
+    assert "--bessel-modes: 'x' is not a mode index" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
 def test_scenario_config_with_selection_and_atoms(tmp_path):
     path = demo_config(
         tmp_path,

@@ -141,14 +141,24 @@ def test_output_times_must_increase(neutral):
 
 def test_negative_density_guard_reports_failing_step():
     # strong selection on a mesh that resolves the drift but not the
-    # boundary layer drives the cell values below zero within the first
-    # output interval
+    # boundary layer drives the cell values below zero at the fourth step,
+    # inside the first block of stored steps; the block ends at t=0.5
     model = kd.make_kimura(0.0, 120.0)
     init = kd.InitialMeasure(density="bump(0.5, 0.3)")
-    with pytest.raises(ValueError, match="negative density .* at cells=128;") as err:
+    with pytest.raises(ValueError, match=r"negative density .* at t=0\.03125: .* at cells=128;"):
         kd.evolve_fd(model, init, 0.5, 128, output_times=[0.5])
-    t_fail = float(re.search(r"at t=([0-9.e+-]+):", str(err.value)).group(1))
-    assert 0.0 < t_fail < 0.5
+
+
+@pytest.mark.parametrize("block_steps", [64, 3])
+def test_negative_density_guard_past_the_first_block(monkeypatch, block_steps):
+    # mass from an atom next to x = 0 reaches the boundary layer at x = 1 at
+    # the ninth step; with three-step blocks after the two start-up steps
+    # that step opens the third block, which ends at the eleventh (t=0.0859)
+    monkeypatch.setattr(fd, "_BLOCK_STEPS", block_steps)
+    model = kd.make_kimura(0.0, 126.0)
+    init = kd.InitialMeasure(atoms=[(0.02, 1.0)])
+    with pytest.raises(ValueError, match=r"negative density .* at t=0\.07031: "):
+        kd.evolve_fd(model, init, 0.5, 128, output_times=[0.5])
 
 
 def test_under_resolved_drift_names_cells():
@@ -202,17 +212,22 @@ def dense_cn_reference(model, init, n_cells, output_times):
 
 def test_factored_stepper_matches_dense_reference(selection):
     init = kd.InitialMeasure(a0=0.1, b0=0.05, atoms=[(0.37, 0.8)])
-    times = [0.013, 0.05, 0.2]  # intervals of 2, 5 and 20 steps
-    states = kd.evolve_fd(selection, init, 0.2, 128, output_times=times)
+    # intervals of 2, 5, 20 and 170 steps; the last spans three blocks of
+    # stored steps, so it checks their seams and their summed fluxes
+    times = [0.013, 0.05, 0.2, 1.528]
+    states = kd.evolve_fd(selection, init, times[-1], 128, output_times=times)
     reference = dense_cn_reference(selection, init, 128, times)
     for st, (u, a, b) in zip(states, reference):
         assert np.max(np.abs(st.values - u)) <= 1e-12
         assert abs(st.a - a) <= 1e-12 and abs(st.b - b) <= 1e-12
     # strong selection: the symmetrizing scale factors span about e^31 on
-    # this mesh, so the stepped state differs from u by that factor
+    # this mesh, so the stepped state differs from u by that factor; by
+    # t = 1.528 the density has decayed to 1e-14, below the reference's
+    # roundoff, so the long interval is left out
     strong = kd.make_kimura(0.0, 60.0)
     init = kd.InitialMeasure(density="bump(0.5, 0.3)")
-    states = kd.evolve_fd(strong, init, 0.2, 128, output_times=times)
+    times = times[:3]
+    states = kd.evolve_fd(strong, init, times[-1], 128, output_times=times)
     reference = dense_cn_reference(strong, init, 128, times)
     for st, (u, a, b) in zip(states, reference):
         assert np.max(np.abs(st.values - u)) <= 1e-12 * np.max(np.abs(u))
