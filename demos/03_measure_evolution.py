@@ -24,7 +24,7 @@ sols = kd.solutions_at(model, basis, coeffs, init, times)  # one row per time
 psi = profile(basis.closed_grid)  # the fixation probability on the solution grid
 report = kd.conservation_residuals(init, sols, limits, psi)
 l1 = sols.density_l1()
-rho = kd.radon_distance_to_limit(sols, limits)
+rho = kd.radon_distance_to_limit(init, sols, limits)
 
 print("\n  t      a(t)      b(t)     ||q||_1    mass     radon/2||q||")
 for row in zip(sols.t, sols.a, sols.b, l1, report.mass_values, rho / (2 * l1)):

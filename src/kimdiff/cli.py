@@ -94,10 +94,13 @@ def _cmd_bessel(args):
         except ValueError:
             raise ConfigError(f"--bessel-modes: {item!r} is not a mode index") from None
     scenario = _scenario(args)
-    scenario.out_dir.mkdir(parents=True, exist_ok=True)
     n_modes = max(scenario.modes, max(mode_list) + 1)
     basis = build_basis(scenario.model, n_modes, scenario.grid)
-    print(f"wrote {write_bessel(scenario.out_dir, scenario.model, basis, mode_list)}")
+    try:
+        path = write_bessel(scenario.out_dir, scenario.model, basis, mode_list)
+    except ValueError as exc:  # a mode outside the comparison's regime
+        raise ConfigError(f"--bessel-modes: {exc}") from None
+    print(f"wrote {path}")
     return 0
 
 

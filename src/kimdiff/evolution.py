@@ -14,7 +14,6 @@ distance to the limit, weak form) reads that record's arrays.
 """
 
 import re
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -221,13 +220,14 @@ def solutions_at(model, basis, coeffs, init, times):
     point-mass data.  t may be inf; t = 0 yields the raw initial data, since
     the truncated series need not converge pointwise for measure data.
 
-    Each time carries a truncation estimate, the last retained term's
-    bound; one warning names the earliest time at which it exceeds 1e-6 of
-    the initial mass.  The modes grow like e^(Xi range / 2), and the sum of
-    |c_j exp(-lambda_j t)| max|q_j| times the unit roundoff estimates what
-    rounding costs; where that exceeds 1e-6 of the initial mass at a
-    positive time, ValueError names the earliest such time, the first safe
-    one and the range of Xi.
+    Each time carries a truncation estimate, the larger bound
+    |c_j exp(-lambda_j t)| max|q_j| of the last two retained terms, so that
+    a parity of the data cannot hide the tail.  The modes grow like
+    e^(Xi range / 2), and the sum of those bounds over all modes times the
+    unit roundoff estimates what rounding costs.  Where either estimate
+    exceeds 1e-6 of the initial mass at a positive time, ValueError names
+    the earliest such time and the first safe one, and either the range of
+    Xi (roundoff, which more modes cannot mend) or the mode count to raise.
     """
     times = np.array(times, float, ndmin=1)
     if np.any(times < 0.0):
@@ -236,22 +236,28 @@ def solutions_at(model, basis, coeffs, init, times):
     decayed = coeffs.values * np.exp(-np.outer(times, basis.eigenvalues))
     sup = np.max(np.abs(modes), axis=0)
     roundoff = np.finfo(float).eps * (np.abs(decayed) @ sup)
+    trunc = np.max(np.abs(decayed[:, -2:]) * sup[-2:], axis=1)
     bound = _SERIES_TOL * init.total_mass()
-    unsafe = (times > 0.0) & (roundoff > bound)
+    unsafe = (times > 0.0) & (np.maximum(roundoff, trunc) > bound)
     if unsafe.any():
         first = np.flatnonzero(unsafe)[np.argmin(times[unsafe])]
         safe = times[(times > 0.0) & ~unsafe]
         later = (f"the first safe requested time is t={safe.min():g}" if safe.size
                  else "no requested time is safe")
-        xi = model.xi_integral(basis.closed_grid[1:])  # Xi(0) = 0 by definition
+        if roundoff[first] > bound:
+            xi = model.xi_integral(basis.closed_grid[1:])  # Xi(0) = 0 by definition
+            raise ValueError(
+                f"series roundoff estimate {roundoff[first]:.2e} at t={times[first]:g} "
+                f"exceeds {_SERIES_TOL:g} of the initial mass: Xi ranges over "
+                f"[{min(0.0, xi.min()):.4g}, {max(0.0, xi.max()):.4g}] on [0, 1], and "
+                f"the eigenmodes grow like e^(Xi range / 2); {later}"
+            )
         raise ValueError(
-            f"series roundoff estimate {roundoff[first]:.2e} at t={times[first]:g} "
-            f"exceeds {_SERIES_TOL:g} of the initial mass: Xi ranges over "
-            f"[{min(0.0, xi.min()):.4g}, {max(0.0, xi.max()):.4g}] on [0, 1], and the "
-            f"eigenmodes grow like e^(Xi range / 2); {later}"
+            f"series truncation estimate {trunc[first]:.2e} at t={times[first]:g} "
+            f"exceeds {_SERIES_TOL:g} of the initial mass: raise modes "
+            f"(modes={basis.n_modes}); {later}"
         )
     q = decayed @ modes.T
-    trunc = np.abs(decayed[:, -1]) * sup[-1]
     tail = decayed / basis.eigenvalues
     a = coeffs.limits[0] - model.psi_at(0.0) * (tail @ modes[0, :])
     b = coeffs.limits[1] - model.psi_at(1.0) * (tail @ modes[-1, :])
@@ -259,14 +265,6 @@ def solutions_at(model, basis, coeffs, init, times):
     q[start] = init.density_samples(basis.closed_grid)
     trunc[start] = 0.0
     a[start], b[start] = init.a0, init.b0
-    over = np.flatnonzero(trunc > bound)
-    if over.size:
-        first = over[np.argmin(times[over])]
-        warnings.warn(
-            f"series truncation estimate {trunc[first]:.2e} at t={times[first]} "
-            f"exceeds {_SERIES_TOL:g} of the initial mass; add modes or evaluate later",
-            stacklevel=2,
-        )
     return Solutions(times, basis.closed_grid, q, a, b, trunc)
 
 
@@ -351,22 +349,17 @@ def ds_norm(coeffs, basis, s):
 def decay_diagnostics(basis, coeffs, solutions):
     """Large-time decay of the interior mass along a Solutions record.
 
-    Returns the limit constant (leading mode mass times leading coefficient),
-    the sequence exp(lambda_0 t) ||q(t)||_1 (0 where the norm underflowed),
-    and the fitted slope of log ||q||_1 against t over the times with a
-    nonzero norm, which should approach -lambda_0; None when fewer than two
-    such times remain.
+    Returns the limit constant (leading mode mass times leading coefficient,
+    0 for data with no leading-mode content), the sequence
+    exp(lambda_0 t) ||q(t)||_1 (0 where the norm underflowed), and the fitted
+    slope of log ||q||_1 against t over the times with a nonzero norm, which
+    should approach minus the first eigenvalue whose coefficient is nonzero;
+    None when fewer than two such times remain.
     """
     times = solutions.t
     if np.any(times <= 0.0):
         raise ValueError("decay diagnostics need strictly positive times")
     lam0 = basis.eigenvalues[0]
-    if abs(coeffs.values[0]) < 1e-12 * max(np.linalg.norm(coeffs.values), 1e-300):
-        warnings.warn(
-            "leading coefficient vanishes; the limit constant is 0 and decay "
-            "is governed by the next eigenvalue",
-            stacklevel=2,
-        )
     l1 = solutions.density_l1()
     c_inf = float(basis.mode_masses[0] * coeffs.values[0])
     with np.errstate(divide="ignore"):
@@ -380,26 +373,17 @@ def decay_diagnostics(basis, coeffs, solutions):
                             slope=slope)
 
 
-def radon_distance_to_limit(solutions, limits):
-    """Total-variation distance from the limit measure, one value per time.
+def radon_distance_to_limit(init, solutions, limits):
+    """Total-variation distance from the limit measure, one value per time:
+    the two mass gaps plus the interior L1 norm, and on a t = 0 row, whose
+    density has no atom slot, the interior atoms' mass as well.
 
-    For nonnegative data the mass gaps and the interior L1 norm add up, and
-    the value equals exactly twice the interior L1 norm.  One warning names
-    the earliest time at which a boundary mass overshoots its limit."""
+    For nonnegative data the gaps add up to the interior mass, so the value
+    equals twice the interior mass.  Whether a mass stays below its limit is
+    scenario._gate's question."""
     a_inf, b_inf = limits
-    gap_a = a_inf - solutions.a
-    gap_b = b_inf - solutions.b
-    scale = max(abs(a_inf) + abs(b_inf), 1e-300)
-    t, low_a, low_b = np.atleast_1d(solutions.t, gap_a, gap_b)
-    negative = np.flatnonzero(np.minimum(low_a, low_b) < -1e-9 * scale)
-    if negative.size:
-        i = negative[np.argmin(t[negative])]
-        warnings.warn(
-            f"negative mass gap at t={t[i]} (a: {low_a[i]:.2e}, b: {low_b[i]:.2e}); "
-            "boundary masses should increase toward their limits",
-            stacklevel=2,
-        )
-    return gap_a + gap_b + solutions.density_l1()
+    rho = (a_inf - solutions.a) + (b_inf - solutions.b) + solutions.density_l1()
+    return rho + sum(m for _, m in init.atoms) * (solutions.t == 0.0)
 
 
 def radon_bound_constant(basis, s):

@@ -203,7 +203,7 @@ def bessel_comparison(model, basis, j):
     from scipy.special import j1
     j = int(j)
     if j < 4:
-        raise ValueError("the comparison lives in the asymptotic regime; use j >= 4")
+        raise ValueError(f"mode {j} lies outside the asymptotic regime; use modes >= 4")
     if j >= basis.n_modes:
         raise ValueError(f"mode {j} not in basis ({basis.n_modes} modes)")
     x = basis.interior_grid

@@ -322,6 +322,46 @@ def test_selection_past_roundoff_names_time_and_xi_range(tmp_path, capsys, beta,
     assert "the first safe requested time is t=0.5" in err
 
 
+@pytest.mark.parametrize("initial, times, safe, estimate", [
+    ({"atoms": [[0.3, 1.0]]}, [0.001, 0.1, 1.0], 0.1, "6.09e+00"),
+    # symmetric data: the last mode is 0, the one before it is not
+    ({"density": "bump(0.5,0.01)"}, [0.001, 0.5, 1.0], 0.5, "6.29e+00"),
+])
+def test_early_time_exits_one_naming_modes(tmp_path, capsys, initial, times, safe,
+                                           estimate):
+    path = demo_config(tmp_path, initial=initial, times=times, modes=None, grid=None,
+                       cells=None)
+    assert main(["evolve", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", (
+        f"error: series truncation estimate {estimate} at t=0.001 exceeds 1e-06 of the "
+        f"initial mass: raise modes (modes=64); the first safe requested time is "
+        f"t={safe:g}\n"))
+    assert main(["evolve", "--config", str(path), "--modes", "256"]) == 0
+
+
+def test_radon_to_limit_at_time_zero_counts_interior_atoms(tmp_path):
+    # uniform density and an atom of mass 0.5: at t = 0 the measure lies a
+    # distance of twice its interior mass 1.5 from the limit
+    path = demo_config(tmp_path, initial={"density": "uniform", "atoms": [[0.3, 0.5]]},
+                       times=[0.0, 0.1, 1.0], modes=None, grid=None, cells=None)
+    assert main(["evolve", "--config", str(path)]) == 0
+    with open(tmp_path / "out" / "evolution.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    radon = [float(row["radon_to_limit"]) for row in rows]
+    assert radon[0] == pytest.approx(3.0, abs=1e-12)
+    assert radon[0] > radon[1] > radon[2]
+    # the q_l1 column stays the density's norm
+    assert float(rows[0]["q_l1"]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_boundary_masses_only_write_zero_limit_constant(tmp_path):
+    # no interior mass: no leading-mode content, and nothing left to fit
+    path = demo_config(tmp_path, initial={"a0": 0.3, "b0": 0.7})
+    assert main(["evolve", "--config", str(path)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert (summary["C_inf"], summary["slope"]) == (0.0, None)
+
+
 def test_fully_decayed_times_write_valid_json(tmp_path):
     # by t = 400 the density underflows to 0: no log(0) in the slope fit, no
     # exp overflow in the rescaled norm, and strict JSON in the summary
@@ -406,10 +446,10 @@ def test_overtight_tolerance_exits_two(tmp_path):
 
 
 def gate(loaded, report=(0.0, 0.0, 0.0), a=np.zeros(4), b=np.zeros(4),
-         density=np.zeros((4, 5))):
+         density=np.zeros((4, 5)), limits=(1.0, 1.0)):
     """_gate's violations for a loaded scenario and made-up results at t = 0, 0.1,
     0.5 and 1; report holds the mass span, fixation-moment span and route
-    gap."""
+    gap, limits the limits of a and b."""
     sols = evolution.Solutions(
         t=np.array([0.0, 0.1, 0.5, 1.0]), grid=np.linspace(0.0, 1.0, 5),
         density=np.array(density), a=np.array(a), b=np.array(b),
@@ -418,7 +458,8 @@ def gate(loaded, report=(0.0, 0.0, 0.0), a=np.zeros(4), b=np.zeros(4),
     mass_span, psi_mass_span, route_gap = report
     report = evolution.ConservationReport(0.0, 0.0, mass_span, psi_mass_span, None, None,
                                           route_gap)
-    return scenario._gate(loaded, {"report": report, "solutions": sols})
+    coeffs = evolution.SpectralCoefficients(np.zeros(1), limits=limits)
+    return scenario._gate(loaded, {"report": report, "solutions": sols, "coeffs": coeffs})
 
 
 def test_gate_names_first_dip_after_the_initial_row(tmp_path):
@@ -464,6 +505,21 @@ def test_gate_names_negative_or_falling_absorbed_mass(tmp_path, a, b, expected):
     assert gate(load_scenario(demo_config(tmp_path)), a=a, b=b) == expected
 
 
+@pytest.mark.parametrize("a, b, expected", [
+    # b passes its limit by more than the slack from t = 0.5 on, a by less
+    ([0.0, 0.2, 0.5 + 5e-9, 0.5 + 5e-9], [0.0, 0.3, 0.5 + 2e-6, 0.5 + 3e-6],
+     ["absorbed mass b exceeds its limit 0.5 by 2.000e-06 at t=0.5, "
+      "above the positivity slack 1.0e-08"]),
+    # one violation per mass: a falls at t = 0.5 after passing its limit at t = 0.1
+    ([0.0, 0.6, 0.55, 0.55], [0.0, 0.1, 0.2, 0.3],
+     ["absorbed mass a exceeds its limit 0.5 by 1.000e-01 at t=0.1, "
+      "above the positivity slack 1.0e-08"]),
+])
+def test_gate_names_absorbed_mass_above_its_limit(tmp_path, a, b, expected):
+    loaded = load_scenario(demo_config(tmp_path))
+    assert gate(loaded, a=a, b=b, limits=(0.5, 0.5)) == expected
+
+
 @pytest.mark.parametrize("density, limits, a_first", [
     # linear between the samples: b_inf is the exact first moment 241/600
     ({"x": [0, 0.3, 0.6, 1], "values": [0, 2, 1, 0]}, (329 / 600, 241 / 600), None),
@@ -494,6 +550,19 @@ def test_verify_demo_passes(tmp_path):
     assert verdict["fd_mass_drift"] <= 1e-10
     for row in verdict["comparison"]:
         assert row["q_l1_diff"] <= 1e-3
+
+
+@pytest.mark.parametrize("config", ["atom_verify", "fd_verify", "spectral_evolve"])
+def test_bench_configs_pass_both_commands(tmp_path, config):
+    # the benchmark counts a call as failed on any exit other than 0 or any
+    # listed violation; the configs are read where they are, output goes here
+    path = Path(__file__).resolve().parents[1] / "bench" / "configs" / f"{config}.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command, verdict in (("evolve", "summary.json"), ("verify", "verify.json")):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
+            assert json.loads((out / verdict).read_text())["violations"] == []
 
 
 def test_plot_emission(tmp_path):
@@ -604,9 +673,15 @@ def test_smoothness_norm_beyond_doubles_exits_one(tmp_path, capsys):
 
 
 def test_bessel_modes_item_error_names_the_flag(tmp_path, capsys):
-    assert main(["bessel-check", "--bessel-modes", "4,x", "--out", str(tmp_path / "b")]) == 1
-    assert "--bessel-modes: 'x' is not a mode index" in capsys.readouterr().err
-    assert not (tmp_path / "b").exists()
+    for modes, message in [
+        ("4,x", "--bessel-modes: 'x' is not a mode index"),
+        ("1,4", "--bessel-modes: mode 1 lies outside the asymptotic regime; "
+                "use modes >= 4"),
+    ]:
+        out = tmp_path / modes
+        assert main(["bessel-check", "--bessel-modes", modes, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def test_scenario_config_with_selection_and_atoms(tmp_path):

@@ -339,8 +339,7 @@ def test_decay_degenerate_leading_mode(neutral, neutral_basis):
     sols = kd.solutions_at(
         neutral, neutral_basis, coeffs, kd.InitialMeasure(a0=1.0), np.linspace(0.4, 1.0, 7)
     )
-    with pytest.warns(UserWarning, match="leading coefficient"):
-        diag = kd.decay_diagnostics(neutral_basis, coeffs, sols)
+    diag = kd.decay_diagnostics(neutral_basis, coeffs, sols)
     assert diag.slope == pytest.approx(-6.0, rel=0.02)
     assert diag.c_inf == 0.0
 
@@ -349,21 +348,10 @@ def test_radon_distance_identity(neutral, neutral_basis, neutral_profile, unifor
     init, coeffs = uniform_setup
     limits = kd.limit_masses(neutral_profile, init)
     for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.1, 0.5, 1.0, 2.0)):
-        rho = kd.radon_distance_to_limit(sol, limits)
+        rho = kd.radon_distance_to_limit(init, sol, limits)
         assert rho == pytest.approx(2 * sol.density_l1(), abs=1e-6)
     far = kd.solutions_at(neutral, neutral_basis, coeffs, init, [20.0])[0]
-    assert kd.radon_distance_to_limit(far, limits) <= 1e-8
-
-
-def test_radon_warns_once_for_earliest_overshoot():
-    sols = kd.Solutions(t=np.array([2.0, 1.0, 3.0]), grid=np.linspace(0.0, 1.0, 5),
-                        density=np.zeros((3, 5)), a=np.array([0.6, 0.7, 0.4]),
-                        b=np.full(3, 0.5), trunc_error=np.zeros(3))
-    with pytest.warns(UserWarning, match="negative mass gap") as record:
-        rho = kd.radon_distance_to_limit(sols, (0.5, 0.5))
-    assert len(record) == 1
-    assert "t=1.0 " in str(record[0].message)
-    assert np.allclose(rho, [-0.1, -0.2, 0.1], rtol=0, atol=1e-15)
+    assert kd.radon_distance_to_limit(init, far, limits) <= 1e-8
 
 
 def test_radon_smoothness_bound(neutral, neutral_basis, neutral_profile, uniform_setup):
@@ -375,7 +363,7 @@ def test_radon_smoothness_bound(neutral, neutral_basis, neutral_profile, uniform
     w_norm = kd.ds_norm(coeffs, neutral_basis, s)
     lam0 = neutral_basis.eigenvalues[0]
     for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.5, 1.0, 2.0)):
-        rho = kd.radon_distance_to_limit(sol, limits)
+        rho = kd.radon_distance_to_limit(init, sol, limits)
         assert rho <= 2 * (c0s + tail) * w_norm * np.exp(-lam0 * sol.t) * (1 + 1e-9)
 
 
@@ -389,25 +377,33 @@ def test_weak_form_single_mode(neutral, neutral_basis, neutral_profile, uniform_
         assert val <= 1e-5, name
 
 
-def test_truncation_warning_for_atom_at_early_time(neutral, neutral_basis, neutral_profile):
-    # off-center atom so the last retained mode carries real weight
+def test_truncation_at_early_time_raises_naming_modes(neutral, neutral_basis,
+                                                     neutral_profile):
+    # off-center atom: its coefficients do not decay with the mode index
     init = kd.InitialMeasure(atoms=[(0.3, 1.0)])
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
-    with pytest.warns(UserWarning, match="truncation"):
+    with pytest.raises(ValueError, match=r"series truncation estimate .* at t=0\.0001 "
+                       r".*: raise modes \(modes=16\); no requested time is safe"):
         kd.solutions_at(neutral, neutral_basis, coeffs, init, [1e-4])
 
 
 def test_solutions_at_matches_per_time_series(neutral, neutral_basis, neutral_profile):
     init = kd.InitialMeasure(a0=0.1, b0=0.2, density="bump(0.4, 0.25)")
-    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     times = [0.0, 0.05, 0.3, 1.0, 4.0]
-    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, times)
-    modes = neutral_basis.density_modes
-    lam = neutral_basis.eigenvalues
+    # 16 modes leave a tail of about 1e-5 at t = 0.05
+    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
+    with pytest.raises(ValueError, match=r"truncation estimate 1\.14e-05 at t=0\.05 .*"
+                       r"\(modes=16\); the first safe requested time is t=0\.3"):
+        kd.solutions_at(neutral, neutral_basis, coeffs, init, times)
+    basis = kd.build_basis(neutral, 32, 2048)
+    coeffs = kd.project_initial(neutral, basis, init, neutral_profile)
+    sols = kd.solutions_at(neutral, basis, coeffs, init, times)
+    modes = basis.density_modes
+    lam = basis.eigenvalues
     a_inf, b_inf = coeffs.limits
     psi0, psi1 = neutral.psi_at(0.0), neutral.psi_at(1.0)
     assert [s.t for s in sols] == times
-    assert np.array_equal(sols[0].density, init.density_samples(neutral_basis.closed_grid))
+    assert np.array_equal(sols[0].density, init.density_samples(basis.closed_grid))
     assert (sols[0].a, sols[0].b, sols[0].trunc_error) == (0.1, 0.2, 0.0)
     assert np.array_equal(sols.density_l1(),
                           [np.trapezoid(np.abs(s.density), s.grid) for s in sols])
@@ -416,20 +412,31 @@ def test_solutions_at_matches_per_time_series(neutral, neutral_basis, neutral_pr
         assert np.max(np.abs(s.density - modes @ decayed)) <= 1e-13
         assert abs(s.a - (a_inf - psi0 * np.dot(modes[0, :], decayed / lam))) <= 1e-13
         assert abs(s.b - (b_inf - psi1 * np.dot(modes[-1, :], decayed / lam))) <= 1e-13
-        trunc = abs(decayed[-1]) * np.max(np.abs(modes[:, -1]))
+        # the larger of the last two terms' bounds
+        trunc = max(abs(decayed[j]) * np.max(np.abs(modes[:, j])) for j in (-2, -1))
         assert s.trunc_error == pytest.approx(trunc, rel=1e-13, abs=1e-300)
 
 
-def test_solutions_at_warns_once_for_earliest_truncated_time(
-    neutral, neutral_basis, neutral_profile
-):
+def test_solutions_at_names_earliest_truncated_time(neutral, neutral_basis,
+                                                    neutral_profile):
     init = kd.InitialMeasure(atoms=[(0.3, 1.0)])
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
-    with pytest.warns(UserWarning, match="truncation") as record:
-        sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, [1e-3, 1e-4, 1.0])
-    assert len(record) == 1
-    assert "t=0.0001 " in str(record[0].message)
-    assert sols[1].trunc_error > sols[0].trunc_error > 1e-6 > sols[2].trunc_error
+    with pytest.raises(ValueError, match=r"at t=0\.0001 .*modes=16.*"
+                       r"the first safe requested time is t=1$"):
+        kd.solutions_at(neutral, neutral_basis, coeffs, init, [1e-3, 1e-4, 1.0])
+
+
+def test_truncation_estimate_reads_the_last_two_terms(neutral, neutral_profile):
+    # an atom at 1/2 leaves every odd mode, the last one among them, at 0
+    basis = kd.build_basis(neutral, 64, 2048)
+    init = kd.InitialMeasure(atoms=[(0.5, 1.0)])
+    coeffs = kd.project_initial(neutral, basis, init, neutral_profile)
+    assert coeffs.values[-1] == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ValueError) as exc:
+        kd.solutions_at(neutral, basis, coeffs, init, [1e-3, 0.1])
+    assert str(exc.value) == (
+        "series truncation estimate 7.16e+00 at t=0.001 exceeds 1e-06 of the initial "
+        "mass: raise modes (modes=64); the first safe requested time is t=0.1")
 
 
 def test_weak_form_matches_trapezoid_loop(selection):
