@@ -9,8 +9,8 @@ probability), which cross-validate each other.
 
 There is one evaluation path: solutions_at evaluates the series for a whole
 array of times at once and returns one Solutions record, a density row and a
-mass pair per time.  Every diagnostic (conservation and the route gap, decay,
-distance to the limit, weak form) reads that record's arrays.
+mass pair per time.  Every diagnostic over time (conservation and the route
+gap, decay, distance to the limit, weak form) reads that record's arrays.
 """
 
 import re
@@ -18,6 +18,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import legvander
 
 from ._quadrature import gauss01
 
@@ -131,12 +132,12 @@ class InitialMeasure:
         plus the density's integral by the Gauss rule (nodes, weights) on
         [0, 1], gauss01(64) by default, mapped onto a single smooth panel.  A
         sampled density is linear on each of its panels and takes there the
-        gauss01 rule with two more nodes than the rule places in it, at most
-        len(rule) + 2 per panel in all."""
+        gauss01 rule with four more nodes than the rule places in it, at most
+        len(rule) + 4 per panel in all."""
         x, w = np.reshape(self.atoms, (-1, 2)).T
         if self._density_fn is not None:
             lo, width = self._breaks[:-1, None], np.diff(self._breaks)[:, None]
-            sizes = np.diff(np.searchsorted(rule[0], self._breaks)) + 2
+            sizes = np.diff(np.searchsorted(rule[0], self._breaks)) + 4
             groups = ([(rule, slice(None))] if len(width) == 1
                       else [(gauss01(n), sizes == n) for n in np.unique(sizes)])
             xd = np.concatenate([(lo[p] + width[p] * t).ravel() for (t, _), p in groups])
@@ -212,16 +213,16 @@ def solutions_at(model, basis, coeffs, init, times):
     boundary masses and one truncation estimate per time, evaluated together.
 
     The decayed coefficients c_j exp(-lambda_j t) form one (times x modes)
-    matrix; its product with the density modes gives every density.  The
-    boundary masses come from the same matrix, by term-wise time integration
-    of the boundary flux series anchored at the exact limits:
+    matrix; one SpectralBasis.series_values call gives every density.  The
+    boundary masses come from the same matrix and the exact endpoint values,
+    by term-wise time integration of the flux series anchored at the limits:
     a(t) = a_inf - sum_j c_j Psi(0) q_j(0) exp(-lambda_j t) / lambda_j, and b
     likewise at x = 1, so truncation cannot offset the limits even for
     point-mass data.  t may be inf; t = 0 yields the raw initial data, since
     the truncated series need not converge pointwise for measure data.
 
     Each time carries a truncation estimate, the larger bound
-    |c_j exp(-lambda_j t)| max|q_j| of the last two retained terms, so that
+    |c_j exp(-lambda_j t)| basis.mode_sup_j of the last two retained terms, so that
     a parity of the data cannot hide the tail.  The modes grow like
     e^(Xi range / 2), and the sum of those bounds over all modes times the
     unit roundoff estimates what rounding costs.  Where either estimate
@@ -232,11 +233,9 @@ def solutions_at(model, basis, coeffs, init, times):
     times = np.array(times, float, ndmin=1)
     if np.any(times < 0.0):
         raise ValueError("t must be nonnegative")
-    modes = basis.density_modes
     decayed = coeffs.values * np.exp(-np.outer(times, basis.eigenvalues))
-    sup = np.max(np.abs(modes), axis=0)
-    roundoff = np.finfo(float).eps * (np.abs(decayed) @ sup)
-    trunc = np.max(np.abs(decayed[:, -2:]) * sup[-2:], axis=1)
+    roundoff = np.finfo(float).eps * (np.abs(decayed) @ basis.mode_sup)
+    trunc = np.max(np.abs(decayed[:, -2:]) * basis.mode_sup[-2:], axis=1)
     bound = _SERIES_TOL * init.total_mass()
     unsafe = (times > 0.0) & (np.maximum(roundoff, trunc) > bound)
     if unsafe.any():
@@ -257,15 +256,26 @@ def solutions_at(model, basis, coeffs, init, times):
             f"exceeds {_SERIES_TOL:g} of the initial mass: raise modes "
             f"(modes={basis.n_modes}); {later}"
         )
-    q = decayed @ modes.T
+    q = basis.series_values(decayed, basis.closed_grid, basis.grid_scale)
     tail = decayed / basis.eigenvalues
-    a = coeffs.limits[0] - model.psi_at(0.0) * (tail @ modes[0, :])
-    b = coeffs.limits[1] - model.psi_at(1.0) * (tail @ modes[-1, :])
+    a = coeffs.limits[0] - model.psi_at(0.0) * (tail @ basis.endpoint_values[0])
+    b = coeffs.limits[1] - model.psi_at(1.0) * (tail @ basis.endpoint_values[1])
     start = times == 0.0
     q[start] = init.density_samples(basis.closed_grid)
     trunc[start] = 0.0
     a[start], b[start] = init.a0, init.b0
     return Solutions(times, basis.closed_grid, q, a, b, trunc)
+
+
+def initial_residual(model, basis, coeffs, init):
+    """Defect of the weak form at t = 0: max_k |sum_j c_j <chi_k, q_j> - int chi_k dmu0|
+    for chi_k = x (1 - x) P_k(2x - 1) e^(-Xi/2), k = 0..3, relative to int chi_0 dmu0
+    (0 without interior mass).  The chi_k vanish at both ends; the moments take
+    InitialMeasure.integrate's default rule, not the projection's."""
+    moments = init.integrate(lambda x: legvander(2.0 * x - 1.0, 3) * (
+        x * (1.0 - x) * np.exp(-0.5 * model.xi_integral(x)))[:, None])
+    defect = np.max(np.abs(basis.initial_pairings @ coeffs.values - moments))
+    return float(defect / moments[0]) if defect else 0.0
 
 
 def limit_masses(profile, init):
@@ -409,22 +419,13 @@ def radon_bound_constant(basis, s):
 
 def _bump_window(t0, t1):
     def zeta(t):
-        u = (2.0 * np.asarray(t, float) - (t0 + t1)) / (t1 - t0)
-        return _bump_shape(u)
+        return _bump_shape((2.0 * np.asarray(t, float) - (t0 + t1)) / (t1 - t0))
 
     def zeta_prime(t):
-        t = np.asarray(t, float)
-        u = (2.0 * t - (t0 + t1)) / (t1 - t0)
-        out = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        ui = u[inside]
-        with np.errstate(divide="ignore", over="ignore"):
-            out[inside] = (
-                np.exp(-1.0 / (1.0 - ui**2))
-                * (-2.0 * ui / (1.0 - ui**2) ** 2)
-                * (2.0 / (t1 - t0))
-            )
-        return out
+        u = (2.0 * np.asarray(t, float) - (t0 + t1)) / (t1 - t0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 * inf at u = +-1
+            slope = _bump_shape(u) * (-2.0 * u / (1.0 - u**2) ** 2) * (2.0 / (t1 - t0))
+        return np.where(np.abs(u) < 1.0, slope, 0.0)
 
     return zeta, zeta_prime
 

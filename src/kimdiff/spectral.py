@@ -18,13 +18,13 @@ numpy.linalg.eigh, so importing the module loads no scipy.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import legvander
 
 from ._quadrature import gauss01, running_integral_table, table_values
 
 @dataclass
 class SpectralBasis:
-    """Eigenpairs of the weighted eigenproblem, with density modes sampled on
-    a uniform grid.
+    """Eigenpairs of the weighted eigenproblem and the mode data runs read.
 
     interior_grid: output sampling points x_i = i h, h = 1/(n+1), i = 1..n;
         they play no part in the solve.
@@ -35,9 +35,11 @@ class SpectralBasis:
     quad_nodes, quad_weights: the rule gauss01(2N + 40) on [0, 1] that
         assembled the Galerkin matrices; mode masses reuse it, and projections
         map it onto the initial density's panels (InitialMeasure.integrate).
-    density_modes: (n+2, m) density modes q_j = e^(Xi/2) phi_j / (Psi x (1 - x))
-        on the closed grid, endpoint values included.
+    grid_scale: e^(Xi/2) / Psi on the closed grid, taking phi_j / (x (1 - x)) to q_j.
+    endpoint_values: (2, m) exact q_j(0) and q_j(1).
+    mode_sup: max |q_j| over the Gauss nodes and both endpoints.
     mode_masses: integrals of the density modes over [0, 1].
+    initial_pairings: (4, m) <chi_k, q_j>, chi_k = x (1 - x) P_k(2x - 1) e^(-Xi/2).
     """
 
     interior_grid: np.ndarray
@@ -45,8 +47,11 @@ class SpectralBasis:
     coefficients: np.ndarray
     quad_nodes: np.ndarray
     quad_weights: np.ndarray
-    density_modes: np.ndarray
+    grid_scale: np.ndarray
+    endpoint_values: np.ndarray
+    mode_sup: np.ndarray
     mode_masses: np.ndarray
+    initial_pairings: np.ndarray
 
     @property
     def n_modes(self):
@@ -61,48 +66,57 @@ class SpectralBasis:
         """(n, m) samples of phi_j on the interior grid."""
         return self.mode_values(self.interior_grid)
 
+    @property
+    def density_modes(self):
+        """(n+2, m) density modes q_j on the closed grid, built on each access."""
+        return self.series_values(np.eye(self.n_modes), self.closed_grid, self.grid_scale).T
+
     def mode_values(self, x):
         """Polynomial modes phi_j = e^(Xi/2) u_j at points x in [0, 1],
         shape (len(x), m)."""
         x = np.atleast_1d(np.asarray(x, float))
-        slopes = _legendre_slopes(2.0 * x - 1.0, len(self.coefficients) + 1)
-        u = _quotient_rows(slopes).T @ self.coefficients
-        u *= (x * (1.0 - x))[:, None]
-        return u
+        return self.series_values(np.eye(self.n_modes), x, x * (1.0 - x)).T
+
+    def series_values(self, weights, x, scale):
+        """sum_j weights[r, j] phi_j(x) / (x (1 - x)) at points x, times scale at x:
+        one row per row of the (rows, m) weights, one product with one slope table."""
+        n_basis = len(self.coefficients)
+        folded = (weights @ self.coefficients.T) * _quotient_factors(n_basis)
+        return folded @ _legendre_slopes(2.0 * x - 1.0, n_basis + 1)[1:-1] * scale
 
 
 def _legendre_slopes(y, n):
     """P_k'(y) for k = 0..n, one row per degree, by the recurrences
     P_{k+1} = ((2k+1) y P_k - k P_{k-1}) / (k+1) and
-    P'_{k+1} = P'_{k-1} + (2k+1) P_k; only two rows of P are kept."""
+    P'_{k+1} = P'_{k-1} + (2k+1) P_k; two rows of P are kept, all in place."""
     dp = np.zeros((n + 1, len(y)))
     dp[1] = 1.0
-    p_prev, p = np.ones_like(y), y
+    p_prev, p, term = np.ones_like(y), np.array(y, float), np.empty_like(y)
     for k in range(1, n):
-        dp[k + 1] = dp[k - 1] + (2 * k + 1) * p
-        p_prev, p = p, ((2 * k + 1) * y * p - k * p_prev) / (k + 1)
+        np.add(dp[k - 1], np.multiply(p, 2 * k + 1, out=term), out=dp[k + 1])
+        np.multiply(np.multiply(y, 2 * k + 1, out=term), p, out=term)
+        np.subtract(term, np.multiply(p_prev, k, out=p_prev), out=p_prev)
+        p_prev, p = p, np.divide(p_prev, k + 1, out=p_prev)
     return dp
 
 
-def _quotient_rows(dp):
-    """u_n(x) / (x (1 - x)) = 4 (2n+3) / ((n+1)(n+2)) P'_{n+1}(2x - 1) for
-    n < N, one row per n, from the slopes dp = _legendre_slopes(2x - 1, N + 1);
-    finite at the endpoints."""
-    n = np.arange(len(dp) - 2)[:, None]
-    return dp[1:-1] * (4.0 * (2 * n + 3) / ((n + 1) * (n + 2)))
+def _quotient_factors(n_basis):
+    """f_n for n < N, with u_n(x) / (x (1 - x)) = f_n P'_{n+1}(2x - 1)."""
+    n = np.arange(n_basis)
+    return 4.0 * (2 * n + 3) / ((n + 1) * (n + 2))
 
 
 def build_basis(model, n_modes, n_grid):
-    """Lowest n_modes eigenpairs, with density modes on the closed grid of
-    an n_grid-point interior grid.
+    """Lowest n_modes eigenpairs, with the mode data that runs read for an
+    n_grid-point interior grid.
 
     Stiffness K = int (phi_m' - xi phi_m / 2)(phi_n' - xi phi_n / 2) and mass
     M = int phi_m phi_n / (Psi x (1 - x)) are assembled for the first
     N = n_modes + 32 polynomials phi_n = u_n with a Gauss-Legendre rule of
     2N + 40 nodes.  M is the Gram matrix of independent polynomials under a
     positive weight, so it has a Cholesky factor L; with y the eigenvectors of
-    L^-1 K L^-T, c = L^-T y solve K c = lambda M c and are M-orthonormal,
-    which is the weighted normalization.
+    L^-1 K L^-T, c = L^-T y solve K c = lambda M c and are M-orthonormal, the
+    weighted normalization.  The mode data come from the nodes and the ends.
     """
     n_modes = int(n_modes)
     n_grid = int(n_grid)
@@ -113,32 +127,38 @@ def build_basis(model, n_modes, n_grid):
     n_basis = n_modes + 32
     xq, wq = gauss01(2 * n_basis + 40)
     dp = _legendre_slopes(2.0 * xq - 1.0, n_basis + 1)
-    quot = _quotient_rows(dp)
+    quot = dp[1:-1] * _quotient_factors(n_basis)[:, None]  # u_n / (x (1 - x))
     # phi_n' - xi phi_n / 2, the x-derivative of u_n being 2 (P_n' - P_{n+2}')
     flux = 2.0 * (dp[:-2] - dp[2:]) - quot * (0.5 * model.xi(xq) * xq * (1.0 - xq))
     stiffness = (flux * wq) @ flux.T
-    mass = (quot * (wq * xq * (1.0 - xq) / model.psi_at(xq))) @ quot.T
+    paired = wq * xq * (1.0 - xq) / model.psi_at(xq)  # the weight of M and of <chi_k, q_j>
+    mass = (quot * paired) @ quot.T
     # an explicit L^-1 is cheaper than numpy's general solver; eigh's
     # divide-and-conquer solve finds all N pairs, and the lowest are kept
     li = np.linalg.inv(np.linalg.cholesky(mass))
     lam, y = np.linalg.eigh(li @ stiffness @ li.T)
     lam, coef = lam[:n_modes], li.T @ y[:, :n_modes]
 
+    n = np.arange(n_basis)  # u_n / (x (1 - x)) is (+-1)^n 2 (2n + 3) at y = +-1
+    ends = (4 * n + 6.0) * np.vstack(((-1.0) ** n, np.ones(n_basis)))
+    coef *= np.where(ends[0] @ coef < 0.0, -1.0, 1.0)
     x = np.arange(1, n_grid + 1) * (1.0 / (n_grid + 1))
     closed = np.concatenate(([0.0], x, [1.0]))
-    q = _quotient_rows(_legendre_slopes(2.0 * closed - 1.0, n_basis + 1)).T @ coef
-    sign = np.where(q[0] < 0.0, -1.0, 1.0)
-    coef *= sign
-    q *= sign * (np.exp(0.5 * model.xi_integral(closed)) / model.psi_at(closed))[:, None]
-    half_xi = 0.5 * model.xi_integral(xq)
+    scale = np.exp(0.5 * model.xi_integral(closed)) / model.psi_at(closed)
+    ends = ends @ coef * scale[[0, -1], None]
+    nodes = quot.T @ coef  # phi_j / (x (1 - x)) at the Gauss nodes
+    node_scale = np.exp(0.5 * model.xi_integral(xq)) / model.psi_at(xq)
     return SpectralBasis(
         interior_grid=x,
         eigenvalues=lam,
         coefficients=coef,
         quad_nodes=xq,
         quad_weights=wq,
-        density_modes=q,
-        mode_masses=(wq * np.exp(half_xi) / model.psi_at(xq)) @ (quot.T @ coef),
+        grid_scale=scale,
+        endpoint_values=ends,
+        mode_sup=np.abs(np.vstack((nodes * node_scale[:, None], ends))).max(axis=0),
+        mode_masses=(wq * node_scale) @ nodes,
+        initial_pairings=(legvander(2.0 * xq - 1.0, 3) * paired[:, None]).T @ nodes,
     )
 
 
@@ -150,14 +170,9 @@ def flux_identity_residuals(model, basis):
     are normalized by Psi(0)|q(0)| + Psi(1)|q(1)| so antisymmetric modes
     (where both sides nearly vanish) stay meaningful.
     """
-    psi0 = model.psi_at(0.0)
-    psi1 = model.psi_at(1.0)
-    q0 = basis.density_modes[0, :]
-    q1 = basis.density_modes[-1, :]
-    lhs = basis.mode_masses * basis.eigenvalues
-    rhs = psi0 * q0 + psi1 * q1
-    scale = psi0 * np.abs(q0) + psi1 * np.abs(q1)
-    return np.abs(lhs - rhs) / scale
+    flux = model.psi_at(np.array([0.0, 1.0]))[:, None] * basis.endpoint_values
+    rhs, scale = flux.sum(axis=0), np.abs(flux).sum(axis=0)
+    return np.abs(basis.mode_masses * basis.eigenvalues - rhs) / scale
 
 
 def eigenvalue_growth(basis):

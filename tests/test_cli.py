@@ -239,13 +239,12 @@ def test_every_csv_artifact_has_csv_writer_bytes(tmp_path):
         assert path.read_bytes() == expected, path.name
 
 
-@pytest.mark.parametrize("command, series_calls", [("evolve", 2), ("verify", 1)])
-def test_commands_evaluate_only_what_they_write(tmp_path, monkeypatch, command,
-                                                series_calls):
-    # both commands evaluate the series at the scenario times; only evolve
-    # adds the 129-time weak-form sweep.  Each evaluates the limits once and
-    # psi twice: on the initial measure's rule nodes for the limits, then on
-    # the solution grid
+@pytest.mark.parametrize("command", ["evolve", "verify"])
+def test_commands_evaluate_only_what_they_write(tmp_path, monkeypatch, command):
+    # both commands evaluate the series once, at the scenario times; the weak
+    # form is checked at t = 0 from the coefficients.  Each evaluates the
+    # limits once and psi twice: on the initial measure's rule nodes for the
+    # limits, then on the solution grid
     calls = {"solutions_at": 0, "limit_masses": 0}
     grids = []
     for name in calls:
@@ -270,7 +269,7 @@ def test_commands_evaluate_only_what_they_write(tmp_path, monkeypatch, command,
     path = demo_config(tmp_path)
     assert sum(t > 0 for t in load_scenario(path).times) >= 2
     assert main([command, "--config", str(path)]) == 0
-    assert calls == {"solutions_at": series_calls, "limit_masses": 1}
+    assert calls == {"solutions_at": 1, "limit_masses": 1}
     rule_nodes, _ = gauss01(64)  # the uniform density's single panel
     assert len(psi_points) == 2
     assert np.array_equal(psi_points[0], rule_nodes)
@@ -446,10 +445,11 @@ def test_overtight_tolerance_exits_two(tmp_path):
 
 
 def gate(loaded, report=(0.0, 0.0, 0.0), a=np.zeros(4), b=np.zeros(4),
-         density=np.zeros((4, 5)), limits=(1.0, 1.0)):
+         density=np.zeros((4, 5)), limits=(1.0, 1.0), initial_residual=0.0):
     """_gate's violations for a loaded scenario and made-up results at t = 0, 0.1,
     0.5 and 1; report holds the mass span, fixation-moment span and route
-    gap, limits the limits of a and b."""
+    gap, limits the limits of a and b, initial_residual the weak-form defect
+    at t = 0."""
     sols = evolution.Solutions(
         t=np.array([0.0, 0.1, 0.5, 1.0]), grid=np.linspace(0.0, 1.0, 5),
         density=np.array(density), a=np.array(a), b=np.array(b),
@@ -459,7 +459,8 @@ def gate(loaded, report=(0.0, 0.0, 0.0), a=np.zeros(4), b=np.zeros(4),
     report = evolution.ConservationReport(0.0, 0.0, mass_span, psi_mass_span, None, None,
                                           route_gap)
     coeffs = evolution.SpectralCoefficients(np.zeros(1), limits=limits)
-    return scenario._gate(loaded, {"report": report, "solutions": sols, "coeffs": coeffs})
+    return scenario._gate(loaded, {"report": report, "solutions": sols, "coeffs": coeffs,
+                                   "initial_residual": initial_residual})
 
 
 def test_gate_names_first_dip_after_the_initial_row(tmp_path):
@@ -563,6 +564,82 @@ def test_bench_configs_pass_both_commands(tmp_path, config):
             out = tmp_path / command
             assert main([command, "--config", str(path), "--out", str(out)]) == 0
             assert json.loads((out / verdict).read_text())["violations"] == []
+
+
+@pytest.mark.parametrize("config", ["atom_verify", "fd_verify", "spectral_evolve"])
+def test_bench_configs_build_no_grid_table_of_modes(tmp_path, monkeypatch, config):
+    # the runs read the basis's kept mode data, never the (grid + 2, modes) table
+    def no_table(self):
+        raise AssertionError("density_modes built on the run path")
+
+    monkeypatch.setattr(kimdiff.SpectralBasis, "density_modes", property(no_table))
+    path = Path(__file__).resolve().parents[1] / "bench" / "configs" / f"{config}.json"
+    for command, verdict in (("evolve", "summary.json"), ("verify", "verify.json")):
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / verdict).read_text())["violations"] == []
+
+
+@pytest.mark.parametrize("config", ["bench/configs/atom_verify", "bench/configs/fd_verify",
+                                    "bench/configs/spectral_evolve",
+                                    "demos/configs/neutral_uniform",
+                                    "demos/configs/selection_bump"])
+def test_shipped_configs_meet_the_initial_term(config):
+    path = Path(__file__).resolve().parents[1] / f"{config}.json"
+    assert scenario.compute_pipeline(load_scenario(path))["initial_residual"] < 1e-11
+
+
+def _projection_on_the_basis_rule(model, basis, init, profile):
+    """The projection before per-panel rules: the basis's Gauss rule on
+    [0, 1] for the density, exact mode values at the atoms."""
+    def modes(x):
+        return np.exp(-0.5 * model.xi_integral(x))[:, None] * basis.mode_values(x)
+
+    values = (basis.quad_weights * init.density_samples(basis.quad_nodes)) @ modes(
+        basis.quad_nodes)
+    for x, mass in init.atoms:
+        values = values + mass * modes(np.array([x]))[0]
+    return evolution.SpectralCoefficients(values, evolution.limit_masses(profile, init))
+
+
+@pytest.mark.parametrize("initial", [
+    {"density": "bump(0.5,0.01)"},
+    {"density": {"x": [0.2, 0.5, 0.8], "values": [1, 2, 1]}},
+    "atom_verify",
+])
+def test_initial_term_gate_names_a_wrong_projection(tmp_path, monkeypatch, initial):
+    # the mass, moment and route gates pass these coefficients; the initial
+    # term of the weak form (1.6e-2, 3.2e-3 and 7.6e-8 of int chi_0) does not
+    if initial == "atom_verify":
+        path = Path(__file__).resolve().parents[1] / "bench" / "configs" / "atom_verify.json"
+    else:
+        path = demo_config(tmp_path, initial=initial, times=[0.1, 0.5, 1.0],
+                           modes=None, grid=None, cells=None)
+    monkeypatch.setattr(evolution, "project_initial", _projection_on_the_basis_rule)
+    out = tmp_path / "old"
+    assert main(["evolve", "--config", str(path), "--out", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["residuals"]["initial_residual"] > 1e-8
+    [violation] = summary["violations"]
+    assert violation.startswith("weak-form residual at t=0 ") and "'initial'" in violation
+
+
+def test_gate_names_the_initial_term_above_its_limit(tmp_path):
+    loaded = load_scenario(demo_config(tmp_path))
+    assert gate(loaded, initial_residual=1e-8) == []
+    assert gate(loaded, initial_residual=2e-8) == [
+        "weak-form residual at t=0 2.000e-08 exceeds 1e-08: the coefficients miss the "
+        "moments of 'initial'"]
+
+
+@pytest.mark.parametrize("command, artifact, field", [
+    ("evolve", "summary.json", "residuals"), ("verify", "verify.json", "spectral_residuals"),
+])
+def test_one_positive_time_writes_the_initial_residual(tmp_path, command, artifact, field):
+    path = demo_config(tmp_path, times=[0.0, 1.0], modes=16, grid=256, cells=128)
+    assert main([command, "--config", str(path)]) == 0
+    residual = json.loads((tmp_path / "out" / artifact).read_text())[field]["initial_residual"]
+    assert isinstance(residual, float) and 0.0 <= residual < 1e-11
 
 
 def test_plot_emission(tmp_path):

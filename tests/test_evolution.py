@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import kimdiff as kd
 from kimdiff import evolution
+from kimdiff._quadrature import gauss01
 
 from conftest import conservation_route, neutral_mode_exact
 
@@ -87,6 +88,38 @@ def test_sampled_density_moments_are_exact(neutral, neutral_profile, density):
     assert init.total_mass() == pytest.approx(mass, rel=1e-13, abs=1e-13)
     assert b_inf == pytest.approx(moment, rel=1e-13, abs=1e-13)
     assert a_inf + b_inf == pytest.approx(init.total_mass(), rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("samples", [65, 2049])
+def test_sampled_projection_matches_twelve_nodes_per_panel(selection, samples):
+    # random values on uniform samples; reference: 12 Gauss nodes on every
+    # panel between samples.  Panels that hold few nodes of the basis rule
+    # left about 2e-8 with two extra nodes; four leave below 1e-12
+    basis = kd.build_basis(selection, 64, 2048)
+    profile = kd.fixation_profile(selection, 2049)
+    xs = np.linspace(0.0, 1.0, samples)
+    vs = np.random.default_rng(7).uniform(0.0, 1.0, samples)
+    coeffs = kd.project_initial(selection, basis, kd.InitialMeasure(density=(xs, vs)), profile)
+    t, w = gauss01(12)
+    x = (xs[:-1, None] + np.diff(xs)[:, None] * t).ravel()
+    weights = (np.diff(xs)[:, None] * w).ravel() * np.interp(x, xs, vs)
+    reference = weights @ (np.exp(-0.5 * selection.xi_integral(x))[:, None]
+                           * basis.mode_values(x))
+    assert np.max(np.abs(coeffs.values - reference)) <= 1e-12
+
+
+def test_initial_residual_reads_the_initial_term(neutral, neutral_basis, neutral_profile):
+    # the 64-node rule leaves about 2e-12 of a bump; scaling every coefficient
+    # by 1 + 1e-6 scales each paired sum, and endpoint masses drop out
+    init = kd.InitialMeasure(a0=0.2, b0=0.3, density="bump(0.4, 0.25)")
+    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
+    assert evolution.initial_residual(neutral, neutral_basis, coeffs, init) <= 1e-11
+    perturbed = kd.SpectralCoefficients(coeffs.values * (1.0 + 1e-6), coeffs.limits)
+    residual = evolution.initial_residual(neutral, neutral_basis, perturbed, init)
+    assert residual == pytest.approx(1e-6, rel=1e-3)
+    endpoints_only = kd.InitialMeasure(a0=0.3, b0=0.7)
+    coeffs = kd.project_initial(neutral, neutral_basis, endpoints_only, neutral_profile)
+    assert evolution.initial_residual(neutral, neutral_basis, coeffs, endpoints_only) == 0.0
 
 
 def test_projection_of_leading_mode_is_unit_vector(neutral, neutral_basis, neutral_profile):

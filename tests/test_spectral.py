@@ -59,6 +59,21 @@ def test_density_modes_match_closed_form(neutral):
         )
 
 
+@pytest.mark.parametrize("model", [
+    (0.0, 0.0), (1.0, -0.5), (0.0, 40.0), (0.0, -40.0), (0.0, 100.0), (0.0, -100.0),
+    ((0.5, -0.2, 0.2), (1.0, 3.0)),
+], ids=["neutral", "kimura", "beta40", "beta-40", "beta100", "beta-100", "polynomial_psi"])
+def test_kept_mode_data_match_the_grid_table(model):
+    # the basis keeps the exact endpoint values and a sup over its Gauss nodes
+    # and both ends; every mode peaks at an end here, so the sup is the grid's
+    model = kd.make_kimura(*model) if np.ndim(model[0]) == 0 else kd.CoefficientModel(*model)
+    basis = kd.build_basis(model, 64, 2048)
+    table = basis.density_modes
+    sup = np.abs(table).max(axis=0)
+    assert np.max(np.abs(basis.mode_sup / sup - 1.0)) <= 1e-12
+    assert np.max(np.abs(basis.endpoint_values - table[[0, -1]]) / sup) <= 1e-12
+
+
 def test_flux_identity(neutral):
     basis = kd.build_basis(neutral, 9, 4096)
     assert np.max(kd.flux_identity_residuals(neutral, basis)) <= 1e-4
