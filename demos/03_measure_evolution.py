@@ -12,7 +12,7 @@ import numpy as np
 import kimdiff as kd
 
 model = kd.make_kimura(0.0, 0.0)
-profile = kd.fixation_profile(model, 2049)
+profile = kd.fixation_profile(model)
 basis = kd.build_basis(model, 32, 2048)
 init = kd.InitialMeasure(density="uniform")
 coeffs = kd.project_initial(model, basis, init, profile)

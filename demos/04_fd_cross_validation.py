@@ -12,14 +12,14 @@ import numpy as np
 import kimdiff as kd
 
 model = kd.make_kimura(1.0, -0.5)
-profile = kd.fixation_profile(model, 2049)
+profile = kd.fixation_profile(model)
 basis = kd.build_basis(model, 128, 2048)
 init = kd.InitialMeasure(density="bump(0.4, 0.2)")
 coeffs = kd.project_initial(model, basis, init, profile)
 
 times = [0.1, 0.5, 1.0]
 spectral = kd.solutions_at(model, basis, coeffs, init, times)
-fd_states = kd.evolve_fd(model, init, times[-1], 1024, output_times=times)
+fd_states = kd.evolve_fd(model, init, times, 1024)
 
 print("spectral vs finite-difference (1024 cells):")
 print("  t     L1(q) gap    |a| gap      |b| gap")
@@ -34,7 +34,7 @@ print("\nmesh refinement study at t=0.5:")
 ref = kd.solutions_at(model, basis, coeffs, init, [0.5])
 prev = None
 for cells in (128, 256, 512, 1024):
-    states = kd.evolve_fd(model, init, 0.5, cells)
+    states = kd.evolve_fd(model, init, [0.5], cells)
     gap = kd.compare_with_spectral(states, ref)[0].q_l1_diff
     note = "" if prev is None else f"  (ratio {prev / gap:.2f})"
     print(f"  {cells:5d} cells: L1 gap {gap:.3e}{note}")

@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Subcommands: spectrum, fixation, evolve, verify, bessel-check, plot.
-Exit codes: 0 success, 1 input error, 2 invariant tolerance violated.
+Exit codes: 0 success, 1 input or usage error, 2 invariant tolerance violated.
 """
 
 import argparse
@@ -14,6 +14,7 @@ from .scenario import (
     ConfigError,
     emit_plot_data,
     load_scenario,
+    make_out_dir,
     run_scenario,
     run_verify,
     write_bessel,
@@ -26,11 +27,9 @@ from .spectral import build_basis
 def _add_common(sub):
     sub.add_argument("--config", help="scenario config JSON")
     sub.add_argument("--out", help="output directory")
-    sub.add_argument("--modes", type=int, help="override spectral mode count")
-    sub.add_argument("--grid", type=int, help="override output sampling grid size")
-    sub.add_argument("--cells", type=int, help="override FD cell count")
-    sub.add_argument("--dt", type=float, help="override FD time step")
-    sub.add_argument("--s", type=float, help="smoothness exponent for decay bounds")
+    # a flag's number is read like the config value it replaces, by the config reader
+    for name in DEFAULTS:
+        sub.add_argument(f"--{name}", type=float, help=f"override config key {name}")
     for name in DEFAULT_TOLERANCES:
         flag = name.replace("_", "-")
         sub.add_argument(f"--tol-{flag}", type=float, help=f"{flag} tolerance")
@@ -62,7 +61,7 @@ def _scenario(args):
 
 def _cmd_spectrum(args):
     scenario = _scenario(args)
-    scenario.out_dir.mkdir(parents=True, exist_ok=True)
+    make_out_dir(scenario.out_dir)
     basis = build_basis(scenario.model, scenario.modes, scenario.grid)
     print(f"wrote {write_spectrum(scenario.out_dir, scenario.model, basis, args.csv)}")
     return 0
@@ -70,9 +69,9 @@ def _cmd_spectrum(args):
 
 def _cmd_fixation(args):
     scenario = _scenario(args)
-    scenario.out_dir.mkdir(parents=True, exist_ok=True)
-    profile = fixation_profile(scenario.model, scenario.grid + 1)
-    print(f"wrote {write_fixation(scenario.out_dir, profile)}")
+    make_out_dir(scenario.out_dir)
+    profile = fixation_profile(scenario.model)
+    print(f"wrote {write_fixation(scenario.out_dir, profile, scenario.grid)}")
     return 0
 
 
@@ -149,8 +148,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, ValueError) as exc:

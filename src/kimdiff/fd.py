@@ -1,7 +1,8 @@
 """Independent finite-difference reference solver.
 
 Evolves the interior density in conservative form with Crank-Nicolson time
-stepping on a uniform cell mesh; the flux through each end face is
+stepping on a uniform cell mesh, from t = 0 through the requested output
+times, the last of which ends the run; the flux through each end face is
 accumulated into the endpoint masses, so total discrete mass is conserved to
 roundoff by construction.  On a mesh fine enough for central differences to
 be monotone, the tridiagonal operator is similar to a symmetric one by a
@@ -128,14 +129,15 @@ def _symmetrizer(model, n_cells, lower, upper):
     return np.exp(log_s), np.sqrt(coupling)
 
 
-def evolve_fd(model, init, t_end, n_cells, dt=None, output_times=None):
-    """Run the reference solver to t_end and return FdState snapshots.
+def evolve_fd(model, init, times, n_cells, dt=None):
+    """Run the reference solver from t = 0 and return an FdState at each of
+    times, which must be nonnegative and increase strictly; the last ends
+    the run.
 
     Crank-Nicolson in time (dt defaults to the cell width; it must be
     positive and may not exceed it), conservative fluxes in space; interior
     atoms are split linearly between the two nearest cell centres, keeping
-    mass and first moment (an end cell takes all beyond its centre).
-    output_times defaults to just t_end and must increase strictly; each
+    mass and first moment (an end cell takes all beyond its centre).  Each
     requested time is hit exactly by shortening the steps of its interval.
 
     The operator L is similar to a symmetric S = diag(s) L diag(s)^-1 (see
@@ -157,17 +159,12 @@ def evolve_fd(model, init, t_end, n_cells, dt=None, output_times=None):
     xc, h, F, lower, diag, upper = _operator(model, n_cells)
     if dt is None:
         dt = h
-    if not dt > 0.0:
-        raise ValueError(f"dt={dt} must be positive")
-    if dt > h * (1.0 + 1e-12):
-        raise ValueError(f"dt={dt} violates the step-size restriction dt <= h={h}")
-    if output_times is None:
-        output_times = [float(t_end)]
-    output_times = [float(t) for t in output_times]
-    if any(t < 0 or t > t_end + 1e-12 for t in output_times):
-        raise ValueError("output times must lie in [0, t_end]")
-    if any(t1 <= t0 for t0, t1 in zip(output_times, output_times[1:])):
-        raise ValueError("output times must increase strictly")
+    if not 0.0 < dt <= h * (1.0 + 1e-12):
+        raise ValueError(f"dt={dt} must be positive and at most the cell width h={h}")
+    output_times = [float(t) for t in times]
+    increasing = all(t0 < t1 for t0, t1 in zip(output_times, output_times[1:]))
+    if not increasing or min(output_times, default=0.0) < 0:
+        raise ValueError("output times must be nonnegative and increase strictly")
     counts = [max(1, int(np.ceil(span / dt - 1e-12))) if span > 1e-14 else 0
               for span in np.diff(output_times, prepend=0.0)]
     if sum(counts) > _MAX_STEPS:

@@ -7,51 +7,44 @@ For a model with drift-to-diffusion ratio xi this is
     c      = integral_0^1 exp(-integral_0^s xi) ds,
 
 the probability that a mutant starting at frequency x eventually takes over.
-psi is tabulated once as a Legendre series, exact to roundoff off its grid.
+psi is tabulated once as a Legendre series, exact to roundoff at any point;
+no output grid enters it (scenario.write_fixation samples it for fixation.csv).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from ._quadrature import running_integral_table, table_values
 
 
 @dataclass
 class FixationProfile:
-    """Fixation probability sampled on a grid, with its normalization constant.
+    """Fixation probability as a table, with its normalization constant.
 
-    grid: strictly increasing points in [0, 1] including both endpoints.
-    values: psi at the grid points; exactly 0 and 1 at the ends.
     norm_const: c, the unnormalized total integral (inf if it overflows).
     table: piecewise Legendre table of psi (_quadrature.running_integral_table);
-        __call__ evaluates it, as accurate off the grid as on it.
+        __call__ evaluates it at any points of [0, 1].
     """
 
-    grid: np.ndarray
-    values: np.ndarray
     norm_const: float
     table: np.ndarray
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, float)
-        self.values = np.asarray(self.values, float)
 
     def __call__(self, x):
         return table_values(self.table, x)
 
 
-def fixation_profile(model, n_points):
-    """Compute the fixation probability on a uniform grid of n_points.
+def fixation_profile(model):
+    """Tabulate the fixation probability of a model.
 
-    exp(-Xi), scaled by exp(min Xi) to peak near 1 (finite under strong
-    selection, and checked for resolution on the scale of psi), is tabulated
-    as a running integral; the grid values are that table's values.
+    exp(-Xi) is scaled by exp(min Xi) to peak at 1 (finite under strong
+    selection, and checked for resolution on the scale of psi) and tabulated
+    as a running integral.  Xi is least at 0, at 1 or where Pi vanishes; the
+    real parts of Pi's roots, clipped into [0, 1], include every such point.
     """
-    if n_points < 3:
-        raise ValueError("n_points must be at least 3")
-    grid = np.linspace(0.0, 1.0, int(n_points))
-    shift = float(np.min(model.xi_integral(grid)))
+    roots = np.clip(P.polyroots(model.pi_coeffs).real, 0.0, 1.0)
+    shift = float(np.min(model.xi_integral(np.r_[0.0, 1.0, roots])))
 
     def integrand(s):
         return np.exp(shift - model.xi_integral(s))
@@ -59,20 +52,17 @@ def fixation_profile(model, n_points):
     table = running_integral_table(integrand, "the fixation integrand exp(-Xi)")
     total = float(table_values(table, 1.0))
     table /= total
-    values = table_values(table, grid)
-    values[0] = 0.0
-    values[-1] = 1.0
     with np.errstate(over="ignore"):  # c may exceed the double range; psi does not
         c = total * np.exp(-shift)
-    return FixationProfile(grid=grid, values=values, norm_const=c, table=table)
+    return FixationProfile(norm_const=c, table=table)
 
 
-def backward_residual(model, profile):
-    """Max over interior grid points of |F psi'' + G psi'|, by centered
-    differences on the profile grid.  A self-test: small for true profiles,
-    order one for anything else."""
-    x = profile.grid
-    v = profile.values
+def backward_residual(model, profile, x):
+    """Max over the interior points of the uniform grid x of |F psi'' + G psi'|,
+    by centered differences of profile at x.  A self-test: small for true
+    profiles, order one for anything else."""
+    x = np.asarray(x, float)
+    v = profile(x)
     h = x[1] - x[0]
     xi = x[1:-1]
     d1 = (v[2:] - v[:-2]) / (2.0 * h)

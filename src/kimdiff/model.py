@@ -18,17 +18,15 @@ from numpy.polynomial import polynomial as P
 
 from ._quadrature import running_integral_table, table_values
 
-_VALIDATION_POINTS = 10_000
-
 
 @dataclass
 class CoefficientModel:
     """Factored coefficients of the forward equation.
 
     psi_coeffs, pi_coeffs: polynomial coefficients in ascending-degree order.
-    Construction validates positivity of the diffusion factor by dense
-    sampling (10^4 uniform points plus the endpoints) and tabulates Xi, which
-    raises ValueError where xi varies too fast for the table.
+    Construction checks that the diffusion factor is positive where it is
+    least, and tabulates Xi, which raises ValueError where xi varies too fast
+    for the table.
     """
 
     psi_coeffs: tuple
@@ -42,13 +40,15 @@ class CoefficientModel:
             raise ValueError("psi_coeffs must contain at least one coefficient")
         if not self.pi_coeffs:
             raise ValueError("pi_coeffs must contain at least one coefficient")
-        probe = np.linspace(0.0, 1.0, _VALIDATION_POINTS + 1)
+        # Psi is least at 0, at 1 or at a root of Psi' (real parts, clipped into [0, 1])
+        roots = P.polyroots(P.polyder(self.psi_coeffs)).real
+        probe = np.clip(np.r_[0.0, 1.0, roots], 0.0, 1.0)
         vals = P.polyval(probe, self.psi_coeffs)
         if np.min(vals) <= 0.0:
             k = int(np.argmin(vals))
             raise ValueError(
-                "diffusion factor positivity violated: Psi(x) <= 0 near "
-                f"x = {probe[k]:.4f} (Psi = {vals[k]:.4g}); the equation "
+                "diffusion factor positivity violated: Psi(x) <= 0 at "
+                f"x = {probe[k]:.6g} (Psi = {vals[k]:.4g}); the equation "
                 "requires Psi > 0 on [0, 1]"
             )
         # Xi enters only through e^Xi: its absolute error is a relative one downstream

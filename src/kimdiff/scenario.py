@@ -210,6 +210,15 @@ def load_scenario(config, overrides=None):
     )
 
 
+def make_out_dir(out):
+    """Create the output directory out; a path that cannot be one raises a
+    ConfigError naming 'out' and the path."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        _fail("out", f"cannot create directory {exc.filename}: {exc.strerror}")
+
+
 def _csv_fields(column):
     """The CSV text of each value in a column: strings pass through as
     already formatted, and numbers become their str through one repr of the
@@ -260,10 +269,14 @@ def write_spectrum(out, model, basis, eigenfunctions=False):
     return path
 
 
-def write_fixation(out, profile):
-    """Write fixation.csv (x, psi) into out; returns its path."""
+def write_fixation(out, profile, grid):
+    """Write fixation.csv into out: psi at the grid + 1 uniform points of
+    [0, 1], exactly 0 and 1 at the ends.  Returns its path."""
+    x = np.linspace(0.0, 1.0, grid + 1)
+    psi = profile(x)
+    psi[0], psi[-1] = 0.0, 1.0
     path = out / "fixation.csv"
-    _write_csv(path, ["x", "psi"], [profile.grid, profile.values])
+    _write_csv(path, ["x", "psi"], [x, psi])
     return path
 
 
@@ -274,7 +287,7 @@ def write_bessel(out, model, basis, modes):
     results = [
         {"mode": j, "sup_error": bessel_comparison(model, basis, j)} for j in modes
     ]
-    out.mkdir(parents=True, exist_ok=True)
+    make_out_dir(out)
     path = out / "bessel.json"
     _write_json(path, {
         "comparison": results,
@@ -291,7 +304,7 @@ def compute_pipeline(scenario):
     coefficients, their weak-form defect at t = 0, the solutions at the
     scenario times and their conservation report."""
     model, init = scenario.model, scenario.initial
-    profile = fixation_profile(model, scenario.grid + 1)
+    profile = fixation_profile(model)
     basis = build_basis(model, scenario.modes, scenario.grid)
     coeffs = evolution.project_initial(model, basis, init, profile)
     sols = evolution.solutions_at(model, basis, coeffs, init, scenario.times)
@@ -364,7 +377,7 @@ def run_scenario(scenario):
     summary).  Unresolvable inputs raise ValueError, which the CLI maps to
     exit 1.
     """
-    scenario.out_dir.mkdir(parents=True, exist_ok=True)
+    make_out_dir(scenario.out_dir)
     pieces = compute_pipeline(scenario)
     model, basis, coeffs = scenario.model, pieces["basis"], pieces["coeffs"]
     sols = pieces["solutions"]
@@ -380,11 +393,11 @@ def run_scenario(scenario):
 
     out = scenario.out_dir
     write_spectrum(out, model, basis)
-    write_fixation(out, pieces["profile"])
+    write_fixation(out, pieces["profile"], scenario.grid)
     limits = coeffs.limits
     report = pieces["report"]
     profiles_dir = out / "profiles"
-    profiles_dir.mkdir(exist_ok=True)
+    make_out_dir(profiles_dir)
     grid_text = _csv_fields(sols.grid)
     for sol in sols:
         _write_csv(profiles_dir / f"q_t{sol.t:g}.csv", ["x", "q"], [grid_text, sol.density])
@@ -434,16 +447,15 @@ def run_verify(scenario):
 
     Gates on the cross-solver gaps and the spectral invariants; exit status 2
     on any violation, 0 otherwise."""
-    scenario.out_dir.mkdir(parents=True, exist_ok=True)
+    make_out_dir(scenario.out_dir)
     pieces = compute_pipeline(scenario)
     positive = pieces["solutions"][pieces["solutions"].t > 0]
     fd_states = fd.evolve_fd(
         scenario.model,
         scenario.initial,
-        positive.t[-1],
+        positive.t,
         scenario.cells,
         dt=scenario.dt,
-        output_times=positive.t,
     )
     comparison = fd.compare_with_spectral(fd_states, positive)
     mass0 = scenario.initial.total_mass()
@@ -546,10 +558,9 @@ def emit_plot_data(results_dir):
     results = Path(results_dir)
     evo_path = results / "evolution.csv"
     spec_path = results / "spectrum.json"
-    if not evo_path.exists():
-        raise FileNotFoundError(f"missing {evo_path}; run a scenario first")
-    if not spec_path.exists():
-        raise FileNotFoundError(f"missing {spec_path}; run a scenario first")
+    for path in (evo_path, spec_path):
+        if not path.exists():
+            raise FileNotFoundError(f"missing {path}; run a scenario first")
     lam0 = json.loads(spec_path.read_text())["lambda"][0]
     with open(evo_path) as fh:
         rows = list(csv.DictReader(fh))

@@ -17,7 +17,7 @@ def neutral_basis(neutral):
 
 @pytest.fixture(scope="session")
 def neutral_profile(neutral):
-    return kd.fixation_profile(neutral, 2049)
+    return kd.fixation_profile(neutral)
 
 
 @pytest.fixture(scope="session")

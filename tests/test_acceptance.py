@@ -26,7 +26,7 @@ def neutral_big(neutral):
 
 @pytest.fixture(scope="module")
 def neutral_profile_big(neutral):
-    return kd.fixation_profile(neutral, 4097)
+    return kd.fixation_profile(neutral)
 
 
 @pytest.fixture(scope="module")
@@ -51,14 +51,15 @@ def test_neutral_eigenvalues(neutral):
 
 
 def test_fixation_probability(neutral):
-    prof = kd.fixation_profile(neutral, 4097)
-    neutral_err = float(np.max(np.abs(prof.values - prof.grid)))
+    x = np.linspace(0.0, 1.0, 4097)
+    prof = kd.fixation_profile(neutral)
+    neutral_err = float(np.max(np.abs(prof(x) - x)))
     worst = 0.0
     for beta in (-2.0, 1.0, 5.0):
         m = kd.CoefficientModel((1.0,), (beta,))
-        p = kd.fixation_profile(m, 4097)
-        exact = (1 - np.exp(-beta * p.grid)) / (1 - np.exp(-beta))
-        worst = max(worst, float(np.max(np.abs(p.values - exact))))
+        p = kd.fixation_profile(m)
+        exact = (1 - np.exp(-beta * x)) / (1 - np.exp(-beta))
+        worst = max(worst, float(np.max(np.abs(p(x) - exact))))
     report(
         "fixation-probability",
         neutral_err <= 1e-10 and worst <= 1e-9,
@@ -88,7 +89,7 @@ def test_conservation_laws(neutral, selection, neutral_big, neutral_profile_big)
     results.append(("neutral/interior-atom", max(rep_atom.mass_span, rep_atom.psi_mass_span)))
 
     sel_basis = kd.build_basis(selection, 128, 2048)
-    sel_profile = kd.fixation_profile(selection, 2049)
+    sel_profile = kd.fixation_profile(selection)
     bump = kd.InitialMeasure(density="bump(0.4, 0.2)")
     rep_sel = run(selection, sel_basis, sel_profile, bump)
     results.append(("selection/bump", max(rep_sel.mass_drift, rep_sel.psi_mass_drift)))
@@ -108,7 +109,7 @@ def test_boundary_mass_routes(neutral, selection, neutral_big, neutral_profile_b
         for sol in kd.solutions_at(neutral, neutral_big, coeffs_u, init_u, times)
     )
     sel_basis = kd.build_basis(selection, 128, 2048)
-    sel_profile = kd.fixation_profile(selection, 2049)
+    sel_profile = kd.fixation_profile(selection)
     bump = kd.InitialMeasure(density="bump(0.4, 0.2)")
     coeffs_b = kd.project_initial(selection, sel_basis, bump, sel_profile)
     sel_psi = sel_profile(sel_basis.closed_grid)
@@ -151,15 +152,15 @@ def test_spectral_vs_fd(neutral, selection, neutral_big, uniform_run):
     times = [0.1, 1.0]
     init_u, coeffs_u = uniform_run
     sols_u = kd.solutions_at(neutral, neutral_big, coeffs_u, init_u, times)
-    fd_u = kd.evolve_fd(neutral, init_u, 1.0, 1024, output_times=times)
+    fd_u = kd.evolve_fd(neutral, init_u, times, 1024)
     rows_u = kd.compare_with_spectral(fd_u, sols_u)
 
     sel_basis = kd.build_basis(selection, 128, 2048)
-    sel_profile = kd.fixation_profile(selection, 2049)
+    sel_profile = kd.fixation_profile(selection)
     bump = kd.InitialMeasure(density="bump(0.4, 0.2)")
     coeffs_b = kd.project_initial(selection, sel_basis, bump, sel_profile)
     sols_b = kd.solutions_at(selection, sel_basis, coeffs_b, bump, times)
-    fd_b = kd.evolve_fd(selection, bump, 1.0, 1024, output_times=times)
+    fd_b = kd.evolve_fd(selection, bump, times, 1024)
     rows_b = kd.compare_with_spectral(fd_b, sols_b)
 
     worst_l1 = max(r.q_l1_diff for r in rows_u + rows_b)
@@ -168,7 +169,7 @@ def test_spectral_vs_fd(neutral, selection, neutral_big, uniform_run):
     # halving the FD mesh shrinks the gap by about 4x (second order)
     gaps = []
     for cells in (128, 256, 512):
-        states = kd.evolve_fd(selection, bump, 0.5, cells)
+        states = kd.evolve_fd(selection, bump, [0.5], cells)
         ref = kd.solutions_at(selection, sel_basis, coeffs_b, bump, [0.5])
         gaps.append(kd.compare_with_spectral(states, ref)[0].q_l1_diff)
     ratios = [gaps[0] / gaps[1], gaps[1] / gaps[2]]

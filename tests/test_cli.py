@@ -141,6 +141,8 @@ def test_malformed_config_reports_field(tmp_path):
     ("out", {"out": {"dir": "x"}}),
     ("name", {"name": {}}),
     ("tolerances", {"tolerances": 5}),
+    # Psi = (x - 0.50005)^2 - 1e-10 is negative on an interval of width 2e-5 only
+    ("model.psi/pi", {"model": {"psi": [0.50005**2 - 1e-10, -1.0001, 1.0], "pi": [0.0]}}),
 ])
 def test_malformed_field_exits_one_and_names_it(tmp_path, capsys, field, extra):
     path = demo_config(tmp_path, **extra)
@@ -157,6 +159,9 @@ def test_overlong_number_exits_one_and_names_it(tmp_path, capsys):
     assert "config field 'model.beta'" in capsys.readouterr().err
 
 
+DEMO = "<demo config>"  # a command line's stand-in for the demo config's path
+
+
 @pytest.mark.parametrize("config, message", [
     # 128 cells do not resolve the boundary layer of beta = 120
     ({"model": {"preset": "kimura", "eta": 0.0, "beta": 120.0},
@@ -164,16 +169,58 @@ def test_overlong_number_exits_one_and_names_it(tmp_path, capsys):
       "modes": None, "grid": None}, "below zero at cells=128; raise cells"),
     ("[1, 2]", "config field 'top level': expected an object"),
     ({"out": 5}, "config field 'out': expected a string"),
+    # a command line: a flag's number goes through the config reader
+    (("verify", "--config", DEMO, "--modes", "64.5"),
+     "config field 'modes': expected a finite integer, got 64.5"),
+    (("verify", "--config", DEMO, "--grid", "fine"), "argument --grid: invalid float value"),
+    (("verify", "--config", DEMO, "--bogus", "1"), "unrecognized arguments: --bogus 1"),
+    ((), "the following arguments are required: command"),
+    # an --out that names a file, or a path under one
+    (("evolve", "--config", DEMO, "--out", DEMO),
+     f"config field 'out': cannot create directory {DEMO}: File exists"),
+    (("spectrum", "--out", DEMO), f"config field 'out': cannot create directory {DEMO}:"),
+    (("fixation", "--out", DEMO), f"config field 'out': cannot create directory {DEMO}:"),
+    (("bessel-check", "--out", DEMO),
+     f"config field 'out': cannot create directory {DEMO}:"),
+    (("verify", "--config", DEMO, "--out", f"{DEMO}/sub"),
+     f"config field 'out': cannot create directory {DEMO}/sub: Not a directory"),
 ])
 def test_cli_input_errors_exit_one_without_traceback(tmp_path, config, message):
-    if isinstance(config, dict):
+    if isinstance(config, tuple):
+        path = demo_config(tmp_path)
+        argv = [arg.replace(DEMO, str(path)) for arg in config]
+        message = message.replace(DEMO, str(path))
+    elif isinstance(config, dict):
         path = demo_config(tmp_path, **config)
+        argv = ["verify", "--config", str(path)]
     else:
         path = tmp_path / "text.json"
         path.write_text(config)
-    run = _python("-m", "kimdiff.cli", "verify", "--config", str(path))
+        argv = ["verify", "--config", str(path)]
+    run = _python("-m", "kimdiff.cli", *argv)
     assert run.returncode == 1
     assert message in run.stderr and "Traceback" not in run.stderr
+
+
+def test_file_in_place_of_the_profiles_directory_exits_one(tmp_path, capsys):
+    path = demo_config(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "profiles").write_text("")
+    assert main(["evolve", "--config", str(path)]) == 1
+    profiles = tmp_path / "out" / "profiles"
+    assert (f"config field 'out': cannot create directory {profiles}: File exists"
+            in capsys.readouterr().err)
+
+
+def test_numeric_flags_read_like_config_values(tmp_path):
+    # --grid 1e3 runs as "grid": 1e3 does, and --help still exits 0
+    for name, argv in [("flag", ["--grid", "1e3"]),
+                       ("config", ["--config", str(demo_config(tmp_path, grid=1e3))])]:
+        out = tmp_path / name
+        assert main(["fixation", *argv, "--out", str(out)]) == 0
+        lines = (out / "fixation.csv").read_text().splitlines()
+        assert len(lines) == 1 + 1001
+    assert _python("-m", "kimdiff.cli", "--help").returncode == 0
 
 
 def test_two_times_starting_at_zero_run(tmp_path):
@@ -244,7 +291,9 @@ def test_commands_evaluate_only_what_they_write(tmp_path, monkeypatch, command):
     # both commands evaluate the series once, at the scenario times; the weak
     # form is checked at t = 0 from the coefficients.  Each evaluates the
     # limits once and psi twice: on the initial measure's rule nodes for the
-    # limits, then on the solution grid
+    # limits, then on the solution grid; evolve samples psi once more, on the
+    # grid + 1 points that fixation.csv holds, and verify, which writes no
+    # fixation.csv, does not
     calls = {"solutions_at": 0, "limit_masses": 0}
     grids = []
     for name in calls:
@@ -271,9 +320,11 @@ def test_commands_evaluate_only_what_they_write(tmp_path, monkeypatch, command):
     assert main([command, "--config", str(path)]) == 0
     assert calls == {"solutions_at": 1, "limit_masses": 1}
     rule_nodes, _ = gauss01(64)  # the uniform density's single panel
-    assert len(psi_points) == 2
-    assert np.array_equal(psi_points[0], rule_nodes)
-    assert np.array_equal(psi_points[1], grids[0])
+    expected = [rule_nodes, grids[0]]
+    if command == "evolve":
+        expected.append(np.linspace(0.0, 1.0, 1025))
+    assert len(psi_points) == len(expected)
+    assert all(map(np.array_equal, psi_points, expected))
 
 
 @pytest.mark.parametrize("command", ["evolve", "verify"])

@@ -96,7 +96,7 @@ def test_sampled_projection_matches_twelve_nodes_per_panel(selection, samples):
     # panel between samples.  Panels that hold few nodes of the basis rule
     # left about 2e-8 with two extra nodes; four leave below 1e-12
     basis = kd.build_basis(selection, 64, 2048)
-    profile = kd.fixation_profile(selection, 2049)
+    profile = kd.fixation_profile(selection)
     xs = np.linspace(0.0, 1.0, samples)
     vs = np.random.default_rng(7).uniform(0.0, 1.0, samples)
     coeffs = kd.project_initial(selection, basis, kd.InitialMeasure(density=(xs, vs)), profile)
@@ -326,7 +326,7 @@ def test_conservation_interior_atom_constancy(neutral, neutral_basis, neutral_pr
 def test_route_gap_matches_trapezoid_route(selection):
     # the report's gap, written with the conserved sums, against the
     # conservation-route masses computed per time with np.trapezoid
-    profile = kd.fixation_profile(selection, 1025)
+    profile = kd.fixation_profile(selection)
     basis = kd.build_basis(selection, 24, 1024)
     init = kd.InitialMeasure(a0=0.1, density="bump(0.4, 0.25)", atoms=[(0.7, 0.3)])
     coeffs = kd.project_initial(selection, basis, init, profile)
@@ -474,7 +474,7 @@ def test_truncation_estimate_reads_the_last_two_terms(neutral, neutral_profile):
 
 def test_weak_form_matches_trapezoid_loop(selection):
     # the stacked trapezoid weights against per-solution np.trapezoid sums
-    profile = kd.fixation_profile(selection, 1025)
+    profile = kd.fixation_profile(selection)
     basis = kd.build_basis(selection, 24, 1024)
     init = kd.InitialMeasure(a0=0.1, density="bump(0.4, 0.25)", atoms=[(0.7, 0.3)])
     coeffs = kd.project_initial(selection, basis, init, profile)

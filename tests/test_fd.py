@@ -16,14 +16,14 @@ def single_mode_init():
 
 def test_zero_density_stays_zero(neutral):
     init = kd.InitialMeasure(a0=0.3, b0=0.7)
-    states = kd.evolve_fd(neutral, init, 0.5, 256, output_times=[0.25, 0.5])
+    states = kd.evolve_fd(neutral, init, [0.25, 0.5], 256)
     for st in states:
         assert np.all(st.values == 0.0)
         assert st.a == 0.3 and st.b == 0.7
 
 
 def test_single_mode_masses_match_analytic(neutral):
-    states = kd.evolve_fd(neutral, single_mode_init(), 0.5, 2048)
+    states = kd.evolve_fd(neutral, single_mode_init(), [0.5], 2048)
     st = states[-1]
     exact = SQ6 * (1 - np.exp(-1.0)) / 2
     assert abs(st.a - exact) <= 1e-3
@@ -34,7 +34,7 @@ def test_single_mode_masses_match_analytic(neutral):
 
 def test_discrete_mass_conservation(neutral):
     init = single_mode_init()
-    states = kd.evolve_fd(neutral, init, 1.0, 256, output_times=[0.2, 0.6, 1.0])
+    states = kd.evolve_fd(neutral, init, [0.2, 0.6, 1.0], 256)
     mass0 = init.total_mass()
     for st in states:
         assert abs(st.total_mass() - mass0) <= 1e-10 * mass0
@@ -42,7 +42,7 @@ def test_discrete_mass_conservation(neutral):
 
 def test_monotone_absorbed_masses(selection):
     init = kd.InitialMeasure(density="bump(0.4, 0.25)")
-    states = kd.evolve_fd(selection, init, 1.0, 256, output_times=[0.1, 0.3, 0.6, 1.0])
+    states = kd.evolve_fd(selection, init, [0.1, 0.3, 0.6, 1.0], 256)
     a_vals = [st.a for st in states]
     b_vals = [st.b for st in states]
     assert np.all(np.diff(a_vals) > 0)
@@ -51,7 +51,7 @@ def test_monotone_absorbed_masses(selection):
 
 def test_atom_deposited_with_exact_mass(neutral):
     init = kd.InitialMeasure(atoms=[(0.37, 0.8)], density="uniform")
-    st = kd.evolve_fd(neutral, init, 1e-9, 256, output_times=[0.0])[0]
+    st = kd.evolve_fd(neutral, init, [0.0], 256)[0]
     assert st.total_mass() == pytest.approx(init.total_mass(), rel=1e-12)
     # and its first moment; the uniform part's is 1/2 on the cell centres
     moment = st.h * float(np.sum(st.centers * st.values))
@@ -59,7 +59,7 @@ def test_atom_deposited_with_exact_mass(neutral):
     assert np.count_nonzero(np.abs(st.values - 1.0) > 1e-9) == 2
     # an atom outside the first cell centre stays whole in the end cell
     edge = kd.InitialMeasure(atoms=[(0.001, 0.5)])
-    st = kd.evolve_fd(neutral, edge, 1e-9, 256, output_times=[0.0])[0]
+    st = kd.evolve_fd(neutral, edge, [0.0], 256)[0]
     assert st.values[0] == pytest.approx(0.5 * 256, rel=1e-12)
     assert np.count_nonzero(st.values) == 1
 
@@ -68,27 +68,27 @@ def test_step_budget_counts_every_interval(neutral, monkeypatch):
     # 64 + 64 steps of dt = 1/128; the output at t = 0 takes none
     times = [0.0, 0.5, 1.0]
     monkeypatch.setattr(fd, "_MAX_STEPS", 128)
-    kd.evolve_fd(neutral, single_mode_init(), 1.0, 128, output_times=times)
+    kd.evolve_fd(neutral, single_mode_init(), times, 128)
     monkeypatch.setattr(fd, "_MAX_STEPS", 127)
     with pytest.raises(ValueError, match=r"^times: .* takes 128 .* cells=128") as err:
-        kd.evolve_fd(neutral, single_mode_init(), 1.0, 128, output_times=times)
+        kd.evolve_fd(neutral, single_mode_init(), times, 128)
     # the quoted last time fits the budget
     t_fit = float(re.search(r"up to (\S+) fit", str(err.value)).group(1))
     assert 0.97 < t_fit <= 125 / 128
-    kd.evolve_fd(neutral, single_mode_init(), t_fit, 128, output_times=[0.0, 0.5, t_fit])
+    kd.evolve_fd(neutral, single_mode_init(), [0.0, 0.5, t_fit], 128)
 
 
 def test_step_size_guard(neutral):
     with pytest.raises(ValueError):
-        kd.evolve_fd(neutral, single_mode_init(), 0.1, 256, dt=1.0 / 64)
+        kd.evolve_fd(neutral, single_mode_init(), [0.1], 256, dt=1.0 / 64)
     with pytest.raises(ValueError):
-        kd.evolve_fd(neutral, single_mode_init(), 0.1, 64)
+        kd.evolve_fd(neutral, single_mode_init(), [0.1], 64)
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.0005])
 def test_nonpositive_dt_rejected(neutral, dt):
     with pytest.raises(ValueError, match="positive"):
-        kd.evolve_fd(neutral, single_mode_init(), 0.1, 256, dt=dt)
+        kd.evolve_fd(neutral, single_mode_init(), [0.1], 256, dt=dt)
 
 
 def test_convergence_order_against_spectral(neutral, neutral_basis, neutral_profile):
@@ -97,7 +97,7 @@ def test_convergence_order_against_spectral(neutral, neutral_basis, neutral_prof
     sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.5])
     gaps = []
     for cells in (128, 256, 512):
-        states = kd.evolve_fd(neutral, init, 0.5, cells)
+        states = kd.evolve_fd(neutral, init, [0.5], cells)
         rows = kd.compare_with_spectral(states, sols)
         gaps.append(rows[0].q_l1_diff)
     assert 2.5 < gaps[0] / gaps[1] < 6.0
@@ -108,7 +108,7 @@ def test_compare_with_spectral_pairs_times(neutral, neutral_basis, neutral_profi
     init = single_mode_init()
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.1, 1.0))
-    states = kd.evolve_fd(neutral, init, 1.0, 256, output_times=[0.1, 1.0])
+    states = kd.evolve_fd(neutral, init, [0.1, 1.0], 256)
     rows = kd.compare_with_spectral(states, sols)
     assert [r.t for r in rows] == [0.1, 1.0]
     for r in rows:
@@ -120,13 +120,13 @@ def test_compare_with_spectral_pairs_times(neutral, neutral_basis, neutral_profi
 
 def test_selection_bump_cross_check(selection):
     # full two-solver agreement on a selection scenario
-    profile = kd.fixation_profile(selection, 2049)
+    profile = kd.fixation_profile(selection)
     basis = kd.build_basis(selection, 48, 2048)
     init = kd.InitialMeasure(density="bump(0.45, 0.3)")
     coeffs = kd.project_initial(selection, basis, init, profile)
     times = [0.1, 1.0]
     sols = kd.solutions_at(selection, basis, coeffs, init, times)
-    states = kd.evolve_fd(selection, init, 1.0, 512, output_times=times)
+    states = kd.evolve_fd(selection, init, times, 512)
     for row in kd.compare_with_spectral(states, sols):
         assert row.q_l1_diff <= 1e-3
         assert row.a_diff <= 1e-3 and row.b_diff <= 1e-3
@@ -134,9 +134,9 @@ def test_selection_bump_cross_check(selection):
 
 def test_output_times_must_increase(neutral):
     with pytest.raises(ValueError, match="increase"):
-        kd.evolve_fd(neutral, single_mode_init(), 0.5, 256, output_times=[0.5, 0.2])
+        kd.evolve_fd(neutral, single_mode_init(), [0.5, 0.2], 256)
     with pytest.raises(ValueError, match="increase"):
-        kd.evolve_fd(neutral, single_mode_init(), 0.5, 256, output_times=[0.2, 0.2])
+        kd.evolve_fd(neutral, single_mode_init(), [0.2, 0.2], 256)
 
 
 def test_negative_density_guard_reports_failing_step():
@@ -146,7 +146,7 @@ def test_negative_density_guard_reports_failing_step():
     model = kd.make_kimura(0.0, 120.0)
     init = kd.InitialMeasure(density="bump(0.5, 0.3)")
     with pytest.raises(ValueError, match=r"negative density .* at t=0\.03125: .* at cells=128;"):
-        kd.evolve_fd(model, init, 0.5, 128, output_times=[0.5])
+        kd.evolve_fd(model, init, [0.5], 128)
 
 
 @pytest.mark.parametrize("block_steps", [64, 3])
@@ -158,7 +158,7 @@ def test_negative_density_guard_past_the_first_block(monkeypatch, block_steps):
     model = kd.make_kimura(0.0, 126.0)
     init = kd.InitialMeasure(atoms=[(0.02, 1.0)])
     with pytest.raises(ValueError, match=r"negative density .* at t=0\.07031: "):
-        kd.evolve_fd(model, init, 0.5, 128, output_times=[0.5])
+        kd.evolve_fd(model, init, [0.5], 128)
 
 
 def test_under_resolved_drift_names_cells():
@@ -167,8 +167,8 @@ def test_under_resolved_drift_names_cells():
     model = kd.make_kimura(0.0, 200.0)
     init = kd.InitialMeasure(density="bump(0.5, 0.3)")
     with pytest.raises(ValueError, match=r"cells=128 .* x in \[0\.98.*cells >= 256"):
-        kd.evolve_fd(model, init, 0.5, 128, output_times=[0.5])
-    kd.evolve_fd(model, init, 1e-3, 256)
+        kd.evolve_fd(model, init, [0.5], 128)
+    kd.evolve_fd(model, init, [1e-3], 256)
 
 
 def dense_cn_reference(model, init, n_cells, output_times):
@@ -215,7 +215,7 @@ def test_factored_stepper_matches_dense_reference(selection):
     # intervals of 2, 5, 20 and 170 steps; the last spans three blocks of
     # stored steps, so it checks their seams and their summed fluxes
     times = [0.013, 0.05, 0.2, 1.528]
-    states = kd.evolve_fd(selection, init, times[-1], 128, output_times=times)
+    states = kd.evolve_fd(selection, init, times, 128)
     reference = dense_cn_reference(selection, init, 128, times)
     for st, (u, a, b) in zip(states, reference):
         assert np.max(np.abs(st.values - u)) <= 1e-12
@@ -227,7 +227,7 @@ def test_factored_stepper_matches_dense_reference(selection):
     strong = kd.make_kimura(0.0, 60.0)
     init = kd.InitialMeasure(density="bump(0.5, 0.3)")
     times = times[:3]
-    states = kd.evolve_fd(strong, init, times[-1], 128, output_times=times)
+    states = kd.evolve_fd(strong, init, times, 128)
     reference = dense_cn_reference(strong, init, 128, times)
     for st, (u, a, b) in zip(states, reference):
         assert np.max(np.abs(st.values - u)) <= 1e-12 * np.max(np.abs(u))
@@ -240,4 +240,4 @@ def test_extreme_drift_range_rejected():
     model = kd.make_kimura(0.0, 1500.0)
     init = kd.InitialMeasure(density="bump(0.5, 0.3)")
     with pytest.raises(ValueError, match="varies too strongly"):
-        kd.evolve_fd(model, init, 0.1, 4096)
+        kd.evolve_fd(model, init, [0.1], 4096)

@@ -4,50 +4,58 @@ import pytest
 from scipy.integrate import quad
 
 import kimdiff as kd
+from kimdiff.cli import main
+from kimdiff.scenario import write_fixation
 
 
 def test_neutral_profile_is_identity(neutral, neutral_profile):
-    assert np.max(np.abs(neutral_profile.values - neutral_profile.grid)) <= 1e-10
+    x = np.linspace(0.0, 1.0, 2049)
+    assert np.max(np.abs(neutral_profile(x) - x)) <= 1e-10
 
 
 @pytest.mark.parametrize("beta", [-2.0, 1.0, 5.0])
 def test_constant_selection_closed_form(beta):
     m = kd.CoefficientModel((1.0,), (beta,))
-    prof = kd.fixation_profile(m, 1025)
-    exact = (1 - np.exp(-beta * prof.grid)) / (1 - np.exp(-beta))
-    assert np.max(np.abs(prof.values - exact)) <= 1e-9
+    prof = kd.fixation_profile(m)
+    x = np.linspace(0.0, 1.0, 1025)
+    exact = (1 - np.exp(-beta * x)) / (1 - np.exp(-beta))
+    assert np.max(np.abs(prof(x) - exact)) <= 1e-9
 
 
 def test_unit_xi_midpoint_value():
     m = kd.CoefficientModel((1.0,), (1.0,))
-    prof = kd.fixation_profile(m, 2049)
+    prof = kd.fixation_profile(m)
     expected = (1 - np.exp(-0.5)) / (1 - np.exp(-1))
     assert prof(0.5) == pytest.approx(expected, abs=1e-9)
-    assert prof.values[1024] == pytest.approx(expected, abs=1e-10)
+    assert prof(np.linspace(0.0, 1.0, 2049))[1024] == pytest.approx(expected, abs=1e-10)
 
 
-def test_endpoints_exact_and_monotone():
+def test_endpoints_exact_and_monotone(tmp_path):
     m = kd.make_kimura(1.5, -0.7)
-    prof = kd.fixation_profile(m, 513)
-    assert prof.values[0] == 0.0
-    assert prof.values[-1] == 1.0
-    assert np.all(np.diff(prof.values) > 0)
-    assert np.all((prof.values >= 0) & (prof.values <= 1))
+    # fixation.csv pins psi(0) = 0 and psi(1) = 1
+    path = write_fixation(tmp_path, kd.fixation_profile(m), 512)
+    x, psi = np.loadtxt(path, delimiter=",", skiprows=1).T
+    assert np.array_equal(x, np.linspace(0.0, 1.0, 513))
+    assert psi[0] == 0.0
+    assert psi[-1] == 1.0
+    assert np.all(np.diff(psi) > 0)
+    assert np.all((psi >= 0) & (psi <= 1))
 
 
 def test_scaling_invariance():
     # multiplying both factors by the same constant leaves xi, hence psi, alone
     base = kd.CoefficientModel((1.0, 0.2), (0.5, 1.0))
     scaled = kd.CoefficientModel((3.0, 0.6), (1.5, 3.0))
-    p1 = kd.fixation_profile(base, 257)
-    p2 = kd.fixation_profile(scaled, 257)
-    assert np.max(np.abs(p1.values - p2.values)) <= 1e-12
+    p1 = kd.fixation_profile(base)
+    p2 = kd.fixation_profile(scaled)
+    x = np.linspace(0.0, 1.0, 257)
+    assert np.max(np.abs(p1(x) - p2(x))) <= 1e-12
     assert p1.norm_const == pytest.approx(p2.norm_const, rel=1e-12)
 
 
 def test_norm_const_against_independent_quadrature():
     m = kd.make_kimura(1.5, -0.5)
-    prof = kd.fixation_profile(m, 257)
+    prof = kd.fixation_profile(m)
 
     def inner(s):
         return quad(lambda r: m.xi(r), 0.0, s, epsabs=1e-13, epsrel=1e-13)[0]
@@ -69,46 +77,47 @@ def _psi_by_mpmath(xi_integral, xs):
 def test_strong_opposing_selection_matches_mpmath():
     # xi = 20 - 60x: e^-Xi dips to e^-10/3 and then grows to e^10 at x = 1
     m = kd.make_kimura(-60.0, 20.0)
-    prof = kd.fixation_profile(m, 2049)
-    idx = np.arange(0, 2049, 128)
+    prof = kd.fixation_profile(m)
+    grid = np.linspace(0.0, 1.0, 2049)[::128]
     off = np.linspace(0.013, 0.987, 9)
-    exact = _psi_by_mpmath(lambda s: 20 * s - 30 * s**2, np.r_[prof.grid[idx], off])
-    assert np.max(np.abs(prof.values[idx] - exact[: len(idx)])) <= 1e-13
-    assert np.max(np.abs(prof(off) - exact[len(idx):])) <= 1e-13
+    exact = _psi_by_mpmath(lambda s: 20 * s - 30 * s**2, np.r_[grid, off])
+    assert np.max(np.abs(prof(grid) - exact[: len(grid)])) <= 1e-13
+    assert np.max(np.abs(prof(off) - exact[len(grid):])) <= 1e-13
 
 
 def test_off_grid_values_match_closed_forms():
     # the basis grid x_i = i / 2049 falls between the fixation grid points
     x = np.arange(1, 2049) / 2049
-    strong = kd.fixation_profile(kd.make_kimura(0.0, 20.0), 2049)
+    strong = kd.fixation_profile(kd.make_kimura(0.0, 20.0))
     exact = -np.expm1(-20.0 * x) / -np.expm1(-20.0)
     assert np.max(np.abs(strong(x) - exact)) <= 1e-13
-    sel = kd.fixation_profile(kd.make_kimura(1.0, -0.5), 2049)
+    sel = kd.fixation_profile(kd.make_kimura(1.0, -0.5))
     xs = x[::128]
     exact = _psi_by_mpmath(lambda s: s**2 / 2 - s / 2, xs)
     assert np.max(np.abs(sel(xs) - exact)) <= 1e-13
 
 
 def test_backward_residual_neutral(neutral):
-    prof = kd.fixation_profile(neutral, 2049)
-    assert kd.backward_residual(neutral, prof) <= 1e-6
+    prof = kd.fixation_profile(neutral)
+    assert kd.backward_residual(neutral, prof, np.linspace(0.0, 1.0, 2049)) <= 1e-6
 
 
 def test_backward_residual_second_order():
     m = kd.CoefficientModel((1.0,), (1.0,))
-    r_coarse = kd.backward_residual(m, kd.fixation_profile(m, 1025))
-    r_fine = kd.backward_residual(m, kd.fixation_profile(m, 2049))
+    prof = kd.fixation_profile(m)
+    r_coarse = kd.backward_residual(m, prof, np.linspace(0.0, 1.0, 1025))
+    r_fine = kd.backward_residual(m, prof, np.linspace(0.0, 1.0, 2049))
     assert 3.0 < r_coarse / r_fine < 5.0
 
 
 def test_backward_residual_detects_non_solution(neutral):
     grid = np.linspace(0, 1, 2049)
-    # backward_residual reads only the grid values, so the fake needs no table
-    fake = kd.FixationProfile(grid=grid, values=grid**2, norm_const=1.0, table=None)
+    # backward_residual only evaluates the profile, so any function will do;
     # F * 2 peaks at 1/2 with value 1/2 for the neutral model
-    assert kd.backward_residual(neutral, fake) == pytest.approx(0.5, abs=1e-3)
+    assert kd.backward_residual(neutral, np.square, grid) == pytest.approx(0.5, abs=1e-3)
 
 
-def test_rejects_tiny_grid(neutral):
-    with pytest.raises(ValueError):
-        kd.fixation_profile(neutral, 2)
+def test_rejects_tiny_grid(tmp_path, capsys):
+    # the grid only samples fixation.csv, and the config reader owns its range
+    assert main(["fixation", "--grid", "2", "--out", str(tmp_path)]) == 1
+    assert "config field 'grid': must be at least 64" in capsys.readouterr().err

@@ -97,4 +97,8 @@ def test_positivity_validation_rejects():
         kd.CoefficientModel((-2.0, 1.0), (0.0,))  # Psi(x) = x - 2
     with pytest.raises(ValueError, match="positivity"):
         kd.CoefficientModel((0.0,), (1.0,))
+    # Psi = (x - 0.50005)^2 - 1e-10 dips below 0 on an interval of width 2e-5,
+    # between the points of a uniform grid of 10^4 gaps
+    with pytest.raises(ValueError, match=r"positivity .* x = 0\.50005 "):
+        kd.CoefficientModel((0.50005**2 - 1e-10, -1.0001, 1.0), (0.0,))
 
