@@ -24,17 +24,6 @@ from .scenario import (
 from .spectral import build_basis
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="scenario config JSON")
-    sub.add_argument("--out", help="output directory")
-    # a flag's number is read like the config value it replaces, by the config reader
-    for name in DEFAULTS:
-        sub.add_argument(f"--{name}", type=float, help=f"override config key {name}")
-    for name in DEFAULT_TOLERANCES:
-        flag = name.replace("_", "-")
-        sub.add_argument(f"--tol-{flag}", type=float, help=f"{flag} tolerance")
-
-
 _DEFAULT_SCENARIO = {
     "schema": 1,
     "name": "neutral-default",
@@ -116,30 +105,29 @@ def build_parser():
         "endpoint masses: spectral route, fixation probabilities, and a "
         "finite-difference cross-check.",
     )
+    # the flags every scenario subcommand shares; a flag's number is read like
+    # the config value it replaces, by the config reader
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="scenario config JSON")
+    common.add_argument("--out", help="output directory")
+    for name in DEFAULTS:
+        common.add_argument(f"--{name}", type=float, help=f"override config key {name}")
+    for name in DEFAULT_TOLERANCES:
+        flag = name.replace("_", "-")
+        common.add_argument(f"--tol-{flag}", type=float, help=f"{flag} tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="eigenvalues, mode masses, diagnostics")
-    _add_common(p)
-    p.add_argument("--csv", action="store_true", help="also dump eigenfunction samples")
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("fixation", help="fixation probability on grid + 1 points, as CSV")
-    _add_common(p)
-    p.set_defaults(func=_cmd_fixation)
-
-    p = sub.add_parser("evolve", help="run a scenario end to end")
-    _add_common(p)
-    p.set_defaults(func=_cmd_evolve)
-
-    p = sub.add_parser("verify", help="spectral vs finite-difference verdict")
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("bessel-check", help="endpoint asymptotics comparison")
-    _add_common(p)
-    p.add_argument("--bessel-modes", default="4,8,16",
-                   help="comma-separated mode indices")
-    p.set_defaults(func=_cmd_bessel)
+    for command, func, help_text in [
+        ("spectrum", _cmd_spectrum, "eigenvalues, mode masses, diagnostics"),
+        ("fixation", _cmd_fixation, "fixation probability on grid + 1 points, as CSV"),
+        ("evolve", _cmd_evolve, "run a scenario end to end"),
+        ("verify", _cmd_verify, "spectral vs finite-difference verdict"),
+        ("bessel-check", _cmd_bessel, "endpoint asymptotics comparison"),
+    ]:
+        sub.add_parser(command, parents=[common], help=help_text).set_defaults(func=func)
+    sub.choices["spectrum"].add_argument("--csv", action="store_true",
+                                         help="also dump eigenfunction samples")
+    sub.choices["bessel-check"].add_argument("--bessel-modes", default="4,8,16",
+                                             help="comma-separated mode indices")
 
     p = sub.add_parser("plot", help="emit plot-ready CSV and SVG charts")
     p.add_argument("--results", required=True, help="scenario results directory")

@@ -93,7 +93,10 @@ class InitialMeasure:
     density may be None, a callable, a preset name ("uniform" or
     "bump(center,width)"), or a pair of sample arrays (x, values).
     atoms is a sequence of (location, mass) pairs with locations strictly
-    inside (0, 1).  Every moment of the measure goes through integrate.
+    inside (0, 1).  Every moment of the measure goes through integrate, and
+    the total mass is taken once, at construction.  A callable density is
+    probed for negative values on 4097 points; presets are nonnegative by
+    construction and samples are checked directly.
     """
 
     a0: float = 0.0
@@ -113,13 +116,11 @@ class InitialMeasure:
             if m <= 0.0:
                 raise ValueError("atom masses must be positive")
         self._density_fn, self._breaks = density_from_spec(self.density)
-        if self._density_fn is not None:
-            probe = self._density_fn(_VALIDATION_GRID)
-            if np.min(probe) < 0.0:
-                raise ValueError("initial density must be nonnegative")
-        total = self.total_mass()
-        if not np.isfinite(total) or total <= 0.0:
-            raise ValueError(f"total initial mass must be finite and positive, got {total}")
+        if callable(self.density) and np.min(self.density(_VALIDATION_GRID)) < 0.0:
+            raise ValueError("initial density must be nonnegative")
+        self._mass = self.a0 + self.b0 + float(self.integrate(np.ones_like))
+        if not np.isfinite(self._mass) or self._mass <= 0.0:
+            raise ValueError(f"total initial mass must be finite and positive, got {self._mass}")
 
     def density_samples(self, x):
         if self._density_fn is None:
@@ -146,7 +147,7 @@ class InitialMeasure:
         return w @ f(x)
 
     def total_mass(self):
-        return self.a0 + self.b0 + float(self.integrate(np.ones_like))
+        return self._mass
 
 
 @dataclass

@@ -27,8 +27,7 @@ _NEGATIVE_MASS_FRACTION = 1e-2
 _LOG_SCALE_FLOOR = -600.0
 # the largest mesh a too-coarse-mesh error suggests
 _MAX_SUGGESTED_CELLS = 2**18
-# the most time steps one run may take: about 9 s at 1024 cells, far longer
-# once a decayed density is subnormal (see README)
+# the most time steps one run may take: about 9 s at 1024 cells
 _MAX_STEPS = 2**20
 # steps per block of stored states; a block holds at most 512 KB of doubles
 _BLOCK_STEPS = 64
@@ -148,7 +147,10 @@ def evolve_fd(model, init, times, n_cells, dt=None):
     the next row of a block of at most _BLOCK_STEPS steps.  One pass per block
     adds its trapezoidal face fluxes to a and b, through coefficients with 1/s
     folded in, and tests the rows holding a negative value in step order.
-    u = w / s is formed only at output times and for those rows.  A
+    u = w / s is formed only at output times and for those rows.  Once the
+    interior mass left after a block, h sum |u|, is below the unit roundoff
+    of the initial mass, the state is set to zero and no more steps are
+    taken: later output times get that state, with a and b unchanged.  A
     mesh too coarse for the drift (some upper[i] lower[i+1] <= 0) raises a
     ValueError that names cells and the count that resolves it; so does a run
     of more than _MAX_STEPS steps, naming the last time that fits.
@@ -207,8 +209,9 @@ def evolve_fd(model, init, times, n_cells, dt=None):
     # suppresses the trapezoidal ringing that spike data would otherwise
     # excite without losing the scheme's second-order accuracy
     startup = 2
+    decayed = False
     for t_out, nsteps in zip(output_times, counts):
-        if nsteps:
+        if nsteps and not decayed:
             step = (t_out - t) / nsteps
             d, e, info = dpttrf(1.0 - 0.5 * step * diag, -0.5 * step * off)
             if info != 0:
@@ -247,7 +250,12 @@ def evolve_fd(model, init, times, n_cells, dt=None):
                     guard(rows[j + 1], t + (k + j + 1) * step)
                 k += m
                 w[:] = rows[m]
-            t = t_out
+                # an interior mass below the initial mass's unit roundoff is spent
+                if h * np.sum(np.abs(w / s)) < 2.0**-53 * mass0:
+                    w[:] = 0.0
+                    decayed = True
+                    break
+        t = t_out
         states.append(FdState(t=t, centers=xc, values=w / s, a=a, b=b))
     return states
 

@@ -165,6 +165,10 @@ def load_scenario(config, overrides=None):
             raw = json.loads(path.read_text())
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
+        except OSError as exc:  # a directory, a path under a file, no permission
+            raise ConfigError(f"cannot read config {path}: {exc.strerror}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {path} is not UTF-8 text: {exc.reason}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
         name = path.stem
@@ -302,7 +306,7 @@ def compute_pipeline(scenario):
     """Run the spectral pipeline for a scenario; returns a dict of the pieces
     that both evolve and verify write: the fixation profile, the basis, the
     coefficients, their weak-form defect at t = 0, the solutions at the
-    scenario times and their conservation report."""
+    scenario times, their positive-time view and their conservation report."""
     model, init = scenario.model, scenario.initial
     profile = fixation_profile(model)
     basis = build_basis(model, scenario.modes, scenario.grid)
@@ -315,6 +319,7 @@ def compute_pipeline(scenario):
         "coeffs": coeffs,
         "initial_residual": evolution.initial_residual(model, basis, coeffs, init),
         "solutions": sols,
+        "positive": sols[sols.t > 0],
         "report": evolution.conservation_residuals(init, sols, coeffs.limits, psi),
     }
 
@@ -343,8 +348,7 @@ def _gate(scenario, pieces):
         violations.append(f"weak-form residual at t=0 {pieces['initial_residual']:.3e} "
                           f"exceeds {_INITIAL_TOL:.0e}: the coefficients miss the moments of 'initial'")
     floor = -tol["positivity"] * mass0
-    sols = pieces["solutions"]
-    positive = sols[sols.t > 0]
+    sols, positive = pieces["solutions"], pieces["positive"]
     low = positive.density.min(axis=1)
     dips = np.flatnonzero(low < floor)
     if dips.size:
@@ -369,6 +373,26 @@ def _gate(scenario, pieces):
     return violations
 
 
+def _verdict(scenario, pieces, residuals_key, residuals=None, violations=()):
+    """The fields that summary.json and verify.json share: the schema, the
+    name, the tolerances, _gate's violations followed by the given ones, and
+    under residuals_key the given residuals with the four spectral ones."""
+    report = pieces["report"]
+    return {
+        "schema": SCHEMA_VERSION,
+        "name": scenario.name,
+        residuals_key: {
+            **(residuals or {}),
+            "mass_span": report.mass_span,
+            "psi_mass_span": report.psi_mass_span,
+            "route_agreement_max": report.route_gap,
+            "initial_residual": pieces["initial_residual"],
+        },
+        "tolerances": scenario.tolerances,
+        "violations": _gate(scenario, pieces) + list(violations),
+    }
+
+
 def run_scenario(scenario):
     """Run a loaded scenario and write all artifacts into its out_dir.
 
@@ -380,8 +404,7 @@ def run_scenario(scenario):
     make_out_dir(scenario.out_dir)
     pieces = compute_pipeline(scenario)
     model, basis, coeffs = scenario.model, pieces["basis"], pieces["coeffs"]
-    sols = pieces["solutions"]
-    positive = sols[sols.t > 0]
+    sols, positive = pieces["solutions"], pieces["positive"]
     decay = evolution.decay_diagnostics(basis, coeffs, positive) if len(positive) > 1 else None
 
     # before any artifact: a norm or bound beyond the double range exits 1
@@ -411,10 +434,9 @@ def run_scenario(scenario):
          sols.trunc_error],
     )
 
-    violations = _gate(scenario, pieces)
+    drifts = {"mass_drift": report.mass_drift, "psi_mass_drift": report.psi_mass_drift}
     summary = {
-        "schema": SCHEMA_VERSION,
-        "name": scenario.name,
+        **_verdict(scenario, pieces, "residuals", drifts),
         "lambda0": float(basis.eigenvalues[0]),
         "a_inf": limits[0],
         "b_inf": limits[1],
@@ -426,19 +448,9 @@ def run_scenario(scenario):
             "decay_bound_constant": c0s,
             "decay_bound_tail": c0s_tail,
         },
-        "residuals": {
-            "mass_drift": report.mass_drift,
-            "psi_mass_drift": report.psi_mass_drift,
-            "mass_span": report.mass_span,
-            "psi_mass_span": report.psi_mass_span,
-            "route_agreement_max": report.route_gap,
-            "initial_residual": pieces["initial_residual"],
-        },
-        "tolerances": scenario.tolerances,
-        "violations": violations,
     }
     _write_json(out / "summary.json", summary)
-    return 2 if violations else 0
+    return 2 if summary["violations"] else 0
 
 
 def run_verify(scenario):
@@ -449,7 +461,7 @@ def run_verify(scenario):
     on any violation, 0 otherwise."""
     make_out_dir(scenario.out_dir)
     pieces = compute_pipeline(scenario)
-    positive = pieces["solutions"][pieces["solutions"].t > 0]
+    positive = pieces["positive"]
     fd_states = fd.evolve_fd(
         scenario.model,
         scenario.initial,
@@ -462,7 +474,7 @@ def run_verify(scenario):
     fd_drift = max(abs(st.total_mass() - mass0) for st in fd_states)
 
     tol = scenario.tolerances
-    violations = _gate(scenario, pieces)
+    violations = []
     for row in comparison:
         if row.q_l1_diff > tol["fd_l1"]:
             violations.append(
@@ -475,27 +487,14 @@ def run_verify(scenario):
                 f"at t={row.t:g} exceeds {tol['fd_ab']:.1e}"
             )
 
-    report = pieces["report"]
-    verdict = {
-        "schema": SCHEMA_VERSION,
-        "name": scenario.name,
-        "comparison": [
-            {"t": r.t, "q_l1_diff": r.q_l1_diff, "a_diff": r.a_diff, "b_diff": r.b_diff}
-            for r in comparison
-        ],
+    verdict = _verdict(scenario, pieces, "spectral_residuals", violations=violations)
+    verdict.update({
+        "comparison": [row._asdict() for row in comparison],
         "fd_mass_drift": fd_drift,
-        "spectral_residuals": {
-            "mass_span": report.mass_span,
-            "psi_mass_span": report.psi_mass_span,
-            "route_agreement_max": report.route_gap,
-            "initial_residual": pieces["initial_residual"],
-        },
-        "tolerances": scenario.tolerances,
-        "violations": violations,
-        "pass": not violations,
-    }
+        "pass": not verdict["violations"],
+    })
     _write_json(scenario.out_dir / "verify.json", verdict)
-    return 2 if violations else 0
+    return 2 if verdict["violations"] else 0
 
 
 # plot emission

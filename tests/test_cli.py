@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import kimdiff
-from kimdiff import evolution, scenario
+from kimdiff import cli, evolution, scenario
 from kimdiff._quadrature import gauss01
 from kimdiff.cli import main
 from kimdiff.fixation import FixationProfile
@@ -184,6 +184,10 @@ DEMO = "<demo config>"  # a command line's stand-in for the demo config's path
      f"config field 'out': cannot create directory {DEMO}:"),
     (("verify", "--config", DEMO, "--out", f"{DEMO}/sub"),
      f"config field 'out': cannot create directory {DEMO}/sub: Not a directory"),
+    # a config path that is a directory, under a file, or not text
+    (("evolve", "--config", "."), "cannot read config .: Is a directory"),
+    (("evolve", "--config", f"{DEMO}/x"), f"cannot read config {DEMO}/x: Not a directory"),
+    (b"{\"schema\": 1\xff}", "is not UTF-8 text: invalid start byte"),
 ])
 def test_cli_input_errors_exit_one_without_traceback(tmp_path, config, message):
     if isinstance(config, tuple):
@@ -195,11 +199,12 @@ def test_cli_input_errors_exit_one_without_traceback(tmp_path, config, message):
         argv = ["verify", "--config", str(path)]
     else:
         path = tmp_path / "text.json"
-        path.write_text(config)
+        path.write_bytes(config if isinstance(config, bytes) else config.encode())
         argv = ["verify", "--config", str(path)]
     run = _python("-m", "kimdiff.cli", *argv)
     assert run.returncode == 1
     assert message in run.stderr and "Traceback" not in run.stderr
+    assert sum("error:" in line for line in run.stderr.splitlines()) == 1
 
 
 def test_file_in_place_of_the_profiles_directory_exits_one(tmp_path, capsys):
@@ -210,6 +215,33 @@ def test_file_in_place_of_the_profiles_directory_exits_one(tmp_path, capsys):
     profiles = tmp_path / "out" / "profiles"
     assert (f"config field 'out': cannot create directory {profiles}: File exists"
             in capsys.readouterr().err)
+
+
+SHARED_FLAGS = ["--config", "scenario.json", "--out", "elsewhere", "--modes", "32",
+                "--grid", "512", "--cells", "256", "--dt", "1e-3", "--s", "0.5",
+                "--tol-mass-drift", "1e-4", "--tol-psi-mass-drift", "2e-4",
+                "--tol-route-agreement", "3e-4", "--tol-positivity", "1e-7",
+                "--tol-fd-l1", "4e-3", "--tol-fd-ab", "5e-3"]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "fixation", "evolve", "verify",
+                                     "bessel-check"])
+def test_scenario_commands_share_one_flag_set(monkeypatch, capsys, command):
+    loaded = []
+
+    def record(config, overrides):
+        loaded.append((config, overrides))
+        raise ConfigError("recorded")
+
+    monkeypatch.setattr(cli, "load_scenario", record)
+    assert main([command, *SHARED_FLAGS]) == 1
+    assert loaded == [("scenario.json", {
+        "modes": 32.0, "grid": 512.0, "cells": 256.0, "dt": 1e-3, "s": 0.5,
+        "out": "elsewhere",
+        "tolerances": {"mass_drift": 1e-4, "psi_mass_drift": 2e-4,
+                       "route_agreement": 3e-4, "positivity": 1e-7, "fd_l1": 4e-3,
+                       "fd_ab": 5e-3}})]
+    assert capsys.readouterr().err == "error: recorded\n"
 
 
 def test_numeric_flags_read_like_config_values(tmp_path):
@@ -510,7 +542,8 @@ def gate(loaded, report=(0.0, 0.0, 0.0), a=np.zeros(4), b=np.zeros(4),
     report = evolution.ConservationReport(0.0, 0.0, mass_span, psi_mass_span, None, None,
                                           route_gap)
     coeffs = evolution.SpectralCoefficients(np.zeros(1), limits=limits)
-    return scenario._gate(loaded, {"report": report, "solutions": sols, "coeffs": coeffs,
+    return scenario._gate(loaded, {"report": report, "solutions": sols,
+                                   "positive": sols[sols.t > 0], "coeffs": coeffs,
                                    "initial_residual": initial_residual})
 
 

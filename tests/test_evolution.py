@@ -37,6 +37,36 @@ def test_initial_measure_validation():
     assert m.total_mass() == pytest.approx(1.0)
 
 
+def test_only_a_callable_density_is_probed_for_sign(monkeypatch):
+    # presets are nonnegative by construction and samples are checked
+    # directly, so neither is evaluated on the 4097-point probe; a callable is
+    sizes = []
+    original = evolution.density_from_spec
+
+    def recorded(spec):
+        fn, breaks = original(spec)
+
+        def density(x):
+            sizes.append(np.size(x))
+            return fn(x)
+
+        return density, breaks
+
+    monkeypatch.setattr(evolution, "density_from_spec", recorded)
+    for density in ("uniform", "bump(0.5, 0.2)", ([0.0, 0.5, 1.0], [1.0, 2.0, 0.0])):
+        kd.InitialMeasure(density=density)
+    assert sizes and 4097 not in sizes
+
+    def dips(x):
+        sizes.append(np.size(x))
+        return np.where(np.abs(np.asarray(x) - 0.3) < 1e-3, -1.0, 1.0)
+
+    sizes.clear()
+    with pytest.raises(ValueError, match="initial density must be nonnegative"):
+        kd.InitialMeasure(density=dips)
+    assert sizes == [4097]
+
+
 def test_bump_density_unit_mass():
     bump = kd.bump_density(0.4, 0.2)
     x = np.linspace(0, 1, 20001)

@@ -22,6 +22,27 @@ def test_zero_density_stays_zero(neutral):
         assert st.a == 0.3 and st.b == 0.7
 
 
+def test_decayed_state_stops_stepping(neutral, monkeypatch):
+    # by t = 400 the neutral uniform density is e^(-800): once its interior
+    # mass falls below the unit roundoff of the total, no more solves are made
+    import scipy.linalg.lapack as lapack
+
+    solves = []
+    original = lapack.dpttrs
+
+    def counted(*args):
+        solves.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(lapack, "dpttrs", counted)
+    init = kd.InitialMeasure(density="uniform")
+    states = kd.evolve_fd(neutral, init, [1.0, 400.0], 128)
+    assert len(solves) < 5000  # 51,202 steps to t = 400
+    assert [st.t for st in states] == [1.0, 400.0]
+    assert np.all(states[-1].values == 0.0)
+    assert states[-1].a + states[-1].b == pytest.approx(init.total_mass(), abs=1e-13)
+
+
 def test_single_mode_masses_match_analytic(neutral):
     states = kd.evolve_fd(neutral, single_mode_init(), [0.5], 2048)
     st = states[-1]
