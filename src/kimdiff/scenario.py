@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evolution, fd
+from . import _csvtext, evolution, fd
 from .fixation import fixation_profile
 from .model import CoefficientModel, make_kimura
 from .spectral import (
@@ -223,29 +223,61 @@ def make_out_dir(out):
         _fail("out", f"cannot create directory {exc.filename}: {exc.strerror}")
 
 
+def _create(path, mode="w"):
+    """Open an artifact path for writing; a path that cannot be written, such
+    as a directory, raises a ConfigError naming 'out' and the path."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        _fail("out", f"cannot write {path}: {exc.strerror}")
+
+
 def _csv_fields(column):
-    """The CSV text of each value in a column: strings pass through as
-    already formatted, and numbers become their str through one repr of the
-    whole list, which formats every value in C with no Python frame each."""
-    if isinstance(next(iter(column), ""), str):
+    """The CSV text of each value of a column, as the nonzero bytes of each
+    row of a uint8 matrix: a float as repr writes it (see _csvtext), any
+    other value as str.  A matrix passes through, so a column that several
+    files share is formatted once."""
+    column = np.asarray(column)
+    if column.ndim == 2:
         return column
-    return repr(np.asarray(column).tolist())[1:-1].split(", ")
+    if column.dtype.kind == "f":
+        return _csvtext.repr_fields(column)
+    text = np.char.encode(column.astype(str))
+    return text.view(np.uint8).reshape(len(text), text.itemsize)
 
 
 def _write_csv(path, header, columns):
     """Write a header and equal-length columns as CSV.
 
-    A column holds numbers or strings that need no quoting, such as
-    _csv_fields' output for a column that several files share, formatted
-    once.  Gives the bytes of csv.writer (str of each value, CRLF line
-    ends), and no value or row costs a Python frame."""
-    rows = map(",".join, zip(*map(_csv_fields, columns)))
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([",".join(header), *rows, ""]))
+    A column holds numbers, strings that need no quoting, or _csv_fields'
+    matrix for it.  Gives the bytes of csv.writer (str of each value, CRLF
+    line ends): the body is one byte table, a line per row, whose zero
+    padding is dropped at once."""
+    columns = [np.asarray(column) for column in columns]
+    rows = len(columns[0])
+    # the float columns in one call, which shares its fixed cost
+    floats = [j for j, column in enumerate(columns)
+              if column.ndim == 1 and column.dtype.kind == "f"]
+    if floats:
+        text = _csvtext.repr_fields(np.concatenate([columns[j] for j in floats]))
+        for i, j in enumerate(floats):
+            columns[j] = text[i * rows:(i + 1) * rows]
+    fields = [_csv_fields(column) for column in columns]
+    table = np.empty((rows, sum(field.shape[1] + 1 for field in fields) + 1), np.uint8)
+    at = 0
+    for field in fields:
+        table[:, at:at + field.shape[1]] = field
+        at += field.shape[1] + 1
+        table[:, at - 1] = ord(",")
+    table[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    body = table.ravel()
+    with _create(path, "wb") as fh:
+        fh.write(f"{','.join(header)}\r\n".encode())
+        fh.write(np.compress(body != 0, body))
 
 
 def _write_json(path, payload):
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -545,7 +577,8 @@ def _svg_line_chart(path, xs, ys, title, ylabel):
 <polyline fill="none" stroke="#1f6fb2" stroke-width="1.5" points="{points}"/>
 </svg>
 """
-    Path(path).write_text(svg)
+    with _create(path) as fh:
+        fh.write(svg)
 
 
 def emit_plot_data(results_dir):
@@ -576,7 +609,7 @@ def emit_plot_data(results_dir):
         series["scaled_q_l1"] = np.exp(lam0 * t + np.log(series["q_l1"]))
 
     plots = results / "plots"
-    plots.mkdir(exist_ok=True)
+    make_out_dir(plots)
     for name, vals in series.items():
         _svg_line_chart(
             plots / f"{name}.svg", t, vals, f"{name} vs t", name.replace("_", " ")

@@ -160,6 +160,7 @@ def test_overlong_number_exits_one_and_names_it(tmp_path, capsys):
 
 
 DEMO = "<demo config>"  # a command line's stand-in for the demo config's path
+TMP = "<tmp>"  # and for the test's directory, under which a row's files are made
 
 
 @pytest.mark.parametrize("config, message", [
@@ -188,12 +189,31 @@ DEMO = "<demo config>"  # a command line's stand-in for the demo config's path
     (("evolve", "--config", "."), "cannot read config .: Is a directory"),
     (("evolve", "--config", f"{DEMO}/x"), f"cannot read config {DEMO}/x: Not a directory"),
     (b"{\"schema\": 1\xff}", "is not UTF-8 text: invalid start byte"),
+    # an artifact path that is a directory (None), or a file where plot
+    # makes its directory; a leading dict names what is made first
+    (({"out/spectrum.json": None}, "evolve", "--config", DEMO),
+     f"config field 'out': cannot write {TMP}/out/spectrum.json: Is a directory"),
+    (({"out/verify.json": None}, "verify", "--config", DEMO),
+     f"config field 'out': cannot write {TMP}/out/verify.json: Is a directory"),
+    (({"out/fixation.csv": None}, "fixation", "--out", f"{TMP}/out"),
+     f"config field 'out': cannot write {TMP}/out/fixation.csv: Is a directory"),
+    (({"r/evolution.csv": "t,a,b,q_l1\r\n0.1,0.0,0.0,1.0\r\n",
+       "r/spectrum.json": '{"lambda": [2.0]}', "r/plots": ""}, "plot", "--results", f"{TMP}/r"),
+     f"config field 'out': cannot create directory {TMP}/r/plots: File exists"),
 ])
 def test_cli_input_errors_exit_one_without_traceback(tmp_path, config, message):
     if isinstance(config, tuple):
         path = demo_config(tmp_path)
-        argv = [arg.replace(DEMO, str(path)) for arg in config]
-        message = message.replace(DEMO, str(path))
+        made, config = ((config[0], config[1:]) if config and isinstance(config[0], dict)
+                        else ({}, config))
+        for name, text in made.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            if text is None:
+                (tmp_path / name).mkdir()
+            else:
+                (tmp_path / name).write_text(text)
+        argv = [arg.replace(DEMO, str(path)).replace(TMP, str(tmp_path)) for arg in config]
+        message = message.replace(DEMO, str(path)).replace(TMP, str(tmp_path))
     elif isinstance(config, dict):
         path = demo_config(tmp_path, **config)
         argv = ["verify", "--config", str(path)]
