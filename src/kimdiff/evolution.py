@@ -198,14 +198,13 @@ def project_initial(model, basis, init, profile):
     masses from the fixation profile.
 
     The weighted pairing reduces to a plain integral of the backward-form
-    modes u_j = e^(-Xi/2) phi_j against the measure, which
-    InitialMeasure.integrate takes with the basis's Gauss rule; phi_j is a
-    polynomial vanishing at the endpoints, so interior point masses
-    contribute exact point values and endpoint masses none.
+    modes u_j = e^(-Xi/2) phi_j against the measure: SpectralBasis.pairings
+    takes the measure's moments of the basis polynomials u_n e^(-Xi/2) on
+    the basis's Gauss rule and maps them to the modes, building no mode
+    table.  phi_j is a polynomial vanishing at the endpoints, so interior
+    point masses contribute exact point values and endpoint masses none.
     """
-    vals = init.integrate(
-        lambda x: np.exp(-0.5 * model.xi_integral(x))[:, None] * basis.mode_values(x),
-        rule=(basis.quad_nodes, basis.quad_weights))
+    vals = basis.pairings(init, lambda x: x * (1.0 - x) * np.exp(-0.5 * model.xi_integral(x)))
     return SpectralCoefficients(values=vals, limits=limit_masses(profile, init))
 
 

@@ -235,8 +235,8 @@ def _create(path, mode="w"):
 def _csv_fields(column):
     """The CSV text of each value of a column, as the nonzero bytes of each
     row of a uint8 matrix: a float as repr writes it (see _csvtext), any
-    other value as str.  A matrix passes through, so a column that several
-    files share is formatted once."""
+    other value as str.  A matrix, such as the text _write_csvs made for a
+    float column, passes through."""
     column = np.asarray(column)
     if column.ndim == 2:
         return column
@@ -246,34 +246,36 @@ def _csv_fields(column):
     return text.view(np.uint8).reshape(len(text), text.itemsize)
 
 
-def _write_csv(path, header, columns):
-    """Write a header and equal-length columns as CSV.
+def _write_csvs(files):
+    """Write CSV files, each a (path, header, equal-length columns) triple.
 
     A column holds numbers, strings that need no quoting, or _csv_fields'
     matrix for it.  Gives the bytes of csv.writer (str of each value, CRLF
-    line ends): the body is one byte table, a line per row, whose zero
-    padding is dropped at once."""
-    columns = [np.asarray(column) for column in columns]
-    rows = len(columns[0])
-    # the float columns in one call, which shares its fixed cost
-    floats = [j for j, column in enumerate(columns)
-              if column.ndim == 1 and column.dtype.kind == "f"]
+    line ends).  One call formats the float columns of all the files, each
+    column object once; each body is one byte table, a line per row, whose
+    zero padding is dropped at once."""
+    files = [(path, header, [np.asarray(column) for column in columns])
+             for path, header, columns in files]
+    floats = {id(column): column for _, _, columns in files for column in columns
+              if column.ndim == 1 and column.dtype.kind == "f"}
+    text = {}
     if floats:
-        text = _csvtext.repr_fields(np.concatenate([columns[j] for j in floats]))
-        for i, j in enumerate(floats):
-            columns[j] = text[i * rows:(i + 1) * rows]
-    fields = [_csv_fields(column) for column in columns]
-    table = np.empty((rows, sum(field.shape[1] + 1 for field in fields) + 1), np.uint8)
-    at = 0
-    for field in fields:
-        table[:, at:at + field.shape[1]] = field
-        at += field.shape[1] + 1
-        table[:, at - 1] = ord(",")
-    table[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
-    body = table.ravel()
-    with _create(path, "wb") as fh:
-        fh.write(f"{','.join(header)}\r\n".encode())
-        fh.write(np.compress(body != 0, body))
+        ends = np.cumsum([len(column) for column in floats.values()])[:-1]
+        formatted = _csvtext.repr_fields(np.concatenate(list(floats.values())))
+        text = dict(zip(floats, np.split(formatted, ends)))
+    for path, header, columns in files:
+        fields = [_csv_fields(text.get(id(column), column)) for column in columns]
+        table = np.empty((len(columns[0]), sum(f.shape[1] + 1 for f in fields) + 1), np.uint8)
+        at = 0
+        for field in fields:
+            table[:, at:at + field.shape[1]] = field
+            at += field.shape[1] + 1
+            table[:, at - 1] = ord(",")
+        table[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+        body = table.ravel()
+        with _create(path, "wb") as fh:
+            fh.write(f"{','.join(header)}\r\n".encode())
+            fh.write(np.compress(body != 0, body))
 
 
 def _write_json(path, payload):
@@ -297,23 +299,27 @@ def write_spectrum(out, model, basis, eigenfunctions=False):
         "identity_residuals": flux_identity_residuals(model, basis).tolist(),
     })
     if eigenfunctions:
-        _write_csv(
+        _write_csvs([(
             out / "eigenfunctions.csv",
             ["x"] + [f"phi{j}" for j in range(basis.n_modes)],
             [basis.interior_grid, *basis.eigenfunctions.T],
-        )
+        )])
     return path
 
 
-def write_fixation(out, profile, grid):
-    """Write fixation.csv into out: psi at the grid + 1 uniform points of
-    [0, 1], exactly 0 and 1 at the ends.  Returns its path."""
+def _fixation_csv(out, profile, grid):
+    """fixation.csv in out as a (path, header, columns) triple: psi at the
+    grid + 1 uniform points of [0, 1], exactly 0 and 1 at the ends."""
     x = np.linspace(0.0, 1.0, grid + 1)
     psi = profile(x)
     psi[0], psi[-1] = 0.0, 1.0
-    path = out / "fixation.csv"
-    _write_csv(path, ["x", "psi"], [x, psi])
-    return path
+    return out / "fixation.csv", ["x", "psi"], [x, psi]
+
+
+def write_fixation(out, profile, grid):
+    """Write fixation.csv (see _fixation_csv) into out.  Returns its path."""
+    _write_csvs([_fixation_csv(out, profile, grid)])
+    return out / "fixation.csv"
 
 
 def write_bessel(out, model, basis, modes):
@@ -448,23 +454,23 @@ def run_scenario(scenario):
 
     out = scenario.out_dir
     write_spectrum(out, model, basis)
-    write_fixation(out, pieces["profile"], scenario.grid)
     limits = coeffs.limits
     report = pieces["report"]
     profiles_dir = out / "profiles"
     make_out_dir(profiles_dir)
-    grid_text = _csv_fields(sols.grid)
-    for sol in sols:
-        _write_csv(profiles_dir / f"q_t{sol.t:g}.csv", ["x", "q"], [grid_text, sol.density])
-    _write_csv(
-        out / "evolution.csv",
-        ["t", "a", "b", "q_l1", "mass_total", "psi_mass", "radon_to_limit",
-         "trunc_error"],
-        [sols.t, sols.a, sols.b, sols.density_l1(), report.mass_values,
-         report.psi_mass_values,
-         evolution.radon_distance_to_limit(scenario.initial, sols, limits),
-         sols.trunc_error],
-    )
+    # every CSV of the run in one text pass; the profiles share one grid column
+    _write_csvs([
+        _fixation_csv(out, pieces["profile"], scenario.grid),
+        *((profiles_dir / f"q_t{sol.t:g}.csv", ["x", "q"], [sols.grid, sol.density])
+          for sol in sols),
+        (out / "evolution.csv",
+         ["t", "a", "b", "q_l1", "mass_total", "psi_mass", "radon_to_limit",
+          "trunc_error"],
+         [sols.t, sols.a, sols.b, sols.density_l1(), report.mass_values,
+          report.psi_mass_values,
+          evolution.radon_distance_to_limit(scenario.initial, sols, limits),
+          sols.trunc_error]),
+    ])
 
     drifts = {"mass_drift": report.mass_drift, "psi_mass_drift": report.psi_mass_drift}
     summary = {
@@ -593,17 +599,22 @@ def emit_plot_data(results_dir):
     for path in (evo_path, spec_path):
         if not path.exists():
             raise FileNotFoundError(f"missing {path}; run a scenario first")
-    lam0 = json.loads(spec_path.read_text())["lambda"][0]
+    try:
+        lam0 = float(json.loads(spec_path.read_text())["lambda"][0])
+    except (KeyError, IndexError, TypeError):
+        raise ValueError(f"{spec_path} has no eigenvalues under 'lambda'") from None
     with open(evo_path) as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise ValueError(f"{evo_path} has no data rows")
-    t = np.array([float(r["t"]) for r in rows])
-    series = {
-        "a": np.array([float(r["a"]) for r in rows]),
-        "b": np.array([float(r["b"]) for r in rows]),
-        "q_l1": np.array([float(r["q_l1"]) for r in rows]),
-    }
+    try:
+        t, a, b, q_l1 = np.array([[float(r[key]) for key in ("t", "a", "b", "q_l1")]
+                                  for r in rows]).T
+    except KeyError as exc:
+        raise ValueError(f"{evo_path} has no column {exc}") from None
+    except TypeError:  # DictReader fills a short row with None
+        raise ValueError(f"{evo_path} has a row shorter than its header") from None
+    series = {"a": a, "b": b, "q_l1": q_l1}
     # exp(lambda_0 t) alone overflows at late times, where q_l1 underflows to 0
     with np.errstate(divide="ignore"):
         series["scaled_q_l1"] = np.exp(lam0 * t + np.log(series["q_l1"]))
@@ -614,10 +625,10 @@ def emit_plot_data(results_dir):
         _svg_line_chart(
             plots / f"{name}.svg", t, vals, f"{name} vs t", name.replace("_", " ")
         )
-    _write_csv(
+    _write_csvs([(
         plots / "series.csv",
         ["series", "t", "value"],
         [np.repeat(list(series), len(t)), np.tile(t, len(series)),
          np.concatenate(list(series.values()))],
-    )
+    )])
     return plots

@@ -79,24 +79,35 @@ class SpectralBasis:
 
     def series_values(self, weights, x, scale):
         """sum_j weights[r, j] phi_j(x) / (x (1 - x)) at points x, times scale at x:
-        one row per row of the (rows, m) weights, one product with one slope table."""
+        one row per row of the (rows, m) weights, one product with one slope
+        table, the factors f_n of _quotient_factors folded into the weights."""
         n_basis = len(self.coefficients)
         folded = (weights @ self.coefficients.T) * _quotient_factors(n_basis)
         return folded @ _legendre_slopes(2.0 * x - 1.0, n_basis + 1)[1:-1] * scale
 
+    def pairings(self, measure, scale):
+        """int phi_j / (x (1 - x)) scale dmeasure for each mode j, the adjoint of
+        series_values: measure.integrate takes the N basis moments of
+        f_n P'_{n+1}(2x - 1) scale(x) from one slope table on the basis's rule."""
+        n_basis = len(self.coefficients)
+        moments = measure.integrate(
+            lambda x: (_legendre_slopes(2.0 * x - 1.0, n_basis + 1)[1:-1] * scale(x)).T,
+            rule=(self.quad_nodes, self.quad_weights))
+        return self.coefficients.T @ (_quotient_factors(n_basis) * moments)
+
 
 def _legendre_slopes(y, n):
-    """P_k'(y) for k = 0..n, one row per degree, by the recurrences
-    P_{k+1} = ((2k+1) y P_k - k P_{k-1}) / (k+1) and
-    P'_{k+1} = P'_{k-1} + (2k+1) P_k; two rows of P are kept, all in place."""
-    dp = np.zeros((n + 1, len(y)))
-    dp[1] = 1.0
-    p_prev, p, term = np.ones_like(y), np.array(y, float), np.empty_like(y)
+    """P_k'(y) for k = 0..n, one row per degree.  P'_{k+1} is the Gegenbauer
+    polynomial C^(3/2)_k, so the rows follow its three-term recurrence
+    (DLMF 18.9.1), P'_{k+1} = ((2k+1)/k) y P'_k - ((k+1)/k) P'_{k-1}, written
+    in place with four array operations per degree."""
+    dp = np.empty((n + 1, len(y)))
+    dp[0], dp[1] = 0.0, 1.0
+    rows, term = list(dp), np.empty_like(y)
     for k in range(1, n):
-        np.add(dp[k - 1], np.multiply(p, 2 * k + 1, out=term), out=dp[k + 1])
-        np.multiply(np.multiply(y, 2 * k + 1, out=term), p, out=term)
-        np.subtract(term, np.multiply(p_prev, k, out=p_prev), out=p_prev)
-        p_prev, p = p, np.divide(p_prev, k + 1, out=p_prev)
+        np.multiply(y, rows[k], out=rows[k + 1])
+        rows[k + 1] *= (2 * k + 1) / k
+        rows[k + 1] -= np.multiply(rows[k - 1], (k + 1) / k, out=term)
     return dp
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import kimdiff
-from kimdiff import cli, evolution, scenario
+from kimdiff import _csvtext, cli, evolution, scenario
 from kimdiff._quadrature import gauss01
 from kimdiff.cli import main
 from kimdiff.fixation import FixationProfile
@@ -200,6 +200,16 @@ TMP = "<tmp>"  # and for the test's directory, under which a row's files are mad
     (({"r/evolution.csv": "t,a,b,q_l1\r\n0.1,0.0,0.0,1.0\r\n",
        "r/spectrum.json": '{"lambda": [2.0]}', "r/plots": ""}, "plot", "--results", f"{TMP}/r"),
      f"config field 'out': cannot create directory {TMP}/r/plots: File exists"),
+    # results whose evolution.csv lacks a column or a field, or whose
+    # spectrum.json holds no eigenvalues
+    (({"r/evolution.csv": "t,a\r\n0.1,0.0\r\n", "r/spectrum.json": '{"lambda": [2.0]}'},
+      "plot", "--results", f"{TMP}/r"), f"{TMP}/r/evolution.csv has no column 'b'"),
+    (({"r/evolution.csv": "t,a,b,q_l1\r\n0.1,0.0\r\n", "r/spectrum.json": '{"lambda": [2.0]}'},
+      "plot", "--results", f"{TMP}/r"),
+     f"{TMP}/r/evolution.csv has a row shorter than its header"),
+    (({"r/evolution.csv": "t,a,b,q_l1\r\n0.1,0.0,0.0,1.0\r\n", "r/spectrum.json": "{}"},
+      "plot", "--results", f"{TMP}/r"),
+     f"{TMP}/r/spectrum.json has no eigenvalues under 'lambda'"),
 ])
 def test_cli_input_errors_exit_one_without_traceback(tmp_path, config, message):
     if isinstance(config, tuple):
@@ -310,7 +320,7 @@ def test_csv_writer_matches_csv_module(tmp_path):
     ]
     for header, columns, rows in cases:
         path = tmp_path / "fast.csv"
-        scenario._write_csv(path, header, columns)
+        scenario._write_csvs([(path, header, columns)])
         assert path.read_bytes() == _csv_writer_bytes(header, rows)
 
 
@@ -345,7 +355,8 @@ def test_commands_evaluate_only_what_they_write(tmp_path, monkeypatch, command):
     # limits once and psi twice: on the initial measure's rule nodes for the
     # limits, then on the solution grid; evolve samples psi once more, on the
     # grid + 1 points that fixation.csv holds, and verify, which writes no
-    # fixation.csv, does not
+    # fixation.csv, does not.  evolve formats the floats of all its CSV files
+    # in one call, the profiles' shared grid once; verify writes no CSV
     calls = {"solutions_at": 0, "limit_masses": 0}
     grids = []
     for name in calls:
@@ -367,6 +378,14 @@ def test_commands_evaluate_only_what_they_write(tmp_path, monkeypatch, command):
         return original_psi(self, x)
 
     monkeypatch.setattr(FixationProfile, "__call__", counted_psi)
+    formatted = []
+    original_text = _csvtext.repr_fields
+
+    def counted_text(values):
+        formatted.append(len(values))
+        return original_text(values)
+
+    monkeypatch.setattr(_csvtext, "repr_fields", counted_text)
     path = demo_config(tmp_path)
     assert sum(t > 0 for t in load_scenario(path).times) >= 2
     assert main([command, "--config", str(path)]) == 0
@@ -377,6 +396,10 @@ def test_commands_evaluate_only_what_they_write(tmp_path, monkeypatch, command):
         expected.append(np.linspace(0.0, 1.0, 1025))
     assert len(psi_points) == len(expected)
     assert all(map(np.array_equal, psi_points, expected))
+    times = len(load_scenario(path).times)
+    # the grid, a profile per time, fixation.csv's two columns, evolution.csv's eight
+    assert formatted == ([1026 * (1 + times) + 2 * 1025 + 8 * times]
+                         if command == "evolve" else [])
 
 
 @pytest.mark.parametrize("command", ["evolve", "verify"])

@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import kimdiff as kd
 from kimdiff import evolution
 from kimdiff._quadrature import gauss01
+from kimdiff.scenario import load_scenario
 
 from conftest import conservation_route, neutral_mode_exact
 
@@ -136,6 +138,29 @@ def test_sampled_projection_matches_twelve_nodes_per_panel(selection, samples):
     reference = weights @ (np.exp(-0.5 * selection.xi_integral(x))[:, None]
                            * basis.mode_values(x))
     assert np.max(np.abs(coeffs.values - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("config", ["spectral_evolve", "atom_verify"])
+def test_projection_by_basis_moments_matches_the_mode_table(config):
+    # reference: the modes tabulated at the basis's Gauss rule mapped onto
+    # the bump's panel, weighted by the density there, plus each atom's mass
+    # times the modes at the atom
+    path = Path(__file__).resolve().parents[1] / "bench" / "configs" / f"{config}.json"
+    loaded = load_scenario(path)
+    model, init = loaded.model, loaded.initial
+    assert init.density == "bump(0.4, 0.2)"
+    basis = kd.build_basis(model, loaded.modes, loaded.grid)
+    coeffs = kd.project_initial(model, basis, init, kd.fixation_profile(model))
+
+    def modes(x):
+        return np.exp(-0.5 * model.xi_integral(x))[:, None] * basis.mode_values(x)
+
+    lo, hi = 0.2, 0.6  # the bump's support
+    x = lo + (hi - lo) * basis.quad_nodes
+    reference = ((hi - lo) * basis.quad_weights * init.density_samples(x)) @ modes(x)
+    for xa, mass in init.atoms:
+        reference = reference + mass * modes(np.array([xa]))[0]
+    assert np.max(np.abs(coeffs.values - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 def test_initial_residual_reads_the_initial_term(neutral, neutral_basis, neutral_profile):

@@ -4,7 +4,7 @@ import pytest
 
 import kimdiff as kd
 from kimdiff._quadrature import gauss01
-from kimdiff.spectral import _phase_values
+from kimdiff.spectral import _legendre_slopes, _phase_values
 
 from conftest import neutral_mode_exact
 
@@ -134,6 +134,25 @@ def test_gauss_rule_matches_mpmath(n):
                 y -= p / dp
             assert abs(x0 - (1 + y) / 2) <= 2e-16
             assert abs(w0 * (1 - y * y) * legendre(y)[1] ** 2 - 1) <= 1e-11
+
+
+def test_legendre_slopes_match_mpmath():
+    # reference: P_k by its three-term recurrence at 40 digits, then
+    # P_k' = k (y P_k - P_{k-1}) / (y^2 - 1), and P_k'(+-1) = (+-1)^(k-1) k (k+1) / 2
+    # exactly; the error may reach k 1e-15 of P_k'(1) = k (k+1) / 2
+    degrees = (5, 50, 161, 300, 600)
+    y = np.concatenate(([-1.0, 0.0, 1.0], np.random.default_rng(5).uniform(-1.0, 1.0, 40),
+                        1.0 - 10.0 ** -np.arange(1, 9)))
+    slopes = _legendre_slopes(y, degrees[-1])
+    with mpmath.workdps(40):
+        for i, yi in enumerate(y):
+            ym, p_prev, p = mpmath.mpf(yi), mpmath.mpf(1), mpmath.mpf(yi)
+            for k in range(1, degrees[-1] + 1):
+                if k in degrees:
+                    exact = (ym ** (k - 1) * k * (k + 1) / 2 if abs(yi) == 1.0
+                             else k * (ym * p - p_prev) / (ym * ym - 1))
+                    assert abs(slopes[k, i] - exact) <= k * 1e-15 * k * (k + 1) / 2, (k, yi)
+                p_prev, p = p, ((2 * k + 1) * ym * p - k * p_prev) / (k + 1)
 
 
 def test_antisymmetric_mode_has_zero_mass(neutral_basis):
