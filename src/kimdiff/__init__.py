@@ -14,7 +14,6 @@ from .spectral import (
     bessel_comparison,
     build_basis,
     eigenvalue_growth,
-    flux_identity_residuals,
 )
 from .evolution import (
     ConservationReport,
@@ -32,7 +31,6 @@ from .evolution import (
     radon_bound_constant,
     radon_distance_to_limit,
     solutions_at,
-    verify_weak_form,
 )
 from .fd import ComparisonRow, FdState, compare_with_spectral, evolve_fd
 
@@ -47,7 +45,6 @@ __all__ = [
     "SpectralBasis",
     "build_basis",
     "eigenvalue_growth",
-    "flux_identity_residuals",
     "bessel_comparison",
     "InitialMeasure",
     "SpectralCoefficients",
@@ -62,7 +59,6 @@ __all__ = [
     "decay_diagnostics",
     "radon_distance_to_limit",
     "radon_bound_constant",
-    "verify_weak_form",
     "bump_density",
     "density_from_spec",
     "FdState",

@@ -174,6 +174,8 @@ def repr_fields(values):
     """The bytes of repr(float(v)) for each v of a 1-D float array, as the
     nonzero bytes of each row of a uint8 matrix."""
     values = np.ascontiguousarray(values, dtype=np.float64)
+    if not len(values):
+        return np.zeros((0, 0), np.uint8)
     if len(values) <= _CHUNK:
         return _repr_chunk(values)
     size = -(-len(values) // -(-len(values) // _CHUNK))  # even chunks

@@ -52,7 +52,7 @@ def _cmd_spectrum(args):
     scenario = _scenario(args)
     make_out_dir(scenario.out_dir)
     basis = build_basis(scenario.model, scenario.modes, scenario.grid)
-    print(f"wrote {write_spectrum(scenario.out_dir, scenario.model, basis, args.csv)}")
+    print(f"wrote {write_spectrum(scenario.out_dir, basis, args.csv)}")
     return 0
 
 

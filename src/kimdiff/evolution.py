@@ -10,7 +10,10 @@ probability), which cross-validate each other.
 There is one evaluation path: solutions_at evaluates the series for a whole
 array of times at once and returns one Solutions record, a density row and a
 mass pair per time.  Every diagnostic over time (conservation and the route
-gap, decay, distance to the limit, weak form) reads that record's arrays.
+gap, decay, distance to the limit) reads that record's arrays.  The paper's
+weak form is checked without one: it holds at every t > 0 exactly when each
+mode satisfies its identity, which build_basis tabulates as
+SpectralBasis.identity_residuals, and initial_residual checks its t = 0 term.
 """
 
 import re
@@ -288,6 +291,15 @@ def limit_masses(profile, init):
     return init.a0 + float(a_inf), init.b0 + float(b_inf)
 
 
+def _trapezoid_weights(x):
+    """Weights w with w @ f == np.trapezoid(f, x) for samples f on x."""
+    dx = np.diff(x)
+    w = np.zeros_like(x)
+    w[:-1] += 0.5 * dx
+    w[1:] += 0.5 * dx
+    return w
+
+
 def conservation_residuals(init, solutions, limits, psi):
     """Defects of the two conservation laws along a Solutions record.
 
@@ -413,75 +425,3 @@ def radon_bound_constant(basis, s):
     # cq sqrt(growth^(-s - 1/2) (m - 1)^(-2s) / 2s), its powers taken as logs
     log_tail = -(s + 0.5) * np.log(growth) - 2.0 * s * np.log(m - 1.0) - np.log(2.0 * s)
     return c0s, cq * _exp_in_range(0.5 * log_tail, s, what)
-
-
-# weak-form checking
-
-def _bump_window(t0, t1):
-    def zeta(t):
-        return _bump_shape((2.0 * np.asarray(t, float) - (t0 + t1)) / (t1 - t0))
-
-    def zeta_prime(t):
-        u = (2.0 * np.asarray(t, float) - (t0 + t1)) / (t1 - t0)
-        with np.errstate(divide="ignore", invalid="ignore"):  # 0 * inf at u = +-1
-            slope = _bump_shape(u) * (-2.0 * u / (1.0 - u**2) ** 2) * (2.0 / (t1 - t0))
-        return np.where(np.abs(u) < 1.0, slope, 0.0)
-
-    return zeta, zeta_prime
-
-
-def _chi_library(model, grid, psi):
-    x = grid
-    F = model.diffusion(x)
-    G = model.drift(x)
-    return {
-        "one": (np.ones_like(x), 1.0, 1.0, np.zeros_like(x)),
-        "x(1-x)": (x * (1.0 - x), 0.0, 0.0, -2.0 * F + (1.0 - 2.0 * x) * G),
-        "x^2(1-x)": (
-            x**2 * (1.0 - x),
-            0.0,
-            0.0,
-            F * (2.0 - 6.0 * x) + G * (2.0 * x - 3.0 * x**2),
-        ),
-        # F chi'' + G chi' vanishes identically for the fixation profile
-        "fixation": (psi, 0.0, 1.0, np.zeros_like(x)),
-    }
-
-
-def _trapezoid_weights(x):
-    """Weights w with w @ f == np.trapezoid(f, x) for samples f on x."""
-    dx = np.diff(x)
-    w = np.zeros_like(x)
-    w[:-1] += 0.5 * dx
-    w[1:] += 0.5 * dx
-    return w
-
-
-def verify_weak_form(model, solutions, psi):
-    """Residual of the boundary-coupled weak formulation for tensor-product
-    test functions (time bump times spatial function).
-
-    solutions: a Solutions record on a dense increasing grid of positive
-    times; the bump window spans that grid, so its derivatives vanish at the
-    ends and the initial term drops.  The spatial library is
-    {1, psi, x(1-x), x^2(1-x)}, psi the fixation profile on the solutions'
-    grid; the first two reduce the identity to the conservation laws, the
-    last two exercise the interior operator.  Returns a dict of absolute
-    residuals.
-    """
-    times = solutions.t
-    if len(times) < 8:
-        raise ValueError("need a reasonably dense time grid (8+ solutions)")
-    if np.any(times <= 0.0) or np.any(np.diff(times) <= 0.0):
-        raise ValueError("solution times must be positive and increasing")
-    zeta, zeta_prime = _bump_window(times[0], times[-1])
-    wt = _trapezoid_weights(times)
-    wzt = wt * zeta(times)
-    wzpt = wt * zeta_prime(times)
-    wx = _trapezoid_weights(solutions.grid)
-    out = {}
-    for name, (chi, chi0, chi1, rhs) in _chi_library(model, solutions.grid, psi).items():
-        paired = solutions.a * chi0 + solutions.b * chi1 + solutions.density @ (wx * chi)
-        interior = solutions.density @ (wx * rhs)
-        out[name] = abs(float(wzpt @ paired + wzt @ interior))
-    return out

@@ -17,12 +17,7 @@ import numpy as np
 from . import _csvtext, evolution, fd
 from .fixation import fixation_profile
 from .model import CoefficientModel, make_kimura
-from .spectral import (
-    bessel_comparison,
-    build_basis,
-    eigenvalue_growth,
-    flux_identity_residuals,
-)
+from .spectral import bessel_comparison, build_basis, eigenvalue_growth
 
 SCHEMA_VERSION = 1
 
@@ -284,9 +279,9 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def write_spectrum(out, model, basis, eigenfunctions=False):
+def write_spectrum(out, basis, eigenfunctions=False):
     """Write spectrum.json (eigenvalues, growth estimate, mode masses,
-    flux-identity residuals) into out, plus eigenfunctions.csv (samples on
+    weak-form identity residuals) into out, plus eigenfunctions.csv (samples on
     the interior grid) on request.  Returns the JSON path."""
     k_est = None
     if basis.n_modes >= 16:
@@ -296,7 +291,7 @@ def write_spectrum(out, model, basis, eigenfunctions=False):
         "lambda": basis.eigenvalues.tolist(),
         "K_estimate": k_est,
         "Q": basis.mode_masses.tolist(),
-        "identity_residuals": flux_identity_residuals(model, basis).tolist(),
+        "identity_residuals": basis.identity_residuals.tolist(),
     })
     if eigenfunctions:
         _write_csvs([(
@@ -453,7 +448,7 @@ def run_scenario(scenario):
         c0s = c0s_tail = None
 
     out = scenario.out_dir
-    write_spectrum(out, model, basis)
+    write_spectrum(out, basis)
     limits = coeffs.limits
     report = pieces["report"]
     profiles_dir = out / "profiles"
@@ -607,13 +602,18 @@ def emit_plot_data(results_dir):
         rows = list(csv.DictReader(fh))
     if not rows:
         raise ValueError(f"{evo_path} has no data rows")
-    try:
-        t, a, b, q_l1 = np.array([[float(r[key]) for key in ("t", "a", "b", "q_l1")]
-                                  for r in rows]).T
-    except KeyError as exc:
-        raise ValueError(f"{evo_path} has no column {exc}") from None
-    except TypeError:  # DictReader fills a short row with None
-        raise ValueError(f"{evo_path} has a row shorter than its header") from None
+
+    def column(key):
+        try:
+            return np.array([float(r[key]) for r in rows])
+        except KeyError:
+            raise ValueError(f"{evo_path} has no column {key!r}") from None
+        except TypeError:  # DictReader fills a short row with None
+            raise ValueError(f"{evo_path} has a row shorter than its header") from None
+        except ValueError as exc:
+            raise ValueError(f"{evo_path} column {key!r}: {exc}") from None
+
+    t, a, b, q_l1 = map(column, ("t", "a", "b", "q_l1"))
     series = {"a": a, "b": b, "q_l1": q_l1}
     # exp(lambda_0 t) alone overflows at late times, where q_l1 underflows to 0
     with np.errstate(divide="ignore"):

@@ -40,6 +40,8 @@ class SpectralBasis:
     mode_sup: max |q_j| over the Gauss nodes and both endpoints.
     mode_masses: integrals of the density modes over [0, 1].
     initial_pairings: (4, m) <chi_k, q_j>, chi_k = x (1 - x) P_k(2x - 1) e^(-Xi/2).
+    identity_residuals: per mode, the largest scaled defect of the weak-form
+        identity over its test functions (see _identity_residuals).
     """
 
     interior_grid: np.ndarray
@@ -52,6 +54,7 @@ class SpectralBasis:
     mode_sup: np.ndarray
     mode_masses: np.ndarray
     initial_pairings: np.ndarray
+    identity_residuals: np.ndarray
 
     @property
     def n_modes(self):
@@ -159,6 +162,8 @@ def build_basis(model, n_modes, n_grid):
     ends = ends @ coef * scale[[0, -1], None]
     nodes = quot.T @ coef  # phi_j / (x (1 - x)) at the Gauss nodes
     node_scale = np.exp(0.5 * model.xi_integral(xq)) / model.psi_at(xq)
+    modes = nodes * node_scale[:, None]  # q_j at the Gauss nodes
+    legendre = legvander(2.0 * xq - 1.0, 5)  # P_k(2x - 1), k = 0..5, one column each
     return SpectralBasis(
         interior_grid=x,
         eigenvalues=lam,
@@ -167,23 +172,39 @@ def build_basis(model, n_modes, n_grid):
         quad_weights=wq,
         grid_scale=scale,
         endpoint_values=ends,
-        mode_sup=np.abs(np.vstack((nodes * node_scale[:, None], ends))).max(axis=0),
+        mode_sup=np.abs(np.vstack((modes, ends))).max(axis=0),
         mode_masses=(wq * node_scale) @ nodes,
-        initial_pairings=(legvander(2.0 * xq - 1.0, 3) * paired[:, None]).T @ nodes,
+        initial_pairings=(legendre[:, :4] * paired[:, None]).T @ nodes,
+        identity_residuals=_identity_residuals(model, xq, wq, legendre.T, dp[:6], modes,
+                                               lam, ends),
     )
 
 
-def flux_identity_residuals(model, basis):
-    """Relative defect of the integrated-eigenmode identity.
-
-    Integrating the density-mode equation over [0, 1] ties each mode mass to
-    the boundary flux:  mass * lambda = Psi(0) q(0) + Psi(1) q(1).  Residuals
-    are normalized by Psi(0)|q(0)| + Psi(1)|q(1)| so antisymmetric modes
-    (where both sides nearly vanish) stay meaningful.
-    """
-    flux = model.psi_at(np.array([0.0, 1.0]))[:, None] * basis.endpoint_values
-    rhs, scale = flux.sum(axis=0), np.abs(flux).sum(axis=0)
-    return np.abs(basis.mode_masses * basis.eigenvalues - rhs) / scale
+def _identity_residuals(model, x, w, p, dp, modes, lam, ends):
+    """Per mode j, the largest scaled defect over the test functions
+    chi in {1, x (1 - x) P_k(2x - 1), k = 0..5} of the identity
+    <L* chi, q_j> + lambda_j <chi, q_j> = chi(0) Psi(0) q_j(0) + chi(1) Psi(1) q_j(1),
+    L* chi = F chi'' + G chi', which each mode of the paper's boundary-coupled
+    weak form satisfies; the row chi = 1 ties the mode mass to the boundary
+    flux.  p and dp hold P_k and P_k' at the Gauss nodes x with weights w,
+    modes the q_j there, ends the exact q_j(0) and q_j(1).  With y = 2x - 1,
+    chi_k' = (1 - y^2) P_k' / 2 - y P_k and, by Legendre's equation,
+    chi_k'' = -(k (k + 1) + 2) P_k - 2 y P_k'.  Each defect is relative to the
+    sum of its terms' magnitudes, |L* chi| and |chi| paired with |q_j|."""
+    y = 2.0 * x - 1.0
+    k = np.arange(len(p))[:, None]
+    chi = np.vstack((np.ones_like(x), x * (1.0 - x) * p))
+    slope = 0.5 * (1.0 - y * y) * dp - y * p
+    curve = -(k * (k + 1) + 2.0) * p - 2.0 * y * dp
+    adjoint = np.vstack((np.zeros_like(x), model.diffusion(x) * curve + model.drift(x) * slope))
+    # every chi_k vanishes at both ends, so only the row chi = 1 meets the flux
+    flux = model.psi_at(np.array([0.0, 1.0]))[:, None] * ends
+    size = np.abs(modes)
+    defect = (w * adjoint) @ modes + lam * ((w * chi) @ modes)
+    defect[0] -= flux.sum(axis=0)
+    scale = (w * np.abs(adjoint)) @ size + lam * ((w * np.abs(chi)) @ size)
+    scale[0] += np.abs(flux).sum(axis=0)
+    return np.max(np.abs(defect) / scale, axis=0)
 
 
 def eigenvalue_growth(basis):

@@ -210,6 +210,9 @@ TMP = "<tmp>"  # and for the test's directory, under which a row's files are mad
     (({"r/evolution.csv": "t,a,b,q_l1\r\n0.1,0.0,0.0,1.0\r\n", "r/spectrum.json": "{}"},
       "plot", "--results", f"{TMP}/r"),
      f"{TMP}/r/spectrum.json has no eigenvalues under 'lambda'"),
+    (({"r/evolution.csv": "t,a,b,q_l1\r\n0.1,x,0.0,1.0\r\n",
+       "r/spectrum.json": '{"lambda": [2.0]}'}, "plot", "--results", f"{TMP}/r"),
+     f"{TMP}/r/evolution.csv column 'a': could not convert string to float: 'x'"),
 ])
 def test_cli_input_errors_exit_one_without_traceback(tmp_path, config, message):
     if isinstance(config, tuple):

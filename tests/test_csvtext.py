@@ -35,7 +35,8 @@ POWERS = np.ldexp(1.0, np.arange(-1074, 1024))
 POWERS = np.concatenate([POWERS, np.nextafter(POWERS, 0.0), np.nextafter(POWERS, np.inf)])
 
 
-@pytest.mark.parametrize("values", [EDGES, POWERS, -POWERS], ids=["edges", "powers", "negative"])
+@pytest.mark.parametrize("values", [EDGES, POWERS, -POWERS, np.empty(0)],
+                         ids=["edges", "powers", "negative", "empty"])
 def test_edge_values_read_as_repr(values):
     got, want = texts(values)
     assert got == want
