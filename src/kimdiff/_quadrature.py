@@ -4,7 +4,7 @@ running integrals built on it, for the model, fixation, spectral and evolution c
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import legint, legval, legvander
+from numpy.polynomial.legendre import legval, legvander
 
 
 @lru_cache(maxsize=None)  # callers ask for a handful of sizes, each built once
@@ -37,37 +37,47 @@ def gauss01(n):
 TABLE_GAPS = 1024
 TABLE_TOL = 1e-12
 _X24, _W24 = gauss01(24)
+# the 24 Gauss nodes of each gap, one column per gap: where tables take their samples
+TABLE_NODES = (np.arange(TABLE_GAPS) + _X24[:, None]) / TABLE_GAPS
+_VANDER = legvander(2.0 * _X24 - 1.0, 24)  # P_n at the nodes of a gap, n <= 24
 # Legendre coefficients a_n = (2n + 1) sum_i w_i P_n(2 x_i - 1) f(x_i), exact to degree 23
-_TRANSFORM = np.outer(2.0 * np.arange(24) + 1.0, _W24) * legvander(2.0 * _X24 - 1.0, 23).T
+_TRANSFORM = np.outer(2.0 * np.arange(24) + 1.0, _W24) * _VANDER[:, :24].T
+# half the integral from -1 of P_n, n < 24, in P_0..P_24: P_0 + P_1 for n = 0,
+# else (P_{n+1} - P_{n-1}) / (2n + 1)
+_HALF = 0.5 / TABLE_GAPS
+_INTEGRATE = (np.eye(25, 24, -1) - np.eye(25, 24, 1)) * (_HALF / (2.0 * np.arange(24) + 1.0))
+_INTEGRATE[0, 0] = _HALF
 
 
-def running_integral_table(f, name):
+def running_integral_table(samples, name):
     """Piecewise Legendre table of F(x) = integral_0^x f on [0, 1].
 
-    f, which maps arrays of points to values, is sampled at the 24 Gauss
-    nodes of each of TABLE_GAPS uniform gaps; its Legendre coefficients are
-    integrated exactly and offset by the integral over the gaps to the left.
-    Column k holds F on gap k in the local variable t in [-1, 1]; trailing
-    rows that are zero to roundoff on every gap are dropped.  The last two
-    coefficients of a gap, scaled to the integral, estimate what its nodes
-    miss; above TABLE_TOL the build raises ValueError naming the integrand
-    (name) and the worst gap.
+    samples holds f at TABLE_NODES, the 24 Gauss nodes of each of TABLE_GAPS
+    uniform gaps; their Legendre coefficients are integrated exactly and
+    offset by the integral over the gaps to the left.  Column k holds F on
+    gap k in the local variable t in [-1, 1]; trailing rows that are zero to
+    roundoff on every gap are dropped.  The last two coefficients of a gap,
+    scaled to the integral, estimate what its nodes miss; above TABLE_TOL the
+    build raises ValueError naming the integrand (name) and the worst gap.
     """
-    half = 0.5 / TABLE_GAPS
-    left = 2.0 * half * np.arange(TABLE_GAPS)
-    coef = _TRANSFORM @ f(left + 2.0 * half * _X24[:, None])
-    tail = half * np.abs(coef[-2:]).sum(axis=0)
+    coef = _TRANSFORM @ samples
+    tail = _HALF * np.abs(coef[-2:]).sum(axis=0)
     if not np.all(tail <= TABLE_TOL):  # a NaN tail fails too
         k = int(np.argmax(tail))  # the worst gap, or the first NaN
         raise ValueError(
             f"{name} is not resolved by 24 Gauss nodes per gap of width 1/{TABLE_GAPS}"
-            f" near x = {left[k] + half:.4f} (Legendre tail {tail[k]:.2e} > {TABLE_TOL})"
+            f" near x = {(k + 0.5) / TABLE_GAPS:.4f} (Legendre tail {tail[k]:.2e} > {TABLE_TOL})"
         )
-    table = legint(coef, lbnd=-1, scl=half, axis=0)
-    table[0] += np.concatenate(([0.0], np.cumsum(2.0 * half * coef[0, :-1])))
+    table = _INTEGRATE @ coef
+    table[0] += np.concatenate(([0.0], np.cumsum(2.0 * _HALF * coef[0, :-1])))
     size = np.max(np.abs(table), axis=1)
     kept = np.flatnonzero(size > np.finfo(float).eps * size.max())
     return table[: kept[-1] + 1 if kept.size else 1]
+
+
+def node_values(table):
+    """Values of a running_integral_table at TABLE_NODES, by one product."""
+    return _VANDER[:, :len(table)] @ table
 
 
 def table_values(table, x):

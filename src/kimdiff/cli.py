@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 input or usage error, 2 invariant tolerance violated.
 """
 
 import argparse
+import functools
 import sys
 
 from .fixation import fixation_profile
@@ -98,6 +99,7 @@ def _cmd_plot(args):
     return 0
 
 
+@functools.cache  # one parser per process: main may run many times in one
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="kimdiff",

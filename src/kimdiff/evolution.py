@@ -360,12 +360,13 @@ def _power_norm(weights, lam, s, what):
     return _exp_in_range(0.5 * (top + np.log(np.sum(np.exp(log_terms - top)))), s, what)
 
 
-def ds_norm(coeffs, basis, s):
-    """Coefficient-space smoothness norm: sqrt(sum w_j^2 lambda_j^s)."""
+def ds_norm(coeffs, basis, s, t=0.0):
+    """Coefficient-space smoothness norm of the solution at time t:
+    sqrt(sum (w_j exp(-lambda_j t))^2 lambda_j^s)."""
     if s < 0.0:
         raise ValueError("s must be nonnegative")
-    return _power_norm(coeffs.values, basis.eigenvalues, s,
-                       "the smoothness norm of the initial data")
+    return _power_norm(coeffs.values * np.exp(-basis.eigenvalues * t), basis.eigenvalues, s,
+                       f"the smoothness norm at t={t:g}")
 
 
 def decay_diagnostics(basis, coeffs, solutions):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from ._quadrature import running_integral_table, table_values
+from ._quadrature import node_values, running_integral_table, table_values
 
 
 @dataclass
@@ -42,14 +42,12 @@ def fixation_profile(model):
     selection, and checked for resolution on the scale of psi) and tabulated
     as a running integral.  Xi is least at 0, at 1 or where Pi vanishes; the
     real parts of Pi's roots, clipped into [0, 1], include every such point.
+    The integrand's samples read Xi on the table nodes from Xi's own table.
     """
     roots = np.clip(P.polyroots(model.pi_coeffs).real, 0.0, 1.0)
     shift = float(np.min(model.xi_integral(np.r_[0.0, 1.0, roots])))
-
-    def integrand(s):
-        return np.exp(shift - model.xi_integral(s))
-
-    table = running_integral_table(integrand, "the fixation integrand exp(-Xi)")
+    table = running_integral_table(np.exp(shift - node_values(model.xi_table)),
+                                   "the fixation integrand exp(-Xi)")
     total = float(table_values(table, 1.0))
     table /= total
     with np.errstate(over="ignore"):  # c may exceed the double range; psi does not

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from ._quadrature import running_integral_table, table_values
+from ._quadrature import TABLE_NODES, running_integral_table, table_values
 
 
 @dataclass
@@ -25,13 +25,13 @@ class CoefficientModel:
 
     psi_coeffs, pi_coeffs: polynomial coefficients in ascending-degree order.
     Construction checks that the diffusion factor is positive where it is
-    least, and tabulates Xi, which raises ValueError where xi varies too fast
-    for the table.
+    least, and tabulates Xi as xi_table (_quadrature.running_integral_table),
+    which raises ValueError where xi varies too fast for the table.
     """
 
     psi_coeffs: tuple
     pi_coeffs: tuple
-    _xi_table: np.ndarray = field(init=False, repr=False)
+    xi_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.psi_coeffs = tuple(float(c) for c in self.psi_coeffs)
@@ -52,7 +52,7 @@ class CoefficientModel:
                 "requires Psi > 0 on [0, 1]"
             )
         # Xi enters only through e^Xi: its absolute error is a relative one downstream
-        self._xi_table = running_integral_table(self.xi, "xi = Pi / Psi")
+        self.xi_table = running_integral_table(self.xi(TABLE_NODES), "xi = Pi / Psi")
 
     # polynomial factor values
 
@@ -90,7 +90,7 @@ class CoefficientModel:
         arr = np.asarray(x, float)
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise ValueError("xi_integral requires 0 <= x <= 1")
-        out = table_values(self._xi_table, arr)
+        out = table_values(self.xi_table, arr)
         return float(out) if arr.ndim == 0 else out
 
 

@@ -230,8 +230,8 @@ def _create(path, mode="w"):
 def _csv_fields(column):
     """The CSV text of each value of a column, as the nonzero bytes of each
     row of a uint8 matrix: a float as repr writes it (see _csvtext), any
-    other value as str.  A matrix, such as the text _write_csvs made for a
-    float column, passes through."""
+    other value as str.  A matrix, such as the text _write_artifacts made for
+    a float column, passes through."""
     column = np.asarray(column)
     if column.ndim == 2:
         return column
@@ -241,65 +241,84 @@ def _csv_fields(column):
     return text.view(np.uint8).reshape(len(text), text.itemsize)
 
 
-def _write_csvs(files):
-    """Write CSV files, each a (path, header, equal-length columns) triple.
+def _lines(fields, end):
+    """One line per row of the equal-height field matrices: the fields'
+    nonzero bytes joined by commas, then the two bytes of end; built as one
+    byte table whose zero padding is dropped at once."""
+    table = np.empty((len(fields[0]), sum(f.shape[1] + 1 for f in fields) + 1), np.uint8)
+    at = 0
+    for field in fields:
+        table[:, at:at + field.shape[1]] = field
+        at += field.shape[1] + 1
+        table[:, at - 1] = ord(",")
+    table[:, -2:] = np.frombuffer(end, np.uint8)
+    return table.tobytes().translate(None, b"\0")
 
-    A column holds numbers, strings that need no quoting, or _csv_fields'
-    matrix for it.  Gives the bytes of csv.writer (str of each value, CRLF
-    line ends).  One call formats the float columns of all the files, each
-    column object once; each body is one byte table, a line per row, whose
-    zero padding is dropped at once."""
-    files = [(path, header, [np.asarray(column) for column in columns])
-             for path, header, columns in files]
-    floats = {id(column): column for _, _, columns in files for column in columns
-              if column.ndim == 1 and column.dtype.kind == "f"}
+
+def _json_text(payload, text):
+    """The bytes of json.dump(payload, indent=2, sort_keys=True) and a
+    newline, the list of each top-level float array from its repr_fields
+    matrix in text (by id), where repr's nan and inf read NaN and Infinity."""
+    items = []
+    for key in sorted(payload):
+        value = payload[key]
+        if id(value) not in text:
+            value = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ").encode()
+        elif not len(value):
+            value = b"[]"
+        else:
+            fields = np.pad(text[id(value)], ((0, 0), (4, 0)), constant_values=ord(" "))
+            lines = _lines([fields], b",\n")[:-2].replace(b"nan", b"NaN")
+            value = b"[\n%s\n  ]" % lines.replace(b"inf", b"Infinity")
+        items.append(b"  %s: %s" % (json.dumps(key).encode(), value))
+    return b"{\n%s\n}\n" % b",\n".join(items) if items else b"{}\n"
+
+
+def _write_artifacts(files):
+    """Write artifact files in order: a CSV (path, header, equal-length
+    columns) triple gets the bytes of csv.writer, a JSON (path, payload)
+    pair those of _json_text.  A CSV column holds numbers, strings that need
+    no quoting, or _csv_fields' matrix for it.  One _csvtext.repr_fields
+    call formats the float array columns and top-level float arrays of all
+    the files, each array object once."""
+    floats = {id(a): a for file in files for a in (file[2] if len(file) == 3 else file[1].values())
+              if isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind == "f"}
     text = {}
     if floats:
-        ends = np.cumsum([len(column) for column in floats.values()])[:-1]
+        ends = np.cumsum([len(a) for a in floats.values()])[:-1]
         formatted = _csvtext.repr_fields(np.concatenate(list(floats.values())))
         text = dict(zip(floats, np.split(formatted, ends)))
-    for path, header, columns in files:
-        fields = [_csv_fields(text.get(id(column), column)) for column in columns]
-        table = np.empty((len(columns[0]), sum(f.shape[1] + 1 for f in fields) + 1), np.uint8)
-        at = 0
-        for field in fields:
-            table[:, at:at + field.shape[1]] = field
-            at += field.shape[1] + 1
-            table[:, at - 1] = ord(",")
-        table[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
-        body = table.ravel()
-        with _create(path, "wb") as fh:
-            fh.write(f"{','.join(header)}\r\n".encode())
-            fh.write(np.compress(body != 0, body))
+    for file in files:
+        if len(file) == 2:
+            body = _json_text(file[1], text)
+        else:
+            fields = [_csv_fields(text.get(id(column), column)) for column in file[2]]
+            body = f"{','.join(file[1])}\r\n".encode() + _lines(fields, b"\r\n")
+        with _create(file[0], "wb") as fh:
+            fh.write(body)
 
 
-def _write_json(path, payload):
-    with _create(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _spectrum_json(out, basis):
+    """spectrum.json in out as a (path, payload) pair: eigenvalues, growth
+    estimate, mode masses and weak-form identity residuals."""
+    return out / "spectrum.json", {
+        "lambda": basis.eigenvalues,
+        "K_estimate": eigenvalue_growth(basis)[0] if basis.n_modes >= 16 else None,
+        "Q": basis.mode_masses,
+        "identity_residuals": basis.identity_residuals,
+    }
 
 
 def write_spectrum(out, basis, eigenfunctions=False):
-    """Write spectrum.json (eigenvalues, growth estimate, mode masses,
-    weak-form identity residuals) into out, plus eigenfunctions.csv (samples on
-    the interior grid) on request.  Returns the JSON path."""
-    k_est = None
-    if basis.n_modes >= 16:
-        k_est, _ = eigenvalue_growth(basis)
-    path = out / "spectrum.json"
-    _write_json(path, {
-        "lambda": basis.eigenvalues.tolist(),
-        "K_estimate": k_est,
-        "Q": basis.mode_masses.tolist(),
-        "identity_residuals": basis.identity_residuals.tolist(),
-    })
+    """Write spectrum.json (see _spectrum_json) into out, plus
+    eigenfunctions.csv (samples on the interior grid) on request.  Returns
+    the JSON path."""
+    files = [_spectrum_json(out, basis)]
     if eigenfunctions:
-        _write_csvs([(
-            out / "eigenfunctions.csv",
-            ["x"] + [f"phi{j}" for j in range(basis.n_modes)],
-            [basis.interior_grid, *basis.eigenfunctions.T],
-        )])
-    return path
+        files.append((out / "eigenfunctions.csv", ["x"] + [f"phi{j}" for j in range(basis.n_modes)],
+                      [basis.interior_grid, *basis.eigenfunctions.T]))
+    _write_artifacts(files)
+    return files[0][0]
 
 
 def _fixation_csv(out, profile, grid):
@@ -313,7 +332,7 @@ def _fixation_csv(out, profile, grid):
 
 def write_fixation(out, profile, grid):
     """Write fixation.csv (see _fixation_csv) into out.  Returns its path."""
-    _write_csvs([_fixation_csv(out, profile, grid)])
+    _write_artifacts([_fixation_csv(out, profile, grid)])
     return out / "fixation.csv"
 
 
@@ -326,12 +345,12 @@ def write_bessel(out, model, basis, modes):
     ]
     make_out_dir(out)
     path = out / "bessel.json"
-    _write_json(path, {
+    _write_artifacts([(path, {
         "comparison": results,
         "decreasing": all(
             a["sup_error"] > b["sup_error"] for a, b in zip(results, results[1:])
         ),
-    })
+    })])
     return path
 
 
@@ -440,33 +459,20 @@ def run_scenario(scenario):
     sols, positive = pieces["solutions"], pieces["positive"]
     decay = evolution.decay_diagnostics(basis, coeffs, positive) if len(positive) > 1 else None
 
-    # before any artifact: a norm or bound beyond the double range exits 1
-    initial_norm = evolution.ds_norm(coeffs, basis, scenario.s)
+    # before any artifact: a norm or bound beyond the double range exits 1.
+    # An atom's D_s norm is infinite: atom data take it at the first positive time
+    norm_time = float(positive.t[0]) if scenario.initial.atoms else 0.0
+    initial_norm = evolution.ds_norm(coeffs, basis, scenario.s, norm_time)
     if scenario.s > 0:
         c0s, c0s_tail = evolution.radon_bound_constant(basis, scenario.s)
     else:
         c0s = c0s_tail = None
 
     out = scenario.out_dir
-    write_spectrum(out, basis)
     limits = coeffs.limits
     report = pieces["report"]
     profiles_dir = out / "profiles"
     make_out_dir(profiles_dir)
-    # every CSV of the run in one text pass; the profiles share one grid column
-    _write_csvs([
-        _fixation_csv(out, pieces["profile"], scenario.grid),
-        *((profiles_dir / f"q_t{sol.t:g}.csv", ["x", "q"], [sols.grid, sol.density])
-          for sol in sols),
-        (out / "evolution.csv",
-         ["t", "a", "b", "q_l1", "mass_total", "psi_mass", "radon_to_limit",
-          "trunc_error"],
-         [sols.t, sols.a, sols.b, sols.density_l1(), report.mass_values,
-          report.psi_mass_values,
-          evolution.radon_distance_to_limit(scenario.initial, sols, limits),
-          sols.trunc_error]),
-    ])
-
     drifts = {"mass_drift": report.mass_drift, "psi_mass_drift": report.psi_mass_drift}
     summary = {
         **_verdict(scenario, pieces, "residuals", drifts),
@@ -478,11 +484,26 @@ def run_scenario(scenario):
         "smoothness": {
             "s": scenario.s,
             "initial_norm": initial_norm,
+            "norm_time": norm_time,
             "decay_bound_constant": c0s,
             "decay_bound_tail": c0s_tail,
         },
     }
-    _write_json(out / "summary.json", summary)
+    # every artifact of the run in one text pass; the profiles share one grid column
+    _write_artifacts([
+        _spectrum_json(out, basis),
+        _fixation_csv(out, pieces["profile"], scenario.grid),
+        *((profiles_dir / f"q_t{sol.t:g}.csv", ["x", "q"], [sols.grid, sol.density])
+          for sol in sols),
+        (out / "evolution.csv",
+         ["t", "a", "b", "q_l1", "mass_total", "psi_mass", "radon_to_limit",
+          "trunc_error"],
+         [sols.t, sols.a, sols.b, sols.density_l1(), report.mass_values,
+          report.psi_mass_values,
+          evolution.radon_distance_to_limit(scenario.initial, sols, limits),
+          sols.trunc_error]),
+        (out / "summary.json", summary),
+    ])
     return 2 if summary["violations"] else 0
 
 
@@ -526,7 +547,7 @@ def run_verify(scenario):
         "fd_mass_drift": fd_drift,
         "pass": not verdict["violations"],
     })
-    _write_json(scenario.out_dir / "verify.json", verdict)
+    _write_artifacts([(scenario.out_dir / "verify.json", verdict)])
     return 2 if verdict["violations"] else 0
 
 
@@ -625,7 +646,7 @@ def emit_plot_data(results_dir):
         _svg_line_chart(
             plots / f"{name}.svg", t, vals, f"{name} vs t", name.replace("_", " ")
         )
-    _write_csvs([(
+    _write_artifacts([(
         plots / "series.csv",
         ["series", "t", "value"],
         [np.repeat(list(series), len(t)), np.tile(t, len(series)),

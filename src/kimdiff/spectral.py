@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
-from ._quadrature import gauss01, running_integral_table, table_values
+from ._quadrature import TABLE_NODES, gauss01, running_integral_table, table_values
 
 @dataclass
 class SpectralBasis:
@@ -120,6 +120,21 @@ def _quotient_factors(n_basis):
     return 4.0 * (2 * n + 3) / ((n + 1) * (n + 2))
 
 
+def _lower_inverse(low):
+    """The inverse of a lower triangular matrix by 2 x 2 blocks,
+    [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]], with
+    numpy.linalg.inv, a general LU solve, only on blocks of at most 32 rows."""
+    n = len(low)
+    if n <= 32:
+        return np.linalg.inv(low)
+    h = n // 2
+    out = np.zeros_like(low)
+    out[:h, :h] = top = _lower_inverse(low[:h, :h])
+    out[h:, h:] = bottom = _lower_inverse(low[h:, h:])
+    out[h:, :h] = -(bottom @ (low[h:, :h] @ top))
+    return out
+
+
 def build_basis(model, n_modes, n_grid):
     """Lowest n_modes eigenpairs, with the mode data that runs read for an
     n_grid-point interior grid.
@@ -129,8 +144,9 @@ def build_basis(model, n_modes, n_grid):
     N = n_modes + 32 polynomials phi_n = u_n with a Gauss-Legendre rule of
     2N + 40 nodes.  M is the Gram matrix of independent polynomials under a
     positive weight, so it has a Cholesky factor L; with y the eigenvectors of
-    L^-1 K L^-T, c = L^-T y solve K c = lambda M c and are M-orthonormal, the
-    weighted normalization.  The mode data come from the nodes and the ends.
+    L^-1 K L^-T (L^-1 from _lower_inverse), c = L^-T y solve K c = lambda M c
+    and are M-orthonormal, the weighted normalization.  The mode data come
+    from the nodes and the ends.
     """
     n_modes = int(n_modes)
     n_grid = int(n_grid)
@@ -144,14 +160,15 @@ def build_basis(model, n_modes, n_grid):
     quot = dp[1:-1] * _quotient_factors(n_basis)[:, None]  # u_n / (x (1 - x))
     # phi_n' - xi phi_n / 2, the x-derivative of u_n being 2 (P_n' - P_{n+2}')
     flux = 2.0 * (dp[:-2] - dp[2:]) - quot * (0.5 * model.xi(xq) * xq * (1.0 - xq))
-    stiffness = (flux * wq) @ flux.T
     paired = wq * xq * (1.0 - xq) / model.psi_at(xq)  # the weight of M and of <chi_k, q_j>
-    mass = (quot * paired) @ quot.T
-    # an explicit L^-1 is cheaper than numpy's general solver; eigh's
-    # divide-and-conquer solve finds all N pairs, and the lowest are kept
-    li = np.linalg.inv(np.linalg.cholesky(mass))
-    lam, y = np.linalg.eigh(li @ stiffness @ li.T)
-    lam, coef = lam[:n_modes], li.T @ y[:, :n_modes]
+    # K and M as B B^T of sqrt-weighted rows, numpy's symmetric rank-k product
+    stiffness, mass = (b @ b.T for b in (flux * np.sqrt(wq), quot * np.sqrt(paired)))
+    # eigh's divide-and-conquer solve finds all N pairs, and the lowest are kept
+    li = _lower_inverse(np.linalg.cholesky(mass))
+    coef = li.T @ np.linalg.eigh(li @ stiffness @ li.T)[1][:, :n_modes]
+    # eigh's eigenvalues hold to eps times the largest of all N; the Rayleigh
+    # quotients c^T K c (c^T M c = 1) hold to roundoff of each
+    lam = np.einsum("ij,ij->j", coef, stiffness @ coef)
 
     n = np.arange(n_basis)  # u_n / (x (1 - x)) is (+-1)^n 2 (2n + 3) at y = +-1
     ends = (4 * n + 6.0) * np.vstack(((-1.0) ** n, np.ones(n_basis)))
@@ -232,7 +249,7 @@ def _phase_values(model, basis):
     singular at both endpoints, so S is one running-integral table in tau.
     """
     table = running_integral_table(
-        lambda tau: np.pi / np.sqrt(model.psi_at(np.sin(0.5 * np.pi * tau) ** 2)),
+        np.pi / np.sqrt(model.psi_at(np.sin(0.5 * np.pi * TABLE_NODES) ** 2)),
         "the Liouville-Green phase integrand",
     )
     return table_values(table, np.arcsin(np.sqrt(basis.interior_grid)) * (2.0 / np.pi))

@@ -323,7 +323,7 @@ def test_csv_writer_matches_csv_module(tmp_path):
     ]
     for header, columns, rows in cases:
         path = tmp_path / "fast.csv"
-        scenario._write_csvs([(path, header, columns)])
+        scenario._write_artifacts([(path, header, columns)])
         assert path.read_bytes() == _csv_writer_bytes(header, rows)
 
 
@@ -359,7 +359,8 @@ def test_commands_evaluate_only_what_they_write(tmp_path, monkeypatch, command):
     # limits, then on the solution grid; evolve samples psi once more, on the
     # grid + 1 points that fixation.csv holds, and verify, which writes no
     # fixation.csv, does not.  evolve formats the floats of all its CSV files
-    # in one call, the profiles' shared grid once; verify writes no CSV
+    # and of spectrum.json's lists in one call, the profiles' shared grid
+    # once; verify writes no CSV and no list of floats
     calls = {"solutions_at": 0, "limit_masses": 0}
     grids = []
     for name in calls:
@@ -400,8 +401,9 @@ def test_commands_evaluate_only_what_they_write(tmp_path, monkeypatch, command):
     assert len(psi_points) == len(expected)
     assert all(map(np.array_equal, psi_points, expected))
     times = len(load_scenario(path).times)
-    # the grid, a profile per time, fixation.csv's two columns, evolution.csv's eight
-    assert formatted == ([1026 * (1 + times) + 2 * 1025 + 8 * times]
+    # the grid, a profile per time, fixation.csv's two columns, evolution.csv's
+    # eight, and spectrum.json's three lists of one value per mode
+    assert formatted == ([1026 * (1 + times) + 2 * 1025 + 8 * times + 3 * 24]
                          if command == "evolve" else [])
 
 
@@ -843,7 +845,8 @@ def test_evolve_at_zero_smoothness_writes_no_decay_bound(tmp_path):
     # the H^0 norm of the coefficients; the bound needs s > 0
     assert smoothness.pop("initial_norm") == pytest.approx(np.linalg.norm(coeffs.values),
                                                            rel=1e-14)
-    assert smoothness == {"s": 0.0, "decay_bound_constant": None, "decay_bound_tail": None}
+    assert smoothness == {"s": 0.0, "norm_time": 0.0, "decay_bound_constant": None,
+                          "decay_bound_tail": None}
 
 
 def _finite_json(path):
@@ -917,3 +920,71 @@ def test_default_config_subcommands(tmp_path):
     assert main(["bessel-check", "--grid", "2048", "--out", str(tmp_path / "b")]) == 0
     payload = json.loads((tmp_path / "b" / "bessel.json").read_text())
     assert payload["decreasing"] is True
+
+
+@pytest.mark.parametrize("config", ["bench/configs/atom_verify", "bench/configs/fd_verify",
+                                    "bench/configs/spectral_evolve",
+                                    "demos/configs/neutral_uniform",
+                                    "demos/configs/selection_bump"])
+def test_shipped_configs_write_strict_json(tmp_path, config):
+    # json writes NaN and Infinity, which strict parsers reject
+    path = Path(__file__).resolve().parents[1] / f"{config}.json"
+    for command in ("evolve", "verify"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+    for name in ("summary.json", "spectrum.json", "verify.json"):
+        _finite_json(tmp_path / name)
+
+
+def test_atom_data_take_the_norm_at_the_first_positive_time(tmp_path):
+    # an atom's D_s norm is infinite, and its truncation grew with the modes
+    # (13.84, 37.24 and 101.71 at 32, 64 and 128); from t = 0.1 on it converges
+    path = Path(__file__).resolve().parents[1] / "bench" / "configs" / "atom_verify.json"
+    norms = []
+    for modes in ("64", "128"):
+        out = tmp_path / modes
+        assert main(["evolve", "--config", str(path), "--out", str(out), "--modes", modes]) == 0
+        smoothness = _finite_json(out / "summary.json")["smoothness"]
+        assert (smoothness["s"], smoothness["norm_time"]) == (1.0, 0.1)
+        norms.append(smoothness["initial_norm"])
+    assert norms[1] == pytest.approx(norms[0], rel=1e-8)
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    {"empty": np.empty(0), "list": [], "n": 3, "none": None, "flag": True, "text": "a\nb"},
+    {"nested": {"b": {"c": [1, 2.5]}, "a": [], "d": {}}, "x": -0.0},
+    {"values": np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 0.1,
+                         np.nan, np.inf, -np.inf, -1.0 / 3.0]),
+     "one": np.array([1e300]), "shared": [np.nan, -np.inf, 1e16]},
+])
+def test_json_writer_matches_json_dump(tmp_path, payload):
+    path = tmp_path / "out.json"
+    scenario._write_artifacts([(path, payload)])
+    plain = {key: value.tolist() if isinstance(value, np.ndarray) else value
+             for key, value in payload.items()}
+    expected = io.StringIO()
+    json.dump(plain, expected, indent=2, sort_keys=True)
+    assert path.read_bytes() == (expected.getvalue() + "\n").encode()
+
+
+def test_main_parses_each_call_alone(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; what one call parsed does not
+    # leak into the next
+    seen = []
+
+    def record(args):
+        seen.append({key: value for key, value in vars(args).items()
+                     if value not in (None, False) and key != "func"})
+        raise ConfigError("recorded")
+
+    monkeypatch.setattr(cli, "_scenario", record)
+    assert main(["spectrum", "--modes", "16", "--csv", "--out", str(tmp_path)]) == 1
+    assert main(["evolve", "--config", "c.json", "--tol-fd-l1", "0.5"]) == 1
+    assert main(["spectrum"]) == 1
+    assert seen == [
+        {"command": "spectrum", "modes": 16.0, "csv": True, "out": str(tmp_path)},
+        {"command": "evolve", "config": "c.json", "tol_fd_l1": 0.5},
+        {"command": "spectrum"},
+    ]
+    assert capsys.readouterr().err == "error: recorded\n" * 3
+    assert cli.build_parser() is cli.build_parser()

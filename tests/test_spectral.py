@@ -4,7 +4,7 @@ import pytest
 
 import kimdiff as kd
 from kimdiff._quadrature import gauss01
-from kimdiff.spectral import _legendre_slopes, _phase_values
+from kimdiff.spectral import _legendre_slopes, _lower_inverse, _phase_values, _quotient_factors
 
 from conftest import neutral_mode_exact
 
@@ -236,3 +236,16 @@ def test_eigenvalues_independent_of_output_grid(selection):
 def test_resolution_guards(neutral):
     with pytest.raises(ValueError):
         kd.build_basis(neutral, 4, 32)
+
+
+@pytest.mark.parametrize("n_basis", [1, 31, 32, 33, 160, 544])
+def test_block_inverse_of_the_mass_factor(n_basis):
+    # the Galerkin mass matrix of Psi = 0.255 - x + x^2, least 0.005 at x = 1/2
+    psi_min = kd.CoefficientModel(psi_coeffs=(0.255, -1.0, 1.0), pi_coeffs=(0.0,))
+    x, w = gauss01(2 * n_basis + 40)
+    quot = _legendre_slopes(2.0 * x - 1.0, n_basis + 1)[1:-1] * _quotient_factors(n_basis)[:, None]
+    mass = (quot * (w * x * (1.0 - x) / psi_min.psi_at(x))) @ quot.T
+    low = np.linalg.cholesky(mass)
+    inverse = _lower_inverse(low)
+    assert np.max(np.abs(inverse @ low - np.eye(n_basis))) <= 1e-14
+    assert np.array_equal(np.triu(inverse, 1), np.zeros_like(inverse))
