@@ -416,7 +416,8 @@ def radon_bound_constant(basis, s):
     if s <= 0.0:
         raise ValueError("the bound needs s > 0")
     if basis.n_modes < 2:
-        raise ValueError("the tail estimate needs at least two resolved modes")
+        raise ValueError(f"modes={basis.n_modes}: the decay bound's tail estimate needs at "
+                         "least two modes; raise modes, or set s=0 to skip the bound")
     lam = basis.eigenvalues
     what = "the decay bound constant"
     c0s = _power_norm(basis.mode_masses, lam, -s, what)

@@ -11,8 +11,9 @@ endpoint values, and their masses and point values are exact up to the
 polynomial truncation, which converges spectrally.  What the factor e^(Xi/2)
 still costs is roundoff: the modes grow like e^(Xi range / 2), which
 evolution.solutions_at gates.  The Gauss rule is _quadrature.gauss01, and
-the mass matrix's Cholesky factor reduces the eigenproblem to
-numpy.linalg.eigh, so importing the module loads no scipy.
+the eigenproblem goes to numpy.linalg.eigh through the closed-form diagonal
+mass matrix of a constant Psi, or else the mass matrix's Cholesky factor, so
+importing the module loads no scipy.
 """
 
 from dataclasses import dataclass
@@ -140,13 +141,19 @@ def build_basis(model, n_modes, n_grid):
     n_grid-point interior grid.
 
     Stiffness K = int (phi_m' - xi phi_m / 2)(phi_n' - xi phi_n / 2) and mass
-    M = int phi_m phi_n / (Psi x (1 - x)) are assembled for the first
-    N = n_modes + 32 polynomials phi_n = u_n with a Gauss-Legendre rule of
-    2N + 40 nodes.  M is the Gram matrix of independent polynomials under a
-    positive weight, so it has a Cholesky factor L; with y the eigenvectors of
-    L^-1 K L^-T (L^-1 from _lower_inverse), c = L^-T y solve K c = lambda M c
-    and are M-orthonormal, the weighted normalization.  The mode data come
-    from the nodes and the ends.
+    M = int phi_m phi_n / (Psi x (1 - x)) are assembled for the first N
+    polynomials phi_n = u_n with a Gauss-Legendre rule of 2N + 40 nodes.
+    For a constant Psi = Psi_0, M = diag(f_n) / Psi_0 exactly (f_n from
+    _quotient_factors, the P'_{n+1} being orthogonal under x (1 - x)), so
+    with y the eigenvectors of D K D, D = diag(sqrt(Psi_0 / f_n)), c = D y
+    solve K c = lambda M c; otherwise M is the Gram matrix of independent
+    polynomials under a positive weight, so it has a Cholesky factor L, and
+    c = L^-T y with y the eigenvectors of L^-1 K L^-T (L^-1 from
+    _lower_inverse).  Either way c is M-orthonormal, the weighted
+    normalization.  A constant Psi tries N = n_modes + 16 first and keeps it
+    when the last 8 coefficients of every kept column are within 1e-8 of the
+    column's largest (J. L. Aurentz and L. N. Trefethen, ACM TOMS 43, 2017);
+    otherwise N = n_modes + 32.  The mode data come from the nodes and the ends.
     """
     n_modes = int(n_modes)
     n_grid = int(n_grid)
@@ -154,18 +161,30 @@ def build_basis(model, n_modes, n_grid):
         raise ValueError("n_grid must be at least 64")
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1; got {n_modes}")
-    n_basis = n_modes + 32
-    xq, wq = gauss01(2 * n_basis + 40)
-    dp = _legendre_slopes(2.0 * xq - 1.0, n_basis + 1)
-    quot = dp[1:-1] * _quotient_factors(n_basis)[:, None]  # u_n / (x (1 - x))
-    # phi_n' - xi phi_n / 2, the x-derivative of u_n being 2 (P_n' - P_{n+2}')
-    flux = 2.0 * (dp[:-2] - dp[2:]) - quot * (0.5 * model.xi(xq) * xq * (1.0 - xq))
-    paired = wq * xq * (1.0 - xq) / model.psi_at(xq)  # the weight of M and of <chi_k, q_j>
-    # K and M as B B^T of sqrt-weighted rows, numpy's symmetric rank-k product
-    stiffness, mass = (b @ b.T for b in (flux * np.sqrt(wq), quot * np.sqrt(paired)))
-    # eigh's divide-and-conquer solve finds all N pairs, and the lowest are kept
-    li = _lower_inverse(np.linalg.cholesky(mass))
-    coef = li.T @ np.linalg.eigh(li @ stiffness @ li.T)[1][:, :n_modes]
+    constant = len(model.psi_coeffs) == 1
+    n_basis = n_modes + (16 if constant else 32)
+    while True:
+        xq, wq = gauss01(2 * n_basis + 40)
+        dp = _legendre_slopes(2.0 * xq - 1.0, n_basis + 1)
+        quot = dp[1:-1] * _quotient_factors(n_basis)[:, None]  # u_n / (x (1 - x))
+        # phi_n' - xi phi_n / 2, the x-derivative of u_n being 2 (P_n' - P_{n+2}')
+        flux = 2.0 * (dp[:-2] - dp[2:]) - quot * (0.5 * model.xi(xq) * xq * (1.0 - xq))
+        paired = wq * xq * (1.0 - xq) / model.psi_at(xq)  # the weight of M and of <chi_k, q_j>
+        # K (and M) as B B^T of sqrt-weighted rows, numpy's symmetric rank-k product;
+        # eigh's divide-and-conquer solve finds all N pairs, and the lowest are kept
+        b = flux * np.sqrt(wq)
+        stiffness = b @ b.T
+        if constant:
+            d = np.sqrt(model.psi_coeffs[0] / _quotient_factors(n_basis))[:, None]
+            coef = d * np.linalg.eigh(d * stiffness * d.T)[1][:, :n_modes]
+        else:
+            b = quot * np.sqrt(paired)
+            li = _lower_inverse(np.linalg.cholesky(b @ b.T))
+            coef = li.T @ np.linalg.eigh(li @ stiffness @ li.T)[1][:, :n_modes]
+        size = np.abs(coef)
+        if n_basis == n_modes + 32 or np.all(size[-8:].max(axis=0) <= 1e-8 * size.max(axis=0)):
+            break
+        n_basis = n_modes + 32
     # eigh's eigenvalues hold to eps times the largest of all N; the Rayleigh
     # quotients c^T K c (c^T M c = 1) hold to roundoff of each
     lam = np.einsum("ij,ij->j", coef, stiffness @ coef)

@@ -213,6 +213,13 @@ TMP = "<tmp>"  # and for the test's directory, under which a row's files are mad
     (({"r/evolution.csv": "t,a,b,q_l1\r\n0.1,x,0.0,1.0\r\n",
        "r/spectrum.json": '{"lambda": [2.0]}'}, "plot", "--results", f"{TMP}/r"),
      f"{TMP}/r/evolution.csv column 'a': could not convert string to float: 'x'"),
+    # one mode passes the truncation gate at late times, but the decay
+    # bound's tail estimate reads the last two modes
+    (({"one_mode.json": '{"schema": 1, "model": {"preset": "kimura", "eta": 0, "beta": 0}, '
+                        '"initial": {"density": "uniform"}, "modes": 1, "times": [20, 50]}'},
+      "evolve", "--config", f"{TMP}/one_mode.json", "--out", f"{TMP}/out"),
+     "error: modes=1: the decay bound's tail estimate needs at least two modes; raise modes, "
+     "or set s=0 to skip the bound\n"),
 ])
 def test_cli_input_errors_exit_one_without_traceback(tmp_path, config, message):
     if isinstance(config, tuple):
@@ -722,13 +729,14 @@ def test_shipped_configs_meet_the_initial_term(config):
 
 
 def _projection_on_the_basis_rule(model, basis, init, profile):
-    """The projection before per-panel rules: the basis's Gauss rule on
-    [0, 1] for the density, exact mode values at the atoms."""
+    """The projection before per-panel rules: for the density, the Gauss rule
+    on [0, 1] of a basis of n_modes + 32 polynomials (232 nodes at 64 modes),
+    the size every basis had then; exact mode values at the atoms."""
     def modes(x):
         return np.exp(-0.5 * model.xi_integral(x))[:, None] * basis.mode_values(x)
 
-    values = (basis.quad_weights * init.density_samples(basis.quad_nodes)) @ modes(
-        basis.quad_nodes)
+    nodes, weights = gauss01(2 * (basis.n_modes + 32) + 40)
+    values = (weights * init.density_samples(nodes)) @ modes(nodes)
     for x, mass in init.atoms:
         values = values + mass * modes(np.array([x]))[0]
     return evolution.SpectralCoefficients(values, evolution.limit_masses(profile, init))
@@ -858,7 +866,8 @@ def _finite_json(path):
 
 @pytest.mark.parametrize("extra, norm", [
     # the selection-bump demo: lambda_127^100 alone overflows a double, the
-    # norm does not (3.21022561324e206 by mpmath on the same coefficients)
+    # norm does not: by mpmath on the run's coefficients 3.21022561324e206 at
+    # N = modes + 32 and 3.21022561321e206 at N = modes + 16, 9.3e-12 apart
     ({"name": "selection-bump", "model": {"preset": "kimura", "eta": 1.0, "beta": -0.5},
       "initial": {"density": "bump(0.4, 0.2)"}, "modes": 128, "grid": 256, "s": 100},
      3.21022561324e206),

@@ -108,10 +108,51 @@ def test_neutral_endpoint_values_at_roundoff(neutral, modes):
     # q_j(0) and q_j(1) come from the Gauss rule's weights through the
     # Galerkin matrices, so an inexact end-node weight shows here first
     basis = kd.build_basis(neutral, modes, 512)
-    assert basis.quad_nodes is gauss01(2 * (modes + 32) + 40)[0]
+    assert basis.quad_nodes is gauss01(2 * len(basis.coefficients) + 40)[0]
     for x, row in ((0.0, 0), (1.0, -1)):
         exact = np.array([neutral_mode_exact(k, x) for k in range(modes)])
         assert np.max(np.abs(basis.density_modes[row, :] / exact - 1)) <= 5e-12
+
+
+@pytest.mark.parametrize("psi0, pi, modes, bounds", [
+    # bounds on lambda_j (relative), q_j(0) and q_j(1) (relative to the mode's
+    # sup), Q_j (relative to the largest) and the identity residuals; measured
+    # 1.3e-14, 8.4e-13, 9.2e-14, 2.2e-13 for neutral, 2.2e-14, 2.4e-12,
+    # 1.7e-13, 4.6e-13 for Kimura, 4.0e-15, 2.4e-10, 2.4e-10, 1.8e-14 for
+    # beta = 40 (both at N = 96: the e^(Xi/2) roundoff of ROADMAP item 4) and
+    # 1.3e-14, 9.3e-13, 9.1e-14, 2.2e-13 for Psi = 0.05
+    (1.0, (0.0,), 64, (1e-13, 8e-12, 9e-13, 2e-12)),
+    (1.0, (-0.5, 1.0), 128, (2e-13, 2e-11, 1.7e-12, 4e-12)),
+    (1.0, (40.0,), 64, (3.9e-14, 2e-9, 2e-9, 1.8e-13)),
+    (0.05, (0.0,), 64, (1e-13, 9e-12, 9e-13, 2e-12)),
+], ids=["neutral", "kimura", "beta40", "psi0.05"])
+def test_constant_psi_matches_the_cholesky_route(psi0, pi, modes, bounds):
+    # Psi given as (psi0, 0) takes the general route: a quadrature mass
+    # matrix, its Cholesky factor and N = modes + 32
+    closed, general = (kd.build_basis(kd.CoefficientModel(psi, pi), modes, 512)
+                       for psi in ((psi0,), (psi0, 0.0)))
+    assert len(general.coefficients) == modes + 32
+    gaps = (np.abs(closed.eigenvalues / general.eigenvalues - 1.0),
+            np.abs(closed.endpoint_values - general.endpoint_values) / general.mode_sup,
+            np.abs(closed.mode_masses - general.mode_masses) / np.max(np.abs(general.mode_masses)),
+            np.abs(closed.identity_residuals - general.identity_residuals))
+    for gap, bound in zip(gaps, bounds):
+        assert np.max(gap) <= bound
+
+
+@pytest.mark.parametrize("model, modes, n_basis", [
+    ((0.0, 0.0), 64, 80), ((1.0, -0.5), 128, 144), ((0.0, 40.0), 64, 96),
+    ((0.0, 100.0), 64, 96), (((0.255, -1.0, 1.0), (0.0,)), 64, 96),
+], ids=["neutral", "kimura", "beta40", "beta100", "psi_min"])
+def test_galerkin_size_follows_the_coefficient_tail(model, modes, n_basis):
+    # constant Psi keeps N = modes + 16 when the last 8 coefficients of every
+    # kept column are within 1e-8 of its largest (beta = 40 reads 7e-8 there,
+    # beta = 100 9e-4); any other Psi takes N = modes + 32
+    model = kd.make_kimura(*model) if np.ndim(model[0]) == 0 else kd.CoefficientModel(*model)
+    basis = kd.build_basis(model, modes, 512)
+    size = np.abs(basis.coefficients)
+    assert len(size) == n_basis
+    assert np.max(size[-8:].max(axis=0) / size.max(axis=0)) <= 1e-8 or n_basis == modes + 32
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 24, 25, 64, 65, 232, 360])
