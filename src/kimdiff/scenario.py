@@ -616,11 +616,16 @@ def emit_plot_data(results_dir):
         if not path.exists():
             raise FileNotFoundError(f"missing {path}; run a scenario first")
     try:
-        lam0 = float(json.loads(spec_path.read_text())["lambda"][0])
+        lam0 = float(json.loads(spec_path.read_text(encoding="utf-8"))["lambda"][0])
     except (KeyError, IndexError, TypeError):
         raise ValueError(f"{spec_path} has no eigenvalues under 'lambda'") from None
-    with open(evo_path) as fh:
-        rows = list(csv.DictReader(fh))
+    except (ValueError, OverflowError) as exc:  # not UTF-8, not JSON or not a number
+        raise ValueError(f"{spec_path}: {exc}") from None
+    try:
+        with open(evo_path, encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+    except ValueError as exc:  # not UTF-8 text
+        raise ValueError(f"{evo_path}: {exc}") from None
     if not rows:
         raise ValueError(f"{evo_path} has no data rows")
 

@@ -2,23 +2,23 @@
 
 Solves the backward form  -(e^Xi u')' = lambda e^Xi u / (Psi x (1 - x)),
 with Xi the running integral of xi, for phi = e^(Xi/2) u, by Galerkin on the
-polynomials u_n(x) = P_n(y) - P_{n+2}(y), y = 2x - 1 (J. Shen, SIAM J. Sci.
-Comput. 15, 1994; C. L. Epstein and R. Mazzeo, SIAM J. Math. Anal. 42, 2010).
-In phi neither Galerkin matrix holds an exponential, so their conditioning
-does not depend on the range of Xi.  Each u_n vanishes at both endpoints and
-u_n / (x (1 - x)) is again a polynomial, so the density modes take exact
-endpoint values, and their masses and point values are exact up to the
-polynomial truncation, which converges spectrally.  What the factor e^(Xi/2)
-still costs is roundoff: the modes grow like e^(Xi range / 2), which
-evolution.solutions_at gates.  The Gauss rule is _quadrature.gauss01, and
-the eigenproblem goes to numpy.linalg.eigh through the closed-form diagonal
-mass matrix of a constant Psi, or else the mass matrix's Cholesky factor, so
-importing the module loads no scipy.
+trial functions sqrt(Psi) u_n, u_n(x) = P_n(y) - P_{n+2}(y), y = 2x - 1
+(J. Shen, SIAM J. Sci. Comput. 15, 1994; C. L. Epstein and R. Mazzeo, SIAM
+J. Math. Anal. 42, 2010).  In phi neither Galerkin matrix holds an
+exponential, and sqrt(Psi) makes the mass matrix diagonal for every Psi.
+Each u_n vanishes at both endpoints and u_n / (x (1 - x)) is again a
+polynomial, so the density modes take exact endpoint values, and their
+masses and point values are exact up to the truncation, which converges
+spectrally.  What e^(Xi/2) still costs is roundoff: the modes grow like
+e^(Xi range / 2), which evolution.solutions_at gates.  Only this module
+knows the factor sqrt(Psi).  The Gauss rule is _quadrature.gauss01 and the
+eigenproblem goes to numpy.linalg.eigh, so importing loads no scipy.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from numpy.polynomial.legendre import legvander
 
 from ._quadrature import TABLE_NODES, gauss01, running_integral_table, table_values
@@ -30,13 +30,16 @@ class SpectralBasis:
     interior_grid: output sampling points x_i = i h, h = 1/(n+1), i = 1..n;
         they play no part in the solve.
     eigenvalues: lowest modes, ascending.
-    coefficients: (N, m) Galerkin coefficients of phi_j = e^(Xi/2) u_j in the
-        basis u_n, orthonormal under the weight 1 / (Psi x (1 - x)) and
-        signed so the slope at 0 is positive.
+    coefficients: (N, m) Galerkin coefficients of phi_j / sqrt(Psi) in the
+        u_n, phi_j = e^(Xi/2) u_j orthonormal under 1 / (Psi x (1 - x)) and
+        signed so the slope at 0 is positive; N = m + 16, 32, ..., 256 from
+        the coefficient tail (build_basis).
+    psi_coeffs: Psi's polynomial coefficients, for sqrt(Psi) at any points.
     quad_nodes, quad_weights: the rule gauss01(2N + 40) on [0, 1] that
         assembled the Galerkin matrices; mode masses reuse it, and projections
         map it onto the initial density's panels (InitialMeasure.integrate).
-    grid_scale: e^(Xi/2) / Psi on the closed grid, taking phi_j / (x (1 - x)) to q_j.
+    grid_scale: e^(Xi/2) / sqrt(Psi) on the closed grid, taking the series
+        sum_n c_nj u_n / (x (1 - x)) to q_j.
     endpoint_values: (2, m) exact q_j(0) and q_j(1).
     mode_sup: max |q_j| over the Gauss nodes and both endpoints.
     mode_masses: integrals of the density modes over [0, 1].
@@ -48,6 +51,7 @@ class SpectralBasis:
     interior_grid: np.ndarray
     eigenvalues: np.ndarray
     coefficients: np.ndarray
+    psi_coeffs: tuple
     quad_nodes: np.ndarray
     quad_weights: np.ndarray
     grid_scale: np.ndarray
@@ -76,26 +80,30 @@ class SpectralBasis:
         return self.series_values(np.eye(self.n_modes), self.closed_grid, self.grid_scale).T
 
     def mode_values(self, x):
-        """Polynomial modes phi_j = e^(Xi/2) u_j at points x in [0, 1],
-        shape (len(x), m)."""
+        """Modes phi_j = e^(Xi/2) u_j at points x in [0, 1], shape (len(x), m)."""
         x = np.atleast_1d(np.asarray(x, float))
-        return self.series_values(np.eye(self.n_modes), x, x * (1.0 - x)).T
+        return self.series_values(np.eye(self.n_modes), x, x * (1.0 - x) * self._root_psi(x)).T
+
+    def _root_psi(self, x):
+        return np.sqrt(P.polyval(x, self.psi_coeffs))
 
     def series_values(self, weights, x, scale):
-        """sum_j weights[r, j] phi_j(x) / (x (1 - x)) at points x, times scale at x:
-        one row per row of the (rows, m) weights, one product with one slope
-        table, the factors f_n of _quotient_factors folded into the weights."""
+        """sum_j weights[r, j] phi_j(x) / (sqrt(Psi) x (1 - x)) at points x, times
+        scale at x: one row per row of the (rows, m) weights, one product with
+        one slope table, the factors f_n of _quotient_factors folded into the
+        weights."""
         n_basis = len(self.coefficients)
         folded = (weights @ self.coefficients.T) * _quotient_factors(n_basis)
         return folded @ _legendre_slopes(2.0 * x - 1.0, n_basis + 1)[1:-1] * scale
 
     def pairings(self, measure, scale):
-        """int phi_j / (x (1 - x)) scale dmeasure for each mode j, the adjoint of
-        series_values: measure.integrate takes the N basis moments of
-        f_n P'_{n+1}(2x - 1) scale(x) from one slope table on the basis's rule."""
+        """int phi_j / (x (1 - x)) scale dmeasure for each mode j: measure.integrate
+        takes the N basis moments of f_n P'_{n+1}(2x - 1) sqrt(Psi(x)) scale(x)
+        from one slope table on the basis's rule."""
         n_basis = len(self.coefficients)
         moments = measure.integrate(
-            lambda x: (_legendre_slopes(2.0 * x - 1.0, n_basis + 1)[1:-1] * scale(x)).T,
+            lambda x: (_legendre_slopes(2.0 * x - 1.0, n_basis + 1)[1:-1]
+                       * (scale(x) * self._root_psi(x))).T,
             rule=(self.quad_nodes, self.quad_weights))
         return self.coefficients.T @ (_quotient_factors(n_basis) * moments)
 
@@ -121,39 +129,23 @@ def _quotient_factors(n_basis):
     return 4.0 * (2 * n + 3) / ((n + 1) * (n + 2))
 
 
-def _lower_inverse(low):
-    """The inverse of a lower triangular matrix by 2 x 2 blocks,
-    [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]], with
-    numpy.linalg.inv, a general LU solve, only on blocks of at most 32 rows."""
-    n = len(low)
-    if n <= 32:
-        return np.linalg.inv(low)
-    h = n // 2
-    out = np.zeros_like(low)
-    out[:h, :h] = top = _lower_inverse(low[:h, :h])
-    out[h:, h:] = bottom = _lower_inverse(low[h:, h:])
-    out[h:, :h] = -(bottom @ (low[h:, :h] @ top))
-    return out
-
-
 def build_basis(model, n_modes, n_grid):
     """Lowest n_modes eigenpairs, with the mode data that runs read for an
     n_grid-point interior grid.
 
-    Stiffness K = int (phi_m' - xi phi_m / 2)(phi_n' - xi phi_n / 2) and mass
-    M = int phi_m phi_n / (Psi x (1 - x)) are assembled for the first N
-    polynomials phi_n = u_n with a Gauss-Legendre rule of 2N + 40 nodes.
-    For a constant Psi = Psi_0, M = diag(f_n) / Psi_0 exactly (f_n from
-    _quotient_factors, the P'_{n+1} being orthogonal under x (1 - x)), so
-    with y the eigenvectors of D K D, D = diag(sqrt(Psi_0 / f_n)), c = D y
-    solve K c = lambda M c; otherwise M is the Gram matrix of independent
-    polynomials under a positive weight, so it has a Cholesky factor L, and
-    c = L^-T y with y the eigenvectors of L^-1 K L^-T (L^-1 from
-    _lower_inverse).  Either way c is M-orthonormal, the weighted
-    normalization.  A constant Psi tries N = n_modes + 16 first and keeps it
-    when the last 8 coefficients of every kept column are within 1e-8 of the
-    column's largest (J. L. Aurentz and L. N. Trefethen, ACM TOMS 43, 2017);
-    otherwise N = n_modes + 32.  The mode data come from the nodes and the ends.
+    The trial functions sqrt(Psi) u_n, n < N, give the stiffness
+    K = int (phi_m' - xi phi_m / 2)(phi_n' - xi phi_n / 2) rows
+    sqrt(w Psi) (u_n' + g u_n), g = (Psi' - Pi) / (2 Psi), on a Gauss rule of
+    2N + 40 nodes, and the mass M = int u_m u_n / (x (1 - x)) = diag(f_n)
+    exactly (f_n from _quotient_factors, the P'_{n+1} being orthogonal under
+    x (1 - x)).  With y the eigenvectors of D K D, D = diag(f_n^(-1/2)),
+    c = D y solves K c = lambda M c and is M-orthonormal.  N starts at
+    n_modes + 16, and the padding doubles up to 256 while the last 8
+    coefficients of some kept column exceed 1e-8 of its largest (J. L.
+    Aurentz and L. N. Trefethen, ACM TOMS 43, 2017).  The neutral and Kimura
+    (1, -0.5) models keep n_modes + 16; at 64 modes beta = +-40, +-100 take
+    96 and Psi = 0.255 - x + x^2 the ceiling 320; Psi = 1 + 2x, Pi = -1
+    takes 256 at 128 modes.  The mode data come from the nodes and the ends.
     """
     n_modes = int(n_modes)
     n_grid = int(n_grid)
@@ -161,30 +153,27 @@ def build_basis(model, n_modes, n_grid):
         raise ValueError("n_grid must be at least 64")
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1; got {n_modes}")
-    constant = len(model.psi_coeffs) == 1
-    n_basis = n_modes + (16 if constant else 32)
+    dpsi = P.polyder(model.psi_coeffs)
+    pad = 16
     while True:
+        n_basis = n_modes + pad
         xq, wq = gauss01(2 * n_basis + 40)
         dp = _legendre_slopes(2.0 * xq - 1.0, n_basis + 1)
         quot = dp[1:-1] * _quotient_factors(n_basis)[:, None]  # u_n / (x (1 - x))
-        # phi_n' - xi phi_n / 2, the x-derivative of u_n being 2 (P_n' - P_{n+2}')
-        flux = 2.0 * (dp[:-2] - dp[2:]) - quot * (0.5 * model.xi(xq) * xq * (1.0 - xq))
-        paired = wq * xq * (1.0 - xq) / model.psi_at(xq)  # the weight of M and of <chi_k, q_j>
-        # K (and M) as B B^T of sqrt-weighted rows, numpy's symmetric rank-k product;
+        psi = model.psi_at(xq)
+        # u_n' + g u_n, the x-derivative of u_n being 2 (P_n' - P_{n+2}')
+        g = 0.5 * (P.polyval(xq, dpsi) - model.pi_at(xq)) / psi
+        flux = 2.0 * (dp[:-2] - dp[2:]) + quot * (g * xq * (1.0 - xq))
+        # K as B B^T of weighted rows, numpy's symmetric rank-k product;
         # eigh's divide-and-conquer solve finds all N pairs, and the lowest are kept
-        b = flux * np.sqrt(wq)
+        b = flux * np.sqrt(wq * psi)
         stiffness = b @ b.T
-        if constant:
-            d = np.sqrt(model.psi_coeffs[0] / _quotient_factors(n_basis))[:, None]
-            coef = d * np.linalg.eigh(d * stiffness * d.T)[1][:, :n_modes]
-        else:
-            b = quot * np.sqrt(paired)
-            li = _lower_inverse(np.linalg.cholesky(b @ b.T))
-            coef = li.T @ np.linalg.eigh(li @ stiffness @ li.T)[1][:, :n_modes]
+        d = np.sqrt(1.0 / _quotient_factors(n_basis))[:, None]
+        coef = d * np.linalg.eigh(d * stiffness * d.T)[1][:, :n_modes]
         size = np.abs(coef)
-        if n_basis == n_modes + 32 or np.all(size[-8:].max(axis=0) <= 1e-8 * size.max(axis=0)):
+        if pad == 256 or np.all(size[-8:].max(axis=0) <= 1e-8 * size.max(axis=0)):
             break
-        n_basis = n_modes + 32
+        pad *= 2
     # eigh's eigenvalues hold to eps times the largest of all N; the Rayleigh
     # quotients c^T K c (c^T M c = 1) hold to roundoff of each
     lam = np.einsum("ij,ij->j", coef, stiffness @ coef)
@@ -194,23 +183,25 @@ def build_basis(model, n_modes, n_grid):
     coef *= np.where(ends[0] @ coef < 0.0, -1.0, 1.0)
     x = np.arange(1, n_grid + 1) * (1.0 / (n_grid + 1))
     closed = np.concatenate(([0.0], x, [1.0]))
-    scale = np.exp(0.5 * model.xi_integral(closed)) / model.psi_at(closed)
+    scale = np.exp(0.5 * model.xi_integral(closed)) / np.sqrt(model.psi_at(closed))
     ends = ends @ coef * scale[[0, -1], None]
-    nodes = quot.T @ coef  # phi_j / (x (1 - x)) at the Gauss nodes
-    node_scale = np.exp(0.5 * model.xi_integral(xq)) / model.psi_at(xq)
+    root_psi = np.sqrt(psi)
+    nodes = quot.T @ coef  # phi_j / (sqrt(Psi) x (1 - x)) at the Gauss nodes
+    node_scale = np.exp(0.5 * model.xi_integral(xq)) / root_psi
     modes = nodes * node_scale[:, None]  # q_j at the Gauss nodes
     legendre = legvander(2.0 * xq - 1.0, 5)  # P_k(2x - 1), k = 0..5, one column each
     return SpectralBasis(
         interior_grid=x,
         eigenvalues=lam,
         coefficients=coef,
+        psi_coeffs=model.psi_coeffs,
         quad_nodes=xq,
         quad_weights=wq,
         grid_scale=scale,
         endpoint_values=ends,
         mode_sup=np.abs(np.vstack((modes, ends))).max(axis=0),
         mode_masses=(wq * node_scale) @ nodes,
-        initial_pairings=(legendre[:, :4] * paired[:, None]).T @ nodes,
+        initial_pairings=(legendre[:, :4] * (wq * xq * (1.0 - xq) / root_psi)[:, None]).T @ nodes,
         identity_residuals=_identity_residuals(model, xq, wq, legendre.T, dp[:6], modes,
                                                lam, ends),
     )

@@ -220,6 +220,18 @@ TMP = "<tmp>"  # and for the test's directory, under which a row's files are mad
       "evolve", "--config", f"{TMP}/one_mode.json", "--out", f"{TMP}/out"),
      "error: modes=1: the decay bound's tail estimate needs at least two modes; raise modes, "
      "or set s=0 to skip the bound\n"),
+    # a spectrum.json that is not JSON or whose eigenvalue is not a number,
+    # and an evolution.csv that is not UTF-8 text
+    (({"r/evolution.csv": "t,a,b,q_l1\r\n0.1,0.0,0.0,1.0\r\n", "r/spectrum.json": "lambda"},
+      "plot", "--results", f"{TMP}/r"),
+     f"{TMP}/r/spectrum.json: Expecting value: line 1 column 1 (char 0)"),
+    (({"r/evolution.csv": "t,a,b,q_l1\r\n0.1,0.0,0.0,1.0\r\n",
+       "r/spectrum.json": '{"lambda": ["x"]}'}, "plot", "--results", f"{TMP}/r"),
+     f"{TMP}/r/spectrum.json: could not convert string to float: 'x'"),
+    (({"r/evolution.csv": b"t,a,b,q_l1\r\n0.1,\xff,0.0,1.0\r\n",
+       "r/spectrum.json": '{"lambda": [2.0]}'}, "plot", "--results", f"{TMP}/r"),
+     f"{TMP}/r/evolution.csv: 'utf-8' codec can't decode byte 0xff in position 16: "
+     "invalid start byte"),
 ])
 def test_cli_input_errors_exit_one_without_traceback(tmp_path, config, message):
     if isinstance(config, tuple):
@@ -230,6 +242,8 @@ def test_cli_input_errors_exit_one_without_traceback(tmp_path, config, message):
             (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
             if text is None:
                 (tmp_path / name).mkdir()
+            elif isinstance(text, bytes):
+                (tmp_path / name).write_bytes(text)
             else:
                 (tmp_path / name).write_text(text)
         argv = [arg.replace(DEMO, str(path)).replace(TMP, str(tmp_path)) for arg in config]
@@ -703,6 +717,25 @@ def test_bench_configs_pass_both_commands(tmp_path, config):
             out = tmp_path / command
             assert main([command, "--config", str(path), "--out", str(out)]) == 0
             assert json.loads((out / verdict).read_text())["violations"] == []
+
+
+def test_psi_min_model_passes_both_commands(tmp_path):
+    # Psi = 0.255 - x + x^2, least 0.005 at x = 1/2, on the selection_bump demo
+    # data at 64 modes: at N = modes + 32 its density dipped to -1.4e-5 at
+    # t = 0.1 (exit 2); the Galerkin size now grows to the ceiling N = 320.
+    # FD's a and b gaps read 1.1e-10 and 1.3e-12 at t = 0.1; the later ones
+    # (up to 2.4e-7 in a at t = 2) fall fourfold per doubling of cells, FD's own
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "demos" / "configs"
+                      / "selection_bump.json").read_text())
+    cfg.update(model={"psi": [0.255, -1, 1], "pi": [0]}, modes=64, out=str(tmp_path / "out"))
+    path = tmp_path / "psi_min.json"
+    path.write_text(json.dumps(cfg))
+    for command, verdict in (("evolve", "summary.json"), ("verify", "verify.json")):
+        assert main([command, "--config", str(path)]) == 0
+        assert json.loads((tmp_path / "out" / verdict).read_text())["violations"] == []
+    first = json.loads((tmp_path / "out" / "verify.json").read_text())["comparison"][0]
+    assert first["t"] == 0.1
+    assert max(first["a_diff"], first["b_diff"]) <= 1e-8
 
 
 @pytest.mark.parametrize("config", ["atom_verify", "fd_verify", "spectral_evolve"])

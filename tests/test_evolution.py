@@ -177,6 +177,16 @@ def test_initial_residual_reads_the_initial_term(neutral, neutral_basis, neutral
     assert evolution.initial_residual(neutral, neutral_basis, coeffs, endpoints_only) == 0.0
 
 
+def test_initial_residual_for_a_varying_psi():
+    # Psi = 1 + 2x: the projection and the pairings <chi_k, q_j> each carry
+    # the modes' sqrt(Psi) factor; the defect reads 1.3e-12 (64 modes)
+    model = kd.CoefficientModel((1.0, 2.0), (-1.0,))
+    basis = kd.build_basis(model, 64, 512)
+    init = kd.InitialMeasure(a0=0.2, b0=0.3, density="bump(0.4, 0.25)", atoms=[(0.7, 0.2)])
+    coeffs = kd.project_initial(model, basis, init, kd.fixation_profile(model))
+    assert evolution.initial_residual(model, basis, coeffs, init) <= 1e-10
+
+
 def test_projection_of_leading_mode_is_unit_vector(neutral, neutral_basis, neutral_profile):
     # initial density equal to the leading density mode transforms to the
     # leading eigenfunction, so the coefficients are (c, 0, 0, ...)

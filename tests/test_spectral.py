@@ -1,10 +1,11 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 import kimdiff as kd
 from kimdiff._quadrature import gauss01
-from kimdiff.spectral import _legendre_slopes, _lower_inverse, _phase_values, _quotient_factors
+from kimdiff.spectral import _legendre_slopes, _phase_values, _quotient_factors
 
 from conftest import neutral_mode_exact
 
@@ -78,15 +79,16 @@ def test_kept_mode_data_match_the_grid_table(model):
     ((0.0, 0.0), 9, 2e-13), ((0.0, 0.0), 16, 4e-13), ((0.0, 0.0), 64, 2e-12),
     ((1.0, -0.5), 64, 2e-12), ((1.0, -0.5), 128, 6e-12),
     ((0.0, 20.0), 64, 3e-12), ((0.0, 40.0), 64, 2e-12), ((0.0, 100.0), 64, 2e-12),
-    ((0.0, 100.0), 256, 4e-11),
+    ((0.0, 100.0), 256, 4e-11), (((1.0, 2.0), (-1.0,)), 128, 1e-10),
 ], ids=["neutral9", "neutral16", "neutral64", "kimura64", "kimura128", "beta20",
-        "beta40", "beta100", "beta100-256"])
+        "beta40", "beta100", "beta100-256", "psi1+2x"])
 def test_weak_form_identity_holds_for_every_mode(model, modes, bound):
     # <L* chi, q_j> + lambda_j <chi, q_j> = chi(0) Psi(0) q_j(0) + chi(1) Psi(1) q_j(1)
     # for chi = 1 and x (1 - x) P_k(2x - 1), k = 0..5: with exact endpoint
     # values and the Gauss rule it holds to roundoff for every mode; flipping
-    # the sign of G in the table reads 5e-2 on kimura64 and 1.0 on beta20
-    model = kd.make_kimura(*model)
+    # the sign of G in the table reads 5e-2 on kimura64 and 1.0 on beta20;
+    # Psi = 1 + 2x reads 1.5e-12 at N = 256 and 3.2e-3 at N = modes + 32
+    model = kd.make_kimura(*model) if np.ndim(model[0]) == 0 else kd.CoefficientModel(*model)
     residuals = kd.build_basis(model, modes, 512).identity_residuals
     assert residuals.shape == (modes,)
     assert np.max(residuals) <= bound
@@ -114,45 +116,82 @@ def test_neutral_endpoint_values_at_roundoff(neutral, modes):
         assert np.max(np.abs(basis.density_modes[row, :] / exact - 1)) <= 5e-12
 
 
-@pytest.mark.parametrize("psi0, pi, modes, bounds", [
+def _polynomial_phi_reference(model, modes):
+    """lambda_j, (q_j(0), q_j(1)) and Q_j from the Galerkin problem in the
+    polynomials phi = sum_n c_n u_n themselves, N = modes + 256: stiffness
+    int (phi_m' - xi phi_m / 2)(phi_n' - xi phi_n / 2) and the quadrature mass
+    int phi_m phi_n / (Psi x (1 - x)), solved by LAPACK's generalized
+    symmetric eigensolver (scipy.linalg.eigh(K, M)), no solve of the package"""
+    n_basis = modes + 256
+    x, w = gauss01(2 * n_basis + 40)
+    dp = _legendre_slopes(2.0 * x - 1.0, n_basis + 1)
+    quot = dp[1:-1] * _quotient_factors(n_basis)[:, None]  # u_n / (x (1 - x))
+    rows = (2.0 * (dp[:-2] - dp[2:]) - quot * (0.5 * model.xi(x) * x * (1.0 - x))) * np.sqrt(w)
+    mass = (quot * (w * x * (1.0 - x) / model.psi_at(x))) @ quot.T
+    lam, coef = scipy.linalg.eigh(rows @ rows.T, mass, subset_by_index=(0, modes - 1))
+    n = np.arange(n_basis)
+    ends = (4 * n + 6.0) * np.vstack(((-1.0) ** n, np.ones(n_basis))) @ coef
+    sign = np.where(ends[0] < 0.0, -1.0, 1.0)  # slope at 0 positive
+    closed = np.array([0.0, 1.0])
+    ends *= sign * (np.exp(0.5 * model.xi_integral(closed)) / model.psi_at(closed))[:, None]
+    masses = sign * ((w * np.exp(0.5 * model.xi_integral(x)) / model.psi_at(x)) @ (quot.T @ coef))
+    return lam, ends, masses
+
+
+@pytest.mark.parametrize("psi, pi, modes, kept, bounds", [
     # bounds on lambda_j (relative), q_j(0) and q_j(1) (relative to the mode's
-    # sup), Q_j (relative to the largest) and the identity residuals; measured
-    # 1.3e-14, 8.4e-13, 9.2e-14, 2.2e-13 for neutral, 2.2e-14, 2.4e-12,
-    # 1.7e-13, 4.6e-13 for Kimura, 4.0e-15, 2.4e-10, 2.4e-10, 1.8e-14 for
-    # beta = 40 (both at N = 96: the e^(Xi/2) roundoff of ROADMAP item 4) and
-    # 1.3e-14, 9.3e-13, 9.1e-14, 2.2e-13 for Psi = 0.05
-    (1.0, (0.0,), 64, (1e-13, 8e-12, 9e-13, 2e-12)),
-    (1.0, (-0.5, 1.0), 128, (2e-13, 2e-11, 1.7e-12, 4e-12)),
-    (1.0, (40.0,), 64, (3.9e-14, 2e-9, 2e-9, 1.8e-13)),
-    (0.05, (0.0,), 64, (1e-13, 9e-12, 9e-13, 2e-12)),
-], ids=["neutral", "kimura", "beta40", "psi0.05"])
-def test_constant_psi_matches_the_cholesky_route(psi0, pi, modes, bounds):
-    # Psi given as (psi0, 0) takes the general route: a quadrature mass
-    # matrix, its Cholesky factor and N = modes + 32
-    closed, general = (kd.build_basis(kd.CoefficientModel(psi, pi), modes, 512)
-                       for psi in ((psi0,), (psi0, 0.0)))
-    assert len(general.coefficients) == modes + 32
-    gaps = (np.abs(closed.eigenvalues / general.eigenvalues - 1.0),
-            np.abs(closed.endpoint_values - general.endpoint_values) / general.mode_sup,
-            np.abs(closed.mode_masses - general.mode_masses) / np.max(np.abs(general.mode_masses)),
-            np.abs(closed.identity_residuals - general.identity_residuals))
+    # sup) and Q_j (relative to the largest), over the first `kept` modes;
+    # measured 5.9e-13, 4.8e-12, 3.2e-13 and 9.9e-13, 3.5e-12, 9.8e-13 for
+    # the first two rows (N = 96 and 160), 8.3e-12, 1.4e-11, 1.2e-12 for
+    # Psi = 1 + 2x (N = 256), 1.0e-11, 1.0e-11, 1.3e-12 for the lower half
+    # of the Psi-min modes (N = 320) and, for Psi = 0.05, 3.1e-15 against the
+    # closed form 0.05 (j + 1)(j + 2), 9.5e-12 and 3.6e-13 (N = 80)
+    ((0.5, -0.2, 0.2), (1.0, 3.0), 64, 64, (3e-12, 2.5e-11, 1.6e-12)),
+    ((0.5, -0.2, 0.2), (1.0, 3.0), 128, 128, (5e-12, 1.8e-11, 5e-12)),
+    ((1.0, 2.0), (-1.0,), 128, 128, (4e-11, 7e-11, 6e-12)),
+    ((0.255, -1.0, 1.0), (0.0,), 64, 32, (5e-11, 5e-11, 6.5e-12)),
+    ((0.05,), (0.0,), 64, 64, (1.6e-14, 5e-11, 1.8e-12)),
+], ids=["quadratic_psi64", "quadratic_psi128", "psi1+2x", "psi_min_low", "psi0.05"])
+def test_modes_match_the_generalized_eigensolver(psi, pi, modes, kept, bounds):
+    model = kd.CoefficientModel(psi, pi)
+    basis = kd.build_basis(model, modes, 512)
+    lam, ends, masses = _polynomial_phi_reference(model, modes)
+    if psi == (0.05,):
+        j = np.arange(modes)
+        lam = 0.05 * (j + 1) * (j + 2)
+    gaps = (np.abs(basis.eigenvalues / lam - 1.0),
+            (np.abs(basis.endpoint_values - ends) / basis.mode_sup).max(axis=0),
+            np.abs(basis.mode_masses - masses) / np.max(np.abs(masses)))
     for gap, bound in zip(gaps, bounds):
-        assert np.max(gap) <= bound
+        assert np.max(gap[:kept]) <= bound
+
+
+def test_mode_values_are_weighted_orthonormal_for_a_varying_psi():
+    # phi_j = sqrt(Psi) sum_n c_nj u_n: without the sqrt(Psi) factor the
+    # Gram matrix under 1 / (Psi x (1 - x)) is off by O(1)
+    model = kd.CoefficientModel((1.0, 2.0), (-1.0,))
+    basis = kd.build_basis(model, 128, 512)
+    x = basis.quad_nodes
+    phi = basis.mode_values(x)
+    gram = (phi * (basis.quad_weights * model.weight(x))[:, None]).T @ phi
+    assert np.max(np.abs(gram - np.eye(basis.n_modes))) <= 1e-12
 
 
 @pytest.mark.parametrize("model, modes, n_basis", [
     ((0.0, 0.0), 64, 80), ((1.0, -0.5), 128, 144), ((0.0, 40.0), 64, 96),
-    ((0.0, 100.0), 64, 96), (((0.255, -1.0, 1.0), (0.0,)), 64, 96),
-], ids=["neutral", "kimura", "beta40", "beta100", "psi_min"])
+    ((0.0, 100.0), 64, 96), (((0.255, -1.0, 1.0), (0.0,)), 64, 320),
+    (((1.0, 2.0), (-1.0,)), 128, 256),
+], ids=["neutral", "kimura", "beta40", "beta100", "psi_min", "psi1+2x"])
 def test_galerkin_size_follows_the_coefficient_tail(model, modes, n_basis):
-    # constant Psi keeps N = modes + 16 when the last 8 coefficients of every
-    # kept column are within 1e-8 of its largest (beta = 40 reads 7e-8 there,
-    # beta = 100 9e-4); any other Psi takes N = modes + 32
+    # N = modes + 16, 32, 64, 128, 256: the first at which the last 8
+    # coefficients of every kept column are within 1e-8 of its largest, or
+    # the ceiling (beta = 40 reads 7e-8 at modes + 16, beta = 100 9e-4;
+    # Psi-min, least 0.005 at x = 1/2, still reads 1.3e-4 at the ceiling)
     model = kd.make_kimura(*model) if np.ndim(model[0]) == 0 else kd.CoefficientModel(*model)
     basis = kd.build_basis(model, modes, 512)
     size = np.abs(basis.coefficients)
     assert len(size) == n_basis
-    assert np.max(size[-8:].max(axis=0) / size.max(axis=0)) <= 1e-8 or n_basis == modes + 32
+    assert np.max(size[-8:].max(axis=0) / size.max(axis=0)) <= 1e-8 or n_basis == modes + 256
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 24, 25, 64, 65, 232, 360])
@@ -277,16 +316,3 @@ def test_eigenvalues_independent_of_output_grid(selection):
 def test_resolution_guards(neutral):
     with pytest.raises(ValueError):
         kd.build_basis(neutral, 4, 32)
-
-
-@pytest.mark.parametrize("n_basis", [1, 31, 32, 33, 160, 544])
-def test_block_inverse_of_the_mass_factor(n_basis):
-    # the Galerkin mass matrix of Psi = 0.255 - x + x^2, least 0.005 at x = 1/2
-    psi_min = kd.CoefficientModel(psi_coeffs=(0.255, -1.0, 1.0), pi_coeffs=(0.0,))
-    x, w = gauss01(2 * n_basis + 40)
-    quot = _legendre_slopes(2.0 * x - 1.0, n_basis + 1)[1:-1] * _quotient_factors(n_basis)[:, None]
-    mass = (quot * (w * x * (1.0 - x) / psi_min.psi_at(x))) @ quot.T
-    low = np.linalg.cholesky(mass)
-    inverse = _lower_inverse(low)
-    assert np.max(np.abs(inverse @ low - np.eye(n_basis))) <= 1e-14
-    assert np.array_equal(np.triu(inverse, 1), np.zeros_like(inverse))
