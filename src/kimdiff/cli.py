@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Subcommands: spectrum, fixation, evolve, verify, bessel-check, plot.
+Subcommands: spectrum, fixation, evolve, verify, bessel-check.
 Exit codes: 0 success, 1 input or usage error, 2 invariant tolerance violated.
 """
 
@@ -13,7 +13,6 @@ from .scenario import (
     DEFAULT_TOLERANCES,
     DEFAULTS,
     ConfigError,
-    emit_plot_data,
     load_scenario,
     make_out_dir,
     run_scenario,
@@ -93,12 +92,6 @@ def _cmd_bessel(args):
     return 0
 
 
-def _cmd_plot(args):
-    plots = emit_plot_data(args.results)
-    print(f"wrote {plots}")
-    return 0
-
-
 @functools.cache  # one parser per process: main may run many times in one
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -130,10 +123,6 @@ def build_parser():
                                          help="also dump eigenfunction samples")
     sub.choices["bessel-check"].add_argument("--bessel-modes", default="4,8,16",
                                              help="comma-separated mode indices")
-
-    p = sub.add_parser("plot", help="emit plot-ready CSV and SVG charts")
-    p.add_argument("--results", required=True, help="scenario results directory")
-    p.set_defaults(func=_cmd_plot)
     return parser
 
 
@@ -144,7 +133,7 @@ def main(argv=None):
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError is one
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -236,7 +236,8 @@ def solutions_at(model, basis, coeffs, init, times):
     times = np.array(times, float, ndmin=1)
     if np.any(times < 0.0):
         raise ValueError("t must be nonnegative")
-    decayed = coeffs.values * np.exp(-np.outer(times, basis.eigenvalues))
+    with np.errstate(over="ignore"):  # lambda_j t past the double range: the term is 0
+        decayed = coeffs.values * np.exp(-np.outer(times, basis.eigenvalues))
     roundoff = np.finfo(float).eps * (np.abs(decayed) @ basis.mode_sup)
     trunc = np.max(np.abs(decayed[:, -2:]) * basis.mode_sup[-2:], axis=1)
     bound = _SERIES_TOL * init.total_mass()
@@ -385,15 +386,12 @@ def decay_diagnostics(basis, coeffs, solutions):
     lam0 = basis.eigenvalues[0]
     l1 = solutions.density_l1()
     c_inf = float(basis.mode_masses[0] * coeffs.values[0])
-    with np.errstate(divide="ignore"):
-        log_l1 = np.log(l1)
     fitted = l1 > 0.0
-    slope = (
-        float(np.polyfit(times[fitted], log_l1[fitted], 1)[0])
-        if fitted.sum() >= 2 else None
-    )
-    return DecayDiagnostics(c_inf=c_inf, scaled_l1=np.exp(lam0 * times + log_l1),
-                            slope=slope)
+    log_l1 = np.log(l1[fitted])
+    slope = float(np.polyfit(times[fitted], log_l1, 1)[0]) if fitted.sum() >= 2 else None
+    scaled_l1 = np.zeros_like(l1)
+    scaled_l1[fitted] = np.exp(lam0 * times[fitted] + log_l1)
+    return DecayDiagnostics(c_inf=c_inf, scaled_l1=scaled_l1, slope=slope)
 
 
 def radon_distance_to_limit(init, solutions, limits):

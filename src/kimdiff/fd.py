@@ -167,14 +167,16 @@ def evolve_fd(model, init, times, n_cells, dt=None):
     increasing = all(t0 < t1 for t0, t1 in zip(output_times, output_times[1:]))
     if not increasing or min(output_times, default=0.0) < 0:
         raise ValueError("output times must be nonnegative and increase strictly")
-    counts = [max(1, int(np.ceil(span / dt - 1e-12))) if span > 1e-14 else 0
-              for span in np.diff(output_times, prepend=0.0)]
-    if sum(counts) > _MAX_STEPS:
+    # counted in floats: at a late enough time span / dt is inf, which no int holds
+    spans = np.diff(output_times, prepend=0.0)
+    with np.errstate(over="ignore"):
+        counts = np.where(spans > 1e-14, np.maximum(1.0, np.ceil(spans / dt - 1e-12)), 0.0)
+    if counts.sum() > _MAX_STEPS:
         # each interval rounds up by under a step; quote 4 digits, rounded down
         t_fit = (_MAX_STEPS - np.count_nonzero(counts)) * dt
         unit = 10.0 ** (np.floor(np.log10(t_fit)) - 3)
         raise ValueError(
-            f"times: the last output time {output_times[-1]:g} takes {sum(counts)} "
+            f"times: the last output time {output_times[-1]:g} takes {counts.sum():.4g} "
             f"finite-difference steps of dt={dt:.4g} at cells={n_cells}, more than "
             f"{_MAX_STEPS}; last times up to {np.floor(t_fit / unit) * unit:.4g} fit"
         )
@@ -210,7 +212,7 @@ def evolve_fd(model, init, times, n_cells, dt=None):
     # excite without losing the scheme's second-order accuracy
     startup = 2
     decayed = False
-    for t_out, nsteps in zip(output_times, counts):
+    for t_out, nsteps in zip(output_times, counts.astype(int).tolist()):
         if nsteps and not decayed:
             step = (t_out - t) / nsteps
             d, e, info = dpttrf(1.0 - 0.5 * step * diag, -0.5 * step * off)

@@ -1,4 +1,4 @@
-"""Scenario configs, the end-to-end runner, and plot-data emission.
+"""Scenario configs and the end-to-end runner.
 
 A scenario is one JSON file: model block, initial measure, output times,
 resolutions, tolerances.  Running it produces machine-readable artifacts
@@ -7,7 +7,6 @@ JSON, optionally a cross-solver verdict) in one output directory, so a single
 config reproduces every figure.
 """
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -218,29 +217,6 @@ def make_out_dir(out):
         _fail("out", f"cannot create directory {exc.filename}: {exc.strerror}")
 
 
-def _create(path, mode="w"):
-    """Open an artifact path for writing; a path that cannot be written, such
-    as a directory, raises a ConfigError naming 'out' and the path."""
-    try:
-        return open(path, mode)
-    except OSError as exc:
-        _fail("out", f"cannot write {path}: {exc.strerror}")
-
-
-def _csv_fields(column):
-    """The CSV text of each value of a column, as the nonzero bytes of each
-    row of a uint8 matrix: a float as repr writes it (see _csvtext), any
-    other value as str.  A matrix, such as the text _write_artifacts made for
-    a float column, passes through."""
-    column = np.asarray(column)
-    if column.ndim == 2:
-        return column
-    if column.dtype.kind == "f":
-        return _csvtext.repr_fields(column)
-    text = np.char.encode(column.astype(str))
-    return text.view(np.uint8).reshape(len(text), text.itemsize)
-
-
 def _lines(fields, end):
     """One line per row of the equal-height field matrices: the fields'
     nonzero bytes joined by commas, then the two bytes of end; built as one
@@ -275,12 +251,13 @@ def _json_text(payload, text):
 
 
 def _write_artifacts(files):
-    """Write artifact files in order: a CSV (path, header, equal-length
-    columns) triple gets the bytes of csv.writer, a JSON (path, payload)
-    pair those of _json_text.  A CSV column holds numbers, strings that need
-    no quoting, or _csv_fields' matrix for it.  One _csvtext.repr_fields
-    call formats the float array columns and top-level float arrays of all
-    the files, each array object once."""
+    """Write artifact files in order: a CSV (path, header, columns) triple,
+    whose columns are equal-length 1-D float arrays, gets the bytes of
+    csv.writer, a JSON (path, payload) pair those of _json_text.  One
+    _csvtext.repr_fields call formats the columns and top-level float arrays
+    of all the files, each array object once.  A path that cannot be
+    written, such as a directory, raises a ConfigError naming 'out' and the
+    path."""
     floats = {id(a): a for file in files for a in (file[2] if len(file) == 3 else file[1].values())
               if isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind == "f"}
     text = {}
@@ -292,10 +269,13 @@ def _write_artifacts(files):
         if len(file) == 2:
             body = _json_text(file[1], text)
         else:
-            fields = [_csv_fields(text.get(id(column), column)) for column in file[2]]
+            fields = [text[id(column)] for column in file[2]]
             body = f"{','.join(file[1])}\r\n".encode() + _lines(fields, b"\r\n")
-        with _create(file[0], "wb") as fh:
-            fh.write(body)
+        try:
+            with open(file[0], "wb") as fh:
+                fh.write(body)
+        except OSError as exc:
+            _fail("out", f"cannot write {file[0]}: {exc.strerror}")
 
 
 def _spectrum_json(out, basis):
@@ -549,112 +529,3 @@ def run_verify(scenario):
     })
     _write_artifacts([(scenario.out_dir / "verify.json", verdict)])
     return 2 if verdict["violations"] else 0
-
-
-# plot emission
-
-def _svg_line_chart(path, xs, ys, title, ylabel):
-    """Tiny static SVG line chart; no plotting dependency."""
-    width, height = 640, 400
-    ml, mr, mt, mb = 70, 20, 40, 50
-    xs = np.asarray(xs, float)
-    ys = np.asarray(ys, float)
-    x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(ys.min()), float(ys.max())
-    if x1 == x0:
-        x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + max(abs(y0), 1.0) * 1e-3
-    pad = 0.05 * (y1 - y0)
-    y0, y1 = y0 - pad, y1 + pad
-
-    def px(x):
-        return ml + (x - x0) / (x1 - x0) * (width - ml - mr)
-
-    def py(y):
-        return height - mb - (y - y0) / (y1 - y0) * (height - mt - mb)
-
-    points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-    ticks = []
-    for frac in (0.0, 0.5, 1.0):
-        tx = x0 + frac * (x1 - x0)
-        ty = y0 + frac * (y1 - y0)
-        ticks.append(
-            f'<text x="{px(tx):.1f}" y="{height - mb + 18}" font-size="11" '
-            f'text-anchor="middle">{tx:.3g}</text>'
-        )
-        ticks.append(
-            f'<text x="{ml - 8}" y="{py(ty) + 4:.1f}" font-size="11" '
-            f'text-anchor="end">{ty:.3g}</text>'
-        )
-    svg = f"""<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">
-<rect width="{width}" height="{height}" fill="white"/>
-<text x="{width / 2}" y="24" font-size="14" text-anchor="middle">{title}</text>
-<rect x="{ml}" y="{mt}" width="{width - ml - mr}" height="{height - mt - mb}"
- fill="none" stroke="#888"/>
-{''.join(ticks)}
-<text x="{width / 2}" y="{height - 12}" font-size="12" text-anchor="middle">t</text>
-<text x="18" y="{height / 2}" font-size="12" text-anchor="middle"
- transform="rotate(-90 18 {height / 2})">{ylabel}</text>
-<polyline fill="none" stroke="#1f6fb2" stroke-width="1.5" points="{points}"/>
-</svg>
-"""
-    with _create(path) as fh:
-        fh.write(svg)
-
-
-def emit_plot_data(results_dir):
-    """Turn a results directory into plot-ready files.
-
-    Reads evolution.csv and spectrum.json, writes a long-format series CSV
-    and one SVG line chart per series (endpoint masses, interior L1 norm,
-    and the exponentially rescaled L1 norm)."""
-    results = Path(results_dir)
-    evo_path = results / "evolution.csv"
-    spec_path = results / "spectrum.json"
-    for path in (evo_path, spec_path):
-        if not path.exists():
-            raise FileNotFoundError(f"missing {path}; run a scenario first")
-    try:
-        lam0 = float(json.loads(spec_path.read_text(encoding="utf-8"))["lambda"][0])
-    except (KeyError, IndexError, TypeError):
-        raise ValueError(f"{spec_path} has no eigenvalues under 'lambda'") from None
-    except (ValueError, OverflowError) as exc:  # not UTF-8, not JSON or not a number
-        raise ValueError(f"{spec_path}: {exc}") from None
-    try:
-        with open(evo_path, encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-    except ValueError as exc:  # not UTF-8 text
-        raise ValueError(f"{evo_path}: {exc}") from None
-    if not rows:
-        raise ValueError(f"{evo_path} has no data rows")
-
-    def column(key):
-        try:
-            return np.array([float(r[key]) for r in rows])
-        except KeyError:
-            raise ValueError(f"{evo_path} has no column {key!r}") from None
-        except TypeError:  # DictReader fills a short row with None
-            raise ValueError(f"{evo_path} has a row shorter than its header") from None
-        except ValueError as exc:
-            raise ValueError(f"{evo_path} column {key!r}: {exc}") from None
-
-    t, a, b, q_l1 = map(column, ("t", "a", "b", "q_l1"))
-    series = {"a": a, "b": b, "q_l1": q_l1}
-    # exp(lambda_0 t) alone overflows at late times, where q_l1 underflows to 0
-    with np.errstate(divide="ignore"):
-        series["scaled_q_l1"] = np.exp(lam0 * t + np.log(series["q_l1"]))
-
-    plots = results / "plots"
-    make_out_dir(plots)
-    for name, vals in series.items():
-        _svg_line_chart(
-            plots / f"{name}.svg", t, vals, f"{name} vs t", name.replace("_", " ")
-        )
-    _write_artifacts([(
-        plots / "series.csv",
-        ["series", "t", "value"],
-        [np.repeat(list(series), len(t)), np.tile(t, len(series)),
-         np.concatenate(list(series.values()))],
-    )])
-    return plots

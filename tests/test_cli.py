@@ -16,12 +16,7 @@ from kimdiff import _csvtext, cli, evolution, scenario
 from kimdiff._quadrature import gauss01
 from kimdiff.cli import main
 from kimdiff.fixation import FixationProfile
-from kimdiff.scenario import (
-    ConfigError,
-    emit_plot_data,
-    load_scenario,
-    run_scenario,
-)
+from kimdiff.scenario import ConfigError, load_scenario, run_scenario
 
 
 def demo_config(tmp_path, **extra):
@@ -189,30 +184,22 @@ TMP = "<tmp>"  # and for the test's directory, under which a row's files are mad
     (("evolve", "--config", "."), "cannot read config .: Is a directory"),
     (("evolve", "--config", f"{DEMO}/x"), f"cannot read config {DEMO}/x: Not a directory"),
     (b"{\"schema\": 1\xff}", "is not UTF-8 text: invalid start byte"),
-    # an artifact path that is a directory (None), or a file where plot
-    # makes its directory; a leading dict names what is made first
+    # an artifact path that is a directory (None); a leading dict names what
+    # is made first
     (({"out/spectrum.json": None}, "evolve", "--config", DEMO),
      f"config field 'out': cannot write {TMP}/out/spectrum.json: Is a directory"),
     (({"out/verify.json": None}, "verify", "--config", DEMO),
      f"config field 'out': cannot write {TMP}/out/verify.json: Is a directory"),
     (({"out/fixation.csv": None}, "fixation", "--out", f"{TMP}/out"),
      f"config field 'out': cannot write {TMP}/out/fixation.csv: Is a directory"),
-    (({"r/evolution.csv": "t,a,b,q_l1\r\n0.1,0.0,0.0,1.0\r\n",
-       "r/spectrum.json": '{"lambda": [2.0]}', "r/plots": ""}, "plot", "--results", f"{TMP}/r"),
-     f"config field 'out': cannot create directory {TMP}/r/plots: File exists"),
-    # results whose evolution.csv lacks a column or a field, or whose
-    # spectrum.json holds no eigenvalues
-    (({"r/evolution.csv": "t,a\r\n0.1,0.0\r\n", "r/spectrum.json": '{"lambda": [2.0]}'},
-      "plot", "--results", f"{TMP}/r"), f"{TMP}/r/evolution.csv has no column 'b'"),
-    (({"r/evolution.csv": "t,a,b,q_l1\r\n0.1,0.0\r\n", "r/spectrum.json": '{"lambda": [2.0]}'},
-      "plot", "--results", f"{TMP}/r"),
-     f"{TMP}/r/evolution.csv has a row shorter than its header"),
-    (({"r/evolution.csv": "t,a,b,q_l1\r\n0.1,0.0,0.0,1.0\r\n", "r/spectrum.json": "{}"},
-      "plot", "--results", f"{TMP}/r"),
-     f"{TMP}/r/spectrum.json has no eigenvalues under 'lambda'"),
-    (({"r/evolution.csv": "t,a,b,q_l1\r\n0.1,x,0.0,1.0\r\n",
-       "r/spectrum.json": '{"lambda": [2.0]}'}, "plot", "--results", f"{TMP}/r"),
-     f"{TMP}/r/evolution.csv column 'a': could not convert string to float: 'x'"),
+    # the FD step count past the budget, or past any integer, is counted in floats
+    ({"times": [0.1, 1e300], "cells": 128},
+     "takes 1.28e+302 finite-difference steps of dt=0.007812 at cells=128, more than "
+     "1048576; last times up to 8191 fit"),
+    ({"times": [0.1, 1e308], "cells": 128},
+     "the last output time 1e+308 takes inf finite-difference steps"),
+    # an unknown subcommand, such as the former plot (now demos/06_plot_results.py)
+    (("plot", "--results", TMP), "invalid choice: 'plot'"),
     # one mode passes the truncation gate at late times, but the decay
     # bound's tail estimate reads the last two modes
     (({"one_mode.json": '{"schema": 1, "model": {"preset": "kimura", "eta": 0, "beta": 0}, '
@@ -220,18 +207,6 @@ TMP = "<tmp>"  # and for the test's directory, under which a row's files are mad
       "evolve", "--config", f"{TMP}/one_mode.json", "--out", f"{TMP}/out"),
      "error: modes=1: the decay bound's tail estimate needs at least two modes; raise modes, "
      "or set s=0 to skip the bound\n"),
-    # a spectrum.json that is not JSON or whose eigenvalue is not a number,
-    # and an evolution.csv that is not UTF-8 text
-    (({"r/evolution.csv": "t,a,b,q_l1\r\n0.1,0.0,0.0,1.0\r\n", "r/spectrum.json": "lambda"},
-      "plot", "--results", f"{TMP}/r"),
-     f"{TMP}/r/spectrum.json: Expecting value: line 1 column 1 (char 0)"),
-    (({"r/evolution.csv": "t,a,b,q_l1\r\n0.1,0.0,0.0,1.0\r\n",
-       "r/spectrum.json": '{"lambda": ["x"]}'}, "plot", "--results", f"{TMP}/r"),
-     f"{TMP}/r/spectrum.json: could not convert string to float: 'x'"),
-    (({"r/evolution.csv": b"t,a,b,q_l1\r\n0.1,\xff,0.0,1.0\r\n",
-       "r/spectrum.json": '{"lambda": [2.0]}'}, "plot", "--results", f"{TMP}/r"),
-     f"{TMP}/r/evolution.csv: 'utf-8' codec can't decode byte 0xff in position 16: "
-     "invalid start byte"),
 ])
 def test_cli_input_errors_exit_one_without_traceback(tmp_path, config, message):
     if isinstance(config, tuple):
@@ -330,22 +305,13 @@ def _csv_writer_bytes(header, rows):
 
 
 def test_csv_writer_matches_csv_module(tmp_path):
-    names = ["a", "b", "scaled_q_l1", "q_l1", "a", "b", "b"]
-    t = np.array([0.0, -0.0, 5e-324, 1e300, np.nan, 0.1, 1e16])
+    t = np.array([0.0, -0.0, 5e-324, 1e300, np.nan, np.inf, 1e16])
     value = np.array([-3.25e-7, 1.0 / 3.0, -0.0, 2.0, 1e-5, -np.inf, 12345.678])
-    count = np.arange(-3, 4)
-    cases = [
-        (["series", "t", "value", "n"], [names, t, value, count],
-         zip(names, t, value, count)),
-        # the string column as plot writes it, a numpy string array
-        (["series", "value"], [np.array(names[:1]), value[:1]], [(names[0], value[0])]),
-        # a column formatted once and shared, next to a plain list of floats
-        (["t", "value"], [scenario._csv_fields(t), value.tolist()], zip(t, value)),
-    ]
-    for header, columns, rows in cases:
-        path = tmp_path / "fast.csv"
-        scenario._write_artifacts([(path, header, columns)])
-        assert path.read_bytes() == _csv_writer_bytes(header, rows)
+    # t in two files: a column shared by several files is formatted once
+    files = [(tmp_path / "a.csv", ["t", "value"], [t, value]), (tmp_path / "b.csv", ["t"], [t])]
+    scenario._write_artifacts(files)
+    for path, header, columns in files:
+        assert path.read_bytes() == _csv_writer_bytes(header, zip(*columns))
 
 
 def _field(text):
@@ -358,12 +324,11 @@ def _field(text):
 def test_every_csv_artifact_has_csv_writer_bytes(tmp_path):
     out = tmp_path / "out"
     assert main(["evolve", "--config", str(demo_config(tmp_path))]) == 0
-    assert main(["plot", "--results", str(out)]) == 0
     assert main(["spectrum", "--modes", "16", "--grid", "512", "--out", str(out),
                  "--csv"]) == 0
     paths = sorted(out.rglob("*.csv"))
     assert {p.name for p in paths} >= {"fixation.csv", "evolution.csv", "q_t0.1.csv",
-                                       "series.csv", "eigenfunctions.csv"}
+                                       "eigenfunctions.csv"}
     for path in paths:
         with open(path, newline="") as fh:
             header, *rows = csv.reader(fh)
@@ -514,13 +479,12 @@ def test_boundary_masses_only_write_zero_limit_constant(tmp_path):
 
 
 def test_fully_decayed_times_write_valid_json(tmp_path):
-    # by t = 400 the density underflows to 0: no log(0) in the slope fit, no
-    # exp overflow in the rescaled norm, and strict JSON in the summary
+    # by t = 400 the density underflows to 0: no log(0) in the slope fit and
+    # strict JSON in the summary
     path = demo_config(tmp_path, times=[0.1, 1.0, 400.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["evolve", "--config", str(path)]) == 0
-        assert main(["plot", "--results", str(tmp_path / "out")]) == 0
 
     def reject(name):
         raise ValueError(f"non-finite number {name} in the artifact")
@@ -528,8 +492,6 @@ def test_fully_decayed_times_write_valid_json(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
                          parse_constant=reject)
     assert summary["slope"] == pytest.approx(-2.0, rel=1e-6)
-    series = (tmp_path / "out" / "plots" / "series.csv").read_text()
-    assert "nan" not in series and "inf" not in series
 
 
 def _python(*args):
@@ -563,11 +525,10 @@ def test_cli_commands_load_scipy_only_where_needed(tmp_path):
         "import sys; from kimdiff.cli import main; print(["
         f"main(['evolve', '--config', {str(path)!r}]), "
         f"main(['spectrum', '--out', {str(tmp_path / 's')!r}]), "
-        f"main(['fixation', '--out', {str(tmp_path / 'f')!r}]), "
-        f"main(['plot', '--results', {str(out)!r}])]); "
+        f"main(['fixation', '--out', {str(tmp_path / 'f')!r}])]); "
         f"print({_SCIPY_LOADED})"
     )
-    assert _fresh_python("-c", code).splitlines()[-2:] == ["[0, 0, 0, 0]", "[]"]
+    assert _fresh_python("-c", code).splitlines()[-2:] == ["[0, 0, 0]", "[]"]
     # the FD oracle and the Bessel comparison load scipy on first use
     _fresh_python("-m", "kimdiff.cli", "verify", "--config", str(path))
     _fresh_python("-m", "kimdiff.cli", "bessel-check", "--out", str(tmp_path / "b"))
@@ -813,27 +774,6 @@ def test_one_positive_time_writes_the_initial_residual(tmp_path, command, artifa
     assert main([command, "--config", str(path)]) == 0
     residual = json.loads((tmp_path / "out" / artifact).read_text())[field]["initial_residual"]
     assert isinstance(residual, float) and 0.0 <= residual < 1e-11
-
-
-def test_plot_emission(tmp_path):
-    path = demo_config(tmp_path)
-    run_scenario(load_scenario(path))
-    status = main(["plot", "--results", str(tmp_path / "out")])
-    assert status == 0
-    plots = tmp_path / "out" / "plots"
-    svgs = sorted(p.name for p in plots.glob("*.svg"))
-    assert svgs == ["a.svg", "b.svg", "q_l1.svg", "scaled_q_l1.svg"]
-    assert (plots / "series.csv").exists()
-    # monotone a(t) series
-    rows = (tmp_path / "out" / "evolution.csv").read_text().strip().splitlines()[1:]
-    a_vals = [float(r.split(",")[1]) for r in rows]
-    assert np.all(np.diff(a_vals) > 0)
-
-
-def test_plot_missing_results(tmp_path, capsys):
-    status = main(["plot", "--results", str(tmp_path / "nothing")])
-    assert status == 1
-    assert "missing" in capsys.readouterr().err
 
 
 def test_determinism(tmp_path):

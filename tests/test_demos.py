@@ -1,6 +1,7 @@
 """Each narrative demo, and the Python quick start of README.md, runs to
-completion with warnings as errors, and every scenario config the docs show
-parses, so an API or schema change that breaks one fails the suite."""
+completion with warnings as errors, every scenario config the docs show
+parses, and README's command and demo lists match the CLI and demos/, so an
+API or schema change that breaks one fails the suite."""
 
 import json
 import re
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from kimdiff.cli import build_parser
 from kimdiff.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,3 +46,12 @@ def test_documented_scenario_configs_parse():
     assert [c.name for c in configs] == ["neutral_uniform.json", "selection_bump.json"]
     for config in configs:
         assert load_scenario(config).name == json.loads(config.read_text())["name"]
+
+
+def test_readme_lists_every_subcommand_and_demo():
+    readme = (ROOT / "README.md").read_text()
+    shell = "".join(re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S))
+    (command,) = [action for action in build_parser()._actions if action.dest == "command"]
+    assert set(re.findall(r"^kimdiff (\S+)", shell, re.M)) == set(command.choices)
+    assert re.findall(r"^python (demos/\S+)", shell, re.M) == [
+        str(demo.relative_to(ROOT)) for demo in DEMOS]

@@ -428,6 +428,20 @@ def test_decay_single_mode(neutral, neutral_basis, uniform_setup):
     assert np.max(np.abs(diag.scaled_l1 - diag.c_inf)) <= 1e-9
 
 
+def test_times_past_the_double_range_evaluate_silently(neutral, neutral_basis, uniform_setup):
+    # lambda_0 t overflows at t = 1e308: every term is 0, the masses are at
+    # their limits, and the rescaled norm is 0 where the norm underflowed
+    init, coeffs = uniform_setup
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.1, 1e308])
+        diag = kd.decay_diagnostics(neutral_basis, coeffs, sols)
+    assert sols.density_l1()[-1] == 0.0
+    assert (sols.a[-1], sols.b[-1]) == pytest.approx((0.5, 0.5), abs=1e-12)
+    assert diag.scaled_l1[-1] == 0.0
+    assert diag.scaled_l1[0] == pytest.approx(diag.c_inf, abs=1e-9)
+
+
 def test_decay_degenerate_leading_mode(neutral, neutral_basis):
     # antisymmetric data has no leading-mode content; decay follows the
     # second eigenvalue
