@@ -14,7 +14,6 @@ from .scenario import (
     DEFAULTS,
     ConfigError,
     load_scenario,
-    make_out_dir,
     run_scenario,
     run_verify,
     write_bessel,
@@ -50,7 +49,6 @@ def _scenario(args):
 
 def _cmd_spectrum(args):
     scenario = _scenario(args)
-    make_out_dir(scenario.out_dir)
     basis = build_basis(scenario.model, scenario.modes, scenario.grid)
     print(f"wrote {write_spectrum(scenario.out_dir, basis, args.csv)}")
     return 0
@@ -58,7 +56,6 @@ def _cmd_spectrum(args):
 
 def _cmd_fixation(args):
     scenario = _scenario(args)
-    make_out_dir(scenario.out_dir)
     profile = fixation_profile(scenario.model)
     print(f"wrote {write_fixation(scenario.out_dir, profile, scenario.grid)}")
     return 0
@@ -135,6 +132,10 @@ def main(argv=None):
         return args.func(args)
     except ValueError as exc:  # a ConfigError is one
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a resolution whose arrays cannot be allocated
+        print(f"error: {str(exc) or 'out of memory'}; lower modes, grid or cells",
+              file=sys.stderr)
         return 1
 
 

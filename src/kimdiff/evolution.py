@@ -343,7 +343,7 @@ def _exp_in_range(log_value, s, what):
         value = float(np.exp(log_value))
     if value == np.inf:
         raise ValueError(
-            f"s={s:g}: {what} is about 10^{log_value / np.log(10.0):.1f}, beyond "
+            f"s={s:g}: {what} is about 10^{log_value / np.log(10.0):.4g}, beyond "
             f"the double range; lower s"
         )
     return value
@@ -351,13 +351,16 @@ def _exp_in_range(log_value, s, what):
 
 def _power_norm(weights, lam, s, what):
     """sqrt(sum weights^2 lam^s), summed in log space so that every value a
-    double can hold comes out finite."""
-    weights = np.abs(weights)
-    if not np.any(weights):
+    double can hold comes out finite; a term whose s-power passes the double
+    range reads as an infinite log."""
+    nonzero = weights != 0.0
+    if not np.any(nonzero):
         return 0.0
-    with np.errstate(divide="ignore"):
-        log_terms = 2.0 * np.log(weights) + s * np.log(lam)
+    with np.errstate(over="ignore"):
+        log_terms = 2.0 * np.log(np.abs(weights[nonzero])) + s * np.log(lam[nonzero])
     top = log_terms.max()
+    if np.isinf(top):
+        return _exp_in_range(top, s, what)
     return _exp_in_range(0.5 * (top + np.log(np.sum(np.exp(log_terms - top)))), s, what)
 
 
@@ -422,6 +425,9 @@ def radon_bound_constant(basis, s):
     cq = float(np.max(np.abs(basis.mode_masses) * lam**0.25))
     m = basis.n_modes
     growth = lam[-1] / (m - 1) ** 2
-    # cq sqrt(growth^(-s - 1/2) (m - 1)^(-2s) / 2s), its powers taken as logs
-    log_tail = -(s + 0.5) * np.log(growth) - 2.0 * s * np.log(m - 1.0) - np.log(2.0 * s)
+    # cq sqrt(growth^(-s - 1/2) (m - 1)^(-2s) / 2s), its powers taken as logs;
+    # the s-terms as one product, which passes the double range as one infinity
+    with np.errstate(over="ignore"):
+        log_tail = (-s * (np.log(growth) + 2.0 * np.log(m - 1.0)) - 0.5 * np.log(growth)
+                    - np.log(2.0 * s))
     return c0s, cq * _exp_in_range(0.5 * log_tail, s, what)

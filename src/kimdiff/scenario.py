@@ -208,69 +208,47 @@ def load_scenario(config, overrides=None):
     )
 
 
-def make_out_dir(out):
-    """Create the output directory out; a path that cannot be one raises a
-    ConfigError naming 'out' and the path."""
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        _fail("out", f"cannot create directory {exc.filename}: {exc.strerror}")
-
-
-def _lines(fields, end):
-    """One line per row of the equal-height field matrices: the fields'
-    nonzero bytes joined by commas, then the two bytes of end; built as one
-    byte table whose zero padding is dropped at once."""
+def _lines(fields):
+    """One CSV line per row of the equal-height field matrices: the fields'
+    nonzero bytes joined by commas, then CRLF; built as one byte table whose
+    zero padding is dropped at once."""
     table = np.empty((len(fields[0]), sum(f.shape[1] + 1 for f in fields) + 1), np.uint8)
     at = 0
     for field in fields:
         table[:, at:at + field.shape[1]] = field
         at += field.shape[1] + 1
         table[:, at - 1] = ord(",")
-    table[:, -2:] = np.frombuffer(end, np.uint8)
+    table[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
     return table.tobytes().translate(None, b"\0")
 
 
-def _json_text(payload, text):
-    """The bytes of json.dump(payload, indent=2, sort_keys=True) and a
-    newline, the list of each top-level float array from its repr_fields
-    matrix in text (by id), where repr's nan and inf read NaN and Infinity."""
-    items = []
-    for key in sorted(payload):
-        value = payload[key]
-        if id(value) not in text:
-            value = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ").encode()
-        elif not len(value):
-            value = b"[]"
-        else:
-            fields = np.pad(text[id(value)], ((0, 0), (4, 0)), constant_values=ord(" "))
-            lines = _lines([fields], b",\n")[:-2].replace(b"nan", b"NaN")
-            value = b"[\n%s\n  ]" % lines.replace(b"inf", b"Infinity")
-        items.append(b"  %s: %s" % (json.dumps(key).encode(), value))
-    return b"{\n%s\n}\n" % b",\n".join(items) if items else b"{}\n"
-
-
 def _write_artifacts(files):
-    """Write artifact files in order: a CSV (path, header, columns) triple,
-    whose columns are equal-length 1-D float arrays, gets the bytes of
-    csv.writer, a JSON (path, payload) pair those of _json_text.  One
-    _csvtext.repr_fields call formats the columns and top-level float arrays
-    of all the files, each array object once.  A path that cannot be
-    written, such as a directory, raises a ConfigError naming 'out' and the
-    path."""
-    floats = {id(a): a for file in files for a in (file[2] if len(file) == 3 else file[1].values())
-              if isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind == "f"}
+    """Make the directories of the artifact files, then write the files in
+    order: a CSV (path, header, columns) triple, whose columns are
+    equal-length 1-D float arrays, gets the bytes of csv.writer, and a JSON
+    (path, payload) pair those of json.dump(payload, indent=2,
+    sort_keys=True) and a newline, a numpy value written as its tolist().
+    One _csvtext.repr_fields call formats the columns of all the CSV files,
+    each array object once.  A directory that cannot be made, or a path that
+    cannot be written, such as a directory, raises a ConfigError naming 'out'
+    and the path."""
+    for directory in dict.fromkeys(Path(file[0]).parent for file in files):
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            _fail("out", f"cannot create directory {exc.filename}: {exc.strerror}")
+    columns = {id(a): a for file in files if len(file) == 3 for a in file[2]}
     text = {}
-    if floats:
-        ends = np.cumsum([len(a) for a in floats.values()])[:-1]
-        formatted = _csvtext.repr_fields(np.concatenate(list(floats.values())))
-        text = dict(zip(floats, np.split(formatted, ends)))
+    if columns:
+        ends = np.cumsum([len(a) for a in columns.values()])[:-1]
+        formatted = _csvtext.repr_fields(np.concatenate(list(columns.values())))
+        text = dict(zip(columns, np.split(formatted, ends)))
     for file in files:
         if len(file) == 2:
-            body = _json_text(file[1], text)
+            body = json.dumps(file[1], indent=2, sort_keys=True,
+                              default=lambda value: value.tolist()).encode() + b"\n"
         else:
-            fields = [text[id(column)] for column in file[2]]
-            body = f"{','.join(file[1])}\r\n".encode() + _lines(fields, b"\r\n")
+            body = f"{','.join(file[1])}\r\n".encode() + _lines([text[id(c)] for c in file[2]])
         try:
             with open(file[0], "wb") as fh:
                 fh.write(body)
@@ -323,7 +301,6 @@ def write_bessel(out, model, basis, modes):
     results = [
         {"mode": j, "sup_error": bessel_comparison(model, basis, j)} for j in modes
     ]
-    make_out_dir(out)
     path = out / "bessel.json"
     _write_artifacts([(path, {
         "comparison": results,
@@ -433,7 +410,6 @@ def run_scenario(scenario):
     summary).  Unresolvable inputs raise ValueError, which the CLI maps to
     exit 1.
     """
-    make_out_dir(scenario.out_dir)
     pieces = compute_pipeline(scenario)
     model, basis, coeffs = scenario.model, pieces["basis"], pieces["coeffs"]
     sols, positive = pieces["solutions"], pieces["positive"]
@@ -452,7 +428,6 @@ def run_scenario(scenario):
     limits = coeffs.limits
     report = pieces["report"]
     profiles_dir = out / "profiles"
-    make_out_dir(profiles_dir)
     drifts = {"mass_drift": report.mass_drift, "psi_mass_drift": report.psi_mass_drift}
     summary = {
         **_verdict(scenario, pieces, "residuals", drifts),
@@ -493,7 +468,6 @@ def run_verify(scenario):
 
     Gates on the cross-solver gaps and the spectral invariants; exit status 2
     on any violation, 0 otherwise."""
-    make_out_dir(scenario.out_dir)
     pieces = compute_pipeline(scenario)
     positive = pieces["positive"]
     fd_states = fd.evolve_fd(

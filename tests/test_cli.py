@@ -207,6 +207,16 @@ TMP = "<tmp>"  # and for the test's directory, under which a row's files are mad
       "evolve", "--config", f"{TMP}/one_mode.json", "--out", f"{TMP}/out"),
      "error: modes=1: the decay bound's tail estimate needs at least two modes; raise modes, "
      "or set s=0 to skip the bound\n"),
+    # an --out that no directory can have: the writer makes each artifact's
+    # directory, and maps any error in making it to one naming 'out'
+    (("fixation", "--out", f"{TMP}/{'a' * 300}"),
+     f"config field 'out': cannot create directory {TMP}/{'a' * 300}: File name too long"),
+    (("evolve", "--config", DEMO, "--out", f"{TMP}/x/{'b' * 300}/y"),
+     f"config field 'out': cannot create directory {TMP}/x/{'b' * 300}: File name too long"),
+    # petabyte arrays pass no address space, so these fail at once, allocating nothing
+    (("fixation", "--grid", "1e17", "--out", f"{TMP}/out"),
+     "error: Unable to allocate 711. PiB for an array"),
+    (("evolve", "--config", DEMO, "--modes", "1e15"), "; lower modes, grid or cells\n"),
 ])
 def test_cli_input_errors_exit_one_without_traceback(tmp_path, config, message):
     if isinstance(config, tuple):
@@ -244,6 +254,8 @@ def test_file_in_place_of_the_profiles_directory_exits_one(tmp_path, capsys):
     profiles = tmp_path / "out" / "profiles"
     assert (f"config field 'out': cannot create directory {profiles}: File exists"
             in capsys.readouterr().err)
+    # every directory is made before the first artifact is written
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["profiles"]
 
 
 SHARED_FLAGS = ["--config", "scenario.json", "--out", "elsewhere", "--modes", "32",
@@ -345,8 +357,8 @@ def test_commands_evaluate_only_what_they_write(tmp_path, monkeypatch, command):
     # limits, then on the solution grid; evolve samples psi once more, on the
     # grid + 1 points that fixation.csv holds, and verify, which writes no
     # fixation.csv, does not.  evolve formats the floats of all its CSV files
-    # and of spectrum.json's lists in one call, the profiles' shared grid
-    # once; verify writes no CSV and no list of floats
+    # in one call, the profiles' shared grid once; JSON floats are json's own
+    # text, and verify writes no CSV
     calls = {"solutions_at": 0, "limit_masses": 0}
     grids = []
     for name in calls:
@@ -387,9 +399,8 @@ def test_commands_evaluate_only_what_they_write(tmp_path, monkeypatch, command):
     assert len(psi_points) == len(expected)
     assert all(map(np.array_equal, psi_points, expected))
     times = len(load_scenario(path).times)
-    # the grid, a profile per time, fixation.csv's two columns, evolution.csv's
-    # eight, and spectrum.json's three lists of one value per mode
-    assert formatted == ([1026 * (1 + times) + 2 * 1025 + 8 * times + 3 * 24]
+    # the grid, a profile per time, fixation.csv's two columns and evolution.csv's eight
+    assert formatted == ([1026 * (1 + times) + 2 * 1025 + 8 * times]
                          if command == "evolve" else [])
 
 
@@ -857,11 +868,20 @@ def test_large_smoothness_exponent_writes_finite_summary(tmp_path, extra, norm):
 
 
 def test_smoothness_norm_beyond_doubles_exits_one(tmp_path, capsys):
-    # neutral uniform data on 16 modes: the s = 1000 norm is about 10^1200
-    path = demo_config(tmp_path, modes=16, s=1000)
-    assert main(["evolve", "--config", str(path)]) == 1
-    assert "s=1000: the smoothness norm" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "summary.json").exists()
+    # neutral uniform data on 16 modes: the s = 1000 norm is about 10^1200; at
+    # s = 1e308 the powers lambda^s pass the double range themselves, above
+    # and below 1 for Psi = 0.05
+    for model, s, exponent in [({"preset": "kimura"}, 1000, "1200"),
+                               ({"preset": "kimura"}, 1e308, "inf"),
+                               ({"psi": [0.05], "pi": [0]}, 1e308, "inf")]:
+        path = demo_config(tmp_path, model=model, modes=16, s=s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evolve", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: s={s:g}: the smoothness norm at t=0 is about 10^{exponent}, beyond the "
+            "double range; lower s\n")
+        assert not (tmp_path / "out").exists()
 
 
 def test_bessel_modes_item_error_names_the_flag(tmp_path, capsys):

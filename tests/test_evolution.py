@@ -477,6 +477,10 @@ def test_radon_smoothness_bound(neutral, neutral_basis, neutral_profile, uniform
     for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.5, 1.0, 2.0)):
         rho = kd.radon_distance_to_limit(init, sol, limits)
         assert rho <= 2 * (c0s + tail) * w_norm * np.exp(-lam0 * sol.t) * (1 + 1e-9)
+    # at s = 1e308 every power lambda^-s lies below the double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kd.radon_bound_constant(neutral_basis, 1e308) == (0.0, 0.0)
 
 
 def windowed_weak_form(model, sols, psi):
