@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Subcommands: spectrum, fixation, evolve, verify, bessel-check.
+Subcommands: spectrum, fixation, evolve, verify.
 Exit codes: 0 success, 1 input or usage error, 2 invariant tolerance violated.
 """
 
@@ -16,7 +16,6 @@ from .scenario import (
     load_scenario,
     run_scenario,
     run_verify,
-    write_bessel,
     write_fixation,
     write_spectrum,
 )
@@ -34,8 +33,8 @@ _DEFAULT_SCENARIO = {
 
 def _scenario(args):
     """Load the --config scenario with the flags that are set laid over it.
-    Without --config, spectrum, fixation and bessel-check load a neutral
-    default written to kimdiff-results."""
+    Without --config, spectrum and fixation load a neutral default written
+    to kimdiff-results."""
     if not args.config and args.command in ("evolve", "verify"):
         raise ConfigError(f"{args.command} requires --config")
     flags = vars(args)
@@ -71,24 +70,6 @@ def _cmd_verify(args):
     return status
 
 
-def _cmd_bessel(args):
-    mode_list = []
-    for item in args.bessel_modes.split(","):
-        try:
-            mode_list.append(int(item))
-        except ValueError:
-            raise ConfigError(f"--bessel-modes: {item!r} is not a mode index") from None
-    scenario = _scenario(args)
-    n_modes = max(scenario.modes, max(mode_list) + 1)
-    basis = build_basis(scenario.model, n_modes, scenario.grid)
-    try:
-        path = write_bessel(scenario.out_dir, scenario.model, basis, mode_list)
-    except ValueError as exc:  # a mode outside the comparison's regime
-        raise ConfigError(f"--bessel-modes: {exc}") from None
-    print(f"wrote {path}")
-    return 0
-
-
 @functools.cache  # one parser per process: main may run many times in one
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -113,13 +94,10 @@ def build_parser():
         ("fixation", _cmd_fixation, "fixation probability on grid + 1 points, as CSV"),
         ("evolve", _cmd_evolve, "run a scenario end to end"),
         ("verify", _cmd_verify, "spectral vs finite-difference verdict"),
-        ("bessel-check", _cmd_bessel, "endpoint asymptotics comparison"),
     ]:
         sub.add_parser(command, parents=[common], help=help_text).set_defaults(func=func)
     sub.choices["spectrum"].add_argument("--csv", action="store_true",
                                          help="also dump eigenfunction samples")
-    sub.choices["bessel-check"].add_argument("--bessel-modes", default="4,8,16",
-                                             help="comma-separated mode indices")
     return parser
 
 

@@ -8,6 +8,7 @@ config reproduces every figure.
 """
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 from . import _csvtext, evolution, fd
 from .fixation import fixation_profile
 from .model import CoefficientModel, make_kimura
-from .spectral import bessel_comparison, build_basis, eigenvalue_growth
+from .spectral import build_basis, eigenvalue_growth
 
 SCHEMA_VERSION = 1
 
@@ -176,6 +177,8 @@ def load_scenario(config, overrides=None):
     for key in ("name", "out"):
         if not isinstance(cfg[key], str):
             _fail(key, f"expected a string, got {cfg[key]!r:.60}")
+    if not cfg["out"]:  # Path("") is the working directory
+        _fail("out", "expected a non-empty path")
 
     times = tuple(_numbers("times", cfg.get("times"), minimum=0.0))
     if len(times) < 2:
@@ -231,12 +234,16 @@ def _write_artifacts(files):
     One _csvtext.repr_fields call formats the columns of all the CSV files,
     each array object once.  A directory that cannot be made, or a path that
     cannot be written, such as a directory, raises a ConfigError naming 'out'
-    and the path."""
-    for directory in dict.fromkeys(Path(file[0]).parent for file in files):
-        try:
+    and the path; the directories made before a failed one are removed."""
+    made = []  # the directories this call may make, each before its parent
+    try:
+        for directory in dict.fromkeys(Path(file[0]).parent for file in files):
+            made[:0] = [d for d in (directory, *directory.parents) if not os.path.lexists(d)]
             directory.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            _fail("out", f"cannot create directory {exc.filename}: {exc.strerror}")
+    except OSError as exc:
+        for directory in filter(os.path.isdir, made):
+            directory.rmdir()
+        _fail("out", f"cannot create directory {exc.filename}: {exc.strerror}")
     columns = {id(a): a for file in files if len(file) == 3 for a in file[2]}
     text = {}
     if columns:
@@ -292,23 +299,6 @@ def write_fixation(out, profile, grid):
     """Write fixation.csv (see _fixation_csv) into out.  Returns its path."""
     _write_artifacts([_fixation_csv(out, profile, grid)])
     return out / "fixation.csv"
-
-
-def write_bessel(out, model, basis, modes):
-    """Write bessel.json into out, made once every comparison is computed:
-    the sup error of the Bessel endpoint asymptotics for each listed mode and
-    whether it decreases along the list.  Returns its path."""
-    results = [
-        {"mode": j, "sup_error": bessel_comparison(model, basis, j)} for j in modes
-    ]
-    path = out / "bessel.json"
-    _write_artifacts([(path, {
-        "comparison": results,
-        "decreasing": all(
-            a["sup_error"] > b["sup_error"] for a, b in zip(results, results[1:])
-        ),
-    })])
-    return path
 
 
 def compute_pipeline(scenario):

@@ -176,8 +176,8 @@ TMP = "<tmp>"  # and for the test's directory, under which a row's files are mad
      f"config field 'out': cannot create directory {DEMO}: File exists"),
     (("spectrum", "--out", DEMO), f"config field 'out': cannot create directory {DEMO}:"),
     (("fixation", "--out", DEMO), f"config field 'out': cannot create directory {DEMO}:"),
-    (("bessel-check", "--out", DEMO),
-     f"config field 'out': cannot create directory {DEMO}:"),
+    # a deleted subcommand, whose bessel.json demo 05 now writes
+    (("bessel-check",), "invalid choice: 'bessel-check'"),
     (("verify", "--config", DEMO, "--out", f"{DEMO}/sub"),
      f"config field 'out': cannot create directory {DEMO}/sub: Not a directory"),
     # a config path that is a directory, under a file, or not text
@@ -217,8 +217,12 @@ TMP = "<tmp>"  # and for the test's directory, under which a row's files are mad
     (("fixation", "--grid", "1e17", "--out", f"{TMP}/out"),
      "error: Unable to allocate 711. PiB for an array"),
     (("evolve", "--config", DEMO, "--modes", "1e15"), "; lower modes, grid or cells\n"),
+    # an empty out, say from an unset shell variable, would name the working directory
+    ({"out": ""}, "config field 'out': expected a non-empty path"),
+    (("fixation", "--out", ""), "config field 'out': expected a non-empty path"),
 ])
 def test_cli_input_errors_exit_one_without_traceback(tmp_path, config, message):
+    made = {}
     if isinstance(config, tuple):
         path = demo_config(tmp_path)
         made, config = ((config[0], config[1:]) if config and isinstance(config[0], dict)
@@ -240,10 +244,13 @@ def test_cli_input_errors_exit_one_without_traceback(tmp_path, config, message):
         path = tmp_path / "text.json"
         path.write_bytes(config if isinstance(config, bytes) else config.encode())
         argv = ["verify", "--config", str(path)]
-    run = _python("-m", "kimdiff.cli", *argv)
+    before = sorted(tmp_path.rglob("*"))
+    run = _python("-m", "kimdiff.cli", *argv, cwd=tmp_path)
     assert run.returncode == 1
     assert message in run.stderr and "Traceback" not in run.stderr
     assert sum("error:" in line for line in run.stderr.splitlines()) == 1
+    if not made:  # a run that fails writes nothing and keeps no directory it made
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_file_in_place_of_the_profiles_directory_exits_one(tmp_path, capsys):
@@ -265,8 +272,7 @@ SHARED_FLAGS = ["--config", "scenario.json", "--out", "elsewhere", "--modes", "3
                 "--tol-fd-l1", "4e-3", "--tol-fd-ab", "5e-3"]
 
 
-@pytest.mark.parametrize("command", ["spectrum", "fixation", "evolve", "verify",
-                                     "bessel-check"])
+@pytest.mark.parametrize("command", ["spectrum", "fixation", "evolve", "verify"])
 def test_scenario_commands_share_one_flag_set(monkeypatch, capsys, command):
     loaded = []
 
@@ -505,11 +511,11 @@ def test_fully_decayed_times_write_valid_json(tmp_path):
     assert summary["slope"] == pytest.approx(-2.0, rel=1e-6)
 
 
-def _python(*args):
+def _python(*args, cwd=None):
     """Run python with the package under test on its path."""
     src = Path(kimdiff.__file__).parents[1]
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)})
+                          env={**os.environ, "PYTHONPATH": str(src)}, cwd=cwd)
 
 
 def _fresh_python(*args):
@@ -540,11 +546,9 @@ def test_cli_commands_load_scipy_only_where_needed(tmp_path):
         f"print({_SCIPY_LOADED})"
     )
     assert _fresh_python("-c", code).splitlines()[-2:] == ["[0, 0, 0]", "[]"]
-    # the FD oracle and the Bessel comparison load scipy on first use
+    # the FD oracle loads scipy on first use
     _fresh_python("-m", "kimdiff.cli", "verify", "--config", str(path))
-    _fresh_python("-m", "kimdiff.cli", "bessel-check", "--out", str(tmp_path / "b"))
     assert json.loads((out / "verify.json").read_text())["pass"]
-    assert json.loads((tmp_path / "b" / "bessel.json").read_text())["decreasing"]
 
 
 def test_verify_step_budget_exits_one_and_names_times(tmp_path, capsys):
@@ -884,18 +888,6 @@ def test_smoothness_norm_beyond_doubles_exits_one(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
-def test_bessel_modes_item_error_names_the_flag(tmp_path, capsys):
-    for modes, message in [
-        ("4,x", "--bessel-modes: 'x' is not a mode index"),
-        ("1,4", "--bessel-modes: mode 1 lies outside the asymptotic regime; "
-                "use modes >= 4"),
-    ]:
-        out = tmp_path / modes
-        assert main(["bessel-check", "--bessel-modes", modes, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
-
-
 def test_scenario_config_with_selection_and_atoms(tmp_path):
     path = demo_config(
         tmp_path,
@@ -919,9 +911,6 @@ def test_default_config_subcommands(tmp_path):
     lines = (tmp_path / "f" / "fixation.csv").read_text().strip().splitlines()
     assert lines[0] == "x,psi"
     assert len(lines) == 1 + 65
-    assert main(["bessel-check", "--grid", "2048", "--out", str(tmp_path / "b")]) == 0
-    payload = json.loads((tmp_path / "b" / "bessel.json").read_text())
-    assert payload["decreasing"] is True
 
 
 @pytest.mark.parametrize("config", ["bench/configs/atom_verify", "bench/configs/fd_verify",

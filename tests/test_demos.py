@@ -1,17 +1,18 @@
-"""Each narrative demo, and the Python quick start of README.md, runs to
-completion with warnings as errors, every scenario config the docs show
-parses, and README's command and demo lists match the CLI and demos/, so an
-API or schema change that breaks one fails the suite."""
+"""Each narrative demo, and the Python quick start and command examples of
+README.md, runs to completion with warnings as errors, every scenario config
+the docs show parses, and README's command and demo lists match the CLI and
+demos/, so an API, flag or schema change that breaks one fails the suite."""
 
 import json
 import re
 import runpy
+import shlex
 import warnings
 from pathlib import Path
 
 import pytest
 
-from kimdiff.cli import build_parser
+from kimdiff.cli import build_parser, main
 from kimdiff.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,6 +25,15 @@ def test_demo_runs_without_warnings(demo, capsys):
         warnings.simplefilter("error")
         runpy.run_path(str(demo), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_endpoint_demo_writes_the_bessel_comparison(capsys):
+    path = ROOT / "demos" / "output" / "bessel.json"
+    path.unlink(missing_ok=True)
+    runpy.run_path(str(ROOT / "demos" / "05_endpoint_asymptotics.py"), run_name="__main__")
+    payload = json.loads(path.read_text())
+    assert [row["mode"] for row in payload["comparison"]] == [4, 8, 16]
+    assert payload["decreasing"] is True
 
 
 def test_readme_quick_start_runs_without_warnings(capsys):
@@ -55,3 +65,19 @@ def test_readme_lists_every_subcommand_and_demo():
     assert set(re.findall(r"^kimdiff (\S+)", shell, re.M)) == set(command.choices)
     assert re.findall(r"^python (demos/\S+)", shell, re.M) == [
         str(demo.relative_to(ROOT)) for demo in DEMOS]
+
+
+def test_readme_command_examples_run(tmp_path, monkeypatch, capsys):
+    # from the repository root, as the examples' config paths assume, with
+    # every --out pointed into tmp_path
+    monkeypatch.chdir(ROOT)
+    shell = "".join(re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(),
+                               re.M | re.S))
+    examples = re.findall(r"^kimdiff (.*)", shell, re.M)
+    assert examples
+    for i, example in enumerate(examples):
+        argv = shlex.split(example, comments=True)
+        if "--out" not in argv:
+            argv += ["--out", ""]
+        argv[argv.index("--out") + 1] = str(tmp_path / str(i))
+        assert main(argv) == 0, example
