@@ -5,8 +5,13 @@ like K j^2; for the neutral model the eigenvalues are exactly
 (j+1)(j+2) with polynomial density modes.  Each mode's mass ties to its
 endpoint values through the integrated flux identity, the chi = 1 row of
 the per-mode weak-form identity that build_basis tabulates; the table
-doubles as a resolution diagnostic.
+doubles as a resolution diagnostic.  The eigenfunctions at a scenario's
+default resolution (64 modes, grid 2048) go to
+demos/output/eigenfunctions.csv, one column per mode.
 """
+
+import csv
+from pathlib import Path
 
 import numpy as np
 
@@ -37,3 +42,13 @@ sel_basis = kd.build_basis(selection, 16, 2048)
 print(f"  lowest eigenvalues: {sel_basis.eigenvalues[:5]}")
 print(f"  spectral gap lambda_0 = {sel_basis.eigenvalues[0]:.6f} "
       "(sets the absorption rate)")
+
+# the neutral eigenfunctions at a scenario's default resolution, sampled on the interior grid
+basis = kd.build_basis(neutral, 64, 2048)
+path = Path(__file__).resolve().parent / "output" / "eigenfunctions.csv"
+path.parent.mkdir(parents=True, exist_ok=True)
+with open(path, "w", newline="") as fh:
+    writer = csv.writer(fh)
+    writer.writerow(["x"] + [f"phi{j}" for j in range(basis.n_modes)])
+    writer.writerows(zip(basis.interior_grid.tolist(), *basis.eigenfunctions.T.tolist()))
+print(f"wrote {path}")

@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Subcommands: spectrum, fixation, evolve, verify.
+Subcommands: evolve, verify; each runs the scenario file given by --config.
 Exit codes: 0 success, 1 input or usage error, 2 invariant tolerance violated.
 """
 
@@ -8,56 +8,18 @@ import argparse
 import functools
 import sys
 
-from .fixation import fixation_profile
-from .scenario import (
-    DEFAULT_TOLERANCES,
-    DEFAULTS,
-    ConfigError,
-    load_scenario,
-    run_scenario,
-    run_verify,
-    write_fixation,
-    write_spectrum,
-)
-from .spectral import build_basis
-
-
-_DEFAULT_SCENARIO = {
-    "schema": 1,
-    "name": "neutral-default",
-    "model": {"preset": "kimura", "eta": 0.0, "beta": 0.0},
-    "initial": {"density": "uniform"},
-    "times": [0.1, 0.5, 1.0, 2.0],
-}
+from .scenario import DEFAULT_TOLERANCES, DEFAULTS, load_scenario, run_scenario, run_verify
 
 
 def _scenario(args):
-    """Load the --config scenario with the flags that are set laid over it.
-    Without --config, spectrum and fixation load a neutral default written
-    to kimdiff-results."""
-    if not args.config and args.command in ("evolve", "verify"):
-        raise ConfigError(f"{args.command} requires --config")
+    """Load the --config scenario with the flags that are set laid over it."""
     flags = vars(args)
     overrides = {key: flags[key] for key in (*DEFAULTS, "out")}
     tolerances = {key: flags[f"tol_{key}"] for key in DEFAULT_TOLERANCES}
     if any(value is not None for value in tolerances.values()):
         # only then: else a config's tolerances that are not an object would be hidden
         overrides["tolerances"] = tolerances
-    return load_scenario(args.config or _DEFAULT_SCENARIO, overrides)
-
-
-def _cmd_spectrum(args):
-    scenario = _scenario(args)
-    basis = build_basis(scenario.model, scenario.modes, scenario.grid)
-    print(f"wrote {write_spectrum(scenario.out_dir, basis, args.csv)}")
-    return 0
-
-
-def _cmd_fixation(args):
-    scenario = _scenario(args)
-    profile = fixation_profile(scenario.model)
-    print(f"wrote {write_fixation(scenario.out_dir, profile, scenario.grid)}")
-    return 0
+    return load_scenario(args.config, overrides)
 
 
 def _cmd_evolve(args):
@@ -81,7 +43,7 @@ def build_parser():
     # the flags every scenario subcommand shares; a flag's number is read like
     # the config value it replaces, by the config reader
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="scenario config JSON")
+    common.add_argument("--config", required=True, help="scenario config JSON")
     common.add_argument("--out", help="output directory")
     for name in DEFAULTS:
         common.add_argument(f"--{name}", type=float, help=f"override config key {name}")
@@ -90,14 +52,10 @@ def build_parser():
         common.add_argument(f"--tol-{flag}", type=float, help=f"{flag} tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, func, help_text in [
-        ("spectrum", _cmd_spectrum, "eigenvalues, mode masses, diagnostics"),
-        ("fixation", _cmd_fixation, "fixation probability on grid + 1 points, as CSV"),
         ("evolve", _cmd_evolve, "run a scenario end to end"),
         ("verify", _cmd_verify, "spectral vs finite-difference verdict"),
     ]:
         sub.add_parser(command, parents=[common], help=help_text).set_defaults(func=func)
-    sub.choices["spectrum"].add_argument("--csv", action="store_true",
-                                         help="also dump eigenfunction samples")
     return parser
 
 

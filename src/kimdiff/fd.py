@@ -148,8 +148,8 @@ def evolve_fd(model, init, times, n_cells, dt=None):
     adds its trapezoidal face fluxes to a and b, through coefficients with 1/s
     folded in, and tests the rows holding a negative value in step order.
     u = w / s is formed only at output times and for those rows.  Once the
-    interior mass left after a block, h sum |u|, is below the unit roundoff
-    of the initial mass, the state is set to zero and no more steps are
+    interior mass left after a block, h sum |u|, is at most the unit roundoff
+    of the initial interior mass, the state is set to zero and no more steps are
     taken: later output times get that state, with a and b unchanged.  A
     mesh too coarse for the drift (some upper[i] lower[i+1] <= 0) raises a
     ValueError that names cells and the count that resolves it; so does a run
@@ -185,7 +185,7 @@ def evolve_fd(model, init, times, n_cells, dt=None):
 
     u = _initial_cells(init, xc, h)
     a, b = init.a0, init.b0
-    mass0 = a + b + h * float(np.sum(u))
+    mass0 = h * float(np.sum(u))  # the interior's: a and b are inert
     # one-sided face fluxes (9 F0 u0 - F1 u1) / 3h into a and
     # (9 F[-1] u[-1] - F[-2] u[-2]) / 3h into b, read from w = s u
     a0, a1 = 3.0 * F[0] / (h * s[0]), -F[1] / (3.0 * h * s[1])
@@ -196,7 +196,7 @@ def evolve_fd(model, init, times, n_cells, dt=None):
         if neg < -_NEGATIVE_MASS_FRACTION * mass0:
             raise ValueError(
                 f"negative density overflow at t={t_step:.4g}: "
-                f"{-neg:.3e} of mass {mass0:.3e} below zero at "
+                f"{-neg:.3e} of interior mass {mass0:.3e} below zero at "
                 f"cells={n_cells}; raise cells or smooth the initial data"
             )
 
@@ -252,8 +252,8 @@ def evolve_fd(model, init, times, n_cells, dt=None):
                     guard(rows[j + 1], t + (k + j + 1) * step)
                 k += m
                 w[:] = rows[m]
-                # an interior mass below the initial mass's unit roundoff is spent
-                if h * np.sum(np.abs(w / s)) < 2.0**-53 * mass0:
+                # spent within mass0's unit roundoff; <=: a zero interior stops at once
+                if h * np.sum(np.abs(w / s)) <= 2.0**-53 * mass0:
                     w[:] = 0.0
                     decayed = True
                     break

@@ -8,7 +8,7 @@ For a model with drift-to-diffusion ratio xi this is
 
 the probability that a mutant starting at frequency x eventually takes over.
 psi is tabulated once as a Legendre series, exact to roundoff at any point;
-no output grid enters it (scenario.write_fixation samples it for fixation.csv).
+no output grid enters it (scenario.run_scenario samples it for fixation.csv).
 """
 
 from dataclasses import dataclass

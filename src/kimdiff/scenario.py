@@ -234,15 +234,14 @@ def _write_artifacts(files):
     One _csvtext.repr_fields call formats the columns of all the CSV files,
     each array object once.  A directory that cannot be made, or a path that
     cannot be written, such as a directory, raises a ConfigError naming 'out'
-    and the path; the directories made before a failed one are removed."""
-    made = []  # the directories this call may make, each before its parent
+    and the path, once every file and directory that this call made is removed."""
+    made = []  # the paths this call may make, each before its parent
     try:
         for directory in dict.fromkeys(Path(file[0]).parent for file in files):
             made[:0] = [d for d in (directory, *directory.parents) if not os.path.lexists(d)]
             directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        for directory in filter(os.path.isdir, made):
-            directory.rmdir()
+        _remove(made)
         _fail("out", f"cannot create directory {exc.filename}: {exc.strerror}")
     columns = {id(a): a for file in files if len(file) == 3 for a in file[2]}
     text = {}
@@ -256,49 +255,20 @@ def _write_artifacts(files):
                               default=lambda value: value.tolist()).encode() + b"\n"
         else:
             body = f"{','.join(file[1])}\r\n".encode() + _lines([text[id(c)] for c in file[2]])
+        if not os.path.lexists(file[0]):
+            made.insert(0, Path(file[0]))
         try:
             with open(file[0], "wb") as fh:
                 fh.write(body)
         except OSError as exc:
+            _remove(made)
             _fail("out", f"cannot write {file[0]}: {exc.strerror}")
 
 
-def _spectrum_json(out, basis):
-    """spectrum.json in out as a (path, payload) pair: eigenvalues, growth
-    estimate, mode masses and weak-form identity residuals."""
-    return out / "spectrum.json", {
-        "lambda": basis.eigenvalues,
-        "K_estimate": eigenvalue_growth(basis)[0] if basis.n_modes >= 16 else None,
-        "Q": basis.mode_masses,
-        "identity_residuals": basis.identity_residuals,
-    }
-
-
-def write_spectrum(out, basis, eigenfunctions=False):
-    """Write spectrum.json (see _spectrum_json) into out, plus
-    eigenfunctions.csv (samples on the interior grid) on request.  Returns
-    the JSON path."""
-    files = [_spectrum_json(out, basis)]
-    if eigenfunctions:
-        files.append((out / "eigenfunctions.csv", ["x"] + [f"phi{j}" for j in range(basis.n_modes)],
-                      [basis.interior_grid, *basis.eigenfunctions.T]))
-    _write_artifacts(files)
-    return files[0][0]
-
-
-def _fixation_csv(out, profile, grid):
-    """fixation.csv in out as a (path, header, columns) triple: psi at the
-    grid + 1 uniform points of [0, 1], exactly 0 and 1 at the ends."""
-    x = np.linspace(0.0, 1.0, grid + 1)
-    psi = profile(x)
-    psi[0], psi[-1] = 0.0, 1.0
-    return out / "fixation.csv", ["x", "psi"], [x, psi]
-
-
-def write_fixation(out, profile, grid):
-    """Write fixation.csv (see _fixation_csv) into out.  Returns its path."""
-    _write_artifacts([_fixation_csv(out, profile, grid)])
-    return out / "fixation.csv"
+def _remove(paths):
+    """Remove those of paths that exist, in order: a file, or an empty directory."""
+    for path in filter(os.path.lexists, paths):
+        (os.rmdir if path.is_dir() else os.remove)(path)
 
 
 def compute_pipeline(scenario):
@@ -434,10 +404,16 @@ def run_scenario(scenario):
             "decay_bound_tail": c0s_tail,
         },
     }
+    x = np.linspace(0.0, 1.0, scenario.grid + 1)  # fixation.csv's grid + 1 points
+    psi = pieces["profile"](x)
+    psi[0], psi[-1] = 0.0, 1.0  # pinned at the ends
     # every artifact of the run in one text pass; the profiles share one grid column
     _write_artifacts([
-        _spectrum_json(out, basis),
-        _fixation_csv(out, pieces["profile"], scenario.grid),
+        (out / "spectrum.json", {
+            "lambda": basis.eigenvalues, "Q": basis.mode_masses,
+            "K_estimate": eigenvalue_growth(basis)[0] if basis.n_modes >= 16 else None,
+            "identity_residuals": basis.identity_residuals}),
+        (out / "fixation.csv", ["x", "psi"], [x, psi]),
         *((profiles_dir / f"q_t{sol.t:g}.csv", ["x", "q"], [sols.grid, sol.density])
           for sol in sols),
         (out / "evolution.csv",

@@ -174,9 +174,10 @@ TMP = "<tmp>"  # and for the test's directory, under which a row's files are mad
     # an --out that names a file, or a path under one
     (("evolve", "--config", DEMO, "--out", DEMO),
      f"config field 'out': cannot create directory {DEMO}: File exists"),
-    (("spectrum", "--out", DEMO), f"config field 'out': cannot create directory {DEMO}:"),
-    (("fixation", "--out", DEMO), f"config field 'out': cannot create directory {DEMO}:"),
-    # a deleted subcommand, whose bessel.json demo 05 now writes
+    # deleted subcommands: evolve writes spectrum.json and fixation.csv, demo 02
+    # eigenfunctions.csv and demo 05 bessel.json
+    (("spectrum",), "invalid choice: 'spectrum'"),
+    (("fixation",), "invalid choice: 'fixation'"),
     (("bessel-check",), "invalid choice: 'bessel-check'"),
     (("verify", "--config", DEMO, "--out", f"{DEMO}/sub"),
      f"config field 'out': cannot create directory {DEMO}/sub: Not a directory"),
@@ -185,12 +186,12 @@ TMP = "<tmp>"  # and for the test's directory, under which a row's files are mad
     (("evolve", "--config", f"{DEMO}/x"), f"cannot read config {DEMO}/x: Not a directory"),
     (b"{\"schema\": 1\xff}", "is not UTF-8 text: invalid start byte"),
     # an artifact path that is a directory (None); a leading dict names what
-    # is made first
+    # is made first, and the files written before the failed one are removed
     (({"out/spectrum.json": None}, "evolve", "--config", DEMO),
      f"config field 'out': cannot write {TMP}/out/spectrum.json: Is a directory"),
     (({"out/verify.json": None}, "verify", "--config", DEMO),
      f"config field 'out': cannot write {TMP}/out/verify.json: Is a directory"),
-    (({"out/fixation.csv": None}, "fixation", "--out", f"{TMP}/out"),
+    (({"out/fixation.csv": None}, "evolve", "--config", DEMO),
      f"config field 'out': cannot write {TMP}/out/fixation.csv: Is a directory"),
     # the FD step count past the budget, or past any integer, is counted in floats
     ({"times": [0.1, 1e300], "cells": 128},
@@ -209,20 +210,26 @@ TMP = "<tmp>"  # and for the test's directory, under which a row's files are mad
      "or set s=0 to skip the bound\n"),
     # an --out that no directory can have: the writer makes each artifact's
     # directory, and maps any error in making it to one naming 'out'
-    (("fixation", "--out", f"{TMP}/{'a' * 300}"),
+    (("evolve", "--config", DEMO, "--out", f"{TMP}/{'a' * 300}"),
      f"config field 'out': cannot create directory {TMP}/{'a' * 300}: File name too long"),
     (("evolve", "--config", DEMO, "--out", f"{TMP}/x/{'b' * 300}/y"),
      f"config field 'out': cannot create directory {TMP}/x/{'b' * 300}: File name too long"),
     # petabyte arrays pass no address space, so these fail at once, allocating nothing
-    (("fixation", "--grid", "1e17", "--out", f"{TMP}/out"),
+    (("evolve", "--config", DEMO, "--grid", "1e17"),
      "error: Unable to allocate 711. PiB for an array"),
     (("evolve", "--config", DEMO, "--modes", "1e15"), "; lower modes, grid or cells\n"),
     # an empty out, say from an unset shell variable, would name the working directory
     ({"out": ""}, "config field 'out': expected a non-empty path"),
-    (("fixation", "--out", ""), "config field 'out': expected a non-empty path"),
+    (("evolve", "--config", DEMO, "--out", ""), "config field 'out': expected a non-empty path"),
+    # every command runs one scenario file
+    (("evolve",), "the following arguments are required: --config"),
+    (("verify",), "the following arguments are required: --config"),
+    # the last artifact: spectrum.json, fixation.csv, evolution.csv and the
+    # profiles are written before it, and removed again
+    (({"out/summary.json": None}, "evolve", "--config", DEMO),
+     f"config field 'out': cannot write {TMP}/out/summary.json: Is a directory"),
 ])
 def test_cli_input_errors_exit_one_without_traceback(tmp_path, config, message):
-    made = {}
     if isinstance(config, tuple):
         path = demo_config(tmp_path)
         made, config = ((config[0], config[1:]) if config and isinstance(config[0], dict)
@@ -249,8 +256,8 @@ def test_cli_input_errors_exit_one_without_traceback(tmp_path, config, message):
     assert run.returncode == 1
     assert message in run.stderr and "Traceback" not in run.stderr
     assert sum("error:" in line for line in run.stderr.splitlines()) == 1
-    if not made:  # a run that fails writes nothing and keeps no directory it made
-        assert sorted(tmp_path.rglob("*")) == before
+    # a run that fails leaves what was there: no file or directory that it made
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_file_in_place_of_the_profiles_directory_exits_one(tmp_path, capsys):
@@ -272,7 +279,7 @@ SHARED_FLAGS = ["--config", "scenario.json", "--out", "elsewhere", "--modes", "3
                 "--tol-fd-l1", "4e-3", "--tol-fd-ab", "5e-3"]
 
 
-@pytest.mark.parametrize("command", ["spectrum", "fixation", "evolve", "verify"])
+@pytest.mark.parametrize("command", ["evolve", "verify"])
 def test_scenario_commands_share_one_flag_set(monkeypatch, capsys, command):
     loaded = []
 
@@ -293,10 +300,10 @@ def test_scenario_commands_share_one_flag_set(monkeypatch, capsys, command):
 
 def test_numeric_flags_read_like_config_values(tmp_path):
     # --grid 1e3 runs as "grid": 1e3 does, and --help still exits 0
-    for name, argv in [("flag", ["--grid", "1e3"]),
-                       ("config", ["--config", str(demo_config(tmp_path, grid=1e3))])]:
+    for name, extra, argv in [("flag", {}, ["--grid", "1e3"]), ("config", {"grid": 1e3}, [])]:
         out = tmp_path / name
-        assert main(["fixation", *argv, "--out", str(out)]) == 0
+        path = demo_config(tmp_path, **extra)
+        assert main(["evolve", "--config", str(path), *argv, "--out", str(out)]) == 0
         lines = (out / "fixation.csv").read_text().splitlines()
         assert len(lines) == 1 + 1001
     assert _python("-m", "kimdiff.cli", "--help").returncode == 0
@@ -342,11 +349,8 @@ def _field(text):
 def test_every_csv_artifact_has_csv_writer_bytes(tmp_path):
     out = tmp_path / "out"
     assert main(["evolve", "--config", str(demo_config(tmp_path))]) == 0
-    assert main(["spectrum", "--modes", "16", "--grid", "512", "--out", str(out),
-                 "--csv"]) == 0
     paths = sorted(out.rglob("*.csv"))
-    assert {p.name for p in paths} >= {"fixation.csv", "evolution.csv", "q_t0.1.csv",
-                                       "eigenfunctions.csv"}
+    assert {p.name for p in paths} >= {"fixation.csv", "evolution.csv", "q_t0.1.csv"}
     for path in paths:
         with open(path, newline="") as fh:
             header, *rows = csv.reader(fh)
@@ -540,12 +544,10 @@ def test_cli_commands_load_scipy_only_where_needed(tmp_path):
     out = tmp_path / "out"
     code = (
         "import sys; from kimdiff.cli import main; print(["
-        f"main(['evolve', '--config', {str(path)!r}]), "
-        f"main(['spectrum', '--out', {str(tmp_path / 's')!r}]), "
-        f"main(['fixation', '--out', {str(tmp_path / 'f')!r}])]); "
+        f"main(['evolve', '--config', {str(path)!r}])]); "
         f"print({_SCIPY_LOADED})"
     )
-    assert _fresh_python("-c", code).splitlines()[-2:] == ["[0, 0, 0]", "[]"]
+    assert _fresh_python("-c", code).splitlines()[-2:] == ["[0]", "[]"]
     # the FD oracle loads scipy on first use
     _fresh_python("-m", "kimdiff.cli", "verify", "--config", str(path))
     assert json.loads((out / "verify.json").read_text())["pass"]
@@ -902,17 +904,6 @@ def test_scenario_config_with_selection_and_atoms(tmp_path):
     assert status == 0
 
 
-def test_default_config_subcommands(tmp_path):
-    assert main(["spectrum", "--modes", "16", "--grid", "512",
-                 "--out", str(tmp_path / "s"), "--csv"]) == 0
-    assert (tmp_path / "s" / "eigenfunctions.csv").exists()
-    # fixation samples psi on the grid + 1 points of the output grid
-    assert main(["fixation", "--grid", "64", "--out", str(tmp_path / "f")]) == 0
-    lines = (tmp_path / "f" / "fixation.csv").read_text().strip().splitlines()
-    assert lines[0] == "x,psi"
-    assert len(lines) == 1 + 65
-
-
 @pytest.mark.parametrize("config", ["bench/configs/atom_verify", "bench/configs/fd_verify",
                                     "bench/configs/spectral_evolve",
                                     "demos/configs/neutral_uniform",
@@ -965,17 +956,17 @@ def test_main_parses_each_call_alone(tmp_path, monkeypatch, capsys):
 
     def record(args):
         seen.append({key: value for key, value in vars(args).items()
-                     if value not in (None, False) and key != "func"})
+                     if value is not None and key != "func"})
         raise ConfigError("recorded")
 
     monkeypatch.setattr(cli, "_scenario", record)
-    assert main(["spectrum", "--modes", "16", "--csv", "--out", str(tmp_path)]) == 1
-    assert main(["evolve", "--config", "c.json", "--tol-fd-l1", "0.5"]) == 1
-    assert main(["spectrum"]) == 1
+    assert main(["evolve", "--config", "a.json", "--modes", "16", "--out", str(tmp_path)]) == 1
+    assert main(["verify", "--config", "b.json", "--tol-fd-l1", "0.5"]) == 1
+    assert main(["evolve", "--config", "c.json"]) == 1
     assert seen == [
-        {"command": "spectrum", "modes": 16.0, "csv": True, "out": str(tmp_path)},
-        {"command": "evolve", "config": "c.json", "tol_fd_l1": 0.5},
-        {"command": "spectrum"},
+        {"command": "evolve", "config": "a.json", "modes": 16.0, "out": str(tmp_path)},
+        {"command": "verify", "config": "b.json", "tol_fd_l1": 0.5},
+        {"command": "evolve", "config": "c.json"},
     ]
     assert capsys.readouterr().err == "error: recorded\n" * 3
     assert cli.build_parser() is cli.build_parser()

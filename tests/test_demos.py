@@ -1,8 +1,11 @@
 """Each narrative demo, and the Python quick start and command examples of
-README.md, runs to completion with warnings as errors, every scenario config
-the docs show parses, and README's command and demo lists match the CLI and
-demos/, so an API, flag or schema change that breaks one fails the suite."""
+README.md, runs to completion with warnings as errors, demos 02 and 05 write
+their artifacts, every scenario config the docs show parses, and README's
+command and demo lists match the CLI and demos/, so an API, flag or schema
+change that breaks one fails the suite."""
 
+import csv
+import io
 import json
 import re
 import runpy
@@ -34,6 +37,20 @@ def test_endpoint_demo_writes_the_bessel_comparison(capsys):
     payload = json.loads(path.read_text())
     assert [row["mode"] for row in payload["comparison"]] == [4, 8, 16]
     assert payload["decreasing"] is True
+
+
+def test_spectrum_demo_writes_the_eigenfunctions(capsys):
+    path = ROOT / "demos" / "output" / "eigenfunctions.csv"
+    path.unlink(missing_ok=True)
+    runpy.run_path(str(ROOT / "demos" / "02_spectrum_and_growth.py"), run_name="__main__")
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["x"] + [f"phi{j}" for j in range(64)]
+    assert len(rows) == 2048
+    # float repr round-trips, so csv.writer's bytes pin every field's text
+    expected = io.StringIO()
+    csv.writer(expected).writerows([header, *([float(v) for v in row] for row in rows)])
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 def test_readme_quick_start_runs_without_warnings(capsys):

@@ -24,7 +24,8 @@ def test_zero_density_stays_zero(neutral):
 
 def test_decayed_state_stops_stepping(neutral, monkeypatch):
     # by t = 400 the neutral uniform density is e^(-800): once its interior
-    # mass falls below the unit roundoff of the total, no more solves are made
+    # mass falls below the unit roundoff of its initial value, no more solves
+    # are made
     import scipy.linalg.lapack as lapack
 
     solves = []
@@ -41,6 +42,16 @@ def test_decayed_state_stops_stepping(neutral, monkeypatch):
     assert [st.t for st in states] == [1.0, 400.0]
     assert np.all(states[-1].values == 0.0)
     assert states[-1].a + states[-1].b == pytest.approx(init.total_mass(), abs=1e-13)
+
+
+def test_endpoint_masses_leave_the_interior_alone(neutral):
+    # the endpoint masses are inert, so a huge a0 neither zeroes the interior
+    # as decayed nor scales the negative-density guard
+    masses = [[st.h * np.sum(st.values) for st in
+               kd.evolve_fd(neutral, kd.InitialMeasure(a0=a0, density="uniform"), [0.1, 1], 1024)]
+              for a0 in (0.0, 1e16)]
+    assert masses[0] == pytest.approx([0.8187, 0.1353], abs=1e-4)
+    assert masses[1] == pytest.approx(masses[0], rel=1e-12, abs=0)
 
 
 def test_single_mode_masses_match_analytic(neutral):

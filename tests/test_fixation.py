@@ -1,3 +1,5 @@
+import json
+
 import mpmath
 import numpy as np
 import pytest
@@ -5,7 +7,6 @@ from scipy.integrate import quad
 
 import kimdiff as kd
 from kimdiff.cli import main
-from kimdiff.scenario import write_fixation
 
 
 def test_neutral_profile_is_identity(neutral, neutral_profile):
@@ -30,11 +31,20 @@ def test_unit_xi_midpoint_value():
     assert prof(np.linspace(0.0, 1.0, 2049))[1024] == pytest.approx(expected, abs=1e-10)
 
 
+def _demo_config(tmp_path, eta=0.0, beta=0.0):
+    # a Kimura scenario whose fixation.csv holds psi at 513 points
+    cfg = {"schema": 1, "model": {"preset": "kimura", "eta": eta, "beta": beta},
+           "initial": {"density": "uniform"}, "times": [0.1, 1.0], "modes": 16,
+           "grid": 512, "out": str(tmp_path / "out")}
+    path = tmp_path / "demo.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 def test_endpoints_exact_and_monotone(tmp_path):
-    m = kd.make_kimura(1.5, -0.7)
     # fixation.csv pins psi(0) = 0 and psi(1) = 1
-    path = write_fixation(tmp_path, kd.fixation_profile(m), 512)
-    x, psi = np.loadtxt(path, delimiter=",", skiprows=1).T
+    assert main(["evolve", "--config", str(_demo_config(tmp_path, 1.5, -0.7))]) == 0
+    x, psi = np.loadtxt(tmp_path / "out" / "fixation.csv", delimiter=",", skiprows=1).T
     assert np.array_equal(x, np.linspace(0.0, 1.0, 513))
     assert psi[0] == 0.0
     assert psi[-1] == 1.0
@@ -119,5 +129,5 @@ def test_backward_residual_detects_non_solution(neutral):
 
 def test_rejects_tiny_grid(tmp_path, capsys):
     # the grid only samples fixation.csv, and the config reader owns its range
-    assert main(["fixation", "--grid", "2", "--out", str(tmp_path)]) == 1
+    assert main(["evolve", "--config", str(_demo_config(tmp_path)), "--grid", "2"]) == 1
     assert "config field 'grid': must be at least 64" in capsys.readouterr().err
