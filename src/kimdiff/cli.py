@@ -8,26 +8,15 @@ import argparse
 import functools
 import sys
 
-from .scenario import DEFAULT_TOLERANCES, DEFAULTS, load_scenario, run_scenario, run_verify
-
-
-def _scenario(args):
-    """Load the --config scenario with the flags that are set laid over it."""
-    flags = vars(args)
-    overrides = {key: flags[key] for key in (*DEFAULTS, "out")}
-    tolerances = {key: flags[f"tol_{key}"] for key in DEFAULT_TOLERANCES}
-    if any(value is not None for value in tolerances.values()):
-        # only then: else a config's tolerances that are not an object would be hidden
-        overrides["tolerances"] = tolerances
-    return load_scenario(args.config, overrides)
+from .scenario import load_scenario, run_scenario, run_verify
 
 
 def _cmd_evolve(args):
-    return run_scenario(_scenario(args))
+    return run_scenario(load_scenario(args.config, args.out))
 
 
 def _cmd_verify(args):
-    status = run_verify(_scenario(args))
+    status = run_verify(load_scenario(args.config, args.out))
     print("verify:", "PASS" if status == 0 else "FAIL (see verify.json)")
     return status
 
@@ -40,16 +29,10 @@ def build_parser():
         "endpoint masses: spectral route, fixation probabilities, and a "
         "finite-difference cross-check.",
     )
-    # the flags every scenario subcommand shares; a flag's number is read like
-    # the config value it replaces, by the config reader
+    # every scenario value is a config key; --out only relocates the artifacts
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="scenario config JSON")
-    common.add_argument("--out", help="output directory")
-    for name in DEFAULTS:
-        common.add_argument(f"--{name}", type=float, help=f"override config key {name}")
-    for name in DEFAULT_TOLERANCES:
-        flag = name.replace("_", "-")
-        common.add_argument(f"--tol-{flag}", type=float, help=f"{flag} tolerance")
+    common.add_argument("--out", help="output directory, in place of the config's out")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, func, help_text in [
         ("evolve", _cmd_evolve, "run a scenario end to end"),

@@ -148,12 +148,12 @@ def _initial_from_config(block):
         _fail("initial", str(exc))
 
 
-def load_scenario(config, overrides=None):
+def load_scenario(config, out=None):
     """Parse and validate a scenario from a JSON path or a dict.
 
-    overrides has the shape of a config; its non-None values, such as the
-    CLI flags, are laid over the config, the two over the defaults, and the
-    result is parsed once.  A null reads as absent."""
+    The config is laid over the defaults once and the result parsed: a null
+    reads as absent, and a tolerances object is laid over DEFAULT_TOLERANCES
+    key by key.  out, when given, replaces the config's "out"."""
     if isinstance(config, (str, Path)):
         path = Path(config)
         try:
@@ -171,7 +171,9 @@ def load_scenario(config, overrides=None):
         raw, name = config, "scenario"
     base = {"name": name, "out": "kimdiff-results", **DEFAULTS,
             "tolerances": DEFAULT_TOLERANCES}
-    cfg = _overlay(base, _overlay(_block("", raw, _KEYS), overrides or {}))
+    cfg = _overlay(base, _block("", raw, _KEYS))
+    if out is not None:
+        cfg["out"] = out
     if _number("schema", cfg.get("schema"), int) != SCHEMA_VERSION:
         _fail("schema", f"expected {SCHEMA_VERSION}, got {cfg['schema']!r}")
     for key in ("name", "out"):
@@ -308,10 +310,10 @@ def _gate(scenario, pieces):
             f"fixation-moment span {report.psi_mass_span:.3e} exceeds "
             f"{tol['psi_mass_drift']:.1e} x initial mass"
         )
-    if report.route_gap > tol["route_agreement"]:
+    if report.route_gap > tol["route_agreement"] * mass0:
         violations.append(
             f"boundary-mass route disagreement {report.route_gap:.3e} exceeds "
-            f"{tol['route_agreement']:.1e}"
+            f"{tol['route_agreement']:.1e} x initial mass"
         )
     if pieces["initial_residual"] > _INITIAL_TOL:
         violations.append(f"weak-form residual at t=0 {pieces['initial_residual']:.3e} "
@@ -455,10 +457,10 @@ def run_verify(scenario):
                 f"spectral vs FD density gap {row.q_l1_diff:.3e} at t={row.t:g} "
                 f"exceeds {tol['fd_l1']:.1e}"
             )
-        if max(row.a_diff, row.b_diff) > tol["fd_ab"]:
+        if max(row.a_diff, row.b_diff) > tol["fd_ab"] * mass0:
             violations.append(
                 f"spectral vs FD boundary-mass gap {max(row.a_diff, row.b_diff):.3e} "
-                f"at t={row.t:g} exceeds {tol['fd_ab']:.1e}"
+                f"at t={row.t:g} exceeds {tol['fd_ab']:.1e} x initial mass"
             )
 
     verdict = _verdict(scenario, pieces, "spectral_residuals", violations=violations)

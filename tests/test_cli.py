@@ -165,10 +165,10 @@ TMP = "<tmp>"  # and for the test's directory, under which a row's files are mad
       "modes": None, "grid": None}, "below zero at cells=128; raise cells"),
     ("[1, 2]", "config field 'top level': expected an object"),
     ({"out": 5}, "config field 'out': expected a string"),
-    # a command line: a flag's number goes through the config reader
-    (("verify", "--config", DEMO, "--modes", "64.5"),
-     "config field 'modes': expected a finite integer, got 64.5"),
-    (("verify", "--config", DEMO, "--grid", "fine"), "argument --grid: invalid float value"),
+    # every scenario value is a config key: a flag for one is unknown
+    (("evolve", "--config", DEMO, "--modes", "32"), "unrecognized arguments: --modes 32"),
+    (("verify", "--config", DEMO, "--tol-fd-l1", "1e-3"),
+     "unrecognized arguments: --tol-fd-l1 1e-3"),
     (("verify", "--config", DEMO, "--bogus", "1"), "unrecognized arguments: --bogus 1"),
     ((), "the following arguments are required: command"),
     # an --out that names a file, or a path under one
@@ -215,9 +215,8 @@ TMP = "<tmp>"  # and for the test's directory, under which a row's files are mad
     (("evolve", "--config", DEMO, "--out", f"{TMP}/x/{'b' * 300}/y"),
      f"config field 'out': cannot create directory {TMP}/x/{'b' * 300}: File name too long"),
     # petabyte arrays pass no address space, so these fail at once, allocating nothing
-    (("evolve", "--config", DEMO, "--grid", "1e17"),
-     "error: Unable to allocate 711. PiB for an array"),
-    (("evolve", "--config", DEMO, "--modes", "1e15"), "; lower modes, grid or cells\n"),
+    ({"grid": 1e17}, "error: Unable to allocate 711. PiB for an array"),
+    ({"modes": 1e15}, "; lower modes, grid or cells\n"),
     # an empty out, say from an unset shell variable, would name the working directory
     ({"out": ""}, "config field 'out': expected a non-empty path"),
     (("evolve", "--config", DEMO, "--out", ""), "config field 'out': expected a non-empty path"),
@@ -272,40 +271,31 @@ def test_file_in_place_of_the_profiles_directory_exits_one(tmp_path, capsys):
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["profiles"]
 
 
-SHARED_FLAGS = ["--config", "scenario.json", "--out", "elsewhere", "--modes", "32",
-                "--grid", "512", "--cells", "256", "--dt", "1e-3", "--s", "0.5",
-                "--tol-mass-drift", "1e-4", "--tol-psi-mass-drift", "2e-4",
-                "--tol-route-agreement", "3e-4", "--tol-positivity", "1e-7",
-                "--tol-fd-l1", "4e-3", "--tol-fd-ab", "5e-3"]
-
-
 @pytest.mark.parametrize("command", ["evolve", "verify"])
 def test_scenario_commands_share_one_flag_set(monkeypatch, capsys, command):
     loaded = []
 
-    def record(config, overrides):
-        loaded.append((config, overrides))
+    def record(config, out):
+        loaded.append((config, out))
         raise ConfigError("recorded")
 
     monkeypatch.setattr(cli, "load_scenario", record)
-    assert main([command, *SHARED_FLAGS]) == 1
-    assert loaded == [("scenario.json", {
-        "modes": 32.0, "grid": 512.0, "cells": 256.0, "dt": 1e-3, "s": 0.5,
-        "out": "elsewhere",
-        "tolerances": {"mass_drift": 1e-4, "psi_mass_drift": 2e-4,
-                       "route_agreement": 3e-4, "positivity": 1e-7, "fd_l1": 4e-3,
-                       "fd_ab": 5e-3}})]
-    assert capsys.readouterr().err == "error: recorded\n"
+    assert main([command, "--config", "scenario.json", "--out", "elsewhere"]) == 1
+    assert main([command, "--config", "scenario.json"]) == 1
+    assert loaded == [("scenario.json", "elsewhere"), ("scenario.json", None)]
+    assert capsys.readouterr().err == "error: recorded\n" * 2
+    options = {option for action in cli.build_parser()._actions if action.dest == "command"
+               for sub in action.choices.values() for each in sub._actions
+               for option in each.option_strings}
+    assert options == {"-h", "--help", "--config", "--out"}
 
 
-def test_numeric_flags_read_like_config_values(tmp_path):
-    # --grid 1e3 runs as "grid": 1e3 does, and --help still exits 0
-    for name, extra, argv in [("flag", {}, ["--grid", "1e3"]), ("config", {"grid": 1e3}, [])]:
-        out = tmp_path / name
-        path = demo_config(tmp_path, **extra)
-        assert main(["evolve", "--config", str(path), *argv, "--out", str(out)]) == 0
-        lines = (out / "fixation.csv").read_text().splitlines()
-        assert len(lines) == 1 + 1001
+def test_integral_float_grid_reads_as_an_integer(tmp_path):
+    # "grid": 1e3 runs as "grid": 1000 does, and --help still exits 0
+    path = demo_config(tmp_path, grid=1e3)
+    assert main(["evolve", "--config", str(path)]) == 0
+    lines = (tmp_path / "out" / "fixation.csv").read_text().splitlines()
+    assert len(lines) == 1 + 1001
     assert _python("-m", "kimdiff.cli", "--help").returncode == 0
 
 
@@ -473,7 +463,9 @@ def test_early_time_exits_one_naming_modes(tmp_path, capsys, initial, times, saf
         f"error: series truncation estimate {estimate} at t=0.001 exceeds 1e-06 of the "
         f"initial mass: raise modes (modes=64); the first safe requested time is "
         f"t={safe:g}\n"))
-    assert main(["evolve", "--config", str(path), "--modes", "256"]) == 0
+    path = demo_config(tmp_path, initial=initial, times=times, modes=256, grid=None,
+                       cells=None)
+    assert main(["evolve", "--config", str(path)]) == 0
 
 
 def test_radon_to_limit_at_time_zero_counts_interior_atoms(tmp_path):
@@ -564,14 +556,14 @@ def test_verify_step_budget_exits_one_and_names_times(tmp_path, capsys):
 
 
 def test_overtight_tolerance_exits_two(tmp_path):
-    path = demo_config(tmp_path)
-    status = main(
-        ["verify", "--config", str(path), "--tol-fd-l1", "1e-12", "--tol-fd-ab", "1e-12"]
-    )
-    assert status == 2
+    path = demo_config(tmp_path, tolerances={"fd_l1": 1e-12, "fd_ab": 1e-12})
+    assert main(["verify", "--config", str(path)]) == 2
     verdict = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert not verdict["pass"]
-    assert verdict["violations"]
+    assert any(v.startswith("spectral vs FD density gap") and v.endswith("exceeds 1.0e-12")
+               for v in verdict["violations"])
+    assert any(v.startswith("spectral vs FD boundary-mass gap")
+               and v.endswith("exceeds 1.0e-12 x initial mass") for v in verdict["violations"])
 
 
 def gate(loaded, report=(0.0, 0.0, 0.0), a=np.zeros(4), b=np.zeros(4),
@@ -610,13 +602,15 @@ def test_gate_names_first_dip_after_the_initial_row(tmp_path):
     (0.0, (0.0, 3e-5, 0.0),
      ["fixation-moment span 3.000e-05 exceeds 1.0e-05 x initial mass"]),
     (0.0, (0.0, 0.0, 4e-5),
-     ["boundary-mass route disagreement 4.000e-05 exceeds 1.0e-05"]),
-    # mass 2: the spans scale with the initial mass, the route gap does not
+     ["boundary-mass route disagreement 4.000e-05 exceeds 1.0e-05 x initial mass"]),
+    # mass 2: the spans and the route gap scale with the initial mass
     (1.0, (1.5e-5, 2.5e-5, 1.5e-5),
-     ["fixation-moment span 2.500e-05 exceeds 1.0e-05 x initial mass",
-      "boundary-mass route disagreement 1.500e-05 exceeds 1.0e-05"]),
-    # the route gap is absolute, so it may equal its tolerance
-    (0.0, (9.9e-6, 9.9e-6, 1e-5), []),
+     ["fixation-moment span 2.500e-05 exceeds 1.0e-05 x initial mass"]),
+    # the uniform density's mass is 1 to roundoff: gaps just below it pass
+    (0.0, (9.9e-6, 9.9e-6, 9.9e-6), []),
+    # mass 2: a route gap past twice its tolerance
+    (1.0, (0.0, 0.0, 2.5e-5),
+     ["boundary-mass route disagreement 2.500e-05 exceeds 1.0e-05 x initial mass"]),
 ])
 def test_gate_names_each_conservation_violation(tmp_path, a0, report, expected):
     path = demo_config(tmp_path, initial={"a0": a0, "density": "uniform"})
@@ -714,6 +708,23 @@ def test_psi_min_model_passes_both_commands(tmp_path):
     first = json.loads((tmp_path / "out" / "verify.json").read_text())["comparison"][0]
     assert first["t"] == 0.1
     assert max(first["a_diff"], first["b_diff"]) <= 1e-8
+
+
+@pytest.mark.parametrize("a0", [1e11, 1e13])
+def test_large_endpoint_mass_passes_both_commands(tmp_path, a0):
+    # the endpoint masses are inert, yet their roundoff reaches the route gap
+    # (1.53e-5 at 1e11) and the FD boundary-mass gap (1.95e-3 at 1e13); both
+    # gates scale with the initial mass, while the density gap stays absolute
+    path = tmp_path / "a0.json"
+    path.write_text(json.dumps({"schema": 1, "model": {"preset": "kimura"},
+                                "initial": {"a0": a0, "density": "uniform"},
+                                "times": [0.1, 0.5, 1, 2], "out": str(tmp_path / "out")}))
+    for command, verdict in (("evolve", "summary.json"), ("verify", "verify.json")):
+        assert main([command, "--config", str(path)]) == 0
+        assert json.loads((tmp_path / "out" / verdict).read_text())["violations"] == []
+    verdict = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert verdict["spectral_residuals"]["route_agreement_max"] > 1e-5
+    assert max(row["q_l1_diff"] for row in verdict["comparison"]) <= 1.5e-6
 
 
 @pytest.mark.parametrize("config", ["atom_verify", "fd_verify", "spectral_evolve"])
@@ -814,22 +825,23 @@ def test_json_round_trip(tmp_path):
 
 
 def test_cli_overrides(tmp_path):
-    path = demo_config(tmp_path)
-    status = main(
-        ["evolve", "--config", str(path), "--modes", "16", "--grid", "512",
-         "--out", str(tmp_path / "alt")]
-    )
-    assert status == 0
+    # --out takes the place of the config's out
+    path = demo_config(tmp_path, modes=16, grid=512)
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "alt")]) == 0
+    assert not (tmp_path / "out").exists()
     spectrum = json.loads((tmp_path / "alt" / "spectrum.json").read_text())
     assert len(spectrum["lambda"]) == 16
 
 
 def test_load_scenario_lays_set_overrides_over_the_config(tmp_path):
-    path = demo_config(tmp_path, tolerances={"fd_l1": 5e-3, "positivity": 1e-7})
-    loaded = load_scenario(path, {"modes": 16, "grid": None, "out": str(tmp_path / "alt"),
-                                  "tolerances": {"fd_l1": 2e-3, "fd_ab": None}})
-    assert (loaded.modes, loaded.grid, loaded.cells) == (16, 1024, 256)
+    # out replaces the config's; a partial tolerances object, whose nulls
+    # read as absent, is laid over the defaults key by key
+    path = demo_config(tmp_path, grid=None,
+                       tolerances={"fd_l1": 2e-3, "fd_ab": None, "positivity": 1e-7})
+    loaded = load_scenario(path, str(tmp_path / "alt"))
+    assert (loaded.modes, loaded.grid, loaded.cells) == (24, 2048, 256)
     assert loaded.out_dir == tmp_path / "alt"
+    assert load_scenario(path).out_dir == tmp_path / "out"
     assert loaded.tolerances == {**scenario.DEFAULT_TOLERANCES, "fd_l1": 2e-3,
                                  "positivity": 1e-7}
 
@@ -922,9 +934,10 @@ def test_atom_data_take_the_norm_at_the_first_positive_time(tmp_path):
     # (13.84, 37.24 and 101.71 at 32, 64 and 128); from t = 0.1 on it converges
     path = Path(__file__).resolve().parents[1] / "bench" / "configs" / "atom_verify.json"
     norms = []
-    for modes in ("64", "128"):
-        out = tmp_path / modes
-        assert main(["evolve", "--config", str(path), "--out", str(out), "--modes", modes]) == 0
+    for modes in (64, 128):
+        out, config = tmp_path / str(modes), tmp_path / f"{modes}.json"
+        config.write_text(json.dumps({**json.loads(path.read_text()), "modes": modes}))
+        assert main(["evolve", "--config", str(config), "--out", str(out)]) == 0
         smoothness = _finite_json(out / "summary.json")["smoothness"]
         assert (smoothness["s"], smoothness["norm_time"]) == (1.0, 0.1)
         norms.append(smoothness["initial_norm"])
@@ -954,19 +967,14 @@ def test_main_parses_each_call_alone(tmp_path, monkeypatch, capsys):
     # leak into the next
     seen = []
 
-    def record(args):
-        seen.append({key: value for key, value in vars(args).items()
-                     if value is not None and key != "func"})
+    def record(config, out):
+        seen.append((config, out))
         raise ConfigError("recorded")
 
-    monkeypatch.setattr(cli, "_scenario", record)
-    assert main(["evolve", "--config", "a.json", "--modes", "16", "--out", str(tmp_path)]) == 1
-    assert main(["verify", "--config", "b.json", "--tol-fd-l1", "0.5"]) == 1
+    monkeypatch.setattr(cli, "load_scenario", record)
+    assert main(["evolve", "--config", "a.json", "--out", str(tmp_path)]) == 1
+    assert main(["verify", "--config", "b.json"]) == 1
     assert main(["evolve", "--config", "c.json"]) == 1
-    assert seen == [
-        {"command": "evolve", "config": "a.json", "modes": 16.0, "out": str(tmp_path)},
-        {"command": "verify", "config": "b.json", "tol_fd_l1": 0.5},
-        {"command": "evolve", "config": "c.json"},
-    ]
+    assert seen == [("a.json", str(tmp_path)), ("b.json", None), ("c.json", None)]
     assert capsys.readouterr().err == "error: recorded\n" * 3
     assert cli.build_parser() is cli.build_parser()

@@ -31,11 +31,11 @@ def test_unit_xi_midpoint_value():
     assert prof(np.linspace(0.0, 1.0, 2049))[1024] == pytest.approx(expected, abs=1e-10)
 
 
-def _demo_config(tmp_path, eta=0.0, beta=0.0):
-    # a Kimura scenario whose fixation.csv holds psi at 513 points
+def _demo_config(tmp_path, eta=0.0, beta=0.0, grid=512):
+    # a Kimura scenario whose fixation.csv holds psi at grid + 1 points
     cfg = {"schema": 1, "model": {"preset": "kimura", "eta": eta, "beta": beta},
            "initial": {"density": "uniform"}, "times": [0.1, 1.0], "modes": 16,
-           "grid": 512, "out": str(tmp_path / "out")}
+           "grid": grid, "out": str(tmp_path / "out")}
     path = tmp_path / "demo.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -129,5 +129,5 @@ def test_backward_residual_detects_non_solution(neutral):
 
 def test_rejects_tiny_grid(tmp_path, capsys):
     # the grid only samples fixation.csv, and the config reader owns its range
-    assert main(["evolve", "--config", str(_demo_config(tmp_path)), "--grid", "2"]) == 1
+    assert main(["evolve", "--config", str(_demo_config(tmp_path, grid=2))]) == 1
     assert "config field 'grid': must be at least 64" in capsys.readouterr().err
