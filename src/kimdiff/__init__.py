@@ -32,7 +32,7 @@ from .evolution import (
     radon_distance_to_limit,
     solutions_at,
 )
-from .fd import ComparisonRow, FdState, compare_with_spectral, evolve_fd
+from .fd import compare_with_spectral, evolve_fd
 
 __version__ = "0.1.0"
 
@@ -61,8 +61,6 @@ __all__ = [
     "radon_bound_constant",
     "bump_density",
     "density_from_spec",
-    "FdState",
-    "ComparisonRow",
     "evolve_fd",
     "compare_with_spectral",
 ]

@@ -336,41 +336,13 @@ def conservation_residuals(init, solutions, limits, psi):
     )
 
 
-def _exp_in_range(log_value, s, what):
-    """e^log_value; a value too large for a double raises a ValueError
-    naming s, one too small for a double is 0."""
-    with np.errstate(over="ignore", under="ignore"):
-        value = float(np.exp(log_value))
-    if value == np.inf:
-        raise ValueError(
-            f"s={s:g}: {what} is about 10^{log_value / np.log(10.0):.4g}, beyond "
-            f"the double range; lower s"
-        )
-    return value
-
-
-def _power_norm(weights, lam, s, what):
-    """sqrt(sum weights^2 lam^s), summed in log space so that every value a
-    double can hold comes out finite; a term whose s-power passes the double
-    range reads as an infinite log."""
-    nonzero = weights != 0.0
-    if not np.any(nonzero):
-        return 0.0
-    with np.errstate(over="ignore"):
-        log_terms = 2.0 * np.log(np.abs(weights[nonzero])) + s * np.log(lam[nonzero])
-    top = log_terms.max()
-    if np.isinf(top):
-        return _exp_in_range(top, s, what)
-    return _exp_in_range(0.5 * (top + np.log(np.sum(np.exp(log_terms - top)))), s, what)
-
-
-def ds_norm(coeffs, basis, s, t=0.0):
-    """Coefficient-space smoothness norm of the solution at time t:
-    sqrt(sum (w_j exp(-lambda_j t))^2 lambda_j^s)."""
-    if s < 0.0:
-        raise ValueError("s must be nonnegative")
-    return _power_norm(coeffs.values * np.exp(-basis.eigenvalues * t), basis.eigenvalues, s,
-                       f"the smoothness norm at t={t:g}")
+def ds_norm(coeffs, basis, t=0.0):
+    """D_1 norm of the solution at time t in coefficient space,
+    sqrt(sum (w_j exp(-lambda_j t))^2 lambda_j): its largest term times the
+    root-sum-square of the terms scaled by it, so that no square overflows."""
+    terms = np.abs(coeffs.values * np.exp(-basis.eigenvalues * t)) * np.sqrt(basis.eigenvalues)
+    top = terms.max()
+    return float(top * np.sqrt(np.sum((terms / top) ** 2))) if top else 0.0
 
 
 def decay_diagnostics(basis, coeffs, solutions):
@@ -410,24 +382,16 @@ def radon_distance_to_limit(init, solutions, limits):
     return rho + sum(m for _, m in init.atoms) * (solutions.t == 0.0)
 
 
-def radon_bound_constant(basis, s):
-    """Constant in the smoothness-weighted decay bound for the distance to
-    the limit, computed from the resolved modes, plus a tail bound from the
+def radon_bound_constant(basis):
+    """Constant in the D_1-weighted decay bound for the distance to the
+    limit, computed from the resolved modes, plus a tail bound from the
     quarter-power decay of the mode masses."""
-    if s <= 0.0:
-        raise ValueError("the bound needs s > 0")
     if basis.n_modes < 2:
         raise ValueError(f"modes={basis.n_modes}: the decay bound's tail estimate needs at "
-                         "least two modes; raise modes, or set s=0 to skip the bound")
-    lam = basis.eigenvalues
-    what = "the decay bound constant"
-    c0s = _power_norm(basis.mode_masses, lam, -s, what)
+                         "least two modes; raise modes")
+    lam, m = basis.eigenvalues, basis.n_modes
+    c0 = float(np.sqrt(np.sum(basis.mode_masses**2 / lam)))
     cq = float(np.max(np.abs(basis.mode_masses) * lam**0.25))
-    m = basis.n_modes
     growth = lam[-1] / (m - 1) ** 2
-    # cq sqrt(growth^(-s - 1/2) (m - 1)^(-2s) / 2s), its powers taken as logs;
-    # the s-terms as one product, which passes the double range as one infinity
-    with np.errstate(over="ignore"):
-        log_tail = (-s * (np.log(growth) + 2.0 * np.log(m - 1.0)) - 0.5 * np.log(growth)
-                    - np.log(2.0 * s))
-    return c0s, cq * _exp_in_range(0.5 * log_tail, s, what)
+    # cq sqrt(growth^(-3/2) (m - 1)^(-2) / 2)
+    return c0, float(cq / ((m - 1) * np.sqrt(2.0 * growth**1.5)))
