@@ -122,8 +122,10 @@ class InitialMeasure:
         if callable(self.density) and np.min(self.density(_VALIDATION_GRID)) < 0.0:
             raise ValueError("initial density must be nonnegative")
         self._mass = self.a0 + self.b0 + float(self.integrate(np.ones_like))
-        if not np.isfinite(self._mass) or self._mass <= 0.0:
-            raise ValueError(f"total initial mass must be finite and positive, got {self._mass}")
+        # the series and trapezoid sums need headroom below the double range
+        if not 0.0 < self._mass <= 2.0**1020:
+            raise ValueError(f"total initial mass must be positive and at most "
+                             f"{2.0**1020:.3g}, got {self._mass:.3g}")
 
     def density_samples(self, x):
         if self._density_fn is None:

@@ -180,6 +180,10 @@ def evolve_fd(model, init, times, n_cells, dt=None):
             f"finite-difference steps of dt={dt:.4g} at cells={n_cells}, more than "
             f"{_MAX_STEPS}; last times up to {np.floor(t_fit / unit) * unit:.4g} fit"
         )
+    mass = float(init.integrate(np.ones_like))  # u sums to about mass x cells, and block
+    if mass * n_cells > 2.0**1014:  # sums of up to 130 rows of u need 2^-10 headroom
+        raise ValueError(f"initial: interior mass {mass:.3g} passes {2.0**1014 / n_cells:.3g}, "
+                         f"the most the finite-difference sums hold at cells={n_cells}")
     s, off = _symmetrizer(model, n_cells, lower, upper)
     from scipy.linalg.lapack import dpttrf, dpttrs
 

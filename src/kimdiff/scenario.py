@@ -1,7 +1,7 @@
 """Scenario configs and the end-to-end runner.
 
 A scenario is one JSON file: model block, initial measure, output times,
-resolutions, tolerances.  Running it produces machine-readable artifacts
+resolutions.  Running it produces machine-readable artifacts
 (spectrum JSON, fixation CSV, evolution CSV plus per-time profiles, summary
 JSON, optionally a cross-solver verdict) in one output directory, so a single
 config reproduces every figure.
@@ -22,16 +22,16 @@ from .spectral import build_basis, eigenvalue_growth
 SCHEMA_VERSION = 1
 
 DEFAULTS = {"modes": 64, "grid": 2048, "cells": 1024}
-DEFAULT_TOLERANCES = {
-    "mass_drift": 1e-5,
-    "psi_mass_drift": 1e-5,
-    "route_agreement": 1e-5,
-    "positivity": 1e-8,
-    "fd_l1": 1e-3,
-    "fd_ab": 1e-3,
+TOLERANCES = {  # the gates' thresholds, each a fraction of the mass it scales with
+    "mass_drift": 1e-5,  # mass span, of the initial mass
+    "psi_mass_drift": 1e-5,  # fixation-moment span, of the initial mass
+    "route_agreement": 1e-5,  # boundary-mass route gap, of the initial mass
+    "positivity": 1e-8,  # slack of density and absorbed masses, of the initial mass
+    "fd_l1": 1e-3,  # spectral vs FD density gap, of the initial interior mass
+    "fd_ab": 1e-3,  # spectral vs FD boundary-mass gap, of the initial mass
 }
 _INITIAL_TOL = 1e-8  # the largest evolution.initial_residual that _gate passes
-_KEYS = ("schema", "name", "model", "initial", "times", "out", *DEFAULTS, "tolerances")
+_KEYS = ("schema", "name", "model", "initial", "times", "out", *DEFAULTS)
 
 
 class ConfigError(ValueError):
@@ -47,7 +47,6 @@ class Scenario:
     modes: int
     grid: int
     cells: int
-    tolerances: dict
     out_dir: Path
 
 
@@ -150,8 +149,8 @@ def load_scenario(config, out=None):
     """Parse and validate a scenario from a JSON path or a dict.
 
     The config is laid over the defaults once and the result parsed: a null
-    reads as absent, and a tolerances object is laid over DEFAULT_TOLERANCES
-    key by key.  out, when given, replaces the config's "out"."""
+    reads as absent, in a nested block too.  out, when given, replaces the
+    config's "out"."""
     if isinstance(config, (str, Path)):
         path = Path(config)
         try:
@@ -167,8 +166,7 @@ def load_scenario(config, out=None):
         name = path.stem
     else:
         raw, name = config, "scenario"
-    base = {"name": name, "out": "kimdiff-results", **DEFAULTS,
-            "tolerances": DEFAULT_TOLERANCES}
+    base = {"name": name, "out": "kimdiff-results", **DEFAULTS}
     cfg = _overlay(base, _block("", raw, _KEYS))
     if out is not None:
         cfg["out"] = out
@@ -190,7 +188,6 @@ def load_scenario(config, out=None):
         if f"{a:g}" == f"{b:g}":
             _fail("times", f"{a!r} and {b!r} share the profile file q_t{a:g}.csv")
 
-    tolerances = _block("tolerances", cfg["tolerances"], DEFAULT_TOLERANCES)
     return Scenario(
         name=cfg["name"],
         model=_model_from_config(cfg.get("model", {})),
@@ -199,8 +196,6 @@ def load_scenario(config, out=None):
         modes=_number("modes", cfg["modes"], int, minimum=1),
         grid=_number("grid", cfg["grid"], int, minimum=64),
         cells=_number("cells", cfg["cells"], int, minimum=128),
-        tolerances={key: _number(f"tolerances.{key}", value, minimum=0.0)
-                    for key, value in tolerances.items()},
         out_dir=Path(cfg["out"]),
     )
 
@@ -287,33 +282,29 @@ def compute_pipeline(scenario):
     }
 
 
+def _exceeds(what, value, key, scale, at="", per="initial mass"):
+    """A list of the violation naming value, or none if it is at most TOLERANCES[key] x scale."""
+    if value <= TOLERANCES[key] * scale:
+        return []
+    return [f"{what} {value:.3e}{at} exceeds {TOLERANCES[key]:.1e} x {per}"]
+
+
 def _gate(scenario, pieces):
-    tol = scenario.tolerances
     mass0 = scenario.initial.total_mass()
-    violations = []
     report = pieces["report"]
-    if report.mass_span > tol["mass_drift"] * mass0:
-        violations.append(
-            f"mass conservation span {report.mass_span:.3e} exceeds "
-            f"{tol['mass_drift']:.1e} x initial mass"
-        )
-    if report.psi_mass_span > tol["psi_mass_drift"] * mass0:
-        violations.append(
-            f"fixation-moment span {report.psi_mass_span:.3e} exceeds "
-            f"{tol['psi_mass_drift']:.1e} x initial mass"
-        )
-    if report.route_gap > tol["route_agreement"] * mass0:
-        violations.append(
-            f"boundary-mass route disagreement {report.route_gap:.3e} exceeds "
-            f"{tol['route_agreement']:.1e} x initial mass"
-        )
-    if pieces["initial_residual"] > _INITIAL_TOL:
+    violations = [
+        *_exceeds("mass conservation span", report.mass_span, "mass_drift", mass0),
+        *_exceeds("fixation-moment span", report.psi_mass_span, "psi_mass_drift", mass0),
+        *_exceeds("boundary-mass route disagreement", report.route_gap, "route_agreement", mass0),
+    ]
+    if not pieces["initial_residual"] <= _INITIAL_TOL:
         violations.append(f"weak-form residual at t=0 {pieces['initial_residual']:.3e} "
                           f"exceeds {_INITIAL_TOL:.0e}: the coefficients miss the moments of 'initial'")
-    floor = -tol["positivity"] * mass0
+    # the checks below are negated, so that a NaN fails them as it fails _exceeds
+    floor = -TOLERANCES["positivity"] * mass0
     sols, positive = pieces["solutions"], pieces["positive"]
     low = positive.density.min(axis=1)
-    dips = np.flatnonzero(low < floor)
+    dips = np.flatnonzero(~(low >= floor))
     if dips.size:
         violations.append(
             f"density at t={positive.t[dips[0]]:g} dips to {low[dips[0]]:.3e}, "
@@ -323,11 +314,11 @@ def _gate(scenario, pieces):
     for name, mass, limit in zip("ab", (sols.a, sols.b), pieces["coeffs"].limits):
         step = np.diff(mass, prepend=mass[0])
         over = mass - limit
-        for i in np.flatnonzero((mass < floor) | (step < floor) | (over > -floor))[:1]:
+        for i in np.flatnonzero(~((mass >= floor) & (step >= floor) & (over <= -floor)))[:1]:
             slack = f"below the positivity slack {floor:.1e}"
-            if mass[i] < floor:
+            if not mass[i] >= floor:
                 what = f"is {mass[i]:.3e}"
-            elif step[i] < floor:
+            elif not step[i] >= floor:
                 what = f"changes by {step[i]:.3e}"
             else:
                 what = f"exceeds its limit {limit:.6g} by {over[i]:.3e}"
@@ -351,7 +342,7 @@ def _verdict(scenario, pieces, residuals_key, residuals=None, violations=()):
             "route_agreement_max": report.route_gap,
             "initial_residual": pieces["initial_residual"],
         },
-        "tolerances": scenario.tolerances,
+        "tolerances": TOLERANCES,
         "violations": _gate(scenario, pieces) + list(violations),
     }
 
@@ -430,19 +421,14 @@ def run_verify(scenario):
     interior0 = float(scenario.initial.integrate(np.ones_like))
     fd_drift = max(abs(st.total_mass() - mass0) for st in fd_states)
 
-    tol = scenario.tolerances
     violations = []
     for row in comparison:
-        if row.q_l1_diff > tol["fd_l1"] * interior0:
-            violations.append(
-                f"spectral vs FD density gap {row.q_l1_diff:.3e} at t={row.t:g} "
-                f"exceeds {tol['fd_l1']:.1e} x initial interior mass"
-            )
-        if max(row.a_diff, row.b_diff) > tol["fd_ab"] * mass0:
-            violations.append(
-                f"spectral vs FD boundary-mass gap {max(row.a_diff, row.b_diff):.3e} "
-                f"at t={row.t:g} exceeds {tol['fd_ab']:.1e} x initial mass"
-            )
+        at = f" at t={row.t:g}"
+        violations += _exceeds("spectral vs FD density gap", row.q_l1_diff, "fd_l1", interior0,
+                               at, "initial interior mass")
+        # np.maximum, unlike max, keeps a NaN in either gap
+        violations += _exceeds("spectral vs FD boundary-mass gap",
+                               np.maximum(row.a_diff, row.b_diff), "fd_ab", mass0, at)
 
     verdict = _verdict(scenario, pieces, "spectral_residuals", violations=violations)
     verdict.update({

@@ -79,14 +79,13 @@ def _malformed(number, field, extra):
 
 
 @pytest.mark.parametrize("field, extra", [
-    _malformed(0, "tolerances.mass_drfit", {"tolerances": {"mass_drfit": 1.0}}),
-    _malformed(1, "tolerances.fd_l1", {"tolerances": {"fd_l1": "big"}}),
+    # the gates' thresholds are constants: a tolerances object is an unknown key
+    _malformed(0, "tolerances", {"tolerances": {"fd_l1": 1e-3}}),
     _malformed(2, "modes", {"modes": "many"}),
     _malformed(3, "grid", {"grid": "fine"}),
     _malformed(4, "cells", {"cells": [256]}),
     # the smoothness index and the FD step are not settable: the D_1 norm, the cell width
     _malformed(5, "s", {"s": 1.0}),
-    _malformed(7, "tolerances.route_agreement", {"tolerances": {"route_agreement": "nan"}}),
     _malformed(8, "times", {"times": [0.1, "later"]}),
     _malformed(9, "dt", {"dt": 0.001}),
     # Psi dips to 1e-5: xi = Pi / Psi peaks too sharply for the Xi table
@@ -158,16 +157,22 @@ def test_overlong_number_exits_one_and_names_it(tmp_path, capsys):
     assert "config field 'model.beta'" in capsys.readouterr().err
 
 
+def _flat(value):
+    """The initial block of a density equal to value on [0, 1], whose mass it is."""
+    return {"density": {"x": [0, 1], "values": [value, value]}}
+
+
 DEMO = "<demo config>"  # a command line's stand-in for the demo config's path
 TMP = "<tmp>"  # and for the test's directory, under which a row's files are made
 
 
-def _exits_one(label, config, message):
-    """A row of the table below, whose id is label-message."""
-    return pytest.param(config, message, id=f"{label}-{message}")
+def _exits_one(label, config, message, fresh=False):
+    """A row of the table below, whose id is label-message; a fresh row runs
+    python -m kimdiff.cli in a new interpreter, the others call cli.main."""
+    return pytest.param(config, message, fresh, id=f"{label}-{message}")
 
 
-@pytest.mark.parametrize("config, message", [
+@pytest.mark.parametrize("config, message, fresh", [
     # 128 cells do not resolve the boundary layer of beta = 120
     _exits_one("config0", {"model": {"preset": "kimura", "eta": 0.0, "beta": 120.0},
                            "initial": {"density": "bump(0.5, 0.3)"}, "times": [0.5, 1],
@@ -182,7 +187,7 @@ def _exits_one(label, config, message):
                "unrecognized arguments: --tol-fd-l1 1e-3"),
     _exits_one("config5", ("verify", "--config", DEMO, "--bogus", "1"),
                "unrecognized arguments: --bogus 1"),
-    _exits_one("config6", (), "the following arguments are required: command"),
+    _exits_one("config6", (), "the following arguments are required: command", fresh=True),
     # an --out that names a file, or a path under one
     _exits_one("config7", ("evolve", "--config", DEMO, "--out", DEMO),
                f"config field 'out': cannot create directory {DEMO}: File exists"),
@@ -244,8 +249,30 @@ def _exits_one(label, config, message):
     # profiles are written before it, and removed again
     _exits_one("config30", ({"out/summary.json": None}, "evolve", "--config", DEMO),
                f"config field 'out': cannot write {TMP}/out/summary.json: Is a directory"),
+    _exits_one("config31", ({"tol.json": '{"schema": 1, "tolerances": {"fd_l1": 1e-3}}'},
+                            "evolve", "--config", f"{TMP}/tol.json"),
+               "config field 'tolerances': unknown key"),
+    # a mass whose series and trapezoid sums pass the double range: verify
+    # passed with NaN gaps, evolve wrote a NaN slope
+    _exits_one("config32", {"initial": _flat(1.7e308), "modes": None, "grid": None,
+                            "cells": None},
+               "config field 'initial': total initial mass must be positive and at most "
+               "1.12e+307, got 1.7e+308"),
+    _exits_one("config33", ({"huge.json": json.dumps({"schema": 1, "model": {"preset": "kimura"},
+                                                      "initial": _flat(1.7e308),
+                                                      "times": [0.1, 1]})},
+                            "evolve", "--config", f"{TMP}/huge.json", "--out", f"{TMP}/out"),
+               "config field 'initial': total initial mass must be positive and at most "
+               "1.12e+307, got 1.7e+308"),
+    # evolve passes this mass; the FD cell sums, about mass x cells, would
+    # pass the double range and wrote Infinity into verify.json
+    _exits_one("config34", {"initial": _flat(1e306), "modes": None, "grid": None,
+                            "cells": None},
+               "error: initial: interior mass 1e+306 passes 1.71e+302, the most the "
+               "finite-difference sums hold at cells=1024\n"),
 ])
-def test_cli_input_errors_exit_one_without_traceback(tmp_path, config, message):
+def test_cli_input_errors_exit_one_without_traceback(tmp_path, monkeypatch, capsys, config,
+                                                     message, fresh):
     if isinstance(config, tuple):
         path = demo_config(tmp_path)
         made, config = ((config[0], config[1:]) if config and isinstance(config[0], dict)
@@ -268,10 +295,15 @@ def test_cli_input_errors_exit_one_without_traceback(tmp_path, config, message):
         path.write_bytes(config if isinstance(config, bytes) else config.encode())
         argv = ["verify", "--config", str(path)]
     before = sorted(tmp_path.rglob("*"))
-    run = _python("-m", "kimdiff.cli", *argv, cwd=tmp_path)
-    assert run.returncode == 1
-    assert message in run.stderr and "Traceback" not in run.stderr
-    assert sum("error:" in line for line in run.stderr.splitlines()) == 1
+    if fresh:  # a real process's stderr, through the module entry
+        run = _python("-W", "error", "-m", "kimdiff.cli", *argv, cwd=tmp_path)
+        status, err = run.returncode, run.stderr
+    else:  # a traceback would raise out of main
+        monkeypatch.chdir(tmp_path)
+        status, err = main(argv), capsys.readouterr().err
+    assert status == 1
+    assert message in err and "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
     # a run that fails leaves what was there: no file or directory that it made
     assert sorted(tmp_path.rglob("*")) == before
 
@@ -574,8 +606,10 @@ def test_verify_step_budget_exits_one_and_names_times(tmp_path, capsys):
     assert "times" in err and "cells=256" in err
 
 
-def test_overtight_tolerance_exits_two(tmp_path):
-    path = demo_config(tmp_path, tolerances={"fd_l1": 1e-12, "fd_ab": 1e-12})
+def test_overtight_tolerance_exits_two(tmp_path, monkeypatch):
+    monkeypatch.setitem(scenario.TOLERANCES, "fd_l1", 1e-12)
+    monkeypatch.setitem(scenario.TOLERANCES, "fd_ab", 1e-12)
+    path = demo_config(tmp_path)
     assert main(["verify", "--config", str(path)]) == 2
     verdict = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert not verdict["pass"]
@@ -584,6 +618,20 @@ def test_overtight_tolerance_exits_two(tmp_path):
                for v in verdict["violations"])
     assert any(v.startswith("spectral vs FD boundary-mass gap")
                and v.endswith("exceeds 1.0e-12 x initial mass") for v in verdict["violations"])
+
+
+def test_fd_gates_name_a_nan_gap(tmp_path, monkeypatch):
+    # max(a_diff, b_diff) drops a NaN in b_diff; np.maximum keeps it
+    def nan_gaps(fd_states, positive):
+        return [scenario.fd.ComparisonRow(t, np.nan, 0.0, np.nan) for t in positive.t]
+
+    monkeypatch.setattr(scenario.fd, "compare_with_spectral", nan_gaps)
+    path = demo_config(tmp_path, times=[0.1, 1.0])
+    assert main(["verify", "--config", str(path)]) == 2
+    assert json.loads((tmp_path / "out" / "verify.json").read_text())["violations"] == [
+        f"spectral vs FD {gap} nan at t={t} exceeds 1.0e-03 x initial {mass}"
+        for t in ("0.1", "1") for gap, mass in (("density gap", "interior mass"),
+                                                ("boundary-mass gap", "mass"))]
 
 
 def gate(loaded, report=(0.0, 0.0, 0.0), a=np.zeros(4), b=np.zeros(4),
@@ -614,6 +662,10 @@ def test_gate_names_first_dip_after_the_initial_row(tmp_path):
     assert gate(load_scenario(demo_config(tmp_path)), density=density) == [
         "density at t=0.5 dips to -1.000e-03, below the positivity slack -1.0e-08"
     ]
+    density[1][2] = np.nan
+    assert gate(load_scenario(demo_config(tmp_path)), density=density) == [
+        "density at t=0.1 dips to nan, below the positivity slack -1.0e-08"
+    ]
 
 
 @pytest.mark.parametrize("a0, report, expected", [
@@ -636,6 +688,11 @@ def test_gate_names_first_dip_after_the_initial_row(tmp_path):
     pytest.param(1.0, (0.0, 0.0, 2.5e-5),
                  ["boundary-mass route disagreement 2.500e-05 exceeds 1.0e-05 x initial mass"],
                  id="1.0-report5-expected5"),
+    # a NaN is no number at most its tolerance
+    pytest.param(0.0, (np.nan, 0.0, 0.0), ["mass conservation span nan exceeds 1.0e-05 x "
+                                           "initial mass"], id="nan-span"),
+    pytest.param(0.0, (0.0, 0.0, np.nan), ["boundary-mass route disagreement nan exceeds "
+                                           "1.0e-05 x initial mass"], id="nan-route-gap"),
 ])
 def test_gate_names_each_conservation_violation(tmp_path, a0, report, expected):
     path = demo_config(tmp_path, initial={"a0": a0, "density": "uniform"})
@@ -652,6 +709,9 @@ def test_gate_names_each_conservation_violation(tmp_path, a0, report, expected):
                  ["absorbed mass a is -2.000e-08 at t=0.1, below the positivity slack -1.0e-08",
                   "absorbed mass b is -1.000e+00 at t=1, below the positivity slack -1.0e-08"],
                  id="a1-b1-expected1"),
+    pytest.param([0.0, 0.1, np.nan, 0.2], [0.0, 0.3, 0.3, 0.4],
+                 ["absorbed mass a is nan at t=0.5, below the positivity slack -1.0e-08"],
+                 id="nan-mass"),
 ])
 def test_gate_names_negative_or_falling_absorbed_mass(tmp_path, a, b, expected):
     assert gate(load_scenario(demo_config(tmp_path)), a=a, b=b) == expected
@@ -836,9 +896,10 @@ def test_initial_term_gate_names_a_wrong_projection(tmp_path, monkeypatch, initi
 def test_gate_names_the_initial_term_above_its_limit(tmp_path):
     loaded = load_scenario(demo_config(tmp_path))
     assert gate(loaded, initial_residual=1e-8) == []
-    assert gate(loaded, initial_residual=2e-8) == [
-        "weak-form residual at t=0 2.000e-08 exceeds 1e-08: the coefficients miss the "
-        "moments of 'initial'"]
+    for residual, text in ((2e-8, "2.000e-08"), (np.nan, "nan")):
+        assert gate(loaded, initial_residual=residual) == [
+            f"weak-form residual at t=0 {text} exceeds 1e-08: the coefficients miss the "
+            "moments of 'initial'"]
 
 
 @pytest.mark.parametrize("command, artifact, field", [
@@ -881,16 +942,13 @@ def test_cli_overrides(tmp_path):
 
 
 def test_load_scenario_lays_set_overrides_over_the_config(tmp_path):
-    # out replaces the config's; a partial tolerances object, whose nulls
-    # read as absent, is laid over the defaults key by key
-    path = demo_config(tmp_path, grid=None,
-                       tolerances={"fd_l1": 2e-3, "fd_ab": None, "positivity": 1e-7})
+    # out replaces the config's; a null reads as absent, in a nested block too
+    path = demo_config(tmp_path, grid=None, model={"preset": "kimura", "eta": 1.0, "beta": None})
     loaded = load_scenario(path, str(tmp_path / "alt"))
     assert (loaded.modes, loaded.grid, loaded.cells) == (24, 2048, 256)
     assert loaded.out_dir == tmp_path / "alt"
     assert load_scenario(path).out_dir == tmp_path / "out"
-    assert loaded.tolerances == {**scenario.DEFAULT_TOLERANCES, "fd_l1": 2e-3,
-                                 "positivity": 1e-7}
+    assert loaded.model.pi_coeffs == (0.0, 1.0)  # beta = 0
 
 
 def _finite_json(path):
@@ -908,6 +966,9 @@ def _finite_json(path):
     pytest.param({"density": {"x": [0, 0.45, 0.55, 1], "values": [1e307, 1e307, 0, 0]}},
                  {"model": {"preset": "kimura", "eta": 1.0, "beta": -0.5}, "modes": 256,
                   "times": [0.01, 1]}, 9.369107652598404e306, id="sampled"),
+    # 1/sqrt(3) of the mass: evolve holds it, verify exits 1 (the CLI error table)
+    pytest.param(_flat(1e306), {"times": [0.1, 1], "modes": None, "cells": None},
+                 1e306 / np.sqrt(3.0), id="flat"),
 ])
 def test_large_mass_writes_a_finite_norm(tmp_path, initial, extra, norm):
     path = demo_config(tmp_path, initial=initial, grid=None, **extra)
