@@ -2,7 +2,8 @@
 reference solver.
 
 The two solvers share no numerics: one expands in eigenmodes, the other
-steps a conservative Crank-Nicolson scheme and harvests the boundary fluxes.
+steps a conservative Crank-Nicolson scheme (two runs, combined to cancel its
+time error) and harvests the boundary fluxes.
 Agreement of densities and endpoint masses, plus the second-order shrink of
 the gap under mesh refinement, validates both ends.
 """

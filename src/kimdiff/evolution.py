@@ -86,7 +86,17 @@ def density_from_spec(spec):
         raise ValueError("sample locations must increase within [0, 1]")
     if np.any(vs < 0.0):
         raise ValueError("sampled density values must be nonnegative")
-    return (lambda x: np.interp(np.asarray(x, float), xs, vs, left=0.0, right=0.0)), xs
+
+    def sampled(x):
+        # (1 - theta) v0 + theta v1 on each panel: a slope (v1 - v0) / (x1 - x0),
+        # as np.interp forms it, can pass the double range between finite samples
+        x = np.asarray(x, float)
+        inner = np.clip(x, xs[0], xs[-1])  # so 0 <= theta <= 1
+        k = np.minimum(np.searchsorted(xs, inner, side="right") - 1, len(xs) - 2)
+        theta = (inner - xs[k]) / (xs[k + 1] - xs[k])
+        return np.where(x == inner, (1.0 - theta) * vs[k] + theta * vs[k + 1], 0.0)
+
+    return sampled, xs
 
 
 @dataclass

@@ -1,15 +1,18 @@
 """Independent finite-difference reference solver.
 
-Evolves the interior density in conservative form with Crank-Nicolson time
-stepping on a uniform cell mesh, from t = 0 through the requested output
-times, the last of which ends the run; the flux through each end face is
-accumulated into the endpoint masses, so total discrete mass is conserved to
-roundoff by construction.  On a mesh fine enough for central differences to
-be monotone, the tridiagonal operator is similar to a symmetric one by a
-positive diagonal scaling, so the implicit matrix is factored as LDL^T once
-per output interval (LAPACK dpttrf) and each step is one solve with that
-factor (dpttrs) on the scaled state and one subtraction; the boundary fluxes
-and the negative-density guard read a block of such steps in one pass.
+Evolves the interior density in conservative form on a uniform cell mesh,
+from t = 0 through the requested output times, the last of which ends the
+run; the flux through each end face is accumulated into the endpoint
+masses, so total discrete mass is conserved to roundoff by construction.
+In time it runs Crank-Nicolson twice, at steps twice and four times the
+cell width, and combines the two runs by Richardson extrapolation, which
+cancels the scheme's second-order time error and leaves the mesh's.  On a
+mesh fine enough for central differences to be monotone, the tridiagonal
+operator is similar to a symmetric one by a positive diagonal scaling, so
+each run factors its implicit matrix as LDL^T once per output interval
+(LAPACK dpttrf) and each step is one solve with that factor (dpttrs) on the
+scaled state and one subtraction; the boundary fluxes and the
+negative-density guard read a block of such steps in one pass.
 Coarser meshes are rejected with the number of cells they need.  This solver
 shares no code with the spectral route and serves as its end-to-end
 cross-check; only verify runs it, so scipy's LAPACK is imported on first use,
@@ -27,25 +30,28 @@ _NEGATIVE_MASS_FRACTION = 1e-2
 _LOG_SCALE_FLOOR = -600.0
 # the largest mesh a too-coarse-mesh error suggests
 _MAX_SUGGESTED_CELLS = 2**18
-# the most time steps one run may take: about 9 s at 1024 cells
+# the most time steps the two runs may take together: about 9 s at 1024 cells
 _MAX_STEPS = 2**20
 # steps per block of stored states; a block holds at most 512 KB of doubles
 _BLOCK_STEPS = 64
 _BLOCK_VALUES = 2**16
 
-ComparisonRow = namedtuple("ComparisonRow", ["t", "q_l1_diff", "a_diff", "b_diff"])
+ComparisonRow = namedtuple("ComparisonRow",
+                           ["t", "q_l1_diff", "a_diff", "b_diff", "fd_time_error"])
 
 
 @dataclass
 class FdState:
     """Snapshot of the reference solver: cell-averaged density plus the
-    accumulated endpoint masses."""
+    accumulated endpoint masses, and the estimated L1 time error of the
+    density."""
 
     t: float
     centers: np.ndarray
     values: np.ndarray
     a: float
     b: float
+    time_error: float
 
     @property
     def h(self):
@@ -133,14 +139,22 @@ def evolve_fd(model, init, times, n_cells, dt=None):
     times, which must be nonnegative and increase strictly; the last ends
     the run.
 
-    Crank-Nicolson in time (dt defaults to the cell width; it must be
-    positive and may not exceed it), conservative fluxes in space; interior
-    atoms are split linearly between the two nearest cell centres, keeping
-    mass and first moment (an end cell takes all beyond its centre).  Each
-    requested time is hit exactly by shortening the steps of its interval.
+    Crank-Nicolson in time, conservative fluxes in space; interior atoms are
+    split linearly between the two nearest cell centres, keeping mass and
+    first moment (an end cell takes all beyond its centre).  Two runs are
+    stepped side by side, at dt (by default twice the cell width; it must be
+    positive and may not exceed that) and at 2 dt, and combined by Richardson
+    extrapolation, u = (4 u_dt - u_2dt) / 3, which cancels Crank-Nicolson's
+    second-order time error; h sum |u_dt - u_2dt| / 3, the estimated L1 time
+    error of the fine run, is kept as the state's time_error.  In each output
+    interval the coarse run takes n = ceil(span / 2dt) equal steps and the
+    fine run 2n, so each requested time is hit exactly and the fine step is
+    exactly half the coarse one.  Each run accumulates its absorbed endpoint masses
+    from zero, and a = a0 + (4 da_dt - da_2dt) / 3 (likewise b), so inert
+    endpoint masses stay exact.
 
     The operator L is similar to a symmetric S = diag(s) L diag(s)^-1 (see
-    _symmetrizer), so the solver steps the scaled state w = s u: the matrix
+    _symmetrizer), so each run steps the scaled state w = s u: the matrix
     A = I - (step/2) S is positive definite, factored as LDL^T once per output
     interval (dpttrf), and halving D makes that the factor of A/2, so each
     step is one solve (dpttrs) and one subtraction, w+ = 2 A^-1 w - w, into
@@ -148,37 +162,46 @@ def evolve_fd(model, init, times, n_cells, dt=None):
     adds its trapezoidal face fluxes to a and b, through coefficients with 1/s
     folded in, and tests the rows holding a negative value in step order.
     u = w / s is formed only at output times and for those rows.  Once the
-    interior mass left after a block, h sum |u|, is at most the unit roundoff
-    of the initial interior mass, the state is set to zero and no more steps are
-    taken: later output times get that state, with a and b unchanged.  A
-    mesh too coarse for the drift (some upper[i] lower[i+1] <= 0) raises a
-    ValueError that names cells and the count that resolves it; so does a run
-    of more than _MAX_STEPS steps, naming the last time that fits.
+    interior mass a run has left after a block, h sum |u|, is at most the
+    unit roundoff of the initial interior mass, its state is set to zero and
+    it takes no more steps: later output times get that state, with its a
+    and b unchanged.  The start-up steps, the blocks, this stop and the
+    negative-density guard apply to each run alone; the guard reads the runs,
+    not their combination.  A mesh too coarse for the drift (some
+    upper[i] lower[i+1] <= 0) raises a ValueError that names cells and the
+    count that resolves it; so does a pair of runs of more than _MAX_STEPS
+    steps in all, naming the last time that fits.
     """
     n_cells = int(n_cells)
     if n_cells < 128:
         raise ValueError("n_cells must be at least 128")
     xc, h, F, lower, diag, upper = _operator(model, n_cells)
     if dt is None:
-        dt = h
-    if not 0.0 < dt <= h * (1.0 + 1e-12):
-        raise ValueError(f"dt={dt} must be positive and at most the cell width h={h}")
+        dt = 2.0 * h
+    if not 0.0 < dt <= 2.0 * h * (1.0 + 1e-12):
+        raise ValueError(f"dt={dt} must be positive and at most twice the cell width, "
+                         f"2h={2.0 * h}")
     output_times = [float(t) for t in times]
     increasing = all(t0 < t1 for t0, t1 in zip(output_times, output_times[1:]))
     if not increasing or min(output_times, default=0.0) < 0:
         raise ValueError("output times must be nonnegative and increase strictly")
-    # counted in floats: at a late enough time span / dt is inf, which no int holds
+    # the coarse run's steps per interval, counted in floats: at a late
+    # enough time span / 2dt is inf, which no int holds; the fine run takes
+    # twice as many, so the pair takes three times as many in all
     spans = np.diff(output_times, prepend=0.0)
     with np.errstate(over="ignore"):
-        counts = np.where(spans > 1e-14, np.maximum(1.0, np.ceil(spans / dt - 1e-12)), 0.0)
-    if counts.sum() > _MAX_STEPS:
-        # each interval rounds up by under a step; quote 4 digits, rounded down
-        t_fit = (_MAX_STEPS - np.count_nonzero(counts)) * dt
+        counts = np.where(spans > 1e-14,
+                          np.maximum(1.0, np.ceil(spans / (2.0 * dt) - 1e-12)), 0.0)
+    if 3.0 * counts.sum() > _MAX_STEPS:
+        # each interval rounds up by under a coarse step, three steps of the
+        # pair: 3 sum n < 3 t_last / 2dt + 3k; quote 4 digits, rounded down
+        t_fit = (_MAX_STEPS - 3 * np.count_nonzero(counts)) * 2.0 * dt / 3.0
         unit = 10.0 ** (np.floor(np.log10(t_fit)) - 3)
         raise ValueError(
-            f"times: the last output time {output_times[-1]:g} takes {counts.sum():.4g} "
-            f"finite-difference steps of dt={dt:.4g} at cells={n_cells}, more than "
-            f"{_MAX_STEPS}; last times up to {np.floor(t_fit / unit) * unit:.4g} fit"
+            f"times: the last output time {output_times[-1]:g} takes "
+            f"{3.0 * counts.sum():.4g} finite-difference steps of dt={dt:.4g} and "
+            f"{2.0 * dt:.4g} at cells={n_cells}, more than {_MAX_STEPS}; last times up "
+            f"to {np.floor(t_fit / unit) * unit:.4g} fit"
         )
     mass = float(init.integrate(np.ones_like))  # u sums to about mass x cells, and block
     if mass * n_cells > 2.0**1014:  # sums of up to 130 rows of u need 2^-10 headroom
@@ -187,9 +210,8 @@ def evolve_fd(model, init, times, n_cells, dt=None):
     s, off = _symmetrizer(model, n_cells, lower, upper)
     from scipy.linalg.lapack import dpttrf, dpttrs
 
-    u = _initial_cells(init, xc, h)
-    a, b = init.a0, init.b0
-    mass0 = h * float(np.sum(u))  # the interior's: a and b are inert
+    u0 = _initial_cells(init, xc, h)
+    mass0 = h * float(np.sum(u0))  # the interior's: a and b are inert
     # one-sided face fluxes (9 F0 u0 - F1 u1) / 3h into a and
     # (9 F[-1] u[-1] - F[-2] u[-2]) / 3h into b, read from w = s u
     a0, a1 = 3.0 * F[0] / (h * s[0]), -F[1] / (3.0 * h * s[1])
@@ -204,65 +226,78 @@ def evolve_fd(model, init, times, n_cells, dt=None):
                 f"cells={n_cells}; raise cells or smooth the initial data"
             )
 
-    # row 0 holds the state w = s u, rows 1.. the steps of one block
-    block = np.empty((max(2, min(_BLOCK_STEPS + 1, _BLOCK_VALUES // n_cells)), n_cells))
-    rows = list(block)
-    w = rows[0]
-    np.multiply(s, u, out=w)
+    def crank_nicolson(refine):
+        """One run, with refine steps per coarse step: yields u and the
+        masses absorbed at each end since t = 0, at each output time."""
+        # row 0 holds the state w = s u, rows 1.. the steps of one block
+        block = np.empty((max(2, min(_BLOCK_STEPS + 1, _BLOCK_VALUES // n_cells)), n_cells))
+        rows = list(block)
+        w = rows[0]
+        np.multiply(s, u0, out=w)
+        a = b = 0.0
+        t = 0.0
+        # the first two steps run as four damped implicit half-steps, which
+        # suppresses the trapezoidal ringing that spike data would otherwise
+        # excite without losing the scheme's second-order accuracy
+        startup = 2
+        decayed = False
+        for t_out, nsteps in zip(output_times, (refine * counts).astype(int).tolist()):
+            if nsteps and not decayed:
+                step = (t_out - t) / nsteps
+                d, e, info = dpttrf(1.0 - 0.5 * step * diag, -0.5 * step * off)
+                if info != 0:
+                    raise RuntimeError(
+                        f"Crank-Nicolson matrix is not positive definite at step "
+                        f"{step:.3e} (dpttrf info={info})"
+                    )
+                k = min(startup, nsteps)
+                for j in range(k):
+                    # two implicit half-steps share the trapezoidal matrix
+                    for _half in range(2):
+                        w[:], info = dpttrs(d, e, w)
+                        if info != 0:
+                            raise RuntimeError(f"tridiagonal solve failed (dpttrs info={info})")
+                        a += 0.5 * step * (a0 * w[0] + a1 * w[1])
+                        b += 0.5 * step * (b0 * w[-1] + b1 * w[-2])
+                    guard(w, t + (j + 1) * step)
+                startup -= k
+                # A/2 = L (D/2) L^T, so with d halved dpttrs returns 2 A^-1 w
+                # exactly, and (I + step/2 S) w = (2I - A) w gives w+ = 2 A^-1 w - w
+                d *= 0.5
+                while k < nsteps:
+                    m = min(len(rows) - 1, nsteps - k)
+                    for j in range(m):
+                        v, info = dpttrs(d, e, rows[j])
+                        if info != 0:
+                            raise RuntimeError(f"tridiagonal solve failed (dpttrs info={info})")
+                        np.subtract(v, rows[j], out=rows[j + 1])
+                    # the trapezoidal face fluxes of each w_j + w_j+1 in the block
+                    edge = block[: m + 1, [0, 1, -2, -1]]
+                    total = edge[:-1].sum(axis=0) + edge[1:].sum(axis=0)
+                    a += 0.5 * step * (a0 * total[0] + a1 * total[1])
+                    b += 0.5 * step * (b0 * total[3] + b1 * total[2])
+                    # s > 0, so the rows of w and u = w / s go negative together
+                    for j in np.flatnonzero(block[1 : m + 1].min(axis=1) < 0.0):
+                        guard(rows[j + 1], t + (k + j + 1) * step)
+                    k += m
+                    w[:] = rows[m]
+                    # spent within mass0's unit roundoff; <=: a zero interior stops at once
+                    if h * np.sum(np.abs(w / s)) <= 2.0**-53 * mass0:
+                        w[:] = 0.0
+                        decayed = True
+                        break
+            t = t_out
+            yield w / s, a, b
+
+    # the runs advance one output interval at a time, the coarse one first
     states = []
-    t = 0.0
-    # the first two steps run as four damped implicit half-steps, which
-    # suppresses the trapezoidal ringing that spike data would otherwise
-    # excite without losing the scheme's second-order accuracy
-    startup = 2
-    decayed = False
-    for t_out, nsteps in zip(output_times, counts.astype(int).tolist()):
-        if nsteps and not decayed:
-            step = (t_out - t) / nsteps
-            d, e, info = dpttrf(1.0 - 0.5 * step * diag, -0.5 * step * off)
-            if info != 0:
-                raise RuntimeError(
-                    f"Crank-Nicolson matrix is not positive definite at step "
-                    f"{step:.3e} (dpttrf info={info})"
-                )
-            k = min(startup, nsteps)
-            for j in range(k):
-                # two implicit half-steps share the trapezoidal matrix
-                for _half in range(2):
-                    w[:], info = dpttrs(d, e, w)
-                    if info != 0:
-                        raise RuntimeError(f"tridiagonal solve failed (dpttrs info={info})")
-                    a += 0.5 * step * (a0 * w[0] + a1 * w[1])
-                    b += 0.5 * step * (b0 * w[-1] + b1 * w[-2])
-                guard(w, t + (j + 1) * step)
-            startup -= k
-            # A/2 = L (D/2) L^T, so with d halved dpttrs returns 2 A^-1 w
-            # exactly, and (I + step/2 S) w = (2I - A) w gives w+ = 2 A^-1 w - w
-            d *= 0.5
-            while k < nsteps:
-                m = min(len(rows) - 1, nsteps - k)
-                for j in range(m):
-                    v, info = dpttrs(d, e, rows[j])
-                    if info != 0:
-                        raise RuntimeError(f"tridiagonal solve failed (dpttrs info={info})")
-                    np.subtract(v, rows[j], out=rows[j + 1])
-                # the trapezoidal face fluxes of each w_j + w_j+1 in the block
-                edge = block[: m + 1, [0, 1, -2, -1]]
-                total = edge[:-1].sum(axis=0) + edge[1:].sum(axis=0)
-                a += 0.5 * step * (a0 * total[0] + a1 * total[1])
-                b += 0.5 * step * (b0 * total[3] + b1 * total[2])
-                # s > 0, so the rows of w and u = w / s go negative together
-                for j in np.flatnonzero(block[1 : m + 1].min(axis=1) < 0.0):
-                    guard(rows[j + 1], t + (k + j + 1) * step)
-                k += m
-                w[:] = rows[m]
-                # spent within mass0's unit roundoff; <=: a zero interior stops at once
-                if h * np.sum(np.abs(w / s)) <= 2.0**-53 * mass0:
-                    w[:] = 0.0
-                    decayed = True
-                    break
-        t = t_out
-        states.append(FdState(t=t, centers=xc, values=w / s, a=a, b=b))
+    for t, (u_2dt, da_2dt, db_2dt), (u_dt, da_dt, db_dt) in zip(
+            output_times, crank_nicolson(1), crank_nicolson(2)):
+        states.append(FdState(
+            t=t, centers=xc, values=(4.0 * u_dt - u_2dt) / 3.0,
+            a=init.a0 + (4.0 * da_dt - da_2dt) / 3.0, b=init.b0 + (4.0 * db_dt - db_2dt) / 3.0,
+            time_error=h * float(np.sum(np.abs(u_dt - u_2dt))) / 3.0,
+        ))
     return states
 
 
@@ -270,7 +305,7 @@ def compare_with_spectral(fd_states, spectral_solutions):
     """Per-time differences between the two solvers.
 
     The spectral density is interpolated to the cell centers; returns rows of
-    (t, L1 density gap, |a gap|, |b gap|)."""
+    (t, L1 density gap, |a gap|, |b gap|, the FD state's time_error)."""
     if len(fd_states) != len(spectral_solutions):
         raise ValueError("state lists must pair up one to one")
     rows = []
@@ -281,7 +316,8 @@ def compare_with_spectral(fd_states, spectral_solutions):
         l1 = fd.h * float(np.sum(np.abs(fd.values - q_at_centers)))
         rows.append(
             ComparisonRow(
-                t=fd.t, q_l1_diff=l1, a_diff=abs(fd.a - sp.a), b_diff=abs(fd.b - sp.b)
+                t=fd.t, q_l1_diff=l1, a_diff=abs(fd.a - sp.a), b_diff=abs(fd.b - sp.b),
+                fd_time_error=fd.time_error,
             )
         )
     return rows

@@ -162,6 +162,12 @@ def _flat(value):
     return {"density": {"x": [0, 1], "values": [value, value]}}
 
 
+def _steep():
+    """The initial block of samples from 1e307 down to 0 over [0, 0.01]: the
+    slope between them, -1e309, passes the double range; the mass is 5e304."""
+    return {"density": {"x": [0, 0.01, 1], "values": [1e307, 0, 0]}}
+
+
 DEMO = "<demo config>"  # a command line's stand-in for the demo config's path
 TMP = "<tmp>"  # and for the test's directory, under which a row's files are made
 
@@ -212,9 +218,10 @@ def _exits_one(label, config, message, fresh=False):
     _exits_one("config17", ({"out/fixation.csv": None}, "evolve", "--config", DEMO),
                f"config field 'out': cannot write {TMP}/out/fixation.csv: Is a directory"),
     # the FD step count past the budget, or past any integer, is counted in floats
+    # a Crank-Nicolson pair at steps 1/64 and 1/32: 3 x 32 steps per unit time
     _exits_one("config18", {"times": [0.1, 1e300], "cells": 128},
-               "takes 1.28e+302 finite-difference steps of dt=0.007812 at cells=128, more "
-               "than 1048576; last times up to 8191 fit"),
+               "takes 9.6e+301 finite-difference steps of dt=0.01562 and 0.03125 at cells=128, "
+               "more than 1048576; last times up to 1.092e+04 fit"),
     _exits_one("config19", {"times": [0.1, 1e308], "cells": 128},
                "the last output time 1e+308 takes inf finite-difference steps"),
     # an unknown subcommand, such as the former plot (now demos/06_plot_results.py)
@@ -269,6 +276,12 @@ def _exits_one(label, config, message, fresh=False):
     _exits_one("config34", {"initial": _flat(1e306), "modes": None, "grid": None,
                             "cells": None},
                "error: initial: interior mass 1e+306 passes 1.71e+302, the most the "
+               "finite-difference sums hold at cells=1024\n"),
+    # samples whose slope passes the double range: evolve passes (the norm
+    # table below), and the FD sums cannot hold the mass
+    _exits_one("config35", {"initial": _steep(), "times": [0.1, 1], "modes": None,
+                            "grid": None, "cells": None},
+               "error: initial: interior mass 5e+304 passes 1.71e+302, the most the "
                "finite-difference sums hold at cells=1024\n"),
 ])
 def test_cli_input_errors_exit_one_without_traceback(tmp_path, monkeypatch, capsys, config,
@@ -597,7 +610,7 @@ def test_cli_commands_load_scipy_only_where_needed(tmp_path):
 
 
 def test_verify_step_budget_exits_one_and_names_times(tmp_path, capsys):
-    # at cells=256 the FD oracle would step 2.6e7 times, for about an hour
+    # at cells=256 the FD oracle would step 1.9e7 times, for about an hour
     path = demo_config(tmp_path, times=[0.1, 1e5])
     start = time.perf_counter()
     assert main(["verify", "--config", str(path)]) == 1
@@ -623,7 +636,7 @@ def test_overtight_tolerance_exits_two(tmp_path, monkeypatch):
 def test_fd_gates_name_a_nan_gap(tmp_path, monkeypatch):
     # max(a_diff, b_diff) drops a NaN in b_diff; np.maximum keeps it
     def nan_gaps(fd_states, positive):
-        return [scenario.fd.ComparisonRow(t, np.nan, 0.0, np.nan) for t in positive.t]
+        return [scenario.fd.ComparisonRow(t, np.nan, 0.0, np.nan, 0.0) for t in positive.t]
 
     monkeypatch.setattr(scenario.fd, "compare_with_spectral", nan_gaps)
     path = demo_config(tmp_path, times=[0.1, 1.0])
@@ -778,6 +791,10 @@ def test_bench_configs_pass_both_commands(tmp_path, config):
             out = tmp_path / command
             assert main([command, "--config", str(path), "--out", str(out)]) == 0
             assert json.loads((out / verdict).read_text())["violations"] == []
+    # the Crank-Nicolson pair leaves the FD's spatial error: 1.3e-10 on the
+    # neutral data and 2.4e-6 on the bumps
+    rows = json.loads((tmp_path / "verify" / "verify.json").read_text())["comparison"]
+    assert max(row["q_l1_diff"] for row in rows) <= (1e-7 if config == "fd_verify" else 3e-6)
 
 
 def test_psi_min_model_passes_both_commands(tmp_path):
@@ -823,7 +840,8 @@ def test_large_endpoint_mass_passes_both_commands(tmp_path, a0):
                                   pytest.param(1000.0, id="atom-mass-1000")])
 def test_interior_mass_scales_the_density_gate(tmp_path, mass):
     # the problem is linear: the FD density gap of an atom at 0.5 is its mass
-    # times that of a unit atom, 2.4832e-5 at t = 0.1, and passes 1e-3 at mass 50
+    # times that of a unit atom, 1.3268e-6 at t = 0.1, and the gate scales
+    # with the mass
     path = tmp_path / "atom.json"
     path.write_text(json.dumps({"schema": 1, "model": {"preset": "kimura"},
                                 "initial": {"atoms": [[0.5, mass]]}, "times": [0.1, 1],
@@ -831,7 +849,7 @@ def test_interior_mass_scales_the_density_gate(tmp_path, mass):
     assert main(["verify", "--config", str(path)]) == 0
     verdict = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert verdict["violations"] == []
-    assert verdict["comparison"][0]["q_l1_diff"] == pytest.approx(mass * 2.4832255e-5, rel=1e-6)
+    assert verdict["comparison"][0]["q_l1_diff"] == pytest.approx(mass * 1.3267742e-6, rel=1e-6)
 
 
 @pytest.mark.parametrize("config", ["atom_verify", "fd_verify", "spectral_evolve"])
@@ -969,6 +987,9 @@ def _finite_json(path):
     # 1/sqrt(3) of the mass: evolve holds it, verify exits 1 (the CLI error table)
     pytest.param(_flat(1e306), {"times": [0.1, 1], "modes": None, "cells": None},
                  1e306 / np.sqrt(3.0), id="flat"),
+    # verify exits 1 on the FD sums (the CLI error table)
+    pytest.param(_steep(), {"times": [0.1, 1], "modes": None}, 5.30991491087243e305,
+                 id="steep"),
 ])
 def test_large_mass_writes_a_finite_norm(tmp_path, initial, extra, norm):
     path = demo_config(tmp_path, initial=initial, grid=None, **extra)

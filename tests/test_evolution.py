@@ -94,6 +94,11 @@ def test_density_spec_forms():
     # zero outside the samples
     assert fn(0.1) == 0.0 and fn(0.2) == 1.0
     assert kd.density_from_spec(None)[0] is None
+    # a slope past the double range: each panel is read without forming it
+    steep = ([0.0, 0.01, 1.0], [1e307, 0.0, 0.0])
+    fn, _ = kd.density_from_spec(steep)
+    assert list(fn(np.array([0.0, 0.005, 0.01, 0.5, 1.0]))) == [1e307, 5e306, 0.0, 0.0, 0.0]
+    assert kd.InitialMeasure(density=steep).total_mass() == pytest.approx(5e304, rel=1e-14)
 
 
 @st.composite

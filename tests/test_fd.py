@@ -38,7 +38,7 @@ def test_decayed_state_stops_stepping(neutral, monkeypatch):
     monkeypatch.setattr(lapack, "dpttrs", counted)
     init = kd.InitialMeasure(density="uniform")
     states = kd.evolve_fd(neutral, init, [1.0, 400.0], 128)
-    assert len(solves) < 5000  # 51,202 steps to t = 400
+    assert len(solves) < 5000  # 38,400 steps of the pair to t = 400
     assert [st.t for st in states] == [1.0, 400.0]
     assert np.all(states[-1].values == 0.0)
     assert states[-1].a + states[-1].b == pytest.approx(init.total_mass(), abs=1e-13)
@@ -97,16 +97,20 @@ def test_atom_deposited_with_exact_mass(neutral):
 
 
 def test_step_budget_counts_every_interval(neutral, monkeypatch):
-    # 64 + 64 steps of dt = 1/128; the output at t = 0 takes none
+    # at 128 cells the pair steps by 1/64 and 1/32: each half-unit interval
+    # takes 16 coarse and 32 fine steps, 96 in all; the output at t = 0 takes none
     times = [0.0, 0.5, 1.0]
-    monkeypatch.setattr(fd, "_MAX_STEPS", 128)
+    monkeypatch.setattr(fd, "_MAX_STEPS", 96)
     kd.evolve_fd(neutral, single_mode_init(), times, 128)
-    monkeypatch.setattr(fd, "_MAX_STEPS", 127)
-    with pytest.raises(ValueError, match=r"^times: .* takes 128 .* cells=128") as err:
+    monkeypatch.setattr(fd, "_MAX_STEPS", 95)
+    with pytest.raises(ValueError, match=r"^times: .* takes 96 .* of dt=0\.01562 and "
+                                         r"0\.03125 at cells=128") as err:
         kd.evolve_fd(neutral, single_mode_init(), times, 128)
-    # the quoted last time fits the budget
+    # the quoted last time fits the budget: each of the two intervals rounds
+    # up by under one coarse step, three steps of the pair, so t = (95 - 6) / 96
+    # fits, and the quote rounds it down to 4 digits
     t_fit = float(re.search(r"up to (\S+) fit", str(err.value)).group(1))
-    assert 0.97 < t_fit <= 125 / 128
+    assert 0.92 < t_fit <= 89 / 96
     kd.evolve_fd(neutral, single_mode_init(), [0.0, 0.5, t_fit], 128)
 
 
@@ -124,7 +128,10 @@ def test_nonpositive_dt_rejected(neutral, dt):
 
 
 def test_convergence_order_against_spectral(neutral, neutral_basis, neutral_profile):
-    init = single_mode_init()
+    # with the time error cancelled the single neutral mode is superconvergent
+    # in space (its gaps fell 16x per halving); the bump's fall about 4x
+    # (3.96 and 3.98), the mesh's second order
+    init = kd.InitialMeasure(density="bump(0.4, 0.2)")
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.5])
     gaps = []
@@ -173,23 +180,27 @@ def test_output_times_must_increase(neutral):
 
 def test_negative_density_guard_reports_failing_step():
     # strong selection on a mesh that resolves the drift but not the
-    # boundary layer drives the cell values below zero at the fourth step,
-    # inside the first block of stored steps; the block ends at t=0.5
+    # boundary layer drives the cell values below zero.  The pair steps by
+    # 1/64 and 1/32 at 128 cells, and the coarse run takes each interval
+    # first: its third step (t = 3/32), the first Crank-Nicolson step after
+    # the two start-up steps and inside the first block of stored steps, is
+    # named; the fine run would trip at its own third step, t = 3/64
     model = kd.make_kimura(0.0, 120.0)
     init = kd.InitialMeasure(density="bump(0.5, 0.3)")
-    with pytest.raises(ValueError, match=r"negative density .* at t=0\.03125: .* at cells=128;"):
+    with pytest.raises(ValueError, match=r"negative density .* at t=0\.09375: .* at cells=128;"):
         kd.evolve_fd(model, init, [0.5], 128)
 
 
 @pytest.mark.parametrize("block_steps", [64, 3])
 def test_negative_density_guard_past_the_first_block(monkeypatch, block_steps):
-    # mass from an atom next to x = 0 reaches the boundary layer at x = 1 at
-    # the ninth step; with three-step blocks after the two start-up steps
-    # that step opens the third block, which ends at the eleventh (t=0.0859)
+    # mass from an atom next to x = 0 reaches the boundary layer at x = 1 by
+    # the coarse run's sixth step (t = 6/32); the fine run, at half the step,
+    # stays above the guard.  With three-step blocks after the two start-up
+    # steps that step opens the second block (steps 6 to 8)
     monkeypatch.setattr(fd, "_BLOCK_STEPS", block_steps)
-    model = kd.make_kimura(0.0, 126.0)
-    init = kd.InitialMeasure(atoms=[(0.02, 1.0)])
-    with pytest.raises(ValueError, match=r"negative density .* at t=0\.07031: "):
+    model = kd.make_kimura(0.0, 80.0)
+    init = kd.InitialMeasure(atoms=[(0.001, 1.0)])
+    with pytest.raises(ValueError, match=r"negative density .* at t=0\.1875: "):
         kd.evolve_fd(model, init, [0.5], 128)
 
 
@@ -206,12 +217,11 @@ def test_under_resolved_drift_names_cells():
 def dense_cn_reference(model, init, n_cells, output_times):
     """Crank-Nicolson with dense matrices and numpy.linalg.solve: the same
     operator, start-up half-steps and trapezoidal boundary fluxes as
-    evolve_fd, stepped without its factorization or its step identities."""
+    evolve_fd, run at steps 2h and 4h and combined as (4 u_2h - u_4h) / 3,
+    stepped without its factorization or its step identities."""
     xc, h, F, lower, diag, upper = fd._operator(model, n_cells)
     L = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
     eye = np.eye(n_cells)
-    u = fd._initial_cells(init, xc, h)
-    a, b = init.a0, init.b0
 
     def left_flux(v):
         return (9.0 * F[0] * v[0] - F[1] * v[1]) / (3.0 * h)
@@ -219,51 +229,87 @@ def dense_cn_reference(model, init, n_cells, output_times):
     def right_flux(v):
         return -(9.0 * F[-1] * v[-1] - F[-2] * v[-2]) / (3.0 * h)
 
-    out, t, startup = [], 0.0, 2
-    for t_out in output_times:
-        nsteps = max(1, int(np.ceil((t_out - t) / h - 1e-12)))
-        step = (t_out - t) / nsteps
-        implicit = eye - 0.5 * step * L
-        explicit = eye + 0.5 * step * L
-        for _ in range(nsteps):
-            if startup > 0:
-                for _half in range(2):
-                    u = np.linalg.solve(implicit, u)
-                    a += 0.5 * step * left_flux(u)
-                    b -= 0.5 * step * right_flux(u)
-                startup -= 1
-            else:
-                unew = np.linalg.solve(implicit, explicit @ u)
-                a += 0.5 * step * (left_flux(u) + left_flux(unew))
-                b -= 0.5 * step * (right_flux(u) + right_flux(unew))
-                u = unew
-        out.append((u, a, b))
-        t = t_out
-    return out
+    def run(refine):
+        u = fd._initial_cells(init, xc, h)
+        a = b = 0.0
+        out, t, startup = [], 0.0, 2
+        for t_out in output_times:
+            nsteps = refine * max(1, int(np.ceil((t_out - t) / (4.0 * h) - 1e-12)))
+            step = (t_out - t) / nsteps
+            implicit = eye - 0.5 * step * L
+            explicit = eye + 0.5 * step * L
+            for _ in range(nsteps):
+                if startup > 0:
+                    for _half in range(2):
+                        u = np.linalg.solve(implicit, u)
+                        a += 0.5 * step * left_flux(u)
+                        b -= 0.5 * step * right_flux(u)
+                    startup -= 1
+                else:
+                    unew = np.linalg.solve(implicit, explicit @ u)
+                    a += 0.5 * step * (left_flux(u) + left_flux(unew))
+                    b -= 0.5 * step * (right_flux(u) + right_flux(unew))
+                    u = unew
+            out.append((u, a, b))
+            t = t_out
+        return out
+
+    return [((4.0 * u1 - u2) / 3.0, init.a0 + (4.0 * a1 - a2) / 3.0,
+             init.b0 + (4.0 * b1 - b2) / 3.0)
+            for (u2, a2, b2), (u1, a1, b1) in zip(run(1), run(2))]
 
 
 def test_factored_stepper_matches_dense_reference(selection):
     init = kd.InitialMeasure(a0=0.1, b0=0.05, atoms=[(0.37, 0.8)])
-    # intervals of 2, 5, 20 and 170 steps; the last spans three blocks of
-    # stored steps, so it checks their seams and their summed fluxes
-    times = [0.013, 0.05, 0.2, 1.528]
+    # coarse intervals of 1, 2, 5 and 67 steps of about 4h = 1/32, fine ones
+    # of twice as many: the start-up steps straddle the first two intervals
+    # of the coarse run, and the fine run's last interval spans three blocks
+    # of stored steps (64 + 64 + 6), so it checks their seams and their
+    # summed fluxes
+    times = [0.013, 0.05, 0.2, 2.29]
     states = kd.evolve_fd(selection, init, times, 128)
     reference = dense_cn_reference(selection, init, 128, times)
     for st, (u, a, b) in zip(states, reference):
         assert np.max(np.abs(st.values - u)) <= 1e-12
         assert abs(st.a - a) <= 1e-12 and abs(st.b - b) <= 1e-12
-    # strong selection: the symmetrizing scale factors span about e^31 on
-    # this mesh, so the stepped state differs from u by that factor; by
-    # t = 1.528 the density has decayed to 1e-14, below the reference's
-    # roundoff, so the long interval is left out
+    # strong selection: the symmetrizing scale factors span about e^31, so
+    # the stepped state differs from u by that factor; by t = 2.29 the
+    # density has decayed below the reference's roundoff, so the long
+    # interval is left out.  On 128 cells the coarse run's step of 0.03
+    # would trip the negative-density guard at t = 0.08, so 256 cells
     strong = kd.make_kimura(0.0, 60.0)
     init = kd.InitialMeasure(density="bump(0.5, 0.3)")
     times = times[:3]
-    states = kd.evolve_fd(strong, init, times, 128)
-    reference = dense_cn_reference(strong, init, 128, times)
+    states = kd.evolve_fd(strong, init, times, 256)
+    reference = dense_cn_reference(strong, init, 256, times)
     for st, (u, a, b) in zip(states, reference):
         assert np.max(np.abs(st.values - u)) <= 1e-12 * np.max(np.abs(u))
         assert abs(st.a - a) <= 1e-12 and abs(st.b - b) <= 1e-12
+
+
+def test_pair_time_error_falls_at_least_third_order(selection):
+    # the exact-in-time solution of the same discrete operator: u' = L u, with
+    # a' and b' the one-sided face fluxes, through the matrix exponential
+    from scipy.linalg import expm
+
+    init = kd.InitialMeasure(a0=0.1, density="bump(0.4, 0.2)")
+    n = 128
+    xc, h, F, lower, diag, upper = fd._operator(selection, n)
+    gen = np.zeros((n + 2, n + 2))
+    gen[:n, :n] = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
+    gen[n, :2] = 3.0 * F[0] / h, -F[1] / (3.0 * h)
+    gen[n + 1, n - 2 : n] = -F[-2] / (3.0 * h), 3.0 * F[-1] / h
+    exact = expm(0.25 * gen) @ np.concatenate([fd._initial_cells(init, xc, h), [0.0, 0.0]])
+    errors = []
+    for dt in (2 * h, h, h / 2, h / 4):
+        st = kd.evolve_fd(selection, init, [0.25], n, dt=dt)[-1]
+        errors.append([h * np.sum(np.abs(st.values - exact[:n])),
+                       abs(st.a - init.a0 - exact[n]), abs(st.b - exact[n + 1])])
+    # Crank-Nicolson's step^2 term cancels; each halving cuts the density and
+    # both mass errors about 16x, and at least 8x
+    errors = np.array(errors)
+    assert errors[0, 0] < 1e-4
+    assert np.all(errors[:-1] > 8.0 * errors[1:])
 
 
 def test_extreme_drift_range_rejected():
