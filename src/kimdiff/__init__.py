@@ -8,13 +8,8 @@ with an independent finite-difference solver for cross-validation.
 """
 
 from .model import CoefficientModel, make_kimura
-from .fixation import FixationProfile, backward_residual, fixation_profile
-from .spectral import (
-    SpectralBasis,
-    bessel_comparison,
-    build_basis,
-    eigenvalue_growth,
-)
+from .fixation import FixationProfile, fixation_profile
+from .spectral import SpectralBasis, build_basis, eigenvalue_growth
 from .evolution import (
     ConservationReport,
     DecayDiagnostics,
@@ -41,11 +36,9 @@ __all__ = [
     "make_kimura",
     "FixationProfile",
     "fixation_profile",
-    "backward_residual",
     "SpectralBasis",
     "build_basis",
     "eigenvalue_growth",
-    "bessel_comparison",
     "InitialMeasure",
     "SpectralCoefficients",
     "Solutions",

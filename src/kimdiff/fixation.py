@@ -54,15 +54,3 @@ def fixation_profile(model):
         c = total * np.exp(-shift)
     return FixationProfile(norm_const=c, table=table)
 
-
-def backward_residual(model, profile, x):
-    """Max over the interior points of the uniform grid x of |F psi'' + G psi'|,
-    by centered differences of profile at x.  A self-test: small for true
-    profiles, order one for anything else."""
-    x = np.asarray(x, float)
-    v = profile(x)
-    h = x[1] - x[0]
-    xi = x[1:-1]
-    d1 = (v[2:] - v[:-2]) / (2.0 * h)
-    d2 = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-    return float(np.max(np.abs(model.diffusion(xi) * d2 + model.drift(xi) * d1)))

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 from numpy.polynomial.legendre import legvander
 
-from ._quadrature import TABLE_NODES, gauss01, running_integral_table, table_values
+from ._quadrature import gauss01
 
 @dataclass
 class SpectralBasis:
@@ -250,45 +250,3 @@ def eigenvalue_growth(basis):
     residuals = lam / j**2 - k_est
     return k_est, residuals
 
-
-def _phase_values(model, basis):
-    """Liouville-Green phase S(x) = integral_0^x sqrt(weight) at interior points.
-
-    Substituting x = sin^2(pi tau / 2) turns sqrt(weight) dx into
-    pi dtau / sqrt(Psi), which is smooth on [0, 1] although the weight is
-    singular at both endpoints, so S is one running-integral table in tau.
-    """
-    table = running_integral_table(
-        np.pi / np.sqrt(model.psi_at(np.sin(0.5 * np.pi * TABLE_NODES) ** 2)),
-        "the Liouville-Green phase integrand",
-    )
-    return table_values(table, np.arcsin(np.sqrt(basis.interior_grid)) * (2.0 / np.pi))
-
-
-def bessel_comparison(model, basis, j):
-    """Sup distance on (0, 1/2] between eigenfunction j and its turning-point
-    comparison function built from the Bessel function of order one.
-
-    The comparison is A * S * J1(sqrt(lambda_j) S) / sqrt(2 S sqrt(w)), with
-    S the Liouville-Green phase and A fixed by unit weighted norm, matching
-    the eigenfunction normalization.  Accuracy degrades away from the left
-    endpoint; that is expected and simply reflected in the returned value.
-    """
-    from scipy.special import j1
-    j = int(j)
-    if j < 4:
-        raise ValueError(f"mode {j} lies outside the asymptotic regime; use modes >= 4")
-    if j >= basis.n_modes:
-        raise ValueError(f"mode {j} not in basis ({basis.n_modes} modes)")
-    x = basis.interior_grid
-    h = 1.0 / (len(x) + 1)
-    w = model.weight(x)
-    s_vals = _phase_values(model, basis)
-    z = np.sqrt(basis.eigenvalues[j]) * s_vals
-    comp = s_vals * j1(z) / np.sqrt(2.0 * s_vals * np.sqrt(w))
-    comp /= np.sqrt(h * np.sum(comp**2 * w))
-    phi = basis.eigenfunctions[:, j]
-    if comp[0] * phi[0] < 0.0:
-        comp = -comp
-    mask = x <= 0.5
-    return float(np.max(np.abs(phi[mask] - comp[mask])))

@@ -1,3 +1,6 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -50,3 +53,9 @@ def conservation_route(sol, limits, psi):
     a2 = limits[0] - np.trapezoid((1.0 - psi) * sol.density, sol.grid)
     b2 = limits[1] - np.trapezoid(psi * sol.density, sol.grid)
     return a2, b2, max(abs(sol.a - a2), abs(sol.b - b2))
+
+
+def demo_function(demo, name):
+    """The function called name that demos/<demo>.py defines, loaded without
+    running the demo's script body."""
+    return runpy.run_path(str(Path(__file__).resolve().parents[1] / "demos" / demo))[name]

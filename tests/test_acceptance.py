@@ -8,7 +8,7 @@ import pytest
 
 import kimdiff as kd
 
-from conftest import conservation_route
+from conftest import conservation_route, demo_function
 
 SQ6 = np.sqrt(6.0)
 
@@ -238,8 +238,9 @@ def test_asymptotic_estimates(neutral):
 
 
 def test_bessel_comparison(neutral):
+    bessel_comparison = demo_function("05_endpoint_asymptotics.py", "bessel_comparison")
     basis = kd.build_basis(neutral, 20, 8192)
-    errs = [kd.bessel_comparison(neutral, basis, j) for j in (4, 8, 16)]
+    errs = [bessel_comparison(neutral, basis, j) for j in (4, 8, 16)]
     report(
         "bessel-comparison",
         errs[0] > errs[1] > errs[2],

@@ -606,7 +606,11 @@ def test_cli_commands_load_scipy_only_where_needed(tmp_path):
     assert _fresh_python("-c", code).splitlines()[-2:] == ["[0]", "[]"]
     # the FD oracle loads scipy on first use
     _fresh_python("-m", "kimdiff.cli", "verify", "--config", str(path))
-    assert json.loads((out / "verify.json").read_text())["pass"]
+    verdict = json.loads((out / "verify.json").read_text())
+    assert verdict["pass"]
+    # no gate reads the FD oracle's own time-error estimate, so check it here
+    assert all(np.isfinite(row["fd_time_error"]) and row["fd_time_error"] > 0.0
+               for row in verdict["comparison"])
 
 
 def test_verify_step_budget_exits_one_and_names_times(tmp_path, capsys):

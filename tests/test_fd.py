@@ -218,7 +218,8 @@ def dense_cn_reference(model, init, n_cells, output_times):
     """Crank-Nicolson with dense matrices and numpy.linalg.solve: the same
     operator, start-up half-steps and trapezoidal boundary fluxes as
     evolve_fd, run at steps 2h and 4h and combined as (4 u_2h - u_4h) / 3,
-    stepped without its factorization or its step identities."""
+    stepped without its factorization or its step identities.  Returns the
+    combined (u, a, b) at each output time, and the fine run's density."""
     xc, h, F, lower, diag, upper = fd._operator(model, n_cells)
     L = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
     eye = np.eye(n_cells)
@@ -254,9 +255,11 @@ def dense_cn_reference(model, init, n_cells, output_times):
             t = t_out
         return out
 
-    return [((4.0 * u1 - u2) / 3.0, init.a0 + (4.0 * a1 - a2) / 3.0,
-             init.b0 + (4.0 * b1 - b2) / 3.0)
-            for (u2, a2, b2), (u1, a1, b1) in zip(run(1), run(2))]
+    coarse, fine = run(1), run(2)
+    return ([((4.0 * u1 - u2) / 3.0, init.a0 + (4.0 * a1 - a2) / 3.0,
+              init.b0 + (4.0 * b1 - b2) / 3.0)
+             for (u2, a2, b2), (u1, a1, b1) in zip(coarse, fine)],
+            [u1 for u1, _, _ in fine])
 
 
 def test_factored_stepper_matches_dense_reference(selection):
@@ -268,7 +271,7 @@ def test_factored_stepper_matches_dense_reference(selection):
     # summed fluxes
     times = [0.013, 0.05, 0.2, 2.29]
     states = kd.evolve_fd(selection, init, times, 128)
-    reference = dense_cn_reference(selection, init, 128, times)
+    reference, _ = dense_cn_reference(selection, init, 128, times)
     for st, (u, a, b) in zip(states, reference):
         assert np.max(np.abs(st.values - u)) <= 1e-12
         assert abs(st.a - a) <= 1e-12 and abs(st.b - b) <= 1e-12
@@ -281,25 +284,31 @@ def test_factored_stepper_matches_dense_reference(selection):
     init = kd.InitialMeasure(density="bump(0.5, 0.3)")
     times = times[:3]
     states = kd.evolve_fd(strong, init, times, 256)
-    reference = dense_cn_reference(strong, init, 256, times)
+    reference, _ = dense_cn_reference(strong, init, 256, times)
     for st, (u, a, b) in zip(states, reference):
         assert np.max(np.abs(st.values - u)) <= 1e-12 * np.max(np.abs(u))
         assert abs(st.a - a) <= 1e-12 and abs(st.b - b) <= 1e-12
 
 
-def test_pair_time_error_falls_at_least_third_order(selection):
-    # the exact-in-time solution of the same discrete operator: u' = L u, with
-    # a' and b' the one-sided face fluxes, through the matrix exponential
+def expm_reference(model, init, n, t):
+    """The exact-in-time solution of evolve_fd's discrete operator at t:
+    u' = L u, with a' and b' the one-sided face fluxes, through the matrix
+    exponential.  Returns the cell values followed by the two absorbed
+    masses (init's a0 and b0 not included)."""
     from scipy.linalg import expm
 
-    init = kd.InitialMeasure(a0=0.1, density="bump(0.4, 0.2)")
-    n = 128
-    xc, h, F, lower, diag, upper = fd._operator(selection, n)
+    xc, h, F, lower, diag, upper = fd._operator(model, n)
     gen = np.zeros((n + 2, n + 2))
     gen[:n, :n] = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
     gen[n, :2] = 3.0 * F[0] / h, -F[1] / (3.0 * h)
     gen[n + 1, n - 2 : n] = -F[-2] / (3.0 * h), 3.0 * F[-1] / h
-    exact = expm(0.25 * gen) @ np.concatenate([fd._initial_cells(init, xc, h), [0.0, 0.0]])
+    return expm(t * gen) @ np.concatenate([fd._initial_cells(init, xc, h), [0.0, 0.0]])
+
+
+def test_pair_time_error_falls_at_least_third_order(selection):
+    init = kd.InitialMeasure(a0=0.1, density="bump(0.4, 0.2)")
+    n, h = 128, 1.0 / 128
+    exact = expm_reference(selection, init, n, 0.25)
     errors = []
     for dt in (2 * h, h, h / 2, h / 4):
         st = kd.evolve_fd(selection, init, [0.25], n, dt=dt)[-1]
@@ -310,6 +319,21 @@ def test_pair_time_error_falls_at_least_third_order(selection):
     errors = np.array(errors)
     assert errors[0, 0] < 1e-4
     assert np.all(errors[:-1] > 8.0 * errors[1:])
+
+
+@pytest.mark.parametrize("init", [
+    pytest.param(kd.InitialMeasure(a0=0.1, density="bump(0.4, 0.2)"), id="bump"),
+    pytest.param(kd.InitialMeasure(atoms=[(0.37, 0.8)]), id="atom"),
+])
+def test_time_error_estimates_the_fine_run(selection, init):
+    # time_error is the estimate h sum |u_dt - u_2dt| / 3 of the fine run's
+    # own L1 time error, not of the extrapolated density the state holds
+    n, h, times = 128, 1.0 / 128, [0.25, 1.0]
+    states = kd.evolve_fd(selection, init, times, n)
+    _, fine = dense_cn_reference(selection, init, n, times)
+    for st, u_fine, t in zip(states, fine, times):
+        true = h * np.sum(np.abs(u_fine - expm_reference(selection, init, n, t)[:n]))
+        assert st.time_error == pytest.approx(true, rel=0.05)
 
 
 def test_extreme_drift_range_rejected():

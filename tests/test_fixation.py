@@ -8,6 +8,8 @@ from scipy.integrate import quad
 import kimdiff as kd
 from kimdiff.cli import main
 
+from conftest import demo_function
+
 
 def test_neutral_profile_is_identity(neutral, neutral_profile):
     x = np.linspace(0.0, 1.0, 2049)
@@ -108,23 +110,26 @@ def test_off_grid_values_match_closed_forms():
 
 
 def test_backward_residual_neutral(neutral):
+    backward_residual = demo_function("01_fixation_probabilities.py", "backward_residual")
     prof = kd.fixation_profile(neutral)
-    assert kd.backward_residual(neutral, prof, np.linspace(0.0, 1.0, 2049)) <= 1e-6
+    assert backward_residual(neutral, prof, np.linspace(0.0, 1.0, 2049)) <= 1e-6
 
 
 def test_backward_residual_second_order():
+    backward_residual = demo_function("01_fixation_probabilities.py", "backward_residual")
     m = kd.CoefficientModel((1.0,), (1.0,))
     prof = kd.fixation_profile(m)
-    r_coarse = kd.backward_residual(m, prof, np.linspace(0.0, 1.0, 1025))
-    r_fine = kd.backward_residual(m, prof, np.linspace(0.0, 1.0, 2049))
+    r_coarse = backward_residual(m, prof, np.linspace(0.0, 1.0, 1025))
+    r_fine = backward_residual(m, prof, np.linspace(0.0, 1.0, 2049))
     assert 3.0 < r_coarse / r_fine < 5.0
 
 
 def test_backward_residual_detects_non_solution(neutral):
+    backward_residual = demo_function("01_fixation_probabilities.py", "backward_residual")
     grid = np.linspace(0, 1, 2049)
     # backward_residual only evaluates the profile, so any function will do;
     # F * 2 peaks at 1/2 with value 1/2 for the neutral model
-    assert kd.backward_residual(neutral, np.square, grid) == pytest.approx(0.5, abs=1e-3)
+    assert backward_residual(neutral, np.square, grid) == pytest.approx(0.5, abs=1e-3)
 
 
 def test_rejects_tiny_grid(tmp_path, capsys):

@@ -5,9 +5,9 @@ import scipy.linalg
 
 import kimdiff as kd
 from kimdiff._quadrature import gauss01
-from kimdiff.spectral import _legendre_slopes, _phase_values, _quotient_factors
+from kimdiff.spectral import _legendre_slopes, _quotient_factors
 
-from conftest import neutral_mode_exact
+from conftest import demo_function, neutral_mode_exact
 
 
 def test_neutral_eigenvalues(neutral):
@@ -276,20 +276,23 @@ def test_growth_matches_phase_prediction(neutral):
 
 
 def test_bessel_comparison_decreases(neutral):
+    bessel_comparison = demo_function("05_endpoint_asymptotics.py", "bessel_comparison")
     basis = kd.build_basis(neutral, 20, 8192)
-    errs = [kd.bessel_comparison(neutral, basis, j) for j in (4, 8, 16)]
+    errs = [bessel_comparison(neutral, basis, j) for j in (4, 8, 16)]
     assert errs[0] > errs[1] > errs[2]
 
 
 def test_bessel_comparison_guards(neutral_basis):
+    bessel_comparison = demo_function("05_endpoint_asymptotics.py", "bessel_comparison")
     with pytest.raises(ValueError):
-        kd.bessel_comparison(kd.make_kimura(0, 0), neutral_basis, 2)
+        bessel_comparison(kd.make_kimura(0, 0), neutral_basis, 2)
     with pytest.raises(ValueError):
-        kd.bessel_comparison(kd.make_kimura(0, 0), neutral_basis, 99)
+        bessel_comparison(kd.make_kimura(0, 0), neutral_basis, 99)
 
 
 def test_phase_values_neutral(neutral, neutral_basis):
-    s_vals = _phase_values(neutral, neutral_basis)
+    phase_values = demo_function("05_endpoint_asymptotics.py", "phase_values")
+    s_vals = phase_values(neutral, neutral_basis)
     exact = 2 * np.arcsin(np.sqrt(neutral_basis.interior_grid))
     assert np.max(np.abs(s_vals - exact)) <= 1e-10
 
