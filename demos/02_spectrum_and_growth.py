@@ -45,10 +45,11 @@ print(f"  spectral gap lambda_0 = {sel_basis.eigenvalues[0]:.6f} "
 
 # the neutral eigenfunctions at a scenario's default resolution, sampled on the interior grid
 basis = kd.build_basis(neutral, 64, 2048)
-path = Path(__file__).resolve().parent / "output" / "eigenfunctions.csv"
+root = Path(__file__).resolve().parents[1]
+path = root / "demos" / "output" / "eigenfunctions.csv"
 path.parent.mkdir(parents=True, exist_ok=True)
 with open(path, "w", newline="") as fh:
     writer = csv.writer(fh)
     writer.writerow(["x"] + [f"phi{j}" for j in range(basis.n_modes)])
     writer.writerows(zip(basis.interior_grid.tolist(), *basis.eigenfunctions.T.tolist()))
-print(f"wrote {path}")
+print(f"wrote {path.relative_to(root)}")

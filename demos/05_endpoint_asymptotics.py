@@ -87,7 +87,8 @@ if __name__ == "__main__":
     payload = {"comparison": comparison,
                "decreasing": all(a["sup_error"] > b["sup_error"]
                                  for a, b in zip(comparison, comparison[1:]))}
-    path = Path(__file__).resolve().parent / "output" / "bessel.json"
+    root = Path(__file__).resolve().parents[1]
+    path = root / "demos" / "output" / "bessel.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}")
+    print(f"wrote {path.relative_to(root)}")

@@ -82,7 +82,7 @@ with open(plots / "series.csv", "w", newline="") as fh:
         writer.writerows((name, ti, v) for ti, v in zip(t.tolist(), values.tolist()))
         (plots / f"{name}.svg").write_text(
             svg_line_chart(t, values, f"{name} vs t", name.replace("_", " ")))
-print(f"wrote {plots}: series.csv and "
+print(f"wrote {plots.relative_to(HERE.parent)}: series.csv and "
       f"{', '.join(f'{name}.svg' for name in series)} for t = {t.min():g}..{t.max():g}")
 print(f"exp(lambda_0 t) ||q||_1 at t = {t[-1]:g}: {series['scaled_q_l1'][-1]:.6f} "
       f"(lambda_0 = {lam0:.6f})")

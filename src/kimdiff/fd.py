@@ -6,11 +6,14 @@ run; the flux through each end face is accumulated into the endpoint
 masses, so total discrete mass is conserved to roundoff by construction.
 In time it runs Crank-Nicolson twice, at steps twice and four times the
 cell width, and combines the two runs by Richardson extrapolation, which
-cancels the scheme's second-order time error and leaves the mesh's.  On a
-mesh fine enough for central differences to be monotone, the tridiagonal
-operator is similar to a symmetric one by a positive diagonal scaling, so
-each run factors its implicit matrix as LDL^T once per output interval
-(LAPACK dpttrf) and each step is one solve with that factor (dpttrs) on the
+cancels the scheme's second-order time error and leaves the mesh's; past
+t = 512 cell widths, where the solution has smoothed (M. Luskin and R.
+Rannacher, SIAM J. Numer. Anal. 19, 1982), both steps double with every
+doubling of t.  On a mesh fine enough for central differences to be
+monotone, the tridiagonal operator is similar to a symmetric one by a
+positive diagonal scaling, so each run factors its implicit matrix as LDL^T
+once per stop, an output time or the end of a doubling (LAPACK dpttrf), and
+each step is one solve with that factor (dpttrs) on the
 scaled state and one subtraction; the boundary fluxes and the
 negative-density guard read a block of such steps in one pass.
 Coarser meshes are rejected with the number of cells they need.  This solver
@@ -30,7 +33,10 @@ _NEGATIVE_MASS_FRACTION = 1e-2
 _LOG_SCALE_FLOOR = -600.0
 # the largest mesh a too-coarse-mesh error suggests
 _MAX_SUGGESTED_CELLS = 2**18
-# the most time steps the two runs may take together: about 9 s at 1024 cells
+# fine steps per doubling of t once the fine step grows (the coarse run takes half)
+_DOUBLING_STEPS = 128
+# the most time steps the two runs may take together: about 9 s at 1024 cells;
+# a doubling of t costs 192, so only a long list of output times reaches it
 _MAX_STEPS = 2**20
 # steps per block of stored states; a block holds at most 512 KB of doubles
 _BLOCK_STEPS = 64
@@ -147,17 +153,20 @@ def evolve_fd(model, init, times, n_cells, dt=None):
     positive and may not exceed that) and at 2 dt, and combined by Richardson
     extrapolation, u = (4 u_dt - u_2dt) / 3, which cancels Crank-Nicolson's
     second-order time error; h sum |u_dt - u_2dt| / 3, the estimated L1 time
-    error of the fine run, is kept as the state's time_error.  In each output
-    interval the coarse run takes n = ceil(span / 2dt) equal steps and the
-    fine run 2n, so each requested time is hit exactly and the fine step is
-    exactly half the coarse one.  Each run accumulates its absorbed endpoint masses
+    error of the fine run, is kept as the state's time_error.  The fine step
+    is dt up to T = 2 _DOUBLING_STEPS dt and T 2^j / _DOUBLING_STEPS on
+    [T 2^j, T 2^(j+1)]; the ends of these doublings below the last output
+    time join the output times as stops, and between two stops the coarse
+    run takes n = ceil(span / 2 fine) equal steps and the fine run 2n, so each
+    stop is hit exactly and the fine step is exactly half the coarse one; only
+    the output times get states.  Each run accumulates its absorbed endpoint masses
     from zero, and a = a0 + (4 da_dt - da_2dt) / 3 (likewise b), so inert
     endpoint masses stay exact.
 
     The operator L is similar to a symmetric S = diag(s) L diag(s)^-1 (see
     _symmetrizer), so each run steps the scaled state w = s u: the matrix
-    A = I - (step/2) S is positive definite, factored as LDL^T once per output
-    interval (dpttrf), and halving D makes that the factor of A/2, so each
+    A = I - (step/2) S is positive definite, factored as LDL^T once per stop
+    (dpttrf), and halving D makes that the factor of A/2, so each
     step is one solve (dpttrs) and one subtraction, w+ = 2 A^-1 w - w, into
     the next row of a block of at most _BLOCK_STEPS steps.  One pass per block
     adds its trapezoidal face fluxes to a and b, through coefficients with 1/s
@@ -171,7 +180,7 @@ def evolve_fd(model, init, times, n_cells, dt=None):
     not their combination.  A mesh too coarse for the drift (some
     upper[i] lower[i+1] <= 0) raises a ValueError that names cells and the
     count that resolves it; so does a pair of runs of more than _MAX_STEPS
-    steps in all, naming the last time that fits.
+    steps in all, naming the number of output intervals.
     """
     n_cells = int(n_cells)
     if n_cells < 128:
@@ -186,23 +195,25 @@ def evolve_fd(model, init, times, n_cells, dt=None):
     increasing = all(t0 < t1 for t0, t1 in zip(output_times, output_times[1:]))
     if not increasing or min(output_times, default=0.0) < 0:
         raise ValueError("output times must be nonnegative and increase strictly")
-    # the coarse run's steps per interval, counted in floats: at a late
-    # enough time span / 2dt is inf, which no int holds; the fine run takes
-    # twice as many, so the pair takes three times as many in all
-    spans = np.diff(output_times, prepend=0.0)
+    # the doublings' ends below the last time; past the double range end is inf
+    ends, end = [], 2.0 * _DOUBLING_STEPS * dt
+    while output_times and end < output_times[-1]:
+        ends.append(end)
+        end *= 2.0
+    stops = np.union1d(output_times, ends)
+    fine = np.ldexp(dt, np.searchsorted(ends, stops))
+    # the coarse run's steps per stop, counted in floats: after an infinite
+    # time span / 2 fine is inf, which no int holds; the fine run takes twice
+    # as many, so the pair takes three times as many in all
+    spans = np.diff(stops, prepend=0.0)
     with np.errstate(over="ignore"):
         counts = np.where(spans > 1e-14,
-                          np.maximum(1.0, np.ceil(spans / (2.0 * dt) - 1e-12)), 0.0)
+                          np.maximum(1.0, np.ceil(spans / (2.0 * fine) - 1e-12)), 0.0)
     if 3.0 * counts.sum() > _MAX_STEPS:
-        # each interval rounds up by under a coarse step, three steps of the
-        # pair: 3 sum n < 3 t_last / 2dt + 3k; quote 4 digits, rounded down
-        t_fit = (_MAX_STEPS - 3 * np.count_nonzero(counts)) * 2.0 * dt / 3.0
-        unit = 10.0 ** (np.floor(np.log10(t_fit)) - 3)
         raise ValueError(
-            f"times: the last output time {output_times[-1]:g} takes "
-            f"{3.0 * counts.sum():.4g} finite-difference steps of dt={dt:.4g} and "
-            f"{2.0 * dt:.4g} at cells={n_cells}, more than {_MAX_STEPS}; last times up "
-            f"to {np.floor(t_fit / unit) * unit:.4g} fit"
+            f"times: the {len(output_times)} output intervals up to t={output_times[-1]:g} "
+            f"take {3.0 * counts.sum():.4g} finite-difference steps from dt={dt:.4g} and "
+            f"{2.0 * dt:.4g} up at cells={n_cells}, more than {_MAX_STEPS}"
         )
     mass = float(init.integrate(np.ones_like))  # u sums to about mass x cells, and block
     if mass * n_cells > 2.0**1014:  # sums of up to 130 rows of u need 2^-10 headroom
@@ -242,7 +253,8 @@ def evolve_fd(model, init, times, n_cells, dt=None):
         # excite without losing the scheme's second-order accuracy
         startup = 2
         decayed = False
-        for t_out, nsteps in zip(output_times, (refine * counts).astype(int).tolist()):
+        for t_out, out, nsteps in zip(stops.tolist(), np.isin(stops, output_times).tolist(),
+                                      (refine * counts).astype(int).tolist()):
             if nsteps and not decayed:
                 step = (t_out - t) / nsteps
                 d, e, info = dpttrf(1.0 - 0.5 * step * diag, -0.5 * step * off)
@@ -288,7 +300,8 @@ def evolve_fd(model, init, times, n_cells, dt=None):
                         decayed = True
                         break
             t = t_out
-            yield w / s, a, b
+            if out:
+                yield w / s, a, b
 
     # the runs advance one output interval at a time, the coarse one first
     states = []

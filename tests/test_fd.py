@@ -1,10 +1,11 @@
-import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kimdiff as kd
 from kimdiff import fd
+from kimdiff.scenario import load_scenario
 
 SQ6 = np.sqrt(6.0)
 
@@ -12,6 +13,22 @@ SQ6 = np.sqrt(6.0)
 def single_mode_init():
     # constant density sqrt(6) is the exact leading mode of the neutral model
     return kd.InitialMeasure(density=lambda x: SQ6 * np.ones_like(np.asarray(x, float)))
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """A list that grows by one with each scipy.linalg.lapack.dpttrs call."""
+    import scipy.linalg.lapack as lapack
+
+    calls = []
+    original = lapack.dpttrs
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(lapack, "dpttrs", counted)
+    return calls
 
 
 def test_zero_density_stays_zero(neutral):
@@ -22,23 +39,13 @@ def test_zero_density_stays_zero(neutral):
         assert st.a == 0.3 and st.b == 0.7
 
 
-def test_decayed_state_stops_stepping(neutral, monkeypatch):
+def test_decayed_state_stops_stepping(neutral, solves):
     # by t = 400 the neutral uniform density is e^(-800): once its interior
     # mass falls below the unit roundoff of its initial value, no more solves
     # are made
-    import scipy.linalg.lapack as lapack
-
-    solves = []
-    original = lapack.dpttrs
-
-    def counted(*args):
-        solves.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(lapack, "dpttrs", counted)
     init = kd.InitialMeasure(density="uniform")
     states = kd.evolve_fd(neutral, init, [1.0, 400.0], 128)
-    assert len(solves) < 5000  # 38,400 steps of the pair to t = 400
+    assert len(solves) < 1000  # the pair's schedule to t = 400 takes 1644 steps
     assert [st.t for st in states] == [1.0, 400.0]
     assert np.all(states[-1].values == 0.0)
     assert states[-1].a + states[-1].b == pytest.approx(init.total_mass(), abs=1e-13)
@@ -97,21 +104,29 @@ def test_atom_deposited_with_exact_mass(neutral):
 
 
 def test_step_budget_counts_every_interval(neutral, monkeypatch):
-    # at 128 cells the pair steps by 1/64 and 1/32: each half-unit interval
-    # takes 16 coarse and 32 fine steps, 96 in all; the output at t = 0 takes none
+    # at 128 cells the pair steps by 1/64 and 1/32 until t = 4: each half-unit
+    # interval takes 16 coarse and 32 fine steps, 96 in all; the output at t = 0
+    # takes none
     times = [0.0, 0.5, 1.0]
     monkeypatch.setattr(fd, "_MAX_STEPS", 96)
     kd.evolve_fd(neutral, single_mode_init(), times, 128)
     monkeypatch.setattr(fd, "_MAX_STEPS", 95)
-    with pytest.raises(ValueError, match=r"^times: .* takes 96 .* of dt=0\.01562 and "
-                                         r"0\.03125 at cells=128") as err:
+    with pytest.raises(ValueError, match=r"^times: the 3 output intervals up to t=1 take 96 "
+                                         r"finite-difference steps from dt=0\.01562 and "
+                                         r"0\.03125 up at cells=128, more than 95$"):
         kd.evolve_fd(neutral, single_mode_init(), times, 128)
-    # the quoted last time fits the budget: each of the two intervals rounds
-    # up by under one coarse step, three steps of the pair, so t = (95 - 6) / 96
-    # fits, and the quote rounds it down to 4 digits
-    t_fit = float(re.search(r"up to (\S+) fit", str(err.value)).group(1))
-    assert 0.92 < t_fit <= 89 / 96
-    kd.evolve_fd(neutral, single_mode_init(), [0.0, 0.5, t_fit], 128)
+
+
+def test_graded_schedule_solve_count(solves):
+    # fd_verify's times [0.1, 0.5, 1, 2, 3] at 1024 cells: the fine step 1/512
+    # doubles at t = 0.5, 1 and 2, so the coarse run takes 26 + 103 + 64 + 64 +
+    # 32 steps, the fine run twice as many, and the four start-up steps add
+    # one solve each; a uniform fine step would take 2311
+    sc = load_scenario(Path(__file__).resolve().parents[1] / "bench" / "configs"
+                       / "fd_verify.json")
+    states = kd.evolve_fd(sc.model, sc.initial, sc.times, sc.cells)
+    assert [st.t for st in states] == list(sc.times)
+    assert len(solves) == 871
 
 
 def test_step_size_guard(neutral):
@@ -319,6 +334,21 @@ def test_pair_time_error_falls_at_least_third_order(selection):
     errors = np.array(errors)
     assert errors[0, 0] < 1e-4
     assert np.all(errors[:-1] > 8.0 * errors[1:])
+
+
+def test_graded_steps_keep_the_error_of_the_switch(selection):
+    # at 128 cells with dt = h/4 the fine step first doubles at t = 256 dt = 0.5;
+    # after that every doubling of t takes 128 fine steps, and the errors
+    # against the exact-in-time solution stay below those at the switch
+    init = kd.InitialMeasure(a0=0.1, density="bump(0.4, 0.2)")
+    n, h, times = 128, 1.0 / 128, [0.5, 1.0, 2.0, 4.0]
+    errors = []
+    for st in kd.evolve_fd(selection, init, times, n, dt=h / 4):
+        exact = expm_reference(selection, init, n, st.t)
+        errors.append([h * np.sum(np.abs(st.values - exact[:n])),
+                       abs(st.a - init.a0 - exact[n]), abs(st.b - exact[n + 1])])
+    errors = np.array(errors)
+    assert np.all(errors[1:] <= errors[0].max())
 
 
 @pytest.mark.parametrize("init", [
