@@ -21,7 +21,7 @@ neutral = kd.make_kimura(0.0, 0.0)
 selection = kd.make_kimura(1.0, -0.5)
 
 print("neutral eigenvalues vs (j+1)(j+2):")
-basis = kd.build_basis(neutral, 32, 4096)
+basis = kd.build_basis(neutral, 32)
 j = np.arange(8)
 for jj, lam in zip(j, basis.eigenvalues[:8]):
     print(f"  j={jj}: computed {lam:.9f}   exact {(jj + 1) * (jj + 2)}")
@@ -33,23 +33,24 @@ print(f"last residuals lambda_j/j^2 - K: {residuals[-3:]}")
 print(f"weak-form identity max relative residual: {np.max(basis.identity_residuals):.2e}")
 
 scaled_mass = np.abs(basis.mode_masses) * basis.eigenvalues**0.25
-sup_phi = np.max(np.abs(basis.eigenfunctions), axis=0)
+sup_phi = np.max(np.abs(basis.mode_values(np.linspace(0.0, 1.0, 4098)[1:-1])), axis=0)
 print(f"boundedness: max |Q_j| lam^1/4 = {np.max(scaled_mass):.3f}, "
       f"max sup|phi_j| = {np.max(sup_phi):.3f}")
 
 print("\nselection model (eta=1, beta=-0.5):")
-sel_basis = kd.build_basis(selection, 16, 2048)
+sel_basis = kd.build_basis(selection, 16)
 print(f"  lowest eigenvalues: {sel_basis.eigenvalues[:5]}")
 print(f"  spectral gap lambda_0 = {sel_basis.eigenvalues[0]:.6f} "
       "(sets the absorption rate)")
 
 # the neutral eigenfunctions at a scenario's default resolution, sampled on the interior grid
-basis = kd.build_basis(neutral, 64, 2048)
+basis = kd.build_basis(neutral, 64)
+x = np.linspace(0.0, 1.0, 2050)[1:-1]
 root = Path(__file__).resolve().parents[1]
 path = root / "demos" / "output" / "eigenfunctions.csv"
 path.parent.mkdir(parents=True, exist_ok=True)
 with open(path, "w", newline="") as fh:
     writer = csv.writer(fh)
     writer.writerow(["x"] + [f"phi{j}" for j in range(basis.n_modes)])
-    writer.writerows(zip(basis.interior_grid.tolist(), *basis.eigenfunctions.T.tolist()))
+    writer.writerows(zip(x.tolist(), *basis.mode_values(x).T.tolist()))
 print(f"wrote {path.relative_to(root)}")

@@ -20,8 +20,8 @@ import kimdiff as kd
 from kimdiff._quadrature import TABLE_NODES, running_integral_table, table_values
 
 
-def phase_values(model, basis):
-    """Liouville-Green phase S(x) = integral_0^x sqrt(weight) at interior points.
+def phase_values(model, x):
+    """Liouville-Green phase S(x) = integral_0^x sqrt(weight) at points x in [0, 1].
 
     Substituting x = sin^2(pi tau / 2) turns sqrt(weight) dx into
     pi dtau / sqrt(Psi), which is smooth on [0, 1] although the weight is
@@ -31,12 +31,13 @@ def phase_values(model, basis):
         np.pi / np.sqrt(model.psi_at(np.sin(0.5 * np.pi * TABLE_NODES) ** 2)),
         "the Liouville-Green phase integrand",
     )
-    return table_values(table, np.arcsin(np.sqrt(basis.interior_grid)) * (2.0 / np.pi))
+    return table_values(table, np.arcsin(np.sqrt(x)) * (2.0 / np.pi))
 
 
-def bessel_comparison(model, basis, j):
+def bessel_comparison(model, basis, j, n_grid):
     """Sup distance on (0, 1/2] between eigenfunction j and its turning-point
-    comparison function built from the Bessel function of order one.
+    comparison function built from the Bessel function of order one, over
+    the interior grid x_i = i / (n_grid + 1), i = 1..n_grid.
 
     The comparison is A * S * J1(sqrt(lambda_j) S) / sqrt(2 S sqrt(w)), with
     S the Liouville-Green phase and A fixed by unit weighted norm, matching
@@ -48,14 +49,14 @@ def bessel_comparison(model, basis, j):
         raise ValueError(f"mode {j} lies outside the asymptotic regime; use modes >= 4")
     if j >= basis.n_modes:
         raise ValueError(f"mode {j} not in basis ({basis.n_modes} modes)")
-    x = basis.interior_grid
-    h = 1.0 / (len(x) + 1)
+    h = 1.0 / (n_grid + 1)
+    x = np.arange(1, n_grid + 1) * h
     w = model.weight(x)
-    s_vals = phase_values(model, basis)
+    s_vals = phase_values(model, x)
     z = np.sqrt(basis.eigenvalues[j]) * s_vals
     comp = s_vals * j1(z) / np.sqrt(2.0 * s_vals * np.sqrt(w))
     comp /= np.sqrt(h * np.sum(comp**2 * w))
-    phi = basis.eigenfunctions[:, j]
+    phi = basis.mode_values(x)[:, j]
     if comp[0] * phi[0] < 0.0:
         comp = -comp
     mask = x <= 0.5
@@ -64,11 +65,11 @@ def bessel_comparison(model, basis, j):
 
 if __name__ == "__main__":
     model = kd.make_kimura(0.0, 0.0)
-    basis = kd.build_basis(model, 24, 8192)
+    basis = kd.build_basis(model, 24)
 
     print("sup |phi_j - bessel comparison| on (0, 1/2]:")
     for j in (4, 6, 8, 12, 16, 20):
-        err = bessel_comparison(model, basis, j)
+        err = bessel_comparison(model, basis, j, 8192)
         print(f"  j={j:2d}: {err:.4e}   (1/sqrt(lambda_j) = {basis.eigenvalues[j]**-0.5:.4e})")
 
     print("\nthe error tracks the 1/sqrt(lambda) envelope of the asymptotic theory")
@@ -81,8 +82,8 @@ if __name__ == "__main__":
     print(f"fitted growth constant: {k_est:.4f}")
 
     # the comparison on the default resolution of a scenario (64 modes, grid 2048)
-    basis = kd.build_basis(model, 64, 2048)
-    comparison = [{"mode": j, "sup_error": bessel_comparison(model, basis, j)}
+    basis = kd.build_basis(model, 64)
+    comparison = [{"mode": j, "sup_error": bessel_comparison(model, basis, j, 2048)}
                   for j in (4, 8, 16)]
     payload = {"comparison": comparison,
                "decreasing": all(a["sup_error"] > b["sup_error"]

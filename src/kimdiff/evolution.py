@@ -7,12 +7,12 @@ boundary masses are obtained two independent ways (term-wise time integration
 of the boundary flux, and the conservation-law route through the fixation
 probability), which cross-validate each other.
 
-There is one evaluation path: solutions_at evaluates the series for a whole
-array of times at once and returns one Solutions record, a density row and a
-mass pair per time.  Every diagnostic over time (conservation and the route
-gap, decay, distance to the limit) reads that record's arrays.  The paper's
-weak form is checked without one: it holds at every t > 0 exactly when each
-mode satisfies its identity, which build_basis tabulates as
+There is one evaluation path: solutions_at evaluates the series for an array
+of times at the caller's points and returns one Solutions record, a density
+row and a mass pair per time.  Every diagnostic over time (conservation and
+the route gap, decay, distance to the limit) reads that record's arrays.  The
+paper's weak form is checked without one: it holds at every t > 0 exactly
+when each mode satisfies its identity, which build_basis tabulates as
 SpectralBasis.identity_residuals, and initial_residual checks its t = 0 term.
 """
 
@@ -182,7 +182,7 @@ class SpectralCoefficients:
 @dataclass
 class Solutions:
     """The solution triple along a sequence of times: density samples on the
-    closed grid, one row per time, and the absorbed masses a (at 0,
+    caller's grid, one row per time, and the absorbed masses a (at 0,
     extinction) and b (at 1, fixation), one per time.
 
     Indexing with a boolean mask keeps those times; an int index gives the
@@ -223,15 +223,15 @@ def project_initial(model, basis, init, profile):
     return SpectralCoefficients(values=vals, limits=limit_masses(profile, init))
 
 
-def solutions_at(model, basis, coeffs, init, times):
-    """The Solutions record at the given times: one density row, one pair of
-    boundary masses and one truncation estimate per time, evaluated together.
+def solutions_at(model, basis, coeffs, init, times, x):
+    """The Solutions record at the given times and points x in [0, 1]: one density
+    row, boundary-mass pair and truncation estimate per time, evaluated together.
 
     The decayed coefficients c_j exp(-lambda_j t) form one (times x modes)
-    matrix; one SpectralBasis.series_values call gives every density.  The
-    boundary masses come from the same matrix and the exact endpoint values,
-    by term-wise time integration of the flux series anchored at the limits:
-    a(t) = a_inf - sum_j c_j Psi(0) q_j(0) exp(-lambda_j t) / lambda_j, and b
+    matrix; one SpectralBasis.density_values call gives every density at x.
+    The boundary masses come from the same matrix and the exact endpoint
+    values, by term-wise time integration of the flux series anchored at the
+    limits: a(t) = a_inf - sum_j c_j Psi(0) q_j(0) exp(-lambda_j t) / lambda_j, and b
     likewise at x = 1, so truncation cannot offset the limits even for
     point-mass data.  t may be inf; t = 0 yields the raw initial data, since
     the truncated series need not converge pointwise for measure data.
@@ -246,12 +246,14 @@ def solutions_at(model, basis, coeffs, init, times):
     Xi (roundoff, which more modes cannot mend) or the mode count to raise.
     """
     times = np.array(times, float, ndmin=1)
+    x = np.asarray(x, float)
     if np.any(times < 0.0):
         raise ValueError("t must be nonnegative")
     with np.errstate(over="ignore"):  # lambda_j t past the double range: the term is 0
         decayed = coeffs.values * np.exp(-np.outer(times, basis.eigenvalues))
-    roundoff = np.finfo(float).eps * (np.abs(decayed) @ basis.mode_sup)
-    trunc = np.max(np.abs(decayed[:, -2:]) * basis.mode_sup[-2:], axis=1)
+    sup = basis.mode_sup
+    roundoff = np.finfo(float).eps * (np.abs(decayed) @ sup)
+    trunc = np.max(np.abs(decayed[:, -2:]) * sup[-2:], axis=1)
     bound = _SERIES_TOL * init.total_mass()
     unsafe = (times > 0.0) & (np.maximum(roundoff, trunc) > bound)
     if unsafe.any():
@@ -260,7 +262,7 @@ def solutions_at(model, basis, coeffs, init, times):
         later = (f"the first safe requested time is t={safe.min():g}" if safe.size
                  else "no requested time is safe")
         if roundoff[first] > bound:
-            xi = model.xi_integral(basis.closed_grid[1:])  # Xi(0) = 0 by definition
+            xi = model.xi_integral(x)  # the range takes Xi(0) = 0 in as well
             raise ValueError(
                 f"series roundoff estimate {roundoff[first]:.2e} at t={times[first]:g} "
                 f"exceeds {_SERIES_TOL:g} of the initial mass: Xi ranges over "
@@ -272,15 +274,15 @@ def solutions_at(model, basis, coeffs, init, times):
             f"exceeds {_SERIES_TOL:g} of the initial mass: raise modes "
             f"(modes={basis.n_modes}); {later}"
         )
-    q = basis.series_values(decayed, basis.closed_grid, basis.grid_scale)
+    q = basis.density_values(model, decayed, x)
     tail = decayed / basis.eigenvalues
     a = coeffs.limits[0] - model.psi_at(0.0) * (tail @ basis.endpoint_values[0])
     b = coeffs.limits[1] - model.psi_at(1.0) * (tail @ basis.endpoint_values[1])
     start = times == 0.0
-    q[start] = init.density_samples(basis.closed_grid)
+    q[start] = init.density_samples(x)
     trunc[start] = 0.0
     a[start], b[start] = init.a0, init.b0
-    return Solutions(times, basis.closed_grid, q, a, b, trunc)
+    return Solutions(times, x, q, a, b, trunc)
 
 
 def initial_residual(model, basis, coeffs, init):

@@ -172,10 +172,12 @@ def evolve_fd(model, init, times, n_cells, dt=None):
     adds its trapezoidal face fluxes to a and b, through coefficients with 1/s
     folded in, and tests the rows holding a negative value in step order.
     u = w / s is formed only at output times and for those rows.  Once the
-    interior mass a run has left after a block, h sum |u|, is at most the
-    unit roundoff of the initial interior mass, its state is set to zero and
-    it takes no more steps: later output times get that state, with its a
-    and b unchanged.  The start-up steps, the blocks, this stop and the
+    signed interior mass a run has left after a block, h |sum u|, is at most
+    the unit roundoff of the initial interior mass, its state is set to zero
+    and it takes no more steps: later output times get that state, with its
+    a and b unchanged.  The graded steps damp the stiffest cell modes less
+    and less, and their residue alternates in sign: h sum |u| would step it
+    to the last time.  The start-up steps, the blocks, this stop and the
     negative-density guard apply to each run alone; the guard reads the runs,
     not their combination.  A mesh too coarse for the drift (some
     upper[i] lower[i+1] <= 0) raises a ValueError that names cells and the
@@ -294,8 +296,8 @@ def evolve_fd(model, init, times, n_cells, dt=None):
                         guard(rows[j + 1], t + (k + j + 1) * step)
                     k += m
                     w[:] = rows[m]
-                    # spent within mass0's unit roundoff; <=: a zero interior stops at once
-                    if h * np.sum(np.abs(w / s)) <= 2.0**-53 * mass0:
+                    # signed, spent within mass0's unit roundoff; <=: a zero interior stops at once
+                    if h * abs(np.sum(w / s)) <= 2.0**-53 * mass0:
                         w[:] = 0.0
                         decayed = True
                         break

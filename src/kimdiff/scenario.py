@@ -267,10 +267,12 @@ def compute_pipeline(scenario):
     scenario times, their positive-time view and their conservation report."""
     model, init = scenario.model, scenario.initial
     profile = fixation_profile(model)
-    basis = build_basis(model, scenario.modes, scenario.grid)
+    basis = build_basis(model, scenario.modes)
     coeffs = evolution.project_initial(model, basis, init, profile)
-    sols = evolution.solutions_at(model, basis, coeffs, init, scenario.times)
-    psi = profile(basis.closed_grid)
+    n = scenario.grid  # the profiles' closed grid, i / (n + 1) for i = 0..n + 1
+    x = np.concatenate(([0.0], np.arange(1, n + 1) * (1.0 / (n + 1)), [1.0]))
+    sols = evolution.solutions_at(model, basis, coeffs, init, scenario.times, x)
+    psi = profile(x)
     return {
         "profile": profile,
         "basis": basis,

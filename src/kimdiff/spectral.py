@@ -10,7 +10,8 @@ Each u_n vanishes at both endpoints and u_n / (x (1 - x)) is again a
 polynomial, so the density modes take exact endpoint values, and their
 masses and point values are exact up to the truncation, which converges
 spectrally.  What e^(Xi/2) still costs is roundoff: the modes grow like
-e^(Xi range / 2), which evolution.solutions_at gates.  Only this module
+e^(Xi range / 2), which evolution.solutions_at gates.  The basis holds no
+output grid: callers sample it at their own points, and only this module
 knows the factor sqrt(Psi).  The Gauss rule is _quadrature.gauss01 and the
 eigenproblem goes to numpy.linalg.eigh, so importing loads no scipy.
 """
@@ -27,8 +28,6 @@ from ._quadrature import gauss01
 class SpectralBasis:
     """Eigenpairs of the weighted eigenproblem and the mode data runs read.
 
-    interior_grid: output sampling points x_i = i h, h = 1/(n+1), i = 1..n;
-        they play no part in the solve.
     eigenvalues: lowest modes, ascending.
     coefficients: (N, m) Galerkin coefficients of phi_j / sqrt(Psi) in the
         u_n, phi_j = e^(Xi/2) u_j orthonormal under 1 / (Psi x (1 - x)) and
@@ -38,25 +37,20 @@ class SpectralBasis:
     quad_nodes, quad_weights: the rule gauss01(2N + 40) on [0, 1] that
         assembled the Galerkin matrices; mode masses reuse it, and projections
         map it onto the initial density's panels (InitialMeasure.integrate).
-    grid_scale: e^(Xi/2) / sqrt(Psi) on the closed grid, taking the series
-        sum_n c_nj u_n / (x (1 - x)) to q_j.
-    endpoint_values: (2, m) exact q_j(0) and q_j(1).
-    mode_sup: max |q_j| over the Gauss nodes and both endpoints.
+    density_modes: (len(quad_nodes) + 2, m) q_j on the basis's closed rule,
+        x = 0, the Gauss nodes, x = 1; the end rows are exact.
     mode_masses: integrals of the density modes over [0, 1].
     initial_pairings: (4, m) <chi_k, q_j>, chi_k = x (1 - x) P_k(2x - 1) e^(-Xi/2).
     identity_residuals: per mode, the largest scaled defect of the weak-form
         identity over its test functions (see _identity_residuals).
     """
 
-    interior_grid: np.ndarray
     eigenvalues: np.ndarray
     coefficients: np.ndarray
     psi_coeffs: tuple
     quad_nodes: np.ndarray
     quad_weights: np.ndarray
-    grid_scale: np.ndarray
-    endpoint_values: np.ndarray
-    mode_sup: np.ndarray
+    density_modes: np.ndarray
     mode_masses: np.ndarray
     initial_pairings: np.ndarray
     identity_residuals: np.ndarray
@@ -66,18 +60,20 @@ class SpectralBasis:
         return len(self.eigenvalues)
 
     @property
-    def closed_grid(self):
-        return np.concatenate(([0.0], self.interior_grid, [1.0]))
+    def endpoint_values(self):
+        """(2, m) exact q_j(0) and q_j(1)."""
+        return self.density_modes[[0, -1]]
 
     @property
-    def eigenfunctions(self):
-        """(n, m) samples of phi_j on the interior grid."""
-        return self.mode_values(self.interior_grid)
+    def mode_sup(self):
+        """max |q_j| over the Gauss nodes and both endpoints."""
+        return np.abs(self.density_modes).max(axis=0)
 
-    @property
-    def density_modes(self):
-        """(n+2, m) density modes q_j on the closed grid, built on each access."""
-        return self.series_values(np.eye(self.n_modes), self.closed_grid, self.grid_scale).T
+    def density_values(self, model, weights, x):
+        """sum_j weights[r, j] q_j(x) at points x in [0, 1], one row per row of
+        the (rows, m) weights."""
+        x = np.asarray(x, float)
+        return self.series_values(weights, x, _density_scale(model, x))
 
     def mode_values(self, x):
         """Modes phi_j = e^(Xi/2) u_j at points x in [0, 1], shape (len(x), m)."""
@@ -123,15 +119,19 @@ def _legendre_slopes(y, n):
     return dp
 
 
+def _density_scale(model, x):
+    """e^(Xi/2) / sqrt(Psi) at points x, taking sum_n c_nj u_n / (x (1 - x)) to q_j."""
+    return np.exp(0.5 * model.xi_integral(x)) / np.sqrt(model.psi_at(x))
+
+
 def _quotient_factors(n_basis):
     """f_n for n < N, with u_n(x) / (x (1 - x)) = f_n P'_{n+1}(2x - 1)."""
     n = np.arange(n_basis)
     return 4.0 * (2 * n + 3) / ((n + 1) * (n + 2))
 
 
-def build_basis(model, n_modes, n_grid):
-    """Lowest n_modes eigenpairs, with the mode data that runs read for an
-    n_grid-point interior grid.
+def build_basis(model, n_modes):
+    """Lowest n_modes eigenpairs, with the mode data that runs read.
 
     The trial functions sqrt(Psi) u_n, n < N, give the stiffness
     K = int (phi_m' - xi phi_m / 2)(phi_n' - xi phi_n / 2) rows
@@ -148,9 +148,6 @@ def build_basis(model, n_modes, n_grid):
     takes 256 at 128 modes.  The mode data come from the nodes and the ends.
     """
     n_modes = int(n_modes)
-    n_grid = int(n_grid)
-    if n_grid < 64:
-        raise ValueError("n_grid must be at least 64")
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1; got {n_modes}")
     dpsi = P.polyder(model.psi_coeffs)
@@ -181,43 +178,38 @@ def build_basis(model, n_modes, n_grid):
     n = np.arange(n_basis)  # u_n / (x (1 - x)) is (+-1)^n 2 (2n + 3) at y = +-1
     ends = (4 * n + 6.0) * np.vstack(((-1.0) ** n, np.ones(n_basis)))
     coef *= np.where(ends[0] @ coef < 0.0, -1.0, 1.0)
-    x = np.arange(1, n_grid + 1) * (1.0 / (n_grid + 1))
-    closed = np.concatenate(([0.0], x, [1.0]))
-    scale = np.exp(0.5 * model.xi_integral(closed)) / np.sqrt(model.psi_at(closed))
-    ends = ends @ coef * scale[[0, -1], None]
-    root_psi = np.sqrt(psi)
+    ends = ends @ coef
     nodes = quot.T @ coef  # phi_j / (sqrt(Psi) x (1 - x)) at the Gauss nodes
-    node_scale = np.exp(0.5 * model.xi_integral(xq)) / root_psi
-    modes = nodes * node_scale[:, None]  # q_j at the Gauss nodes
+    # q_j on the closed rule: 0, the Gauss nodes, 1
+    scale = _density_scale(model, np.concatenate(([0.0], xq, [1.0])))
+    table = np.vstack((ends[:1], nodes, ends[1:])) * scale[:, None]
     legendre = legvander(2.0 * xq - 1.0, 5)  # P_k(2x - 1), k = 0..5, one column each
+    chi_weights = wq * xq * (1.0 - xq) / np.sqrt(psi)  # the rule's, for <chi_k, q_j>
     return SpectralBasis(
-        interior_grid=x,
         eigenvalues=lam,
         coefficients=coef,
         psi_coeffs=model.psi_coeffs,
         quad_nodes=xq,
         quad_weights=wq,
-        grid_scale=scale,
-        endpoint_values=ends,
-        mode_sup=np.abs(np.vstack((modes, ends))).max(axis=0),
-        mode_masses=(wq * node_scale) @ nodes,
-        initial_pairings=(legendre[:, :4] * (wq * xq * (1.0 - xq) / root_psi)[:, None]).T @ nodes,
-        identity_residuals=_identity_residuals(model, xq, wq, legendre.T, dp[:6], modes,
-                                               lam, ends),
+        density_modes=table,
+        mode_masses=(wq * scale[1:-1]) @ nodes,
+        initial_pairings=(legendre[:, :4] * chi_weights[:, None]).T @ nodes,
+        identity_residuals=_identity_residuals(model, xq, wq, legendre.T, dp[:6], table, lam),
     )
 
 
-def _identity_residuals(model, x, w, p, dp, modes, lam, ends):
+def _identity_residuals(model, x, w, p, dp, table, lam):
     """Per mode j, the largest scaled defect over the test functions
     chi in {1, x (1 - x) P_k(2x - 1), k = 0..5} of the identity
     <L* chi, q_j> + lambda_j <chi, q_j> = chi(0) Psi(0) q_j(0) + chi(1) Psi(1) q_j(1),
     L* chi = F chi'' + G chi', which each mode of the paper's boundary-coupled
     weak form satisfies; the row chi = 1 ties the mode mass to the boundary
     flux.  p and dp hold P_k and P_k' at the Gauss nodes x with weights w,
-    modes the q_j there, ends the exact q_j(0) and q_j(1).  With y = 2x - 1,
+    table the q_j at 0, those nodes and 1.  With y = 2x - 1,
     chi_k' = (1 - y^2) P_k' / 2 - y P_k and, by Legendre's equation,
     chi_k'' = -(k (k + 1) + 2) P_k - 2 y P_k'.  Each defect is relative to the
     sum of its terms' magnitudes, |L* chi| and |chi| paired with |q_j|."""
+    modes = table[1:-1]
     y = 2.0 * x - 1.0
     k = np.arange(len(p))[:, None]
     chi = np.vstack((np.ones_like(x), x * (1.0 - x) * p))
@@ -225,7 +217,7 @@ def _identity_residuals(model, x, w, p, dp, modes, lam, ends):
     curve = -(k * (k + 1) + 2.0) * p - 2.0 * y * dp
     adjoint = np.vstack((np.zeros_like(x), model.diffusion(x) * curve + model.drift(x) * slope))
     # every chi_k vanishes at both ends, so only the row chi = 1 meets the flux
-    flux = model.psi_at(np.array([0.0, 1.0]))[:, None] * ends
+    flux = model.psi_at(np.array([0.0, 1.0]))[:, None] * table[[0, -1]]
     size = np.abs(modes)
     defect = (w * adjoint) @ modes + lam * ((w * chi) @ modes)
     defect[0] -= flux.sum(axis=0)

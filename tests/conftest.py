@@ -7,6 +7,15 @@ import pytest
 import kimdiff as kd
 
 
+def closed_grid(n):
+    """0, the n interior points i / (n + 1) and 1: the grid that evolve's
+    profiles and conservation sums sample."""
+    return np.concatenate(([0.0], np.arange(1, n + 1) * (1.0 / (n + 1)), [1.0]))
+
+
+GRID = closed_grid(2048)  # the default resolution's
+
+
 @pytest.fixture(scope="session")
 def neutral():
     return kd.make_kimura(0.0, 0.0)
@@ -15,7 +24,7 @@ def neutral():
 @pytest.fixture(scope="session")
 def neutral_basis(neutral):
     """Mid-resolution neutral basis shared across tests."""
-    return kd.build_basis(neutral, 16, 2048)
+    return kd.build_basis(neutral, 16)
 
 
 @pytest.fixture(scope="session")

@@ -141,6 +141,8 @@ def _malformed(number, field, extra):
     # Psi = (x - 0.50005)^2 - 1e-10 is negative on an interval of width 2e-5 only
     _malformed(51, "model.psi/pi", {"model": {"psi": [0.50005**2 - 1e-10, -1.0001, 1.0],
                                               "pi": [0.0]}}),
+    # the config reader alone holds the grid's floor: build_basis takes no grid
+    _malformed(52, "grid", {"grid": 32}),
 ])
 def test_malformed_field_exits_one_and_names_it(tmp_path, capsys, field, extra):
     path = demo_config(tmp_path, **extra)
@@ -854,20 +856,6 @@ def test_interior_mass_scales_the_density_gate(tmp_path, mass):
     verdict = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert verdict["violations"] == []
     assert verdict["comparison"][0]["q_l1_diff"] == pytest.approx(mass * 1.3267742e-6, rel=1e-6)
-
-
-@pytest.mark.parametrize("config", ["atom_verify", "fd_verify", "spectral_evolve"])
-def test_bench_configs_build_no_grid_table_of_modes(tmp_path, monkeypatch, config):
-    # the runs read the basis's kept mode data, never the (grid + 2, modes) table
-    def no_table(self):
-        raise AssertionError("density_modes built on the run path")
-
-    monkeypatch.setattr(kimdiff.SpectralBasis, "density_modes", property(no_table))
-    path = Path(__file__).resolve().parents[1] / "bench" / "configs" / f"{config}.json"
-    for command, verdict in (("evolve", "summary.json"), ("verify", "verify.json")):
-        out = tmp_path / command
-        assert main([command, "--config", str(path), "--out", str(out)]) == 0
-        assert json.loads((out / verdict).read_text())["violations"] == []
 
 
 @pytest.mark.parametrize("config", ["bench/configs/atom_verify", "bench/configs/fd_verify",

@@ -11,7 +11,7 @@ from kimdiff import evolution
 from kimdiff._quadrature import gauss01
 from kimdiff.scenario import load_scenario
 
-from conftest import conservation_route, neutral_mode_exact
+from conftest import GRID, closed_grid, conservation_route, neutral_mode_exact
 
 SQ6 = np.sqrt(6.0)
 
@@ -132,7 +132,7 @@ def test_sampled_projection_matches_twelve_nodes_per_panel(selection, samples):
     # random values on uniform samples; reference: 12 Gauss nodes on every
     # panel between samples.  Panels that hold few nodes of the basis rule
     # left about 2e-8 with two extra nodes; four leave below 1e-12
-    basis = kd.build_basis(selection, 64, 2048)
+    basis = kd.build_basis(selection, 64)
     profile = kd.fixation_profile(selection)
     xs = np.linspace(0.0, 1.0, samples)
     vs = np.random.default_rng(7).uniform(0.0, 1.0, samples)
@@ -154,7 +154,7 @@ def test_projection_by_basis_moments_matches_the_mode_table(config):
     loaded = load_scenario(path)
     model, init = loaded.model, loaded.initial
     assert init.density == "bump(0.4, 0.2)"
-    basis = kd.build_basis(model, loaded.modes, loaded.grid)
+    basis = kd.build_basis(model, loaded.modes)
     coeffs = kd.project_initial(model, basis, init, kd.fixation_profile(model))
 
     def modes(x):
@@ -186,7 +186,7 @@ def test_initial_residual_for_a_varying_psi():
     # Psi = 1 + 2x: the projection and the pairings <chi_k, q_j> each carry
     # the modes' sqrt(Psi) factor; the defect reads 1.3e-12 (64 modes)
     model = kd.CoefficientModel((1.0, 2.0), (-1.0,))
-    basis = kd.build_basis(model, 64, 512)
+    basis = kd.build_basis(model, 64)
     init = kd.InitialMeasure(a0=0.2, b0=0.3, density="bump(0.4, 0.25)", atoms=[(0.7, 0.2)])
     coeffs = kd.project_initial(model, basis, init, kd.fixation_profile(model))
     assert evolution.initial_residual(model, basis, coeffs, init) <= 1e-10
@@ -195,9 +195,8 @@ def test_initial_residual_for_a_varying_psi():
 def test_projection_of_leading_mode_is_unit_vector(neutral, neutral_basis, neutral_profile):
     # initial density equal to the leading density mode transforms to the
     # leading eigenfunction, so the coefficients are (c, 0, 0, ...)
-    q0 = neutral_basis.density_modes[:, 0]
-    grid = neutral_basis.closed_grid
-    init = kd.InitialMeasure(density=(grid, q0))
+    q0 = neutral_basis.density_values(neutral, np.eye(neutral_basis.n_modes)[:1], GRID)[0]
+    init = kd.InitialMeasure(density=(GRID, q0))
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     assert coeffs.values[0] == pytest.approx(1.0, abs=1e-6)
     assert np.max(np.abs(coeffs.values[1:])) <= 1e-6
@@ -221,7 +220,7 @@ def test_projection_atom_near_endpoint_is_exact(neutral, neutral_profile):
     # an atom closer to 0 than the first point of a 512-point grid projects
     # onto the exact mode values u_j(x) = x (1 - x) q_j(x), with no warning
     x0 = 1e-4
-    basis = kd.build_basis(neutral, 16, 512)
+    basis = kd.build_basis(neutral, 16)
     init = kd.InitialMeasure(atoms=[(x0, 1.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -240,7 +239,7 @@ def test_uniform_data_is_single_mode(uniform_setup):
 def test_series_single_mode_decay(neutral, neutral_basis, uniform_setup):
     init, coeffs = uniform_setup
     s1, s2, s3, s6 = kd.solutions_at(
-        neutral, neutral_basis, coeffs, init, [1.0, 2.0, 3.0, 6.0]
+        neutral, neutral_basis, coeffs, init, [1.0, 2.0, 3.0, 6.0], GRID
     )
     assert np.allclose(s2.density, s1.density * np.exp(-2.0), atol=1e-12)
     sup = [np.max(np.abs(s.density)) for s in (s1, s3, s6)]
@@ -250,14 +249,14 @@ def test_series_single_mode_decay(neutral, neutral_basis, uniform_setup):
 
 def test_series_at_zero_returns_raw_density(neutral, neutral_basis, uniform_setup):
     init, coeffs = uniform_setup
-    sol = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.0])[0]
+    sol = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.0], GRID)[0]
     assert np.all(sol.density == 1.0)
     assert sol.trunc_error == 0.0
 
 
 def test_single_mode_l1_norm(neutral, neutral_basis, uniform_setup):
     init, coeffs = uniform_setup
-    sol = kd.solutions_at(neutral, neutral_basis, coeffs, init, [1.0])[0]
+    sol = kd.solutions_at(neutral, neutral_basis, coeffs, init, [1.0], GRID)[0]
     expected = neutral_basis.mode_masses[0] * coeffs.values[0] * np.exp(-2.0)
     assert sol.density_l1() == pytest.approx(expected, rel=1e-9)
 
@@ -265,7 +264,7 @@ def test_single_mode_l1_norm(neutral, neutral_basis, uniform_setup):
 def test_series_masses_at_zero_and_monotone(neutral, neutral_basis, uniform_setup):
     init, coeffs = uniform_setup
     times = [0.0, 0.2, 0.5, 1.0, 2.0, 4.0]
-    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, times)
+    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, times, GRID)
     assert (sols[0].a, sols[0].b) == (0.0, 0.0)
     a_vals = [s.a for s in sols]
     b_vals = [s.b for s in sols]
@@ -275,7 +274,7 @@ def test_series_masses_at_zero_and_monotone(neutral, neutral_basis, uniform_setu
 
 def test_series_masses_uniform_exact(neutral, neutral_basis, uniform_setup):
     init, coeffs = uniform_setup
-    sol = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.5])[0]
+    sol = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.5], GRID)[0]
     a, b = sol.a, sol.b
     exact = SQ6 * (1 - np.exp(-1.0)) / 2 * (SQ6 / 6)
     assert a == pytest.approx(exact, rel=1e-7)
@@ -297,7 +296,7 @@ def test_limit_masses_examples(neutral, neutral_profile):
 
 def test_series_route_reaches_limits(neutral, neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
-    far = kd.solutions_at(neutral, neutral_basis, coeffs, init, [np.inf])[0]
+    far = kd.solutions_at(neutral, neutral_basis, coeffs, init, [np.inf], GRID)[0]
     a_t, b_t = far.a, far.b
     a_inf, b_inf = kd.limit_masses(neutral_profile, init)
     assert a_t == pytest.approx(a_inf, abs=1e-7)
@@ -306,7 +305,7 @@ def test_series_route_reaches_limits(neutral, neutral_basis, neutral_profile, un
 
 def test_mass_cross_check_single_mode(neutral, neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
-    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.0, 1.0])
+    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.0, 1.0], GRID)
     psi = neutral_profile(sols.grid)
     a2, b2, disc = conservation_route(sols[1], coeffs.limits, psi)
     assert disc <= 1e-6
@@ -321,7 +320,7 @@ def test_mass_cross_check_early_time_limit(neutral, neutral_basis, neutral_profi
     init, coeffs = uniform_setup
     gaps = []
     times = (1e-4, 1e-5, 1e-6)
-    for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, times):
+    for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, times, GRID):
         a2, b2, _ = conservation_route(sol, coeffs.limits, neutral_profile(sol.grid))
         gaps.append(max(abs(a2 - init.a0), abs(b2 - init.b0)))
         assert gaps[-1] <= 3 * sol.t
@@ -333,7 +332,7 @@ def test_series_route_atom_limit_is_exact(neutral, neutral_basis, neutral_profil
     # anchored at the limits, so no truncation tail survives at t = inf
     init = kd.InitialMeasure(atoms=[(0.25, 1.0)])
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
-    far = kd.solutions_at(neutral, neutral_basis, coeffs, init, [np.inf])[0]
+    far = kd.solutions_at(neutral, neutral_basis, coeffs, init, [np.inf], GRID)[0]
     a_lim, b_lim = far.a, far.b
     a_inf, b_inf = kd.limit_masses(neutral_profile, init)
     assert a_inf == pytest.approx(0.75, abs=1e-9)
@@ -346,7 +345,7 @@ def test_cross_check_approaches_limit(neutral, neutral_basis, neutral_profile, u
     a_inf, _ = kd.limit_masses(neutral_profile, init)
     gaps = [
         abs(conservation_route(sol, coeffs.limits, neutral_profile(sol.grid))[0] - a_inf)
-        for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, (1.0, 3.0, 6.0))
+        for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, (1.0, 3.0, 6.0), GRID)
     ]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] <= 1e-5
@@ -354,9 +353,9 @@ def test_cross_check_approaches_limit(neutral, neutral_basis, neutral_profile, u
 
 def test_conservation_single_mode(neutral, neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
-    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.1, 0.5, 1.0, 2.0))
+    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.1, 0.5, 1.0, 2.0), GRID)
     rep = kd.conservation_residuals(
-        init, sols, coeffs.limits, neutral_profile(neutral_basis.closed_grid)
+        init, sols, coeffs.limits, neutral_profile(GRID)
     )
     assert rep.mass_drift <= 1e-6
     assert rep.psi_mass_drift <= 1e-6
@@ -365,9 +364,9 @@ def test_conservation_single_mode(neutral, neutral_basis, neutral_profile, unifo
 def test_conservation_boundary_atoms_exact(neutral, neutral_basis, neutral_profile):
     init = kd.InitialMeasure(a0=0.4, b0=0.6)
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
-    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.5, 1.0))
+    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.5, 1.0), GRID)
     rep = kd.conservation_residuals(
-        init, sols, coeffs.limits, neutral_profile(neutral_basis.closed_grid)
+        init, sols, coeffs.limits, neutral_profile(GRID)
     )
     assert rep.mass_drift == 0.0
     assert rep.psi_mass_drift == 0.0
@@ -382,9 +381,9 @@ def test_conservation_interior_atom_constancy(neutral, neutral_basis, neutral_pr
     init = kd.InitialMeasure(atoms=[(0.25, 1.0)])
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     times = (0.0, 0.1, 0.5, 1.0, 2.0)
-    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, times)
+    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, times, GRID)
     rep = kd.conservation_residuals(
-        init, sols, coeffs.limits, neutral_profile(neutral_basis.closed_grid)
+        init, sols, coeffs.limits, neutral_profile(GRID)
     )
     assert rep.mass_span <= 1e-5
     assert rep.psi_mass_span <= 1e-5
@@ -397,11 +396,12 @@ def test_route_gap_matches_trapezoid_route(selection):
     # the report's gap, written with the conserved sums, against the
     # conservation-route masses computed per time with np.trapezoid
     profile = kd.fixation_profile(selection)
-    basis = kd.build_basis(selection, 24, 1024)
+    basis = kd.build_basis(selection, 24)
+    x = closed_grid(1024)
     init = kd.InitialMeasure(a0=0.1, density="bump(0.4, 0.25)", atoms=[(0.7, 0.3)])
     coeffs = kd.project_initial(selection, basis, init, profile)
-    sols = kd.solutions_at(selection, basis, coeffs, init, (0.0, 0.5, 1.0, 2.0))
-    psi = profile(basis.closed_grid)
+    sols = kd.solutions_at(selection, basis, coeffs, init, (0.0, 0.5, 1.0, 2.0), x)
+    psi = profile(x)
     expected = max(conservation_route(sol, coeffs.limits, psi)[2] for sol in sols[1:])
     rep = kd.conservation_residuals(init, sols, coeffs.limits, psi)
     assert expected > 0.0
@@ -424,7 +424,7 @@ def test_ds_norm_values(neutral_basis):
 def test_decay_single_mode(neutral, neutral_basis, uniform_setup):
     init, coeffs = uniform_setup
     times = np.linspace(0.5, 1.5, 11)
-    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, times)
+    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, times, GRID)
     diag = kd.decay_diagnostics(neutral_basis, coeffs, sols)
     assert diag.slope == pytest.approx(-2.0, rel=1e-6)
     assert diag.c_inf == pytest.approx(1.0, abs=1e-9)
@@ -437,7 +437,7 @@ def test_times_past_the_double_range_evaluate_silently(neutral, neutral_basis, u
     init, coeffs = uniform_setup
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.1, 1e308])
+        sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.1, 1e308], GRID)
         diag = kd.decay_diagnostics(neutral_basis, coeffs, sols)
     assert sols.density_l1()[-1] == 0.0
     assert (sols.a[-1], sols.b[-1]) == pytest.approx((0.5, 0.5), abs=1e-12)
@@ -452,7 +452,7 @@ def test_decay_degenerate_leading_mode(neutral, neutral_basis):
     coeffs.values[1] = 1.0
     # a unit initial mass sets the scale of the truncation check
     sols = kd.solutions_at(
-        neutral, neutral_basis, coeffs, kd.InitialMeasure(a0=1.0), np.linspace(0.4, 1.0, 7)
+        neutral, neutral_basis, coeffs, kd.InitialMeasure(a0=1.0), np.linspace(0.4, 1.0, 7), GRID
     )
     diag = kd.decay_diagnostics(neutral_basis, coeffs, sols)
     assert diag.slope == pytest.approx(-6.0, rel=0.02)
@@ -462,10 +462,10 @@ def test_decay_degenerate_leading_mode(neutral, neutral_basis):
 def test_radon_distance_identity(neutral, neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
     limits = kd.limit_masses(neutral_profile, init)
-    for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.1, 0.5, 1.0, 2.0)):
+    for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.1, 0.5, 1.0, 2.0), GRID):
         rho = kd.radon_distance_to_limit(init, sol, limits)
         assert rho == pytest.approx(2 * sol.density_l1(), abs=1e-6)
-    far = kd.solutions_at(neutral, neutral_basis, coeffs, init, [20.0])[0]
+    far = kd.solutions_at(neutral, neutral_basis, coeffs, init, [20.0], GRID)[0]
     assert kd.radon_distance_to_limit(init, far, limits) <= 1e-8
 
 
@@ -476,7 +476,7 @@ def test_radon_smoothness_bound(neutral, neutral_basis, neutral_profile, uniform
     assert 0.0 < tail < c0
     w_norm = kd.ds_norm(coeffs, neutral_basis)
     lam0 = neutral_basis.eigenvalues[0]
-    for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.5, 1.0, 2.0)):
+    for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.5, 1.0, 2.0), GRID):
         rho = kd.radon_distance_to_limit(init, sol, limits)
         assert rho <= 2 * (c0 + tail) * w_norm * np.exp(-lam0 * sol.t) * (1 + 1e-9)
 
@@ -512,8 +512,8 @@ def windowed_weak_form(model, sols, psi):
 def test_weak_form_single_mode(neutral, neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
     times = np.linspace(0.1, 2.0, 129)
-    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, times)
-    res = windowed_weak_form(neutral, sols, neutral_profile(neutral_basis.closed_grid))
+    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, times, GRID)
+    res = windowed_weak_form(neutral, sols, neutral_profile(GRID))
     assert set(res) == {"one", "fixation", "x(1-x)", "x^2(1-x)"}
     for name, val in res.items():
         assert val <= 1e-5, name
@@ -526,7 +526,7 @@ def test_truncation_at_early_time_raises_naming_modes(neutral, neutral_basis,
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     with pytest.raises(ValueError, match=r"series truncation estimate .* at t=0\.0001 "
                        r".*: raise modes \(modes=16\); no requested time is safe"):
-        kd.solutions_at(neutral, neutral_basis, coeffs, init, [1e-4])
+        kd.solutions_at(neutral, neutral_basis, coeffs, init, [1e-4], GRID)
 
 
 def test_solutions_at_matches_per_time_series(neutral, neutral_basis, neutral_profile):
@@ -536,16 +536,16 @@ def test_solutions_at_matches_per_time_series(neutral, neutral_basis, neutral_pr
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     with pytest.raises(ValueError, match=r"truncation estimate 1\.14e-05 at t=0\.05 .*"
                        r"\(modes=16\); the first safe requested time is t=0\.3"):
-        kd.solutions_at(neutral, neutral_basis, coeffs, init, times)
-    basis = kd.build_basis(neutral, 32, 2048)
+        kd.solutions_at(neutral, neutral_basis, coeffs, init, times, GRID)
+    basis = kd.build_basis(neutral, 32)
     coeffs = kd.project_initial(neutral, basis, init, neutral_profile)
-    sols = kd.solutions_at(neutral, basis, coeffs, init, times)
-    modes = basis.density_modes
+    sols = kd.solutions_at(neutral, basis, coeffs, init, times, GRID)
+    modes = basis.density_values(neutral, np.eye(basis.n_modes), GRID).T
     lam = basis.eigenvalues
     a_inf, b_inf = coeffs.limits
     psi0, psi1 = neutral.psi_at(0.0), neutral.psi_at(1.0)
     assert [s.t for s in sols] == times
-    assert np.array_equal(sols[0].density, init.density_samples(basis.closed_grid))
+    assert np.array_equal(sols[0].density, init.density_samples(GRID))
     assert (sols[0].a, sols[0].b, sols[0].trunc_error) == (0.1, 0.2, 0.0)
     assert np.array_equal(sols.density_l1(),
                           [np.trapezoid(np.abs(s.density), s.grid) for s in sols])
@@ -565,17 +565,17 @@ def test_solutions_at_names_earliest_truncated_time(neutral, neutral_basis,
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
     with pytest.raises(ValueError, match=r"at t=0\.0001 .*modes=16.*"
                        r"the first safe requested time is t=1$"):
-        kd.solutions_at(neutral, neutral_basis, coeffs, init, [1e-3, 1e-4, 1.0])
+        kd.solutions_at(neutral, neutral_basis, coeffs, init, [1e-3, 1e-4, 1.0], GRID)
 
 
 def test_truncation_estimate_reads_the_last_two_terms(neutral, neutral_profile):
     # an atom at 1/2 leaves every odd mode, the last one among them, at 0
-    basis = kd.build_basis(neutral, 64, 2048)
+    basis = kd.build_basis(neutral, 64)
     init = kd.InitialMeasure(atoms=[(0.5, 1.0)])
     coeffs = kd.project_initial(neutral, basis, init, neutral_profile)
     assert coeffs.values[-1] == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError) as exc:
-        kd.solutions_at(neutral, basis, coeffs, init, [1e-3, 0.1])
+        kd.solutions_at(neutral, basis, coeffs, init, [1e-3, 0.1], GRID)
     assert str(exc.value) == (
         "series truncation estimate 7.16e+00 at t=0.001 exceeds 1e-06 of the initial "
         "mass: raise modes (modes=64); the first safe requested time is t=0.1")
@@ -613,20 +613,31 @@ def spectral_moments(basis, coeffs, sols):
     pytest.param({"initial": {"atoms": [[0.001, 1]]}, "times": [0.01, 0.1, 1]}, id="atom0.001"),
     pytest.param({"initial": {"atoms": [[1e-4, 1]]}, "times": [0.1, 1]}, id="atom1e-4"),
     pytest.param({"initial": {"atoms": [[0.3, 50]]}, "times": [0.1, 0.5, 1]}, id="atom-mass50"),
+    pytest.param({"initial": {"atoms": [[0.3, 1000]]}, "times": [0.1, 0.5, 1]},
+                 id="atom-mass1000"),
     pytest.param({"initial": {"a0": 1e11, "density": "uniform"}, "times": [0.1, 0.5, 1, 2]},
                  id="a0-1e11"),
+    pytest.param({"initial": {"a0": 1e13, "density": "uniform"}, "times": [0.1, 0.5, 1, 2]},
+                 id="a0-1e13"),
+    # random values on 65 uniform samples, read linearly between them
+    pytest.param({"initial": {"density": {
+        "x": np.linspace(0.0, 1.0, 65).tolist(),
+        "values": np.random.default_rng(7).uniform(0.0, 1.0, 65).tolist()}},
+        "times": [0.1, 0.5, 1]}, id="rough65"),
 ])
 def test_spectral_moments_match_the_exact_neutral_moments(config):
     # the 0.001 atom fails the conservation and FD gates, yet its moments are
     # exact to roundoff: the defect is in the output-grid sums and the FD mesh.
-    # Moments up to x^8 see only the modes with (j + 1)(j + 2) <= 56, j <= 6
+    # The largest gaps: 3.2e-14 of the mass on the mass-1000 atom, 2.0e-14 on
+    # the rough samples, 1.0e-27 with a0 = 1e13.  Moments up to x^8 see only
+    # the modes with (j + 1)(j + 2) <= 56, j <= 6
     if isinstance(config, dict):
         config = {"schema": 1, "model": {"preset": "kimura"}, **config}
     sc = load_scenario(config)
     profile = kd.fixation_profile(sc.model)
-    basis = kd.build_basis(sc.model, sc.modes, sc.grid)
+    basis = kd.build_basis(sc.model, sc.modes)
     coeffs = kd.project_initial(sc.model, basis, sc.initial, profile)
-    sols = kd.solutions_at(sc.model, basis, coeffs, sc.initial, sc.times)
+    sols = kd.solutions_at(sc.model, basis, coeffs, sc.initial, sc.times, closed_grid(sc.grid))
     exact = exact_neutral_moments(sc.initial, sc.times)
     gap = np.abs(spectral_moments(basis, coeffs, sols) - exact)
     assert np.max(gap) <= 1e-12 * sc.initial.total_mass()

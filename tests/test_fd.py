@@ -7,6 +7,8 @@ import kimdiff as kd
 from kimdiff import fd
 from kimdiff.scenario import load_scenario
 
+from conftest import GRID
+
 SQ6 = np.sqrt(6.0)
 
 
@@ -129,6 +131,18 @@ def test_graded_schedule_solve_count(solves):
     assert len(solves) == 871
 
 
+@pytest.mark.parametrize("cells, most", [(128, 1000), (1024, 1600)])
+def test_far_time_stops_on_the_signed_interior_mass(solves, selection, cells, most):
+    # the graded steps leave an undamped stiff residue that h sum |u| never
+    # spends (191,335 and 191,911 solves); its signed sum stops the runs
+    # before t = 64, so the far time takes the masses of a run to t = 64
+    init = kd.InitialMeasure(density="bump(0.4, 0.2)")
+    far = kd.evolve_fd(selection, init, [0.1, 1e300], cells)
+    assert len(solves) <= most
+    near = kd.evolve_fd(selection, init, [0.1, 64.0], cells)
+    assert (far[-1].a, far[-1].b) == (near[-1].a, near[-1].b)
+
+
 def test_step_size_guard(neutral):
     with pytest.raises(ValueError):
         kd.evolve_fd(neutral, single_mode_init(), [0.1], 256, dt=1.0 / 64)
@@ -148,7 +162,7 @@ def test_convergence_order_against_spectral(neutral, neutral_basis, neutral_prof
     # (3.96 and 3.98), the mesh's second order
     init = kd.InitialMeasure(density="bump(0.4, 0.2)")
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
-    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.5])
+    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.5], GRID)
     gaps = []
     for cells in (128, 256, 512):
         states = kd.evolve_fd(neutral, init, [0.5], cells)
@@ -161,7 +175,7 @@ def test_convergence_order_against_spectral(neutral, neutral_basis, neutral_prof
 def test_compare_with_spectral_pairs_times(neutral, neutral_basis, neutral_profile):
     init = single_mode_init()
     coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
-    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.1, 1.0))
+    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.1, 1.0), GRID)
     states = kd.evolve_fd(neutral, init, [0.1, 1.0], 256)
     rows = kd.compare_with_spectral(states, sols)
     assert [r.t for r in rows] == [0.1, 1.0]
@@ -175,11 +189,11 @@ def test_compare_with_spectral_pairs_times(neutral, neutral_basis, neutral_profi
 def test_selection_bump_cross_check(selection):
     # full two-solver agreement on a selection scenario
     profile = kd.fixation_profile(selection)
-    basis = kd.build_basis(selection, 48, 2048)
+    basis = kd.build_basis(selection, 48)
     init = kd.InitialMeasure(density="bump(0.45, 0.3)")
     coeffs = kd.project_initial(selection, basis, init, profile)
     times = [0.1, 1.0]
-    sols = kd.solutions_at(selection, basis, coeffs, init, times)
+    sols = kd.solutions_at(selection, basis, coeffs, init, times, GRID)
     states = kd.evolve_fd(selection, init, times, 512)
     for row in kd.compare_with_spectral(states, sols):
         assert row.q_l1_diff <= 1e-3

@@ -7,11 +7,13 @@ import kimdiff as kd
 from kimdiff._quadrature import gauss01
 from kimdiff.spectral import _legendre_slopes, _quotient_factors
 
-from conftest import demo_function, neutral_mode_exact
+from conftest import GRID, closed_grid, demo_function, neutral_mode_exact
+
+INTERIOR = GRID[1:-1]  # the default resolution's interior points
 
 
 def test_neutral_eigenvalues(neutral):
-    basis = kd.build_basis(neutral, 12, 4096)
+    basis = kd.build_basis(neutral, 12)
     j = np.arange(12)
     exact = (j + 1) * (j + 2)
     assert np.max(np.abs(basis.eigenvalues / exact - 1)) <= 1e-6
@@ -23,13 +25,13 @@ def test_positive_spectrum_random_models():
         psi = (0.5 + rng.uniform(0, 1), rng.uniform(-0.2, 0.2))
         pi = tuple(rng.uniform(-1.5, 1.5, rng.integers(1, 4)))
         m = kd.CoefficientModel(psi, pi)
-        basis = kd.build_basis(m, 8, 512)
+        basis = kd.build_basis(m, 8)
         assert basis.eigenvalues[0] > 0
         assert np.all(np.diff(basis.eigenvalues) > 0)
 
 
 def test_oscillation_counts(neutral_basis):
-    phi = neutral_basis.eigenfunctions
+    phi = neutral_basis.mode_values(INTERIOR)
     for j in range(neutral_basis.n_modes):
         crossings = int(np.sum(phi[:-1, j] * phi[1:, j] < 0))
         assert crossings == j
@@ -38,7 +40,7 @@ def test_oscillation_counts(neutral_basis):
 def test_weighted_orthonormality(selection):
     # the weighted inner product e^Xi u_i u_j / (Psi x (1-x)), which is the
     # Galerkin mass matrix's phi_i phi_j / (Psi x (1-x)), by the Gauss rule
-    basis = kd.build_basis(selection, 32, 512)
+    basis = kd.build_basis(selection, 32)
     x = basis.quad_nodes
     phi = basis.mode_values(x)
     gram = (phi * (basis.quad_weights * selection.weight(x))[:, None]).T @ phi
@@ -46,16 +48,17 @@ def test_weighted_orthonormality(selection):
 
 
 def test_sign_convention(neutral_basis):
-    assert np.all(neutral_basis.eigenfunctions[0, :] > 0)
+    assert np.all(neutral_basis.mode_values(INTERIOR[0])[0] > 0)
     assert np.all(neutral_basis.density_modes[0, :] > 0)
 
 
 def test_density_modes_match_closed_form(neutral):
-    basis = kd.build_basis(neutral, 6, 4096)
-    grid = basis.closed_grid
+    basis = kd.build_basis(neutral, 6)
+    grid = closed_grid(4096)
+    table = basis.density_values(neutral, np.eye(6), grid).T
     for j in range(6):
         exact = neutral_mode_exact(j, grid)
-        assert np.max(np.abs(basis.density_modes[:, j] - exact)) <= 2e-4 * np.max(
+        assert np.max(np.abs(table[:, j] - exact)) <= 2e-4 * np.max(
             np.abs(exact)
         )
 
@@ -66,10 +69,11 @@ def test_density_modes_match_closed_form(neutral):
 ], ids=["neutral", "kimura", "beta40", "beta-40", "beta100", "beta-100", "polynomial_psi"])
 def test_kept_mode_data_match_the_grid_table(model):
     # the basis keeps the exact endpoint values and a sup over its Gauss nodes
-    # and both ends; every mode peaks at an end here, so the sup is the grid's
+    # and both ends; every mode peaks at an end here, so the sup is that of
+    # the density modes sampled on the default resolution's 2050 points
     model = kd.make_kimura(*model) if np.ndim(model[0]) == 0 else kd.CoefficientModel(*model)
-    basis = kd.build_basis(model, 64, 2048)
-    table = basis.density_modes
+    basis = kd.build_basis(model, 64)
+    table = basis.density_values(model, np.eye(64), GRID).T
     sup = np.abs(table).max(axis=0)
     assert np.max(np.abs(basis.mode_sup / sup - 1.0)) <= 1e-12
     assert np.max(np.abs(basis.endpoint_values - table[[0, -1]]) / sup) <= 1e-12
@@ -89,15 +93,14 @@ def test_weak_form_identity_holds_for_every_mode(model, modes, bound):
     # the sign of G in the table reads 5e-2 on kimura64 and 1.0 on beta20;
     # Psi = 1 + 2x reads 1.5e-12 at N = 256 and 3.2e-3 at N = modes + 32
     model = kd.make_kimura(*model) if np.ndim(model[0]) == 0 else kd.CoefficientModel(*model)
-    residuals = kd.build_basis(model, modes, 512).identity_residuals
+    residuals = kd.build_basis(model, modes).identity_residuals
     assert residuals.shape == (modes,)
     assert np.max(residuals) <= bound
 
 
 def test_neutral_modes_exact_at_endpoints(neutral):
-    # 128 modes on a 512-point output grid: the solve does not depend on the
-    # grid, and the endpoint values are exact, not extrapolated
-    basis = kd.build_basis(neutral, 128, 512)
+    # 128 modes: the endpoint values are exact, not extrapolated
+    basis = kd.build_basis(neutral, 128)
     j = np.arange(128)
     assert np.max(np.abs(basis.eigenvalues / ((j + 1) * (j + 2)) - 1)) <= 1e-8
     for x, row in ((0.0, 0), (1.0, -1)):
@@ -109,7 +112,7 @@ def test_neutral_modes_exact_at_endpoints(neutral):
 def test_neutral_endpoint_values_at_roundoff(neutral, modes):
     # q_j(0) and q_j(1) come from the Gauss rule's weights through the
     # Galerkin matrices, so an inexact end-node weight shows here first
-    basis = kd.build_basis(neutral, modes, 512)
+    basis = kd.build_basis(neutral, modes)
     assert basis.quad_nodes is gauss01(2 * len(basis.coefficients) + 40)[0]
     for x, row in ((0.0, 0), (1.0, -1)):
         exact = np.array([neutral_mode_exact(k, x) for k in range(modes)])
@@ -154,7 +157,7 @@ def _polynomial_phi_reference(model, modes):
 ], ids=["quadratic_psi64", "quadratic_psi128", "psi1+2x", "psi_min_low", "psi0.05"])
 def test_modes_match_the_generalized_eigensolver(psi, pi, modes, kept, bounds):
     model = kd.CoefficientModel(psi, pi)
-    basis = kd.build_basis(model, modes, 512)
+    basis = kd.build_basis(model, modes)
     lam, ends, masses = _polynomial_phi_reference(model, modes)
     if psi == (0.05,):
         j = np.arange(modes)
@@ -170,7 +173,7 @@ def test_mode_values_are_weighted_orthonormal_for_a_varying_psi():
     # phi_j = sqrt(Psi) sum_n c_nj u_n: without the sqrt(Psi) factor the
     # Gram matrix under 1 / (Psi x (1 - x)) is off by O(1)
     model = kd.CoefficientModel((1.0, 2.0), (-1.0,))
-    basis = kd.build_basis(model, 128, 512)
+    basis = kd.build_basis(model, 128)
     x = basis.quad_nodes
     phi = basis.mode_values(x)
     gram = (phi * (basis.quad_weights * model.weight(x))[:, None]).T @ phi
@@ -188,7 +191,7 @@ def test_galerkin_size_follows_the_coefficient_tail(model, modes, n_basis):
     # the ceiling (beta = 40 reads 7e-8 at modes + 16, beta = 100 9e-4;
     # Psi-min, least 0.005 at x = 1/2, still reads 1.3e-4 at the ceiling)
     model = kd.make_kimura(*model) if np.ndim(model[0]) == 0 else kd.CoefficientModel(*model)
-    basis = kd.build_basis(model, modes, 512)
+    basis = kd.build_basis(model, modes)
     size = np.abs(basis.coefficients)
     assert len(size) == n_basis
     assert np.max(size[-8:].max(axis=0) / size.max(axis=0)) <= 1e-8 or n_basis == modes + 256
@@ -254,7 +257,7 @@ def test_leading_mode_identity(neutral_basis):
 
 
 def test_growth_constant(neutral):
-    basis = kd.build_basis(neutral, 32, 2048)
+    basis = kd.build_basis(neutral, 32)
     k_est, residuals = kd.eigenvalue_growth(basis)
     assert abs(k_est - 1.0) <= 0.1
     assert abs(residuals[-1]) < abs(residuals[0])
@@ -262,14 +265,14 @@ def test_growth_constant(neutral):
 
 
 def test_growth_needs_modes(neutral_basis):
-    small = kd.build_basis(kd.make_kimura(0, 0), 8, 512)
+    small = kd.build_basis(kd.make_kimura(0, 0), 8)
     with pytest.raises(ValueError):
         kd.eigenvalue_growth(small)
 
 
 def test_growth_matches_phase_prediction(neutral):
     # independent prediction: K = pi^2 / (total Liouville-Green phase)^2
-    basis = kd.build_basis(neutral, 32, 2048)
+    basis = kd.build_basis(neutral, 32)
     k_est, _ = kd.eigenvalue_growth(basis)
     # neutral phase integral over (0, 1) is pi
     assert abs(k_est - np.pi**2 / np.pi**2) <= 0.1
@@ -277,45 +280,52 @@ def test_growth_matches_phase_prediction(neutral):
 
 def test_bessel_comparison_decreases(neutral):
     bessel_comparison = demo_function("05_endpoint_asymptotics.py", "bessel_comparison")
-    basis = kd.build_basis(neutral, 20, 8192)
-    errs = [bessel_comparison(neutral, basis, j) for j in (4, 8, 16)]
+    basis = kd.build_basis(neutral, 20)
+    errs = [bessel_comparison(neutral, basis, j, 8192) for j in (4, 8, 16)]
     assert errs[0] > errs[1] > errs[2]
 
 
 def test_bessel_comparison_guards(neutral_basis):
     bessel_comparison = demo_function("05_endpoint_asymptotics.py", "bessel_comparison")
     with pytest.raises(ValueError):
-        bessel_comparison(kd.make_kimura(0, 0), neutral_basis, 2)
+        bessel_comparison(kd.make_kimura(0, 0), neutral_basis, 2, 2048)
     with pytest.raises(ValueError):
-        bessel_comparison(kd.make_kimura(0, 0), neutral_basis, 99)
+        bessel_comparison(kd.make_kimura(0, 0), neutral_basis, 99, 2048)
 
 
-def test_phase_values_neutral(neutral, neutral_basis):
+def test_phase_values_neutral(neutral):
     phase_values = demo_function("05_endpoint_asymptotics.py", "phase_values")
-    s_vals = phase_values(neutral, neutral_basis)
-    exact = 2 * np.arcsin(np.sqrt(neutral_basis.interior_grid))
+    s_vals = phase_values(neutral, INTERIOR)
+    exact = 2 * np.arcsin(np.sqrt(INTERIOR))
     assert np.max(np.abs(s_vals - exact)) <= 1e-10
 
 
 def test_eigenfunction_sup_bounded(neutral_basis):
-    sup = np.max(np.abs(neutral_basis.eigenfunctions), axis=0)
+    sup = np.max(np.abs(neutral_basis.mode_values(INTERIOR)), axis=0)
     assert np.max(sup) < 1.0
 
 
 def test_density_mode_sup_scaling(neutral_basis):
-    scaled = (
-        np.max(np.abs(neutral_basis.density_modes), axis=0)
-        * neutral_basis.eigenvalues**-0.75
-    )
+    scaled = neutral_basis.mode_sup * neutral_basis.eigenvalues**-0.75
     assert np.max(scaled) / np.min(scaled) < 1.2
 
 
 def test_eigenvalues_independent_of_output_grid(selection):
-    coarse = kd.build_basis(selection, 6, 1024).eigenvalues
-    fine = kd.build_basis(selection, 6, 4096).eigenvalues
-    assert np.max(np.abs(coarse / fine - 1)) <= 1e-7
+    # the basis takes no output grid: the caller's points set where the
+    # density is sampled, and nothing else; every fourth point of the fine
+    # grid is a point of the coarse one, up to an ulp
+    basis = kd.build_basis(selection, 16)
+    init = kd.InitialMeasure(density="bump(0.4, 0.2)")
+    coeffs = kd.project_initial(selection, basis, init, kd.fixation_profile(selection))
+    coarse, fine = (kd.solutions_at(selection, basis, coeffs, init, [1.0, 2.0], closed_grid(n))
+                    for n in (1024, 4099))
+    assert (np.array_equal(coarse.a, fine.a) and np.array_equal(coarse.b, fine.b)
+            and np.array_equal(coarse.trunc_error, fine.trunc_error))
+    assert np.max(np.abs(fine.grid[::4] - coarse.grid)) <= 1e-15
+    assert np.max(np.abs(fine.density[:, ::4] - coarse.density)) <= 1e-12 * np.max(
+        np.abs(coarse.density))
 
 
 def test_resolution_guards(neutral):
-    with pytest.raises(ValueError):
-        kd.build_basis(neutral, 4, 32)
+    with pytest.raises(ValueError, match="n_modes must be at least 1"):
+        kd.build_basis(neutral, 0)
