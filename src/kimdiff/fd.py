@@ -7,7 +7,7 @@ masses, so total discrete mass is conserved to roundoff by construction.
 In time it runs Crank-Nicolson twice, at steps twice and four times the
 cell width, and combines the two runs by Richardson extrapolation, which
 cancels the scheme's second-order time error and leaves the mesh's; past
-t = 512 cell widths, where the solution has smoothed (M. Luskin and R.
+t = 256 cell widths, where the solution has smoothed (M. Luskin and R.
 Rannacher, SIAM J. Numer. Anal. 19, 1982), both steps double with every
 doubling of t.  On a mesh fine enough for central differences to be
 monotone, the tridiagonal operator is similar to a symmetric one by a
@@ -33,17 +33,19 @@ _NEGATIVE_MASS_FRACTION = 1e-2
 _LOG_SCALE_FLOOR = -600.0
 # the largest mesh a too-coarse-mesh error suggests
 _MAX_SUGGESTED_CELLS = 2**18
-# fine steps per doubling of t once the fine step grows (the coarse run takes half)
-_DOUBLING_STEPS = 128
+# fine steps per doubling of t once the fine step grows (the coarse run takes half):
+# the fewest, a power of two, whose graded time error stays within the mesh's
+# error on the bench configs; at 32 fd_verify's density gap grows to 9.2e-9
+_DOUBLING_STEPS = 64
 # the most time steps the two runs may take together: about 9 s at 1024 cells;
-# a doubling of t costs 192, so only a long list of output times reaches it
+# a doubling of t costs 96, so only a long list of output times reaches it
 _MAX_STEPS = 2**20
 # steps per block of stored states; a block holds at most 512 KB of doubles
 _BLOCK_STEPS = 64
 _BLOCK_VALUES = 2**16
 
 ComparisonRow = namedtuple("ComparisonRow",
-                           ["t", "q_l1_diff", "a_diff", "b_diff", "fd_time_error"])
+                           ["t", "q_l1_diff", "a_diff", "b_diff", "fd_time_error", "fd_solves"])
 
 
 @dataclass
@@ -51,7 +53,8 @@ class FdState:
     """Snapshot of the reference solver: cell-averaged density plus the
     accumulated endpoint masses.  time_error, h sum |u_dt - u_2dt| / 3, is
     the estimated L1 time error of the fine run; the extrapolated density
-    cancels that error to leading order, so its own is far smaller."""
+    cancels that error to leading order, so its own is far smaller.  solves
+    counts the tridiagonal solves (dpttrs) both runs made up to t."""
 
     t: float
     centers: np.ndarray
@@ -59,6 +62,7 @@ class FdState:
     a: float
     b: float
     time_error: float
+    solves: int
 
     @property
     def h(self):
@@ -172,12 +176,14 @@ def evolve_fd(model, init, times, n_cells, dt=None):
     adds its trapezoidal face fluxes to a and b, through coefficients with 1/s
     folded in, and tests the rows holding a negative value in step order.
     u = w / s is formed only at output times and for those rows.  Once the
-    signed interior mass a run has left after a block, h |sum u|, is at most
-    the unit roundoff of the initial interior mass, its state is set to zero
-    and it takes no more steps: later output times get that state, with its
-    a and b unchanged.  The graded steps damp the stiffest cell modes less
-    and less, and their residue alternates in sign: h sum |u| would step it
-    to the last time.  The start-up steps, the blocks, this stop and the
+    signed interior mass a run has left after a block, h |sum u| over the
+    mean of its last two states, is at most the unit roundoff of the initial
+    interior mass, its state is set to zero and it takes no more steps: later
+    output times get that state, with its a and b unchanged.  The graded
+    steps damp the stiffest cell modes less and less, and their residue
+    alternates in sign across cells and from step to step: h sum |u| would
+    step it to the last time, and on atom data the signed sum of one state
+    can too.  The start-up steps, the blocks, this stop and the
     negative-density guard apply to each run alone; the guard reads the runs,
     not their combination.  A mesh too coarse for the drift (some
     upper[i] lower[i+1] <= 0) raises a ValueError that names cells and the
@@ -241,8 +247,9 @@ def evolve_fd(model, init, times, n_cells, dt=None):
             )
 
     def crank_nicolson(refine):
-        """One run, with refine steps per coarse step: yields u and the
-        masses absorbed at each end since t = 0, at each output time."""
+        """One run, with refine steps per coarse step: yields u, the
+        masses absorbed at each end since t = 0 and the solves made, at each
+        output time."""
         # row 0 holds the state w = s u, rows 1.. the steps of one block
         block = np.empty((max(2, min(_BLOCK_STEPS + 1, _BLOCK_VALUES // n_cells)), n_cells))
         rows = list(block)
@@ -250,6 +257,7 @@ def evolve_fd(model, init, times, n_cells, dt=None):
         np.multiply(s, u0, out=w)
         a = b = 0.0
         t = 0.0
+        solves = 0
         # the first two steps run as four damped implicit half-steps, which
         # suppresses the trapezoidal ringing that spike data would otherwise
         # excite without losing the scheme's second-order accuracy
@@ -276,6 +284,7 @@ def evolve_fd(model, init, times, n_cells, dt=None):
                         b += 0.5 * step * (b0 * w[-1] + b1 * w[-2])
                     guard(w, t + (j + 1) * step)
                 startup -= k
+                solves += 2 * k
                 # A/2 = L (D/2) L^T, so with d halved dpttrs returns 2 A^-1 w
                 # exactly, and (I + step/2 S) w = (2I - A) w gives w+ = 2 A^-1 w - w
                 d *= 0.5
@@ -295,24 +304,26 @@ def evolve_fd(model, init, times, n_cells, dt=None):
                     for j in np.flatnonzero(block[1 : m + 1].min(axis=1) < 0.0):
                         guard(rows[j + 1], t + (k + j + 1) * step)
                     k += m
-                    w[:] = rows[m]
-                    # signed, spent within mass0's unit roundoff; <=: a zero interior stops at once
-                    if h * abs(np.sum(w / s)) <= 2.0**-53 * mass0:
+                    solves += m
+                    # the mean of the last two states, signed, spent within mass0's
+                    # unit roundoff; <=: a zero interior stops at once
+                    if 0.5 * h * abs(np.sum((rows[m - 1] + rows[m]) / s)) <= 2.0**-53 * mass0:
                         w[:] = 0.0
                         decayed = True
                         break
+                    w[:] = rows[m]
             t = t_out
             if out:
-                yield w / s, a, b
+                yield w / s, a, b, solves
 
     # the runs advance one output interval at a time, the coarse one first
     states = []
-    for t, (u_2dt, da_2dt, db_2dt), (u_dt, da_dt, db_dt) in zip(
+    for t, (u_2dt, da_2dt, db_2dt, n_2dt), (u_dt, da_dt, db_dt, n_dt) in zip(
             output_times, crank_nicolson(1), crank_nicolson(2)):
         states.append(FdState(
             t=t, centers=xc, values=(4.0 * u_dt - u_2dt) / 3.0,
             a=init.a0 + (4.0 * da_dt - da_2dt) / 3.0, b=init.b0 + (4.0 * db_dt - db_2dt) / 3.0,
-            time_error=h * float(np.sum(np.abs(u_dt - u_2dt))) / 3.0,
+            time_error=h * float(np.sum(np.abs(u_dt - u_2dt))) / 3.0, solves=n_2dt + n_dt,
         ))
     return states
 
@@ -321,7 +332,8 @@ def compare_with_spectral(fd_states, spectral_solutions):
     """Per-time differences between the two solvers.
 
     The spectral density is interpolated to the cell centers; returns rows of
-    (t, L1 density gap, |a gap|, |b gap|, the FD state's time_error)."""
+    (t, L1 density gap, |a gap|, |b gap|, the FD state's time_error and
+    solves)."""
     if len(fd_states) != len(spectral_solutions):
         raise ValueError("state lists must pair up one to one")
     rows = []
@@ -333,7 +345,7 @@ def compare_with_spectral(fd_states, spectral_solutions):
         rows.append(
             ComparisonRow(
                 t=fd.t, q_l1_diff=l1, a_diff=abs(fd.a - sp.a), b_diff=abs(fd.b - sp.b),
-                fd_time_error=fd.time_error,
+                fd_time_error=fd.time_error, fd_solves=fd.solves,
             )
         )
     return rows

@@ -614,7 +614,7 @@ def test_cli_commands_load_scipy_only_where_needed(tmp_path):
     pytest.param([0.1, 1e5], 256, id="1e5"),
 ])
 def test_verify_far_output_times_exit_zero(tmp_path, times, cells):
-    # past t = 512h the FD step doubles with each doubling of t, 192 steps of
+    # past t = 256h the FD step doubles with each doubling of t, 96 steps of
     # the pair per doubling, and once the interior has decayed the runs take
     # none, so even t = 1e308 stays far inside the step budget
     path = demo_config(tmp_path, times=times, cells=cells)
@@ -642,7 +642,7 @@ def test_overtight_tolerance_exits_two(tmp_path, monkeypatch):
 def test_fd_gates_name_a_nan_gap(tmp_path, monkeypatch):
     # max(a_diff, b_diff) drops a NaN in b_diff; np.maximum keeps it
     def nan_gaps(fd_states, positive):
-        return [scenario.fd.ComparisonRow(t, np.nan, 0.0, np.nan, 0.0) for t in positive.t]
+        return [scenario.fd.ComparisonRow(t, np.nan, 0.0, np.nan, 0.0, 0) for t in positive.t]
 
     monkeypatch.setattr(scenario.fd, "compare_with_spectral", nan_gaps)
     path = demo_config(tmp_path, times=[0.1, 1.0])
@@ -797,10 +797,13 @@ def test_bench_configs_pass_both_commands(tmp_path, config):
             out = tmp_path / command
             assert main([command, "--config", str(path), "--out", str(out)]) == 0
             assert json.loads((out / verdict).read_text())["violations"] == []
-    # the Crank-Nicolson pair leaves the FD's spatial error: 1.3e-10 on the
-    # neutral data and 2.4e-6 on the bumps
+    # the Crank-Nicolson pair leaves the FD's spatial error: 6.3e-10 on the
+    # neutral data and 2.4e-6 on the bumps.  Both runs solve 82 times to
+    # t = 0.1 and 535 to t = 3 (fd_verify's last time), 487 to t = 2
     rows = json.loads((tmp_path / "verify" / "verify.json").read_text())["comparison"]
     assert max(row["q_l1_diff"] for row in rows) <= (1e-7 if config == "fd_verify" else 3e-6)
+    assert [rows[0]["fd_solves"], rows[-1]["fd_solves"]] == (
+        [82, 535] if config == "fd_verify" else [82, 487])
 
 
 def test_psi_min_model_passes_both_commands(tmp_path):

@@ -641,3 +641,24 @@ def test_spectral_moments_match_the_exact_neutral_moments(config):
     exact = exact_neutral_moments(sc.initial, sc.times)
     gap = np.abs(spectral_moments(basis, coeffs, sols) - exact)
     assert np.max(gap) <= 1e-12 * sc.initial.total_mass()
+
+
+def test_last_of_64_neutral_modes_evolves_exactly(neutral, neutral_profile):
+    # the moments above see no mode past j = 6; this density carries the last
+    # of 64, C^(3/2)_63(2x - 1) with eigenvalue 64 * 65 = 4160, at 0.9 of the
+    # constant mode's sup.  At t = 4e-3 that mode still moves the density by
+    # 5.3e-8, the truncation estimate too, so a basis that drops the last
+    # eigenpair or a projection that zeroes its coefficient fails; the
+    # density matches to 3.9e-14
+    from scipy.special import eval_gegenbauer
+
+    eps = 0.9 / eval_gegenbauer(63, 1.5, 1.0)
+    init = kd.InitialMeasure(
+        density=lambda x: 1.0 + eps * eval_gegenbauer(63, 1.5, 2.0 * np.asarray(x, float) - 1.0))
+    basis = kd.build_basis(neutral, 64)
+    coeffs = kd.project_initial(neutral, basis, init, neutral_profile)
+    t = 4e-3
+    sol = kd.solutions_at(neutral, basis, coeffs, init, [t], GRID)[0]
+    last = eps * np.exp(-4160.0 * t) * eval_gegenbauer(63, 1.5, 2.0 * GRID - 1.0)
+    exact = np.exp(-2.0 * t) + last
+    assert np.max(np.abs(sol.density - exact)) <= 1e-12

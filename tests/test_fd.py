@@ -47,7 +47,7 @@ def test_decayed_state_stops_stepping(neutral, solves):
     # are made
     init = kd.InitialMeasure(density="uniform")
     states = kd.evolve_fd(neutral, init, [1.0, 400.0], 128)
-    assert len(solves) < 1000  # the pair's schedule to t = 400 takes 1644 steps
+    assert len(solves) < 700  # the pair's schedule to t = 400 takes 918 steps
     assert [st.t for st in states] == [1.0, 400.0]
     assert np.all(states[-1].values == 0.0)
     assert states[-1].a + states[-1].b == pytest.approx(init.total_mass(), abs=1e-13)
@@ -106,7 +106,7 @@ def test_atom_deposited_with_exact_mass(neutral):
 
 
 def test_step_budget_counts_every_interval(neutral, monkeypatch):
-    # at 128 cells the pair steps by 1/64 and 1/32 until t = 4: each half-unit
+    # at 128 cells the pair steps by 1/64 and 1/32 until t = 2: each half-unit
     # interval takes 16 coarse and 32 fine steps, 96 in all; the output at t = 0
     # takes none
     times = [0.0, 0.5, 1.0]
@@ -121,26 +121,38 @@ def test_step_budget_counts_every_interval(neutral, monkeypatch):
 
 def test_graded_schedule_solve_count(solves):
     # fd_verify's times [0.1, 0.5, 1, 2, 3] at 1024 cells: the fine step 1/512
-    # doubles at t = 0.5, 1 and 2, so the coarse run takes 26 + 103 + 64 + 64 +
-    # 32 steps, the fine run twice as many, and the four start-up steps add
-    # one solve each; a uniform fine step would take 2311
+    # doubles at t = 0.25, 0.5, 1 and 2, so the coarse run takes 26 + 39 + 32 +
+    # 32 + 32 + 16 steps, the fine run twice as many, and the four start-up
+    # steps add one solve each; a uniform fine step would take 2311
     sc = load_scenario(Path(__file__).resolve().parents[1] / "bench" / "configs"
                        / "fd_verify.json")
     states = kd.evolve_fd(sc.model, sc.initial, sc.times, sc.cells)
     assert [st.t for st in states] == list(sc.times)
-    assert len(solves) == 871
+    assert len(solves) == 535
+    assert states[-1].solves == 535
 
 
 @pytest.mark.parametrize("cells, most", [(128, 1000), (1024, 1600)])
 def test_far_time_stops_on_the_signed_interior_mass(solves, selection, cells, most):
     # the graded steps leave an undamped stiff residue that h sum |u| never
-    # spends (191,335 and 191,911 solves); its signed sum stops the runs
+    # spends (95,767 and 96,055 solves); its signed sum stops the runs
     # before t = 64, so the far time takes the masses of a run to t = 64
     init = kd.InitialMeasure(density="bump(0.4, 0.2)")
     far = kd.evolve_fd(selection, init, [0.1, 1e300], cells)
     assert len(solves) <= most
     near = kd.evolve_fd(selection, init, [0.1, 64.0], cells)
     assert (far[-1].a, far[-1].b) == (near[-1].a, near[-1].b)
+
+
+@pytest.mark.parametrize("x, cells, most", [(0.3, 128, 1000), (0.05, 1024, 1600)])
+def test_far_time_stops_on_atom_data(solves, neutral, x, cells, most):
+    # the stiff residue also alternates in sign from step to step: on these
+    # atoms the signed sum of the coarse run's state stays above the roundoff
+    # of the mass up to t = 1e300 (32,311 and 32,598 solves), and the mean of
+    # its last two states stops it at t = 32
+    far = kd.evolve_fd(neutral, kd.InitialMeasure(atoms=[(x, 1.0)]), [0.1, 1e300], cells)
+    assert len(solves) <= most
+    assert np.all(far[-1].values == 0.0)
 
 
 def test_step_size_guard(neutral):
@@ -245,11 +257,18 @@ def test_under_resolved_drift_names_cells():
 
 def dense_cn_reference(model, init, n_cells, output_times):
     """Crank-Nicolson with dense matrices and numpy.linalg.solve: the same
-    operator, start-up half-steps and trapezoidal boundary fluxes as
-    evolve_fd, run at steps 2h and 4h and combined as (4 u_2h - u_4h) / 3,
-    stepped without its factorization or its step identities.  Returns the
-    combined (u, a, b) at each output time, and the fine run's density."""
+    operator, start-up half-steps, trapezoidal boundary fluxes and graded
+    stops as evolve_fd, run at steps 2h and 4h, both doubled on each
+    [T 2^j, T 2^(j+1)] with T = 2 _DOUBLING_STEPS 2h, and combined as
+    (4 u_2h - u_4h) / 3, stepped without its factorization or its step
+    identities.  Returns the combined (u, a, b) at each output time, and the
+    fine run's density."""
     xc, h, F, lower, diag, upper = fd._operator(model, n_cells)
+    ends, end = [], 4.0 * fd._DOUBLING_STEPS * h
+    while end < output_times[-1]:
+        ends.append(end)
+        end *= 2.0
+    stops = sorted(set(output_times) | set(ends))
     L = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
     eye = np.eye(n_cells)
 
@@ -263,8 +282,9 @@ def dense_cn_reference(model, init, n_cells, output_times):
         u = fd._initial_cells(init, xc, h)
         a = b = 0.0
         out, t, startup = [], 0.0, 2
-        for t_out in output_times:
-            nsteps = refine * max(1, int(np.ceil((t_out - t) / (4.0 * h) - 1e-12)))
+        for t_out in stops:
+            coarse = 4.0 * h * 2.0 ** sum(end < t_out for end in ends)
+            nsteps = refine * max(1, int(np.ceil((t_out - t) / coarse - 1e-12)))
             step = (t_out - t) / nsteps
             implicit = eye - 0.5 * step * L
             explicit = eye + 0.5 * step * L
@@ -280,7 +300,8 @@ def dense_cn_reference(model, init, n_cells, output_times):
                     a += 0.5 * step * (left_flux(u) + left_flux(unew))
                     b -= 0.5 * step * (right_flux(u) + right_flux(unew))
                     u = unew
-            out.append((u, a, b))
+            if t_out in output_times:
+                out.append((u, a, b))
             t = t_out
         return out
 
@@ -291,19 +312,24 @@ def dense_cn_reference(model, init, n_cells, output_times):
             [u1 for u1, _, _ in fine])
 
 
-def test_factored_stepper_matches_dense_reference(selection):
+def test_factored_stepper_matches_dense_reference(monkeypatch, selection):
     init = kd.InitialMeasure(a0=0.1, b0=0.05, atoms=[(0.37, 0.8)])
-    # coarse intervals of 1, 2, 5 and 67 steps of about 4h = 1/32, fine ones
-    # of twice as many: the start-up steps straddle the first two intervals
-    # of the coarse run, and the fine run's last interval spans three blocks
-    # of stored steps (64 + 64 + 6), so it checks their seams and their
-    # summed fluxes
+    # coarse intervals of 1, 2, 5 and 58 steps of about 4h = 1/32 up to the
+    # doubling at t = 2, then 5 of about 1/16, and fine ones of twice as
+    # many: the start-up steps straddle the first two intervals of the
+    # coarse run, the last interval crosses a doubling, and the fine run's
+    # 116 steps up to t = 2 span two blocks of stored steps (64 + 52), or
+    # three of 48 (48 + 48 + 20), so it checks their seams and their summed
+    # fluxes
     times = [0.013, 0.05, 0.2, 2.29]
-    states = kd.evolve_fd(selection, init, times, 128)
     reference, _ = dense_cn_reference(selection, init, 128, times)
-    for st, (u, a, b) in zip(states, reference):
-        assert np.max(np.abs(st.values - u)) <= 1e-12
-        assert abs(st.a - a) <= 1e-12 and abs(st.b - b) <= 1e-12
+    for block_steps in (64, 48):
+        monkeypatch.setattr(fd, "_BLOCK_STEPS", block_steps)
+        states = kd.evolve_fd(selection, init, times, 128)
+        for st, (u, a, b) in zip(states, reference):
+            assert np.max(np.abs(st.values - u)) <= 1e-12
+            assert abs(st.a - a) <= 1e-12 and abs(st.b - b) <= 1e-12
+    monkeypatch.undo()
     # strong selection: the symmetrizing scale factors span about e^31, so
     # the stepped state differs from u by that factor; by t = 2.29 the
     # density has decayed below the reference's roundoff, so the long
@@ -350,19 +376,21 @@ def test_pair_time_error_falls_at_least_third_order(selection):
     assert np.all(errors[:-1] > 8.0 * errors[1:])
 
 
-def test_graded_steps_keep_the_error_of_the_switch(selection):
-    # at 128 cells with dt = h/4 the fine step first doubles at t = 256 dt = 0.5;
-    # after that every doubling of t takes 128 fine steps, and the errors
-    # against the exact-in-time solution stay below those at the switch
-    init = kd.InitialMeasure(a0=0.1, density="bump(0.4, 0.2)")
+def test_graded_steps_keep_the_error_of_the_switch(selection, neutral):
+    # at 128 cells with dt = h/2 the fine step first doubles at t = 128 dt = 0.5;
+    # after that every doubling of t takes 64 fine steps, and the errors
+    # against the exact-in-time solution stay below those at the switch (on
+    # the atom 1.2e-8 in the density there, at most 4.1e-9 after it)
     n, h, times = 128, 1.0 / 128, [0.5, 1.0, 2.0, 4.0]
-    errors = []
-    for st in kd.evolve_fd(selection, init, times, n, dt=h / 4):
-        exact = expm_reference(selection, init, n, st.t)
-        errors.append([h * np.sum(np.abs(st.values - exact[:n])),
-                       abs(st.a - init.a0 - exact[n]), abs(st.b - exact[n + 1])])
-    errors = np.array(errors)
-    assert np.all(errors[1:] <= errors[0].max())
+    for model, init in [(selection, kd.InitialMeasure(a0=0.1, density="bump(0.4, 0.2)")),
+                        (neutral, kd.InitialMeasure(atoms=[(0.3, 1.0)]))]:
+        errors = []
+        for st in kd.evolve_fd(model, init, times, n, dt=h / 2):
+            exact = expm_reference(model, init, n, st.t)
+            errors.append([h * np.sum(np.abs(st.values - exact[:n])),
+                           abs(st.a - init.a0 - exact[n]), abs(st.b - exact[n + 1])])
+        errors = np.array(errors)
+        assert np.all(errors[1:] <= errors[0].max())
 
 
 @pytest.mark.parametrize("init", [
