@@ -128,14 +128,26 @@ class InitialMeasure:
                 raise ValueError(f"interior atom at {x} lies outside (0, 1)")
             if m <= 0.0:
                 raise ValueError("atom masses must be positive")
-        self._density_fn, self._breaks = density_from_spec(self.density)
+        self._density_fn, breaks = density_from_spec(self.density)
+        self._breaks = np.array(breaks)  # a copy: freezing it leaves the caller's samples writable
+        self._breaks.flags.writeable = False
         if callable(self.density) and np.min(self.density(_VALIDATION_GRID)) < 0.0:
             raise ValueError("initial density must be nonnegative")
         self._mass = self.a0 + self.b0 + float(self.integrate(np.ones_like))
         # the series and trapezoid sums need headroom below the double range
-        if not 0.0 < self._mass <= 2.0**1020:
+        if not self._mass <= 2.0**1020:
             raise ValueError(f"total initial mass must be positive and at most "
                              f"{2.0**1020:.3g}, got {self._mass:.3g}")
+        # and the gates need it far above the subnormal range: at 2^-1000 their
+        # least threshold, 1e-8 of the mass (about 2^-1027), still keeps 47 bits
+        if not self._mass >= 2.0**-1000:
+            raise ValueError(f"total initial mass must be at least {2.0**-1000:.3g}, "
+                             f"got {self._mass:.3g}")
+
+    @property
+    def breaks(self):
+        """The ends of the density's smooth panels, as density_from_spec gives them; read-only."""
+        return self._breaks
 
     def density_samples(self, x):
         if self._density_fn is None:
@@ -306,15 +318,6 @@ def limit_masses(profile, init):
     return init.a0 + float(a_inf), init.b0 + float(b_inf)
 
 
-def _trapezoid_weights(x):
-    """Weights w with w @ f == np.trapezoid(f, x) for samples f on x."""
-    dx = np.diff(x)
-    w = np.zeros_like(x)
-    w[:-1] += 0.5 * dx
-    w[1:] += 0.5 * dx
-    return w
-
-
 def conservation_residuals(init, solutions, limits, psi):
     """Defects of the two conservation laws along a Solutions record.
 
@@ -332,9 +335,9 @@ def conservation_residuals(init, solutions, limits, psi):
         raise ValueError("need solutions at two or more times")
     a_inf, b_inf = limits
     mass0 = init.total_mass()
-    w = _trapezoid_weights(solutions.grid)
-    mass = solutions.a + solutions.b + solutions.density @ w
-    psi_mass = solutions.b + solutions.density @ (w * psi)
+    q, x = solutions.density, solutions.grid
+    mass = solutions.a + solutions.b + np.trapezoid(q, x, axis=-1)
+    psi_mass = solutions.b + np.trapezoid(q * psi, x, axis=-1)
     start = solutions.t == 0.0
     mass[start] = mass0
     psi_mass[start] = b_inf

@@ -1,3 +1,6 @@
+import csv
+import io
+import json
 import runpy
 from pathlib import Path
 
@@ -68,3 +71,32 @@ def demo_function(demo, name):
     """The function called name that demos/<demo>.py defines, loaded without
     running the demo's script body."""
     return runpy.run_path(str(Path(__file__).resolve().parents[1] / "demos" / demo))[name]
+
+
+def demo_config(tmp_path, **extra):
+    """Write the neutral uniform demo scenario, with extra's keys laid over
+    it, to tmp_path/demo.json; its artifacts go to tmp_path/out."""
+    cfg = {
+        "schema": 1,
+        "name": "neutral-uniform",
+        "model": {"preset": "kimura", "eta": 0.0, "beta": 0.0},
+        "initial": {"a0": 0.0, "b0": 0.0, "density": "uniform", "atoms": []},
+        "times": [0.1, 0.5, 1.0, 2.0],
+        "modes": 24,
+        "grid": 1024,
+        "cells": 256,
+        "out": str(tmp_path / "out"),
+    }
+    cfg.update(extra)
+    path = tmp_path / "demo.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def csv_writer_bytes(header, rows):
+    """The bytes csv.writer writes for a header and rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
