@@ -13,9 +13,11 @@ import pytest
 from conftest import csv_writer_bytes, demo_config
 
 import kimdiff
-from kimdiff import cli
+from kimdiff import _csvtext, cli, evolution, scenario
+from kimdiff._quadrature import gauss01
 from kimdiff.cli import main
-from kimdiff.scenario import ConfigError
+from kimdiff.fixation import FixationProfile
+from kimdiff.scenario import ConfigError, load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,6 +34,31 @@ def _finite_json(path):
     def reject(constant):
         raise AssertionError(f"{path.name} holds {constant}")
     return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_run_scenario_demo(tmp_path):
+    assert main(["evolve", "--config", str(demo_config(tmp_path))]) == 0
+    out = tmp_path / "out"
+    for name in ("spectrum.json", "fixation.csv", "evolution.csv", "summary.json"):
+        assert (out / name).exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["a_inf"] == pytest.approx(0.5, abs=1e-9)
+    assert summary["b_inf"] == pytest.approx(0.5, abs=1e-9)
+    assert summary["violations"] == []
+    spectrum = json.loads((out / "spectrum.json").read_text())
+    assert spectrum["lambda"][0] == pytest.approx(2.0, rel=1e-6)
+    # per-time density profiles
+    assert (out / "profiles" / "q_t0.1.csv").exists()
+
+
+def test_determinism(tmp_path):
+    path, trees = demo_config(tmp_path), []
+    for root in (tmp_path / "o1", tmp_path / "o2"):
+        assert main(["evolve", "--config", str(path), "--out", str(root)]) == 0
+        trees.append({str(p.relative_to(root)): p.read_bytes()
+                      for p in root.rglob("*") if p.is_file()})
+    assert {"fixation.csv", "profiles/q_t2.csv", "summary.json"} <= trees[0].keys()
+    assert trees[0] == trees[1]
 
 
 def _malformed(number, field, extra):
@@ -107,13 +134,27 @@ def _malformed(number, field, extra):
     _malformed(52, "grid", {"grid": 32}),
     _malformed(53, "schema", {"schema": 99}),
     _malformed(54, "times", {"times": []}),
-    # Psi = 1 - 2x is negative past x = 1/2
-    _malformed(55, "model.psi/pi", {"model": {"psi": [-2.0, 1.0], "pi": [0.0]}}),
 ])
 def test_malformed_field_exits_one_and_names_it(tmp_path, capsys, field, extra):
     path = demo_config(tmp_path, **extra)
     assert main(["verify", "--config", str(path)]) == 1
     assert f"config field '{field}'" in capsys.readouterr().err
+
+
+def test_invalid_psi_exits_one(tmp_path, capsys):
+    # Psi = 1 - 2x is negative past x = 1/2
+    path = demo_config(tmp_path, model={"psi": [-2.0, 1.0], "pi": [0.0]})
+    assert main(["evolve", "--config", str(path)]) == 1
+    assert "config field 'model.psi/pi'" in capsys.readouterr().err
+
+
+def test_overlong_number_exits_one_and_names_it(tmp_path, capsys):
+    # 1e400 parses as inf; the model must not see it
+    path = tmp_path / "beta.json"
+    path.write_text(demo_config(tmp_path).read_text().replace('"beta": 0.0', '"beta": 1e400'))
+    assert main(["verify", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config field 'model.beta': expected a finite number, got inf\n")
 
 
 def _flat(value):
@@ -150,10 +191,6 @@ def _exits_one(label, config, message, fresh=False, commands=("verify",)):
                            "cells": 128, "modes": None, "grid": None},
                "below zero at cells=128; raise cells"),
     _exits_one("[1, 2]", "[1, 2]", "config field 'top level': expected an object"),
-    # 1e400 parses as inf; the model must not see it
-    _exits_one("beta1e400", '{"schema": 1, "model": {"preset": "kimura", "beta": 1e400}, '
-                            '"times": [0.1, 1]}',
-               "config field 'model.beta': expected a finite number, got inf"),
     _exits_one("config2", {"out": 5}, "config field 'out': expected a string"),
     # every scenario value is a config key: a flag for one is unknown
     _exits_one("config3", ("evolve", "--config", DEMO, "--modes", "32"),
@@ -168,8 +205,10 @@ def _exits_one(label, config, message, fresh=False, commands=("verify",)):
                f"config field 'out': cannot create directory {DEMO}: File exists"),
     # deleted subcommands: evolve writes spectrum.json and fixation.csv, demo 02
     # eigenfunctions.csv, demo 05 bessel.json and demo 06 the former plot's figures
-    _exits_one("config8", (CMD,), f"invalid choice: '{CMD}'",
-               commands=("spectrum", "fixation", "bessel-check", "plot")),
+    _exits_one("config8", ("spectrum",), "invalid choice: 'spectrum'"),
+    _exits_one("config9", ("fixation",), "invalid choice: 'fixation'"),
+    _exits_one("config10", ("bessel-check",), "invalid choice: 'bessel-check'"),
+    _exits_one("config20", ("plot", "--results", TMP), "invalid choice: 'plot'"),
     _exits_one("config11", ("verify", "--config", DEMO, "--out", f"{DEMO}/sub"),
                f"config field 'out': cannot create directory {DEMO}/sub: Not a directory"),
     # a config path that is a directory, under a file, or not text
@@ -208,15 +247,9 @@ def _exits_one(label, config, message, fresh=False, commands=("verify",)):
     _exits_one("config26", {"out": ""}, "config field 'out': expected a non-empty path"),
     _exits_one("config27", ("evolve", "--config", DEMO, "--out", ""),
                "config field 'out': expected a non-empty path"),
-    # Psi dips to 0.005: the tables resolve Xi, but Xi spans about 200, so the
-    # modes reach e^100 and rounding swamps the series at every requested time
-    _exits_one("config37", {"model": {"psi": [0.055, -0.2, 0.2], "pi": [1, 3]}},
-               "at t=0.1 exceeds 1e-06 of the initial mass: Xi ranges over [0, 199.9] on "
-               "[0, 1], and the eigenmodes grow like e^(Xi range / 2); no requested time is safe",
-               commands=("evolve", "verify")),
     # every command runs one scenario file
-    _exits_one("config28", (CMD,), "the following arguments are required: --config",
-               commands=("evolve", "verify")),
+    _exits_one("config28", ("evolve",), "the following arguments are required: --config"),
+    _exits_one("config29", ("verify",), "the following arguments are required: --config"),
     # the last artifact: spectrum.json, fixation.csv, evolution.csv and the
     # profiles are written before it, and removed again
     _exits_one("config30", ({"out/summary.json": None}, "evolve", "--config", DEMO),
@@ -229,7 +262,13 @@ def _exits_one(label, config, message, fresh=False, commands=("verify",)):
     _exits_one("config32", {"initial": _flat(1.7e308), "modes": None, "grid": None,
                             "cells": None},
                "config field 'initial': total initial mass must be positive and at most "
-               "1.12e+307, got 1.7e+308", commands=("evolve", "verify")),
+               "1.12e+307, got 1.7e+308"),
+    _exits_one("config33", ({"huge.json": json.dumps({"schema": 1, "model": {"preset": "kimura"},
+                                                      "initial": _flat(1.7e308),
+                                                      "times": [0.1, 1]})},
+                            "evolve", "--config", f"{TMP}/huge.json", "--out", f"{TMP}/out"),
+               "config field 'initial': total initial mass must be positive and at most "
+               "1.12e+307, got 1.7e+308"),
     # evolve passes this mass; the FD cell sums, about mass x cells, would
     # pass the double range and wrote Infinity into verify.json
     _exits_one("config34", {"initial": _flat(1e306), "modes": None, "grid": None,
@@ -292,11 +331,8 @@ def test_file_in_place_of_the_profiles_directory_exits_one(tmp_path, capsys):
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["profiles"]
 
 
-@pytest.mark.parametrize("command", ["evolve", "verify"])
-def test_scenario_commands_share_one_flag_set(monkeypatch, capsys, command):
-    # the parser is built once per process; what one call parsed does not
-    # leak into the next, of either command
-    other = {"evolve": "verify", "verify": "evolve"}[command]
+def _record_loads(monkeypatch):
+    """Make cli.load_scenario record its (config, out) and fail; returns the record."""
     loaded = []
 
     def record(config, out):
@@ -304,15 +340,31 @@ def test_scenario_commands_share_one_flag_set(monkeypatch, capsys, command):
         raise ConfigError("recorded")
 
     monkeypatch.setattr(cli, "load_scenario", record)
-    assert main([command, "--config", "a.json", "--out", "elsewhere"]) == 1
-    assert main([other, "--config", "b.json"]) == 1
-    assert main([command, "--config", "c.json"]) == 1
-    assert loaded == [("a.json", "elsewhere"), ("b.json", None), ("c.json", None)]
-    assert capsys.readouterr().err == "error: recorded\n" * 3
+    return loaded
+
+
+@pytest.mark.parametrize("command", ["evolve", "verify"])
+def test_scenario_commands_share_one_flag_set(monkeypatch, capsys, command):
+    loaded = _record_loads(monkeypatch)
+    assert main([command, "--config", "scenario.json", "--out", "elsewhere"]) == 1
+    assert main([command, "--config", "scenario.json"]) == 1
+    assert loaded == [("scenario.json", "elsewhere"), ("scenario.json", None)]
+    assert capsys.readouterr().err == "error: recorded\n" * 2
     options = {option for action in cli.build_parser()._actions if action.dest == "command"
                for sub in action.choices.values() for each in sub._actions
                for option in each.option_strings}
     assert options == {"-h", "--help", "--config", "--out"}
+
+
+def test_main_parses_each_call_alone(monkeypatch, capsys):
+    # the parser is built once per process; what one call parsed does not
+    # leak into the next, of either command
+    loaded = _record_loads(monkeypatch)
+    assert main(["evolve", "--config", "a.json", "--out", "elsewhere"]) == 1
+    assert main(["verify", "--config", "b.json"]) == 1
+    assert main(["evolve", "--config", "c.json"]) == 1
+    assert loaded == [("a.json", "elsewhere"), ("b.json", None), ("c.json", None)]
+    assert capsys.readouterr().err == "error: recorded\n" * 3
     assert cli.build_parser() is cli.build_parser()
 
 
@@ -352,6 +404,49 @@ def test_every_csv_artifact_has_csv_writer_bytes(tmp_path):
         assert path.read_bytes() == expected, path.name
 
 
+def _recorded(monkeypatch, owner, name, record):
+    """Wrap owner.name so that each call appends record(args, result) to the
+    list returned."""
+    seen, original = [], getattr(owner, name)
+
+    def wrapped(*args):
+        result = original(*args)
+        seen.append(record(args, result))
+        return result
+
+    monkeypatch.setattr(owner, name, wrapped)
+    return seen
+
+
+@pytest.mark.parametrize("command", ["evolve", "verify"])
+def test_commands_evaluate_only_what_they_write(tmp_path, monkeypatch, command):
+    # both commands evaluate the series once, at the scenario times; the weak
+    # form is checked at t = 0 from the coefficients.  Each evaluates the
+    # limits once and psi twice: on the initial measure's rule nodes for the
+    # limits, then on the solution grid; evolve samples psi once more, on the
+    # grid + 1 points that fixation.csv holds, and verify, which writes no
+    # fixation.csv, does not.  evolve formats the floats of all its CSV files
+    # in one call, the profiles' shared grid once; JSON floats are json's own
+    # text, and verify writes no CSV
+    grids = _recorded(monkeypatch, evolution, "solutions_at", lambda args, result: result.grid)
+    limits = _recorded(monkeypatch, evolution, "limit_masses", lambda args, result: result)
+    psi_points = _recorded(monkeypatch, FixationProfile, "__call__",
+                           lambda args, result: np.asarray(args[1]))
+    formatted = _recorded(monkeypatch, _csvtext, "repr_fields", lambda args, result: len(args[0]))
+    path = demo_config(tmp_path)
+    assert main([command, "--config", str(path)]) == 0
+    assert (len(grids), len(limits)) == (1, 1)
+    expected = [gauss01(64)[0], grids[0]]  # the uniform density's single panel, the grid
+    if command == "evolve":
+        expected.append(np.linspace(0.0, 1.0, 1025))
+    assert len(psi_points) == len(expected)
+    assert all(map(np.array_equal, psi_points, expected))
+    times = len(load_scenario(path).times)
+    # the grid, a profile per time, fixation.csv's two columns and evolution.csv's eight
+    assert formatted == ([1026 * (1 + times) + 2 * 1025 + 8 * times]
+                         if command == "evolve" else [])
+
+
 def kimura_bump_config(tmp_path, beta):
     """Kimura eta = 0 with bump(0.5, 0.3) data at the default resolution."""
     return demo_config(
@@ -374,6 +469,20 @@ def test_selection_past_roundoff_names_time_and_xi_range(tmp_path, capsys, beta,
     assert "series roundoff estimate" in err and "at t=0.1 " in err
     assert f"Xi ranges over {xi_range}" in err
     assert "the first safe requested time is t=0.5" in err
+
+
+def test_series_roundoff_exits_one_and_names_time(tmp_path, capsys):
+    # Psi dips to 0.005: the tables resolve Xi, but Xi spans about 200, so the
+    # modes reach e^100 and rounding swamps the series at every requested time
+    path = demo_config(tmp_path, model={"psi": [0.055, -0.2, 0.2], "pi": [1, 3]})
+    for command in ("evolve", "verify"):
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "series roundoff estimate" in err
+        assert ("at t=0.1 exceeds 1e-06 of the initial mass: Xi ranges over [0, 199.9] on "
+                "[0, 1], and the eigenmodes grow like e^(Xi range / 2); no requested time is "
+                "safe") in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("initial, times, safe, estimate", [
@@ -469,6 +578,33 @@ def test_verify_far_output_times_exit_zero(tmp_path, times, cells):
     assert [row["t"] for row in verdict["comparison"]] == times
 
 
+def test_overtight_tolerance_exits_two(tmp_path, monkeypatch):
+    monkeypatch.setitem(scenario.TOLERANCES, "fd_l1", 1e-12)
+    monkeypatch.setitem(scenario.TOLERANCES, "fd_ab", 1e-12)
+    assert main(["verify", "--config", str(demo_config(tmp_path))]) == 2
+    verdict = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert not verdict["pass"]
+    assert any(v.startswith("spectral vs FD density gap")
+               and v.endswith("exceeds 1.0e-12 x initial interior mass")
+               for v in verdict["violations"])
+    assert any(v.startswith("spectral vs FD boundary-mass gap")
+               and v.endswith("exceeds 1.0e-12 x initial mass") for v in verdict["violations"])
+
+
+def test_fd_gates_name_a_nan_gap(tmp_path, monkeypatch):
+    # max(a_diff, b_diff) drops a NaN in b_diff; np.maximum keeps it
+    def nan_gaps(fd_states, positive):
+        return [scenario.fd.ComparisonRow(t, np.nan, 0.0, np.nan, 0.0, 0) for t in positive.t]
+
+    monkeypatch.setattr(scenario.fd, "compare_with_spectral", nan_gaps)
+    path = demo_config(tmp_path, times=[0.1, 1.0])
+    assert main(["verify", "--config", str(path)]) == 2
+    assert json.loads((tmp_path / "out" / "verify.json").read_text())["violations"] == [
+        f"spectral vs FD {gap} nan at t={t} exceeds 1.0e-03 x initial {mass}"
+        for t in ("0.1", "1") for gap, mass in (("density gap", "interior mass"),
+                                                ("boundary-mass gap", "mass"))]
+
+
 def _run_both(path, out):
     """Run evolve and verify on a config into out, each passing with no
     violation; returns summary.json and verify.json, strictly parsed."""
@@ -521,20 +657,104 @@ def test_interior_mass_scales_the_density_gate(tmp_path, mass):
     assert verdict["comparison"][0]["q_l1_diff"] == pytest.approx(mass * 1.3267742e-6, rel=1e-6)
 
 
-@pytest.mark.parametrize("command, artifact, field", [
-    ("evolve", "summary.json", "residuals"), ("verify", "verify.json", "spectral_residuals"),
-])
+_RESIDUALS = {"evolve": ("summary.json", "residuals"),
+              "verify": ("verify.json", "spectral_residuals")}
+
+
+def _one_positive_time(tmp_path, command, artifact, field, **extra):
+    """Run command on the demo config at times 0 and 1, with extra's keys laid
+    over it, and check the initial residual that its artifact records."""
+    path = demo_config(tmp_path, times=[0.0, 1.0], **extra)
+    assert main([command, "--config", str(path)]) == 0
+    residual = json.loads((tmp_path / "out" / artifact).read_text())[field]["initial_residual"]
+    assert isinstance(residual, float) and 0.0 <= residual < 1e-11
+
+
+@pytest.mark.parametrize("command, artifact, field",
+                         [(command, *named) for command, named in _RESIDUALS.items()])
 def test_one_positive_time_writes_the_initial_residual(tmp_path, command, artifact, field):
-    # times 0 and 1: one positive time, on the demo data and on an interior
-    # atom, which the t = 0 row counts through the initial measure itself
-    for extra in ({"modes": 16, "grid": 256, "cells": 128},
-                  {"initial": {"atoms": [[0.3, 1.0]]}, "modes": None, "grid": None,
-                   "cells": None}):
-        path = demo_config(tmp_path, times=[0.0, 1.0], **extra)
-        assert main([command, "--config", str(path)]) == 0
-        residuals = json.loads((tmp_path / "out" / artifact).read_text())[field]
-        assert isinstance(residuals["initial_residual"], float)
-        assert 0.0 <= residuals["initial_residual"] < 1e-11
+    _one_positive_time(tmp_path, command, artifact, field, modes=16, grid=256, cells=128)
+
+
+@pytest.mark.parametrize("command", ["evolve", "verify"])
+def test_interior_atom_with_one_positive_time_passes(tmp_path, command):
+    # the t = 0 row counts the atom through the initial measure itself
+    _one_positive_time(tmp_path, command, *_RESIDUALS[command],
+                       initial={"atoms": [[0.3, 1.0]]}, modes=None, grid=None, cells=None)
+
+
+def _read_rows(path):
+    """The rows of a CSV artifact, each a dict of floats by column."""
+    with open(path) as fh:
+        return [{key: float(value) for key, value in row.items()} for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("density, limits, a_first", [
+    # linear between the samples: b_inf is the exact first moment 241/600
+    pytest.param({"x": [0, 0.3, 0.6, 1], "values": [0, 2, 1, 0]}, (329 / 600, 241 / 600),
+                 None, id="density0-limits0-None"),
+    # zero outside the samples, so the mass is 0.9
+    pytest.param({"x": [0.2, 0.5, 0.8], "values": [1, 2, 1]}, (0.45, 0.45), None,
+                 id="density1-limits1-None"),
+    # a narrow bump: FD Richardson from 2048 and 4096 cells gives a(0.1) = 1.66507e-3
+    pytest.param("bump(0.5,0.01)", (0.5, 0.5), 1.665073e-3,
+                 id="bump(0.5,0.01)-limits2-0.001665073"),
+    # narrower than a cell: sampled at the FD's cell centres they lost their
+    # mass, and verify exited 2 on density gaps up to 1 at t = 0.1
+    pytest.param("bump(0.5, 0.0001)", (0.5, 0.5), None, id="bump-on-a-face"),
+    pytest.param({"x": [0.5, 0.5001], "values": [1e4, 1e4]}, (0.49995, 0.50005), None,
+                 id="box-in-a-cell"),
+    pytest.param("bump(0.3, 0.0004)", (0.7, 0.3), None, id="bump-across-a-face"),
+])
+def test_initial_moments_verify_at_default_resolution(tmp_path, density, limits,
+                                                       a_first):
+    path = demo_config(tmp_path, initial={"density": density}, times=[0.1, 0.5, 1.0],
+                       modes=None, grid=None, cells=None)
+    assert main(["evolve", "--config", str(path)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert (summary["a_inf"], summary["b_inf"]) == pytest.approx(limits, abs=1e-11)
+    rows = _read_rows(tmp_path / "out" / "evolution.csv")
+    assert [row["t"] for row in rows] == [0.1, 0.5, 1.0]
+    assert all(row["a"] >= 0.0 and row["b"] >= 0.0 for row in rows)
+    if a_first is not None:
+        assert rows[0]["a"] == pytest.approx(a_first, abs=5e-10)
+    assert main(["verify", "--config", str(path)]) == 0
+
+
+def _projection_on_the_basis_rule(model, basis, init, profile):
+    """The projection before per-panel rules: for the density, the Gauss rule
+    on [0, 1] of a basis of n_modes + 32 polynomials (232 nodes at 64 modes),
+    the size every basis had then; exact mode values at the atoms."""
+    def modes(x):
+        return np.exp(-0.5 * model.xi_integral(x))[:, None] * basis.mode_values(x)
+
+    nodes, weights = gauss01(2 * (basis.n_modes + 32) + 40)
+    values = (weights * init.density_samples(nodes)) @ modes(nodes)
+    for x, mass in init.atoms:
+        values = values + mass * modes(np.array([x]))[0]
+    return evolution.SpectralCoefficients(values, evolution.limit_masses(profile, init))
+
+
+@pytest.mark.parametrize("initial", [
+    pytest.param({"density": "bump(0.5,0.01)"}, id="initial0"),
+    pytest.param({"density": {"x": [0.2, 0.5, 0.8], "values": [1, 2, 1]}}, id="initial1"),
+    pytest.param("atom_verify", id="atom_verify"),
+])
+def test_initial_term_gate_names_a_wrong_projection(tmp_path, monkeypatch, initial):
+    # the mass, moment and route gates pass these coefficients; the initial
+    # term of the weak form (1.6e-2, 3.2e-3 and 7.6e-8 of int chi_0) does not
+    if initial == "atom_verify":
+        path = ROOT / "bench" / "configs" / "atom_verify.json"
+    else:
+        path = demo_config(tmp_path, initial=initial, times=[0.1, 0.5, 1.0],
+                           modes=None, grid=None, cells=None)
+    monkeypatch.setattr(evolution, "project_initial", _projection_on_the_basis_rule)
+    out = tmp_path / "old"
+    assert main(["evolve", "--config", str(path), "--out", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["residuals"]["initial_residual"] > 1e-8
+    [violation] = summary["violations"]
+    assert violation.startswith("weak-form residual at t=0 ") and "'initial'" in violation
 
 
 @pytest.mark.parametrize("initial, extra, norm", [

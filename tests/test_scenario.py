@@ -1,18 +1,15 @@
 """The scenario module called directly: the config reader, the artifact
-writer, the gates and the runners, without the command line."""
+writer and the gates, without the command line."""
 
 import io
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import csv_writer_bytes, demo_config
 
-from kimdiff import _csvtext, evolution, scenario
-from kimdiff._quadrature import gauss01
-from kimdiff.fixation import FixationProfile
-from kimdiff.scenario import load_scenario, run_scenario, run_verify
+from kimdiff import evolution, scenario
+from kimdiff.scenario import load_scenario
 
 
 def test_csv_writer_matches_csv_module(tmp_path):
@@ -158,164 +155,3 @@ def test_gate_names_the_initial_term_above_its_limit(tmp_path):
     for residual, text in ((2e-8, "2.000e-08"), (np.nan, "nan")):
         assert gate(loaded, initial_residual=residual) == [
             f"weak-form residual at t=0 {text} exceeds 1.0e-08 x the chi_0 moment of 'initial'"]
-
-
-@pytest.mark.parametrize("density, limits, a_first", [
-    # linear between the samples: b_inf is the exact first moment 241/600
-    pytest.param({"x": [0, 0.3, 0.6, 1], "values": [0, 2, 1, 0]}, (329 / 600, 241 / 600),
-                 None, id="density0-limits0-None"),
-    # zero outside the samples, so the mass is 0.9
-    pytest.param({"x": [0.2, 0.5, 0.8], "values": [1, 2, 1]}, (0.45, 0.45), None,
-                 id="density1-limits1-None"),
-    # a narrow bump: FD Richardson from 2048 and 4096 cells gives a(0.1) = 1.66507e-3
-    pytest.param("bump(0.5,0.01)", (0.5, 0.5), 1.665073e-3,
-                 id="bump(0.5,0.01)-limits2-0.001665073"),
-    # narrower than a cell: sampled at the FD's cell centres they lost their
-    # mass, and verify exited 2 on density gaps up to 1 at t = 0.1
-    pytest.param("bump(0.5, 0.0001)", (0.5, 0.5), None, id="bump-on-a-face"),
-    pytest.param({"x": [0.5, 0.5001], "values": [1e4, 1e4]}, (0.49995, 0.50005), None,
-                 id="box-in-a-cell"),
-    pytest.param("bump(0.3, 0.0004)", (0.7, 0.3), None, id="bump-across-a-face"),
-])
-def test_initial_moments_verify_at_default_resolution(tmp_path, density, limits,
-                                                       a_first):
-    loaded = load_scenario(demo_config(tmp_path, initial={"density": density},
-                                       times=[0.1, 0.5, 1.0], modes=None, grid=None,
-                                       cells=None))
-    pieces = scenario.compute_pipeline(loaded)
-    assert pieces["coeffs"].limits == pytest.approx(limits, abs=1e-11)
-    sols = pieces["solutions"]
-    assert np.all(sols.a >= 0.0) and np.all(sols.b >= 0.0)
-    if a_first is not None:
-        assert sols.a[0] == pytest.approx(a_first, abs=5e-10)
-    assert run_verify(loaded) == 0
-
-
-def test_run_scenario_demo(tmp_path):
-    assert run_scenario(load_scenario(demo_config(tmp_path))) == 0
-    out = tmp_path / "out"
-    for name in ("spectrum.json", "fixation.csv", "evolution.csv", "summary.json"):
-        assert (out / name).exists()
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["a_inf"] == pytest.approx(0.5, abs=1e-9)
-    assert summary["b_inf"] == pytest.approx(0.5, abs=1e-9)
-    assert summary["violations"] == []
-    spectrum = json.loads((out / "spectrum.json").read_text())
-    assert spectrum["lambda"][0] == pytest.approx(2.0, rel=1e-6)
-    # per-time density profiles
-    assert (out / "profiles" / "q_t0.1.csv").exists()
-
-
-def test_determinism(tmp_path):
-    path, trees = demo_config(tmp_path), []
-    for root in (tmp_path / "o1", tmp_path / "o2"):
-        run_scenario(load_scenario(path, str(root)))
-        trees.append({str(p.relative_to(root)): p.read_bytes()
-                      for p in root.rglob("*") if p.is_file()})
-    assert {"fixation.csv", "profiles/q_t2.csv", "summary.json"} <= trees[0].keys()
-    assert trees[0] == trees[1]
-
-
-def _recorded(monkeypatch, owner, name, record):
-    """Wrap owner.name so that each call appends record(args, result) to the
-    list returned."""
-    seen, original = [], getattr(owner, name)
-
-    def wrapped(*args):
-        result = original(*args)
-        seen.append(record(args, result))
-        return result
-
-    monkeypatch.setattr(owner, name, wrapped)
-    return seen
-
-
-@pytest.mark.parametrize("command", ["evolve", "verify"])
-def test_commands_evaluate_only_what_they_write(tmp_path, monkeypatch, command):
-    # both commands evaluate the series once, at the scenario times; the weak
-    # form is checked at t = 0 from the coefficients.  Each evaluates the
-    # limits once and psi twice: on the initial measure's rule nodes for the
-    # limits, then on the solution grid; evolve samples psi once more, on the
-    # grid + 1 points that fixation.csv holds, and verify, which writes no
-    # fixation.csv, does not.  evolve formats the floats of all its CSV files
-    # in one call, the profiles' shared grid once; JSON floats are json's own
-    # text, and verify writes no CSV
-    grids = _recorded(monkeypatch, evolution, "solutions_at", lambda args, result: result.grid)
-    limits = _recorded(monkeypatch, evolution, "limit_masses", lambda args, result: result)
-    psi_points = _recorded(monkeypatch, FixationProfile, "__call__",
-                           lambda args, result: np.asarray(args[1]))
-    formatted = _recorded(monkeypatch, _csvtext, "repr_fields", lambda args, result: len(args[0]))
-    loaded = load_scenario(demo_config(tmp_path))
-    assert (run_scenario if command == "evolve" else run_verify)(loaded) == 0
-    assert (len(grids), len(limits)) == (1, 1)
-    expected = [gauss01(64)[0], grids[0]]  # the uniform density's single panel, the grid
-    if command == "evolve":
-        expected.append(np.linspace(0.0, 1.0, 1025))
-    assert len(psi_points) == len(expected)
-    assert all(map(np.array_equal, psi_points, expected))
-    times = len(loaded.times)
-    # the grid, a profile per time, fixation.csv's two columns and evolution.csv's eight
-    assert formatted == ([1026 * (1 + times) + 2 * 1025 + 8 * times]
-                         if command == "evolve" else [])
-
-
-def test_overtight_tolerance_exits_two(tmp_path, monkeypatch):
-    monkeypatch.setitem(scenario.TOLERANCES, "fd_l1", 1e-12)
-    monkeypatch.setitem(scenario.TOLERANCES, "fd_ab", 1e-12)
-    assert run_verify(load_scenario(demo_config(tmp_path))) == 2
-    verdict = json.loads((tmp_path / "out" / "verify.json").read_text())
-    assert not verdict["pass"]
-    assert any(v.startswith("spectral vs FD density gap")
-               and v.endswith("exceeds 1.0e-12 x initial interior mass")
-               for v in verdict["violations"])
-    assert any(v.startswith("spectral vs FD boundary-mass gap")
-               and v.endswith("exceeds 1.0e-12 x initial mass") for v in verdict["violations"])
-
-
-def test_fd_gates_name_a_nan_gap(tmp_path, monkeypatch):
-    # max(a_diff, b_diff) drops a NaN in b_diff; np.maximum keeps it
-    def nan_gaps(fd_states, positive):
-        return [scenario.fd.ComparisonRow(t, np.nan, 0.0, np.nan, 0.0, 0) for t in positive.t]
-
-    monkeypatch.setattr(scenario.fd, "compare_with_spectral", nan_gaps)
-    assert run_verify(load_scenario(demo_config(tmp_path, times=[0.1, 1.0]))) == 2
-    assert json.loads((tmp_path / "out" / "verify.json").read_text())["violations"] == [
-        f"spectral vs FD {gap} nan at t={t} exceeds 1.0e-03 x initial {mass}"
-        for t in ("0.1", "1") for gap, mass in (("density gap", "interior mass"),
-                                                ("boundary-mass gap", "mass"))]
-
-
-def _projection_on_the_basis_rule(model, basis, init, profile):
-    """The projection before per-panel rules: for the density, the Gauss rule
-    on [0, 1] of a basis of n_modes + 32 polynomials (232 nodes at 64 modes),
-    the size every basis had then; exact mode values at the atoms."""
-    def modes(x):
-        return np.exp(-0.5 * model.xi_integral(x))[:, None] * basis.mode_values(x)
-
-    nodes, weights = gauss01(2 * (basis.n_modes + 32) + 40)
-    values = (weights * init.density_samples(nodes)) @ modes(nodes)
-    for x, mass in init.atoms:
-        values = values + mass * modes(np.array([x]))[0]
-    return evolution.SpectralCoefficients(values, evolution.limit_masses(profile, init))
-
-
-@pytest.mark.parametrize("initial", [
-    pytest.param({"density": "bump(0.5,0.01)"}, id="initial0"),
-    pytest.param({"density": {"x": [0.2, 0.5, 0.8], "values": [1, 2, 1]}}, id="initial1"),
-    pytest.param("atom_verify", id="atom_verify"),
-])
-def test_initial_term_gate_names_a_wrong_projection(tmp_path, monkeypatch, initial):
-    # the mass, moment and route gates pass these coefficients; the initial
-    # term of the weak form (1.6e-2, 3.2e-3 and 7.6e-8 of int chi_0) does not
-    if initial == "atom_verify":
-        path = Path(__file__).resolve().parents[1] / "bench" / "configs" / "atom_verify.json"
-    else:
-        path = demo_config(tmp_path, initial=initial, times=[0.1, 0.5, 1.0],
-                           modes=None, grid=None, cells=None)
-    monkeypatch.setattr(evolution, "project_initial", _projection_on_the_basis_rule)
-    out = tmp_path / "old"
-    assert run_scenario(load_scenario(path, str(out))) == 2
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["residuals"]["initial_residual"] > 1e-8
-    [violation] = summary["violations"]
-    assert violation.startswith("weak-form residual at t=0 ") and "'initial'" in violation
