@@ -16,12 +16,12 @@ profile = kd.fixation_profile(model)
 basis = kd.build_basis(model, 32)
 x = np.linspace(0.0, 1.0, 2050)  # the solution grid, as at a scenario's default resolution
 init = kd.InitialMeasure(density="uniform")
-coeffs = kd.project_initial(model, basis, init, profile)
+coeffs = kd.project_initial(basis, init, profile)
 limits = kd.limit_masses(profile, init)
 print(f"final masses: extinction {limits[0]:.3f}, fixation {limits[1]:.3f}")
 
 times = [0.1, 0.5, 1.0, 2.0, 3.0]
-sols = kd.solutions_at(model, basis, coeffs, init, times, x)  # one row per time
+sols = kd.solutions_at(basis, coeffs, init, times, x)  # one row per time
 psi = profile(x)  # the fixation probability on the solution grid
 report = kd.conservation_residuals(init, sols, limits, psi)
 l1 = sols.density_l1()
@@ -37,7 +37,7 @@ print(f"\nmass drift {report.mass_drift:.2e}, fixation-moment drift "
 # leaves the series masses by mass - psi_mass - a_inf and psi_mass - b_inf
 print(f"series route vs conservation route: max gap {report.route_gap:.2e}")
 
-decay_sols = kd.solutions_at(model, basis, coeffs, init, np.linspace(0.5, 1.5, 11), x)
+decay_sols = kd.solutions_at(basis, coeffs, init, np.linspace(0.5, 1.5, 11), x)
 diag = kd.decay_diagnostics(basis, coeffs, decay_sols)
 print(f"decay slope of log||q||_1: {diag.slope:.6f} (spectral gap: "
       f"-{basis.eigenvalues[0]:.6f})")
@@ -47,8 +47,8 @@ print(f"limit constant: exp(2t)||q||_1 -> {diag.c_inf:.6f}")
 # are anchored at the exact limits, so the total mass stays at its initial
 # value at every positive time
 atom = kd.InitialMeasure(atoms=[(0.25, 1.0)])
-atom_coeffs = kd.project_initial(model, basis, atom, profile)
-atom_sols = kd.solutions_at(model, basis, atom_coeffs, atom, times, x)
+atom_coeffs = kd.project_initial(basis, atom, profile)
+atom_sols = kd.solutions_at(basis, atom_coeffs, atom, times, x)
 atom_report = kd.conservation_residuals(atom, atom_sols, atom_coeffs.limits, psi)
 print(f"\npoint mass at 0.25: mass drift {atom_report.mass_drift:.2e} against the "
       f"initial mass 1, constancy span {atom_report.mass_span:.2e}")

@@ -17,10 +17,10 @@ profile = kd.fixation_profile(model)
 basis = kd.build_basis(model, 128)
 x = np.linspace(0.0, 1.0, 2050)  # compare_with_spectral interpolates these to the FD cells
 init = kd.InitialMeasure(density="bump(0.4, 0.2)")
-coeffs = kd.project_initial(model, basis, init, profile)
+coeffs = kd.project_initial(basis, init, profile)
 
 times = [0.1, 0.5, 1.0]
-spectral = kd.solutions_at(model, basis, coeffs, init, times, x)
+spectral = kd.solutions_at(basis, coeffs, init, times, x)
 fd_states = kd.evolve_fd(model, init, times, 1024)
 
 print("spectral vs finite-difference (1024 cells):")
@@ -33,7 +33,7 @@ drift = max(abs(st.total_mass() - mass0) for st in fd_states)
 print(f"\nFD discrete mass drift: {drift:.2e} (conservative by construction)")
 
 print("\nmesh refinement study at t=0.5:")
-ref = kd.solutions_at(model, basis, coeffs, init, [0.5], x)
+ref = kd.solutions_at(basis, coeffs, init, [0.5], x)
 prev = None
 for cells in (128, 256, 512, 1024):
     states = kd.evolve_fd(model, init, [0.5], cells)

@@ -34,7 +34,7 @@ def phase_values(model, x):
     return table_values(table, np.arcsin(np.sqrt(x)) * (2.0 / np.pi))
 
 
-def bessel_comparison(model, basis, j, n_grid):
+def bessel_comparison(basis, j, n_grid):
     """Sup distance on (0, 1/2] between eigenfunction j and its turning-point
     comparison function built from the Bessel function of order one, over
     the interior grid x_i = i / (n_grid + 1), i = 1..n_grid.
@@ -51,8 +51,8 @@ def bessel_comparison(model, basis, j, n_grid):
         raise ValueError(f"mode {j} not in basis ({basis.n_modes} modes)")
     h = 1.0 / (n_grid + 1)
     x = np.arange(1, n_grid + 1) * h
-    w = model.weight(x)
-    s_vals = phase_values(model, x)
+    w = basis.model.weight(x)
+    s_vals = phase_values(basis.model, x)
     z = np.sqrt(basis.eigenvalues[j]) * s_vals
     comp = s_vals * j1(z) / np.sqrt(2.0 * s_vals * np.sqrt(w))
     comp /= np.sqrt(h * np.sum(comp**2 * w))
@@ -69,7 +69,7 @@ if __name__ == "__main__":
 
     print("sup |phi_j - bessel comparison| on (0, 1/2]:")
     for j in (4, 6, 8, 12, 16, 20):
-        err = bessel_comparison(model, basis, j, 8192)
+        err = bessel_comparison(basis, j, 8192)
         print(f"  j={j:2d}: {err:.4e}   (1/sqrt(lambda_j) = {basis.eigenvalues[j]**-0.5:.4e})")
 
     print("\nthe error tracks the 1/sqrt(lambda) envelope of the asymptotic theory")
@@ -83,7 +83,7 @@ if __name__ == "__main__":
 
     # the comparison on the default resolution of a scenario (64 modes, grid 2048)
     basis = kd.build_basis(model, 64)
-    comparison = [{"mode": j, "sup_error": bessel_comparison(model, basis, j, 2048)}
+    comparison = [{"mode": j, "sup_error": bessel_comparison(basis, j, 2048)}
                   for j in (4, 8, 16)]
     payload = {"comparison": comparison,
                "decreasing": all(a["sup_error"] > b["sup_error"]

@@ -7,12 +7,13 @@ boundary masses are obtained two independent ways (term-wise time integration
 of the boundary flux, and the conservation-law route through the fixation
 probability), which cross-validate each other.
 
-There is one evaluation path: solutions_at evaluates the series for an array
-of times at the caller's points and returns one Solutions record, a density
-row and a mass pair per time.  Every diagnostic over time (conservation and
-the route gap, decay, distance to the limit) reads that record's arrays.  The
-paper's weak form is checked without one: it holds at every t > 0 exactly
-when each mode satisfies its identity, which build_basis tabulates as
+A SpectralBasis carries its model.  There is one evaluation path:
+solutions_at evaluates the series for an array of times at the caller's
+points and returns one Solutions record, a density row and a mass pair per
+time.  Every diagnostic over time (conservation and the route gap, decay,
+distance to the limit) reads that record's arrays.  The paper's weak form is
+checked without one: it holds at every t > 0 exactly when each mode
+satisfies its identity, which build_basis tabulates as
 SpectralBasis.identity_residuals, and initial_residual checks its t = 0 term.
 """
 
@@ -107,7 +108,7 @@ class InitialMeasure:
     "bump(center,width)"), or a pair of sample arrays (x, values).
     atoms is a sequence of (location, mass) pairs with locations strictly
     inside (0, 1).  Every moment of the measure goes through integrate, and
-    the total mass is taken once, at construction.  A callable density is
+    its masses are taken once, at construction.  A callable density is
     probed for negative values on 4097 points; presets are nonnegative by
     construction and samples are checked directly.
     """
@@ -133,7 +134,8 @@ class InitialMeasure:
         self._breaks.flags.writeable = False
         if callable(self.density) and np.min(self.density(_VALIDATION_GRID)) < 0.0:
             raise ValueError("initial density must be nonnegative")
-        self._mass = self.a0 + self.b0 + float(self.integrate(np.ones_like))
+        self._interior = float(self.integrate(np.ones_like))
+        self._mass = self.a0 + self.b0 + self._interior
         # the series and trapezoid sums need headroom below the double range
         if not self._mass <= 2.0**1020:
             raise ValueError(f"total initial mass must be positive and at most "
@@ -175,6 +177,9 @@ class InitialMeasure:
 
     def total_mass(self):
         return self._mass
+
+    def interior_mass(self):
+        return self._interior
 
 
 @dataclass
@@ -220,22 +225,19 @@ class Solutions:
         return np.trapezoid(np.abs(self.density), self.grid, axis=-1)
 
 
-def project_initial(model, basis, init, profile):
-    """Coefficients of the initial measure in the eigenbasis, with its limit
-    masses from the fixation profile.
+def project_initial(basis, init, profile):
+    """Coefficients of the initial measure in the basis's eigenmodes, with its
+    limit masses from the fixation profile.
 
     The weighted pairing reduces to a plain integral of the backward-form
-    modes u_j = e^(-Xi/2) phi_j against the measure: SpectralBasis.pairings
-    takes the measure's moments of the basis polynomials u_n e^(-Xi/2) on
-    the basis's Gauss rule and maps them to the modes, building no mode
-    table.  phi_j is a polynomial vanishing at the endpoints, so interior
-    point masses contribute exact point values and endpoint masses none.
+    modes e^(-Xi/2) phi_j against the measure (SpectralBasis.pairings).  phi_j
+    is a polynomial vanishing at the endpoints, so interior point masses
+    contribute exact point values and endpoint masses none.
     """
-    vals = basis.pairings(init, lambda x: x * (1.0 - x) * np.exp(-0.5 * model.xi_integral(x)))
-    return SpectralCoefficients(values=vals, limits=limit_masses(profile, init))
+    return SpectralCoefficients(values=basis.pairings(init), limits=limit_masses(profile, init))
 
 
-def solutions_at(model, basis, coeffs, init, times, x):
+def solutions_at(basis, coeffs, init, times, x):
     """The Solutions record at the given times and points x in [0, 1]: one density
     row, boundary-mass pair and truncation estimate per time, evaluated together.
 
@@ -274,7 +276,7 @@ def solutions_at(model, basis, coeffs, init, times, x):
         later = (f"the first safe requested time is t={safe.min():g}" if safe.size
                  else "no requested time is safe")
         if roundoff[first] > bound:
-            xi = model.xi_integral(x)  # the range takes Xi(0) = 0 in as well
+            xi = basis.model.xi_integral(x)  # the range takes Xi(0) = 0 in as well
             raise ValueError(
                 f"series roundoff estimate {roundoff[first]:.2e} at t={times[first]:g} "
                 f"exceeds {_SERIES_TOL:g} of the initial mass: Xi ranges over "
@@ -286,10 +288,10 @@ def solutions_at(model, basis, coeffs, init, times, x):
             f"exceeds {_SERIES_TOL:g} of the initial mass: raise modes "
             f"(modes={basis.n_modes}); {later}"
         )
-    q = basis.density_values(model, decayed, x)
+    q = basis.density_values(decayed, x)
     tail = decayed / basis.eigenvalues
-    a = coeffs.limits[0] - model.psi_at(0.0) * (tail @ basis.endpoint_values[0])
-    b = coeffs.limits[1] - model.psi_at(1.0) * (tail @ basis.endpoint_values[1])
+    a = coeffs.limits[0] - basis.model.psi_at(0.0) * (tail @ basis.endpoint_values[0])
+    b = coeffs.limits[1] - basis.model.psi_at(1.0) * (tail @ basis.endpoint_values[1])
     start = times == 0.0
     q[start] = init.density_samples(x)
     trunc[start] = 0.0
@@ -297,13 +299,13 @@ def solutions_at(model, basis, coeffs, init, times, x):
     return Solutions(times, x, q, a, b, trunc)
 
 
-def initial_residual(model, basis, coeffs, init):
+def initial_residual(basis, coeffs, init):
     """Defect of the weak form at t = 0: max_k |sum_j c_j <chi_k, q_j> - int chi_k dmu0|
     for chi_k = x (1 - x) P_k(2x - 1) e^(-Xi/2), k = 0..3, relative to int chi_0 dmu0
     (0 without interior mass).  The chi_k vanish at both ends; the moments take
     InitialMeasure.integrate's default rule, not the projection's."""
     moments = init.integrate(lambda x: legvander(2.0 * x - 1.0, 3) * (
-        x * (1.0 - x) * np.exp(-0.5 * model.xi_integral(x)))[:, None])
+        x * (1.0 - x) * np.exp(-0.5 * basis.model.xi_integral(x)))[:, None])
     defect = np.max(np.abs(basis.initial_pairings @ coeffs.values - moments))
     return float(defect / moments[0]) if defect else 0.0
 

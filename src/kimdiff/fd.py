@@ -246,7 +246,7 @@ def evolve_fd(model, init, times, n_cells, dt=None):
             f"take {3.0 * counts.sum():.4g} finite-difference steps from dt={dt:.4g} and "
             f"{2.0 * dt:.4g} up at cells={n_cells}, more than {_MAX_STEPS}"
         )
-    mass = float(init.integrate(np.ones_like))  # u sums to about mass x cells, and block
+    mass = init.interior_mass()  # u sums to about mass x cells, and block
     if mass * n_cells > 2.0**1014:  # sums of up to 130 rows of u need 2^-10 headroom
         raise ValueError(f"initial: interior mass {mass:.3g} passes {2.0**1014 / n_cells:.3g}, "
                          f"the most the finite-difference sums hold at cells={n_cells}")

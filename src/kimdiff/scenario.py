@@ -268,16 +268,16 @@ def compute_pipeline(scenario):
     model, init = scenario.model, scenario.initial
     profile = fixation_profile(model)
     basis = build_basis(model, scenario.modes)
-    coeffs = evolution.project_initial(model, basis, init, profile)
+    coeffs = evolution.project_initial(basis, init, profile)
     n = scenario.grid  # the profiles' closed grid, i / (n + 1) for i = 0..n + 1
     x = np.concatenate(([0.0], np.arange(1, n + 1) * (1.0 / (n + 1)), [1.0]))
-    sols = evolution.solutions_at(model, basis, coeffs, init, scenario.times, x)
+    sols = evolution.solutions_at(basis, coeffs, init, scenario.times, x)
     psi = profile(x)
     return {
         "profile": profile,
         "basis": basis,
         "coeffs": coeffs,
-        "initial_residual": evolution.initial_residual(model, basis, coeffs, init),
+        "initial_residual": evolution.initial_residual(basis, coeffs, init),
         "solutions": sols,
         "positive": sols[sols.t > 0],
         "report": evolution.conservation_residuals(init, sols, coeffs.limits, psi),
@@ -358,7 +358,7 @@ def run_scenario(scenario):
     exit 1.
     """
     pieces = compute_pipeline(scenario)
-    model, basis, coeffs = scenario.model, pieces["basis"], pieces["coeffs"]
+    basis, coeffs = pieces["basis"], pieces["coeffs"]
     sols, positive = pieces["solutions"], pieces["positive"]
     decay = evolution.decay_diagnostics(basis, coeffs, positive) if len(positive) > 1 else None
 
@@ -420,7 +420,7 @@ def run_verify(scenario):
     fd_states = fd.evolve_fd(scenario.model, scenario.initial, positive.t, scenario.cells)
     comparison = fd.compare_with_spectral(fd_states, positive)
     mass0 = scenario.initial.total_mass()
-    interior0 = float(scenario.initial.integrate(np.ones_like))
+    interior0 = scenario.initial.interior_mass()
     fd_drift = max(abs(st.total_mass() - mass0) for st in fd_states)
 
     violations = []

@@ -10,10 +10,10 @@ Each u_n vanishes at both endpoints and u_n / (x (1 - x)) is again a
 polynomial, so the density modes take exact endpoint values, and their
 masses and point values are exact up to the truncation, which converges
 spectrally.  What e^(Xi/2) still costs is roundoff: the modes grow like
-e^(Xi range / 2), which evolution.solutions_at gates.  The basis holds no
-output grid: callers sample it at their own points, and only this module
-knows the factor sqrt(Psi).  The Gauss rule is _quadrature.gauss01 and the
-eigenproblem goes to numpy.linalg.eigh, so importing loads no scipy.
+e^(Xi range / 2), which evolution.solutions_at gates.  The basis holds its
+model and no output grid: callers sample it at their own points, and only
+this module applies sqrt(Psi) and e^(+-Xi/2) between modes and densities.
+Rules come from _quadrature.gauss01 and eigh from numpy, so no scipy loads.
 """
 
 from dataclasses import dataclass
@@ -33,7 +33,7 @@ class SpectralBasis:
         u_n, phi_j = e^(Xi/2) u_j orthonormal under 1 / (Psi x (1 - x)) and
         signed so the slope at 0 is positive; N = m + 16, 32, ..., 256 from
         the coefficient tail (build_basis).
-    psi_coeffs: Psi's polynomial coefficients, for sqrt(Psi) at any points.
+    model: the CoefficientModel solved, for sqrt(Psi) and e^(Xi/2) at any points.
     quad_nodes, quad_weights: the rule gauss01(2N + 40) on [0, 1] that
         assembled the Galerkin matrices; mode masses reuse it, and projections
         map it onto the initial density's panels (InitialMeasure.integrate).
@@ -47,7 +47,7 @@ class SpectralBasis:
 
     eigenvalues: np.ndarray
     coefficients: np.ndarray
-    psi_coeffs: tuple
+    model: object
     quad_nodes: np.ndarray
     quad_weights: np.ndarray
     density_modes: np.ndarray
@@ -69,19 +69,17 @@ class SpectralBasis:
         """max |q_j| over the Gauss nodes and both endpoints."""
         return np.abs(self.density_modes).max(axis=0)
 
-    def density_values(self, model, weights, x):
+    def density_values(self, weights, x):
         """sum_j weights[r, j] q_j(x) at points x in [0, 1], one row per row of
         the (rows, m) weights."""
         x = np.asarray(x, float)
-        return self.series_values(weights, x, _density_scale(model, x))
+        return self.series_values(weights, x, _density_scale(self.model, x))
 
     def mode_values(self, x):
         """Modes phi_j = e^(Xi/2) u_j at points x in [0, 1], shape (len(x), m)."""
         x = np.atleast_1d(np.asarray(x, float))
-        return self.series_values(np.eye(self.n_modes), x, x * (1.0 - x) * self._root_psi(x)).T
-
-    def _root_psi(self, x):
-        return np.sqrt(P.polyval(x, self.psi_coeffs))
+        scale = x * (1.0 - x) * np.sqrt(self.model.psi_at(x))
+        return self.series_values(np.eye(self.n_modes), x, scale).T
 
     def series_values(self, weights, x, scale):
         """sum_j weights[r, j] phi_j(x) / (sqrt(Psi) x (1 - x)) at points x, times
@@ -92,14 +90,14 @@ class SpectralBasis:
         folded = (weights @ self.coefficients.T) * _quotient_factors(n_basis)
         return folded @ _legendre_slopes(2.0 * x - 1.0, n_basis + 1)[1:-1] * scale
 
-    def pairings(self, measure, scale):
-        """int phi_j / (x (1 - x)) scale dmeasure for each mode j: measure.integrate
-        takes the N basis moments of f_n P'_{n+1}(2x - 1) sqrt(Psi(x)) scale(x)
-        from one slope table on the basis's rule."""
+    def pairings(self, measure):
+        """int e^(-Xi/2) phi_j dmeasure for each mode j, from the N moments of
+        e^(-Xi/2) sqrt(Psi) u_n that one measure.integrate takes on the basis's rule."""
         n_basis = len(self.coefficients)
         moments = measure.integrate(
             lambda x: (_legendre_slopes(2.0 * x - 1.0, n_basis + 1)[1:-1]
-                       * (scale(x) * self._root_psi(x))).T,
+                       * (x * (1.0 - x) * np.exp(-0.5 * self.model.xi_integral(x))
+                          * np.sqrt(self.model.psi_at(x)))).T,
             rule=(self.quad_nodes, self.quad_weights))
         return self.coefficients.T @ (_quotient_factors(n_basis) * moments)
 
@@ -188,7 +186,7 @@ def build_basis(model, n_modes):
     return SpectralBasis(
         eigenvalues=lam,
         coefficients=coef,
-        psi_coeffs=model.psi_coeffs,
+        model=model,
         quad_nodes=xq,
         quad_weights=wq,
         density_modes=table,

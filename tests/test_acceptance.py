@@ -31,9 +31,9 @@ def neutral_profile_big(neutral):
 
 
 @pytest.fixture(scope="module")
-def uniform_run(neutral, neutral_big, neutral_profile_big):
+def uniform_run(neutral_big, neutral_profile_big):
     init = kd.InitialMeasure(density="uniform")
-    coeffs = kd.project_initial(neutral, neutral_big, init, neutral_profile_big)
+    coeffs = kd.project_initial(neutral_big, init, neutral_profile_big)
     return init, coeffs
 
 
@@ -69,28 +69,28 @@ def test_fixation_probability(neutral):
     )
 
 
-def test_conservation_laws(neutral, selection, neutral_big, neutral_profile_big):
+def test_conservation_laws(selection, neutral_big, neutral_profile_big):
     times = (0.1, 0.5, 1.0, 2.0)
     results = []
 
-    def run(model, basis, profile, init, x):
-        coeffs = kd.project_initial(model, basis, init, profile)
-        sols = kd.solutions_at(model, basis, coeffs, init, times, x)
+    def run(basis, profile, init, x):
+        coeffs = kd.project_initial(basis, init, profile)
+        sols = kd.solutions_at(basis, coeffs, init, times, x)
         return kd.conservation_residuals(init, sols, coeffs.limits, profile(x))
 
     uniform = kd.InitialMeasure(density="uniform")
-    rep = run(neutral, neutral_big, neutral_profile_big, uniform, BIG_GRID)
+    rep = run(neutral_big, neutral_profile_big, uniform, BIG_GRID)
     results.append(("neutral/uniform", max(rep.mass_drift, rep.psi_mass_drift)))
 
     # interior point mass: the conserved quantities must stay constant in time
     atom = kd.InitialMeasure(atoms=[(0.25, 1.0)])
-    rep_atom = run(neutral, neutral_big, neutral_profile_big, atom, BIG_GRID)
+    rep_atom = run(neutral_big, neutral_profile_big, atom, BIG_GRID)
     results.append(("neutral/interior-atom", max(rep_atom.mass_span, rep_atom.psi_mass_span)))
 
     sel_basis = kd.build_basis(selection, 128)
     sel_profile = kd.fixation_profile(selection)
     bump = kd.InitialMeasure(density="bump(0.4, 0.2)")
-    rep_sel = run(selection, sel_basis, sel_profile, bump, GRID)
+    rep_sel = run(sel_basis, sel_profile, bump, GRID)
     results.append(("selection/bump", max(rep_sel.mass_drift, rep_sel.psi_mass_drift)))
 
     worst = max(v for _, v in results)
@@ -98,34 +98,32 @@ def test_conservation_laws(neutral, selection, neutral_big, neutral_profile_big)
     report("conservation-laws", worst <= 1e-5, detail + " (tol 1e-5 x mass)")
 
 
-def test_boundary_mass_routes(neutral, selection, neutral_big, neutral_profile_big,
-                              uniform_run):
+def test_boundary_mass_routes(selection, neutral_big, neutral_profile_big, uniform_run):
     times = (0.1, 0.5, 1.0, 2.0)
     init_u, coeffs_u = uniform_run
     psi_big = neutral_profile_big(BIG_GRID)
     disc_u = max(
         conservation_route(sol, coeffs_u.limits, psi_big)[2]
-        for sol in kd.solutions_at(neutral, neutral_big, coeffs_u, init_u, times, BIG_GRID)
+        for sol in kd.solutions_at(neutral_big, coeffs_u, init_u, times, BIG_GRID)
     )
     sel_basis = kd.build_basis(selection, 128)
     sel_profile = kd.fixation_profile(selection)
     bump = kd.InitialMeasure(density="bump(0.4, 0.2)")
-    coeffs_b = kd.project_initial(selection, sel_basis, bump, sel_profile)
+    coeffs_b = kd.project_initial(sel_basis, bump, sel_profile)
     sel_psi = sel_profile(GRID)
     disc_b = max(
         conservation_route(sol, coeffs_b.limits, sel_psi)[2]
-        for sol in kd.solutions_at(selection, sel_basis, coeffs_b, bump, times, GRID)
+        for sol in kd.solutions_at(sel_basis, coeffs_b, bump, times, GRID)
     )
 
     # point-mass data: conservation-route masses reach the exact limits
     # (1 - psi(x0), psi(x0)) at t = 6/lambda_0
     x0 = 0.01
     atom = kd.InitialMeasure(atoms=[(x0, 1.0)])
-    coeffs_a = kd.project_initial(neutral, neutral_big, atom, neutral_profile_big)
+    coeffs_a = kd.project_initial(neutral_big, atom, neutral_profile_big)
     a_inf, b_inf = kd.limit_masses(neutral_profile_big, atom)
     t_star = 6.0 / neutral_big.eigenvalues[0]
-    sol_star, sol_lim = kd.solutions_at(neutral, neutral_big, coeffs_a, atom,
-                                        [t_star, np.inf], BIG_GRID)
+    sol_star, sol_lim = kd.solutions_at(neutral_big, coeffs_a, atom, [t_star, np.inf], BIG_GRID)
     a2, b2, _ = conservation_route(sol_star, (a_inf, b_inf), psi_big)
     psi_x0 = float(neutral_profile_big(x0))
     gap = max(abs(a2 - (1 - psi_x0)), abs(b2 - psi_x0))
@@ -150,15 +148,15 @@ def test_boundary_mass_routes(neutral, selection, neutral_big, neutral_profile_b
 def test_spectral_vs_fd(neutral, selection, neutral_big, uniform_run):
     times = [0.1, 1.0]
     init_u, coeffs_u = uniform_run
-    sols_u = kd.solutions_at(neutral, neutral_big, coeffs_u, init_u, times, BIG_GRID)
+    sols_u = kd.solutions_at(neutral_big, coeffs_u, init_u, times, BIG_GRID)
     fd_u = kd.evolve_fd(neutral, init_u, times, 1024)
     rows_u = kd.compare_with_spectral(fd_u, sols_u)
 
     sel_basis = kd.build_basis(selection, 128)
     sel_profile = kd.fixation_profile(selection)
     bump = kd.InitialMeasure(density="bump(0.4, 0.2)")
-    coeffs_b = kd.project_initial(selection, sel_basis, bump, sel_profile)
-    sols_b = kd.solutions_at(selection, sel_basis, coeffs_b, bump, times, GRID)
+    coeffs_b = kd.project_initial(sel_basis, bump, sel_profile)
+    sols_b = kd.solutions_at(sel_basis, coeffs_b, bump, times, GRID)
     fd_b = kd.evolve_fd(selection, bump, times, 1024)
     rows_b = kd.compare_with_spectral(fd_b, sols_b)
 
@@ -169,7 +167,7 @@ def test_spectral_vs_fd(neutral, selection, neutral_big, uniform_run):
     gaps = []
     for cells in (128, 256, 512):
         states = kd.evolve_fd(selection, bump, [0.5], cells)
-        ref = kd.solutions_at(selection, sel_basis, coeffs_b, bump, [0.5], GRID)
+        ref = kd.solutions_at(sel_basis, coeffs_b, bump, [0.5], GRID)
         gaps.append(kd.compare_with_spectral(states, ref)[0].q_l1_diff)
     ratios = [gaps[0] / gaps[1], gaps[1] / gaps[2]]
     order_ok = all(2.5 < r < 6.0 for r in ratios)
@@ -182,25 +180,23 @@ def test_spectral_vs_fd(neutral, selection, neutral_big, uniform_run):
     )
 
 
-def test_exponential_convergence(neutral, neutral_big, neutral_profile_big,
-                                 uniform_run):
+def test_exponential_convergence(neutral_big, neutral_profile_big, uniform_run):
     init, coeffs = uniform_run
     diag = kd.decay_diagnostics(
         neutral_big, coeffs,
-        kd.solutions_at(neutral, neutral_big, coeffs, init, np.linspace(0.5, 1.5, 11), BIG_GRID),
+        kd.solutions_at(neutral_big, coeffs, init, np.linspace(0.5, 1.5, 11), BIG_GRID),
     )
     slope_ok = abs(diag.slope + 2.0) <= 0.01 * 2.0
 
     diag3 = kd.decay_diagnostics(
-        neutral_big, coeffs, kd.solutions_at(neutral, neutral_big, coeffs, init, [3.0], BIG_GRID)
+        neutral_big, coeffs, kd.solutions_at(neutral_big, coeffs, init, [3.0], BIG_GRID)
     )
     c_inf = diag3.c_inf
     scaled_gap = abs(diag3.scaled_l1[0] / c_inf - 1.0)
 
     limits = kd.limit_masses(neutral_profile_big, init)
     radon_gap = 0.0
-    for sol in kd.solutions_at(neutral, neutral_big, coeffs, init,
-                               (0.1, 0.5, 1.0, 2.0, 3.0), BIG_GRID):
+    for sol in kd.solutions_at(neutral_big, coeffs, init, (0.1, 0.5, 1.0, 2.0, 3.0), BIG_GRID):
         rho = kd.radon_distance_to_limit(init, sol, limits)
         radon_gap = max(radon_gap, abs(rho - 2.0 * sol.density_l1()))
 
@@ -239,7 +235,7 @@ def test_asymptotic_estimates(neutral):
 def test_bessel_comparison(neutral):
     bessel_comparison = demo_function("05_endpoint_asymptotics.py", "bessel_comparison")
     basis = kd.build_basis(neutral, 20)
-    errs = [bessel_comparison(neutral, basis, j, 8192) for j in (4, 8, 16)]
+    errs = [bessel_comparison(basis, j, 8192) for j in (4, 8, 16)]
     report(
         "bessel-comparison",
         errs[0] > errs[1] > errs[2],
@@ -247,13 +243,13 @@ def test_bessel_comparison(neutral):
     )
 
 
-def test_weak_form_residual(neutral, selection, neutral_big, uniform_run):
+def test_weak_form_residual(selection, neutral_big, uniform_run):
     # the weak form holds at every t > 0 exactly when each mode satisfies its
     # identity, and at t = 0 when the projection reproduces the data's moments
     init, coeffs = uniform_run
     ident = {"neutral": float(np.max(neutral_big.identity_residuals)),
              "selection": float(np.max(kd.build_basis(selection, 64).identity_residuals))}
-    initial = kd.evolution.initial_residual(neutral, neutral_big, coeffs, init)
+    initial = kd.evolution.initial_residual(neutral_big, coeffs, init)
     report(
         "weak-form-residual",
         max(ident.values()) <= 1e-10 and initial <= 1e-10,
@@ -262,19 +258,18 @@ def test_weak_form_residual(neutral, selection, neutral_big, uniform_run):
     )
 
 
-def test_degenerate_inputs(neutral, neutral_big, neutral_profile_big):
+def test_degenerate_inputs(neutral_big, neutral_profile_big):
     # boundary atoms only: exactly constant solution
     init = kd.InitialMeasure(a0=0.3, b0=0.7)
-    coeffs = kd.project_initial(neutral, neutral_big, init, neutral_profile_big)
+    coeffs = kd.project_initial(neutral_big, init, neutral_profile_big)
     exact = True
-    for sol in kd.solutions_at(neutral, neutral_big, coeffs, init, (0.1, 1.0, 5.0), BIG_GRID):
+    for sol in kd.solutions_at(neutral_big, coeffs, init, (0.1, 1.0, 5.0), BIG_GRID):
         exact = exact and np.all(sol.density == 0.0) and sol.a == 0.3 and sol.b == 0.7
 
     # data with no leading-mode content decays at the second eigenvalue
     odd = kd.SpectralCoefficients(np.zeros(neutral_big.n_modes), limits=(0.0, 0.0))
     odd.values[1] = 1.0
-    odd_sols = kd.solutions_at(neutral, neutral_big, odd, init, np.linspace(0.4, 1.2, 9),
-                               BIG_GRID)
+    odd_sols = kd.solutions_at(neutral_big, odd, init, np.linspace(0.4, 1.2, 9), BIG_GRID)
     diag = kd.decay_diagnostics(neutral_big, odd, odd_sols)
     lam1 = neutral_big.eigenvalues[1]
     slope_gap = abs(diag.slope + lam1) / lam1

@@ -721,12 +721,12 @@ def test_initial_moments_verify_at_default_resolution(tmp_path, density, limits,
     assert main(["verify", "--config", str(path)]) == 0
 
 
-def _projection_on_the_basis_rule(model, basis, init, profile):
+def _projection_on_the_basis_rule(basis, init, profile):
     """The projection before per-panel rules: for the density, the Gauss rule
     on [0, 1] of a basis of n_modes + 32 polynomials (232 nodes at 64 modes),
     the size every basis had then; exact mode values at the atoms."""
     def modes(x):
-        return np.exp(-0.5 * model.xi_integral(x))[:, None] * basis.mode_values(x)
+        return np.exp(-0.5 * basis.model.xi_integral(x))[:, None] * basis.mode_values(x)
 
     nodes, weights = gauss01(2 * (basis.n_modes + 32) + 40)
     values = (weights * init.density_samples(nodes)) @ modes(nodes)

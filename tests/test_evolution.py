@@ -17,10 +17,10 @@ SQ6 = np.sqrt(6.0)
 
 
 @pytest.fixture(scope="module")
-def uniform_setup(neutral, neutral_basis, neutral_profile):
+def uniform_setup(neutral_basis, neutral_profile):
     """Neutral model with uniform density: exactly the leading mode."""
     init = kd.InitialMeasure(density="uniform")
-    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
+    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
     return init, coeffs
 
 
@@ -112,7 +112,7 @@ def sampled_density(draw):
 
 @settings(derandomize=True, deadline=None)
 @given(sampled_density())
-def test_sampled_density_moments_are_exact(neutral, neutral_profile, density):
+def test_sampled_density_moments_are_exact(neutral_profile, density):
     # linear between samples and zero outside: the mass is the samples'
     # trapezoid, b_inf (psi = x) the exact first moment, and the limits add up
     x, v = density
@@ -127,6 +127,38 @@ def test_sampled_density_moments_are_exact(neutral, neutral_profile, density):
     assert a_inf + b_inf == pytest.approx(init.total_mass(), rel=1e-13, abs=1e-13)
 
 
+def _kimura_bump_run(eta, beta, center, width, a0, b0):
+    """The Kimura (eta, beta) solution from endpoint masses and a bump, at
+    64 modes, at t = 0.1, 0.5 and 1, on the 257 points k / 256."""
+    model = kd.make_kimura(eta, beta)
+    basis = kd.build_basis(model, 64)
+    init = kd.InitialMeasure(a0=a0, b0=b0, density=f"bump({center!r},{width!r})")
+    coeffs = kd.project_initial(basis, init, kd.fixation_profile(model))
+    return init, kd.solutions_at(basis, coeffs, init, [0.1, 0.5, 1.0], np.arange(257) / 256.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(st.floats(-10.0, 10.0), st.floats(-20.0, 20.0), st.floats(0.1, 0.9),
+       st.floats(0.2, 0.95), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_reflection_swaps_the_endpoints(eta, beta, center, fraction, a0, b0):
+    # x <-> 1 - x maps Pi = eta x + beta to eta x - eta - beta, and the data
+    # likewise, so a(t) and b(t) swap and the density mirrors; the points
+    # k / 256 mirror exactly.  The Galerkin problem is symmetric too (P_n's
+    # parity, the mirrored Gauss rule), so every gap is roundoff.  Largest
+    # gaps over 1500 random draws and the corners of the ranges: 1.1e-10 of
+    # the mass in a and b, 2.2e-9 of the largest density (eta = -10,
+    # beta = -20, a bump at 0.9: Xi spans 25); beta = 20 on bump(0.5, 0.3)
+    # reads 6.4e-13 and 6.5e-12
+    width = fraction * min(center, 1.0 - center)
+    init, sols = _kimura_bump_run(eta, beta, center, width, a0, b0)
+    _, mirror = _kimura_bump_run(eta, -eta - beta, 1.0 - center, width, b0, a0)
+    mass = init.total_mass()
+    assert np.max(np.abs(sols.a - mirror.b)) <= 1e-9 * mass
+    assert np.max(np.abs(sols.b - mirror.a)) <= 1e-9 * mass
+    density = np.max(np.abs(sols.density))
+    assert np.max(np.abs(sols.density - mirror.density[:, ::-1])) <= 2e-8 * density
+
+
 @pytest.mark.parametrize("samples", [65, 2049])
 def test_sampled_projection_matches_twelve_nodes_per_panel(selection, samples):
     # random values on uniform samples; reference: 12 Gauss nodes on every
@@ -136,7 +168,7 @@ def test_sampled_projection_matches_twelve_nodes_per_panel(selection, samples):
     profile = kd.fixation_profile(selection)
     xs = np.linspace(0.0, 1.0, samples)
     vs = np.random.default_rng(7).uniform(0.0, 1.0, samples)
-    coeffs = kd.project_initial(selection, basis, kd.InitialMeasure(density=(xs, vs)), profile)
+    coeffs = kd.project_initial(basis, kd.InitialMeasure(density=(xs, vs)), profile)
     t, w = gauss01(12)
     x = (xs[:-1, None] + np.diff(xs)[:, None] * t).ravel()
     weights = (np.diff(xs)[:, None] * w).ravel() * np.interp(x, xs, vs)
@@ -155,7 +187,7 @@ def test_projection_by_basis_moments_matches_the_mode_table(config):
     model, init = loaded.model, loaded.initial
     assert init.density == "bump(0.4, 0.2)"
     basis = kd.build_basis(model, loaded.modes)
-    coeffs = kd.project_initial(model, basis, init, kd.fixation_profile(model))
+    coeffs = kd.project_initial(basis, init, kd.fixation_profile(model))
 
     def modes(x):
         return np.exp(-0.5 * model.xi_integral(x))[:, None] * basis.mode_values(x)
@@ -168,18 +200,18 @@ def test_projection_by_basis_moments_matches_the_mode_table(config):
     assert np.max(np.abs(coeffs.values - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
-def test_initial_residual_reads_the_initial_term(neutral, neutral_basis, neutral_profile):
+def test_initial_residual_reads_the_initial_term(neutral_basis, neutral_profile):
     # the 64-node rule leaves about 2e-12 of a bump; scaling every coefficient
     # by 1 + 1e-6 scales each paired sum, and endpoint masses drop out
     init = kd.InitialMeasure(a0=0.2, b0=0.3, density="bump(0.4, 0.25)")
-    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
-    assert evolution.initial_residual(neutral, neutral_basis, coeffs, init) <= 1e-11
+    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
+    assert evolution.initial_residual(neutral_basis, coeffs, init) <= 1e-11
     perturbed = kd.SpectralCoefficients(coeffs.values * (1.0 + 1e-6), coeffs.limits)
-    residual = evolution.initial_residual(neutral, neutral_basis, perturbed, init)
+    residual = evolution.initial_residual(neutral_basis, perturbed, init)
     assert residual == pytest.approx(1e-6, rel=1e-3)
     endpoints_only = kd.InitialMeasure(a0=0.3, b0=0.7)
-    coeffs = kd.project_initial(neutral, neutral_basis, endpoints_only, neutral_profile)
-    assert evolution.initial_residual(neutral, neutral_basis, coeffs, endpoints_only) == 0.0
+    coeffs = kd.project_initial(neutral_basis, endpoints_only, neutral_profile)
+    assert evolution.initial_residual(neutral_basis, coeffs, endpoints_only) == 0.0
 
 
 def test_initial_residual_for_a_varying_psi():
@@ -188,29 +220,29 @@ def test_initial_residual_for_a_varying_psi():
     model = kd.CoefficientModel((1.0, 2.0), (-1.0,))
     basis = kd.build_basis(model, 64)
     init = kd.InitialMeasure(a0=0.2, b0=0.3, density="bump(0.4, 0.25)", atoms=[(0.7, 0.2)])
-    coeffs = kd.project_initial(model, basis, init, kd.fixation_profile(model))
-    assert evolution.initial_residual(model, basis, coeffs, init) <= 1e-10
+    coeffs = kd.project_initial(basis, init, kd.fixation_profile(model))
+    assert evolution.initial_residual(basis, coeffs, init) <= 1e-10
 
 
-def test_projection_of_leading_mode_is_unit_vector(neutral, neutral_basis, neutral_profile):
+def test_projection_of_leading_mode_is_unit_vector(neutral_basis, neutral_profile):
     # initial density equal to the leading density mode transforms to the
     # leading eigenfunction, so the coefficients are (c, 0, 0, ...)
-    q0 = neutral_basis.density_values(neutral, np.eye(neutral_basis.n_modes)[:1], GRID)[0]
+    q0 = neutral_basis.density_values(np.eye(neutral_basis.n_modes)[:1], GRID)[0]
     init = kd.InitialMeasure(density=(GRID, q0))
-    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
+    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
     assert coeffs.values[0] == pytest.approx(1.0, abs=1e-6)
     assert np.max(np.abs(coeffs.values[1:])) <= 1e-6
 
 
-def test_projection_boundary_atoms_only(neutral, neutral_basis, neutral_profile):
+def test_projection_boundary_atoms_only(neutral_basis, neutral_profile):
     init = kd.InitialMeasure(a0=0.3, b0=0.7)
-    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
+    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
     assert np.all(coeffs.values == 0.0)
 
 
-def test_projection_center_atom_kills_odd_modes(neutral, neutral_basis, neutral_profile):
+def test_projection_center_atom_kills_odd_modes(neutral_basis, neutral_profile):
     init = kd.InitialMeasure(atoms=[(0.5, 1.0)])
-    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
+    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
     phi_mid = coeffs.values
     assert np.max(np.abs(phi_mid[1::2])) <= 1e-9
     assert np.min(np.abs(phi_mid[0::2])) > 1e-3
@@ -224,7 +256,7 @@ def test_projection_atom_near_endpoint_is_exact(neutral, neutral_profile):
     init = kd.InitialMeasure(atoms=[(x0, 1.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        coeffs = kd.project_initial(neutral, basis, init, neutral_profile)
+        coeffs = kd.project_initial(basis, init, neutral_profile)
     exact = np.array([x0 * (1 - x0) * neutral_mode_exact(j, x0) for j in range(16)])
     assert np.max(np.abs(coeffs.values - exact)) <= 1e-8 * np.max(np.abs(exact))
 
@@ -236,35 +268,33 @@ def test_uniform_data_is_single_mode(uniform_setup):
     assert np.max(np.abs(coeffs.values[1:])) <= 1e-8
 
 
-def test_series_single_mode_decay(neutral, neutral_basis, uniform_setup):
+def test_series_single_mode_decay(neutral_basis, uniform_setup):
     init, coeffs = uniform_setup
-    s1, s2, s3, s6 = kd.solutions_at(
-        neutral, neutral_basis, coeffs, init, [1.0, 2.0, 3.0, 6.0], GRID
-    )
+    s1, s2, s3, s6 = kd.solutions_at(neutral_basis, coeffs, init, [1.0, 2.0, 3.0, 6.0], GRID)
     assert np.allclose(s2.density, s1.density * np.exp(-2.0), atol=1e-12)
     sup = [np.max(np.abs(s.density)) for s in (s1, s3, s6)]
     assert sup[0] > sup[1] > sup[2]
     assert sup[2] <= 1e-5
 
 
-def test_series_at_zero_returns_raw_density(neutral, neutral_basis, uniform_setup):
+def test_series_at_zero_returns_raw_density(neutral_basis, uniform_setup):
     init, coeffs = uniform_setup
-    sol = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.0], GRID)[0]
+    sol = kd.solutions_at(neutral_basis, coeffs, init, [0.0], GRID)[0]
     assert np.all(sol.density == 1.0)
     assert sol.trunc_error == 0.0
 
 
-def test_single_mode_l1_norm(neutral, neutral_basis, uniform_setup):
+def test_single_mode_l1_norm(neutral_basis, uniform_setup):
     init, coeffs = uniform_setup
-    sol = kd.solutions_at(neutral, neutral_basis, coeffs, init, [1.0], GRID)[0]
+    sol = kd.solutions_at(neutral_basis, coeffs, init, [1.0], GRID)[0]
     expected = neutral_basis.mode_masses[0] * coeffs.values[0] * np.exp(-2.0)
     assert sol.density_l1() == pytest.approx(expected, rel=1e-9)
 
 
-def test_series_masses_at_zero_and_monotone(neutral, neutral_basis, uniform_setup):
+def test_series_masses_at_zero_and_monotone(neutral_basis, uniform_setup):
     init, coeffs = uniform_setup
     times = [0.0, 0.2, 0.5, 1.0, 2.0, 4.0]
-    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, times, GRID)
+    sols = kd.solutions_at(neutral_basis, coeffs, init, times, GRID)
     assert (sols[0].a, sols[0].b) == (0.0, 0.0)
     a_vals = [s.a for s in sols]
     b_vals = [s.b for s in sols]
@@ -272,16 +302,16 @@ def test_series_masses_at_zero_and_monotone(neutral, neutral_basis, uniform_setu
     assert np.all(np.diff(b_vals) > 0)
 
 
-def test_series_masses_uniform_exact(neutral, neutral_basis, uniform_setup):
+def test_series_masses_uniform_exact(neutral_basis, uniform_setup):
     init, coeffs = uniform_setup
-    sol = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.5], GRID)[0]
+    sol = kd.solutions_at(neutral_basis, coeffs, init, [0.5], GRID)[0]
     a, b = sol.a, sol.b
     exact = SQ6 * (1 - np.exp(-1.0)) / 2 * (SQ6 / 6)
     assert a == pytest.approx(exact, rel=1e-7)
     assert b == pytest.approx(exact, rel=1e-7)
 
 
-def test_limit_masses_examples(neutral, neutral_profile):
+def test_limit_masses_examples(neutral_profile):
     uniform = kd.InitialMeasure(density="uniform")
     assert kd.limit_masses(neutral_profile, uniform) == pytest.approx(
         (0.5, 0.5), abs=1e-12
@@ -294,18 +324,18 @@ def test_limit_masses_examples(neutral, neutral_profile):
     assert kd.limit_masses(neutral_profile, left) == (1.0, 0.0)
 
 
-def test_series_route_reaches_limits(neutral, neutral_basis, neutral_profile, uniform_setup):
+def test_series_route_reaches_limits(neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
-    far = kd.solutions_at(neutral, neutral_basis, coeffs, init, [np.inf], GRID)[0]
+    far = kd.solutions_at(neutral_basis, coeffs, init, [np.inf], GRID)[0]
     a_t, b_t = far.a, far.b
     a_inf, b_inf = kd.limit_masses(neutral_profile, init)
     assert a_t == pytest.approx(a_inf, abs=1e-7)
     assert b_t == pytest.approx(b_inf, abs=1e-7)
 
 
-def test_mass_cross_check_single_mode(neutral, neutral_basis, neutral_profile, uniform_setup):
+def test_mass_cross_check_single_mode(neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
-    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.0, 1.0], GRID)
+    sols = kd.solutions_at(neutral_basis, coeffs, init, [0.0, 1.0], GRID)
     psi = neutral_profile(sols.grid)
     a2, b2, disc = conservation_route(sols[1], coeffs.limits, psi)
     assert disc <= 1e-6
@@ -314,25 +344,25 @@ def test_mass_cross_check_single_mode(neutral, neutral_basis, neutral_profile, u
     assert rep.route_gap == pytest.approx(disc, abs=1e-14)
 
 
-def test_mass_cross_check_early_time_limit(neutral, neutral_basis, neutral_profile, uniform_setup):
+def test_mass_cross_check_early_time_limit(neutral_basis, neutral_profile, uniform_setup):
     # as t -> 0+ the conservation route returns the initial endpoint masses
     # (up to the genuinely absorbed flux, which is proportional to t)
     init, coeffs = uniform_setup
     gaps = []
     times = (1e-4, 1e-5, 1e-6)
-    for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, times, GRID):
+    for sol in kd.solutions_at(neutral_basis, coeffs, init, times, GRID):
         a2, b2, _ = conservation_route(sol, coeffs.limits, neutral_profile(sol.grid))
         gaps.append(max(abs(a2 - init.a0), abs(b2 - init.b0)))
         assert gaps[-1] <= 3 * sol.t
     assert gaps[0] > gaps[1] > gaps[2]
 
 
-def test_series_route_atom_limit_is_exact(neutral, neutral_basis, neutral_profile):
+def test_series_route_atom_limit_is_exact(neutral_basis, neutral_profile):
     # for a point mass the coefficients do not decay, yet the series route is
     # anchored at the limits, so no truncation tail survives at t = inf
     init = kd.InitialMeasure(atoms=[(0.25, 1.0)])
-    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
-    far = kd.solutions_at(neutral, neutral_basis, coeffs, init, [np.inf], GRID)[0]
+    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
+    far = kd.solutions_at(neutral_basis, coeffs, init, [np.inf], GRID)[0]
     a_lim, b_lim = far.a, far.b
     a_inf, b_inf = kd.limit_masses(neutral_profile, init)
     assert a_inf == pytest.approx(0.75, abs=1e-9)
@@ -340,20 +370,20 @@ def test_series_route_atom_limit_is_exact(neutral, neutral_basis, neutral_profil
     assert b_lim == pytest.approx(b_inf, abs=1e-12)
 
 
-def test_cross_check_approaches_limit(neutral, neutral_basis, neutral_profile, uniform_setup):
+def test_cross_check_approaches_limit(neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
     a_inf, _ = kd.limit_masses(neutral_profile, init)
     gaps = [
         abs(conservation_route(sol, coeffs.limits, neutral_profile(sol.grid))[0] - a_inf)
-        for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, (1.0, 3.0, 6.0), GRID)
+        for sol in kd.solutions_at(neutral_basis, coeffs, init, (1.0, 3.0, 6.0), GRID)
     ]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] <= 1e-5
 
 
-def test_conservation_single_mode(neutral, neutral_basis, neutral_profile, uniform_setup):
+def test_conservation_single_mode(neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
-    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.1, 0.5, 1.0, 2.0), GRID)
+    sols = kd.solutions_at(neutral_basis, coeffs, init, (0.1, 0.5, 1.0, 2.0), GRID)
     rep = kd.conservation_residuals(
         init, sols, coeffs.limits, neutral_profile(GRID)
     )
@@ -361,10 +391,10 @@ def test_conservation_single_mode(neutral, neutral_basis, neutral_profile, unifo
     assert rep.psi_mass_drift <= 1e-6
 
 
-def test_conservation_boundary_atoms_exact(neutral, neutral_basis, neutral_profile):
+def test_conservation_boundary_atoms_exact(neutral_basis, neutral_profile):
     init = kd.InitialMeasure(a0=0.4, b0=0.6)
-    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
-    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.5, 1.0), GRID)
+    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
+    sols = kd.solutions_at(neutral_basis, coeffs, init, (0.5, 1.0), GRID)
     rep = kd.conservation_residuals(
         init, sols, coeffs.limits, neutral_profile(GRID)
     )
@@ -372,16 +402,16 @@ def test_conservation_boundary_atoms_exact(neutral, neutral_basis, neutral_profi
     assert rep.psi_mass_drift == 0.0
 
 
-def test_conservation_interior_atom_constancy(neutral, neutral_basis, neutral_profile):
+def test_conservation_interior_atom_constancy(neutral_basis, neutral_profile):
     # point-mass data: the conserved quantities stay constant in time and
     # equal their initial values, because the boundary masses are anchored at
     # the exact limits and each mode satisfies the flux identity; the t = 0
     # density row has no atom slot, so that row reports the initial measure's
     # own total mass and fixation moment
     init = kd.InitialMeasure(atoms=[(0.25, 1.0)])
-    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
+    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
     times = (0.0, 0.1, 0.5, 1.0, 2.0)
-    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, times, GRID)
+    sols = kd.solutions_at(neutral_basis, coeffs, init, times, GRID)
     rep = kd.conservation_residuals(
         init, sols, coeffs.limits, neutral_profile(GRID)
     )
@@ -399,8 +429,8 @@ def test_route_gap_matches_trapezoid_route(selection):
     basis = kd.build_basis(selection, 24)
     x = closed_grid(1024)
     init = kd.InitialMeasure(a0=0.1, density="bump(0.4, 0.25)", atoms=[(0.7, 0.3)])
-    coeffs = kd.project_initial(selection, basis, init, profile)
-    sols = kd.solutions_at(selection, basis, coeffs, init, (0.0, 0.5, 1.0, 2.0), x)
+    coeffs = kd.project_initial(basis, init, profile)
+    sols = kd.solutions_at(basis, coeffs, init, (0.0, 0.5, 1.0, 2.0), x)
     psi = profile(x)
     expected = max(conservation_route(sol, coeffs.limits, psi)[2] for sol in sols[1:])
     rep = kd.conservation_residuals(init, sols, coeffs.limits, psi)
@@ -421,23 +451,23 @@ def test_ds_norm_values(neutral_basis):
     )
 
 
-def test_decay_single_mode(neutral, neutral_basis, uniform_setup):
+def test_decay_single_mode(neutral_basis, uniform_setup):
     init, coeffs = uniform_setup
     times = np.linspace(0.5, 1.5, 11)
-    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, times, GRID)
+    sols = kd.solutions_at(neutral_basis, coeffs, init, times, GRID)
     diag = kd.decay_diagnostics(neutral_basis, coeffs, sols)
     assert diag.slope == pytest.approx(-2.0, rel=1e-6)
     assert diag.c_inf == pytest.approx(1.0, abs=1e-9)
     assert np.max(np.abs(diag.scaled_l1 - diag.c_inf)) <= 1e-9
 
 
-def test_times_past_the_double_range_evaluate_silently(neutral, neutral_basis, uniform_setup):
+def test_times_past_the_double_range_evaluate_silently(neutral_basis, uniform_setup):
     # lambda_0 t overflows at t = 1e308: every term is 0, the masses are at
     # their limits, and the rescaled norm is 0 where the norm underflowed
     init, coeffs = uniform_setup
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.1, 1e308], GRID)
+        sols = kd.solutions_at(neutral_basis, coeffs, init, [0.1, 1e308], GRID)
         diag = kd.decay_diagnostics(neutral_basis, coeffs, sols)
     assert sols.density_l1()[-1] == 0.0
     assert (sols.a[-1], sols.b[-1]) == pytest.approx((0.5, 0.5), abs=1e-12)
@@ -445,38 +475,38 @@ def test_times_past_the_double_range_evaluate_silently(neutral, neutral_basis, u
     assert diag.scaled_l1[0] == pytest.approx(diag.c_inf, abs=1e-9)
 
 
-def test_decay_degenerate_leading_mode(neutral, neutral_basis):
+def test_decay_degenerate_leading_mode(neutral_basis):
     # antisymmetric data has no leading-mode content; decay follows the
     # second eigenvalue
     coeffs = kd.SpectralCoefficients(np.zeros(neutral_basis.n_modes), limits=(0.0, 0.0))
     coeffs.values[1] = 1.0
     # a unit initial mass sets the scale of the truncation check
     sols = kd.solutions_at(
-        neutral, neutral_basis, coeffs, kd.InitialMeasure(a0=1.0), np.linspace(0.4, 1.0, 7), GRID
+        neutral_basis, coeffs, kd.InitialMeasure(a0=1.0), np.linspace(0.4, 1.0, 7), GRID
     )
     diag = kd.decay_diagnostics(neutral_basis, coeffs, sols)
     assert diag.slope == pytest.approx(-6.0, rel=0.02)
     assert diag.c_inf == 0.0
 
 
-def test_radon_distance_identity(neutral, neutral_basis, neutral_profile, uniform_setup):
+def test_radon_distance_identity(neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
     limits = kd.limit_masses(neutral_profile, init)
-    for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.1, 0.5, 1.0, 2.0), GRID):
+    for sol in kd.solutions_at(neutral_basis, coeffs, init, (0.1, 0.5, 1.0, 2.0), GRID):
         rho = kd.radon_distance_to_limit(init, sol, limits)
         assert rho == pytest.approx(2 * sol.density_l1(), abs=1e-6)
-    far = kd.solutions_at(neutral, neutral_basis, coeffs, init, [20.0], GRID)[0]
+    far = kd.solutions_at(neutral_basis, coeffs, init, [20.0], GRID)[0]
     assert kd.radon_distance_to_limit(init, far, limits) <= 1e-8
 
 
-def test_radon_smoothness_bound(neutral, neutral_basis, neutral_profile, uniform_setup):
+def test_radon_smoothness_bound(neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
     limits = kd.limit_masses(neutral_profile, init)
     c0, tail = kd.radon_bound_constant(neutral_basis)
     assert 0.0 < tail < c0
     w_norm = kd.ds_norm(coeffs, neutral_basis)
     lam0 = neutral_basis.eigenvalues[0]
-    for sol in kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.5, 1.0, 2.0), GRID):
+    for sol in kd.solutions_at(neutral_basis, coeffs, init, (0.5, 1.0, 2.0), GRID):
         rho = kd.radon_distance_to_limit(init, sol, limits)
         assert rho <= 2 * (c0 + tail) * w_norm * np.exp(-lam0 * sol.t) * (1 + 1e-9)
 
@@ -512,35 +542,34 @@ def windowed_weak_form(model, sols, psi):
 def test_weak_form_single_mode(neutral, neutral_basis, neutral_profile, uniform_setup):
     init, coeffs = uniform_setup
     times = np.linspace(0.1, 2.0, 129)
-    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, times, GRID)
+    sols = kd.solutions_at(neutral_basis, coeffs, init, times, GRID)
     res = windowed_weak_form(neutral, sols, neutral_profile(GRID))
     assert set(res) == {"one", "fixation", "x(1-x)", "x^2(1-x)"}
     for name, val in res.items():
         assert val <= 1e-5, name
 
 
-def test_truncation_at_early_time_raises_naming_modes(neutral, neutral_basis,
-                                                     neutral_profile):
+def test_truncation_at_early_time_raises_naming_modes(neutral_basis, neutral_profile):
     # off-center atom: its coefficients do not decay with the mode index
     init = kd.InitialMeasure(atoms=[(0.3, 1.0)])
-    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
+    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
     with pytest.raises(ValueError, match=r"series truncation estimate .* at t=0\.0001 "
                        r".*: raise modes \(modes=16\); no requested time is safe"):
-        kd.solutions_at(neutral, neutral_basis, coeffs, init, [1e-4], GRID)
+        kd.solutions_at(neutral_basis, coeffs, init, [1e-4], GRID)
 
 
 def test_solutions_at_matches_per_time_series(neutral, neutral_basis, neutral_profile):
     init = kd.InitialMeasure(a0=0.1, b0=0.2, density="bump(0.4, 0.25)")
     times = [0.0, 0.05, 0.3, 1.0, 4.0]
     # 16 modes leave a tail of about 1e-5 at t = 0.05
-    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
+    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
     with pytest.raises(ValueError, match=r"truncation estimate 1\.14e-05 at t=0\.05 .*"
                        r"\(modes=16\); the first safe requested time is t=0\.3"):
-        kd.solutions_at(neutral, neutral_basis, coeffs, init, times, GRID)
+        kd.solutions_at(neutral_basis, coeffs, init, times, GRID)
     basis = kd.build_basis(neutral, 32)
-    coeffs = kd.project_initial(neutral, basis, init, neutral_profile)
-    sols = kd.solutions_at(neutral, basis, coeffs, init, times, GRID)
-    modes = basis.density_values(neutral, np.eye(basis.n_modes), GRID).T
+    coeffs = kd.project_initial(basis, init, neutral_profile)
+    sols = kd.solutions_at(basis, coeffs, init, times, GRID)
+    modes = basis.density_values(np.eye(basis.n_modes), GRID).T
     lam = basis.eigenvalues
     a_inf, b_inf = coeffs.limits
     psi0, psi1 = neutral.psi_at(0.0), neutral.psi_at(1.0)
@@ -559,23 +588,22 @@ def test_solutions_at_matches_per_time_series(neutral, neutral_basis, neutral_pr
         assert s.trunc_error == pytest.approx(trunc, rel=1e-13, abs=1e-300)
 
 
-def test_solutions_at_names_earliest_truncated_time(neutral, neutral_basis,
-                                                    neutral_profile):
+def test_solutions_at_names_earliest_truncated_time(neutral_basis, neutral_profile):
     init = kd.InitialMeasure(atoms=[(0.3, 1.0)])
-    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
+    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
     with pytest.raises(ValueError, match=r"at t=0\.0001 .*modes=16.*"
                        r"the first safe requested time is t=1$"):
-        kd.solutions_at(neutral, neutral_basis, coeffs, init, [1e-3, 1e-4, 1.0], GRID)
+        kd.solutions_at(neutral_basis, coeffs, init, [1e-3, 1e-4, 1.0], GRID)
 
 
 def test_truncation_estimate_reads_the_last_two_terms(neutral, neutral_profile):
     # an atom at 1/2 leaves every odd mode, the last one among them, at 0
     basis = kd.build_basis(neutral, 64)
     init = kd.InitialMeasure(atoms=[(0.5, 1.0)])
-    coeffs = kd.project_initial(neutral, basis, init, neutral_profile)
+    coeffs = kd.project_initial(basis, init, neutral_profile)
     assert coeffs.values[-1] == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError) as exc:
-        kd.solutions_at(neutral, basis, coeffs, init, [1e-3, 0.1], GRID)
+        kd.solutions_at(basis, coeffs, init, [1e-3, 0.1], GRID)
     assert str(exc.value) == (
         "series truncation estimate 7.16e+00 at t=0.001 exceeds 1e-06 of the initial "
         "mass: raise modes (modes=64); the first safe requested time is t=0.1")
@@ -636,8 +664,8 @@ def test_spectral_moments_match_the_exact_neutral_moments(config):
     sc = load_scenario(config)
     profile = kd.fixation_profile(sc.model)
     basis = kd.build_basis(sc.model, sc.modes)
-    coeffs = kd.project_initial(sc.model, basis, sc.initial, profile)
-    sols = kd.solutions_at(sc.model, basis, coeffs, sc.initial, sc.times, closed_grid(sc.grid))
+    coeffs = kd.project_initial(basis, sc.initial, profile)
+    sols = kd.solutions_at(basis, coeffs, sc.initial, sc.times, closed_grid(sc.grid))
     exact = exact_neutral_moments(sc.initial, sc.times)
     gap = np.abs(spectral_moments(basis, coeffs, sols) - exact)
     assert np.max(gap) <= 1e-12 * sc.initial.total_mass()
@@ -656,9 +684,9 @@ def test_last_of_64_neutral_modes_evolves_exactly(neutral, neutral_profile):
     init = kd.InitialMeasure(
         density=lambda x: 1.0 + eps * eval_gegenbauer(63, 1.5, 2.0 * np.asarray(x, float) - 1.0))
     basis = kd.build_basis(neutral, 64)
-    coeffs = kd.project_initial(neutral, basis, init, neutral_profile)
+    coeffs = kd.project_initial(basis, init, neutral_profile)
     t = 4e-3
-    sol = kd.solutions_at(neutral, basis, coeffs, init, [t], GRID)[0]
+    sol = kd.solutions_at(basis, coeffs, init, [t], GRID)[0]
     last = eps * np.exp(-4160.0 * t) * eval_gegenbauer(63, 1.5, 2.0 * GRID - 1.0)
     exact = np.exp(-2.0 * t) + last
     assert np.max(np.abs(sol.density - exact)) <= 1e-12

@@ -173,8 +173,8 @@ def test_convergence_order_against_spectral(neutral, neutral_basis, neutral_prof
     # in space (its gaps fell 16x per halving); the bump's fall about 4x
     # (3.96 and 3.98), the mesh's second order
     init = kd.InitialMeasure(density="bump(0.4, 0.2)")
-    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
-    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, [0.5], GRID)
+    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
+    sols = kd.solutions_at(neutral_basis, coeffs, init, [0.5], GRID)
     gaps = []
     for cells in (128, 256, 512):
         states = kd.evolve_fd(neutral, init, [0.5], cells)
@@ -186,8 +186,8 @@ def test_convergence_order_against_spectral(neutral, neutral_basis, neutral_prof
 
 def test_compare_with_spectral_pairs_times(neutral, neutral_basis, neutral_profile):
     init = single_mode_init()
-    coeffs = kd.project_initial(neutral, neutral_basis, init, neutral_profile)
-    sols = kd.solutions_at(neutral, neutral_basis, coeffs, init, (0.1, 1.0), GRID)
+    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
+    sols = kd.solutions_at(neutral_basis, coeffs, init, (0.1, 1.0), GRID)
     states = kd.evolve_fd(neutral, init, [0.1, 1.0], 256)
     rows = kd.compare_with_spectral(states, sols)
     assert [r.t for r in rows] == [0.1, 1.0]
@@ -203,9 +203,9 @@ def test_selection_bump_cross_check(selection):
     profile = kd.fixation_profile(selection)
     basis = kd.build_basis(selection, 48)
     init = kd.InitialMeasure(density="bump(0.45, 0.3)")
-    coeffs = kd.project_initial(selection, basis, init, profile)
+    coeffs = kd.project_initial(basis, init, profile)
     times = [0.1, 1.0]
-    sols = kd.solutions_at(selection, basis, coeffs, init, times, GRID)
+    sols = kd.solutions_at(basis, coeffs, init, times, GRID)
     states = kd.evolve_fd(selection, init, times, 512)
     for row in kd.compare_with_spectral(states, sols):
         assert row.q_l1_diff <= 1e-3

@@ -33,6 +33,15 @@ def test_unit_xi_midpoint_value():
     assert prof(np.linspace(0.0, 1.0, 2049))[1024] == pytest.approx(expected, abs=1e-10)
 
 
+@pytest.mark.parametrize("eta", [5e-324, 1e-310, -1e-308])
+def test_root_of_pi_past_the_double_range(eta):
+    # -beta / eta overflows: the root lies far outside [0, 1], clips to an
+    # end, and the profile is that of eta = 0, with no overflow warning
+    x = np.linspace(0.0, 1.0, 1025)
+    prof, flat = (kd.fixation_profile(kd.make_kimura(e, 20.0)) for e in (eta, 0.0))
+    assert np.array_equal(prof(x), flat(x)) and prof.norm_const == flat.norm_const
+
+
 def _demo_config(tmp_path, eta=0.0, beta=0.0, grid=512):
     # a Kimura scenario whose fixation.csv holds psi at grid + 1 points
     cfg = {"schema": 1, "model": {"preset": "kimura", "eta": eta, "beta": beta},

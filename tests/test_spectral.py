@@ -55,7 +55,7 @@ def test_sign_convention(neutral_basis):
 def test_density_modes_match_closed_form(neutral):
     basis = kd.build_basis(neutral, 6)
     grid = closed_grid(4096)
-    table = basis.density_values(neutral, np.eye(6), grid).T
+    table = basis.density_values(np.eye(6), grid).T
     for j in range(6):
         exact = neutral_mode_exact(j, grid)
         assert np.max(np.abs(table[:, j] - exact)) <= 2e-4 * np.max(
@@ -73,7 +73,7 @@ def test_kept_mode_data_match_the_grid_table(model):
     # the density modes sampled on the default resolution's 2050 points
     model = kd.make_kimura(*model) if np.ndim(model[0]) == 0 else kd.CoefficientModel(*model)
     basis = kd.build_basis(model, 64)
-    table = basis.density_values(model, np.eye(64), GRID).T
+    table = basis.density_values(np.eye(64), GRID).T
     sup = np.abs(table).max(axis=0)
     assert np.max(np.abs(basis.mode_sup / sup - 1.0)) <= 1e-12
     assert np.max(np.abs(basis.endpoint_values - table[[0, -1]]) / sup) <= 1e-12
@@ -201,7 +201,12 @@ def test_galerkin_size_follows_the_coefficient_tail(model, modes, n_basis):
 def test_gauss_rule_matches_mpmath(n):
     # reference: from each double node, mapped to y = 2x - 1 in [-1, 1], two
     # Newton steps at 40 digits (the first already squares its error), then
-    # w = 1 / ((1 - y^2) P_n'(y)^2) at the refined root
+    # w = 1 / ((1 - y^2) P_n'(y)^2) at the refined root.  Only the nodes with
+    # x <= 1/2 are refined (the middle one too for odd n): the asserts below
+    # hold the rule mirror-symmetric, P_n's parity makes each weight check on
+    # the upper half repeat one on the lower half, and an upper node, 1 - x
+    # rounded, adds at most 2^-54 to its mirror's error (at n = 360 the largest
+    # node errors are 4.1e-17 on the lower half and 8.3e-17 on the upper)
     nodes, weights = gauss01(n)
     assert gauss01(n) is gauss01(n)
     assert not nodes.flags.writeable and not weights.flags.writeable
@@ -216,7 +221,7 @@ def test_gauss_rule_matches_mpmath(n):
         return p, n * (y * p - p_prev) / (y * y - 1)
 
     with mpmath.workdps(40):
-        for x0, w0 in zip(nodes, weights):
+        for x0, w0 in zip(nodes[:(n + 1) // 2], weights[:(n + 1) // 2]):
             y = 2 * mpmath.mpf(x0) - 1
             for _ in range(2):
                 p, dp = legendre(y)
@@ -281,16 +286,16 @@ def test_growth_matches_phase_prediction(neutral):
 def test_bessel_comparison_decreases(neutral):
     bessel_comparison = demo_function("05_endpoint_asymptotics.py", "bessel_comparison")
     basis = kd.build_basis(neutral, 20)
-    errs = [bessel_comparison(neutral, basis, j, 8192) for j in (4, 8, 16)]
+    errs = [bessel_comparison(basis, j, 8192) for j in (4, 8, 16)]
     assert errs[0] > errs[1] > errs[2]
 
 
 def test_bessel_comparison_guards(neutral_basis):
     bessel_comparison = demo_function("05_endpoint_asymptotics.py", "bessel_comparison")
     with pytest.raises(ValueError):
-        bessel_comparison(kd.make_kimura(0, 0), neutral_basis, 2, 2048)
+        bessel_comparison(neutral_basis, 2, 2048)
     with pytest.raises(ValueError):
-        bessel_comparison(kd.make_kimura(0, 0), neutral_basis, 99, 2048)
+        bessel_comparison(neutral_basis, 99, 2048)
 
 
 def test_phase_values_neutral(neutral):
@@ -316,8 +321,8 @@ def test_eigenvalues_independent_of_output_grid(selection):
     # grid is a point of the coarse one, up to an ulp
     basis = kd.build_basis(selection, 16)
     init = kd.InitialMeasure(density="bump(0.4, 0.2)")
-    coeffs = kd.project_initial(selection, basis, init, kd.fixation_profile(selection))
-    coarse, fine = (kd.solutions_at(selection, basis, coeffs, init, [1.0, 2.0], closed_grid(n))
+    coeffs = kd.project_initial(basis, init, kd.fixation_profile(selection))
+    coarse, fine = (kd.solutions_at(basis, coeffs, init, [1.0, 2.0], closed_grid(n))
                     for n in (1024, 4099))
     assert (np.array_equal(coarse.a, fine.a) and np.array_equal(coarse.b, fine.b)
             and np.array_equal(coarse.trunc_error, fine.trunc_error))
