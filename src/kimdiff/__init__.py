@@ -27,7 +27,7 @@ from .evolution import (
     radon_distance_to_limit,
     solutions_at,
 )
-from .fd import compare_with_spectral, evolve_fd
+from .fd import compare_with_spectral, solve_fd
 
 __version__ = "0.1.0"
 
@@ -54,6 +54,6 @@ __all__ = [
     "radon_bound_constant",
     "bump_density",
     "density_from_spec",
-    "evolve_fd",
+    "solve_fd",
     "compare_with_spectral",
 ]

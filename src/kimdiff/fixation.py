@@ -44,8 +44,7 @@ def fixation_profile(model):
     real parts of Pi's roots, clipped into [0, 1], include every such point.
     The integrand's samples read Xi on the table nodes from Xi's own table.
     """
-    with np.errstate(over="ignore"):  # a root past the double range clips to an end
-        roots = np.clip(P.polyroots(model.pi_coeffs).real, 0.0, 1.0)
+    roots = np.clip(P.polyroots(model.pi_coeffs).real, 0.0, 1.0)
     shift = float(np.min(model.xi_integral(np.r_[0.0, 1.0, roots])))
     table = running_integral_table(np.exp(shift - node_values(model.xi_table)),
                                    "the fixation integrand exp(-Xi)")

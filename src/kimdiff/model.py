@@ -19,13 +19,26 @@ from numpy.polynomial import polynomial as P
 from ._quadrature import TABLE_NODES, running_integral_table, table_values
 
 
+def _trimmed(coeffs, name):
+    """coeffs as floats, without the trailing ones at most 2^-53 of the largest."""
+    coeffs = [float(c) for c in coeffs]
+    if not coeffs:
+        raise ValueError(f"{name} must contain at least one coefficient")
+    small = 2.0**-53 * max(abs(c) for c in coeffs)
+    while len(coeffs) > 1 and abs(coeffs[-1]) <= small:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
 @dataclass
 class CoefficientModel:
     """Factored coefficients of the forward equation.
 
     psi_coeffs, pi_coeffs: polynomial coefficients in ascending-degree order.
-    Construction checks that the diffusion factor is positive where it is
-    least, and tabulates Xi as xi_table (_quadrature.running_integral_table),
+    Construction drops trailing coefficients at most 2^-53 of the largest,
+    which move no value on [0, 1] but would overflow the companion matrices
+    that find the roots; it checks that the diffusion factor is positive
+    where it is least, and tabulates Xi as xi_table (_quadrature.running_integral_table),
     which raises ValueError where xi varies too fast for the table.
     """
 
@@ -34,12 +47,8 @@ class CoefficientModel:
     xi_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.psi_coeffs = tuple(float(c) for c in self.psi_coeffs)
-        self.pi_coeffs = tuple(float(c) for c in self.pi_coeffs)
-        if not self.psi_coeffs:
-            raise ValueError("psi_coeffs must contain at least one coefficient")
-        if not self.pi_coeffs:
-            raise ValueError("pi_coeffs must contain at least one coefficient")
+        self.psi_coeffs = _trimmed(self.psi_coeffs, "psi_coeffs")
+        self.pi_coeffs = _trimmed(self.pi_coeffs, "pi_coeffs")
         # Psi is least at 0, at 1 or at a root of Psi' (real parts, clipped into [0, 1])
         roots = P.polyroots(P.polyder(self.psi_coeffs)).real
         probe = np.clip(np.r_[0.0, 1.0, roots], 0.0, 1.0)
@@ -99,5 +108,4 @@ def make_kimura(eta, beta):
 
     eta = beta = 0 gives the neutral case F(x) = x (1 - x), G = 0.
     """
-    pi = (float(beta),) if eta == 0 else (float(beta), float(eta))
-    return CoefficientModel(psi_coeffs=(1.0,), pi_coeffs=pi)
+    return CoefficientModel(psi_coeffs=(1.0,), pi_coeffs=(beta, eta))

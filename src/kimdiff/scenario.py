@@ -417,7 +417,7 @@ def run_verify(scenario):
     on any violation, 0 otherwise."""
     pieces = compute_pipeline(scenario)
     positive = pieces["positive"]
-    fd_states = fd.evolve_fd(scenario.model, scenario.initial, positive.t, scenario.cells)
+    fd_states = fd.solve_fd(scenario.model, scenario.initial, positive.t, scenario.cells)
     comparison = fd.compare_with_spectral(fd_states, positive)
     mass0 = scenario.initial.total_mass()
     interior0 = scenario.initial.interior_mass()

@@ -149,7 +149,7 @@ def test_spectral_vs_fd(neutral, selection, neutral_big, uniform_run):
     times = [0.1, 1.0]
     init_u, coeffs_u = uniform_run
     sols_u = kd.solutions_at(neutral_big, coeffs_u, init_u, times, BIG_GRID)
-    fd_u = kd.evolve_fd(neutral, init_u, times, 1024)
+    fd_u = kd.solve_fd(neutral, init_u, times, 1024)
     rows_u = kd.compare_with_spectral(fd_u, sols_u)
 
     sel_basis = kd.build_basis(selection, 128)
@@ -157,7 +157,7 @@ def test_spectral_vs_fd(neutral, selection, neutral_big, uniform_run):
     bump = kd.InitialMeasure(density="bump(0.4, 0.2)")
     coeffs_b = kd.project_initial(sel_basis, bump, sel_profile)
     sols_b = kd.solutions_at(sel_basis, coeffs_b, bump, times, GRID)
-    fd_b = kd.evolve_fd(selection, bump, times, 1024)
+    fd_b = kd.solve_fd(selection, bump, times, 1024)
     rows_b = kd.compare_with_spectral(fd_b, sols_b)
 
     worst_l1 = max(r.q_l1_diff for r in rows_u + rows_b)
@@ -166,7 +166,7 @@ def test_spectral_vs_fd(neutral, selection, neutral_big, uniform_run):
     # halving the FD mesh shrinks the gap by about 4x (second order)
     gaps = []
     for cells in (128, 256, 512):
-        states = kd.evolve_fd(selection, bump, [0.5], cells)
+        states = kd.solve_fd(selection, bump, [0.5], cells)
         ref = kd.solutions_at(sel_basis, coeffs_b, bump, [0.5], GRID)
         gaps.append(kd.compare_with_spectral(states, ref)[0].q_l1_diff)
     ratios = [gaps[0] / gaps[1], gaps[1] / gaps[2]]

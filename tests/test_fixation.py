@@ -35,8 +35,8 @@ def test_unit_xi_midpoint_value():
 
 @pytest.mark.parametrize("eta", [5e-324, 1e-310, -1e-308])
 def test_root_of_pi_past_the_double_range(eta):
-    # -beta / eta overflows: the root lies far outside [0, 1], clips to an
-    # end, and the profile is that of eta = 0, with no overflow warning
+    # -beta / eta would overflow, but eta is below 2^-53 of beta, so the
+    # model drops it: the profile is that of eta = 0, with no overflow warning
     x = np.linspace(0.0, 1.0, 1025)
     prof, flat = (kd.fixation_profile(kd.make_kimura(e, 20.0)) for e in (eta, 0.0))
     assert np.array_equal(prof(x), flat(x)) and prof.norm_const == flat.norm_const
