@@ -6,8 +6,9 @@ solution u(t) = e^(tL) u0 exactly in time: a contour integral of the
 resolvent along Talbot's contour, summed by the trapezoidal rule with the
 parameters of L. N. Trefethen, J. A. C. Weideman and T. Schmelzer,
 "Talbot quadratures and rational approximations", BIT 46 (2006).  Each output
-time is independent of the others and costs _NODES / 2 complex tridiagonal
-solves (LAPACK zgtsv, pivoted, on L as it stands).  The endpoint masses are
+time is independent of the others and costs N / 2 complex tridiagonal solves
+(LAPACK zgtsv, pivoted, on L as it stands), with N sized from the drift: 20
+on a mild one, up to 54 under strong selection.  The endpoint masses are
 anchored at the oracle's own limits, a(t) = a_inf - c_a^T (-L)^-1 u(t) with
 c_a the one-sided flux through the face at 0 (likewise b), from one real
 solve with (-L)^T (dgtsv); since h 1^T L = -(c_a + c_b)^T, total discrete
@@ -30,12 +31,17 @@ from ._quadrature import gauss01
 _MAX_SUGGESTED_CELLS = 2**18
 # Talbot's contour, t z(theta) = N (SIGMA + MU theta cot(ALPHA theta) + NU i theta)
 # for theta in (-pi, pi), with the trapezoidal rule's N midpoints; real data
-# need the N/2 with theta > 0.  Against the matrix exponential of L at 1024
-# cells, N = 32 is within 3.2e-9 in L1 and in a and b on the beta = 100 bump
-# at t = 0.01 and within 9e-11 on the bench configs and the beta = 40 and 0.001
-# atoms; N = 24 left 4e-6 on that bump, and a larger N loses digits to the
-# largest weight, e^(0.171 N) (N = 64: 8e-9 on the bench configs)
-_NODES = 32
+# need the N/2 with theta > 0.  A strong drift leaves L far from normal, and N
+# grows with it: _MIN_NODES, plus 2 for each _XI_PER_TWO_NODES of the range of
+# Xi, at most _MAX_NODES.  Against the matrix exponential of L at 1024 cells,
+# t = 0.003 to 3, on Kimura (0, +-beta) with bump(0.5, 0.3) and with a unit
+# atom at 0.05 from the end the drift leaves, the fewest nodes within 1e-10 of
+# the mass are 18 at beta = 0, 32 at 40, 46 at 100 and 54 at 150 (the atom;
+# the bump needs at most 38), and the rule gives 20, 34, 54 and 54.  Extra
+# nodes cost digits to the largest weight, e^(0.171 N): the neutral bump reads
+# 6e-12 at N = 20 and 3e-9 at 56, the beta = 100 atom 2e-11 at 54, 1e-10 at 56
+# and 4e-10 at 64
+_MIN_NODES, _XI_PER_TWO_NODES, _MAX_NODES = 20, 6.0, 54
 _SIGMA, _MU, _ALPHA, _NU = -0.6122, 0.5017, 0.6407, 0.2645
 # the initial density's rule: Gauss nodes per piece, and the least number of
 # pieces of a single smooth panel; a bump's mass is then exact to 1.6e-9 of it
@@ -145,6 +151,14 @@ def _check_monotone(model, n_cells, lower, upper):
     )
 
 
+def _contour_nodes(model, xc, h):
+    """Talbot's node count N for the operator on the cells centred at xc:
+    _MIN_NODES plus 2 for each _XI_PER_TWO_NODES, or part of it, in the range
+    of the discrete Xi = h cumsum(xi(xc)), at most _MAX_NODES."""
+    xi_range = np.ptp(h * np.cumsum(model.xi(xc)))
+    return min(_MIN_NODES + 2 * int(np.ceil(xi_range / _XI_PER_TWO_NODES)), _MAX_NODES)
+
+
 def solve_fd(model, init, times, n_cells):
     """The reference solution at each of times, which must be nonnegative
     and increase strictly: a list of FdState.
@@ -157,9 +171,10 @@ def solve_fd(model, init, times, n_cells):
         u(t) = e^(tL) u0 = (1 / 2 pi i) int e^(zt) (zI - L)^-1 u0 dz
 
     on Talbot's contour z = zeta(theta) / t, by the midpoint rule in theta:
-    u = Re sum_k w_k (zeta_k/t I - L)^-1 u0 / t over the _NODES / 2 nodes
-    with theta > 0, w_k = -2i e^zeta_k zeta'_k / _NODES, each one pivoted
-    complex tridiagonal solve (zgtsv).  For t <= 1 the solves take t L and
+    u = Re sum_k w_k (zeta_k/t I - L)^-1 u0 / t over the N / 2 nodes with
+    theta > 0, w_k = -2i e^zeta_k zeta'_k / N, each one pivoted complex
+    tridiagonal solve (zgtsv), and N from the drift (_contour_nodes), the
+    same at every time.  For t <= 1 the solves take t L and
     zeta_k instead, the same system times t, so that neither a tiny nor a
     huge t leaves the double range.  One real solve (-L)^T Y = [c_a c_b],
     with c_a and c_b the one-sided face fluxes (9 F0 u0 - F1 u1) / 3h and
@@ -178,8 +193,8 @@ def solve_fd(model, init, times, n_cells):
     if not increasing or min(output_times, default=0.0) < 0:
         raise ValueError("output times must be nonnegative and increase strictly")
     xc, h, F, lower, diag, upper = _operator(model, n_cells)
-    mass = init.interior_mass()  # u sums to about mass x cells, and the contour's largest
-    if mass * n_cells > 2.0**1014:  # factor e^(0.171 N), about 2^8, fits 2^-10 headroom
+    mass = init.interior_mass()  # u sums to about mass x cells; the contour's largest factor,
+    if mass * n_cells > 2.0**1014:  # e^(0.171 N), fits 2^-10 headroom up to N = 40
         raise ValueError(f"initial: interior mass {mass:.3g} passes {2.0**1014 / n_cells:.3g}, "
                          f"the most the finite-difference sums hold at cells={n_cells}")
     _check_monotone(model, n_cells, lower, upper)
@@ -195,12 +210,14 @@ def solve_fd(model, init, times, n_cells):
         raise RuntimeError(f"limit solve failed (dgtsv info={info})")
     a_inf, b_inf = init.a0 + Y[:, 0] @ u0, init.b0 + Y[:, 1] @ u0
 
-    theta = np.arange(1, _NODES, 2) * np.pi / _NODES
-    zeta = _NODES * (_SIGMA + _MU * theta / np.tan(_ALPHA * theta) + 1j * _NU * theta)
-    dzeta = _NODES * (_MU / np.tan(_ALPHA * theta)
-                      - _MU * _ALPHA * theta / np.sin(_ALPHA * theta) ** 2 + 1j * _NU)
-    weights = -2j / _NODES * np.exp(zeta) * dzeta
+    nodes = _contour_nodes(model, xc, h)
+    theta = np.arange(1, nodes, 2) * np.pi / nodes
+    zeta = nodes * (_SIGMA + _MU * theta / np.tan(_ALPHA * theta) + 1j * _NU * theta)
+    dzeta = nodes * (_MU / np.tan(_ALPHA * theta)
+                     - _MU * _ALPHA * theta / np.sin(_ALPHA * theta) ** 2 + 1j * _NU)
+    weights = -2j / nodes * np.exp(zeta) * dzeta
     rhs = u0.astype(complex)[:, None]
+    ys = np.empty((len(zeta), n_cells), complex)
     states, solves = [], 1
     for t in output_times:
         if t == 0.0:
@@ -209,12 +226,12 @@ def solve_fd(model, init, times, n_cells):
         # the systems zeta_k/t I - L times min(t, 1), and the weights over max(t, 1)
         r = 1.0 / max(t, 1.0)
         dl, d, du = -t * r * lower[1:] + 0j, -t * r * diag, -t * r * upper[:-1] + 0j
-        u = np.zeros(n_cells)
-        for z, w in zip(zeta * r, weights * r):
+        for k, z in enumerate(zeta * r):
             *_, y, info = zgtsv(dl, z + d, du, rhs)
             if info != 0:
                 raise RuntimeError(f"contour solve failed (zgtsv info={info})")
-            u += (w * y[:, 0]).real
+            ys[k] = y[:, 0]
+        u = ((weights * r) @ ys).real
         solves += len(zeta)
         states.append(FdState(t, xc, u, a_inf - Y[:, 0] @ u, b_inf - Y[:, 1] @ u, solves))
     return states

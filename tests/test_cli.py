@@ -552,8 +552,9 @@ def test_cli_commands_load_scipy_only_where_needed(tmp_path):
     _python("-m", "kimdiff.cli", "verify", "--config", str(path), check=True)
     verdict = json.loads((out / "verify.json").read_text())
     assert verdict["pass"]
-    # one real limit solve, then 16 complex contour solves per time
-    assert [row["fd_solves"] for row in verdict["comparison"]] == [17, 33, 49, 65]
+    # one real limit solve, then 10 complex contour solves per time: the
+    # neutral model takes the fewest contour nodes, 20
+    assert [row["fd_solves"] for row in verdict["comparison"]] == [11, 21, 31, 41]
 
 
 @pytest.mark.parametrize("times, cells", [
@@ -562,8 +563,8 @@ def test_cli_commands_load_scipy_only_where_needed(tmp_path):
     pytest.param([0.1, 1e5], 256, id="1e5"),
 ])
 def test_verify_far_output_times_exit_zero(tmp_path, times, cells):
-    # the FD oracle takes no time steps: each time is one contour sum of 16
-    # solves, so even t = 1e308 costs what t = 1 does
+    # the FD oracle takes no time steps: each time is one contour sum of 10
+    # solves on this neutral model, so even t = 1e308 costs what t = 1 does
     path = demo_config(tmp_path, times=times, cells=cells)
     start = time.perf_counter()
     assert main(["verify", "--config", str(path)]) == 0
@@ -574,7 +575,7 @@ def test_verify_far_output_times_exit_zero(tmp_path, times, cells):
 
 def test_overtight_tolerance_exits_two(tmp_path, monkeypatch):
     # the FD oracle is exact in time, and on the neutral leading mode its
-    # gaps are roundoff's, 1e-13 to 2e-12
+    # gaps are roundoff's and the 20-node contour's, 4e-13 to 3e-12
     monkeypatch.setitem(scenario.TOLERANCES, "fd_l1", 1e-14)
     monkeypatch.setitem(scenario.TOLERANCES, "fd_ab", 1e-14)
     assert main(["verify", "--config", str(demo_config(tmp_path))]) == 2
@@ -836,13 +837,14 @@ def test_shipped_configs_write_strict_json(tmp_path, config):
     assert verdict["fd_mass_drift"] <= 1e-10
     if config.startswith("bench/"):
         # the FD oracle is exact in time, so the gaps are its mesh's error:
-        # 4.8e-11 on the neutral data and 1.4e-6 on the bumps.  It solves once
-        # for its limits and 16 times per output time: 17 to t = 0.1, 81 to
-        # t = 3 (fd_verify's last time) and 65 to t = 2
+        # 1.3e-11 on the neutral data and 1.4e-6 on the bumps.  It solves once
+        # for its limits and N / 2 times per output time, N = 20 contour nodes
+        # on the neutral model and 22 on Kimura (1, -0.5): 11 to t = 0.1 and
+        # 51 to t = 3 (fd_verify's last time), 12 and 45 to t = 2
         rows = verdict["comparison"]
         assert max(row["q_l1_diff"] for row in rows) <= (1e-7 if "fd_" in config else 3e-6)
         assert [rows[0]["fd_solves"], rows[-1]["fd_solves"]] == (
-            [17, 81] if "fd_" in config else [17, 65])
+            [11, 51] if "fd_" in config else [12, 45])
     # the decay theorem, radon(t) <= 2 e^(-lambda_0 (t - norm_time)) ||mu||_D1 (C + tail)
     # from the norm's time on; the largest ratio is 0.94, on the neutral configs
     smoothness = summary["smoothness"]

@@ -92,14 +92,26 @@ def test_atom_deposited_with_exact_mass(neutral):
 
 
 def test_solve_count_is_every_lapack_solve(solves):
-    # fd_verify's five times at 1024 cells: one real limit solve, then 16
-    # complex ones per time
+    # fd_verify's five times at 1024 cells: one real limit solve, then 10
+    # complex ones per time, the neutral model's 20 contour nodes
     sc = load_scenario(Path(__file__).resolve().parents[1] / "bench" / "configs"
                        / "fd_verify.json")
     states = kd.solve_fd(sc.model, sc.initial, sc.times, sc.cells)
     assert [st.t for st in states] == list(sc.times)
-    assert [st.solves for st in states] == [17, 33, 49, 65, 81]
+    assert [st.solves for st in states] == [11, 21, 31, 41, 51]
     assert len(solves) == states[-1].solves
+
+
+@pytest.mark.parametrize("beta, cells, per_time", [
+    (0.0, 256, 10), (40.0, 256, 17), (100.0, 256, 27), (1500.0, 4096, 27),
+])
+def test_contour_nodes_grow_with_the_drift(beta, cells, per_time):
+    # N = 20 + 2 ceil(range of Xi / 6), at most 54, and N / 2 solves per
+    # time: Kimura (0, beta) has Xi = beta x, and beta = 100 and 1500 sit at
+    # the cap
+    init = kd.InitialMeasure(density="bump(0.5, 0.3)")
+    states = kd.solve_fd(kd.make_kimura(0.0, beta), init, [0.01, 0.1], cells)
+    assert [st.solves for st in states] == [1 + per_time, 1 + 2 * per_time]
 
 
 def test_fewer_than_128_cells_rejected(neutral):
@@ -189,10 +201,15 @@ def expm_reference(model, init, n, t):
                  kd.InitialMeasure(a0=0.1, b0=0.2, density="bump(0.5, 0.3)"), id="selection"),
     pytest.param(kd.make_kimura(1.0, -0.5), kd.InitialMeasure(a0=0.1, b0=0.05, atoms=[(0.37, 0.8)]),
                  id="atom"),
+    pytest.param(kd.make_kimura(0.0, 100.0), kd.InitialMeasure(a0=0.1, atoms=[(0.05, 1.0)]),
+                 id="strong-atom"),
+    pytest.param(kd.make_kimura(0.0, -100.0), kd.InitialMeasure(b0=0.1, atoms=[(0.95, 1.0)]),
+                 id="strong-atom-mirrored"),
 ])
 def test_contour_matches_the_matrix_exponential(model, init):
-    # the contour is exact in time up to its quadrature error, which the
-    # probes put below 1e-12 of the mass
+    # the contour is exact in time up to its quadrature error, which reads
+    # below 3e-12 of the mass here; the nodes grow with the drift, and a
+    # fixed 32 left 1.2e-6 on the atoms at beta = +-100
     n, h = 256, 1.0 / 256
     mass = init.total_mass()
     for st in kd.solve_fd(model, init, [1e-3, 0.05, 2.0], n):
@@ -208,7 +225,7 @@ def test_extreme_times_stay_in_the_double_range(selection):
     # At t = 1e-310, z = zeta / t would overflow, and the solves take tL
     init = kd.InitialMeasure(a0=0.1, b0=0.05, atoms=[(0.37, 0.8)], density="bump(0.4, 0.2)")
     start, tiny, far = kd.solve_fd(selection, init, [0.0, 1e-310, 1e300], 1024)
-    assert far.solves == 33
+    assert far.solves == 23
     assert np.max(np.abs(tiny.values - start.values)) <= 1e-12 * np.max(start.values)
     assert np.max(np.abs(far.values)) * far.h <= 1e-12
     assert far.a + far.b == pytest.approx(start.total_mass(), abs=1e-12)
