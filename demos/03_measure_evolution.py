@@ -16,16 +16,15 @@ profile = kd.fixation_profile(model)
 basis = kd.build_basis(model, 32)
 x = np.linspace(0.0, 1.0, 2050)  # the solution grid, as at a scenario's default resolution
 init = kd.InitialMeasure(density="uniform")
-coeffs = kd.project_initial(basis, init, profile)
-limits = kd.limit_masses(profile, init)
+coeffs = kd.project_initial(basis, init, profile)  # carries basis, measure and profile
+limits = coeffs.limits  # from the fixation profile, taken once by project_initial
 print(f"final masses: extinction {limits[0]:.3f}, fixation {limits[1]:.3f}")
 
 times = [0.1, 0.5, 1.0, 2.0, 3.0]
-sols = kd.solutions_at(basis, coeffs, init, times, x)  # one row per time
-psi = profile(x)  # the fixation probability on the solution grid
-report = kd.conservation_residuals(init, sols, limits, psi)
+sols = kd.solutions_at(coeffs, times, x)  # one row per time
+report = kd.conservation_residuals(sols)  # reads psi on the solution grid itself
 l1 = sols.density_l1()
-rho = kd.radon_distance_to_limit(init, sols, limits)
+rho = kd.radon_distance_to_limit(sols)
 
 print("\n  t      a(t)      b(t)     ||q||_1    mass     radon/2||q||")
 for row in zip(sols.t, sols.a, sols.b, l1, report.mass_values, rho / (2 * l1)):
@@ -37,8 +36,8 @@ print(f"\nmass drift {report.mass_drift:.2e}, fixation-moment drift "
 # leaves the series masses by mass - psi_mass - a_inf and psi_mass - b_inf
 print(f"series route vs conservation route: max gap {report.route_gap:.2e}")
 
-decay_sols = kd.solutions_at(basis, coeffs, init, np.linspace(0.5, 1.5, 11), x)
-diag = kd.decay_diagnostics(basis, coeffs, decay_sols)
+decay_sols = kd.solutions_at(coeffs, np.linspace(0.5, 1.5, 11), x)
+diag = kd.decay_diagnostics(decay_sols)
 print(f"decay slope of log||q||_1: {diag.slope:.6f} (spectral gap: "
       f"-{basis.eigenvalues[0]:.6f})")
 print(f"limit constant: exp(2t)||q||_1 -> {diag.c_inf:.6f}")
@@ -48,9 +47,9 @@ print(f"limit constant: exp(2t)||q||_1 -> {diag.c_inf:.6f}")
 # value at every positive time
 atom = kd.InitialMeasure(atoms=[(0.25, 1.0)])
 atom_coeffs = kd.project_initial(basis, atom, profile)
-atom_sols = kd.solutions_at(basis, atom_coeffs, atom, times, x)
-atom_report = kd.conservation_residuals(atom, atom_sols, atom_coeffs.limits, psi)
+atom_sols = kd.solutions_at(atom_coeffs, times, x)
+atom_report = kd.conservation_residuals(atom_sols)
 print(f"\npoint mass at 0.25: mass drift {atom_report.mass_drift:.2e} against the "
       f"initial mass 1, constancy span {atom_report.mass_span:.2e}")
-a_inf, b_inf = kd.limit_masses(profile, atom)
+a_inf, b_inf = atom_coeffs.limits
 print(f"its limits from the fixation profile: ({a_inf:.4f}, {b_inf:.4f})")

@@ -22,7 +22,7 @@ init = kd.InitialMeasure(density="bump(0.4, 0.2)")
 coeffs = kd.project_initial(basis, init, profile)
 
 times = [0.1, 0.5, 1.0]
-spectral = kd.solutions_at(basis, coeffs, init, times, x)
+spectral = kd.solutions_at(coeffs, times, x)
 fd_states = kd.solve_fd(model, init, times, 1024)
 
 print("spectral vs finite-difference (1024 cells):")
@@ -35,7 +35,7 @@ drift = max(abs(st.total_mass() - mass0) for st in fd_states)
 print(f"\nFD discrete mass drift: {drift:.2e} (conservative by construction)")
 
 print("\nmesh refinement study at t=0.5:")
-ref = kd.solutions_at(basis, coeffs, init, [0.5], x)
+ref = kd.solutions_at(coeffs, [0.5], x)
 prev = None
 for cells in (128, 256, 512, 1024):
     states = kd.solve_fd(model, init, [0.5], cells)

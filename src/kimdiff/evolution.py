@@ -7,19 +7,19 @@ boundary masses are obtained two independent ways (term-wise time integration
 of the boundary flux, and the conservation-law route through the fixation
 probability), which cross-validate each other.
 
-A SpectralBasis carries its model.  There is one evaluation path:
-solutions_at evaluates the series for an array of times at the caller's
-points and returns one Solutions record, a density row and a mass pair per
-time.  Every diagnostic over time (conservation and the route gap, decay,
-distance to the limit) reads that record's arrays.  The paper's weak form is
-checked without one: it holds at every t > 0 exactly when each mode
-satisfies its identity, which build_basis tabulates as
-SpectralBasis.identity_residuals, and initial_residual checks its t = 0 term.
+Each record carries what it was made from: a SpectralBasis its model,
+SpectralCoefficients their basis, initial measure, fixation profile and
+limits, and a Solutions record its coefficients.  solutions_at evaluates the
+series at an array of times and the caller's points, and every diagnostic
+over time (conservation and the route gap, decay, distance to the limit)
+takes that one record.  The paper's weak form holds at every t > 0 exactly
+when each mode satisfies its identity, which build_basis tabulates as
+SpectralBasis.identity_residuals; initial_residual checks its t = 0 term.
 """
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
@@ -184,23 +184,27 @@ class InitialMeasure:
 
 @dataclass
 class SpectralCoefficients:
-    """Projection of the initial measure onto the eigenbasis, plus the limit
-    masses (a_inf, b_inf) that anchor the boundary-mass series."""
+    """Coefficients of an initial measure in a basis's eigenmodes, with that basis,
+    measure and fixation profile and the limits (a_inf, b_inf) they fix (limit_masses)."""
 
     values: np.ndarray
-    limits: tuple = None
+    basis: object
+    measure: InitialMeasure
+    profile: object
+    limits: tuple = field(init=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, float)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("spectral coefficients must be finite")
+        self.limits = limit_masses(self.profile, self.measure)
 
 
 @dataclass
 class Solutions:
     """The solution triple along a sequence of times: density samples on the
-    caller's grid, one row per time, and the absorbed masses a (at 0,
-    extinction) and b (at 1, fixation), one per time.
+    caller's grid, one row per time, the absorbed masses a (at 0, extinction)
+    and b (at 1, fixation), one per time, and the coefficients evaluated.
 
     Indexing with a boolean mask keeps those times; an int index gives the
     record of one time, with scalar t, a, b and a single density row, and
@@ -213,33 +217,31 @@ class Solutions:
     a: np.ndarray
     b: np.ndarray
     trunc_error: np.ndarray
+    coeffs: SpectralCoefficients
 
     def __len__(self):
         return len(self.t)
 
     def __getitem__(self, index):
         return Solutions(self.t[index], self.grid, self.density[index], self.a[index],
-                         self.b[index], self.trunc_error[index])
+                         self.b[index], self.trunc_error[index], self.coeffs)
 
     def density_l1(self):
         return np.trapezoid(np.abs(self.density), self.grid, axis=-1)
 
 
 def project_initial(basis, init, profile):
-    """Coefficients of the initial measure in the basis's eigenmodes, with its
-    limit masses from the fixation profile.
-
-    The weighted pairing reduces to a plain integral of the backward-form
-    modes e^(-Xi/2) phi_j against the measure (SpectralBasis.pairings).  phi_j
-    is a polynomial vanishing at the endpoints, so interior point masses
-    contribute exact point values and endpoint masses none.
-    """
-    return SpectralCoefficients(values=basis.pairings(init), limits=limit_masses(profile, init))
+    """Coefficients of the initial measure in the basis's eigenmodes, carrying
+    the basis, the measure and the fixation profile.  The weighted pairing is a
+    plain integral of the backward-form modes e^(-Xi/2) phi_j against the
+    measure (SpectralBasis.pairings): phi_j is a polynomial vanishing at the
+    ends, so interior point masses give exact point values and endpoint masses none."""
+    return SpectralCoefficients(basis.pairings(init), basis, init, profile)
 
 
-def solutions_at(basis, coeffs, init, times, x):
-    """The Solutions record at the given times and points x in [0, 1]: one density
-    row, boundary-mass pair and truncation estimate per time, evaluated together.
+def solutions_at(coeffs, times, x):
+    """The Solutions record of coeffs at the given times and points x in [0, 1]: one
+    density row, boundary-mass pair and truncation estimate per time, evaluated together.
 
     The decayed coefficients c_j exp(-lambda_j t) form one (times x modes)
     matrix; one SpectralBasis.density_values call gives every density at x.
@@ -257,8 +259,9 @@ def solutions_at(basis, coeffs, init, times, x):
     unit roundoff estimates what rounding costs.  Where either estimate
     exceeds 1e-6 of the initial mass at a positive time, ValueError names
     the earliest such time and the first safe one, and either the range of
-    Xi (roundoff, which more modes cannot mend) or the mode count to raise.
+    Xi on [0, 1] (roundoff, which more modes cannot mend) or the modes to raise.
     """
+    basis, init = coeffs.basis, coeffs.measure
     times = np.array(times, float, ndmin=1)
     x = np.asarray(x, float)
     if np.any(times < 0.0):
@@ -276,11 +279,11 @@ def solutions_at(basis, coeffs, init, times, x):
         later = (f"the first safe requested time is t={safe.min():g}" if safe.size
                  else "no requested time is safe")
         if roundoff[first] > bound:
-            xi = basis.model.xi_integral(x)  # the range takes Xi(0) = 0 in as well
+            lo, hi = basis.model.xi_bounds()  # Xi(0) = 0, up to its table's roundoff
             raise ValueError(
                 f"series roundoff estimate {roundoff[first]:.2e} at t={times[first]:g} "
                 f"exceeds {_SERIES_TOL:g} of the initial mass: Xi ranges over "
-                f"[{min(0.0, xi.min()):.4g}, {max(0.0, xi.max()):.4g}] on [0, 1], and "
+                f"[{min(0.0, lo):.4g}, {max(0.0, hi):.4g}] on [0, 1], and "
                 f"the eigenmodes grow like e^(Xi range / 2); {later}"
             )
         raise ValueError(
@@ -296,17 +299,17 @@ def solutions_at(basis, coeffs, init, times, x):
     q[start] = init.density_samples(x)
     trunc[start] = 0.0
     a[start], b[start] = init.a0, init.b0
-    return Solutions(times, x, q, a, b, trunc)
+    return Solutions(times, x, q, a, b, trunc, coeffs)
 
 
-def initial_residual(basis, coeffs, init):
+def initial_residual(coeffs):
     """Defect of the weak form at t = 0: max_k |sum_j c_j <chi_k, q_j> - int chi_k dmu0|
     for chi_k = x (1 - x) P_k(2x - 1) e^(-Xi/2), k = 0..3, relative to int chi_0 dmu0
     (0 without interior mass).  The chi_k vanish at both ends; the moments take
     InitialMeasure.integrate's default rule, not the projection's."""
-    moments = init.integrate(lambda x: legvander(2.0 * x - 1.0, 3) * (
-        x * (1.0 - x) * np.exp(-0.5 * basis.model.xi_integral(x)))[:, None])
-    defect = np.max(np.abs(basis.initial_pairings @ coeffs.values - moments))
+    moments = coeffs.measure.integrate(lambda x: legvander(2.0 * x - 1.0, 3) * (
+        x * (1.0 - x) * np.exp(-0.5 * coeffs.basis.model.xi_integral(x)))[:, None])
+    defect = np.max(np.abs(coeffs.basis.initial_pairings @ coeffs.values - moments))
     return float(defect / moments[0]) if defect else 0.0
 
 
@@ -320,26 +323,25 @@ def limit_masses(profile, init):
     return init.a0 + float(a_inf), init.b0 + float(b_inf)
 
 
-def conservation_residuals(init, solutions, limits, psi):
-    """Defects of the two conservation laws along a Solutions record.
-
-    psi is the fixation probability on the solutions' grid, limits are
-    (a_inf, b_inf).  mass_values and psi_mass_values hold total mass and
-    fixation moment at every time; a t = 0 row, whose density has no atom
-    slot, takes both from the initial measure (its total mass and b_inf).
-    The drifts are against those two values, the spans are max minus min.
-    route_gap is the largest gap over the positive times between the series
-    masses and the conservation route a2 = a_inf - integral (1 - psi) q,
-    b2 = b_inf - integral psi q: max |mass - psi_mass - a_inf| and
-    |psi_mass - b_inf| (0 without positive times).
+def conservation_residuals(solutions):
+    """Defects of the two conservation laws along a Solutions record, with the
+    limits (a_inf, b_inf) and fixation probability psi of its coefficients.
+    mass_values and psi_mass_values hold total mass and fixation moment at
+    every time; a t = 0 row, whose density has no atom slot, takes both from
+    the initial measure (its total mass and b_inf).  The drifts are against
+    those two values, the spans are max minus min.  route_gap is the largest
+    gap over the positive times between the series masses and the
+    conservation route a2 = a_inf - integral (1 - psi) q, b2 = b_inf -
+    integral psi q: max |mass - psi_mass - a_inf| and |psi_mass - b_inf| (0
+    without positive times).
     """
     if len(solutions) < 2:
         raise ValueError("need solutions at two or more times")
-    a_inf, b_inf = limits
-    mass0 = init.total_mass()
-    q, x = solutions.density, solutions.grid
+    coeffs, q, x = solutions.coeffs, solutions.density, solutions.grid
+    a_inf, b_inf = coeffs.limits
+    mass0 = coeffs.measure.total_mass()
     mass = solutions.a + solutions.b + np.trapezoid(q, x, axis=-1)
-    psi_mass = solutions.b + np.trapezoid(q * psi, x, axis=-1)
+    psi_mass = solutions.b + np.trapezoid(q * coeffs.profile(x), x, axis=-1)
     start = solutions.t == 0.0
     mass[start] = mass0
     psi_mass[start] = b_inf
@@ -355,31 +357,30 @@ def conservation_residuals(init, solutions, limits, psi):
     )
 
 
-def ds_norm(coeffs, basis, t=0.0):
+def ds_norm(coeffs, t=0.0):
     """D_1 norm of the solution at time t in coefficient space,
     sqrt(sum (w_j exp(-lambda_j t))^2 lambda_j): its largest term times the
     root-sum-square of the terms scaled by it, so that no square overflows."""
-    terms = np.abs(coeffs.values * np.exp(-basis.eigenvalues * t)) * np.sqrt(basis.eigenvalues)
+    lam = coeffs.basis.eigenvalues
+    terms = np.abs(coeffs.values * np.exp(-lam * t)) * np.sqrt(lam)
     top = terms.max()
     return float(top * np.sqrt(np.sum((terms / top) ** 2))) if top else 0.0
 
 
-def decay_diagnostics(basis, coeffs, solutions):
-    """Large-time decay of the interior mass along a Solutions record.
-
-    Returns the limit constant (leading mode mass times leading coefficient,
-    0 for data with no leading-mode content), the sequence
-    exp(lambda_0 t) ||q(t)||_1 (0 where the norm underflowed), and the fitted
-    slope of log ||q||_1 against t over the times with a nonzero norm, which
-    should approach minus the first eigenvalue whose coefficient is nonzero;
-    None when fewer than two such times remain.
-    """
-    times = solutions.t
+def decay_diagnostics(solutions):
+    """Large-time decay of the interior mass along a Solutions record: the
+    limit constant (leading mode mass times leading coefficient, 0 for data
+    with no leading-mode content), the sequence exp(lambda_0 t) ||q(t)||_1 (0
+    where the norm underflowed), and the fitted slope of log ||q||_1 against t
+    over the times with a nonzero norm, which should approach minus the first
+    eigenvalue whose coefficient is nonzero; None when fewer than two such
+    times remain."""
+    times, coeffs = solutions.t, solutions.coeffs
     if np.any(times <= 0.0):
         raise ValueError("decay diagnostics need strictly positive times")
-    lam0 = basis.eigenvalues[0]
+    lam0 = coeffs.basis.eigenvalues[0]
     l1 = solutions.density_l1()
-    c_inf = float(basis.mode_masses[0] * coeffs.values[0])
+    c_inf = float(coeffs.basis.mode_masses[0] * coeffs.values[0])
     fitted = l1 > 0.0
     log_l1 = np.log(l1[fitted])
     slope = float(np.polyfit(times[fitted], log_l1, 1)[0]) if fitted.sum() >= 2 else None
@@ -388,17 +389,15 @@ def decay_diagnostics(basis, coeffs, solutions):
     return DecayDiagnostics(c_inf=c_inf, scaled_l1=scaled_l1, slope=slope)
 
 
-def radon_distance_to_limit(init, solutions, limits):
+def radon_distance_to_limit(solutions):
     """Total-variation distance from the limit measure, one value per time:
     the two mass gaps plus the interior L1 norm, and on a t = 0 row, whose
-    density has no atom slot, the interior atoms' mass as well.
-
-    For nonnegative data the gaps add up to the interior mass, so the value
-    equals twice the interior mass.  Whether a mass stays below its limit is
-    scenario._gate's question."""
-    a_inf, b_inf = limits
+    density has no atom slot, the interior atoms' mass as well.  For
+    nonnegative data the gaps add up to the interior mass, so the value is
+    twice it.  Whether a mass stays below its limit is scenario._gate's."""
+    a_inf, b_inf = solutions.coeffs.limits
     rho = (a_inf - solutions.a) + (b_inf - solutions.b) + solutions.density_l1()
-    return rho + sum(m for _, m in init.atoms) * (solutions.t == 0.0)
+    return rho + sum(m for _, m in solutions.coeffs.measure.atoms) * (solutions.t == 0.0)
 
 
 def radon_bound_constant(basis):

@@ -32,15 +32,15 @@ _MAX_SUGGESTED_CELLS = 2**18
 # Talbot's contour, t z(theta) = N (SIGMA + MU theta cot(ALPHA theta) + NU i theta)
 # for theta in (-pi, pi), with the trapezoidal rule's N midpoints; real data
 # need the N/2 with theta > 0.  A strong drift leaves L far from normal, and N
-# grows with it: _MIN_NODES, plus 2 for each _XI_PER_TWO_NODES of the range of
-# Xi, at most _MAX_NODES.  Against the matrix exponential of L at 1024 cells,
-# t = 0.003 to 3, on Kimura (0, +-beta) with bump(0.5, 0.3) and with a unit
-# atom at 0.05 from the end the drift leaves, the fewest nodes within 1e-10 of
-# the mass are 18 at beta = 0, 32 at 40, 46 at 100 and 54 at 150 (the atom;
-# the bump needs at most 38), and the rule gives 20, 34, 54 and 54.  Extra
-# nodes cost digits to the largest weight, e^(0.171 N): the neutral bump reads
-# 6e-12 at N = 20 and 3e-9 at 56, the beta = 100 atom 2e-11 at 54, 1e-10 at 56
-# and 4e-10 at 64
+# grows with it: _MIN_NODES, plus 2 for each _XI_PER_TWO_NODES, or part of it,
+# in the range of the discrete Xi = h cumsum(xi(xc)), at most _MAX_NODES.
+# Against the matrix exponential of L at 1024 cells, t = 0.003 to 3, on Kimura
+# (0, +-beta) with bump(0.5, 0.3) and with a unit atom at 0.05 from the end the
+# drift leaves, the fewest nodes within 1e-10 of the mass are 18 at beta = 0,
+# 32 at 40, 46 at 100 and 54 at 150 (the atom; the bump needs at most 38), and
+# the rule gives 20, 34, 54 and 54.  Extra nodes cost digits to the largest
+# weight, e^(0.171 N): the neutral bump reads 6e-12 at N = 20 and 3e-9 at 56,
+# the beta = 100 atom 2e-11 at 54, 1e-10 at 56 and 4e-10 at 64
 _MIN_NODES, _XI_PER_TWO_NODES, _MAX_NODES = 20, 6.0, 54
 _SIGMA, _MU, _ALPHA, _NU = -0.6122, 0.5017, 0.6407, 0.2645
 # the initial density's rule: Gauss nodes per piece, and the least number of
@@ -151,14 +151,6 @@ def _check_monotone(model, n_cells, lower, upper):
     )
 
 
-def _contour_nodes(model, xc, h):
-    """Talbot's node count N for the operator on the cells centred at xc:
-    _MIN_NODES plus 2 for each _XI_PER_TWO_NODES, or part of it, in the range
-    of the discrete Xi = h cumsum(xi(xc)), at most _MAX_NODES."""
-    xi_range = np.ptp(h * np.cumsum(model.xi(xc)))
-    return min(_MIN_NODES + 2 * int(np.ceil(xi_range / _XI_PER_TWO_NODES)), _MAX_NODES)
-
-
 def solve_fd(model, init, times, n_cells):
     """The reference solution at each of times, which must be nonnegative
     and increase strictly: a list of FdState.
@@ -173,7 +165,7 @@ def solve_fd(model, init, times, n_cells):
     on Talbot's contour z = zeta(theta) / t, by the midpoint rule in theta:
     u = Re sum_k w_k (zeta_k/t I - L)^-1 u0 / t over the N / 2 nodes with
     theta > 0, w_k = -2i e^zeta_k zeta'_k / N, each one pivoted complex
-    tridiagonal solve (zgtsv), and N from the drift (_contour_nodes), the
+    tridiagonal solve (zgtsv), and N from the drift (see _MIN_NODES), the
     same at every time.  For t <= 1 the solves take t L and
     zeta_k instead, the same system times t, so that neither a tiny nor a
     huge t leaves the double range.  One real solve (-L)^T Y = [c_a c_b],
@@ -183,7 +175,9 @@ def solve_fd(model, init, times, n_cells):
     a(t) = a_inf - Y[:,0] . u(t), likewise b: the integral of the flux
     c_a . u from 0 to t.  A mesh too coarse for the drift (some
     upper[i] lower[i+1] <= 0) raises a ValueError that names cells and the
-    count that resolves it.
+    count that resolves it.  e^(tL) is then a nonnegative L1 contraction: an
+    h sum |u(t)| past (1 + 1e-6) h sum |u0| raises a ValueError naming the
+    range of the discrete Xi and N, or 'initial' and cells if it overflowed.
     """
     n_cells = int(n_cells)
     if n_cells < 128:
@@ -193,8 +187,8 @@ def solve_fd(model, init, times, n_cells):
     if not increasing or min(output_times, default=0.0) < 0:
         raise ValueError("output times must be nonnegative and increase strictly")
     xc, h, F, lower, diag, upper = _operator(model, n_cells)
-    mass = init.interior_mass()  # u sums to about mass x cells; the contour's largest factor,
-    if mass * n_cells > 2.0**1014:  # e^(0.171 N), fits 2^-10 headroom up to N = 40
+    mass = init.interior_mass()  # u sums to about mass x cells; the contour's largest
+    if mass * n_cells > 2.0**1014:  # factor, e^(0.171 N), reaches 2^13 at N = 54: checked below
         raise ValueError(f"initial: interior mass {mass:.3g} passes {2.0**1014 / n_cells:.3g}, "
                          f"the most the finite-difference sums hold at cells={n_cells}")
     _check_monotone(model, n_cells, lower, upper)
@@ -210,7 +204,8 @@ def solve_fd(model, init, times, n_cells):
         raise RuntimeError(f"limit solve failed (dgtsv info={info})")
     a_inf, b_inf = init.a0 + Y[:, 0] @ u0, init.b0 + Y[:, 1] @ u0
 
-    nodes = _contour_nodes(model, xc, h)
+    xi_range = np.ptp(h * np.cumsum(model.xi(xc)))
+    nodes = min(_MIN_NODES + 2 * int(np.ceil(xi_range / _XI_PER_TWO_NODES)), _MAX_NODES)
     theta = np.arange(1, nodes, 2) * np.pi / nodes
     zeta = nodes * (_SIGMA + _MU * theta / np.tan(_ALPHA * theta) + 1j * _NU * theta)
     dzeta = nodes * (_MU / np.tan(_ALPHA * theta)
@@ -218,7 +213,7 @@ def solve_fd(model, init, times, n_cells):
     weights = -2j / nodes * np.exp(zeta) * dzeta
     rhs = u0.astype(complex)[:, None]
     ys = np.empty((len(zeta), n_cells), complex)
-    states, solves = [], 1
+    states, solves, l1_0 = [], 1, h * np.sum(np.abs(u0))
     for t in output_times:
         if t == 0.0:
             states.append(FdState(t, xc, u0.copy(), init.a0, init.b0, solves))
@@ -232,6 +227,14 @@ def solve_fd(model, init, times, n_cells):
                 raise RuntimeError(f"contour solve failed (zgtsv info={info})")
             ys[k] = y[:, 0]
         u = ((weights * r) @ ys).real
+        l1 = h * np.sum(np.abs(u))
+        if not l1 <= (1.0 + 1e-6) * l1_0:  # a NaN fails too
+            raise ValueError(
+                f"finite-difference contour at t={t:g}: h sum |u| is {l1 / l1_0:.3g} times its "
+                f"initial value, which e^(tL) cannot exceed; the discrete Xi ranges over "
+                f"{xi_range:.4g}, sizing N={nodes} nodes" if np.isfinite(l1) else
+                f"initial: interior mass {mass:.3g} overflows the finite-difference contour "
+                f"sums at t={t:g} and cells={n_cells}")
         solves += len(zeta)
         states.append(FdState(t, xc, u, a_inf - Y[:, 0] @ u, b_inf - Y[:, 1] @ u, solves))
     return states

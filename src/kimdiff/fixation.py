@@ -14,7 +14,6 @@ no output grid enters it (scenario.run_scenario samples it for fixation.csv).
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from ._quadrature import node_values, running_integral_table, table_values
 
@@ -40,12 +39,10 @@ def fixation_profile(model):
 
     exp(-Xi) is scaled by exp(min Xi) to peak at 1 (finite under strong
     selection, and checked for resolution on the scale of psi) and tabulated
-    as a running integral.  Xi is least at 0, at 1 or where Pi vanishes; the
-    real parts of Pi's roots, clipped into [0, 1], include every such point.
-    The integrand's samples read Xi on the table nodes from Xi's own table.
+    as a running integral (CoefficientModel.xi_bounds gives min Xi).  The
+    integrand's samples read Xi on the table nodes from Xi's own table.
     """
-    roots = np.clip(P.polyroots(model.pi_coeffs).real, 0.0, 1.0)
-    shift = float(np.min(model.xi_integral(np.r_[0.0, 1.0, roots])))
+    shift = model.xi_bounds()[0]
     table = running_integral_table(np.exp(shift - node_values(model.xi_table)),
                                    "the fixation integrand exp(-Xi)")
     total = float(table_values(table, 1.0))

@@ -102,6 +102,11 @@ class CoefficientModel:
         out = table_values(self.xi_table, arr)
         return float(out) if arr.ndim == 0 else out
 
+    def xi_bounds(self):
+        """min and max of Xi on [0, 1], where Xi is extremal at 0, 1 or Pi's roots."""
+        xi = self.xi_integral(np.r_[0.0, 1.0, np.clip(P.polyroots(self.pi_coeffs).real, 0.0, 1.0)])
+        return float(np.min(xi)), float(np.max(xi))
+
 
 def make_kimura(eta, beta):
     """Model with unit diffusion factor and linear selection Pi(x) = eta x + beta.

@@ -261,26 +261,20 @@ def _remove(paths):
 
 
 def compute_pipeline(scenario):
-    """Run the spectral pipeline for a scenario; returns a dict of the pieces
-    that both evolve and verify write: the fixation profile, the basis, the
-    coefficients, their weak-form defect at t = 0, the solutions at the
-    scenario times, their positive-time view and their conservation report."""
-    model, init = scenario.model, scenario.initial
-    profile = fixation_profile(model)
-    basis = build_basis(model, scenario.modes)
-    coeffs = evolution.project_initial(basis, init, profile)
+    """Run the spectral pipeline for a scenario; returns a dict of what both
+    evolve and verify write that the records do not carry: the solutions at the
+    scenario times (their coeffs carry basis, measure, profile and limits),
+    their conservation report and their weak-form defect at t = 0."""
+    profile = fixation_profile(scenario.model)
+    coeffs = evolution.project_initial(build_basis(scenario.model, scenario.modes),
+                                       scenario.initial, profile)
     n = scenario.grid  # the profiles' closed grid, i / (n + 1) for i = 0..n + 1
     x = np.concatenate(([0.0], np.arange(1, n + 1) * (1.0 / (n + 1)), [1.0]))
-    sols = evolution.solutions_at(basis, coeffs, init, scenario.times, x)
-    psi = profile(x)
+    sols = evolution.solutions_at(coeffs, scenario.times, x)
     return {
-        "profile": profile,
-        "basis": basis,
-        "coeffs": coeffs,
-        "initial_residual": evolution.initial_residual(basis, coeffs, init),
+        "initial_residual": evolution.initial_residual(coeffs),
         "solutions": sols,
-        "positive": sols[sols.t > 0],
-        "report": evolution.conservation_residuals(init, sols, coeffs.limits, psi),
+        "report": evolution.conservation_residuals(sols),
     }
 
 
@@ -304,7 +298,8 @@ def _gate(scenario, pieces):
     ]
     # the checks below are negated, so that a NaN fails them as it fails _exceeds
     floor = -TOLERANCES["positivity"] * mass0
-    sols, positive = pieces["solutions"], pieces["positive"]
+    sols = pieces["solutions"]
+    positive = sols[sols.t > 0]
     low = positive.density.min(axis=1)
     dips = np.flatnonzero(~(low >= floor))
     if dips.size:
@@ -313,7 +308,7 @@ def _gate(scenario, pieces):
             f"below the positivity slack {floor:.1e}"
         )
     # nonnegative, nondecreasing and at most its limit
-    for name, mass, limit in zip("ab", (sols.a, sols.b), pieces["coeffs"].limits):
+    for name, mass, limit in zip("ab", (sols.a, sols.b), sols.coeffs.limits):
         step = np.diff(mass, prepend=mass[0])
         over = mass - limit
         for i in np.flatnonzero(~((mass >= floor) & (step >= floor) & (over <= -floor)))[:1]:
@@ -358,35 +353,35 @@ def run_scenario(scenario):
     exit 1.
     """
     pieces = compute_pipeline(scenario)
-    basis, coeffs = pieces["basis"], pieces["coeffs"]
-    sols, positive = pieces["solutions"], pieces["positive"]
-    decay = evolution.decay_diagnostics(basis, coeffs, positive) if len(positive) > 1 else None
+    sols = pieces["solutions"]
+    coeffs, positive = sols.coeffs, sols[sols.t > 0]
+    basis = coeffs.basis
+    decay = evolution.decay_diagnostics(positive) if len(positive) > 1 else None
 
     # an atom's D_1 norm is infinite: atom data take it at the first positive time
     norm_time = float(positive.t[0]) if scenario.initial.atoms else 0.0
     c0, c0_tail = evolution.radon_bound_constant(basis)  # before any artifact
 
     out = scenario.out_dir
-    limits = coeffs.limits
     report = pieces["report"]
     profiles_dir = out / "profiles"
     drifts = {"mass_drift": report.mass_drift, "psi_mass_drift": report.psi_mass_drift}
     summary = {
         **_verdict(scenario, pieces, "residuals", drifts),
         "lambda0": float(basis.eigenvalues[0]),
-        "a_inf": limits[0],
-        "b_inf": limits[1],
+        "a_inf": coeffs.limits[0],
+        "b_inf": coeffs.limits[1],
         "C_inf": None if decay is None else decay.c_inf,
         "slope": None if decay is None else decay.slope,
         "smoothness": {
-            "initial_norm": evolution.ds_norm(coeffs, basis, norm_time),
+            "initial_norm": evolution.ds_norm(coeffs, norm_time),
             "norm_time": norm_time,
             "decay_bound_constant": c0,
             "decay_bound_tail": c0_tail,
         },
     }
     x = np.linspace(0.0, 1.0, scenario.grid + 1)  # fixation.csv's grid + 1 points
-    psi = pieces["profile"](x)
+    psi = coeffs.profile(x)
     psi[0], psi[-1] = 0.0, 1.0  # pinned at the ends
     # every artifact of the run in one text pass; the profiles share one grid column
     _write_artifacts([
@@ -402,7 +397,7 @@ def run_scenario(scenario):
           "trunc_error"],
          [sols.t, sols.a, sols.b, sols.density_l1(), report.mass_values,
           report.psi_mass_values,
-          evolution.radon_distance_to_limit(scenario.initial, sols, limits),
+          evolution.radon_distance_to_limit(sols),
           sols.trunc_error]),
         (out / "summary.json", summary),
     ])
@@ -416,7 +411,8 @@ def run_verify(scenario):
     Gates on the cross-solver gaps and the spectral invariants; exit status 2
     on any violation, 0 otherwise."""
     pieces = compute_pipeline(scenario)
-    positive = pieces["positive"]
+    sols = pieces["solutions"]
+    positive = sols[sols.t > 0]
     fd_states = fd.solve_fd(scenario.model, scenario.initial, positive.t, scenario.cells)
     comparison = fd.compare_with_spectral(fd_states, positive)
     mass0 = scenario.initial.total_mass()

@@ -33,8 +33,7 @@ def neutral_profile_big(neutral):
 @pytest.fixture(scope="module")
 def uniform_run(neutral_big, neutral_profile_big):
     init = kd.InitialMeasure(density="uniform")
-    coeffs = kd.project_initial(neutral_big, init, neutral_profile_big)
-    return init, coeffs
+    return kd.project_initial(neutral_big, init, neutral_profile_big)
 
 
 def test_neutral_eigenvalues(neutral):
@@ -75,8 +74,8 @@ def test_conservation_laws(selection, neutral_big, neutral_profile_big):
 
     def run(basis, profile, init, x):
         coeffs = kd.project_initial(basis, init, profile)
-        sols = kd.solutions_at(basis, coeffs, init, times, x)
-        return kd.conservation_residuals(init, sols, coeffs.limits, profile(x))
+        sols = kd.solutions_at(coeffs, times, x)
+        return kd.conservation_residuals(sols)
 
     uniform = kd.InitialMeasure(density="uniform")
     rep = run(neutral_big, neutral_profile_big, uniform, BIG_GRID)
@@ -100,11 +99,11 @@ def test_conservation_laws(selection, neutral_big, neutral_profile_big):
 
 def test_boundary_mass_routes(selection, neutral_big, neutral_profile_big, uniform_run):
     times = (0.1, 0.5, 1.0, 2.0)
-    init_u, coeffs_u = uniform_run
+    coeffs_u = uniform_run
     psi_big = neutral_profile_big(BIG_GRID)
     disc_u = max(
         conservation_route(sol, coeffs_u.limits, psi_big)[2]
-        for sol in kd.solutions_at(neutral_big, coeffs_u, init_u, times, BIG_GRID)
+        for sol in kd.solutions_at(coeffs_u, times, BIG_GRID)
     )
     sel_basis = kd.build_basis(selection, 128)
     sel_profile = kd.fixation_profile(selection)
@@ -113,7 +112,7 @@ def test_boundary_mass_routes(selection, neutral_big, neutral_profile_big, unifo
     sel_psi = sel_profile(GRID)
     disc_b = max(
         conservation_route(sol, coeffs_b.limits, sel_psi)[2]
-        for sol in kd.solutions_at(sel_basis, coeffs_b, bump, times, GRID)
+        for sol in kd.solutions_at(coeffs_b, times, GRID)
     )
 
     # point-mass data: conservation-route masses reach the exact limits
@@ -121,9 +120,9 @@ def test_boundary_mass_routes(selection, neutral_big, neutral_profile_big, unifo
     x0 = 0.01
     atom = kd.InitialMeasure(atoms=[(x0, 1.0)])
     coeffs_a = kd.project_initial(neutral_big, atom, neutral_profile_big)
-    a_inf, b_inf = kd.limit_masses(neutral_profile_big, atom)
+    a_inf, b_inf = coeffs_a.limits
     t_star = 6.0 / neutral_big.eigenvalues[0]
-    sol_star, sol_lim = kd.solutions_at(neutral_big, coeffs_a, atom, [t_star, np.inf], BIG_GRID)
+    sol_star, sol_lim = kd.solutions_at(coeffs_a, [t_star, np.inf], BIG_GRID)
     a2, b2, _ = conservation_route(sol_star, (a_inf, b_inf), psi_big)
     psi_x0 = float(neutral_profile_big(x0))
     gap = max(abs(a2 - (1 - psi_x0)), abs(b2 - psi_x0))
@@ -145,18 +144,18 @@ def test_boundary_mass_routes(selection, neutral_big, neutral_profile_big, unifo
     )
 
 
-def test_spectral_vs_fd(neutral, selection, neutral_big, uniform_run):
+def test_spectral_vs_fd(neutral, selection, uniform_run):
     times = [0.1, 1.0]
-    init_u, coeffs_u = uniform_run
-    sols_u = kd.solutions_at(neutral_big, coeffs_u, init_u, times, BIG_GRID)
-    fd_u = kd.solve_fd(neutral, init_u, times, 1024)
+    coeffs_u = uniform_run
+    sols_u = kd.solutions_at(coeffs_u, times, BIG_GRID)
+    fd_u = kd.solve_fd(neutral, coeffs_u.measure, times, 1024)
     rows_u = kd.compare_with_spectral(fd_u, sols_u)
 
     sel_basis = kd.build_basis(selection, 128)
     sel_profile = kd.fixation_profile(selection)
     bump = kd.InitialMeasure(density="bump(0.4, 0.2)")
     coeffs_b = kd.project_initial(sel_basis, bump, sel_profile)
-    sols_b = kd.solutions_at(sel_basis, coeffs_b, bump, times, GRID)
+    sols_b = kd.solutions_at(coeffs_b, times, GRID)
     fd_b = kd.solve_fd(selection, bump, times, 1024)
     rows_b = kd.compare_with_spectral(fd_b, sols_b)
 
@@ -167,7 +166,7 @@ def test_spectral_vs_fd(neutral, selection, neutral_big, uniform_run):
     gaps = []
     for cells in (128, 256, 512):
         states = kd.solve_fd(selection, bump, [0.5], cells)
-        ref = kd.solutions_at(sel_basis, coeffs_b, bump, [0.5], GRID)
+        ref = kd.solutions_at(coeffs_b, [0.5], GRID)
         gaps.append(kd.compare_with_spectral(states, ref)[0].q_l1_diff)
     ratios = [gaps[0] / gaps[1], gaps[1] / gaps[2]]
     order_ok = all(2.5 < r < 6.0 for r in ratios)
@@ -180,24 +179,18 @@ def test_spectral_vs_fd(neutral, selection, neutral_big, uniform_run):
     )
 
 
-def test_exponential_convergence(neutral_big, neutral_profile_big, uniform_run):
-    init, coeffs = uniform_run
-    diag = kd.decay_diagnostics(
-        neutral_big, coeffs,
-        kd.solutions_at(neutral_big, coeffs, init, np.linspace(0.5, 1.5, 11), BIG_GRID),
-    )
+def test_exponential_convergence(uniform_run):
+    coeffs = uniform_run
+    diag = kd.decay_diagnostics(kd.solutions_at(coeffs, np.linspace(0.5, 1.5, 11), BIG_GRID))
     slope_ok = abs(diag.slope + 2.0) <= 0.01 * 2.0
 
-    diag3 = kd.decay_diagnostics(
-        neutral_big, coeffs, kd.solutions_at(neutral_big, coeffs, init, [3.0], BIG_GRID)
-    )
+    diag3 = kd.decay_diagnostics(kd.solutions_at(coeffs, [3.0], BIG_GRID))
     c_inf = diag3.c_inf
     scaled_gap = abs(diag3.scaled_l1[0] / c_inf - 1.0)
 
-    limits = kd.limit_masses(neutral_profile_big, init)
     radon_gap = 0.0
-    for sol in kd.solutions_at(neutral_big, coeffs, init, (0.1, 0.5, 1.0, 2.0, 3.0), BIG_GRID):
-        rho = kd.radon_distance_to_limit(init, sol, limits)
+    for sol in kd.solutions_at(coeffs, (0.1, 0.5, 1.0, 2.0, 3.0), BIG_GRID):
+        rho = kd.radon_distance_to_limit(sol)
         radon_gap = max(radon_gap, abs(rho - 2.0 * sol.density_l1()))
 
     report(
@@ -246,10 +239,9 @@ def test_bessel_comparison(neutral):
 def test_weak_form_residual(selection, neutral_big, uniform_run):
     # the weak form holds at every t > 0 exactly when each mode satisfies its
     # identity, and at t = 0 when the projection reproduces the data's moments
-    init, coeffs = uniform_run
     ident = {"neutral": float(np.max(neutral_big.identity_residuals)),
              "selection": float(np.max(kd.build_basis(selection, 64).identity_residuals))}
-    initial = kd.evolution.initial_residual(neutral_big, coeffs, init)
+    initial = kd.evolution.initial_residual(uniform_run)
     report(
         "weak-form-residual",
         max(ident.values()) <= 1e-10 and initial <= 1e-10,
@@ -263,14 +255,15 @@ def test_degenerate_inputs(neutral_big, neutral_profile_big):
     init = kd.InitialMeasure(a0=0.3, b0=0.7)
     coeffs = kd.project_initial(neutral_big, init, neutral_profile_big)
     exact = True
-    for sol in kd.solutions_at(neutral_big, coeffs, init, (0.1, 1.0, 5.0), BIG_GRID):
+    for sol in kd.solutions_at(coeffs, (0.1, 1.0, 5.0), BIG_GRID):
         exact = exact and np.all(sol.density == 0.0) and sol.a == 0.3 and sol.b == 0.7
 
     # data with no leading-mode content decays at the second eigenvalue
-    odd = kd.SpectralCoefficients(np.zeros(neutral_big.n_modes), limits=(0.0, 0.0))
+    odd = kd.SpectralCoefficients(np.zeros(neutral_big.n_modes), neutral_big, init,
+                                  neutral_profile_big)
     odd.values[1] = 1.0
-    odd_sols = kd.solutions_at(neutral_big, odd, init, np.linspace(0.4, 1.2, 9), BIG_GRID)
-    diag = kd.decay_diagnostics(neutral_big, odd, odd_sols)
+    odd_sols = kd.solutions_at(odd, np.linspace(0.4, 1.2, 9), BIG_GRID)
+    diag = kd.decay_diagnostics(odd_sols)
     lam1 = neutral_big.eigenvalues[1]
     slope_gap = abs(diag.slope + lam1) / lam1
     report(

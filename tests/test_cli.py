@@ -142,22 +142,6 @@ def test_malformed_field_exits_one_and_names_it(tmp_path, capsys, field, extra):
     assert f"config field '{field}'" in capsys.readouterr().err
 
 
-def test_invalid_psi_exits_one(tmp_path, capsys):
-    # Psi = 1 - 2x is negative past x = 1/2
-    path = demo_config(tmp_path, model={"psi": [-2.0, 1.0], "pi": [0.0]})
-    assert main(["evolve", "--config", str(path)]) == 1
-    assert "config field 'model.psi/pi'" in capsys.readouterr().err
-
-
-def test_overlong_number_exits_one_and_names_it(tmp_path, capsys):
-    # 1e400 parses as inf; the model must not see it
-    path = tmp_path / "beta.json"
-    path.write_text(demo_config(tmp_path).read_text().replace('"beta": 0.0', '"beta": 1e400'))
-    assert main(["verify", "--config", str(path)]) == 1
-    assert capsys.readouterr().err == (
-        "error: config field 'model.beta': expected a finite number, got inf\n")
-
-
 def _flat(value):
     """The initial block of a density equal to value on [0, 1], whose mass it is."""
     return {"density": {"x": [0, 1], "values": [value, value]}}
@@ -282,6 +266,14 @@ def _exits_one(label, config, message, fresh=False, commands=("verify",)):
     _exits_one("config36", {"initial": _flat(1e-316)},
                "config field 'initial': total initial mass must be at least 9.33e-302, "
                "got 1e-316", commands=("evolve", "verify")),
+    # Psi = x - 2 is negative on all of [0, 1]
+    _exits_one("config37", {"model": {"psi": [-2.0, 1.0], "pi": [0.0]}},
+               "config field 'model.psi/pi': diffusion factor positivity violated",
+               commands=("evolve",)),
+    # 1e400 parses as inf; the model must not see it
+    _exits_one("config38", '{"schema": 1, "model": {"preset": "kimura", "beta": 1e400}, '
+                           '"times": [0.1, 1]}',
+               "error: config field 'model.beta': expected a finite number, got inf\n"),
 ])
 def test_cli_input_errors_exit_one_without_traceback(tmp_path, monkeypatch, capsys, config,
                                                      message, fresh, commands):
@@ -762,7 +754,7 @@ def _projection_on_the_basis_rule(basis, init, profile):
     values = (weights * init.density_samples(nodes)) @ modes(nodes)
     for x, mass in init.atoms:
         values = values + mass * modes(np.array([x]))[0]
-    return evolution.SpectralCoefficients(values, evolution.limit_masses(profile, init))
+    return evolution.SpectralCoefficients(values, basis, init, profile)
 
 
 @pytest.mark.parametrize("initial", [

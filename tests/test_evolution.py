@@ -20,8 +20,7 @@ SQ6 = np.sqrt(6.0)
 def uniform_setup(neutral_basis, neutral_profile):
     """Neutral model with uniform density: exactly the leading mode."""
     init = kd.InitialMeasure(density="uniform")
-    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
-    return init, coeffs
+    return kd.project_initial(neutral_basis, init, neutral_profile)
 
 
 def test_initial_measure_validation():
@@ -127,14 +126,24 @@ def test_sampled_density_moments_are_exact(neutral_profile, density):
     assert a_inf + b_inf == pytest.approx(init.total_mass(), rel=1e-13, abs=1e-13)
 
 
-def _kimura_bump_run(eta, beta, center, width, a0, b0):
-    """The Kimura (eta, beta) solution from endpoint masses and a bump, at
-    64 modes, at t = 0.1, 0.5 and 1, on the 257 points k / 256."""
+def _kimura_run(eta, beta, **initial):
+    """The Kimura (eta, beta) solution from the initial measure with the given
+    fields, at 64 modes, at t = 0.1, 0.5 and 1, on the 257 points k / 256."""
     model = kd.make_kimura(eta, beta)
     basis = kd.build_basis(model, 64)
-    init = kd.InitialMeasure(a0=a0, b0=b0, density=f"bump({center!r},{width!r})")
+    init = kd.InitialMeasure(**initial)
     coeffs = kd.project_initial(basis, init, kd.fixation_profile(model))
-    return init, kd.solutions_at(basis, coeffs, init, [0.1, 0.5, 1.0], np.arange(257) / 256.0)
+    return kd.solutions_at(coeffs, [0.1, 0.5, 1.0], np.arange(257) / 256.0)
+
+
+def _mirror_gaps(sols, mirror):
+    """The largest gaps of a to the mirror's b and b to its a, relative to
+    the mass, and of the density to the mirror's reversed, relative to its
+    largest value."""
+    mass = sols.coeffs.measure.total_mass()
+    ab = max(np.max(np.abs(sols.a - mirror.b)), np.max(np.abs(sols.b - mirror.a))) / mass
+    density = np.max(np.abs(sols.density - mirror.density[:, ::-1]))
+    return ab, density / np.max(np.abs(sols.density))
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
@@ -150,13 +159,26 @@ def test_reflection_swaps_the_endpoints(eta, beta, center, fraction, a0, b0):
     # beta = -20, a bump at 0.9: Xi spans 25); beta = 20 on bump(0.5, 0.3)
     # reads 6.4e-13 and 6.5e-12
     width = fraction * min(center, 1.0 - center)
-    init, sols = _kimura_bump_run(eta, beta, center, width, a0, b0)
-    _, mirror = _kimura_bump_run(eta, -eta - beta, 1.0 - center, width, b0, a0)
-    mass = init.total_mass()
-    assert np.max(np.abs(sols.a - mirror.b)) <= 1e-9 * mass
-    assert np.max(np.abs(sols.b - mirror.a)) <= 1e-9 * mass
-    density = np.max(np.abs(sols.density))
-    assert np.max(np.abs(sols.density - mirror.density[:, ::-1])) <= 2e-8 * density
+    sols = _kimura_run(eta, beta, a0=a0, b0=b0, density=f"bump({center!r},{width!r})")
+    mirror = _kimura_run(eta, -eta - beta, a0=b0, b0=a0,
+                         density=f"bump({1.0 - center!r},{width!r})")
+    ab, density = _mirror_gaps(sols, mirror)
+    assert ab <= 1e-9 and density <= 2e-8
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(st.floats(-10.0, 10.0), st.floats(-20.0, 20.0), st.floats(0.02, 0.98),
+       st.floats(0.1, 10.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_reflection_swaps_the_endpoints_of_atom_data(eta, beta, x0, mass, a0, b0):
+    # the reflection on one interior atom, whose coefficients do not decay
+    # with the mode index.  Largest gaps over 3600 random draws and the
+    # corners of the ranges: 2.1e-10 of the mass in a and b, 7.0e-9 of the
+    # largest density (eta = -10, beta = -20, the atom at 0.98); the bounds
+    # are about 9 times these
+    sols = _kimura_run(eta, beta, a0=a0, b0=b0, atoms=[(x0, mass)])
+    mirror = _kimura_run(eta, -eta - beta, a0=b0, b0=a0, atoms=[(1.0 - x0, mass)])
+    ab, density = _mirror_gaps(sols, mirror)
+    assert ab <= 2e-9 and density <= 6e-8
 
 
 @pytest.mark.parametrize("samples", [65, 2049])
@@ -205,13 +227,14 @@ def test_initial_residual_reads_the_initial_term(neutral_basis, neutral_profile)
     # by 1 + 1e-6 scales each paired sum, and endpoint masses drop out
     init = kd.InitialMeasure(a0=0.2, b0=0.3, density="bump(0.4, 0.25)")
     coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
-    assert evolution.initial_residual(neutral_basis, coeffs, init) <= 1e-11
-    perturbed = kd.SpectralCoefficients(coeffs.values * (1.0 + 1e-6), coeffs.limits)
-    residual = evolution.initial_residual(neutral_basis, perturbed, init)
+    assert evolution.initial_residual(coeffs) <= 1e-11
+    perturbed = kd.SpectralCoefficients(coeffs.values * (1.0 + 1e-6), neutral_basis, init,
+                                        neutral_profile)
+    residual = evolution.initial_residual(perturbed)
     assert residual == pytest.approx(1e-6, rel=1e-3)
     endpoints_only = kd.InitialMeasure(a0=0.3, b0=0.7)
     coeffs = kd.project_initial(neutral_basis, endpoints_only, neutral_profile)
-    assert evolution.initial_residual(neutral_basis, coeffs, endpoints_only) == 0.0
+    assert evolution.initial_residual(coeffs) == 0.0
 
 
 def test_initial_residual_for_a_varying_psi():
@@ -221,7 +244,7 @@ def test_initial_residual_for_a_varying_psi():
     basis = kd.build_basis(model, 64)
     init = kd.InitialMeasure(a0=0.2, b0=0.3, density="bump(0.4, 0.25)", atoms=[(0.7, 0.2)])
     coeffs = kd.project_initial(basis, init, kd.fixation_profile(model))
-    assert evolution.initial_residual(basis, coeffs, init) <= 1e-10
+    assert evolution.initial_residual(coeffs) <= 1e-10
 
 
 def test_projection_of_leading_mode_is_unit_vector(neutral_basis, neutral_profile):
@@ -263,38 +286,38 @@ def test_projection_atom_near_endpoint_is_exact(neutral, neutral_profile):
 
 def test_uniform_data_is_single_mode(uniform_setup):
     # quadrature-level agreement with the exact coefficient sqrt(6)/6
-    _, coeffs = uniform_setup
+    coeffs = uniform_setup
     assert coeffs.values[0] == pytest.approx(SQ6 / 6, abs=1e-6)
     assert np.max(np.abs(coeffs.values[1:])) <= 1e-8
 
 
-def test_series_single_mode_decay(neutral_basis, uniform_setup):
-    init, coeffs = uniform_setup
-    s1, s2, s3, s6 = kd.solutions_at(neutral_basis, coeffs, init, [1.0, 2.0, 3.0, 6.0], GRID)
+def test_series_single_mode_decay(uniform_setup):
+    coeffs = uniform_setup
+    s1, s2, s3, s6 = kd.solutions_at(coeffs, [1.0, 2.0, 3.0, 6.0], GRID)
     assert np.allclose(s2.density, s1.density * np.exp(-2.0), atol=1e-12)
     sup = [np.max(np.abs(s.density)) for s in (s1, s3, s6)]
     assert sup[0] > sup[1] > sup[2]
     assert sup[2] <= 1e-5
 
 
-def test_series_at_zero_returns_raw_density(neutral_basis, uniform_setup):
-    init, coeffs = uniform_setup
-    sol = kd.solutions_at(neutral_basis, coeffs, init, [0.0], GRID)[0]
+def test_series_at_zero_returns_raw_density(uniform_setup):
+    coeffs = uniform_setup
+    sol = kd.solutions_at(coeffs, [0.0], GRID)[0]
     assert np.all(sol.density == 1.0)
     assert sol.trunc_error == 0.0
 
 
 def test_single_mode_l1_norm(neutral_basis, uniform_setup):
-    init, coeffs = uniform_setup
-    sol = kd.solutions_at(neutral_basis, coeffs, init, [1.0], GRID)[0]
+    coeffs = uniform_setup
+    sol = kd.solutions_at(coeffs, [1.0], GRID)[0]
     expected = neutral_basis.mode_masses[0] * coeffs.values[0] * np.exp(-2.0)
     assert sol.density_l1() == pytest.approx(expected, rel=1e-9)
 
 
-def test_series_masses_at_zero_and_monotone(neutral_basis, uniform_setup):
-    init, coeffs = uniform_setup
+def test_series_masses_at_zero_and_monotone(uniform_setup):
+    coeffs = uniform_setup
     times = [0.0, 0.2, 0.5, 1.0, 2.0, 4.0]
-    sols = kd.solutions_at(neutral_basis, coeffs, init, times, GRID)
+    sols = kd.solutions_at(coeffs, times, GRID)
     assert (sols[0].a, sols[0].b) == (0.0, 0.0)
     a_vals = [s.a for s in sols]
     b_vals = [s.b for s in sols]
@@ -302,9 +325,9 @@ def test_series_masses_at_zero_and_monotone(neutral_basis, uniform_setup):
     assert np.all(np.diff(b_vals) > 0)
 
 
-def test_series_masses_uniform_exact(neutral_basis, uniform_setup):
-    init, coeffs = uniform_setup
-    sol = kd.solutions_at(neutral_basis, coeffs, init, [0.5], GRID)[0]
+def test_series_masses_uniform_exact(uniform_setup):
+    coeffs = uniform_setup
+    sol = kd.solutions_at(coeffs, [0.5], GRID)[0]
     a, b = sol.a, sol.b
     exact = SQ6 * (1 - np.exp(-1.0)) / 2 * (SQ6 / 6)
     assert a == pytest.approx(exact, rel=1e-7)
@@ -324,35 +347,35 @@ def test_limit_masses_examples(neutral_profile):
     assert kd.limit_masses(neutral_profile, left) == (1.0, 0.0)
 
 
-def test_series_route_reaches_limits(neutral_basis, neutral_profile, uniform_setup):
-    init, coeffs = uniform_setup
-    far = kd.solutions_at(neutral_basis, coeffs, init, [np.inf], GRID)[0]
+def test_series_route_reaches_limits(uniform_setup):
+    coeffs = uniform_setup
+    far = kd.solutions_at(coeffs, [np.inf], GRID)[0]
     a_t, b_t = far.a, far.b
-    a_inf, b_inf = kd.limit_masses(neutral_profile, init)
+    a_inf, b_inf = coeffs.limits
     assert a_t == pytest.approx(a_inf, abs=1e-7)
     assert b_t == pytest.approx(b_inf, abs=1e-7)
 
 
-def test_mass_cross_check_single_mode(neutral_basis, neutral_profile, uniform_setup):
-    init, coeffs = uniform_setup
-    sols = kd.solutions_at(neutral_basis, coeffs, init, [0.0, 1.0], GRID)
+def test_mass_cross_check_single_mode(neutral_profile, uniform_setup):
+    coeffs = uniform_setup
+    sols = kd.solutions_at(coeffs, [0.0, 1.0], GRID)
     psi = neutral_profile(sols.grid)
     a2, b2, disc = conservation_route(sols[1], coeffs.limits, psi)
     assert disc <= 1e-6
     # the t = 0 row holds the raw initial data and takes no part in the gap
-    rep = kd.conservation_residuals(init, sols, coeffs.limits, psi)
+    rep = kd.conservation_residuals(sols)
     assert rep.route_gap == pytest.approx(disc, abs=1e-14)
 
 
-def test_mass_cross_check_early_time_limit(neutral_basis, neutral_profile, uniform_setup):
+def test_mass_cross_check_early_time_limit(neutral_profile, uniform_setup):
     # as t -> 0+ the conservation route returns the initial endpoint masses
     # (up to the genuinely absorbed flux, which is proportional to t)
-    init, coeffs = uniform_setup
+    coeffs = uniform_setup
     gaps = []
     times = (1e-4, 1e-5, 1e-6)
-    for sol in kd.solutions_at(neutral_basis, coeffs, init, times, GRID):
+    for sol in kd.solutions_at(coeffs, times, GRID):
         a2, b2, _ = conservation_route(sol, coeffs.limits, neutral_profile(sol.grid))
-        gaps.append(max(abs(a2 - init.a0), abs(b2 - init.b0)))
+        gaps.append(max(abs(a2 - coeffs.measure.a0), abs(b2 - coeffs.measure.b0)))
         assert gaps[-1] <= 3 * sol.t
     assert gaps[0] > gaps[1] > gaps[2]
 
@@ -362,31 +385,29 @@ def test_series_route_atom_limit_is_exact(neutral_basis, neutral_profile):
     # anchored at the limits, so no truncation tail survives at t = inf
     init = kd.InitialMeasure(atoms=[(0.25, 1.0)])
     coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
-    far = kd.solutions_at(neutral_basis, coeffs, init, [np.inf], GRID)[0]
+    far = kd.solutions_at(coeffs, [np.inf], GRID)[0]
     a_lim, b_lim = far.a, far.b
-    a_inf, b_inf = kd.limit_masses(neutral_profile, init)
+    a_inf, b_inf = coeffs.limits
     assert a_inf == pytest.approx(0.75, abs=1e-9)
     assert a_lim == pytest.approx(a_inf, abs=1e-12)
     assert b_lim == pytest.approx(b_inf, abs=1e-12)
 
 
-def test_cross_check_approaches_limit(neutral_basis, neutral_profile, uniform_setup):
-    init, coeffs = uniform_setup
-    a_inf, _ = kd.limit_masses(neutral_profile, init)
+def test_cross_check_approaches_limit(neutral_profile, uniform_setup):
+    coeffs = uniform_setup
+    a_inf, _ = coeffs.limits
     gaps = [
         abs(conservation_route(sol, coeffs.limits, neutral_profile(sol.grid))[0] - a_inf)
-        for sol in kd.solutions_at(neutral_basis, coeffs, init, (1.0, 3.0, 6.0), GRID)
+        for sol in kd.solutions_at(coeffs, (1.0, 3.0, 6.0), GRID)
     ]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] <= 1e-5
 
 
-def test_conservation_single_mode(neutral_basis, neutral_profile, uniform_setup):
-    init, coeffs = uniform_setup
-    sols = kd.solutions_at(neutral_basis, coeffs, init, (0.1, 0.5, 1.0, 2.0), GRID)
-    rep = kd.conservation_residuals(
-        init, sols, coeffs.limits, neutral_profile(GRID)
-    )
+def test_conservation_single_mode(uniform_setup):
+    coeffs = uniform_setup
+    sols = kd.solutions_at(coeffs, (0.1, 0.5, 1.0, 2.0), GRID)
+    rep = kd.conservation_residuals(sols)
     assert rep.mass_drift <= 1e-6
     assert rep.psi_mass_drift <= 1e-6
 
@@ -394,10 +415,8 @@ def test_conservation_single_mode(neutral_basis, neutral_profile, uniform_setup)
 def test_conservation_boundary_atoms_exact(neutral_basis, neutral_profile):
     init = kd.InitialMeasure(a0=0.4, b0=0.6)
     coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
-    sols = kd.solutions_at(neutral_basis, coeffs, init, (0.5, 1.0), GRID)
-    rep = kd.conservation_residuals(
-        init, sols, coeffs.limits, neutral_profile(GRID)
-    )
+    sols = kd.solutions_at(coeffs, (0.5, 1.0), GRID)
+    rep = kd.conservation_residuals(sols)
     assert rep.mass_drift == 0.0
     assert rep.psi_mass_drift == 0.0
 
@@ -411,10 +430,8 @@ def test_conservation_interior_atom_constancy(neutral_basis, neutral_profile):
     init = kd.InitialMeasure(atoms=[(0.25, 1.0)])
     coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
     times = (0.0, 0.1, 0.5, 1.0, 2.0)
-    sols = kd.solutions_at(neutral_basis, coeffs, init, times, GRID)
-    rep = kd.conservation_residuals(
-        init, sols, coeffs.limits, neutral_profile(GRID)
-    )
+    sols = kd.solutions_at(coeffs, times, GRID)
+    rep = kd.conservation_residuals(sols)
     assert rep.mass_span <= 1e-5
     assert rep.psi_mass_span <= 1e-5
     assert rep.mass_drift <= 1e-5
@@ -430,84 +447,82 @@ def test_route_gap_matches_trapezoid_route(selection):
     x = closed_grid(1024)
     init = kd.InitialMeasure(a0=0.1, density="bump(0.4, 0.25)", atoms=[(0.7, 0.3)])
     coeffs = kd.project_initial(basis, init, profile)
-    sols = kd.solutions_at(basis, coeffs, init, (0.0, 0.5, 1.0, 2.0), x)
+    sols = kd.solutions_at(coeffs, (0.0, 0.5, 1.0, 2.0), x)
     psi = profile(x)
     expected = max(conservation_route(sol, coeffs.limits, psi)[2] for sol in sols[1:])
-    rep = kd.conservation_residuals(init, sols, coeffs.limits, psi)
+    rep = kd.conservation_residuals(sols)
     assert expected > 0.0
     assert rep.route_gap == pytest.approx(expected, abs=1e-14)
 
 
-def test_ds_norm_values(neutral_basis):
-    coeffs = kd.SpectralCoefficients(np.zeros(neutral_basis.n_modes))
-    assert kd.ds_norm(coeffs, neutral_basis) == 0.0
+def test_ds_norm_values(neutral_basis, neutral_profile):
+    coeffs = kd.SpectralCoefficients(np.zeros(neutral_basis.n_modes), neutral_basis,
+                                     kd.InitialMeasure(a0=1.0), neutral_profile)
+    assert kd.ds_norm(coeffs) == 0.0
     coeffs.values[0] = 1.0
-    assert kd.ds_norm(coeffs, neutral_basis) == pytest.approx(np.sqrt(2.0), rel=1e-9)
+    assert kd.ds_norm(coeffs) == pytest.approx(np.sqrt(2.0), rel=1e-9)
     # lambda_0 = 2 and lambda_1 = 6
     coeffs.values[1] = 1.0
-    assert kd.ds_norm(coeffs, neutral_basis) == pytest.approx(np.sqrt(8.0), rel=1e-6)
-    assert kd.ds_norm(coeffs, neutral_basis, 0.5) == pytest.approx(
+    assert kd.ds_norm(coeffs) == pytest.approx(np.sqrt(8.0), rel=1e-6)
+    assert kd.ds_norm(coeffs, 0.5) == pytest.approx(
         np.sqrt(2.0 * np.exp(-2.0) + 6.0 * np.exp(-6.0)), rel=1e-6
     )
 
 
-def test_decay_single_mode(neutral_basis, uniform_setup):
-    init, coeffs = uniform_setup
+def test_decay_single_mode(uniform_setup):
+    coeffs = uniform_setup
     times = np.linspace(0.5, 1.5, 11)
-    sols = kd.solutions_at(neutral_basis, coeffs, init, times, GRID)
-    diag = kd.decay_diagnostics(neutral_basis, coeffs, sols)
+    sols = kd.solutions_at(coeffs, times, GRID)
+    diag = kd.decay_diagnostics(sols)
     assert diag.slope == pytest.approx(-2.0, rel=1e-6)
     assert diag.c_inf == pytest.approx(1.0, abs=1e-9)
     assert np.max(np.abs(diag.scaled_l1 - diag.c_inf)) <= 1e-9
 
 
-def test_times_past_the_double_range_evaluate_silently(neutral_basis, uniform_setup):
+def test_times_past_the_double_range_evaluate_silently(uniform_setup):
     # lambda_0 t overflows at t = 1e308: every term is 0, the masses are at
     # their limits, and the rescaled norm is 0 where the norm underflowed
-    init, coeffs = uniform_setup
+    coeffs = uniform_setup
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sols = kd.solutions_at(neutral_basis, coeffs, init, [0.1, 1e308], GRID)
-        diag = kd.decay_diagnostics(neutral_basis, coeffs, sols)
+        sols = kd.solutions_at(coeffs, [0.1, 1e308], GRID)
+        diag = kd.decay_diagnostics(sols)
     assert sols.density_l1()[-1] == 0.0
     assert (sols.a[-1], sols.b[-1]) == pytest.approx((0.5, 0.5), abs=1e-12)
     assert diag.scaled_l1[-1] == 0.0
     assert diag.scaled_l1[0] == pytest.approx(diag.c_inf, abs=1e-9)
 
 
-def test_decay_degenerate_leading_mode(neutral_basis):
+def test_decay_degenerate_leading_mode(neutral_basis, neutral_profile):
     # antisymmetric data has no leading-mode content; decay follows the
     # second eigenvalue
-    coeffs = kd.SpectralCoefficients(np.zeros(neutral_basis.n_modes), limits=(0.0, 0.0))
-    coeffs.values[1] = 1.0
     # a unit initial mass sets the scale of the truncation check
-    sols = kd.solutions_at(
-        neutral_basis, coeffs, kd.InitialMeasure(a0=1.0), np.linspace(0.4, 1.0, 7), GRID
-    )
-    diag = kd.decay_diagnostics(neutral_basis, coeffs, sols)
+    coeffs = kd.SpectralCoefficients(np.zeros(neutral_basis.n_modes), neutral_basis,
+                                     kd.InitialMeasure(a0=1.0), neutral_profile)
+    coeffs.values[1] = 1.0
+    sols = kd.solutions_at(coeffs, np.linspace(0.4, 1.0, 7), GRID)
+    diag = kd.decay_diagnostics(sols)
     assert diag.slope == pytest.approx(-6.0, rel=0.02)
     assert diag.c_inf == 0.0
 
 
-def test_radon_distance_identity(neutral_basis, neutral_profile, uniform_setup):
-    init, coeffs = uniform_setup
-    limits = kd.limit_masses(neutral_profile, init)
-    for sol in kd.solutions_at(neutral_basis, coeffs, init, (0.1, 0.5, 1.0, 2.0), GRID):
-        rho = kd.radon_distance_to_limit(init, sol, limits)
+def test_radon_distance_identity(uniform_setup):
+    coeffs = uniform_setup
+    for sol in kd.solutions_at(coeffs, (0.1, 0.5, 1.0, 2.0), GRID):
+        rho = kd.radon_distance_to_limit(sol)
         assert rho == pytest.approx(2 * sol.density_l1(), abs=1e-6)
-    far = kd.solutions_at(neutral_basis, coeffs, init, [20.0], GRID)[0]
-    assert kd.radon_distance_to_limit(init, far, limits) <= 1e-8
+    far = kd.solutions_at(coeffs, [20.0], GRID)[0]
+    assert kd.radon_distance_to_limit(far) <= 1e-8
 
 
-def test_radon_smoothness_bound(neutral_basis, neutral_profile, uniform_setup):
-    init, coeffs = uniform_setup
-    limits = kd.limit_masses(neutral_profile, init)
+def test_radon_smoothness_bound(neutral_basis, uniform_setup):
+    coeffs = uniform_setup
     c0, tail = kd.radon_bound_constant(neutral_basis)
     assert 0.0 < tail < c0
-    w_norm = kd.ds_norm(coeffs, neutral_basis)
+    w_norm = kd.ds_norm(coeffs)
     lam0 = neutral_basis.eigenvalues[0]
-    for sol in kd.solutions_at(neutral_basis, coeffs, init, (0.5, 1.0, 2.0), GRID):
-        rho = kd.radon_distance_to_limit(init, sol, limits)
+    for sol in kd.solutions_at(coeffs, (0.5, 1.0, 2.0), GRID):
+        rho = kd.radon_distance_to_limit(sol)
         assert rho <= 2 * (c0 + tail) * w_norm * np.exp(-lam0 * sol.t) * (1 + 1e-9)
 
 
@@ -539,10 +554,10 @@ def windowed_weak_form(model, sols, psi):
     return out
 
 
-def test_weak_form_single_mode(neutral, neutral_basis, neutral_profile, uniform_setup):
-    init, coeffs = uniform_setup
+def test_weak_form_single_mode(neutral, neutral_profile, uniform_setup):
+    coeffs = uniform_setup
     times = np.linspace(0.1, 2.0, 129)
-    sols = kd.solutions_at(neutral_basis, coeffs, init, times, GRID)
+    sols = kd.solutions_at(coeffs, times, GRID)
     res = windowed_weak_form(neutral, sols, neutral_profile(GRID))
     assert set(res) == {"one", "fixation", "x(1-x)", "x^2(1-x)"}
     for name, val in res.items():
@@ -555,7 +570,17 @@ def test_truncation_at_early_time_raises_naming_modes(neutral_basis, neutral_pro
     coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
     with pytest.raises(ValueError, match=r"series truncation estimate .* at t=0\.0001 "
                        r".*: raise modes \(modes=16\); no requested time is safe"):
-        kd.solutions_at(neutral_basis, coeffs, init, [1e-4], GRID)
+        kd.solutions_at(coeffs, [1e-4], GRID)
+
+
+def test_roundoff_names_the_range_of_xi_on_all_of_the_interval():
+    # Xi = 200 x reads 50 at the one requested point 0.25, yet the modes grow
+    # with its range over [0, 1]
+    model = kd.make_kimura(0.0, 200.0)
+    coeffs = kd.project_initial(kd.build_basis(model, 64), kd.InitialMeasure(
+        density="bump(0.5, 0.3)"), kd.fixation_profile(model))
+    with pytest.raises(ValueError, match=r"at t=0\.1 .*Xi ranges over \[0, 200\] on \[0, 1\]"):
+        kd.solutions_at(coeffs, [0.1, 0.5], [0.25])
 
 
 def test_solutions_at_matches_per_time_series(neutral, neutral_basis, neutral_profile):
@@ -565,10 +590,10 @@ def test_solutions_at_matches_per_time_series(neutral, neutral_basis, neutral_pr
     coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
     with pytest.raises(ValueError, match=r"truncation estimate 1\.14e-05 at t=0\.05 .*"
                        r"\(modes=16\); the first safe requested time is t=0\.3"):
-        kd.solutions_at(neutral_basis, coeffs, init, times, GRID)
+        kd.solutions_at(coeffs, times, GRID)
     basis = kd.build_basis(neutral, 32)
     coeffs = kd.project_initial(basis, init, neutral_profile)
-    sols = kd.solutions_at(basis, coeffs, init, times, GRID)
+    sols = kd.solutions_at(coeffs, times, GRID)
     modes = basis.density_values(np.eye(basis.n_modes), GRID).T
     lam = basis.eigenvalues
     a_inf, b_inf = coeffs.limits
@@ -593,7 +618,7 @@ def test_solutions_at_names_earliest_truncated_time(neutral_basis, neutral_profi
     coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
     with pytest.raises(ValueError, match=r"at t=0\.0001 .*modes=16.*"
                        r"the first safe requested time is t=1$"):
-        kd.solutions_at(neutral_basis, coeffs, init, [1e-3, 1e-4, 1.0], GRID)
+        kd.solutions_at(coeffs, [1e-3, 1e-4, 1.0], GRID)
 
 
 def test_truncation_estimate_reads_the_last_two_terms(neutral, neutral_profile):
@@ -603,7 +628,7 @@ def test_truncation_estimate_reads_the_last_two_terms(neutral, neutral_profile):
     coeffs = kd.project_initial(basis, init, neutral_profile)
     assert coeffs.values[-1] == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError) as exc:
-        kd.solutions_at(basis, coeffs, init, [1e-3, 0.1], GRID)
+        kd.solutions_at(coeffs, [1e-3, 0.1], GRID)
     assert str(exc.value) == (
         "series truncation estimate 7.16e+00 at t=0.001 exceeds 1e-06 of the initial "
         "mass: raise modes (modes=64); the first safe requested time is t=0.1")
@@ -623,10 +648,12 @@ def exact_neutral_moments(init, times):
     return np.array([expm(t * gen) @ m0 for t in times])
 
 
-def spectral_moments(basis, coeffs, sols):
+def spectral_moments(sols):
     """The same moments of the spectral solution, b + a delta_k0 +
     sum_j c_j e^(-lambda_j t) int x^k q_j, the mode moments on the basis's
     Gauss rule; for the neutral model q_j's series takes the scale 1."""
+    coeffs = sols.coeffs
+    basis = coeffs.basis
     x, w = basis.quad_nodes, basis.quad_weights
     modes = basis.series_values(np.eye(basis.n_modes), x, np.ones_like(x))
     decayed = coeffs.values * np.exp(-np.outer(sols.t, basis.eigenvalues))
@@ -665,9 +692,9 @@ def test_spectral_moments_match_the_exact_neutral_moments(config):
     profile = kd.fixation_profile(sc.model)
     basis = kd.build_basis(sc.model, sc.modes)
     coeffs = kd.project_initial(basis, sc.initial, profile)
-    sols = kd.solutions_at(basis, coeffs, sc.initial, sc.times, closed_grid(sc.grid))
+    sols = kd.solutions_at(coeffs, sc.times, closed_grid(sc.grid))
     exact = exact_neutral_moments(sc.initial, sc.times)
-    gap = np.abs(spectral_moments(basis, coeffs, sols) - exact)
+    gap = np.abs(spectral_moments(sols) - exact)
     assert np.max(gap) <= 1e-12 * sc.initial.total_mass()
 
 
@@ -686,7 +713,7 @@ def test_last_of_64_neutral_modes_evolves_exactly(neutral, neutral_profile):
     basis = kd.build_basis(neutral, 64)
     coeffs = kd.project_initial(basis, init, neutral_profile)
     t = 4e-3
-    sol = kd.solutions_at(basis, coeffs, init, [t], GRID)[0]
+    sol = kd.solutions_at(coeffs, [t], GRID)[0]
     last = eps * np.exp(-4160.0 * t) * eval_gegenbauer(63, 1.5, 2.0 * GRID - 1.0)
     exact = np.exp(-2.0 * t) + last
     assert np.max(np.abs(sol.density - exact)) <= 1e-12

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,24 @@ def test_contour_nodes_grow_with_the_drift(beta, cells, per_time):
     assert [st.solves for st in states] == [1 + per_time, 1 + 2 * per_time]
 
 
+@pytest.mark.parametrize("beta, init, t, cells, message", [
+    # past the 54-node cap the contour sum is garbage, 2.8e7 times the data
+    pytest.param(600.0, kd.InitialMeasure(density="bump(0.5, 0.3)"), 3e-3, 2048,
+                 r"finite-difference contour at t=0\.003: h sum \|u\| is \S+ times its "
+                 r"initial value, which e\^\(tL\) cannot exceed; the discrete Xi ranges "
+                 r"over 599\.7, sizing N=54 nodes", id="beyond-the-node-cap"),
+    # at the interior-mass limit the non-normal resolvent overflows to NaN
+    pytest.param(100.0, kd.InitialMeasure(atoms=[(0.05, 0.999 * 2.0**1014 / 256)]), 0.1, 256,
+                 r"initial: interior mass 6\.85e\+302 overflows the finite-difference "
+                 r"contour sums at t=0\.1 and cells=256", id="overflow-at-the-mass-limit"),
+])
+def test_contour_sum_above_the_initial_l1_norm_raises(beta, init, t, cells, message):
+    # e^(tL) is a nonnegative L1 contraction: h sum |u(t)| <= h sum |u0|
+    with pytest.raises(ValueError) as info:
+        kd.solve_fd(kd.make_kimura(0.0, beta), init, [t], cells)
+    assert re.fullmatch(message, str(info.value))
+
+
 def test_fewer_than_128_cells_rejected(neutral):
     with pytest.raises(ValueError, match="at least 128"):
         kd.solve_fd(neutral, single_mode_init(), [0.1], 64)
@@ -124,7 +143,7 @@ def test_convergence_order_against_spectral(neutral, neutral_basis, neutral_prof
     # the bump's gaps fall about 4x per halving of the mesh, its second order
     init = kd.InitialMeasure(density="bump(0.4, 0.2)")
     coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
-    sols = kd.solutions_at(neutral_basis, coeffs, init, [0.5], GRID)
+    sols = kd.solutions_at(coeffs, [0.5], GRID)
     gaps = []
     for cells in (128, 256, 512):
         states = kd.solve_fd(neutral, init, [0.5], cells)
@@ -137,7 +156,7 @@ def test_convergence_order_against_spectral(neutral, neutral_basis, neutral_prof
 def test_compare_with_spectral_pairs_times(neutral, neutral_basis, neutral_profile):
     init = single_mode_init()
     coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
-    sols = kd.solutions_at(neutral_basis, coeffs, init, (0.1, 1.0), GRID)
+    sols = kd.solutions_at(coeffs, (0.1, 1.0), GRID)
     states = kd.solve_fd(neutral, init, [0.1, 1.0], 256)
     rows = kd.compare_with_spectral(states, sols)
     assert [r.t for r in rows] == [0.1, 1.0]
@@ -155,7 +174,7 @@ def test_selection_bump_cross_check(selection):
     init = kd.InitialMeasure(density="bump(0.45, 0.3)")
     coeffs = kd.project_initial(basis, init, profile)
     times = [0.1, 1.0]
-    sols = kd.solutions_at(basis, coeffs, init, times, GRID)
+    sols = kd.solutions_at(coeffs, times, GRID)
     states = kd.solve_fd(selection, init, times, 512)
     for row in kd.compare_with_spectral(states, sols):
         assert row.q_l1_diff <= 1e-3

@@ -32,6 +32,13 @@ def test_kimura_xi_root():
     assert m.xi(0.5) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_xi_bounds_reach_the_root_of_pi():
+    # Pi = 20 - 40 x: Xi = 20 x (1 - x) is 0 at both ends and 5 at the root 1/2
+    lo, hi = kd.make_kimura(-40.0, 20.0).xi_bounds()
+    assert lo == pytest.approx(0.0, abs=1e-14) and hi == pytest.approx(5.0, rel=1e-14)
+    assert kd.make_kimura(0.0, -3.0).xi_bounds() == pytest.approx((-3.0, 0.0), abs=1e-14)
+
+
 def test_weight_times_x_limit(neutral):
     x = 1e-9
     assert neutral.weight(x) * x == pytest.approx(1.0, rel=1e-8)

@@ -9,6 +9,7 @@ import pytest
 from conftest import csv_writer_bytes, demo_config
 
 from kimdiff import evolution, scenario
+from kimdiff.fixation import fixation_profile
 from kimdiff.scenario import load_scenario
 
 
@@ -55,19 +56,19 @@ def gate(loaded, report=(0.0, 0.0, 0.0), a=np.zeros(4), b=np.zeros(4),
          density=np.zeros((4, 5)), limits=(1.0, 1.0), initial_residual=0.0):
     """_gate's violations for a loaded scenario and made-up results at t = 0, 0.1,
     0.5 and 1; report holds the mass span, fixation-moment span and route
-    gap, limits the limits of a and b, initial_residual the weak-form defect
-    at t = 0."""
+    gap, limits the limits of a and b (those of endpoint masses alone),
+    initial_residual the weak-form defect at t = 0."""
+    coeffs = evolution.SpectralCoefficients(np.zeros(1), None, evolution.InitialMeasure(*limits),
+                                            fixation_profile(loaded.model))
     sols = evolution.Solutions(
         t=np.array([0.0, 0.1, 0.5, 1.0]), grid=np.linspace(0.0, 1.0, 5),
         density=np.array(density), a=np.array(a), b=np.array(b),
-        trunc_error=np.zeros(4),
+        trunc_error=np.zeros(4), coeffs=coeffs,
     )
     mass_span, psi_mass_span, route_gap = report
     report = evolution.ConservationReport(0.0, 0.0, mass_span, psi_mass_span, None, None,
                                           route_gap)
-    coeffs = evolution.SpectralCoefficients(np.zeros(1), limits=limits)
     return scenario._gate(loaded, {"report": report, "solutions": sols,
-                                   "positive": sols[sols.t > 0], "coeffs": coeffs,
                                    "initial_residual": initial_residual})
 
 

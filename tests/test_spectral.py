@@ -322,7 +322,7 @@ def test_eigenvalues_independent_of_output_grid(selection):
     basis = kd.build_basis(selection, 16)
     init = kd.InitialMeasure(density="bump(0.4, 0.2)")
     coeffs = kd.project_initial(basis, init, kd.fixation_profile(selection))
-    coarse, fine = (kd.solutions_at(basis, coeffs, init, [1.0, 2.0], closed_grid(n))
+    coarse, fine = (kd.solutions_at(coeffs, [1.0, 2.0], closed_grid(n))
                     for n in (1024, 4099))
     assert (np.array_equal(coarse.a, fine.a) and np.array_equal(coarse.b, fine.b)
             and np.array_equal(coarse.trunc_error, fine.trunc_error))
