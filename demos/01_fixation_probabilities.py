@@ -35,8 +35,8 @@ if __name__ == "__main__":
         "eta=2, beta=-1": kd.make_kimura(2.0, -1.0),
     }
 
-    # each profile is a table of psi, exact to roundoff at any point of [0, 1]
-    profiles = {name: kd.fixation_profile(m) for name, m in cases.items()}
+    # each model's psi is a table, built on first read, exact to roundoff at any point of [0, 1]
+    profiles = {name: m.fixation for name, m in cases.items()}
 
     xs = np.array([0.1, 0.25, 0.5, 0.75, 0.9])
     print("fixation probability psi(x)")

@@ -12,12 +12,11 @@ import numpy as np
 import kimdiff as kd
 
 model = kd.make_kimura(0.0, 0.0)
-profile = kd.fixation_profile(model)
 basis = kd.build_basis(model, 32)
 x = np.linspace(0.0, 1.0, 2050)  # the solution grid, as at a scenario's default resolution
 init = kd.InitialMeasure(density="uniform")
-coeffs = kd.project_initial(basis, init, profile)  # carries basis, measure and profile
-limits = coeffs.limits  # from the fixation profile, taken once by project_initial
+coeffs = kd.project_initial(basis, init)  # carries basis and measure; the basis its model
+limits = coeffs.limits  # from the model's fixation profile, taken once by project_initial
 print(f"final masses: extinction {limits[0]:.3f}, fixation {limits[1]:.3f}")
 
 times = [0.1, 0.5, 1.0, 2.0, 3.0]
@@ -46,7 +45,7 @@ print(f"limit constant: exp(2t)||q||_1 -> {diag.c_inf:.6f}")
 # are anchored at the exact limits, so the total mass stays at its initial
 # value at every positive time
 atom = kd.InitialMeasure(atoms=[(0.25, 1.0)])
-atom_coeffs = kd.project_initial(basis, atom, profile)
+atom_coeffs = kd.project_initial(basis, atom)
 atom_sols = kd.solutions_at(atom_coeffs, times, x)
 atom_report = kd.conservation_residuals(atom_sols)
 print(f"\npoint mass at 0.25: mass drift {atom_report.mass_drift:.2e} against the "

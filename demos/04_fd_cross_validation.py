@@ -15,11 +15,10 @@ import numpy as np
 import kimdiff as kd
 
 model = kd.make_kimura(1.0, -0.5)
-profile = kd.fixation_profile(model)
 basis = kd.build_basis(model, 128)
 x = np.linspace(0.0, 1.0, 2050)  # compare_with_spectral interpolates these to the FD cells
 init = kd.InitialMeasure(density="bump(0.4, 0.2)")
-coeffs = kd.project_initial(basis, init, profile)
+coeffs = kd.project_initial(basis, init)
 
 times = [0.1, 0.5, 1.0]
 spectral = kd.solutions_at(coeffs, times, x)

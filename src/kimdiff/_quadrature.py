@@ -82,7 +82,12 @@ def node_values(table):
 
 def table_values(table, x):
     """Values at points x in [0, 1] of a running_integral_table: find each
-    point's gap, then sum its Legendre series by Clenshaw's recurrence."""
-    s = np.asarray(x, float) * table.shape[1]
+    point's gap, then sum its Legendre series by Clenshaw's recurrence; any
+    other point, NaN included, raises ValueError."""
+    x = np.asarray(x, float)
+    inside = (x >= 0.0) & (x <= 1.0)  # a NaN is neither
+    if not np.all(inside):
+        raise ValueError(f"tables are read only in [0, 1], not at x = {x[~inside].flat[0]:g}")
+    s = x * table.shape[1]
     k = np.clip(s.astype(int), 0, table.shape[1] - 1)
     return legval(2.0 * (s - k) - 1.0, table[:, k], tensor=False)

@@ -7,14 +7,14 @@ boundary masses are obtained two independent ways (term-wise time integration
 of the boundary flux, and the conservation-law route through the fixation
 probability), which cross-validate each other.
 
-Each record carries what it was made from: a SpectralBasis its model,
-SpectralCoefficients their basis, initial measure, fixation profile and
-limits, and a Solutions record its coefficients.  solutions_at evaluates the
-series at an array of times and the caller's points, and every diagnostic
+Each record carries what it was made from: a CoefficientModel its psi, a
+SpectralBasis its model, SpectralCoefficients their basis, initial measure
+and limits, and a Solutions record its coefficients.  solutions_at evaluates
+the series at an array of times and the caller's points, and every diagnostic
 over time (conservation and the route gap, decay, distance to the limit)
 takes that one record.  The paper's weak form holds at every t > 0 exactly
-when each mode satisfies its identity, which build_basis tabulates as
-SpectralBasis.identity_residuals; initial_residual checks its t = 0 term.
+when each mode satisfies its identity, which SpectralBasis.identity_residuals
+tabulates on first read; initial_residual checks its t = 0 term.
 """
 
 import re
@@ -184,20 +184,19 @@ class InitialMeasure:
 
 @dataclass
 class SpectralCoefficients:
-    """Coefficients of an initial measure in a basis's eigenmodes, with that basis,
-    measure and fixation profile and the limits (a_inf, b_inf) they fix (limit_masses)."""
+    """Coefficients of an initial measure in a basis's eigenmodes, with that basis and
+    measure and the limits (a_inf, b_inf) they fix through basis.model's psi (limit_masses)."""
 
     values: np.ndarray
     basis: object
     measure: InitialMeasure
-    profile: object
     limits: tuple = field(init=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, float)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("spectral coefficients must be finite")
-        self.limits = limit_masses(self.profile, self.measure)
+        self.limits = limit_masses(self.basis.model, self.measure)
 
 
 @dataclass
@@ -230,13 +229,13 @@ class Solutions:
         return np.trapezoid(np.abs(self.density), self.grid, axis=-1)
 
 
-def project_initial(basis, init, profile):
+def project_initial(basis, init):
     """Coefficients of the initial measure in the basis's eigenmodes, carrying
-    the basis, the measure and the fixation profile.  The weighted pairing is a
-    plain integral of the backward-form modes e^(-Xi/2) phi_j against the
-    measure (SpectralBasis.pairings): phi_j is a polynomial vanishing at the
-    ends, so interior point masses give exact point values and endpoint masses none."""
-    return SpectralCoefficients(basis.pairings(init), basis, init, profile)
+    the basis and the measure.  The weighted pairing is a plain integral of
+    the backward-form modes e^(-Xi/2) phi_j against the measure
+    (SpectralBasis.pairings): phi_j is a polynomial vanishing at the ends, so
+    interior point masses give exact point values and endpoint masses none."""
+    return SpectralCoefficients(basis.pairings(init), basis, init)
 
 
 def solutions_at(coeffs, times, x):
@@ -313,19 +312,19 @@ def initial_residual(coeffs):
     return float(defect / moments[0]) if defect else 0.0
 
 
-def limit_masses(profile, init):
+def limit_masses(model, init):
     """Final absorbed masses (a_inf, b_inf): the endpoint masses plus the
-    moments of 1 - psi and psi over the interior of the initial measure, by
-    one InitialMeasure.integrate with its default rule, so a_inf + b_inf is
-    the total mass by construction; the profile's grid plays no part."""
+    moments of 1 - psi and psi, psi the model's fixation probability, over
+    the interior of the initial measure, by one InitialMeasure.integrate with
+    its default rule, so a_inf + b_inf is the total mass by construction."""
     # the columns 1 - psi and psi, from one evaluation of psi
-    a_inf, b_inf = init.integrate(lambda x: np.outer(profile(x), [-1.0, 1.0]) + [1.0, 0.0])
+    a_inf, b_inf = init.integrate(lambda x: np.outer(model.fixation(x), [-1.0, 1.0]) + [1.0, 0.0])
     return init.a0 + float(a_inf), init.b0 + float(b_inf)
 
 
 def conservation_residuals(solutions):
     """Defects of the two conservation laws along a Solutions record, with the
-    limits (a_inf, b_inf) and fixation probability psi of its coefficients.
+    limits (a_inf, b_inf) of its coefficients and psi of their basis's model.
     mass_values and psi_mass_values hold total mass and fixation moment at
     every time; a t = 0 row, whose density has no atom slot, takes both from
     the initial measure (its total mass and b_inf).  The drifts are against
@@ -341,7 +340,7 @@ def conservation_residuals(solutions):
     a_inf, b_inf = coeffs.limits
     mass0 = coeffs.measure.total_mass()
     mass = solutions.a + solutions.b + np.trapezoid(q, x, axis=-1)
-    psi_mass = solutions.b + np.trapezoid(q * coeffs.profile(x), x, axis=-1)
+    psi_mass = solutions.b + np.trapezoid(q * coeffs.basis.model.fixation(x), x, axis=-1)
     start = solutions.t == 0.0
     mass[start] = mass0
     psi_mass[start] = b_inf

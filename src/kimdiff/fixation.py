@@ -7,8 +7,9 @@ For a model with drift-to-diffusion ratio xi this is
     c      = integral_0^1 exp(-integral_0^s xi) ds,
 
 the probability that a mutant starting at frequency x eventually takes over.
-psi is tabulated once as a Legendre series, exact to roundoff at any point;
-no output grid enters it (scenario.run_scenario samples it for fixation.csv).
+CoefficientModel.fixation tabulates psi once per model, on first read, as a
+Legendre series exact to roundoff at any point of [0, 1]; no output grid
+enters it (scenario.run_scenario samples it for fixation.csv).
 """
 
 from dataclasses import dataclass

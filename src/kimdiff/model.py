@@ -8,14 +8,16 @@ with Psi and Pi polynomials and Psi strictly positive on [0, 1].  Everything
 else the solvers need is derived from the factors: the drift-to-diffusion
 ratio xi = Pi / Psi, the singular weight 1 / (Psi x (1 - x)), and the running
 integral Xi of xi (tabulated once as a piecewise Legendre series on 1024 gaps
-and reused everywhere).
+and reused everywhere), and the fixation probability psi.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
+from . import fixation as _fixation
 from ._quadrature import TABLE_NODES, running_integral_table, table_values
 
 
@@ -63,6 +65,11 @@ class CoefficientModel:
         # Xi enters only through e^Xi: its absolute error is a relative one downstream
         self.xi_table = running_integral_table(self.xi(TABLE_NODES), "xi = Pi / Psi")
 
+    @cached_property
+    def fixation(self):
+        """psi as a FixationProfile (fixation.fixation_profile), built on first read and kept."""
+        return _fixation.fixation_profile(self)
+
     # polynomial factor values
 
     def psi_at(self, x):
@@ -96,11 +103,8 @@ class CoefficientModel:
 
         Evaluates the Legendre table built at construction, to about roundoff.
         """
-        arr = np.asarray(x, float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("xi_integral requires 0 <= x <= 1")
-        out = table_values(self.xi_table, arr)
-        return float(out) if arr.ndim == 0 else out
+        out = table_values(self.xi_table, x)
+        return float(out) if out.ndim == 0 else out
 
     def xi_bounds(self):
         """min and max of Xi on [0, 1], where Xi is extremal at 0, 1 or Pi's roots."""

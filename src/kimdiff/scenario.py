@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from . import _csvtext, evolution, fd
-from .fixation import fixation_profile
 from .model import CoefficientModel, make_kimura
 from .spectral import build_basis, eigenvalue_growth
 
@@ -263,11 +262,11 @@ def _remove(paths):
 def compute_pipeline(scenario):
     """Run the spectral pipeline for a scenario; returns a dict of what both
     evolve and verify write that the records do not carry: the solutions at the
-    scenario times (their coeffs carry basis, measure, profile and limits),
-    their conservation report and their weak-form defect at t = 0."""
-    profile = fixation_profile(scenario.model)
+    scenario times (their coeffs carry basis, measure and limits, the basis its
+    model and that model its fixation probability), their conservation report
+    and their weak-form defect at t = 0."""
     coeffs = evolution.project_initial(build_basis(scenario.model, scenario.modes),
-                                       scenario.initial, profile)
+                                       scenario.initial)
     n = scenario.grid  # the profiles' closed grid, i / (n + 1) for i = 0..n + 1
     x = np.concatenate(([0.0], np.arange(1, n + 1) * (1.0 / (n + 1)), [1.0]))
     sols = evolution.solutions_at(coeffs, scenario.times, x)
@@ -381,7 +380,7 @@ def run_scenario(scenario):
         },
     }
     x = np.linspace(0.0, 1.0, scenario.grid + 1)  # fixation.csv's grid + 1 points
-    psi = coeffs.profile(x)
+    psi = basis.model.fixation(x)
     psi[0], psi[-1] = 0.0, 1.0  # pinned at the ends
     # every artifact of the run in one text pass; the profiles share one grid column
     _write_artifacts([

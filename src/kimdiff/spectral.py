@@ -17,6 +17,7 @@ Rules come from _quadrature.gauss01 and eigh from numpy, so no scipy loads.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -41,8 +42,8 @@ class SpectralBasis:
         x = 0, the Gauss nodes, x = 1; the end rows are exact.
     mode_masses: integrals of the density modes over [0, 1].
     initial_pairings: (4, m) <chi_k, q_j>, chi_k = x (1 - x) P_k(2x - 1) e^(-Xi/2).
-    identity_residuals: per mode, the largest scaled defect of the weak-form
-        identity over its test functions (see _identity_residuals).
+    identity_residuals, read by evolve's spectrum.json alone, is built from
+    these on its first read and kept, so verify never builds it.
     """
 
     eigenvalues: np.ndarray
@@ -53,7 +54,6 @@ class SpectralBasis:
     density_modes: np.ndarray
     mode_masses: np.ndarray
     initial_pairings: np.ndarray
-    identity_residuals: np.ndarray
 
     @property
     def n_modes(self):
@@ -68,6 +68,36 @@ class SpectralBasis:
     def mode_sup(self):
         """max |q_j| over the Gauss nodes and both endpoints."""
         return np.abs(self.density_modes).max(axis=0)
+
+    @cached_property
+    def identity_residuals(self):
+        """Per mode j, the largest scaled defect over the test functions
+        chi in {1, x (1 - x) P_k(2x - 1), k = 0..5} of the identity
+        <L* chi, q_j> + lambda_j <chi, q_j> = chi(0) Psi(0) q_j(0) + chi(1) Psi(1) q_j(1),
+        L* chi = F chi'' + G chi', which each mode of the paper's boundary-coupled
+        weak form satisfies; the row chi = 1 ties the mode mass to the boundary
+        flux.  The sums take the basis's Gauss rule and the q_j stored on it.
+        With y = 2x - 1, chi_k' = (1 - y^2) P_k' / 2 - y P_k and, by Legendre's
+        equation, chi_k'' = -(k (k + 1) + 2) P_k - 2 y P_k'.  Each defect is
+        relative to the sum of its terms' magnitudes, |L* chi| and |chi| paired
+        with |q_j|."""
+        model, x, w, lam = self.model, self.quad_nodes, self.quad_weights, self.eigenvalues
+        modes = self.density_modes[1:-1]
+        y = 2.0 * x - 1.0
+        p, dp = legvander(y, 5).T, _legendre_slopes(y, 5)  # P_k and P_k', k = 0..5
+        k = np.arange(len(p))[:, None]
+        chi = np.vstack((np.ones_like(x), x * (1.0 - x) * p))
+        slope = 0.5 * (1.0 - y * y) * dp - y * p
+        curve = -(k * (k + 1) + 2.0) * p - 2.0 * y * dp
+        adjoint = np.vstack((np.zeros_like(x), model.diffusion(x) * curve + model.drift(x) * slope))
+        # every chi_k vanishes at both ends, so only the row chi = 1 meets the flux
+        flux = model.psi_at(np.array([0.0, 1.0]))[:, None] * self.endpoint_values
+        size = np.abs(modes)
+        defect = (w * adjoint) @ modes + lam * ((w * chi) @ modes)
+        defect[0] -= flux.sum(axis=0)
+        scale = (w * np.abs(adjoint)) @ size + lam * ((w * np.abs(chi)) @ size)
+        scale[0] += np.abs(flux).sum(axis=0)
+        return np.max(np.abs(defect) / scale, axis=0)
 
     def density_values(self, weights, x):
         """sum_j weights[r, j] q_j(x) at points x in [0, 1], one row per row of
@@ -181,7 +211,7 @@ def build_basis(model, n_modes):
     # q_j on the closed rule: 0, the Gauss nodes, 1
     scale = _density_scale(model, np.concatenate(([0.0], xq, [1.0])))
     table = np.vstack((ends[:1], nodes, ends[1:])) * scale[:, None]
-    legendre = legvander(2.0 * xq - 1.0, 5)  # P_k(2x - 1), k = 0..5, one column each
+    legendre = legvander(2.0 * xq - 1.0, 3)  # P_k(2x - 1), k = 0..3, one column each
     chi_weights = wq * xq * (1.0 - xq) / np.sqrt(psi)  # the rule's, for <chi_k, q_j>
     return SpectralBasis(
         eigenvalues=lam,
@@ -191,37 +221,8 @@ def build_basis(model, n_modes):
         quad_weights=wq,
         density_modes=table,
         mode_masses=(wq * scale[1:-1]) @ nodes,
-        initial_pairings=(legendre[:, :4] * chi_weights[:, None]).T @ nodes,
-        identity_residuals=_identity_residuals(model, xq, wq, legendre.T, dp[:6], table, lam),
+        initial_pairings=(legendre * chi_weights[:, None]).T @ nodes,
     )
-
-
-def _identity_residuals(model, x, w, p, dp, table, lam):
-    """Per mode j, the largest scaled defect over the test functions
-    chi in {1, x (1 - x) P_k(2x - 1), k = 0..5} of the identity
-    <L* chi, q_j> + lambda_j <chi, q_j> = chi(0) Psi(0) q_j(0) + chi(1) Psi(1) q_j(1),
-    L* chi = F chi'' + G chi', which each mode of the paper's boundary-coupled
-    weak form satisfies; the row chi = 1 ties the mode mass to the boundary
-    flux.  p and dp hold P_k and P_k' at the Gauss nodes x with weights w,
-    table the q_j at 0, those nodes and 1.  With y = 2x - 1,
-    chi_k' = (1 - y^2) P_k' / 2 - y P_k and, by Legendre's equation,
-    chi_k'' = -(k (k + 1) + 2) P_k - 2 y P_k'.  Each defect is relative to the
-    sum of its terms' magnitudes, |L* chi| and |chi| paired with |q_j|."""
-    modes = table[1:-1]
-    y = 2.0 * x - 1.0
-    k = np.arange(len(p))[:, None]
-    chi = np.vstack((np.ones_like(x), x * (1.0 - x) * p))
-    slope = 0.5 * (1.0 - y * y) * dp - y * p
-    curve = -(k * (k + 1) + 2.0) * p - 2.0 * y * dp
-    adjoint = np.vstack((np.zeros_like(x), model.diffusion(x) * curve + model.drift(x) * slope))
-    # every chi_k vanishes at both ends, so only the row chi = 1 meets the flux
-    flux = model.psi_at(np.array([0.0, 1.0]))[:, None] * table[[0, -1]]
-    size = np.abs(modes)
-    defect = (w * adjoint) @ modes + lam * ((w * chi) @ modes)
-    defect[0] -= flux.sum(axis=0)
-    scale = (w * np.abs(adjoint)) @ size + lam * ((w * np.abs(chi)) @ size)
-    scale[0] += np.abs(flux).sum(axis=0)
-    return np.max(np.abs(defect) / scale, axis=0)
 
 
 def eigenvalue_growth(basis):

@@ -31,11 +31,6 @@ def neutral_basis(neutral):
 
 
 @pytest.fixture(scope="session")
-def neutral_profile(neutral):
-    return kd.fixation_profile(neutral)
-
-
-@pytest.fixture(scope="session")
 def selection():
     """Frequency-selection model used by cross-solver scenarios."""
     return kd.make_kimura(1.0, -0.5)

@@ -26,14 +26,8 @@ def neutral_big(neutral):
 
 
 @pytest.fixture(scope="module")
-def neutral_profile_big(neutral):
-    return kd.fixation_profile(neutral)
-
-
-@pytest.fixture(scope="module")
-def uniform_run(neutral_big, neutral_profile_big):
-    init = kd.InitialMeasure(density="uniform")
-    return kd.project_initial(neutral_big, init, neutral_profile_big)
+def uniform_run(neutral_big):
+    return kd.project_initial(neutral_big, kd.InitialMeasure(density="uniform"))
 
 
 def test_neutral_eigenvalues(neutral):
@@ -68,28 +62,27 @@ def test_fixation_probability(neutral):
     )
 
 
-def test_conservation_laws(selection, neutral_big, neutral_profile_big):
+def test_conservation_laws(selection, neutral_big):
     times = (0.1, 0.5, 1.0, 2.0)
     results = []
 
-    def run(basis, profile, init, x):
-        coeffs = kd.project_initial(basis, init, profile)
+    def run(basis, init, x):
+        coeffs = kd.project_initial(basis, init)
         sols = kd.solutions_at(coeffs, times, x)
         return kd.conservation_residuals(sols)
 
     uniform = kd.InitialMeasure(density="uniform")
-    rep = run(neutral_big, neutral_profile_big, uniform, BIG_GRID)
+    rep = run(neutral_big, uniform, BIG_GRID)
     results.append(("neutral/uniform", max(rep.mass_drift, rep.psi_mass_drift)))
 
     # interior point mass: the conserved quantities must stay constant in time
     atom = kd.InitialMeasure(atoms=[(0.25, 1.0)])
-    rep_atom = run(neutral_big, neutral_profile_big, atom, BIG_GRID)
+    rep_atom = run(neutral_big, atom, BIG_GRID)
     results.append(("neutral/interior-atom", max(rep_atom.mass_span, rep_atom.psi_mass_span)))
 
     sel_basis = kd.build_basis(selection, 128)
-    sel_profile = kd.fixation_profile(selection)
     bump = kd.InitialMeasure(density="bump(0.4, 0.2)")
-    rep_sel = run(sel_basis, sel_profile, bump, GRID)
+    rep_sel = run(sel_basis, bump, GRID)
     results.append(("selection/bump", max(rep_sel.mass_drift, rep_sel.psi_mass_drift)))
 
     worst = max(v for _, v in results)
@@ -97,19 +90,18 @@ def test_conservation_laws(selection, neutral_big, neutral_profile_big):
     report("conservation-laws", worst <= 1e-5, detail + " (tol 1e-5 x mass)")
 
 
-def test_boundary_mass_routes(selection, neutral_big, neutral_profile_big, uniform_run):
+def test_boundary_mass_routes(neutral, selection, neutral_big, uniform_run):
     times = (0.1, 0.5, 1.0, 2.0)
     coeffs_u = uniform_run
-    psi_big = neutral_profile_big(BIG_GRID)
+    psi_big = neutral.fixation(BIG_GRID)
     disc_u = max(
         conservation_route(sol, coeffs_u.limits, psi_big)[2]
         for sol in kd.solutions_at(coeffs_u, times, BIG_GRID)
     )
     sel_basis = kd.build_basis(selection, 128)
-    sel_profile = kd.fixation_profile(selection)
     bump = kd.InitialMeasure(density="bump(0.4, 0.2)")
-    coeffs_b = kd.project_initial(sel_basis, bump, sel_profile)
-    sel_psi = sel_profile(GRID)
+    coeffs_b = kd.project_initial(sel_basis, bump)
+    sel_psi = selection.fixation(GRID)
     disc_b = max(
         conservation_route(sol, coeffs_b.limits, sel_psi)[2]
         for sol in kd.solutions_at(coeffs_b, times, GRID)
@@ -119,12 +111,12 @@ def test_boundary_mass_routes(selection, neutral_big, neutral_profile_big, unifo
     # (1 - psi(x0), psi(x0)) at t = 6/lambda_0
     x0 = 0.01
     atom = kd.InitialMeasure(atoms=[(x0, 1.0)])
-    coeffs_a = kd.project_initial(neutral_big, atom, neutral_profile_big)
+    coeffs_a = kd.project_initial(neutral_big, atom)
     a_inf, b_inf = coeffs_a.limits
     t_star = 6.0 / neutral_big.eigenvalues[0]
     sol_star, sol_lim = kd.solutions_at(coeffs_a, [t_star, np.inf], BIG_GRID)
     a2, b2, _ = conservation_route(sol_star, (a_inf, b_inf), psi_big)
-    psi_x0 = float(neutral_profile_big(x0))
+    psi_x0 = float(neutral.fixation(x0))
     gap = max(abs(a2 - (1 - psi_x0)), abs(b2 - psi_x0))
 
     # the series masses are anchored at the exact limits, so for point-mass
@@ -152,9 +144,8 @@ def test_spectral_vs_fd(neutral, selection, uniform_run):
     rows_u = kd.compare_with_spectral(fd_u, sols_u)
 
     sel_basis = kd.build_basis(selection, 128)
-    sel_profile = kd.fixation_profile(selection)
     bump = kd.InitialMeasure(density="bump(0.4, 0.2)")
-    coeffs_b = kd.project_initial(sel_basis, bump, sel_profile)
+    coeffs_b = kd.project_initial(sel_basis, bump)
     sols_b = kd.solutions_at(coeffs_b, times, GRID)
     fd_b = kd.solve_fd(selection, bump, times, 1024)
     rows_b = kd.compare_with_spectral(fd_b, sols_b)
@@ -250,17 +241,16 @@ def test_weak_form_residual(selection, neutral_big, uniform_run):
     )
 
 
-def test_degenerate_inputs(neutral_big, neutral_profile_big):
+def test_degenerate_inputs(neutral_big):
     # boundary atoms only: exactly constant solution
     init = kd.InitialMeasure(a0=0.3, b0=0.7)
-    coeffs = kd.project_initial(neutral_big, init, neutral_profile_big)
+    coeffs = kd.project_initial(neutral_big, init)
     exact = True
     for sol in kd.solutions_at(coeffs, (0.1, 1.0, 5.0), BIG_GRID):
         exact = exact and np.all(sol.density == 0.0) and sol.a == 0.3 and sol.b == 0.7
 
     # data with no leading-mode content decays at the second eigenvalue
-    odd = kd.SpectralCoefficients(np.zeros(neutral_big.n_modes), neutral_big, init,
-                                  neutral_profile_big)
+    odd = kd.SpectralCoefficients(np.zeros(neutral_big.n_modes), neutral_big, init)
     odd.values[1] = 1.0
     odd_sols = kd.solutions_at(odd, np.linspace(0.4, 1.2, 9), BIG_GRID)
     diag = kd.decay_diagnostics(odd_sols)

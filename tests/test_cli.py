@@ -14,7 +14,7 @@ import pytest
 from conftest import csv_writer_bytes, demo_config
 
 import kimdiff
-from kimdiff import _csvtext, cli, evolution, scenario
+from kimdiff import _csvtext, cli, evolution, fixation, scenario
 from kimdiff._quadrature import gauss01
 from kimdiff.cli import main
 from kimdiff.fixation import FixationProfile
@@ -409,22 +409,28 @@ def _recorded(monkeypatch, owner, name, record):
 @pytest.mark.parametrize("command", ["evolve", "verify"])
 def test_commands_evaluate_only_what_they_write(tmp_path, monkeypatch, command):
     # both commands evaluate the series once, at the scenario times; the weak
-    # form is checked at t = 0 from the coefficients.  Each evaluates the
-    # limits once and psi twice: on the initial measure's rule nodes for the
-    # limits, then on the solution grid; evolve samples psi once more, on the
-    # grid + 1 points that fixation.csv holds, and verify, which writes no
-    # fixation.csv, does not.  evolve formats the floats of all its CSV files
-    # in one call, the profiles' shared grid once; JSON floats are json's own
-    # text, and verify writes no CSV
-    grids = _recorded(monkeypatch, evolution, "solutions_at", lambda args, result: result.grid)
+    # form is checked at t = 0 from the coefficients.  Each builds psi's table
+    # once, evaluates the limits once and psi twice: on the initial measure's
+    # rule nodes for the limits, then on the solution grid; evolve samples psi
+    # once more, for fixation.csv, and builds the identity table (the one
+    # reader of the drift on the basis's nodes) for spectrum.json; verify does
+    # neither.  evolve formats the floats of all its CSV files in one call, the
+    # profiles' shared grid once; JSON floats are json's own text
+    runs = _recorded(monkeypatch, evolution, "solutions_at", lambda args, result: result)
     limits = _recorded(monkeypatch, evolution, "limit_masses", lambda args, result: result)
+    tables = _recorded(monkeypatch, fixation, "fixation_profile",
+                       lambda args, result: (args[0], result))
+    drifts = _recorded(monkeypatch, kimdiff.CoefficientModel, "drift", lambda args, result: args[1])
     psi_points = _recorded(monkeypatch, FixationProfile, "__call__",
                            lambda args, result: np.asarray(args[1]))
     formatted = _recorded(monkeypatch, _csvtext, "repr_fields", lambda args, result: len(args[0]))
     path = demo_config(tmp_path)
     assert main([command, "--config", str(path)]) == 0
-    assert (len(grids), len(limits)) == (1, 1)
-    expected = [gauss01(64)[0], grids[0]]  # the uniform density's single panel, the grid
+    assert (len(runs), len(limits)) == (1, 1)
+    basis, model = runs[0].coeffs.basis, runs[0].coeffs.basis.model
+    assert len(tables) == 1 and tables[0][0] is model and tables[0][1] is model.fixation
+    assert sum(np.array_equal(x, basis.quad_nodes) for x in drifts) == (command == "evolve")
+    expected = [gauss01(64)[0], runs[0].grid]  # the uniform density's single panel, the grid
     if command == "evolve":
         expected.append(np.linspace(0.0, 1.0, 1025))
     assert len(psi_points) == len(expected)
@@ -743,7 +749,7 @@ def test_initial_moments_verify_at_default_resolution(tmp_path, density, limits,
     assert main(["verify", "--config", str(path)]) == 0
 
 
-def _projection_on_the_basis_rule(basis, init, profile):
+def _projection_on_the_basis_rule(basis, init):
     """The projection before per-panel rules: for the density, the Gauss rule
     on [0, 1] of a basis of n_modes + 32 polynomials (232 nodes at 64 modes),
     the size every basis had then; exact mode values at the atoms."""
@@ -754,7 +760,7 @@ def _projection_on_the_basis_rule(basis, init, profile):
     values = (weights * init.density_samples(nodes)) @ modes(nodes)
     for x, mass in init.atoms:
         values = values + mass * modes(np.array([x]))[0]
-    return evolution.SpectralCoefficients(values, basis, init, profile)
+    return evolution.SpectralCoefficients(values, basis, init)
 
 
 @pytest.mark.parametrize("initial", [

@@ -17,10 +17,10 @@ SQ6 = np.sqrt(6.0)
 
 
 @pytest.fixture(scope="module")
-def uniform_setup(neutral_basis, neutral_profile):
+def uniform_setup(neutral_basis):
     """Neutral model with uniform density: exactly the leading mode."""
     init = kd.InitialMeasure(density="uniform")
-    return kd.project_initial(neutral_basis, init, neutral_profile)
+    return kd.project_initial(neutral_basis, init)
 
 
 def test_initial_measure_validation():
@@ -111,16 +111,16 @@ def sampled_density(draw):
 
 @settings(derandomize=True, deadline=None)
 @given(sampled_density())
-def test_sampled_density_moments_are_exact(neutral_profile, density):
+def test_sampled_density_moments_are_exact(neutral, density):
     # linear between samples and zero outside: the mass is the samples'
     # trapezoid, b_inf (psi = x) the exact first moment, and the limits add up
     x, v = density
     mass = float(np.trapezoid(v, x))
-    assume(mass > 0.0)
+    assume(mass >= 2.0**-1000)  # InitialMeasure's floor on the total mass
     init = kd.InitialMeasure(density=(x, v))
     x0, x1, v0, v1 = x[:-1], x[1:], v[:-1], v[1:]
     moment = float(np.sum((x1 - x0) / 6.0 * (x0 * (2 * v0 + v1) + x1 * (v0 + 2 * v1))))
-    a_inf, b_inf = kd.limit_masses(neutral_profile, init)
+    a_inf, b_inf = kd.limit_masses(neutral, init)
     assert init.total_mass() == pytest.approx(mass, rel=1e-13, abs=1e-13)
     assert b_inf == pytest.approx(moment, rel=1e-13, abs=1e-13)
     assert a_inf + b_inf == pytest.approx(init.total_mass(), rel=1e-13, abs=1e-13)
@@ -132,7 +132,7 @@ def _kimura_run(eta, beta, **initial):
     model = kd.make_kimura(eta, beta)
     basis = kd.build_basis(model, 64)
     init = kd.InitialMeasure(**initial)
-    coeffs = kd.project_initial(basis, init, kd.fixation_profile(model))
+    coeffs = kd.project_initial(basis, init)
     return kd.solutions_at(coeffs, [0.1, 0.5, 1.0], np.arange(257) / 256.0)
 
 
@@ -187,10 +187,9 @@ def test_sampled_projection_matches_twelve_nodes_per_panel(selection, samples):
     # panel between samples.  Panels that hold few nodes of the basis rule
     # left about 2e-8 with two extra nodes; four leave below 1e-12
     basis = kd.build_basis(selection, 64)
-    profile = kd.fixation_profile(selection)
     xs = np.linspace(0.0, 1.0, samples)
     vs = np.random.default_rng(7).uniform(0.0, 1.0, samples)
-    coeffs = kd.project_initial(basis, kd.InitialMeasure(density=(xs, vs)), profile)
+    coeffs = kd.project_initial(basis, kd.InitialMeasure(density=(xs, vs)))
     t, w = gauss01(12)
     x = (xs[:-1, None] + np.diff(xs)[:, None] * t).ravel()
     weights = (np.diff(xs)[:, None] * w).ravel() * np.interp(x, xs, vs)
@@ -209,7 +208,7 @@ def test_projection_by_basis_moments_matches_the_mode_table(config):
     model, init = loaded.model, loaded.initial
     assert init.density == "bump(0.4, 0.2)"
     basis = kd.build_basis(model, loaded.modes)
-    coeffs = kd.project_initial(basis, init, kd.fixation_profile(model))
+    coeffs = kd.project_initial(basis, init)
 
     def modes(x):
         return np.exp(-0.5 * model.xi_integral(x))[:, None] * basis.mode_values(x)
@@ -222,18 +221,17 @@ def test_projection_by_basis_moments_matches_the_mode_table(config):
     assert np.max(np.abs(coeffs.values - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
-def test_initial_residual_reads_the_initial_term(neutral_basis, neutral_profile):
+def test_initial_residual_reads_the_initial_term(neutral_basis):
     # the 64-node rule leaves about 2e-12 of a bump; scaling every coefficient
     # by 1 + 1e-6 scales each paired sum, and endpoint masses drop out
     init = kd.InitialMeasure(a0=0.2, b0=0.3, density="bump(0.4, 0.25)")
-    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
+    coeffs = kd.project_initial(neutral_basis, init)
     assert evolution.initial_residual(coeffs) <= 1e-11
-    perturbed = kd.SpectralCoefficients(coeffs.values * (1.0 + 1e-6), neutral_basis, init,
-                                        neutral_profile)
+    perturbed = kd.SpectralCoefficients(coeffs.values * (1.0 + 1e-6), neutral_basis, init)
     residual = evolution.initial_residual(perturbed)
     assert residual == pytest.approx(1e-6, rel=1e-3)
     endpoints_only = kd.InitialMeasure(a0=0.3, b0=0.7)
-    coeffs = kd.project_initial(neutral_basis, endpoints_only, neutral_profile)
+    coeffs = kd.project_initial(neutral_basis, endpoints_only)
     assert evolution.initial_residual(coeffs) == 0.0
 
 
@@ -243,35 +241,35 @@ def test_initial_residual_for_a_varying_psi():
     model = kd.CoefficientModel((1.0, 2.0), (-1.0,))
     basis = kd.build_basis(model, 64)
     init = kd.InitialMeasure(a0=0.2, b0=0.3, density="bump(0.4, 0.25)", atoms=[(0.7, 0.2)])
-    coeffs = kd.project_initial(basis, init, kd.fixation_profile(model))
+    coeffs = kd.project_initial(basis, init)
     assert evolution.initial_residual(coeffs) <= 1e-10
 
 
-def test_projection_of_leading_mode_is_unit_vector(neutral_basis, neutral_profile):
+def test_projection_of_leading_mode_is_unit_vector(neutral_basis):
     # initial density equal to the leading density mode transforms to the
     # leading eigenfunction, so the coefficients are (c, 0, 0, ...)
     q0 = neutral_basis.density_values(np.eye(neutral_basis.n_modes)[:1], GRID)[0]
     init = kd.InitialMeasure(density=(GRID, q0))
-    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
+    coeffs = kd.project_initial(neutral_basis, init)
     assert coeffs.values[0] == pytest.approx(1.0, abs=1e-6)
     assert np.max(np.abs(coeffs.values[1:])) <= 1e-6
 
 
-def test_projection_boundary_atoms_only(neutral_basis, neutral_profile):
+def test_projection_boundary_atoms_only(neutral_basis):
     init = kd.InitialMeasure(a0=0.3, b0=0.7)
-    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
+    coeffs = kd.project_initial(neutral_basis, init)
     assert np.all(coeffs.values == 0.0)
 
 
-def test_projection_center_atom_kills_odd_modes(neutral_basis, neutral_profile):
+def test_projection_center_atom_kills_odd_modes(neutral_basis):
     init = kd.InitialMeasure(atoms=[(0.5, 1.0)])
-    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
+    coeffs = kd.project_initial(neutral_basis, init)
     phi_mid = coeffs.values
     assert np.max(np.abs(phi_mid[1::2])) <= 1e-9
     assert np.min(np.abs(phi_mid[0::2])) > 1e-3
 
 
-def test_projection_atom_near_endpoint_is_exact(neutral, neutral_profile):
+def test_projection_atom_near_endpoint_is_exact(neutral):
     # an atom closer to 0 than the first point of a 512-point grid projects
     # onto the exact mode values u_j(x) = x (1 - x) q_j(x), with no warning
     x0 = 1e-4
@@ -279,7 +277,7 @@ def test_projection_atom_near_endpoint_is_exact(neutral, neutral_profile):
     init = kd.InitialMeasure(atoms=[(x0, 1.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        coeffs = kd.project_initial(basis, init, neutral_profile)
+        coeffs = kd.project_initial(basis, init)
     exact = np.array([x0 * (1 - x0) * neutral_mode_exact(j, x0) for j in range(16)])
     assert np.max(np.abs(coeffs.values - exact)) <= 1e-8 * np.max(np.abs(exact))
 
@@ -334,17 +332,17 @@ def test_series_masses_uniform_exact(uniform_setup):
     assert b == pytest.approx(exact, rel=1e-7)
 
 
-def test_limit_masses_examples(neutral_profile):
+def test_limit_masses_examples(neutral):
     uniform = kd.InitialMeasure(density="uniform")
-    assert kd.limit_masses(neutral_profile, uniform) == pytest.approx(
+    assert kd.limit_masses(neutral, uniform) == pytest.approx(
         (0.5, 0.5), abs=1e-12
     )
     atom = kd.InitialMeasure(atoms=[(0.25, 1.0)])
-    a_inf, b_inf = kd.limit_masses(neutral_profile, atom)
+    a_inf, b_inf = kd.limit_masses(neutral, atom)
     assert b_inf == pytest.approx(0.25, abs=1e-9)
     assert a_inf == pytest.approx(0.75, abs=1e-9)
     left = kd.InitialMeasure(a0=1.0)
-    assert kd.limit_masses(neutral_profile, left) == (1.0, 0.0)
+    assert kd.limit_masses(neutral, left) == (1.0, 0.0)
 
 
 def test_series_route_reaches_limits(uniform_setup):
@@ -356,10 +354,10 @@ def test_series_route_reaches_limits(uniform_setup):
     assert b_t == pytest.approx(b_inf, abs=1e-7)
 
 
-def test_mass_cross_check_single_mode(neutral_profile, uniform_setup):
+def test_mass_cross_check_single_mode(neutral, uniform_setup):
     coeffs = uniform_setup
     sols = kd.solutions_at(coeffs, [0.0, 1.0], GRID)
-    psi = neutral_profile(sols.grid)
+    psi = neutral.fixation(sols.grid)
     a2, b2, disc = conservation_route(sols[1], coeffs.limits, psi)
     assert disc <= 1e-6
     # the t = 0 row holds the raw initial data and takes no part in the gap
@@ -367,24 +365,24 @@ def test_mass_cross_check_single_mode(neutral_profile, uniform_setup):
     assert rep.route_gap == pytest.approx(disc, abs=1e-14)
 
 
-def test_mass_cross_check_early_time_limit(neutral_profile, uniform_setup):
+def test_mass_cross_check_early_time_limit(neutral, uniform_setup):
     # as t -> 0+ the conservation route returns the initial endpoint masses
     # (up to the genuinely absorbed flux, which is proportional to t)
     coeffs = uniform_setup
     gaps = []
     times = (1e-4, 1e-5, 1e-6)
     for sol in kd.solutions_at(coeffs, times, GRID):
-        a2, b2, _ = conservation_route(sol, coeffs.limits, neutral_profile(sol.grid))
+        a2, b2, _ = conservation_route(sol, coeffs.limits, neutral.fixation(sol.grid))
         gaps.append(max(abs(a2 - coeffs.measure.a0), abs(b2 - coeffs.measure.b0)))
         assert gaps[-1] <= 3 * sol.t
     assert gaps[0] > gaps[1] > gaps[2]
 
 
-def test_series_route_atom_limit_is_exact(neutral_basis, neutral_profile):
+def test_series_route_atom_limit_is_exact(neutral_basis):
     # for a point mass the coefficients do not decay, yet the series route is
     # anchored at the limits, so no truncation tail survives at t = inf
     init = kd.InitialMeasure(atoms=[(0.25, 1.0)])
-    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
+    coeffs = kd.project_initial(neutral_basis, init)
     far = kd.solutions_at(coeffs, [np.inf], GRID)[0]
     a_lim, b_lim = far.a, far.b
     a_inf, b_inf = coeffs.limits
@@ -393,11 +391,11 @@ def test_series_route_atom_limit_is_exact(neutral_basis, neutral_profile):
     assert b_lim == pytest.approx(b_inf, abs=1e-12)
 
 
-def test_cross_check_approaches_limit(neutral_profile, uniform_setup):
+def test_cross_check_approaches_limit(neutral, uniform_setup):
     coeffs = uniform_setup
     a_inf, _ = coeffs.limits
     gaps = [
-        abs(conservation_route(sol, coeffs.limits, neutral_profile(sol.grid))[0] - a_inf)
+        abs(conservation_route(sol, coeffs.limits, neutral.fixation(sol.grid))[0] - a_inf)
         for sol in kd.solutions_at(coeffs, (1.0, 3.0, 6.0), GRID)
     ]
     assert gaps[0] > gaps[1] > gaps[2]
@@ -412,23 +410,23 @@ def test_conservation_single_mode(uniform_setup):
     assert rep.psi_mass_drift <= 1e-6
 
 
-def test_conservation_boundary_atoms_exact(neutral_basis, neutral_profile):
+def test_conservation_boundary_atoms_exact(neutral_basis):
     init = kd.InitialMeasure(a0=0.4, b0=0.6)
-    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
+    coeffs = kd.project_initial(neutral_basis, init)
     sols = kd.solutions_at(coeffs, (0.5, 1.0), GRID)
     rep = kd.conservation_residuals(sols)
     assert rep.mass_drift == 0.0
     assert rep.psi_mass_drift == 0.0
 
 
-def test_conservation_interior_atom_constancy(neutral_basis, neutral_profile):
+def test_conservation_interior_atom_constancy(neutral_basis):
     # point-mass data: the conserved quantities stay constant in time and
     # equal their initial values, because the boundary masses are anchored at
     # the exact limits and each mode satisfies the flux identity; the t = 0
     # density row has no atom slot, so that row reports the initial measure's
     # own total mass and fixation moment
     init = kd.InitialMeasure(atoms=[(0.25, 1.0)])
-    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
+    coeffs = kd.project_initial(neutral_basis, init)
     times = (0.0, 0.1, 0.5, 1.0, 2.0)
     sols = kd.solutions_at(coeffs, times, GRID)
     rep = kd.conservation_residuals(sols)
@@ -442,22 +440,21 @@ def test_conservation_interior_atom_constancy(neutral_basis, neutral_profile):
 def test_route_gap_matches_trapezoid_route(selection):
     # the report's gap, written with the conserved sums, against the
     # conservation-route masses computed per time with np.trapezoid
-    profile = kd.fixation_profile(selection)
     basis = kd.build_basis(selection, 24)
     x = closed_grid(1024)
     init = kd.InitialMeasure(a0=0.1, density="bump(0.4, 0.25)", atoms=[(0.7, 0.3)])
-    coeffs = kd.project_initial(basis, init, profile)
+    coeffs = kd.project_initial(basis, init)
     sols = kd.solutions_at(coeffs, (0.0, 0.5, 1.0, 2.0), x)
-    psi = profile(x)
+    psi = selection.fixation(x)
     expected = max(conservation_route(sol, coeffs.limits, psi)[2] for sol in sols[1:])
     rep = kd.conservation_residuals(sols)
     assert expected > 0.0
     assert rep.route_gap == pytest.approx(expected, abs=1e-14)
 
 
-def test_ds_norm_values(neutral_basis, neutral_profile):
+def test_ds_norm_values(neutral_basis):
     coeffs = kd.SpectralCoefficients(np.zeros(neutral_basis.n_modes), neutral_basis,
-                                     kd.InitialMeasure(a0=1.0), neutral_profile)
+                                     kd.InitialMeasure(a0=1.0))
     assert kd.ds_norm(coeffs) == 0.0
     coeffs.values[0] = 1.0
     assert kd.ds_norm(coeffs) == pytest.approx(np.sqrt(2.0), rel=1e-9)
@@ -493,12 +490,12 @@ def test_times_past_the_double_range_evaluate_silently(uniform_setup):
     assert diag.scaled_l1[0] == pytest.approx(diag.c_inf, abs=1e-9)
 
 
-def test_decay_degenerate_leading_mode(neutral_basis, neutral_profile):
+def test_decay_degenerate_leading_mode(neutral_basis):
     # antisymmetric data has no leading-mode content; decay follows the
     # second eigenvalue
     # a unit initial mass sets the scale of the truncation check
     coeffs = kd.SpectralCoefficients(np.zeros(neutral_basis.n_modes), neutral_basis,
-                                     kd.InitialMeasure(a0=1.0), neutral_profile)
+                                     kd.InitialMeasure(a0=1.0))
     coeffs.values[1] = 1.0
     sols = kd.solutions_at(coeffs, np.linspace(0.4, 1.0, 7), GRID)
     diag = kd.decay_diagnostics(sols)
@@ -554,20 +551,20 @@ def windowed_weak_form(model, sols, psi):
     return out
 
 
-def test_weak_form_single_mode(neutral, neutral_profile, uniform_setup):
+def test_weak_form_single_mode(neutral, uniform_setup):
     coeffs = uniform_setup
     times = np.linspace(0.1, 2.0, 129)
     sols = kd.solutions_at(coeffs, times, GRID)
-    res = windowed_weak_form(neutral, sols, neutral_profile(GRID))
+    res = windowed_weak_form(neutral, sols, neutral.fixation(GRID))
     assert set(res) == {"one", "fixation", "x(1-x)", "x^2(1-x)"}
     for name, val in res.items():
         assert val <= 1e-5, name
 
 
-def test_truncation_at_early_time_raises_naming_modes(neutral_basis, neutral_profile):
+def test_truncation_at_early_time_raises_naming_modes(neutral_basis):
     # off-center atom: its coefficients do not decay with the mode index
     init = kd.InitialMeasure(atoms=[(0.3, 1.0)])
-    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
+    coeffs = kd.project_initial(neutral_basis, init)
     with pytest.raises(ValueError, match=r"series truncation estimate .* at t=0\.0001 "
                        r".*: raise modes \(modes=16\); no requested time is safe"):
         kd.solutions_at(coeffs, [1e-4], GRID)
@@ -578,21 +575,21 @@ def test_roundoff_names_the_range_of_xi_on_all_of_the_interval():
     # with its range over [0, 1]
     model = kd.make_kimura(0.0, 200.0)
     coeffs = kd.project_initial(kd.build_basis(model, 64), kd.InitialMeasure(
-        density="bump(0.5, 0.3)"), kd.fixation_profile(model))
+        density="bump(0.5, 0.3)"))
     with pytest.raises(ValueError, match=r"at t=0\.1 .*Xi ranges over \[0, 200\] on \[0, 1\]"):
         kd.solutions_at(coeffs, [0.1, 0.5], [0.25])
 
 
-def test_solutions_at_matches_per_time_series(neutral, neutral_basis, neutral_profile):
+def test_solutions_at_matches_per_time_series(neutral, neutral_basis):
     init = kd.InitialMeasure(a0=0.1, b0=0.2, density="bump(0.4, 0.25)")
     times = [0.0, 0.05, 0.3, 1.0, 4.0]
     # 16 modes leave a tail of about 1e-5 at t = 0.05
-    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
+    coeffs = kd.project_initial(neutral_basis, init)
     with pytest.raises(ValueError, match=r"truncation estimate 1\.14e-05 at t=0\.05 .*"
                        r"\(modes=16\); the first safe requested time is t=0\.3"):
         kd.solutions_at(coeffs, times, GRID)
     basis = kd.build_basis(neutral, 32)
-    coeffs = kd.project_initial(basis, init, neutral_profile)
+    coeffs = kd.project_initial(basis, init)
     sols = kd.solutions_at(coeffs, times, GRID)
     modes = basis.density_values(np.eye(basis.n_modes), GRID).T
     lam = basis.eigenvalues
@@ -613,19 +610,19 @@ def test_solutions_at_matches_per_time_series(neutral, neutral_basis, neutral_pr
         assert s.trunc_error == pytest.approx(trunc, rel=1e-13, abs=1e-300)
 
 
-def test_solutions_at_names_earliest_truncated_time(neutral_basis, neutral_profile):
+def test_solutions_at_names_earliest_truncated_time(neutral_basis):
     init = kd.InitialMeasure(atoms=[(0.3, 1.0)])
-    coeffs = kd.project_initial(neutral_basis, init, neutral_profile)
+    coeffs = kd.project_initial(neutral_basis, init)
     with pytest.raises(ValueError, match=r"at t=0\.0001 .*modes=16.*"
                        r"the first safe requested time is t=1$"):
         kd.solutions_at(coeffs, [1e-3, 1e-4, 1.0], GRID)
 
 
-def test_truncation_estimate_reads_the_last_two_terms(neutral, neutral_profile):
+def test_truncation_estimate_reads_the_last_two_terms(neutral):
     # an atom at 1/2 leaves every odd mode, the last one among them, at 0
     basis = kd.build_basis(neutral, 64)
     init = kd.InitialMeasure(atoms=[(0.5, 1.0)])
-    coeffs = kd.project_initial(basis, init, neutral_profile)
+    coeffs = kd.project_initial(basis, init)
     assert coeffs.values[-1] == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError) as exc:
         kd.solutions_at(coeffs, [1e-3, 0.1], GRID)
@@ -689,16 +686,15 @@ def test_spectral_moments_match_the_exact_neutral_moments(config):
     if isinstance(config, dict):
         config = {"schema": 1, "model": {"preset": "kimura"}, **config}
     sc = load_scenario(config)
-    profile = kd.fixation_profile(sc.model)
     basis = kd.build_basis(sc.model, sc.modes)
-    coeffs = kd.project_initial(basis, sc.initial, profile)
+    coeffs = kd.project_initial(basis, sc.initial)
     sols = kd.solutions_at(coeffs, sc.times, closed_grid(sc.grid))
     exact = exact_neutral_moments(sc.initial, sc.times)
     gap = np.abs(spectral_moments(sols) - exact)
     assert np.max(gap) <= 1e-12 * sc.initial.total_mass()
 
 
-def test_last_of_64_neutral_modes_evolves_exactly(neutral, neutral_profile):
+def test_last_of_64_neutral_modes_evolves_exactly(neutral):
     # the moments above see no mode past j = 6; this density carries the last
     # of 64, C^(3/2)_63(2x - 1) with eigenvalue 64 * 65 = 4160, at 0.9 of the
     # constant mode's sup.  At t = 4e-3 that mode still moves the density by
@@ -711,7 +707,7 @@ def test_last_of_64_neutral_modes_evolves_exactly(neutral, neutral_profile):
     init = kd.InitialMeasure(
         density=lambda x: 1.0 + eps * eval_gegenbauer(63, 1.5, 2.0 * np.asarray(x, float) - 1.0))
     basis = kd.build_basis(neutral, 64)
-    coeffs = kd.project_initial(basis, init, neutral_profile)
+    coeffs = kd.project_initial(basis, init)
     t = 4e-3
     sol = kd.solutions_at(coeffs, [t], GRID)[0]
     last = eps * np.exp(-4160.0 * t) * eval_gegenbauer(63, 1.5, 2.0 * GRID - 1.0)

@@ -11,9 +11,9 @@ from kimdiff.cli import main
 from conftest import demo_function
 
 
-def test_neutral_profile_is_identity(neutral, neutral_profile):
+def test_neutral_profile_is_identity(neutral):
     x = np.linspace(0.0, 1.0, 2049)
-    assert np.max(np.abs(neutral_profile(x) - x)) <= 1e-10
+    assert np.max(np.abs(neutral.fixation(x) - x)) <= 1e-10
 
 
 @pytest.mark.parametrize("beta", [-2.0, 1.0, 5.0])
@@ -116,6 +116,11 @@ def test_off_grid_values_match_closed_forms():
     xs = x[::128]
     exact = _psi_by_mpmath(lambda s: s**2 / 2 - s / 2, xs)
     assert np.max(np.abs(sel(xs) - exact)) <= 1e-13
+    # neither table extrapolates (psi(1.5) read 1.391), and NaN raises no warning
+    for bad in (1.5, -0.25, np.nan, [0.5, np.nan]):
+        for table in (sel, kd.make_kimura(1.0, -0.5).xi_integral):
+            with pytest.raises(ValueError, match=r"in \[0, 1\], not at x = (1\.5|-0\.25|nan)$"):
+                table(bad)
 
 
 def test_backward_residual_neutral(neutral):

@@ -3,13 +3,13 @@ writer and the gates, without the command line."""
 
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import csv_writer_bytes, demo_config
 
 from kimdiff import evolution, scenario
-from kimdiff.fixation import fixation_profile
 from kimdiff.scenario import load_scenario
 
 
@@ -57,9 +57,10 @@ def gate(loaded, report=(0.0, 0.0, 0.0), a=np.zeros(4), b=np.zeros(4),
     """_gate's violations for a loaded scenario and made-up results at t = 0, 0.1,
     0.5 and 1; report holds the mass span, fixation-moment span and route
     gap, limits the limits of a and b (those of endpoint masses alone),
-    initial_residual the weak-form defect at t = 0."""
-    coeffs = evolution.SpectralCoefficients(np.zeros(1), None, evolution.InitialMeasure(*limits),
-                                            fixation_profile(loaded.model))
+    initial_residual the weak-form defect at t = 0.  The limits read only the
+    basis's model."""
+    coeffs = evolution.SpectralCoefficients(np.zeros(1), SimpleNamespace(model=loaded.model),
+                                            evolution.InitialMeasure(*limits))
     sols = evolution.Solutions(
         t=np.array([0.0, 0.1, 0.5, 1.0]), grid=np.linspace(0.0, 1.0, 5),
         density=np.array(density), a=np.array(a), b=np.array(b),

@@ -321,7 +321,7 @@ def test_eigenvalues_independent_of_output_grid(selection):
     # grid is a point of the coarse one, up to an ulp
     basis = kd.build_basis(selection, 16)
     init = kd.InitialMeasure(density="bump(0.4, 0.2)")
-    coeffs = kd.project_initial(basis, init, kd.fixation_profile(selection))
+    coeffs = kd.project_initial(basis, init)
     coarse, fine = (kd.solutions_at(coeffs, [1.0, 2.0], closed_grid(n))
                     for n in (1024, 4099))
     assert (np.array_equal(coarse.a, fine.a) and np.array_equal(coarse.b, fine.b)
