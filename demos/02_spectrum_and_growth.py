@@ -26,7 +26,10 @@ j = np.arange(8)
 for jj, lam in zip(j, basis.eigenvalues[:8]):
     print(f"  j={jj}: computed {lam:.9f}   exact {(jj + 1) * (jj + 2)}")
 
-k_est, residuals = kd.eigenvalue_growth(basis)
+m = basis.n_modes  # least squares of lambda_j against j^2 over the top half
+top = np.arange(m // 2, m)
+k_est = np.polyfit(top**2, basis.eigenvalues[m // 2:], 1)[0]
+residuals = basis.eigenvalues[m // 2:] / top**2 - k_est
 print(f"\ngrowth constant K (fit over top half): {k_est:.4f}  (neutral limit: 1)")
 print(f"last residuals lambda_j/j^2 - K: {residuals[-3:]}")
 

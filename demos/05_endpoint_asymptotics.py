@@ -78,7 +78,9 @@ if __name__ == "__main__":
     s_total = 2 * np.arcsin(1.0)  # neutral phase integral over (0, 1): pi
     print(f"phase-based growth prediction K = pi^2 / {s_total:.4f}^2 = "
           f"{np.pi**2 / s_total**2:.4f}")
-    k_est, _ = kd.eigenvalue_growth(basis)
+    m = basis.n_modes  # least squares of lambda_j against j^2 over the top half
+    top = np.arange(m // 2, m)
+    k_est = np.polyfit(top**2, basis.eigenvalues[m // 2:], 1)[0]
     print(f"fitted growth constant: {k_est:.4f}")
 
     # the comparison on the default resolution of a scenario (64 modes, grid 2048)

@@ -3,22 +3,21 @@
 The interior density decays while probability mass accumulates in growing
 point masses at the two absorbing endpoints; this package computes the
 density, the endpoint masses, the fixation probability, the underlying
-spectral data, conservation diagnostics, and large-time decay constants,
-with an independent finite-difference solver for cross-validation.
+spectral data, conservation diagnostics, the distance to the limit measure
+with its decay bound, and an independent finite-difference solver for
+cross-validation.
 """
 
 from .model import CoefficientModel, make_kimura
 from .fixation import FixationProfile, fixation_profile
-from .spectral import SpectralBasis, build_basis, eigenvalue_growth
+from .spectral import SpectralBasis, build_basis
 from .evolution import (
     ConservationReport,
-    DecayDiagnostics,
     InitialMeasure,
     Solutions,
     SpectralCoefficients,
     bump_density,
     conservation_residuals,
-    decay_diagnostics,
     density_from_spec,
     ds_norm,
     limit_masses,
@@ -38,18 +37,15 @@ __all__ = [
     "fixation_profile",
     "SpectralBasis",
     "build_basis",
-    "eigenvalue_growth",
     "InitialMeasure",
     "SpectralCoefficients",
     "Solutions",
     "ConservationReport",
-    "DecayDiagnostics",
     "project_initial",
     "solutions_at",
     "limit_masses",
     "conservation_residuals",
     "ds_norm",
-    "decay_diagnostics",
     "radon_distance_to_limit",
     "radon_bound_constant",
     "bump_density",

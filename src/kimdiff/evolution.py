@@ -11,10 +11,12 @@ Each record carries what it was made from: a CoefficientModel its psi, a
 SpectralBasis its model, SpectralCoefficients their basis, initial measure
 and limits, and a Solutions record its coefficients.  solutions_at evaluates
 the series at an array of times and the caller's points, and every diagnostic
-over time (conservation and the route gap, decay, distance to the limit)
-takes that one record.  The paper's weak form holds at every t > 0 exactly
-when each mode satisfies its identity, which SpectralBasis.identity_residuals
-tabulates on first read; initial_residual checks its t = 0 term.
+over time (conservation and the route gap, distance to the limit) takes that
+one record.  The decay to the limit is stated once, as the D_1 bound of
+ds_norm and radon_bound_constant.  The paper's weak form holds at every t > 0
+exactly when each mode satisfies its identity, which
+SpectralBasis.identity_residuals tabulates on first read; initial_residual
+checks its t = 0 term.
 """
 
 import re
@@ -37,7 +39,6 @@ ConservationReport = namedtuple(
     ["mass_drift", "psi_mass_drift", "mass_span", "psi_mass_span",
      "mass_values", "psi_mass_values", "route_gap"],
 )
-DecayDiagnostics = namedtuple("DecayDiagnostics", ["c_inf", "scaled_l1", "slope"])
 
 
 def _bump_shape(u):
@@ -364,28 +365,6 @@ def ds_norm(coeffs, t=0.0):
     terms = np.abs(coeffs.values * np.exp(-lam * t)) * np.sqrt(lam)
     top = terms.max()
     return float(top * np.sqrt(np.sum((terms / top) ** 2))) if top else 0.0
-
-
-def decay_diagnostics(solutions):
-    """Large-time decay of the interior mass along a Solutions record: the
-    limit constant (leading mode mass times leading coefficient, 0 for data
-    with no leading-mode content), the sequence exp(lambda_0 t) ||q(t)||_1 (0
-    where the norm underflowed), and the fitted slope of log ||q||_1 against t
-    over the times with a nonzero norm, which should approach minus the first
-    eigenvalue whose coefficient is nonzero; None when fewer than two such
-    times remain."""
-    times, coeffs = solutions.t, solutions.coeffs
-    if np.any(times <= 0.0):
-        raise ValueError("decay diagnostics need strictly positive times")
-    lam0 = coeffs.basis.eigenvalues[0]
-    l1 = solutions.density_l1()
-    c_inf = float(coeffs.basis.mode_masses[0] * coeffs.values[0])
-    fitted = l1 > 0.0
-    log_l1 = np.log(l1[fitted])
-    slope = float(np.polyfit(times[fitted], log_l1, 1)[0]) if fitted.sum() >= 2 else None
-    scaled_l1 = np.zeros_like(l1)
-    scaled_l1[fitted] = np.exp(lam0 * times[fitted] + log_l1)
-    return DecayDiagnostics(c_inf=c_inf, scaled_l1=scaled_l1, slope=slope)
 
 
 def radon_distance_to_limit(solutions):

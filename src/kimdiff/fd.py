@@ -11,7 +11,8 @@ time is independent of the others and costs N / 2 complex tridiagonal solves
 on a mild one, up to 54 under strong selection.  The endpoint masses are
 anchored at the oracle's own limits, a(t) = a_inf - c_a^T (-L)^-1 u(t) with
 c_a the one-sided flux through the face at 0 (likewise b), from one real
-solve with (-L)^T (dgtsv); since h 1^T L = -(c_a + c_b)^T, total discrete
+solve with (-L)^T (dgtsv).  c_a and c_b are read off L, as the two halves of
+-h times its column sums, so h 1^T L = -(c_a + c_b)^T and total discrete
 mass is conserved to roundoff by construction.  On a mesh fine enough for
 central differences to be monotone, L has nonnegative off-diagonals, so
 e^(tL) is entrywise nonnegative; coarser meshes are rejected with the number
@@ -94,7 +95,7 @@ def _operator(model, n_cells):
     upper[0] = (4.0 / 3.0) * F[1] / h**2 - G[1] / (2.0 * h)
     diag[-1] = -4.0 * F[-1] / h**2 + G[n_cells - 1] / (2.0 * h)
     lower[-1] = (4.0 / 3.0) * F[-2] / h**2 + G[n_cells - 1] / (2.0 * h)
-    return xc, h, F, lower, diag, upper
+    return xc, h, lower, diag, upper
 
 
 def _initial_cells(init, xc, h):
@@ -137,7 +138,7 @@ def _check_monotone(model, n_cells, lower, upper):
     where = f"x={lo_x:.4g}" if lo_x == hi_x else f"x in [{lo_x:.4g}, {hi_x:.4g}]"
     needed = 2 * n_cells
     while needed <= _MAX_SUGGESTED_CELLS:
-        _, _, _, lo, _, up = _operator(model, needed)
+        _, _, lo, _, up = _operator(model, needed)
         if np.all(up[:-1] * lo[1:] > 0.0):
             hint = f"use cells >= {needed}"
             break
@@ -168,9 +169,9 @@ def solve_fd(model, init, times, n_cells):
     tridiagonal solve (zgtsv), and N from the drift (see _MIN_NODES), the
     same at every time.  For t <= 1 the solves take t L and
     zeta_k instead, the same system times t, so that neither a tiny nor a
-    huge t leaves the double range.  One real solve (-L)^T Y = [c_a c_b],
-    with c_a and c_b the one-sided face fluxes (9 F0 u0 - F1 u1) / 3h and
-    (9 F[-1] u[-1] - F[-2] u[-2]) / 3h (dgtsv), gives the limits
+    huge t leaves the double range.  One real solve (-L)^T Y = [c_a c_b]
+    (dgtsv), c_a and c_b the halves of -h times L's column sums (by its end
+    rows, (9 F0 u0 - F1 u1) / 3h and its mirror), gives the limits
     a_inf = a0 + Y[:,0] . u0 and b_inf = b0 + Y[:,1] . u0, and
     a(t) = a_inf - Y[:,0] . u(t), likewise b: the integral of the flux
     c_a . u from 0 to t.  A mesh too coarse for the drift (some
@@ -186,7 +187,7 @@ def solve_fd(model, init, times, n_cells):
     increasing = all(t0 < t1 for t0, t1 in zip(output_times, output_times[1:]))
     if not increasing or min(output_times, default=0.0) < 0:
         raise ValueError("output times must be nonnegative and increase strictly")
-    xc, h, F, lower, diag, upper = _operator(model, n_cells)
+    xc, h, lower, diag, upper = _operator(model, n_cells)
     mass = init.interior_mass()  # u sums to about mass x cells; the contour's largest
     if mass * n_cells > 2.0**1014:  # factor, e^(0.171 N), reaches 2^13 at N = 54: checked below
         raise ValueError(f"initial: interior mass {mass:.3g} passes {2.0**1014 / n_cells:.3g}, "
@@ -195,9 +196,11 @@ def solve_fd(model, init, times, n_cells):
     from scipy.linalg.lapack import dgtsv, zgtsv
 
     u0 = _initial_cells(init, xc, h)
+    # the flux out of the mesh, -h 1^T L, split at the middle
+    outflow = -h * (diag + np.append(0.0, upper[:-1]) + np.append(lower[1:], 0.0))
     flux = np.zeros((n_cells, 2))
-    flux[:2, 0] = 3.0 * F[0] / h, -F[1] / (3.0 * h)
-    flux[-2:, 1] = -F[-2] / (3.0 * h), 3.0 * F[-1] / h
+    half = n_cells // 2
+    flux[:half, 0], flux[half:, 1] = outflow[:half], outflow[half:]
     # (-L)^T: its sub-diagonal is -upper, its super-diagonal -lower
     *_, Y, info = dgtsv(-upper[:-1], -diag, -lower[1:], flux)
     if info != 0:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _csvtext, evolution, fd
 from .model import CoefficientModel, make_kimura
-from .spectral import build_basis, eigenvalue_growth
+from .spectral import build_basis
 
 SCHEMA_VERSION = 1
 
@@ -353,12 +353,11 @@ def run_scenario(scenario):
     """
     pieces = compute_pipeline(scenario)
     sols = pieces["solutions"]
-    coeffs, positive = sols.coeffs, sols[sols.t > 0]
+    coeffs = sols.coeffs
     basis = coeffs.basis
-    decay = evolution.decay_diagnostics(positive) if len(positive) > 1 else None
 
     # an atom's D_1 norm is infinite: atom data take it at the first positive time
-    norm_time = float(positive.t[0]) if scenario.initial.atoms else 0.0
+    norm_time = float(sols.t[sols.t > 0][0]) if scenario.initial.atoms else 0.0
     c0, c0_tail = evolution.radon_bound_constant(basis)  # before any artifact
 
     out = scenario.out_dir
@@ -370,8 +369,8 @@ def run_scenario(scenario):
         "lambda0": float(basis.eigenvalues[0]),
         "a_inf": coeffs.limits[0],
         "b_inf": coeffs.limits[1],
-        "C_inf": None if decay is None else decay.c_inf,
-        "slope": None if decay is None else decay.slope,
+        # the leading term of the interior mass, e^(-lambda_0 t) C_inf
+        "C_inf": float(basis.mode_masses[0] * coeffs.values[0]),
         "smoothness": {
             "initial_norm": evolution.ds_norm(coeffs, norm_time),
             "norm_time": norm_time,
@@ -386,7 +385,6 @@ def run_scenario(scenario):
     _write_artifacts([
         (out / "spectrum.json", {
             "lambda": basis.eigenvalues, "Q": basis.mode_masses,
-            "K_estimate": eigenvalue_growth(basis)[0] if basis.n_modes >= 16 else None,
             "identity_residuals": basis.identity_residuals}),
         (out / "fixation.csv", ["x", "psi"], [x, psi]),
         *((profiles_dir / f"q_t{sol.t:g}.csv", ["x", "q"], [sols.grid, sol.density])

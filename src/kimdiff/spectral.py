@@ -223,21 +223,3 @@ def build_basis(model, n_modes):
         mode_masses=(wq * scale[1:-1]) @ nodes,
         initial_pairings=(legendre * chi_weights[:, None]).T @ nodes,
     )
-
-
-def eigenvalue_growth(basis):
-    """Quadratic-growth constant of the spectrum.
-
-    Fits eigenvalue against mode-index squared over the top half of the
-    resolved modes; returns the slope and the per-mode residuals
-    lambda_j / j^2 - K for the fitted modes.
-    """
-    m = basis.n_modes
-    if m < 16:
-        raise ValueError("at least 16 modes are needed for a growth fit")
-    j = np.arange(m // 2, m, dtype=float)
-    lam = basis.eigenvalues[m // 2:]
-    k_est = float(np.polyfit(j**2, lam, 1)[0])
-    residuals = lam / j**2 - k_est
-    return k_est, residuals
-

@@ -62,6 +62,18 @@ def conservation_route(sol, limits, psi):
     return a2, b2, max(abs(sol.a - a2), abs(sol.b - b2))
 
 
+def decay_slope(sols):
+    """Least-squares slope of log ||q(t)||_1 against t over a Solutions record."""
+    return float(np.polyfit(sols.t, np.log(sols.density_l1()), 1)[0])
+
+
+def growth_constant(basis):
+    """Least-squares slope of lambda_j against j^2 over the top half of the modes."""
+    m = basis.n_modes
+    j = np.arange(m // 2, m, dtype=float)
+    return float(np.polyfit(j**2, basis.eigenvalues[m // 2:], 1)[0])
+
+
 def demo_function(demo, name):
     """The function called name that demos/<demo>.py defines, loaded without
     running the demo's script body."""

@@ -516,20 +516,34 @@ def test_radon_to_limit_at_time_zero_counts_interior_atoms(tmp_path):
 
 
 def test_boundary_masses_only_write_zero_limit_constant(tmp_path):
-    # no interior mass: no leading-mode content, and nothing left to fit
+    # no interior mass: no leading-mode content, and no fit in the summary
     path = demo_config(tmp_path, initial={"a0": 0.3, "b0": 0.7})
     assert main(["evolve", "--config", str(path)]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert (summary["C_inf"], summary["slope"]) == (0.0, None)
+    assert summary["C_inf"] == 0.0
+    assert "slope" not in summary
+
+
+def test_one_positive_time_writes_the_limit_constant(tmp_path):
+    # the leading term Q_0 c_0 needs no second time: the uniform density's is 1
+    path = demo_config(tmp_path, times=[0.0, 1.0])
+    assert main(["evolve", "--config", str(path)]) == 0
+    summary = _finite_json(tmp_path / "out" / "summary.json")
+    assert summary["C_inf"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fully_decayed_times_write_valid_json(tmp_path):
-    # by t = 400 the density underflows to 0: no log(0) in the slope fit (the
-    # suite runs with warnings as errors) and strict JSON in the summary
+    # by t = 400 the density underflows to 0 (the suite runs with warnings as
+    # errors): strict JSON in the summary, and the rows where q_l1 is left
+    # still give the decay rate -lambda_0
     path = demo_config(tmp_path, times=[0.1, 1.0, 400.0])
     assert main(["evolve", "--config", str(path)]) == 0
-    assert _finite_json(tmp_path / "out" / "summary.json")["slope"] == pytest.approx(-2.0,
-                                                                                     rel=1e-6)
+    _finite_json(tmp_path / "out" / "summary.json")
+    with open(tmp_path / "out" / "evolution.csv") as fh:
+        rows = [(float(row["t"]), float(row["q_l1"])) for row in csv.DictReader(fh)]
+    t, l1 = np.array([row for row in rows if row[1] > 0.0]).T
+    assert len(t) == 2
+    assert np.polyfit(t, np.log(l1), 1)[0] == pytest.approx(-2.0, rel=1e-6)
 
 
 _SCIPY_LOADED = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
@@ -829,7 +843,14 @@ def test_shipped_configs_write_strict_json(tmp_path, config):
     # json writes NaN and Infinity, which strict parsers reject; the benchmark
     # counts a call as failed on any exit other than 0 or any listed violation
     summary, verdict = _run_both(ROOT / f"{config}.json", tmp_path)
-    _finite_json(tmp_path / "spectrum.json")
+    spectrum = _finite_json(tmp_path / "spectrum.json")
+    # the artifacts hold what the run computes and checks, and no fit that
+    # evolution.csv and spectrum.json already give
+    assert set(summary) == {"schema", "name", "residuals", "tolerances", "violations",
+                            "lambda0", "a_inf", "b_inf", "C_inf", "smoothness"}
+    assert set(spectrum) == {"lambda", "Q", "identity_residuals"}
+    assert set(verdict) == {"schema", "name", "spectral_residuals", "tolerances",
+                            "violations", "comparison", "fd_mass_drift", "pass"}
     assert summary["residuals"]["initial_residual"] < 1e-11
     # the FD's initial mass is exact but for the spectral rule's 2e-12 on the bumps
     assert verdict["fd_mass_drift"] <= 1e-10
