@@ -4,8 +4,8 @@ The interior density decays while probability mass accumulates in growing
 point masses at the two absorbing endpoints; this package computes the
 density, the endpoint masses, the fixation probability, the underlying
 spectral data, conservation diagnostics, the distance to the limit measure
-with its decay bound, and an independent finite-difference solver for
-cross-validation.
+with the norm its decay bound reads, and an independent finite-difference
+solver for cross-validation.
 """
 
 from .model import CoefficientModel, make_kimura
@@ -22,7 +22,6 @@ from .evolution import (
     ds_norm,
     limit_masses,
     project_initial,
-    radon_bound_constant,
     radon_distance_to_limit,
     solutions_at,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "conservation_residuals",
     "ds_norm",
     "radon_distance_to_limit",
-    "radon_bound_constant",
     "bump_density",
     "density_from_spec",
     "solve_fd",

@@ -12,11 +12,11 @@ SpectralBasis its model, SpectralCoefficients their basis, initial measure
 and limits, and a Solutions record its coefficients.  solutions_at evaluates
 the series at an array of times and the caller's points, and every diagnostic
 over time (conservation and the route gap, distance to the limit) takes that
-one record.  The decay to the limit is stated once, as the D_1 bound of
-ds_norm and radon_bound_constant.  The paper's weak form holds at every t > 0
-exactly when each mode satisfies its identity, which
-SpectralBasis.identity_residuals tabulates on first read; initial_residual
-checks its t = 0 term.
+one record.  The decay to the limit is bounded by ds_norm, the D_1 norm of
+the data, times constants of the eigenvalues and mode masses alone.  The
+paper's weak form holds at every t > 0 exactly when each mode satisfies its
+identity, which SpectralBasis.identity_residuals tabulates on first read;
+initial_residual checks its t = 0 term.
 """
 
 import re
@@ -377,17 +377,3 @@ def radon_distance_to_limit(solutions):
     rho = (a_inf - solutions.a) + (b_inf - solutions.b) + solutions.density_l1()
     return rho + sum(m for _, m in solutions.coeffs.measure.atoms) * (solutions.t == 0.0)
 
-
-def radon_bound_constant(basis):
-    """Constant in the D_1-weighted decay bound for the distance to the
-    limit, computed from the resolved modes, plus a tail bound from the
-    quarter-power decay of the mode masses."""
-    if basis.n_modes < 2:
-        raise ValueError(f"modes={basis.n_modes}: the decay bound's tail estimate needs at "
-                         "least two modes; raise modes")
-    lam, m = basis.eigenvalues, basis.n_modes
-    c0 = float(np.sqrt(np.sum(basis.mode_masses**2 / lam)))
-    cq = float(np.max(np.abs(basis.mode_masses) * lam**0.25))
-    growth = lam[-1] / (m - 1) ** 2
-    # cq sqrt(growth^(-3/2) (m - 1)^(-2) / 2)
-    return c0, float(cq / ((m - 1) * np.sqrt(2.0 * growth**1.5)))

@@ -358,7 +358,6 @@ def run_scenario(scenario):
 
     # an atom's D_1 norm is infinite: atom data take it at the first positive time
     norm_time = float(sols.t[sols.t > 0][0]) if scenario.initial.atoms else 0.0
-    c0, c0_tail = evolution.radon_bound_constant(basis)  # before any artifact
 
     out = scenario.out_dir
     report = pieces["report"]
@@ -366,7 +365,6 @@ def run_scenario(scenario):
     drifts = {"mass_drift": report.mass_drift, "psi_mass_drift": report.psi_mass_drift}
     summary = {
         **_verdict(scenario, pieces, "residuals", drifts),
-        "lambda0": float(basis.eigenvalues[0]),
         "a_inf": coeffs.limits[0],
         "b_inf": coeffs.limits[1],
         # the leading term of the interior mass, e^(-lambda_0 t) C_inf
@@ -374,8 +372,6 @@ def run_scenario(scenario):
         "smoothness": {
             "initial_norm": evolution.ds_norm(coeffs, norm_time),
             "norm_time": norm_time,
-            "decay_bound_constant": c0,
-            "decay_bound_tail": c0_tail,
         },
     }
     x = np.linspace(0.0, 1.0, scenario.grid + 1)  # fixation.csv's grid + 1 points

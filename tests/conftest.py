@@ -74,6 +74,19 @@ def growth_constant(basis):
     return float(np.polyfit(j**2, basis.eigenvalues[m // 2:], 1)[0])
 
 
+def decay_bound_constants(lam, Q):
+    """The constants (C, tail) of the decay theorem's bound
+    radon(t) <= 2 e^(-lambda_0 t) ||mu||_D1 (C + tail), from spectrum.json's
+    lambda and Q: C = sqrt(sum Q_j^2 / lambda_j) over the kept modes, and tail
+    bounds the rest from the quarter-power decay of the mode masses,
+    max |Q_j| lambda_j^(1/4) / ((m - 1) sqrt(2 g^(3/2))), g = lambda_(m-1) / (m - 1)^2."""
+    lam, Q = np.asarray(lam, float), np.asarray(Q, float)
+    m = len(lam)
+    growth = lam[-1] / (m - 1) ** 2
+    tail = float(np.max(np.abs(Q) * lam**0.25)) / ((m - 1) * np.sqrt(2.0 * growth**1.5))
+    return float(np.sqrt(np.sum(Q**2 / lam))), float(tail)
+
+
 def demo_function(demo, name):
     """The function called name that demos/<demo>.py defines, loaded without
     running the demo's script body."""

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import csv_writer_bytes, demo_config
+from conftest import csv_writer_bytes, decay_bound_constants, demo_config
 
 import kimdiff
 from kimdiff import _csvtext, cli, evolution, fixation, scenario
@@ -21,6 +21,8 @@ from kimdiff.fixation import FixationProfile
 from kimdiff.scenario import ConfigError, load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
+# the shipped configs' results, written by tests/reference/make.py
+SHIPPED = json.loads((ROOT / "tests" / "reference" / "shipped.json").read_text())
 
 
 def _python(*args, check=False):
@@ -204,14 +206,6 @@ def _exits_one(label, config, message, fresh=False, commands=("verify",)):
                f"config field 'out': cannot write {TMP}/out/verify.json: Is a directory"),
     _exits_one("config17", ({"out/fixation.csv": None}, "evolve", "--config", DEMO),
                f"config field 'out': cannot write {TMP}/out/fixation.csv: Is a directory"),
-    # one mode passes the truncation gate at late times, but the decay
-    # bound's tail estimate reads the last two modes
-    _exits_one("config21", ({"one_mode.json": '{"schema": 1, "model": {"preset": "kimura", '
-                                              '"eta": 0, "beta": 0}, "initial": {"density": '
-                                              '"uniform"}, "modes": 1, "times": [20, 50]}'},
-                            "evolve", "--config", f"{TMP}/one_mode.json", "--out", f"{TMP}/out"),
-               "error: modes=1: the decay bound's tail estimate needs at least two modes; "
-               "raise modes\n"),
     # an --out that no directory can have: the writer makes each artifact's
     # directory, and maps any error in making it to one naming 'out'
     _exits_one("config22", ("evolve", "--config", DEMO, "--out", f"{TMP}/{'a' * 300}"),
@@ -624,6 +618,18 @@ def _run_both(path, out):
     return summary, verdict
 
 
+def test_one_mode_passes_both_commands(tmp_path):
+    # one mode passes the truncation gate at late times, and no artifact reads
+    # a second one: the decay bound's tail, which does, is spectrum.json's to form
+    path = tmp_path / "one_mode.json"
+    path.write_text('{"schema": 1, "model": {"preset": "kimura", "eta": 0, "beta": 0}, '
+                    '"initial": {"density": "uniform"}, "modes": 1, "times": [20, 50]}')
+    summary = _run_both(path, tmp_path / "out")[0]
+    assert len(_finite_json(tmp_path / "out" / "spectrum.json")["lambda"]) == 1
+    assert summary["smoothness"] == {"initial_norm": pytest.approx(1.0 / np.sqrt(3.0)),
+                                     "norm_time": 0.0}
+
+
 def test_psi_min_model_passes_both_commands(tmp_path):
     # Psi = 0.255 - x + x^2, least 0.005 at x = 1/2, on the selection_bump demo
     # data at 64 modes: at N = modes + 32 its density dipped to -1.4e-5 at
@@ -842,12 +848,14 @@ def test_scenario_config_with_selection_and_atoms(tmp_path):
 def test_shipped_configs_write_strict_json(tmp_path, config):
     # json writes NaN and Infinity, which strict parsers reject; the benchmark
     # counts a call as failed on any exit other than 0 or any listed violation
+    reference = SHIPPED[config]
     summary, verdict = _run_both(ROOT / f"{config}.json", tmp_path)
     spectrum = _finite_json(tmp_path / "spectrum.json")
-    # the artifacts hold what the run computes and checks, and no fit that
+    # the artifacts hold what the run computes and checks, and nothing that
     # evolution.csv and spectrum.json already give
     assert set(summary) == {"schema", "name", "residuals", "tolerances", "violations",
-                            "lambda0", "a_inf", "b_inf", "C_inf", "smoothness"}
+                            "a_inf", "b_inf", "C_inf", "smoothness"}
+    assert set(summary["smoothness"]) == {"initial_norm", "norm_time"}
     assert set(spectrum) == {"lambda", "Q", "identity_residuals"}
     assert set(verdict) == {"schema", "name", "spectral_residuals", "tolerances",
                             "violations", "comparison", "fd_mass_drift", "pass"}
@@ -864,17 +872,32 @@ def test_shipped_configs_write_strict_json(tmp_path, config):
         assert max(row["q_l1_diff"] for row in rows) <= (1e-7 if "fd_" in config else 3e-6)
         assert [rows[0]["fd_solves"], rows[-1]["fd_solves"]] == (
             [11, 51] if "fd_" in config else [12, 45])
-    # the decay theorem, radon(t) <= 2 e^(-lambda_0 (t - norm_time)) ||mu||_D1 (C + tail)
-    # from the norm's time on; the largest ratio is 0.94, on the neutral configs
-    smoothness = summary["smoothness"]
+    # the committed results (tests/reference/make.py): each evolution.csv
+    # column and the lowest ten eigenvalues within 1e-10 of their largest
+    # magnitude, and the residuals, mass gaps near roundoff, within 1e-10 of
+    # the mass column's
     with open(tmp_path / "evolution.csv") as fh:
-        rows = [row for row in csv.DictReader(fh)
-                if float(row["t"]) > 0.0 and float(row["t"]) >= smoothness["norm_time"]]
+        table = list(csv.DictReader(fh))
+    got = {key: [float(row[key]) for row in table] for key in reference["columns"]}
+    got["lambda"] = spectrum["lambda"][:len(reference["lambda"])]
+    for key, want in [*reference["columns"].items(), ("lambda", reference["lambda"])]:
+        np.testing.assert_allclose(got[key], want, rtol=0, atol=1e-10 * np.max(np.abs(want)),
+                                   err_msg=key)
+    keys = sorted(reference["residuals"])
+    np.testing.assert_allclose([summary["residuals"][key] for key in keys],
+                               [reference["residuals"][key] for key in keys],
+                               rtol=0, atol=1e-10 * np.max(reference["columns"]["mass_total"]))
+    # the decay theorem, radon(t) <= 2 e^(-lambda_0 (t - norm_time)) ||mu||_D1 (C + tail)
+    # from the norm's time on, with lambda_0, C and tail from spectrum.json;
+    # the largest ratio is 0.94, on the neutral configs
+    smoothness = summary["smoothness"]
+    c0, tail = decay_bound_constants(spectrum["lambda"], spectrum["Q"])
+    rows = [row for row in table
+            if float(row["t"]) > 0.0 and float(row["t"]) >= smoothness["norm_time"]]
     assert rows
     for row in rows:
-        bound = (2.0 * np.exp(-summary["lambda0"] * (float(row["t"]) - smoothness["norm_time"]))
-                 * smoothness["initial_norm"]
-                 * (smoothness["decay_bound_constant"] + smoothness["decay_bound_tail"]))
+        bound = (2.0 * np.exp(-spectrum["lambda"][0] * (float(row["t"]) - smoothness["norm_time"]))
+                 * smoothness["initial_norm"] * (c0 + tail))
         assert float(row["radon_to_limit"]) <= bound
 
 

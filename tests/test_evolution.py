@@ -11,7 +11,8 @@ from kimdiff import evolution
 from kimdiff._quadrature import gauss01
 from kimdiff.scenario import load_scenario
 
-from conftest import GRID, closed_grid, conservation_route, decay_slope, neutral_mode_exact
+from conftest import (GRID, closed_grid, conservation_route, decay_bound_constants, decay_slope,
+                      neutral_mode_exact)
 
 SQ6 = np.sqrt(6.0)
 
@@ -512,7 +513,7 @@ def test_radon_distance_identity(uniform_setup):
 
 def test_radon_smoothness_bound(neutral_basis, uniform_setup):
     coeffs = uniform_setup
-    c0, tail = kd.radon_bound_constant(neutral_basis)
+    c0, tail = decay_bound_constants(neutral_basis.eigenvalues, neutral_basis.mode_masses)
     assert 0.0 < tail < c0
     w_norm = kd.ds_norm(coeffs)
     lam0 = neutral_basis.eigenvalues[0]
