@@ -21,14 +21,12 @@ from ._quadrature import node_values, running_integral_table, table_values
 
 @dataclass
 class FixationProfile:
-    """Fixation probability as a table, with its normalization constant.
+    """Fixation probability as a table.
 
-    norm_const: c, the unnormalized total integral (inf if it overflows).
     table: piecewise Legendre table of psi (_quadrature.running_integral_table);
         __call__ evaluates it at any points of [0, 1].
     """
 
-    norm_const: float
     table: np.ndarray
 
     def __call__(self, x):
@@ -46,9 +44,6 @@ def fixation_profile(model):
     shift = model.xi_bounds()[0]
     table = running_integral_table(np.exp(shift - node_values(model.xi_table)),
                                    "the fixation integrand exp(-Xi)")
-    total = float(table_values(table, 1.0))
-    table /= total
-    with np.errstate(over="ignore"):  # c may exceed the double range; psi does not
-        c = total * np.exp(-shift)
-    return FixationProfile(norm_const=c, table=table)
+    table /= float(table_values(table, 1.0))
+    return FixationProfile(table=table)
 

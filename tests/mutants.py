@@ -36,6 +36,7 @@ IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypot
 Mutant = namedtuple("Mutant", ["name", "file", "old", "new", "tests"])
 
 CLI = "tests/test_cli.py::"
+MALFORMED = CLI + "test_malformed_field_exits_one_and_names_it"  # rows of the exit-1 table
 GATE = "tests/test_scenario.py::"
 SCENARIO = "src/kimdiff/scenario.py"
 
@@ -72,11 +73,11 @@ MUTANTS = [
     Mutant("no shared-profile check", SCENARIO,
            "        if f\"{a:g}\" == f\"{b:g}\":",
            "        if False:",
-           [CLI + "test_malformed_field_exits_one_and_names_it"]),
+           [MALFORMED + "[times-extra15]"]),
     Mutant("_number accepts booleans", SCENARIO,
            "if isinstance(value, (int, float)) and not isinstance(value, bool):",
            "if isinstance(value, (int, float)):",
-           [CLI + "test_malformed_field_exits_one_and_names_it"]),
+           [MALFORMED + "[modes-extra21]", MALFORMED + "[initial.a0-extra38]"]),
     Mutant("the dip check reads t = 0", SCENARIO,
            "    low = positive.density.min(axis=1)",
            "    low = sols.density.min(axis=1)",
@@ -112,7 +113,7 @@ MUTANTS = [
     Mutant("times need not increase", SCENARIO,
            "        if b <= a:",
            "        if False:",
-           [CLI + "test_malformed_field_exits_one_and_names_it"]),
+           [MALFORMED + "[times-extra56]"]),
     # later ones
     Mutant("solve_fd without its L1 check", "src/kimdiff/fd.py",
            "        if not l1 <= (1.0 + 1e-6) * l1_0:",
@@ -151,6 +152,10 @@ MUTANTS = [
            "model.diffusion(x) * curve + model.drift(x) * slope",
            "model.diffusion(x) * curve - model.drift(x) * slope",
            ["tests/test_spectral.py::test_weak_form_identity_holds_for_every_mode"]),
+    Mutant("_trimmed keeps every coefficient", "src/kimdiff/model.py",
+           "    small = 2.0**-53 * max(",
+           "    small = 0.0 * max(",
+           [CLI + "test_negligible_top_coefficient_runs_as_the_trimmed_model[pi]"]),
 ]
 
 

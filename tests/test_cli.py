@@ -1,4 +1,14 @@
-"""The command line: every test runs cli.main or python -m kimdiff.cli."""
+"""The command line: every test runs cli.main or python -m kimdiff.cli.
+
+Two tables hold the outcomes of whole runs, one harness each.  EXITS_ONE
+lists the inputs on which a command exits 1 with one error line naming what
+it needs, no traceback and no file made.  EXITS_ZERO is the regression table
+of configs that pass: each row runs its commands, which exit 0 with no
+violation, and hands the artifacts, JSON strictly parsed, to the row's
+check.  A fix adds its probe to one of the two with its exact outcome.
+Each row names the test it is collected as, so that a row keeps the test id
+it had as a test function of its own.
+"""
 
 import csv
 import json
@@ -7,6 +17,7 @@ import subprocess
 import sys
 import time
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,19 +50,28 @@ def _finite_json(path):
     return json.loads(path.read_text(), parse_constant=reject)
 
 
-def test_run_scenario_demo(tmp_path):
-    assert main(["evolve", "--config", str(demo_config(tmp_path))]) == 0
-    out = tmp_path / "out"
-    for name in ("spectrum.json", "fixation.csv", "evolution.csv", "summary.json"):
-        assert (out / name).exists()
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["a_inf"] == pytest.approx(0.5, abs=1e-9)
-    assert summary["b_inf"] == pytest.approx(0.5, abs=1e-9)
-    assert summary["violations"] == []
-    spectrum = json.loads((out / "spectrum.json").read_text())
-    assert spectrum["lambda"][0] == pytest.approx(2.0, rel=1e-6)
-    # per-time density profiles
-    assert (out / "profiles" / "q_t0.1.csv").exists()
+def _read_rows(path):
+    """The rows of a CSV artifact, each a dict of floats by column."""
+    with open(path) as fh:
+        return [{key: float(value) for key, value in row.items()} for row in csv.DictReader(fh)]
+
+
+def _tests(run, rows):
+    """The test functions of a table of (name, id, *values) rows: one per name,
+    which runs run(tmp_path, monkeypatch, capsys, *values) on each of its rows
+    under the row's id, or with no id if it has one row and that row none."""
+    tests = {}
+    for name in dict.fromkeys(row[0] for row in rows):
+        params = [pytest.param(values, id=row_id) for each, row_id, *values in rows if each == name]
+        if params[0].id is None:
+            def test(tmp_path, monkeypatch, capsys, values=params[0].values[0]):
+                run(tmp_path, monkeypatch, capsys, *values)
+        else:
+            @pytest.mark.parametrize("values", params)
+            def test(tmp_path, monkeypatch, capsys, values):
+                run(tmp_path, monkeypatch, capsys, *values)
+        tests[name] = test
+    return tests
 
 
 def test_determinism(tmp_path):
@@ -60,16 +80,52 @@ def test_determinism(tmp_path):
         assert main(["evolve", "--config", str(path), "--out", str(root)]) == 0
         trees.append({str(p.relative_to(root)): p.read_bytes()
                       for p in root.rglob("*") if p.is_file()})
-    assert {"fixation.csv", "profiles/q_t2.csv", "summary.json"} <= trees[0].keys()
+    assert {"spectrum.json", "fixation.csv", "evolution.csv", "summary.json",
+            "profiles/q_t0.1.csv", "profiles/q_t2.csv"} <= trees[0].keys()
     assert trees[0] == trees[1]
+    summary = json.loads(trees[0]["summary.json"])
+    assert summary["a_inf"] == pytest.approx(0.5, abs=1e-9)
+    assert summary["b_inf"] == pytest.approx(0.5, abs=1e-9)
+    assert summary["violations"] == []
+    assert json.loads(trees[0]["spectrum.json"])["lambda"][0] == pytest.approx(2.0, rel=1e-6)
 
 
-def _malformed(number, field, extra):
-    """A row of the table below, whose id is field-extra<number>."""
-    return pytest.param(field, extra, id=f"{field}-extra{number}")
+def _flat(value):
+    """The initial block of a density equal to value on [0, 1], whose mass it is."""
+    return {"density": {"x": [0, 1], "values": [value, value]}}
 
 
-@pytest.mark.parametrize("field, extra", [
+def _steep():
+    """The initial block of samples from 1e307 down to 0 over [0, 0.01]: the
+    slope between them, -1e309, passes the double range; the mass is 5e304."""
+    return {"density": {"x": [0, 0.01, 1], "values": [1e307, 0, 0]}}
+
+
+DEFAULT_RESOLUTION = {"modes": None, "grid": None, "cells": None}
+DEMO = "<demo config>"  # a command line's stand-in for the demo config's path
+TMP = "<tmp>"  # and for the test's directory, under which a row's files are made
+CMD = "<command>"  # and for the command, which a row runs as each of its commands
+INPUT_ERRORS = "test_cli_input_errors_exit_one_without_traceback"
+
+
+def _exits_one(label, config, message, fresh=False, commands=("verify",), name=INPUT_ERRORS):
+    """A row of EXITS_ONE, whose id is label-message with the first command in
+    place of CMD, or none if label is None.  A tuple config is a command line,
+    led by a dict of the files to make first (None for a directory); a dict
+    is laid over the demo config, and text is the config file.  The row runs
+    once per command, in a new interpreter through python -m kimdiff.cli if
+    fresh, else through cli.main."""
+    row_id = None if label is None else f"{label}-{message.replace(CMD, commands[0])}"
+    return name, row_id, config, message, fresh, commands
+
+
+def _malformed(number, field, extra, detail="", commands=("verify",)):
+    """A row of EXITS_ONE whose config names field; its id is field-extra<number>."""
+    return ("test_malformed_field_exits_one_and_names_it", f"{field}-extra{number}", extra,
+            f"config field '{field}'{detail}", False, commands)
+
+
+EXITS_ONE = [
     # the gates' thresholds are constants: a tolerances object is an unknown key
     _malformed(0, "tolerances", {"tolerances": {"fd_l1": 1e-3}}),
     _malformed(2, "modes", {"modes": "many"}),
@@ -133,45 +189,11 @@ def _malformed(number, field, extra):
     # Psi = (x - 0.50005)^2 - 1e-10 is negative on an interval of width 2e-5 only
     _malformed(51, "model.psi/pi", {"model": {"psi": [0.50005**2 - 1e-10, -1.0001, 1.0],
                                               "pi": [0.0]}}),
-    # the config reader alone holds the grid's floor: build_basis takes no grid
-    _malformed(52, "grid", {"grid": 32}),
+    # the config reader alone holds the grid's floor: build_basis takes no grid,
+    # and the grid only samples fixation.csv
+    _malformed(52, "grid", {"grid": 32}, ": must be at least 64", ("evolve", "verify")),
     _malformed(53, "schema", {"schema": 99}),
     _malformed(54, "times", {"times": []}),
-])
-def test_malformed_field_exits_one_and_names_it(tmp_path, capsys, field, extra):
-    path = demo_config(tmp_path, **extra)
-    assert main(["verify", "--config", str(path)]) == 1
-    assert f"config field '{field}'" in capsys.readouterr().err
-
-
-def _flat(value):
-    """The initial block of a density equal to value on [0, 1], whose mass it is."""
-    return {"density": {"x": [0, 1], "values": [value, value]}}
-
-
-def _steep():
-    """The initial block of samples from 1e307 down to 0 over [0, 0.01]: the
-    slope between them, -1e309, passes the double range; the mass is 5e304."""
-    return {"density": {"x": [0, 0.01, 1], "values": [1e307, 0, 0]}}
-
-
-DEMO = "<demo config>"  # a command line's stand-in for the demo config's path
-TMP = "<tmp>"  # and for the test's directory, under which a row's files are made
-CMD = "<command>"  # and for the command, which a row runs as each of its commands
-
-
-def _exits_one(label, config, message, fresh=False, commands=("verify",)):
-    """A row of the table below, whose id is label-message with the first
-    command in place of CMD.  A tuple config is a command line, led by a
-    dict of the files to make first (None for a directory); a dict is laid
-    over the demo config, and text is the config file.  The row runs once
-    per command, in a new interpreter through python -m kimdiff.cli if
-    fresh, else through cli.main."""
-    return pytest.param(config, message, fresh, commands,
-                        id=f"{label}-{message.replace(CMD, commands[0])}")
-
-
-@pytest.mark.parametrize("config, message, fresh, commands", [
     _exits_one("[1, 2]", "[1, 2]", "config field 'top level': expected an object"),
     _exits_one("config2", {"out": 5}, "config field 'out': expected a string"),
     # every scenario value is a config key: a flag for one is unknown
@@ -206,6 +228,11 @@ def _exits_one(label, config, message, fresh=False, commands=("verify",)):
                f"config field 'out': cannot write {TMP}/out/verify.json: Is a directory"),
     _exits_one("config17", ({"out/fixation.csv": None}, "evolve", "--config", DEMO),
                f"config field 'out': cannot write {TMP}/out/fixation.csv: Is a directory"),
+    # a file where the profiles directory belongs: every directory is made
+    # before the first artifact is written
+    _exits_one(None, ({"out/profiles": ""}, "evolve", "--config", DEMO),
+               f"config field 'out': cannot create directory {TMP}/out/profiles: File exists",
+               name="test_file_in_place_of_the_profiles_directory_exits_one"),
     # an --out that no directory can have: the writer makes each artifact's
     # directory, and maps any error in making it to one naming 'out'
     _exits_one("config22", ("evolve", "--config", DEMO, "--out", f"{TMP}/{'a' * 300}"),
@@ -222,8 +249,8 @@ def _exits_one(label, config, message, fresh=False, commands=("verify",)):
     _exits_one("config27", ("evolve", "--config", DEMO, "--out", ""),
                "config field 'out': expected a non-empty path"),
     # every command runs one scenario file
-    _exits_one("config28", ("evolve",), "the following arguments are required: --config"),
-    _exits_one("config29", ("verify",), "the following arguments are required: --config"),
+    _exits_one("config28", (CMD,), "the following arguments are required: --config",
+               commands=("evolve", "verify")),
     # the last artifact: spectrum.json, fixation.csv, evolution.csv and the
     # profiles are written before it, and removed again
     _exits_one("config30", ({"out/summary.json": None}, "evolve", "--config", DEMO),
@@ -233,8 +260,7 @@ def _exits_one(label, config, message, fresh=False, commands=("verify",)):
                "config field 'tolerances': unknown key"),
     # a mass whose series and trapezoid sums pass the double range: verify
     # passed with NaN gaps, evolve wrote a NaN slope
-    _exits_one("config32", {"initial": _flat(1.7e308), "modes": None, "grid": None,
-                            "cells": None},
+    _exits_one("config32", {"initial": _flat(1.7e308), **DEFAULT_RESOLUTION},
                "config field 'initial': total initial mass must be positive and at most "
                "1.12e+307, got 1.7e+308"),
     _exits_one("config33", ({"huge.json": json.dumps({"schema": 1, "model": {"preset": "kimura"},
@@ -245,14 +271,12 @@ def _exits_one(label, config, message, fresh=False, commands=("verify",)):
                "1.12e+307, got 1.7e+308"),
     # evolve passes this mass; the FD cell sums, about mass x cells, would
     # pass the double range and wrote Infinity into verify.json
-    _exits_one("config34", {"initial": _flat(1e306), "modes": None, "grid": None,
-                            "cells": None},
+    _exits_one("config34", {"initial": _flat(1e306), **DEFAULT_RESOLUTION},
                "error: initial: interior mass 1e+306 passes 1.71e+302, the most the "
                "finite-difference sums hold at cells=1024\n"),
-    # samples whose slope passes the double range: evolve passes (the norm
-    # table below), and the FD sums cannot hold the mass
-    _exits_one("config35", {"initial": _steep(), "times": [0.1, 1], "modes": None,
-                            "grid": None, "cells": None},
+    # samples whose slope passes the double range: evolve passes (EXITS_ZERO's
+    # finite-norm rows), and the FD sums cannot hold the mass
+    _exits_one("config35", {"initial": _steep(), "times": [0.1, 1], **DEFAULT_RESOLUTION},
                "error: initial: interior mass 5e+304 passes 1.71e+302, the most the "
                "finite-difference sums hold at cells=1024\n"),
     # a mass whose gate thresholds, down to 1e-8 of it, underflow: both
@@ -268,9 +292,10 @@ def _exits_one(label, config, message, fresh=False, commands=("verify",)):
     _exits_one("config38", '{"schema": 1, "model": {"preset": "kimura", "beta": 1e400}, '
                            '"times": [0.1, 1]}',
                "error: config field 'model.beta': expected a finite number, got inf\n"),
-])
-def test_cli_input_errors_exit_one_without_traceback(tmp_path, monkeypatch, capsys, config,
-                                                     message, fresh, commands):
+]
+
+
+def _run_exits_one(tmp_path, monkeypatch, capsys, config, message, fresh, commands):
     path = demo_config(tmp_path, **(config if isinstance(config, dict) else {}))
     if isinstance(config, dict):
         config = (CMD, "--config", DEMO)
@@ -301,20 +326,12 @@ def test_cli_input_errors_exit_one_without_traceback(tmp_path, monkeypatch, caps
         assert sorted(tmp_path.rglob("*")) == before
 
 
-def test_file_in_place_of_the_profiles_directory_exits_one(tmp_path, capsys):
-    path = demo_config(tmp_path)
-    (tmp_path / "out").mkdir()
-    (tmp_path / "out" / "profiles").write_text("")
-    assert main(["evolve", "--config", str(path)]) == 1
-    profiles = tmp_path / "out" / "profiles"
-    assert (f"config field 'out': cannot create directory {profiles}: File exists"
-            in capsys.readouterr().err)
-    # every directory is made before the first artifact is written
-    assert [p.name for p in (tmp_path / "out").iterdir()] == ["profiles"]
+globals().update(_tests(_run_exits_one, EXITS_ONE))
 
 
-def _record_loads(monkeypatch):
-    """Make cli.load_scenario record its (config, out) and fail; returns the record."""
+def test_main_parses_each_call_alone(monkeypatch, capsys):
+    # both commands take the same two flags, and the parser is built once per
+    # process; what one call parsed does not leak into the next, of either command
     loaded = []
 
     def record(config, out):
@@ -322,48 +339,17 @@ def _record_loads(monkeypatch):
         raise ConfigError("recorded")
 
     monkeypatch.setattr(cli, "load_scenario", record)
-    return loaded
-
-
-@pytest.mark.parametrize("command", ["evolve", "verify"])
-def test_scenario_commands_share_one_flag_set(monkeypatch, capsys, command):
-    loaded = _record_loads(monkeypatch)
-    assert main([command, "--config", "scenario.json", "--out", "elsewhere"]) == 1
-    assert main([command, "--config", "scenario.json"]) == 1
-    assert loaded == [("scenario.json", "elsewhere"), ("scenario.json", None)]
-    assert capsys.readouterr().err == "error: recorded\n" * 2
+    calls = [("evolve", "a.json", "elsewhere"), ("verify", "b.json", None),
+             ("verify", "c.json", "there"), ("evolve", "d.json", None)]
+    for command, config, out in calls:
+        assert main([command, "--config", config, *(("--out", out) if out else ())]) == 1
+    assert loaded == [(config, out) for _, config, out in calls]
+    assert capsys.readouterr().err == "error: recorded\n" * 4
     options = {option for action in cli.build_parser()._actions if action.dest == "command"
                for sub in action.choices.values() for each in sub._actions
                for option in each.option_strings}
     assert options == {"-h", "--help", "--config", "--out"}
-
-
-def test_main_parses_each_call_alone(monkeypatch, capsys):
-    # the parser is built once per process; what one call parsed does not
-    # leak into the next, of either command
-    loaded = _record_loads(monkeypatch)
-    assert main(["evolve", "--config", "a.json", "--out", "elsewhere"]) == 1
-    assert main(["verify", "--config", "b.json"]) == 1
-    assert main(["evolve", "--config", "c.json"]) == 1
-    assert loaded == [("a.json", "elsewhere"), ("b.json", None), ("c.json", None)]
-    assert capsys.readouterr().err == "error: recorded\n" * 3
     assert cli.build_parser() is cli.build_parser()
-
-
-def test_integral_float_grid_reads_as_an_integer(tmp_path):
-    # "grid": 1e3 runs as "grid": 1000 does, and --help still exits 0
-    path = demo_config(tmp_path, grid=1e3)
-    assert main(["evolve", "--config", str(path)]) == 0
-    lines = (tmp_path / "out" / "fixation.csv").read_text().splitlines()
-    assert len(lines) == 1 + 1001
-    assert _python("-m", "kimdiff.cli", "--help").returncode == 0
-
-
-def test_negative_zero_time_names_its_profile_q_t0(tmp_path):
-    path = demo_config(tmp_path, times=[-0.0, 1.0], modes=16, grid=256, cells=128)
-    assert main(["evolve", "--config", str(path)]) == 0
-    profiles = {p.name for p in (tmp_path / "out" / "profiles").iterdir()}
-    assert profiles == {"q_t0.csv", "q_t1.csv"}
 
 
 def _field(text):
@@ -435,24 +421,17 @@ def test_commands_evaluate_only_what_they_write(tmp_path, monkeypatch, command):
                          if command == "evolve" else [])
 
 
-def kimura_bump_config(tmp_path, beta):
+def _kimura_bump(beta):
     """Kimura eta = 0 with bump(0.5, 0.3) data at the default resolution."""
-    return demo_config(
-        tmp_path, model={"preset": "kimura", "eta": 0.0, "beta": beta},
-        initial={"density": "bump(0.5, 0.3)"}, modes=None, grid=None, cells=None,
-    )
-
-
-@pytest.mark.parametrize("beta", [40.0, -40.0, 60.0, -60.0, 100.0, -100.0])
-def test_strong_selection_verifies_at_default_resolution(tmp_path, beta):
-    assert main(["verify", "--config", str(kimura_bump_config(tmp_path, beta))]) == 0
+    return {"model": {"preset": "kimura", "eta": 0.0, "beta": beta},
+            "initial": {"density": "bump(0.5, 0.3)"}, **DEFAULT_RESOLUTION}
 
 
 @pytest.mark.parametrize("beta, xi_range", [
     (150.0, "[0, 150]"), (200.0, "[0, 200]"), (-200.0, "[-200, 0]"),
 ])
 def test_selection_past_roundoff_names_time_and_xi_range(tmp_path, capsys, beta, xi_range):
-    assert main(["verify", "--config", str(kimura_bump_config(tmp_path, beta))]) == 1
+    assert main(["verify", "--config", str(demo_config(tmp_path, **_kimura_bump(beta)))]) == 1
     err = capsys.readouterr().err
     assert "series roundoff estimate" in err and "at t=0.1 " in err
     assert f"Xi ranges over {xi_range}" in err
@@ -494,52 +473,6 @@ def test_early_time_exits_one_naming_modes(tmp_path, capsys, initial, times, saf
     assert main(["evolve", "--config", str(path)]) == 0
 
 
-def test_radon_to_limit_at_time_zero_counts_interior_atoms(tmp_path):
-    # uniform density and an atom of mass 0.5: at t = 0 the measure lies a
-    # distance of twice its interior mass 1.5 from the limit
-    path = demo_config(tmp_path, initial={"density": "uniform", "atoms": [[0.3, 0.5]]},
-                       times=[0.0, 0.1, 1.0], modes=None, grid=None, cells=None)
-    assert main(["evolve", "--config", str(path)]) == 0
-    with open(tmp_path / "out" / "evolution.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    radon = [float(row["radon_to_limit"]) for row in rows]
-    assert radon[0] == pytest.approx(3.0, abs=1e-12)
-    assert radon[0] > radon[1] > radon[2]
-    # the q_l1 column stays the density's norm
-    assert float(rows[0]["q_l1"]) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_boundary_masses_only_write_zero_limit_constant(tmp_path):
-    # no interior mass: no leading-mode content, and no fit in the summary
-    path = demo_config(tmp_path, initial={"a0": 0.3, "b0": 0.7})
-    assert main(["evolve", "--config", str(path)]) == 0
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert summary["C_inf"] == 0.0
-    assert "slope" not in summary
-
-
-def test_one_positive_time_writes_the_limit_constant(tmp_path):
-    # the leading term Q_0 c_0 needs no second time: the uniform density's is 1
-    path = demo_config(tmp_path, times=[0.0, 1.0])
-    assert main(["evolve", "--config", str(path)]) == 0
-    summary = _finite_json(tmp_path / "out" / "summary.json")
-    assert summary["C_inf"] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_fully_decayed_times_write_valid_json(tmp_path):
-    # by t = 400 the density underflows to 0 (the suite runs with warnings as
-    # errors): strict JSON in the summary, and the rows where q_l1 is left
-    # still give the decay rate -lambda_0
-    path = demo_config(tmp_path, times=[0.1, 1.0, 400.0])
-    assert main(["evolve", "--config", str(path)]) == 0
-    _finite_json(tmp_path / "out" / "summary.json")
-    with open(tmp_path / "out" / "evolution.csv") as fh:
-        rows = [(float(row["t"]), float(row["q_l1"])) for row in csv.DictReader(fh)]
-    t, l1 = np.array([row for row in rows if row[1] > 0.0]).T
-    assert len(t) == 2
-    assert np.polyfit(t, np.log(l1), 1)[0] == pytest.approx(-2.0, rel=1e-6)
-
-
 _SCIPY_LOADED = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
 
 
@@ -570,13 +503,15 @@ def test_cli_commands_load_scipy_only_where_needed(tmp_path):
 ])
 def test_verify_far_output_times_exit_zero(tmp_path, times, cells):
     # the FD oracle takes no time steps: each time is one contour sum of 10
-    # solves on this neutral model, so even t = 1e308 costs what t = 1 does
+    # solves on this neutral model, after the one for its limits, so even
+    # t = 1e308 costs what t = 1 does, in solves as in wall time
     path = demo_config(tmp_path, times=times, cells=cells)
     start = time.perf_counter()
     assert main(["verify", "--config", str(path)]) == 0
     assert time.perf_counter() - start < 1.0
     verdict = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert [row["t"] for row in verdict["comparison"]] == times
+    assert [row["fd_solves"] for row in verdict["comparison"]] == [11, 21]
 
 
 def test_overtight_tolerance_exits_two(tmp_path, monkeypatch):
@@ -608,41 +543,6 @@ def test_fd_gates_name_a_nan_gap(tmp_path, monkeypatch):
                                                 ("boundary-mass gap", "mass"))]
 
 
-def _run_both(path, out):
-    """Run evolve and verify on a config into out, each passing with no
-    violation; returns summary.json and verify.json, strictly parsed."""
-    for command in ("evolve", "verify"):
-        assert main([command, "--config", str(path), "--out", str(out)]) == 0
-    summary, verdict = (_finite_json(out / name) for name in ("summary.json", "verify.json"))
-    assert summary["violations"] == verdict["violations"] == []
-    return summary, verdict
-
-
-def test_one_mode_passes_both_commands(tmp_path):
-    # one mode passes the truncation gate at late times, and no artifact reads
-    # a second one: the decay bound's tail, which does, is spectrum.json's to form
-    path = tmp_path / "one_mode.json"
-    path.write_text('{"schema": 1, "model": {"preset": "kimura", "eta": 0, "beta": 0}, '
-                    '"initial": {"density": "uniform"}, "modes": 1, "times": [20, 50]}')
-    summary = _run_both(path, tmp_path / "out")[0]
-    assert len(_finite_json(tmp_path / "out" / "spectrum.json")["lambda"]) == 1
-    assert summary["smoothness"] == {"initial_norm": pytest.approx(1.0 / np.sqrt(3.0)),
-                                     "norm_time": 0.0}
-
-
-def test_psi_min_model_passes_both_commands(tmp_path):
-    # Psi = 0.255 - x + x^2, least 0.005 at x = 1/2, on the selection_bump demo
-    # data at 64 modes: at N = modes + 32 its density dipped to -1.4e-5 at
-    # t = 0.1 (exit 2); the Galerkin size now grows to the ceiling N = 320.
-    # FD's a and b gaps read 1.1e-10 and 1.3e-12 at t = 0.1; the later ones
-    # (up to 2.4e-7 in a at t = 2) fall fourfold per doubling of cells, FD's own
-    path = demo_config(tmp_path, model={"psi": [0.255, -1, 1], "pi": [0]},
-                       initial={"density": "bump(0.4, 0.2)"}, modes=64, grid=None, cells=None)
-    first = _run_both(path, tmp_path / "out")[1]["comparison"][0]
-    assert first["t"] == 0.1
-    assert max(first["a_diff"], first["b_diff"]) <= 1e-8
-
-
 @pytest.mark.parametrize("model, trimmed", [
     # a top coefficient below 2^-53 of the largest moves no value on [0, 1],
     # but would overflow numpy's companion matrix when the roots are found
@@ -663,110 +563,6 @@ def test_negligible_top_coefficient_runs_as_the_trimmed_model(tmp_path, model, t
     assert len(files) == 7
     for name in files:
         assert (tmp_path / "tiny" / name).read_bytes() == (tmp_path / "trimmed" / name).read_bytes()
-
-
-def test_boundary_layer_on_128_cells_verifies(tmp_path):
-    # beta = 120 on 128 cells: the mesh passes the cell-Peclet check, so the
-    # FD operator is monotone and e^(tL) keeps the density nonnegative; by
-    # t = 0.5 the bump has left for x = 1 on both routes
-    path = demo_config(tmp_path, model={"preset": "kimura", "eta": 0.0, "beta": 120.0},
-                       initial={"density": "bump(0.5, 0.3)"}, times=[0.5, 1], cells=128,
-                       modes=None, grid=None)
-    rows = _run_both(path, tmp_path / "out")[1]["comparison"]
-    assert rows[0]["b_diff"] <= 1e-10
-
-
-@pytest.mark.parametrize("a0", [
-    pytest.param(1e11, id="100000000000.0"), pytest.param(1e13, id="10000000000000.0"),
-])
-def test_large_endpoint_mass_passes_both_commands(tmp_path, a0):
-    # the endpoint masses are inert, yet their roundoff reaches the route gap
-    # (1.53e-5 at 1e11) and the FD boundary-mass gap (1.95e-3 at 1e13); both
-    # gates scale with the initial mass, the density gap with the initial
-    # interior mass, which the endpoint masses leave at 1
-    path = demo_config(tmp_path, initial={"a0": a0, "density": "uniform"}, modes=None,
-                       grid=None, cells=None)
-    verdict = _run_both(path, tmp_path / "out")[1]
-    assert verdict["spectral_residuals"]["route_agreement_max"] > 1e-5
-    assert max(row["q_l1_diff"] for row in verdict["comparison"]) <= 1.5e-6
-
-
-@pytest.mark.parametrize("mass", [pytest.param(50.0, id="atom-mass-50"),
-                                  pytest.param(1000.0, id="atom-mass-1000")])
-def test_interior_mass_scales_the_density_gate(tmp_path, mass):
-    # the problem is linear: the FD density gap of an atom at 0.5 is its mass
-    # times that of a unit atom, 1.2778e-6 at t = 0.1, and the gate scales
-    # with the mass
-    path = demo_config(tmp_path, initial={"atoms": [[0.5, mass]]}, times=[0.1, 1],
-                       modes=None, grid=None, cells=None)
-    assert main(["verify", "--config", str(path)]) == 0
-    verdict = json.loads((tmp_path / "out" / "verify.json").read_text())
-    assert verdict["violations"] == []
-    assert verdict["comparison"][0]["q_l1_diff"] == pytest.approx(mass * 1.2778331e-6, rel=1e-6)
-
-
-_RESIDUALS = {"evolve": ("summary.json", "residuals"),
-              "verify": ("verify.json", "spectral_residuals")}
-
-
-def _one_positive_time(tmp_path, command, artifact, field, **extra):
-    """Run command on the demo config at times 0 and 1, with extra's keys laid
-    over it, and check the initial residual that its artifact records."""
-    path = demo_config(tmp_path, times=[0.0, 1.0], **extra)
-    assert main([command, "--config", str(path)]) == 0
-    residual = json.loads((tmp_path / "out" / artifact).read_text())[field]["initial_residual"]
-    assert isinstance(residual, float) and 0.0 <= residual < 1e-11
-
-
-@pytest.mark.parametrize("command, artifact, field",
-                         [(command, *named) for command, named in _RESIDUALS.items()])
-def test_one_positive_time_writes_the_initial_residual(tmp_path, command, artifact, field):
-    _one_positive_time(tmp_path, command, artifact, field, modes=16, grid=256, cells=128)
-
-
-@pytest.mark.parametrize("command", ["evolve", "verify"])
-def test_interior_atom_with_one_positive_time_passes(tmp_path, command):
-    # the t = 0 row counts the atom through the initial measure itself
-    _one_positive_time(tmp_path, command, *_RESIDUALS[command],
-                       initial={"atoms": [[0.3, 1.0]]}, modes=None, grid=None, cells=None)
-
-
-def _read_rows(path):
-    """The rows of a CSV artifact, each a dict of floats by column."""
-    with open(path) as fh:
-        return [{key: float(value) for key, value in row.items()} for row in csv.DictReader(fh)]
-
-
-@pytest.mark.parametrize("density, limits, a_first", [
-    # linear between the samples: b_inf is the exact first moment 241/600
-    pytest.param({"x": [0, 0.3, 0.6, 1], "values": [0, 2, 1, 0]}, (329 / 600, 241 / 600),
-                 None, id="density0-limits0-None"),
-    # zero outside the samples, so the mass is 0.9
-    pytest.param({"x": [0.2, 0.5, 0.8], "values": [1, 2, 1]}, (0.45, 0.45), None,
-                 id="density1-limits1-None"),
-    # a narrow bump: FD Richardson from 2048 and 4096 cells gives a(0.1) = 1.66507e-3
-    pytest.param("bump(0.5,0.01)", (0.5, 0.5), 1.665073e-3,
-                 id="bump(0.5,0.01)-limits2-0.001665073"),
-    # narrower than a cell: sampled at the FD's cell centres they lost their
-    # mass, and verify exited 2 on density gaps up to 1 at t = 0.1
-    pytest.param("bump(0.5, 0.0001)", (0.5, 0.5), None, id="bump-on-a-face"),
-    pytest.param({"x": [0.5, 0.5001], "values": [1e4, 1e4]}, (0.49995, 0.50005), None,
-                 id="box-in-a-cell"),
-    pytest.param("bump(0.3, 0.0004)", (0.7, 0.3), None, id="bump-across-a-face"),
-])
-def test_initial_moments_verify_at_default_resolution(tmp_path, density, limits,
-                                                       a_first):
-    path = demo_config(tmp_path, initial={"density": density}, times=[0.1, 0.5, 1.0],
-                       modes=None, grid=None, cells=None)
-    assert main(["evolve", "--config", str(path)]) == 0
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert (summary["a_inf"], summary["b_inf"]) == pytest.approx(limits, abs=1e-11)
-    rows = _read_rows(tmp_path / "out" / "evolution.csv")
-    assert [row["t"] for row in rows] == [0.1, 0.5, 1.0]
-    assert all(row["a"] >= 0.0 and row["b"] >= 0.0 for row in rows)
-    if a_first is not None:
-        assert rows[0]["a"] == pytest.approx(a_first, abs=5e-10)
-    assert main(["verify", "--config", str(path)]) == 0
 
 
 def _projection_on_the_basis_rule(basis, init):
@@ -805,40 +601,226 @@ def test_initial_term_gate_names_a_wrong_projection(tmp_path, monkeypatch, initi
     assert violation.startswith("weak-form residual at t=0 ") and "'initial'" in violation
 
 
-@pytest.mark.parametrize("initial, extra, norm", [
-    # the norm is taken at t = 0.1, so the atom's terms decay
-    pytest.param({"atoms": [[0.5, 1e200]]}, {"times": [0.1, 1], "modes": None},
-                 9.402937236948766e199, id="atom"),
-    # the squares of the terms would pass the double range
-    pytest.param({"density": {"x": [0, 0.45, 0.55, 1], "values": [1e307, 1e307, 0, 0]}},
-                 {"model": {"preset": "kimura", "eta": 1.0, "beta": -0.5}, "modes": 256,
-                  "times": [0.01, 1]}, 9.369107652598404e306, id="sampled"),
-    # 1/sqrt(3) of the mass: evolve holds it, verify exits 1 (the CLI error table)
-    pytest.param(_flat(1e306), {"times": [0.1, 1], "modes": None, "cells": None},
-                 1e306 / np.sqrt(3.0), id="flat"),
-    # verify exits 1 on the FD sums (the CLI error table)
-    pytest.param(_steep(), {"times": [0.1, 1], "modes": None}, 5.30991491087243e305,
-                 id="steep"),
-])
-def test_large_mass_writes_a_finite_norm(tmp_path, initial, extra, norm):
-    path = demo_config(tmp_path, initial=initial, grid=None, **extra)
-    assert main(["evolve", "--config", str(path)]) == 0
-    smoothness = _finite_json(tmp_path / "out" / "summary.json")["smoothness"]
-    assert smoothness["initial_norm"] == pytest.approx(norm, rel=1e-13)
+
+def _grid_read_as_an_integer(art):
+    # "grid": 1e3 runs as "grid": 1000 does, and --help still exits 0
+    assert 1 + len(_read_rows(art["fixation.csv"])) == 1 + 1001
+    assert _python("-m", "kimdiff.cli", "--help").returncode == 0
 
 
-def test_scenario_config_with_selection_and_atoms(tmp_path):
-    path = demo_config(
-        tmp_path,
-        name="selection-bump",
-        model={"preset": "kimura", "eta": 1.0, "beta": -0.5},
-        initial={"a0": 0.1, "b0": 0.0, "density": "bump(0.4, 0.2)",
-                 "atoms": [[0.7, 0.3]]},
-    )
-    assert main(["evolve", "--config", str(path)]) == 0
-    # the limits hold the whole mass: a0, the bump's 1 and the atom's 0.3
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+def _profiles_q_t0_and_q_t1(art):
+    assert {name for name in art if name.startswith("profiles/")} == {"profiles/q_t0.csv",
+                                                                      "profiles/q_t1.csv"}
+
+
+def _radon_counts_interior_atoms(art):
+    # uniform density and an atom of mass 0.5: at t = 0 the measure lies a
+    # distance of twice its interior mass 1.5 from the limit
+    rows = _read_rows(art["evolution.csv"])
+    radon = [row["radon_to_limit"] for row in rows]
+    assert radon[0] == pytest.approx(3.0, abs=1e-12)
+    assert radon[0] > radon[1] > radon[2]
+    # the q_l1 column stays the density's norm
+    assert rows[0]["q_l1"] == pytest.approx(1.0, abs=1e-12)
+
+
+def _limit_constant(c_inf, art):
+    # the leading term Q_0 c_0 of the interior mass, and no fit in the summary
+    assert art["summary.json"]["C_inf"] == c_inf
+    assert "slope" not in art["summary.json"]
+
+
+def _decay_rate_from_what_is_left(art):
+    # by t = 400 the density underflows to 0 (the suite runs with warnings as
+    # errors): strict JSON in the summary, and the rows where q_l1 is left
+    # still give the decay rate -lambda_0
+    rows = [(row["t"], row["q_l1"]) for row in _read_rows(art["evolution.csv"])]
+    t, l1 = np.array([row for row in rows if row[1] > 0.0]).T
+    assert len(t) == 2
+    assert np.polyfit(t, np.log(l1), 1)[0] == pytest.approx(-2.0, rel=1e-6)
+
+
+def _one_mode(art):
+    # one mode passes the truncation gate at late times, and no artifact reads
+    # a second one: the decay bound's tail, which does, is spectrum.json's to form
+    assert len(art["spectrum.json"]["lambda"]) == 1
+    assert art["summary.json"]["smoothness"] == {"initial_norm": pytest.approx(1.0 / np.sqrt(3.0)),
+                                                 "norm_time": 0.0}
+
+
+def _psi_min_first_gaps(art):
+    # FD's a and b gaps read 1.1e-10 and 1.3e-12 at t = 0.1; the later ones
+    # (up to 2.4e-7 in a at t = 2) fall fourfold per doubling of cells, FD's own
+    first = art["verify.json"]["comparison"][0]
+    assert first["t"] == 0.1
+    assert max(first["a_diff"], first["b_diff"]) <= 1e-8
+
+
+def _endpoint_roundoff(art):
+    # the endpoint masses are inert, yet their roundoff reaches the route gap
+    # (1.53e-5 at 1e11) and the FD boundary-mass gap (1.95e-3 at 1e13); both
+    # gates scale with the initial mass, the density gap with the initial
+    # interior mass, which the endpoint masses leave at 1
+    verdict = art["verify.json"]
+    assert verdict["spectral_residuals"]["route_agreement_max"] > 1e-5
+    assert max(row["q_l1_diff"] for row in verdict["comparison"]) <= 1.5e-6
+
+
+def _bump_left_by_t_half(art):
+    assert art["verify.json"]["comparison"][0]["b_diff"] <= 1e-10
+
+
+def _density_gap_of_atom(mass, art):
+    # the problem is linear: the FD density gap of an atom at 0.5 is its mass
+    # times that of a unit atom, 1.2778e-6 at t = 0.1, and the gate scales
+    # with the mass
+    gap = art["verify.json"]["comparison"][0]["q_l1_diff"]
+    assert gap == pytest.approx(mass * 1.2778331e-6, rel=1e-6)
+
+
+def _initial_residual(art):
+    # the t = 0 row counts an atom through the initial measure itself
+    for artifact, field in (("summary.json", "residuals"), ("verify.json", "spectral_residuals")):
+        if artifact in art:
+            residual = art[artifact][field]["initial_residual"]
+            assert isinstance(residual, float) and 0.0 <= residual < 1e-11
+
+
+def _initial_moments(limits, a_first, art):
+    summary, rows = art["summary.json"], _read_rows(art["evolution.csv"])
+    assert (summary["a_inf"], summary["b_inf"]) == pytest.approx(limits, abs=1e-11)
+    assert [row["t"] for row in rows] == [0.1, 0.5, 1.0]
+    assert all(row["a"] >= 0.0 and row["b"] >= 0.0 for row in rows)
+    if a_first is not None:
+        assert rows[0]["a"] == pytest.approx(a_first, abs=5e-10)
+
+
+def _finite_norm(norm, art):
+    assert art["summary.json"]["smoothness"]["initial_norm"] == pytest.approx(norm, rel=1e-13)
+
+
+def _limits_hold_the_whole_mass(art):
+    # a0, the bump's 1 and the atom's 0.3
+    summary = art["summary.json"]
     assert summary["a_inf"] + summary["b_inf"] == pytest.approx(1.4, abs=1e-7)
+
+
+def _psi_endpoints_exact_and_monotone(art):
+    # fixation.csv pins psi(0) = 0 and psi(1) = 1
+    x, psi = np.array([(row["x"], row["psi"]) for row in _read_rows(art["fixation.csv"])]).T
+    assert np.array_equal(x, np.linspace(0.0, 1.0, 513))
+    assert psi[0] == 0.0
+    assert psi[-1] == 1.0
+    assert np.all(np.diff(psi) > 0)
+    assert np.all((psi >= 0) & (psi <= 1))
+
+
+EVOLVE, VERIFY, BOTH = ("evolve",), ("verify",), ("evolve", "verify")
+
+# rows (name, id, overlay, commands, check): overlay is laid over the demo config
+EXITS_ZERO = [
+    ("test_integral_float_grid_reads_as_an_integer", None, {"grid": 1e3}, EVOLVE,
+     _grid_read_as_an_integer),
+    ("test_negative_zero_time_names_its_profile_q_t0", None,
+     {"times": [-0.0, 1.0], "modes": 16, "grid": 256, "cells": 128}, EVOLVE,
+     _profiles_q_t0_and_q_t1),
+    ("test_radon_to_limit_at_time_zero_counts_interior_atoms", None,
+     {"initial": {"density": "uniform", "atoms": [[0.3, 0.5]]}, "times": [0.0, 0.1, 1.0],
+      **DEFAULT_RESOLUTION}, EVOLVE, _radon_counts_interior_atoms),
+    # no interior mass: no leading-mode content
+    ("test_boundary_masses_only_write_zero_limit_constant", None,
+     {"initial": {"a0": 0.3, "b0": 0.7}}, EVOLVE, partial(_limit_constant, 0.0)),
+    # Q_0 c_0 needs no second time: the uniform density's is 1
+    ("test_one_positive_time_writes_the_limit_constant", None, {"times": [0.0, 1.0]}, EVOLVE,
+     partial(_limit_constant, pytest.approx(1.0, abs=1e-9))),
+    ("test_fully_decayed_times_write_valid_json", None, {"times": [0.1, 1.0, 400.0]}, EVOLVE,
+     _decay_rate_from_what_is_left),
+    ("test_one_mode_passes_both_commands", None,
+     {"modes": 1, "times": [20, 50], "grid": None, "cells": None}, BOTH, _one_mode),
+    # Psi = 0.255 - x + x^2, least 0.005 at x = 1/2, on the selection_bump demo
+    # data at 64 modes: at N = modes + 32 its density dipped to -1.4e-5 at
+    # t = 0.1 (exit 2); the Galerkin size now grows to the ceiling N = 320
+    ("test_psi_min_model_passes_both_commands", None,
+     {"model": {"psi": [0.255, -1, 1], "pi": [0]}, "initial": {"density": "bump(0.4, 0.2)"},
+      "modes": 64, "grid": None, "cells": None}, BOTH, _psi_min_first_gaps),
+    *(("test_large_endpoint_mass_passes_both_commands", str(a0),
+       {"initial": {"a0": a0, "density": "uniform"}, **DEFAULT_RESOLUTION}, BOTH,
+       _endpoint_roundoff) for a0 in (1e11, 1e13)),
+    # beta = 120 on 128 cells: the mesh passes the cell-Peclet check, so the
+    # FD operator is monotone and e^(tL) keeps the density nonnegative; by
+    # t = 0.5 the bump has left for x = 1 on both routes
+    ("test_boundary_layer_on_128_cells_verifies", None,
+     {**_kimura_bump(120.0), "times": [0.5, 1], "cells": 128}, BOTH, _bump_left_by_t_half),
+    *(("test_interior_mass_scales_the_density_gate", f"atom-mass-{mass:g}",
+       {"initial": {"atoms": [[0.5, mass]]}, "times": [0.1, 1], **DEFAULT_RESOLUTION}, VERIFY,
+       partial(_density_gap_of_atom, mass)) for mass in (50.0, 1000.0)),
+    *(("test_one_positive_time_writes_the_initial_residual", row_id,
+       {"times": [0.0, 1.0], "modes": 16, "grid": 256, "cells": 128}, (command,),
+       _initial_residual) for command, row_id in [
+          ("evolve", "evolve-summary.json-residuals"),
+          ("verify", "verify-verify.json-spectral_residuals")]),
+    *(("test_interior_atom_with_one_positive_time_passes", command,
+       {"times": [0.0, 1.0], "initial": {"atoms": [[0.3, 1.0]]}, **DEFAULT_RESOLUTION},
+       (command,), _initial_residual) for command in BOTH),
+    *(("test_initial_moments_verify_at_default_resolution", row_id,
+       {"initial": {"density": density}, "times": [0.1, 0.5, 1.0], **DEFAULT_RESOLUTION}, BOTH,
+       partial(_initial_moments, limits, a_first)) for row_id, density, limits, a_first in [
+          # linear between the samples: b_inf is the exact first moment 241/600
+          ("density0-limits0-None", {"x": [0, 0.3, 0.6, 1], "values": [0, 2, 1, 0]},
+           (329 / 600, 241 / 600), None),
+          # zero outside the samples, so the mass is 0.9
+          ("density1-limits1-None", {"x": [0.2, 0.5, 0.8], "values": [1, 2, 1]}, (0.45, 0.45),
+           None),
+          # a narrow bump: FD Richardson from 2048 and 4096 cells gives a(0.1) = 1.66507e-3
+          ("bump(0.5,0.01)-limits2-0.001665073", "bump(0.5,0.01)", (0.5, 0.5), 1.665073e-3),
+          # narrower than a cell: sampled at the FD's cell centres they lost their
+          # mass, and verify exited 2 on density gaps up to 1 at t = 0.1
+          ("bump-on-a-face", "bump(0.5, 0.0001)", (0.5, 0.5), None),
+          ("box-in-a-cell", {"x": [0.5, 0.5001], "values": [1e4, 1e4]}, (0.49995, 0.50005),
+           None),
+          ("bump-across-a-face", "bump(0.3, 0.0004)", (0.7, 0.3), None)]),
+    *(("test_large_mass_writes_a_finite_norm", row_id, {"initial": initial, "grid": None, **extra},
+       EVOLVE, partial(_finite_norm, norm)) for row_id, initial, extra, norm in [
+          # the norm is taken at t = 0.1, so the atom's terms decay
+          ("atom", {"atoms": [[0.5, 1e200]]}, {"times": [0.1, 1], "modes": None},
+           9.402937236948766e199),
+          # the squares of the terms would pass the double range
+          ("sampled", {"density": {"x": [0, 0.45, 0.55, 1], "values": [1e307, 1e307, 0, 0]}},
+           {"model": {"preset": "kimura", "eta": 1.0, "beta": -0.5}, "modes": 256,
+            "times": [0.01, 1]}, 9.369107652598404e306),
+          # 1/sqrt(3) of the mass: evolve holds it, verify exits 1 (EXITS_ONE)
+          ("flat", _flat(1e306), {"times": [0.1, 1], "modes": None, "cells": None},
+           1e306 / np.sqrt(3.0)),
+          # verify exits 1 on the FD sums (EXITS_ONE)
+          ("steep", _steep(), {"times": [0.1, 1], "modes": None}, 5.30991491087243e305)]),
+    ("test_scenario_config_with_selection_and_atoms", None,
+     {"name": "selection-bump", "model": {"preset": "kimura", "eta": 1.0, "beta": -0.5},
+      "initial": {"a0": 0.1, "b0": 0.0, "density": "bump(0.4, 0.2)", "atoms": [[0.7, 0.3]]}},
+     EVOLVE, _limits_hold_the_whole_mass),
+    *(("test_strong_selection_verifies_at_default_resolution", str(beta), _kimura_bump(beta),
+       VERIFY, None) for beta in (40.0, -40.0, 60.0, -60.0, 100.0, -100.0)),
+    # a Kimura scenario whose fixation.csv holds psi at grid + 1 points
+    ("test_endpoints_exact_and_monotone", None,
+     {"model": {"preset": "kimura", "eta": 1.5, "beta": -0.7}, "times": [0.1, 1.0],
+      "modes": 16, "grid": 512, "cells": None}, EVOLVE, _psi_endpoints_exact_and_monotone),
+]
+
+
+def _run_exits_zero(tmp_path, monkeypatch, capsys, overlay, commands, check):
+    path, out = demo_config(tmp_path, **overlay), tmp_path / "out"
+    for command in commands:
+        assert main([command, "--config", str(path)]) == 0
+    # every artifact by its path under out: JSON parsed, failing on Infinity
+    # and NaN; a CSV file as its path, which a check reads with _read_rows
+    art = {str(p.relative_to(out)): _finite_json(p) if p.suffix == ".json" else p
+           for p in sorted(out.rglob("*")) if p.is_file()}
+    for command in commands:
+        assert art[{"evolve": "summary.json", "verify": "verify.json"}[command]]["violations"] == []
+    if check is not None:
+        check(art)
+
+
+globals().update(_tests(_run_exits_zero, EXITS_ZERO))
 
 
 @pytest.mark.parametrize("config", ["bench/configs/atom_verify", "bench/configs/fd_verify",
@@ -849,8 +831,12 @@ def test_shipped_configs_write_strict_json(tmp_path, config):
     # json writes NaN and Infinity, which strict parsers reject; the benchmark
     # counts a call as failed on any exit other than 0 or any listed violation
     reference = SHIPPED[config]
-    summary, verdict = _run_both(ROOT / f"{config}.json", tmp_path)
-    spectrum = _finite_json(tmp_path / "spectrum.json")
+    path = ROOT / f"{config}.json"
+    for command in ("evolve", "verify"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+    summary, verdict, spectrum = (_finite_json(tmp_path / name)
+                                  for name in ("summary.json", "verify.json", "spectrum.json"))
+    assert summary["violations"] == verdict["violations"] == []
     # the artifacts hold what the run computes and checks, and nothing that
     # evolution.csv and spectrum.json already give
     assert set(summary) == {"schema", "name", "residuals", "tolerances", "violations",
