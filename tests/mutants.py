@@ -156,6 +156,10 @@ MUTANTS = [
            "    small = 2.0**-53 * max(",
            "    small = 0.0 * max(",
            [CLI + "test_negligible_top_coefficient_runs_as_the_trimmed_model[pi]"]),
+    Mutant("the t = 0 row is the series, not the data", "src/kimdiff/evolution.py",
+           "    q[start] = init.density_samples(x)\n",
+           "",
+           [CLI + "test_neutral_uniform_matches_its_exact_solution"]),
 ]
 
 

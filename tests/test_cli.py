@@ -180,7 +180,6 @@ EXITS_ONE = [
     _malformed(43, "initial.density.values", {"initial": {"density": {"x": [0, 1],
                                                                       "values": [1, True]}}}),
     _malformed(44, "name", {"name": 5}),
-    _malformed(45, "out", {"out": 5}),
     # an object where a number or a string belongs is read, not laid over the default
     _malformed(46, "modes", {"modes": {"n": 256}}),
     _malformed(48, "out", {"out": {"dir": "x"}}),
@@ -648,6 +647,38 @@ def _one_mode(art):
                                                  "norm_time": 0.0}
 
 
+def _neutral_uniform_exact(art):
+    # Psi = 1, Pi = 0 and uniform data, the leading mode alone: q = e^(-2t) on
+    # [0, 1], each end absorbs half of the interior mass lost, 1 - e^(-2t), and
+    # lambda_j = (j + 1)(j + 2).  Every value is within 1e-12 of these (the
+    # largest gap, 1.8e-13, is on the mass and radon columns and the
+    # profiles); the t = 0 row holds the data exactly
+    rows = _read_rows(art["evolution.csv"])
+    t = np.array([row["t"] for row in rows])
+    decay = np.exp(-t) ** 2  # e^(-2t), which does not overflow at t = 1e308
+    exact = {"a": 0.1 + (1.0 - decay) / 2, "b": 0.05 + (1.0 - decay) / 2, "q_l1": decay,
+             "mass_total": 1.15, "psi_mass": 0.55, "radon_to_limit": 2.0 * decay}
+    for key, want in exact.items():
+        np.testing.assert_allclose([row[key] for row in rows], want, rtol=0, atol=1e-12,
+                                   err_msg=key)
+    profiles = {time: [row["q"] for row in _read_rows(art[f"profiles/q_t{time:g}.csv"])]
+                for time in t}
+    for (time, profile), want in zip(profiles.items(), decay):
+        np.testing.assert_allclose(profile, want, rtol=0, atol=1e-12, err_msg=f"q at t={time:g}")
+    assert set(profiles[0.0]) == {1.0}
+    assert (rows[0]["a"], rows[0]["b"], rows[0]["trunc_error"]) == (0.1, 0.05, 0.0)
+    j = np.arange(24)
+    np.testing.assert_allclose(art["spectrum.json"]["lambda"], (j + 1) * (j + 2), rtol=1e-12)
+    summary, verdict = art["summary.json"], art["verify.json"]
+    assert [summary[key] for key in ("a_inf", "b_inf", "C_inf")] == pytest.approx(
+        [0.6, 0.55, 1.0], rel=0, abs=1e-12)
+    assert summary["smoothness"] == {"initial_norm": pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12),
+                                     "norm_time": 0.0}
+    residuals = [*summary["residuals"].values(), *verdict["spectral_residuals"].values(),
+                 verdict["fd_mass_drift"]]
+    assert max(map(abs, residuals)) <= 1e-12
+
+
 def _psi_min_first_gaps(art):
     # FD's a and b gaps read 1.1e-10 and 1.3e-12 at t = 0.1; the later ones
     # (up to 2.4e-7 in a at t = 2) fall fourfold per doubling of cells, FD's own
@@ -737,6 +768,12 @@ EXITS_ZERO = [
      _decay_rate_from_what_is_left),
     ("test_one_mode_passes_both_commands", None,
      {"modes": 1, "times": [20, 50], "grid": None, "cells": None}, BOTH, _one_mode),
+    # t = 1e308 takes the path of t = inf, e^(-lambda t) = 0, with no overflow
+    # warning, which the suite would raise as an error
+    ("test_neutral_uniform_matches_its_exact_solution", None,
+     {"initial": {"a0": 0.1, "b0": 0.05, "density": "uniform"},
+      "times": [0.0, 1e-6, 1e-4, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 20.0, 1e308]}, BOTH,
+     _neutral_uniform_exact),
     # Psi = 0.255 - x + x^2, least 0.005 at x = 1/2, on the selection_bump demo
     # data at 64 modes: at N = modes + 32 its density dipped to -1.4e-5 at
     # t = 0.1 (exit 2); the Galerkin size now grows to the ceiling N = 320
@@ -878,6 +915,7 @@ def test_shipped_configs_write_strict_json(tmp_path, config):
     # the largest ratio is 0.94, on the neutral configs
     smoothness = summary["smoothness"]
     c0, tail = decay_bound_constants(spectrum["lambda"], spectrum["Q"])
+    assert 0.0 < tail < c0
     rows = [row for row in table
             if float(row["t"]) > 0.0 and float(row["t"]) >= smoothness["norm_time"]]
     assert rows

@@ -11,17 +11,7 @@ from kimdiff import evolution
 from kimdiff._quadrature import gauss01
 from kimdiff.scenario import load_scenario
 
-from conftest import (GRID, closed_grid, conservation_route, decay_bound_constants, decay_slope,
-                      neutral_mode_exact)
-
-SQ6 = np.sqrt(6.0)
-
-
-@pytest.fixture(scope="module")
-def uniform_setup(neutral_basis):
-    """Neutral model with uniform density: exactly the leading mode."""
-    init = kd.InitialMeasure(density="uniform")
-    return kd.project_initial(neutral_basis, init)
+from conftest import GRID, closed_grid, conservation_route, neutral_mode_exact
 
 
 def test_initial_measure_validation():
@@ -283,56 +273,6 @@ def test_projection_atom_near_endpoint_is_exact(neutral):
     assert np.max(np.abs(coeffs.values - exact)) <= 1e-8 * np.max(np.abs(exact))
 
 
-def test_uniform_data_is_single_mode(uniform_setup):
-    # quadrature-level agreement with the exact coefficient sqrt(6)/6
-    coeffs = uniform_setup
-    assert coeffs.values[0] == pytest.approx(SQ6 / 6, abs=1e-6)
-    assert np.max(np.abs(coeffs.values[1:])) <= 1e-8
-
-
-def test_series_single_mode_decay(uniform_setup):
-    coeffs = uniform_setup
-    s1, s2, s3, s6 = kd.solutions_at(coeffs, [1.0, 2.0, 3.0, 6.0], GRID)
-    assert np.allclose(s2.density, s1.density * np.exp(-2.0), atol=1e-12)
-    sup = [np.max(np.abs(s.density)) for s in (s1, s3, s6)]
-    assert sup[0] > sup[1] > sup[2]
-    assert sup[2] <= 1e-5
-
-
-def test_series_at_zero_returns_raw_density(uniform_setup):
-    coeffs = uniform_setup
-    sol = kd.solutions_at(coeffs, [0.0], GRID)[0]
-    assert np.all(sol.density == 1.0)
-    assert sol.trunc_error == 0.0
-
-
-def test_single_mode_l1_norm(neutral_basis, uniform_setup):
-    coeffs = uniform_setup
-    sol = kd.solutions_at(coeffs, [1.0], GRID)[0]
-    expected = neutral_basis.mode_masses[0] * coeffs.values[0] * np.exp(-2.0)
-    assert sol.density_l1() == pytest.approx(expected, rel=1e-9)
-
-
-def test_series_masses_at_zero_and_monotone(uniform_setup):
-    coeffs = uniform_setup
-    times = [0.0, 0.2, 0.5, 1.0, 2.0, 4.0]
-    sols = kd.solutions_at(coeffs, times, GRID)
-    assert (sols[0].a, sols[0].b) == (0.0, 0.0)
-    a_vals = [s.a for s in sols]
-    b_vals = [s.b for s in sols]
-    assert np.all(np.diff(a_vals) > 0)
-    assert np.all(np.diff(b_vals) > 0)
-
-
-def test_series_masses_uniform_exact(uniform_setup):
-    coeffs = uniform_setup
-    sol = kd.solutions_at(coeffs, [0.5], GRID)[0]
-    a, b = sol.a, sol.b
-    exact = SQ6 * (1 - np.exp(-1.0)) / 2 * (SQ6 / 6)
-    assert a == pytest.approx(exact, rel=1e-7)
-    assert b == pytest.approx(exact, rel=1e-7)
-
-
 def test_limit_masses_examples(neutral):
     uniform = kd.InitialMeasure(density="uniform")
     assert kd.limit_masses(neutral, uniform) == pytest.approx(
@@ -346,39 +286,6 @@ def test_limit_masses_examples(neutral):
     assert kd.limit_masses(neutral, left) == (1.0, 0.0)
 
 
-def test_series_route_reaches_limits(uniform_setup):
-    coeffs = uniform_setup
-    far = kd.solutions_at(coeffs, [np.inf], GRID)[0]
-    a_t, b_t = far.a, far.b
-    a_inf, b_inf = coeffs.limits
-    assert a_t == pytest.approx(a_inf, abs=1e-7)
-    assert b_t == pytest.approx(b_inf, abs=1e-7)
-
-
-def test_mass_cross_check_single_mode(neutral, uniform_setup):
-    coeffs = uniform_setup
-    sols = kd.solutions_at(coeffs, [0.0, 1.0], GRID)
-    psi = neutral.fixation(sols.grid)
-    a2, b2, disc = conservation_route(sols[1], coeffs.limits, psi)
-    assert disc <= 1e-6
-    # the t = 0 row holds the raw initial data and takes no part in the gap
-    rep = kd.conservation_residuals(sols)
-    assert rep.route_gap == pytest.approx(disc, abs=1e-14)
-
-
-def test_mass_cross_check_early_time_limit(neutral, uniform_setup):
-    # as t -> 0+ the conservation route returns the initial endpoint masses
-    # (up to the genuinely absorbed flux, which is proportional to t)
-    coeffs = uniform_setup
-    gaps = []
-    times = (1e-4, 1e-5, 1e-6)
-    for sol in kd.solutions_at(coeffs, times, GRID):
-        a2, b2, _ = conservation_route(sol, coeffs.limits, neutral.fixation(sol.grid))
-        gaps.append(max(abs(a2 - coeffs.measure.a0), abs(b2 - coeffs.measure.b0)))
-        assert gaps[-1] <= 3 * sol.t
-    assert gaps[0] > gaps[1] > gaps[2]
-
-
 def test_series_route_atom_limit_is_exact(neutral_basis):
     # for a point mass the coefficients do not decay, yet the series route is
     # anchored at the limits, so no truncation tail survives at t = inf
@@ -390,25 +297,6 @@ def test_series_route_atom_limit_is_exact(neutral_basis):
     assert a_inf == pytest.approx(0.75, abs=1e-9)
     assert a_lim == pytest.approx(a_inf, abs=1e-12)
     assert b_lim == pytest.approx(b_inf, abs=1e-12)
-
-
-def test_cross_check_approaches_limit(neutral, uniform_setup):
-    coeffs = uniform_setup
-    a_inf, _ = coeffs.limits
-    gaps = [
-        abs(conservation_route(sol, coeffs.limits, neutral.fixation(sol.grid))[0] - a_inf)
-        for sol in kd.solutions_at(coeffs, (1.0, 3.0, 6.0), GRID)
-    ]
-    assert gaps[0] > gaps[1] > gaps[2]
-    assert gaps[2] <= 1e-5
-
-
-def test_conservation_single_mode(uniform_setup):
-    coeffs = uniform_setup
-    sols = kd.solutions_at(coeffs, (0.1, 0.5, 1.0, 2.0), GRID)
-    rep = kd.conservation_residuals(sols)
-    assert rep.mass_drift <= 1e-6
-    assert rep.psi_mass_drift <= 1e-6
 
 
 def test_conservation_boundary_atoms_exact(neutral_basis):
@@ -465,99 +353,6 @@ def test_ds_norm_values(neutral_basis):
     assert kd.ds_norm(coeffs, 0.5) == pytest.approx(
         np.sqrt(2.0 * np.exp(-2.0) + 6.0 * np.exp(-6.0)), rel=1e-6
     )
-
-
-def test_decay_single_mode(uniform_setup):
-    coeffs = uniform_setup
-    times = np.linspace(0.5, 1.5, 11)
-    sols = kd.solutions_at(coeffs, times, GRID)
-    basis = coeffs.basis
-    c_inf = basis.mode_masses[0] * coeffs.values[0]
-    scaled_l1 = np.exp(basis.eigenvalues[0] * times) * sols.density_l1()
-    assert decay_slope(sols) == pytest.approx(-2.0, rel=1e-6)
-    assert c_inf == pytest.approx(1.0, abs=1e-9)
-    assert np.max(np.abs(scaled_l1 - c_inf)) <= 1e-9
-
-
-def test_times_past_the_double_range_evaluate_silently(uniform_setup):
-    # lambda_0 t overflows at t = 1e308: every term is 0, the masses are at
-    # their limits
-    coeffs = uniform_setup
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        sols = kd.solutions_at(coeffs, [0.1, 1e308], GRID)
-    assert sols.density_l1()[-1] == 0.0
-    assert (sols.a[-1], sols.b[-1]) == pytest.approx((0.5, 0.5), abs=1e-12)
-
-
-def test_decay_degenerate_leading_mode(neutral_basis):
-    # antisymmetric data has no leading-mode content; decay follows the
-    # second eigenvalue
-    # a unit initial mass sets the scale of the truncation check
-    coeffs = kd.SpectralCoefficients(np.zeros(neutral_basis.n_modes), neutral_basis,
-                                     kd.InitialMeasure(a0=1.0))
-    coeffs.values[1] = 1.0
-    sols = kd.solutions_at(coeffs, np.linspace(0.4, 1.0, 7), GRID)
-    assert decay_slope(sols) == pytest.approx(-6.0, rel=0.02)
-    assert neutral_basis.mode_masses[0] * coeffs.values[0] == 0.0
-
-
-def test_radon_distance_identity(uniform_setup):
-    coeffs = uniform_setup
-    for sol in kd.solutions_at(coeffs, (0.1, 0.5, 1.0, 2.0), GRID):
-        rho = kd.radon_distance_to_limit(sol)
-        assert rho == pytest.approx(2 * sol.density_l1(), abs=1e-6)
-    far = kd.solutions_at(coeffs, [20.0], GRID)[0]
-    assert kd.radon_distance_to_limit(far) <= 1e-8
-
-
-def test_radon_smoothness_bound(neutral_basis, uniform_setup):
-    coeffs = uniform_setup
-    c0, tail = decay_bound_constants(neutral_basis.eigenvalues, neutral_basis.mode_masses)
-    assert 0.0 < tail < c0
-    w_norm = kd.ds_norm(coeffs)
-    lam0 = neutral_basis.eigenvalues[0]
-    for sol in kd.solutions_at(coeffs, (0.5, 1.0, 2.0), GRID):
-        rho = kd.radon_distance_to_limit(sol)
-        assert rho <= 2 * (c0 + tail) * w_norm * np.exp(-lam0 * sol.t) * (1 + 1e-9)
-
-
-def windowed_weak_form(model, sols, psi):
-    """|int int zeta'(t) <chi, mu_t> + zeta(t) <F chi'' + G chi', q_t> dx dt| for
-    each chi of {1, psi, x(1-x), x^2(1-x)}, by the trapezoid rule in x and t:
-    the weak form with a bump zeta spanning the solutions' times, which
-    vanishes at both ends, so the initial term drops.  <chi, mu_t> pairs the
-    endpoint masses with chi(0) and chi(1)."""
-    t, x = sols.t, sols.grid
-    u = (2.0 * t - (t[0] + t[-1])) / (t[-1] - t[0])
-    inside = np.abs(u) < 1.0
-    gap = np.where(inside, 1.0 - u**2, 1.0)
-    zeta = np.where(inside, np.exp(-1.0 / gap), 0.0)
-    zeta_prime = zeta * (-2.0 * u / gap**2) * (2.0 / (t[-1] - t[0]))
-    F, G = model.diffusion(x), model.drift(x)
-    library = {
-        "one": (1.0, 1.0, np.ones_like(x), np.zeros_like(x)),
-        "fixation": (0.0, 1.0, psi, np.zeros_like(x)),  # F psi'' + G psi' = 0
-        "x(1-x)": (0.0, 0.0, x * (1.0 - x), -2.0 * F + (1.0 - 2.0 * x) * G),
-        "x^2(1-x)": (0.0, 0.0, x**2 * (1.0 - x),
-                     F * (2.0 - 6.0 * x) + G * (2.0 * x - 3.0 * x**2)),
-    }
-    out = {}
-    for name, (chi0, chi1, chi, rhs) in library.items():
-        paired = sols.a * chi0 + sols.b * chi1 + np.trapezoid(sols.density * chi, x, axis=1)
-        interior = np.trapezoid(sols.density * rhs, x, axis=1)
-        out[name] = abs(np.trapezoid(zeta_prime * paired + zeta * interior, t))
-    return out
-
-
-def test_weak_form_single_mode(neutral, uniform_setup):
-    coeffs = uniform_setup
-    times = np.linspace(0.1, 2.0, 129)
-    sols = kd.solutions_at(coeffs, times, GRID)
-    res = windowed_weak_form(neutral, sols, neutral.fixation(GRID))
-    assert set(res) == {"one", "fixation", "x(1-x)", "x^2(1-x)"}
-    for name, val in res.items():
-        assert val <= 1e-5, name
 
 
 def test_truncation_at_early_time_raises_naming_modes(neutral_basis):

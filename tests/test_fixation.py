@@ -7,20 +7,6 @@ import kimdiff as kd
 from conftest import demo_function
 
 
-def test_neutral_profile_is_identity(neutral):
-    x = np.linspace(0.0, 1.0, 2049)
-    assert np.max(np.abs(neutral.fixation(x) - x)) <= 1e-10
-
-
-@pytest.mark.parametrize("beta", [-2.0, 1.0, 5.0])
-def test_constant_selection_closed_form(beta):
-    m = kd.CoefficientModel((1.0,), (beta,))
-    prof = kd.fixation_profile(m)
-    x = np.linspace(0.0, 1.0, 1025)
-    exact = (1 - np.exp(-beta * x)) / (1 - np.exp(-beta))
-    assert np.max(np.abs(prof(x) - exact)) <= 1e-9
-
-
 def test_unit_xi_midpoint_value():
     m = kd.CoefficientModel((1.0,), (1.0,))
     prof = kd.fixation_profile(m)

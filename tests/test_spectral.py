@@ -12,13 +12,6 @@ from conftest import GRID, closed_grid, demo_function, growth_constant, neutral_
 INTERIOR = GRID[1:-1]  # the default resolution's interior points
 
 
-def test_neutral_eigenvalues(neutral):
-    basis = kd.build_basis(neutral, 12)
-    j = np.arange(12)
-    exact = (j + 1) * (j + 2)
-    assert np.max(np.abs(basis.eigenvalues / exact - 1)) <= 1e-6
-
-
 def test_positive_spectrum_random_models():
     rng = np.random.default_rng(3)
     for _ in range(4):
@@ -255,12 +248,6 @@ def test_antisymmetric_mode_has_zero_mass(neutral_basis):
     assert abs(q1[0] + q1[-1]) <= 1e-3 * abs(q1[0])
 
 
-def test_leading_mode_identity(neutral_basis):
-    q0 = neutral_basis.density_modes[:, 0]
-    lhs = neutral_basis.mode_masses[0] * neutral_basis.eigenvalues[0]
-    assert lhs == pytest.approx(q0[0] + q0[-1], rel=1e-5)
-
-
 def test_growth_constant(neutral):
     basis = kd.build_basis(neutral, 32)
     k_est = growth_constant(basis)
@@ -269,21 +256,6 @@ def test_growth_constant(neutral):
     assert abs(k_est - 1.0) <= 0.1
     assert abs(residuals[-1]) < abs(residuals[0])
     assert np.max(np.abs(residuals)) < 0.2
-
-
-def test_growth_matches_phase_prediction(neutral):
-    # independent prediction: K = pi^2 / (total Liouville-Green phase)^2
-    basis = kd.build_basis(neutral, 32)
-    k_est = growth_constant(basis)
-    # neutral phase integral over (0, 1) is pi
-    assert abs(k_est - np.pi**2 / np.pi**2) <= 0.1
-
-
-def test_bessel_comparison_decreases(neutral):
-    bessel_comparison = demo_function("05_endpoint_asymptotics.py", "bessel_comparison")
-    basis = kd.build_basis(neutral, 20)
-    errs = [bessel_comparison(basis, j, 8192) for j in (4, 8, 16)]
-    assert errs[0] > errs[1] > errs[2]
 
 
 def test_bessel_comparison_guards(neutral_basis):
