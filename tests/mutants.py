@@ -160,6 +160,14 @@ MUTANTS = [
            "    q[start] = init.density_samples(x)\n",
            "",
            [CLI + "test_neutral_uniform_matches_its_exact_solution"]),
+    Mutant("the slope-sign rule dropped", "src/kimdiff/spectral.py",
+           "    coef *= np.where(ends[0] @ coef < 0.0, -1.0, 1.0)",
+           "    pass",
+           ["tests/test_spectral.py::test_density_modes_match_closed_form"]),
+    Mutant("the FD outflow short by 0.1%", "src/kimdiff/fd.py",
+           "outflow = -h * (diag",
+           "outflow = -0.999 * h * (diag",
+           [CLI + "test_shipped_configs_write_strict_json"]),
 ]
 
 

@@ -246,12 +246,6 @@ def test_projection_of_leading_mode_is_unit_vector(neutral_basis):
     assert np.max(np.abs(coeffs.values[1:])) <= 1e-6
 
 
-def test_projection_boundary_atoms_only(neutral_basis):
-    init = kd.InitialMeasure(a0=0.3, b0=0.7)
-    coeffs = kd.project_initial(neutral_basis, init)
-    assert np.all(coeffs.values == 0.0)
-
-
 def test_projection_center_atom_kills_odd_modes(neutral_basis):
     init = kd.InitialMeasure(atoms=[(0.5, 1.0)])
     coeffs = kd.project_initial(neutral_basis, init)
@@ -273,19 +267,6 @@ def test_projection_atom_near_endpoint_is_exact(neutral):
     assert np.max(np.abs(coeffs.values - exact)) <= 1e-8 * np.max(np.abs(exact))
 
 
-def test_limit_masses_examples(neutral):
-    uniform = kd.InitialMeasure(density="uniform")
-    assert kd.limit_masses(neutral, uniform) == pytest.approx(
-        (0.5, 0.5), abs=1e-12
-    )
-    atom = kd.InitialMeasure(atoms=[(0.25, 1.0)])
-    a_inf, b_inf = kd.limit_masses(neutral, atom)
-    assert b_inf == pytest.approx(0.25, abs=1e-9)
-    assert a_inf == pytest.approx(0.75, abs=1e-9)
-    left = kd.InitialMeasure(a0=1.0)
-    assert kd.limit_masses(neutral, left) == (1.0, 0.0)
-
-
 def test_series_route_atom_limit_is_exact(neutral_basis):
     # for a point mass the coefficients do not decay, yet the series route is
     # anchored at the limits, so no truncation tail survives at t = inf
@@ -297,15 +278,6 @@ def test_series_route_atom_limit_is_exact(neutral_basis):
     assert a_inf == pytest.approx(0.75, abs=1e-9)
     assert a_lim == pytest.approx(a_inf, abs=1e-12)
     assert b_lim == pytest.approx(b_inf, abs=1e-12)
-
-
-def test_conservation_boundary_atoms_exact(neutral_basis):
-    init = kd.InitialMeasure(a0=0.4, b0=0.6)
-    coeffs = kd.project_initial(neutral_basis, init)
-    sols = kd.solutions_at(coeffs, (0.5, 1.0), GRID)
-    rep = kd.conservation_residuals(sols)
-    assert rep.mass_drift == 0.0
-    assert rep.psi_mass_drift == 0.0
 
 
 def test_conservation_interior_atom_constancy(neutral_basis):
@@ -353,15 +325,6 @@ def test_ds_norm_values(neutral_basis):
     assert kd.ds_norm(coeffs, 0.5) == pytest.approx(
         np.sqrt(2.0 * np.exp(-2.0) + 6.0 * np.exp(-6.0)), rel=1e-6
     )
-
-
-def test_truncation_at_early_time_raises_naming_modes(neutral_basis):
-    # off-center atom: its coefficients do not decay with the mode index
-    init = kd.InitialMeasure(atoms=[(0.3, 1.0)])
-    coeffs = kd.project_initial(neutral_basis, init)
-    with pytest.raises(ValueError, match=r"series truncation estimate .* at t=0\.0001 "
-                       r".*: raise modes \(modes=16\); no requested time is safe"):
-        kd.solutions_at(coeffs, [1e-4], GRID)
 
 
 def test_roundoff_names_the_range_of_xi_on_all_of_the_interval():

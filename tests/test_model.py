@@ -27,11 +27,6 @@ def test_kimura_presets():
     assert np.allclose(m01.drift(x), x * (1 - x))
 
 
-def test_kimura_xi_root():
-    m = kd.make_kimura(2, -1)
-    assert m.xi(0.5) == pytest.approx(0.0, abs=1e-15)
-
-
 def test_xi_bounds_reach_the_root_of_pi():
     # Pi = 20 - 40 x: Xi = 20 x (1 - x) is 0 at both ends and 5 at the root 1/2
     lo, hi = kd.make_kimura(-40.0, 20.0).xi_bounds()
@@ -74,21 +69,6 @@ def test_xi_integral_matches_direct():
             assert m.xi_integral(float(x)) == pytest.approx(
                 _xi_integral_by_mpmath(m, float(x)), abs=1e-11
             )
-
-
-def test_diffusion_factorization_random():
-    rng = np.random.default_rng(11)
-    m = random_valid_model(rng)
-    x = rng.uniform(0, 1, 1000)
-    assert np.allclose(m.diffusion(x), x * (1 - x) * m.psi_at(x), rtol=1e-15, atol=1e-15)
-
-
-def test_xi_times_psi_is_pi():
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        m = random_valid_model(rng)
-        x = rng.uniform(0, 1, 200)
-        assert np.allclose(m.xi(x) * m.psi_at(x), m.pi_at(x), rtol=1e-13, atol=1e-13)
 
 
 def test_xi_integral_monotone_for_nonnegative_xi():
